@@ -1,26 +1,25 @@
-"""Serving-path throughput: the seed dispatch loop vs the fast engine.
+"""Serving-path throughput: the seed dispatch loop vs the fast path.
 
 Measures end-to-end requests/second for simulating a large serving
-trace (trace generation + dispatch + P50/P99 extraction) in two modes
-and appends the result to a ``BENCH_serving.json`` trajectory:
+trace (trace generation + dispatch + P50/P99 extraction) and appends
+the result to a ``BENCH_serving.json`` trajectory:
 
 * ``seed`` — a frozen copy of the original serving path: scalar
   ``math.log`` trace generation, the O(requests x accelerators) Python
   scan materializing one ``CompletedRequest`` per request, and
   percentiles from a full sort.
-* ``fast`` — the previous engine generation: vectorized
-  structure-of-arrays trace generation, table dispatch, and the
-  streaming report (O(1) memory, sketched percentiles).
-* ``vectorized`` — the event-batch engine: the same SoA trace driven
-  through the fault-free vectorized dispatch path (native exact loop
-  with a NumPy speculate-and-verify fallback).
+* ``vectorized`` — the ``dispatch="auto"`` fast path: structure-of-
+  arrays trace generation, the vectorized engine (native exact loop
+  with a NumPy speculate-and-verify fallback), and the streaming report
+  (O(1) memory, sketched percentiles).  The mode keeps its historical
+  name so ``modes.vectorized`` stays comparable across the trajectory.
 * ``sharded`` — cluster-scale serving: the trace partitioned across a
   process pool of shard replicas (``ShardedServingCluster``), each
-  running the vectorized engine, merged into one fleet report.
+  running the fast path, merged into one fleet report.
 * ``wide`` — a wide fleet: eight CHARM designs modelled as one board
   each (a single VCK5000 cannot host eight distinct configs — their
-  AIE demand exceeds the 400-tile array), dispatched with the k-wide
-  vectorized engine versus the heap engine on the same trace.
+  AIE demand exceeds the 400-tile array), served by the fast path
+  versus the scan oracle on the same trace.
 
 The script also times the analytical-model prewarm cold (empty
 ``EvalCache``) versus warm (restored from an on-disk snapshot via
@@ -29,28 +28,26 @@ entry.
 
 The script asserts the serving engine's contract on every run:
 
-* fast-mode throughput is at least ``SPEEDUP_FLOOR`` (10x) over the
+* fast-path throughput is at least ``SPEEDUP_FLOOR`` (10x) over the
   seed loop on the full trace (a reduced floor applies to ``--smoke``
   runs on small CI traces, where constant overheads dominate);
-* vectorized-mode throughput is at least ``VECTORIZED_FLOOR`` (3x)
-  over fast mode on the full trace (reduced on ``--smoke``);
 * exact-mode dispatch decisions (accelerator, start, finish) are
-  **byte-identical** between the scan, table, heap, and vectorized
-  engines on a verification subset — fault-free and under a fault
-  schedule;
-* on the eight-accelerator fleet the vectorized engine is byte-
-  identical to heap on a verification subset and, when the native
-  k-wide kernel compiled, at least ``WIDE_FLOOR`` (3x) faster than
-  heap on the full trace (reduced on ``--smoke``; the speedup gate
-  disarms on the NumPy fallback, where vectorized only ties heap at
-  this width — the identity checks never disarm);
+  **byte-identical** between the scan oracle and the ``auto`` fast
+  path on a verification subset — fault-free and under a fault
+  schedule — and the fast path's streaming report agrees with the
+  oracle's exact report on every exact field;
+* on the eight-accelerator fleet the fast path is byte-identical to
+  the scan oracle on a verification subset and, when the native k-wide
+  kernel compiled, at least ``WIDE_FLOOR`` (3x) faster than scan on the
+  full trace (reduced on ``--smoke``; the speedup gate disarms on the
+  NumPy fallback — the identity checks never disarm);
 * SoA trace generation is bit-identical to the scalar generator;
 * every shard of a sharded serve is byte-identical to an unsharded
   in-process run over the same sub-trace (for shard counts 2, 4, 8),
   merged percentiles stay within the sketch bound of the exact union
   of the shard streams, and the pooled fleet report equals the inline
   reference; on hosts with >= ``SHARDED_MIN_CPUS`` cores the sharded
-  serve must beat single-process vectorized by ``SHARDED_FLOOR``
+  serve must beat the single-process fast path by ``SHARDED_FLOOR``
   (the speedup gate disarms on smaller machines — the determinism
   checks never do);
 * streaming P50/P99 are within twice the sketch's documented relative
@@ -96,8 +93,6 @@ DEFAULT_REQUESTS = 1_000_000
 VERIFY_REQUESTS = 20_000
 SPEEDUP_FLOOR = 10.0
 SMOKE_SPEEDUP_FLOOR = 3.0
-VECTORIZED_FLOOR = 3.0
-SMOKE_VECTORIZED_FLOOR = 2.0
 PREWARM_SPEEDUP_FLOOR = 10.0
 SHARDED_FLOOR = 3.0
 SHARDED_SHARD_COUNTS = (2, 4, 8)
@@ -230,40 +225,37 @@ def verify_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
         )
     )
     scan = simulator.run(scalar, dispatch="scan")
-    table = simulator.run(soa, dispatch="table")
-    heap = simulator.run(soa, dispatch="heap")
-    vectorized = simulator.run(soa, dispatch="vectorized")
-    dispatch_identical = (
-        _dispatch_bytes(scan)
-        == _dispatch_bytes(table)
-        == _dispatch_bytes(heap)
-        == _dispatch_bytes(vectorized)
-    )
+    auto = simulator.run(soa)
     exact_p50, exact_p99 = scan.latency_percentiles([50, 99])
-    streaming = simulator.run(
-        soa, streaming=True, quantile_error=QUANTILE_ERROR, dispatch="table"
-    )
-    stream_vec = simulator.run(
-        soa, streaming=True, quantile_error=QUANTILE_ERROR, dispatch="vectorized"
-    )
+    streaming = simulator.run(soa, streaming=True, quantile_error=QUANTILE_ERROR)
     stream_p50, stream_p99 = streaming.latency_percentiles([50, 99])
     return {
         "trace_identical": trace_identical,
-        "dispatch_identical": dispatch_identical,
-        "streaming_identical": streaming.as_dict() == stream_vec.as_dict(),
+        "dispatch_identical": _dispatch_bytes(scan) == _dispatch_bytes(auto),
+        "streaming_identical": _stream_matches_exact(streaming, scan),
         "p50_relative_error": abs(stream_p50 - exact_p50) / exact_p50,
         "p99_relative_error": abs(stream_p99 - exact_p99) / exact_p99,
     }
 
 
-def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
-    """Fault-run invariants: engine identity, determinism, accounting.
+def _stream_matches_exact(stream, exact) -> bool:
+    """A streaming report agrees with an exact one on every exact field."""
+    return bool(
+        stream.count == len(exact.completed)
+        and stream.makespan == exact.makespan
+        and stream.accelerator_load() == exact.accelerator_load()
+        and stream.fault_summary() == exact.fault_summary()
+    )
 
-    On the same seeded trace and fault schedule the scan, table, heap,
-    and vectorized engines must make byte-identical decisions
-    (including retries and shed lists), two identical runs must agree
-    byte for byte, every request must be exactly one of completed/shed,
-    and the streaming report's summary must match across engines.
+
+def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
+    """Fault-run invariants: oracle identity, determinism, accounting.
+
+    On the same seeded trace and fault schedule the scan oracle and the
+    ``auto`` fast path must make byte-identical decisions (including
+    retries and shed lists), two identical runs must agree byte for
+    byte, every request must be exactly one of completed/shed, and the
+    fast path's streaming report must agree with the oracle's exact one.
     """
     from repro.sim.chaos import FaultPolicy, FaultSchedule
 
@@ -289,56 +281,25 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
         ]
         return json.dumps([rows, shed]).encode()
 
-    reports = {}
-    for engine, trace in (
-        ("scan", scalar),
-        ("table", soa),
-        ("heap", soa),
-        ("vectorized", soa),
-    ):
-        simulator = ServingSimulator(partition)
-        reports[engine] = simulator.run(
-            trace, dispatch=engine, faults=faults, fault_policy=policy
+    def serve(trace, **kwargs):
+        return ServingSimulator(partition).run(
+            trace, faults=faults, fault_policy=policy, **kwargs
         )
-    blobs = {engine: fault_bytes(report) for engine, report in reports.items()}
-    engines_identical = (
-        blobs["scan"] == blobs["table"] == blobs["heap"] == blobs["vectorized"]
-    )
 
-    rerun = ServingSimulator(partition).run(
-        soa, dispatch="table", faults=faults, fault_policy=policy
-    )
-    deterministic = fault_bytes(rerun) == blobs["table"]
-
-    base = reports["table"]
+    scan = serve(scalar, dispatch="scan")
+    base = serve(soa)
+    deterministic = fault_bytes(serve(soa)) == fault_bytes(base)
     accounting_exact = (
         len(base.completed) + base.shed_count == num_requests
         and base.total_retries == base.kills
     )
-
-    stream_table = ServingSimulator(partition).run(
-        soa, dispatch="table", streaming=True, faults=faults, fault_policy=policy
-    )
-    stream_heap = ServingSimulator(partition).run(
-        soa, dispatch="heap", streaming=True, faults=faults, fault_policy=policy
-    )
-    stream_vec = ServingSimulator(partition).run(
-        soa, dispatch="vectorized", streaming=True, faults=faults,
-        fault_policy=policy,
-    )
-    streaming_identical = (
-        stream_table.as_dict() == stream_heap.as_dict() == stream_vec.as_dict()
-    )
-    streaming_consistent = (
-        stream_table.count == len(base.completed)
-        and stream_table.fault_summary() == base.fault_summary()
-    )
+    stream = serve(soa, streaming=True)
     return {
-        "fault_engines_identical": engines_identical,
+        "fault_engines_identical": fault_bytes(scan) == fault_bytes(base),
         "fault_deterministic": deterministic,
         "fault_accounting_exact": accounting_exact,
-        "fault_streaming_identical": bool(streaming_identical),
-        "fault_streaming_consistent": bool(streaming_consistent),
+        "fault_streaming_identical": _stream_matches_exact(stream, scan),
+        "fault_streaming_consistent": _stream_matches_exact(stream, base),
     }
 
 
@@ -406,7 +367,7 @@ def run_sharded_benchmark(
     repeats: int = 2,
     shards: int | None = None,
 ) -> dict:
-    """Time a warm sharded cluster against single-process vectorized.
+    """Time a warm sharded cluster against the single-process fast path.
 
     The pool and the shard plan are built outside the timed region
     (``ShardedServingCluster.warm``) and one untimed serve absorbs
@@ -427,15 +388,12 @@ def run_sharded_benchmark(
     for _ in range(repeats):
         started = time.perf_counter()
         soa = generate_trace_soa(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
-        simulator.run(
-            soa, streaming=True, quantile_error=QUANTILE_ERROR,
-            dispatch="vectorized",
-        )
+        simulator.run(soa, streaming=True, quantile_error=QUANTILE_ERROR)
         baseline_seconds = min(baseline_seconds, time.perf_counter() - started)
 
     sharded_seconds = math.inf
     with ShardedServingCluster(
-        simulator, SHAPES, shards=shards, dispatch="vectorized",
+        simulator, SHAPES, shards=shards,
         quantile_error=QUANTILE_ERROR, start_method=start_method,
     ) as cluster:
         method = cluster.start_method
@@ -447,7 +405,7 @@ def run_sharded_benchmark(
             fleet = cluster.serve(num_requests, MEAN_INTERARRIVAL, seed=7)
             sharded_seconds = min(sharded_seconds, time.perf_counter() - started)
     with ShardedServingCluster(
-        simulator, SHAPES, shards=shards, dispatch="vectorized",
+        simulator, SHAPES, shards=shards,
         quantile_error=QUANTILE_ERROR, start_method="inline",
     ) as reference_cluster:
         inline_fleet = reference_cluster.serve(
@@ -496,13 +454,14 @@ class FleetPartition:
 
 
 def run_wide_benchmark(num_requests: int, repeats: int = 2) -> dict:
-    """Vectorized vs heap on the eight-accelerator fleet.
+    """The fast path vs the scan oracle on the eight-accelerator fleet.
 
     Before timing, a verification subset is dispatched through both
-    engines and compared byte for byte — the speedup claim is only
-    meaningful if the engines are the same scheduler.  Timing then
-    covers the full streaming pipeline (trace generation + dispatch +
-    sketched percentiles), best-of-N per engine.
+    paths and compared byte for byte — the speedup claim is only
+    meaningful if they are the same scheduler.  Timing then covers each
+    path's full serving pipeline (trace generation + dispatch + P50/P99)
+    best-of-N: the oracle in exact mode, its only mode, and the fast
+    path in streaming mode, as ``versal-gemm serve --streaming`` runs it.
     """
     from repro.sim.dispatch_batch import native_available
 
@@ -513,22 +472,25 @@ def run_wide_benchmark(num_requests: int, repeats: int = 2) -> dict:
     verify_n = min(num_requests, VERIFY_REQUESTS)
     subset = generate_trace_soa(SHAPES, verify_n, MEAN_INTERARRIVAL, seed=7)
     identical = _dispatch_bytes(
-        simulator.run(subset, dispatch="heap")
-    ) == _dispatch_bytes(simulator.run(subset, dispatch="vectorized"))
+        simulator.run(subset, dispatch="scan")
+    ) == _dispatch_bytes(simulator.run(subset))
 
     timings = {}
-    for engine in ("heap", "vectorized"):
+    for engine, streaming in (("scan", False), ("auto", True)):
         best = math.inf
         for _ in range(repeats):
             started = time.perf_counter()
             soa = generate_trace_soa(
                 SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7
             )
-            simulator.run(
-                soa, streaming=True, quantile_error=QUANTILE_ERROR,
+            report = simulator.run(
+                soa, streaming=streaming, quantile_error=QUANTILE_ERROR,
                 dispatch=engine,
             )
+            report.latency_percentiles([50, 99])
             best = min(best, time.perf_counter() - started)
+            del soa, report
+            gc.collect()
         timings[engine] = best
 
     return {
@@ -537,11 +499,11 @@ def run_wide_benchmark(num_requests: int, repeats: int = 2) -> dict:
         "requests": num_requests,
         "native": native_available(),
         "identical": identical,
-        "heap_seconds": timings["heap"],
-        "heap_requests_per_sec": num_requests / timings["heap"],
-        "vectorized_seconds": timings["vectorized"],
-        "vectorized_requests_per_sec": num_requests / timings["vectorized"],
-        "speedup_vs_heap": timings["heap"] / timings["vectorized"],
+        "scan_seconds": timings["scan"],
+        "scan_requests_per_sec": num_requests / timings["scan"],
+        "auto_seconds": timings["auto"],
+        "auto_requests_per_sec": num_requests / timings["auto"],
+        "speedup_vs_scan": timings["scan"] / timings["auto"],
     }
 
 
@@ -582,27 +544,11 @@ def run_benchmark(
         del seed_trace, seed_report
         gc.collect()
 
-    # ``fast`` pins the table engine — the previous generation's auto
-    # pick — so the vectorized speedup is measured against a fixed
-    # baseline rather than whatever auto-selection currently resolves to
-    fast_seconds = math.inf
-    for _ in range(repeats):
-        started = time.perf_counter()
-        soa = generate_trace_soa(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
-        report = simulator.run(
-            soa, streaming=True, quantile_error=QUANTILE_ERROR, dispatch="table"
-        )
-        fast_p50, fast_p99 = report.latency_percentiles([50, 99])
-        fast_seconds = min(fast_seconds, time.perf_counter() - started)
-
     vectorized_seconds = math.inf
     for _ in range(repeats):
         started = time.perf_counter()
         soa = generate_trace_soa(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
-        report = simulator.run(
-            soa, streaming=True, quantile_error=QUANTILE_ERROR,
-            dispatch="vectorized",
-        )
+        report = simulator.run(soa, streaming=True, quantile_error=QUANTILE_ERROR)
         vec_p50, vec_p99 = report.latency_percentiles([50, 99])
         vectorized_seconds = min(vectorized_seconds, time.perf_counter() - started)
 
@@ -620,12 +566,6 @@ def run_benchmark(
                 "p50": seed_p50,
                 "p99": seed_p99,
             },
-            "fast": {
-                "seconds": fast_seconds,
-                "requests_per_sec": num_requests / fast_seconds,
-                "p50": fast_p50,
-                "p99": fast_p99,
-            },
             "vectorized": {
                 "seconds": vectorized_seconds,
                 "requests_per_sec": num_requests / vectorized_seconds,
@@ -633,14 +573,10 @@ def run_benchmark(
                 "p99": vec_p99,
             },
         },
-        "speedup": seed_seconds / fast_seconds,
-        "vectorized_speedup": fast_seconds / vectorized_seconds,
+        "speedup": seed_seconds / vectorized_seconds,
         "quantile_error": QUANTILE_ERROR,
         "floors": {
             "speedup": SMOKE_SPEEDUP_FLOOR if smoke else SPEEDUP_FLOOR,
-            "vectorized_speedup": (
-                SMOKE_VECTORIZED_FLOOR if smoke else VECTORIZED_FLOOR
-            ),
         },
     }
     entry.update(verify_contract(partition, min(num_requests, VERIFY_REQUESTS)))
@@ -713,8 +649,8 @@ def sharded_gates() -> list[Gate]:
              label="pool fleet report differs from the inline reference"),
         Gate(metric="sharded.speedup_vs_vectorized", kind="floor",
              value=SHARDED_FLOOR, when="sharded.gated",
-             label=f"sharded speedup over vectorized is below the "
-                   f"{SHARDED_FLOOR}x floor"),
+             label=f"sharded speedup over the single-process fast path is "
+                   f"below the {SHARDED_FLOOR}x floor"),
     ]
 
 
@@ -723,11 +659,11 @@ def wide_gates(smoke: bool) -> list[Gate]:
     wide_floor = SMOKE_WIDE_FLOOR if smoke else WIDE_FLOOR
     return [
         Gate(metric="wide.identical", kind="flag",
-             label="vectorized and heap dispatch decisions differ on the "
-                   "wide fleet"),
-        Gate(metric="wide.speedup_vs_heap", kind="floor", value=wide_floor,
+             label="auto and scan dispatch decisions differ on the wide "
+                   "fleet"),
+        Gate(metric="wide.speedup_vs_scan", kind="floor", value=wide_floor,
              when="wide.native",
-             label=f"wide-fleet vectorized speedup over heap is below the "
+             label=f"wide-fleet auto speedup over scan is below the "
                    f"{wide_floor}x floor (native kernel)"),
     ]
 
@@ -735,26 +671,25 @@ def wide_gates(smoke: bool) -> list[Gate]:
 def serving_gates(smoke: bool) -> list[Gate]:
     """The full serving contract (speedups, identity, accuracy, cache)."""
     floor = SMOKE_SPEEDUP_FLOOR if smoke else SPEEDUP_FLOOR
-    vec_floor = SMOKE_VECTORIZED_FLOOR if smoke else VECTORIZED_FLOOR
     bound = 2 * QUANTILE_ERROR
     gates = [
         Gate(metric="trace_identical", kind="flag",
              label="SoA trace generation is not bit-identical to scalar"),
         Gate(metric="dispatch_identical", kind="flag",
-             label="scan, table, heap, and vectorized dispatch decisions "
-                   "differ"),
+             label="auto and scan dispatch decisions differ"),
         Gate(metric="streaming_identical", kind="flag",
-             label="streaming summaries differ between table and vectorized "
-                   "engines"),
+             label="the auto streaming report disagrees with the scan "
+                   "oracle's exact report"),
         Gate(metric="fault_engines_identical", kind="flag",
-             label="scan, table, and heap disagree under a fault schedule"),
+             label="auto and scan disagree under a fault schedule"),
         Gate(metric="fault_deterministic", kind="flag",
              label="fault runs are not deterministic"),
         Gate(metric="fault_accounting_exact", kind="flag",
              label="fault accounting does not balance "
                    "(completed + shed != offered)"),
         Gate(metric="fault_streaming_identical", kind="flag",
-             label="streaming fault summaries differ between table and heap"),
+             label="the auto streaming fault report disagrees with the scan "
+                   "oracle's exact report"),
         Gate(metric="fault_streaming_consistent", kind="flag",
              label="streaming fault report disagrees with the exact report"),
         Gate(metric="p50_relative_error", kind="ceiling", value=bound,
@@ -763,9 +698,6 @@ def serving_gates(smoke: bool) -> list[Gate]:
              label=f"streaming p99 is off by more than the {bound} bound"),
         Gate(metric="speedup", kind="floor", value=floor,
              label=f"serving speedup is below the {floor}x floor"),
-        Gate(metric="vectorized_speedup", kind="floor", value=vec_floor,
-             label=f"vectorized speedup over fast is below the "
-                   f"{vec_floor}x floor"),
         Gate(metric="cache.warm_hits", kind="floor", value=1.0,
              label="warm prewarm served no estimates from the snapshot"),
     ]
@@ -811,7 +743,7 @@ def _print_sharded(entry: dict) -> None:
           f"{sharded['requests_per_sec']:12.1f} req/s  "
           f"({sharded['shards']} shards via {sharded['start_method']})")
     print(f"sharded speedup:      {sharded['speedup_vs_vectorized']:.2f}x over "
-          f"vectorized (gate {gate}, {sharded['cpu_count']} cpus)")
+          f"single-process (gate {gate}, {sharded['cpu_count']} cpus)")
     print(f"sharded identical:    {entry['sharded_identical']}  "
           f"counts exact: {entry['sharded_counts_exact']}  "
           f"pool==inline: {sharded['matches_inline']}")
@@ -887,15 +819,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:>10}: {mode['seconds']:8.3f} s  "
               f"{mode['requests_per_sec']:12.1f} req/s  "
               f"p50 {mode['p50'] * 1e3:.3f} ms  p99 {mode['p99'] * 1e3:.3f} ms")
-    print(f"speedup:              {entry['speedup']:.2f}x")
-    print(f"vectorized speedup:   {entry['vectorized_speedup']:.2f}x over fast")
+    print(f"speedup:              {entry['speedup']:.2f}x over seed")
     _print_sharded(entry)
     wide = entry["wide"]
     kernel = "native" if wide["native"] else "numpy fallback"
-    print(f"{'wide':>10}: {wide['vectorized_seconds']:8.3f} s  "
-          f"{wide['vectorized_requests_per_sec']:12.1f} req/s  "
+    print(f"{'wide':>10}: {wide['auto_seconds']:8.3f} s  "
+          f"{wide['auto_requests_per_sec']:12.1f} req/s  "
           f"({wide['accelerators']} accelerators via {kernel})")
-    print(f"wide speedup:         {wide['speedup_vs_heap']:.2f}x over heap  "
+    print(f"wide speedup:         {wide['speedup_vs_scan']:.2f}x over scan  "
           f"identical: {wide['identical']}")
     cache = entry["cache"]
     print(f"prewarm cache:        cold {cache['cold_prewarm_seconds'] * 1e3:.2f} ms"

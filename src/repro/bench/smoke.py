@@ -49,7 +49,7 @@ def serving_smoke_experiment(num_requests: int = 1_000_000) -> ServingExperiment
     """The committed BENCH_serving scenario, trace pinned to seed 7."""
     return ServingExperiment(
         num_requests=num_requests,
-        dispatch="vectorized",
+        dispatch="auto",
         streaming=True,
         vary_trace=False,
     )

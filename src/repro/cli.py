@@ -247,6 +247,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve: --shards streams its reports; the scan engine is "
               "exact-mode only", file=sys.stderr)
         return 2
+    if args.streaming and args.dispatch == "scan":
+        print("serve: --streaming needs --dispatch auto; the scan engine is "
+              "exact-mode only", file=sys.stderr)
+        return 2
     if args.windows < 1:
         print("serve: --windows must be at least 1", file=sys.stderr)
         return 2
@@ -904,11 +908,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative error bound for streaming percentiles")
     serve.add_argument(
         "--dispatch",
-        choices=["auto", "vectorized", "heap", "table", "scan"],
+        choices=["auto", "scan"],
         default="auto",
-        help="dispatch engine (all byte-identical; vectorized is legal at "
-             "any partition width — native k-wide C kernel when a compiler "
-             "is present, NumPy speculate-and-verify otherwise)")
+        help="dispatch path (byte-identical): auto is the fast path — "
+             "native k-wide C kernel when a compiler is present, NumPy "
+             "speculate-and-verify otherwise; scan is the seed-loop "
+             "oracle (exact mode only)")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the trace across N process-parallel "
                             "shard replicas and merge one fleet report")
@@ -991,9 +996,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests per repeat (serving) or per sweep point")
     bench.add_argument("--mean-interarrival", type=float, default=None,
                        help="mean seconds between arrivals (default 0.5e-3)")
-    bench.add_argument("--dispatch",
-                       choices=["auto", "vectorized", "heap", "table", "scan"],
-                       default="auto", help="serving dispatch engine")
+    bench.add_argument("--dispatch", choices=["auto", "scan"],
+                       default="auto", help="serving dispatch path")
     bench.add_argument("--streaming", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="streaming serving report (sketched percentiles)")

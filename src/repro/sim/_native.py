@@ -18,16 +18,14 @@ first-minimum winner over the ``(width, classes)`` service matrix,
 same fault-segment ``limit`` / per-accelerator next-down cut
 conditions as ``_corrected_step_k`` — so the NumPy speculate-and-verify
 engine becomes the fallback rather than the hot path when a compiler
-is present.  Width 1 and 2 keep fully unrolled kernels (the paper's
-C5+C3-style partitions); every wider fleet goes through the k-wide
-kernel, which scans the lanes with the same strict-less winner rule at
-any width.  ``inf`` service entries (infeasible accelerator/class
-pairs) are safe in all three kernels: an infinite candidate finish can
-never win a strict-less comparison, and the next-down check only ever
-tests the winner.  Plain ``-O2`` keeps IEEE semantics (no
-``-ffast-math``, no FMA contraction opportunities in pure add/compare
-code), and a self-check against a Python reference guards the build
-before it is trusted.  Any failure (no ``cc``, sandboxed filesystem,
+is present.  One k-wide kernel serves every partition width, the
+paper's one- and two-wide C5+C3-style partitions included.  ``inf``
+service entries (infeasible accelerator/class pairs) are safe: an
+infinite candidate finish can never win a strict-less comparison, and
+the next-down check only ever tests the winner.  Plain ``-O2`` keeps
+IEEE semantics (no ``-ffast-math``, no FMA contraction opportunities in
+pure add/compare code), and a self-check against a Python reference
+guards the build before it is trusted.  Any failure (no ``cc``, sandboxed filesystem,
 self-check mismatch) leaves both exports ``None`` and the pure-Python
 paths take over.  Set ``REPRO_NO_NATIVE=1`` to force that fallback
 explicitly (CI exercises it so the Python paths stay covered).
@@ -64,70 +62,6 @@ int64_t repro_theta_walk(const double *u, const double *v, int64_t n,
         }
     }
     return picks;
-}
-
-int64_t repro_dispatch_pair(const double *arrivals, const int64_t *cids,
-                            const double *svc0, const double *svc1,
-                            int64_t n, double limit, double nd0, double nd1,
-                            double *state, uint8_t *acc,
-                            double *start, double *fin)
-{
-    double f0 = state[0];
-    double f1 = state[1];
-    int64_t j = 0;
-    for (; j < n; ++j) {
-        double a = arrivals[j];
-        int64_t c = cids[j];
-        double st0 = a > f0 ? a : f0;
-        double st1 = a > f1 ? a : f1;
-        if (st0 >= limit || st1 >= limit)
-            break;
-        double e0 = st0 + svc0[c];
-        double e1 = st1 + svc1[c];
-        if (e1 < e0) {
-            if (e1 > nd1)
-                break;
-            f1 = e1;
-            acc[j] = 1;
-            start[j] = st1;
-            fin[j] = e1;
-        } else {
-            if (e0 > nd0)
-                break;
-            f0 = e0;
-            acc[j] = 0;
-            start[j] = st0;
-            fin[j] = e0;
-        }
-    }
-    state[0] = f0;
-    state[1] = f1;
-    return j;
-}
-
-int64_t repro_dispatch_single(const double *arrivals, const int64_t *cids,
-                              const double *svc0,
-                              int64_t n, double limit, double nd0,
-                              double *state, uint8_t *acc,
-                              double *start, double *fin)
-{
-    double f0 = state[0];
-    int64_t j = 0;
-    for (; j < n; ++j) {
-        double a = arrivals[j];
-        double st0 = a > f0 ? a : f0;
-        if (st0 >= limit)
-            break;
-        double e0 = st0 + svc0[cids[j]];
-        if (e0 > nd0)
-            break;
-        f0 = e0;
-        acc[j] = 0;
-        start[j] = st0;
-        fin[j] = e0;
-    }
-    state[0] = f0;
-    return j;
 }
 
 /* The k-wide exact loop: svc is the row-major (k, classes) service
@@ -208,12 +142,12 @@ def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
     return out
 
 
-def _check_dispatch(pair, single, kwide):
+def _check_dispatch(kwide):
     inf = float("inf")
     arrivals = [0.0, 0.1, 0.15, 0.2, 1.0, 1.05, 1.5, 2.0]
     cids = [0, 1, 0, 1, 0, 0, 1, 1]
-    # four lanes, one infeasible (inf) entry: the k-wide kernel must
-    # never let an infinite candidate win a strict-less comparison
+    # four lanes, one infeasible (inf) entry: the kernel must never let
+    # an infinite candidate win a strict-less comparison
     rows = [[0.3, 0.5], [0.4, 0.5], [0.35, inf], [0.25, 0.45]]
     cases = [
         (2, inf, (inf, inf)),
@@ -238,63 +172,26 @@ def _check_dispatch(pair, single, kwide):
         arr = np.asarray(arrivals)
         cid = np.asarray(cids, dtype=np.int64)
         st = np.asarray(state)
-        acc8 = np.empty(arr.size, dtype=np.uint8)
-        acc64 = np.empty(arr.size, dtype=np.int64)
+        acc = np.empty(arr.size, dtype=np.int64)
         starts = np.empty(arr.size)
         fins = np.empty(arr.size)
-        if width == 2:
-            svc = [np.asarray(row) for row in rows]
-            q = pair(
-                arr.ctypes.data_as(_DOUBLE_P),
-                cid.ctypes.data_as(_INT64_P),
-                svc[0].ctypes.data_as(_DOUBLE_P),
-                svc[1].ctypes.data_as(_DOUBLE_P),
-                arr.size,
-                limit,
-                nds[0],
-                nds[1],
-                st.ctypes.data_as(_DOUBLE_P),
-                acc8.ctypes.data_as(_UINT8_P),
-                starts.ctypes.data_as(_DOUBLE_P),
-                fins.ctypes.data_as(_DOUBLE_P),
-            )
-            got_acc = acc8
-        elif width == 1:
-            svc = [np.asarray(row) for row in rows]
-            q = single(
-                arr.ctypes.data_as(_DOUBLE_P),
-                cid.ctypes.data_as(_INT64_P),
-                svc[0].ctypes.data_as(_DOUBLE_P),
-                arr.size,
-                limit,
-                nds[0],
-                st.ctypes.data_as(_DOUBLE_P),
-                acc8.ctypes.data_as(_UINT8_P),
-                starts.ctypes.data_as(_DOUBLE_P),
-                fins.ctypes.data_as(_DOUBLE_P),
-            )
-            got_acc = acc8
-        else:
-            matrix = np.ascontiguousarray(rows[:width], dtype=np.float64)
-            nd_arr = np.asarray(nds, dtype=np.float64)
-            q = kwide(
-                arr.ctypes.data_as(_DOUBLE_P),
-                cid.ctypes.data_as(_INT64_P),
-                matrix.ctypes.data_as(_DOUBLE_P),
-                width,
-                matrix.shape[1],
-                arr.size,
-                limit,
-                nd_arr.ctypes.data_as(_DOUBLE_P),
-                st.ctypes.data_as(_DOUBLE_P),
-                acc64.ctypes.data_as(_INT64_P),
-                starts.ctypes.data_as(_DOUBLE_P),
-                fins.ctypes.data_as(_DOUBLE_P),
-            )
-            got_acc = acc64
-        got = list(
-            zip(got_acc[:q].tolist(), starts[:q].tolist(), fins[:q].tolist())
+        matrix = np.ascontiguousarray(rows[:width], dtype=np.float64)
+        nd_arr = np.asarray(nds, dtype=np.float64)
+        q = kwide(
+            arr.ctypes.data_as(_DOUBLE_P),
+            cid.ctypes.data_as(_INT64_P),
+            matrix.ctypes.data_as(_DOUBLE_P),
+            width,
+            matrix.shape[1],
+            arr.size,
+            limit,
+            nd_arr.ctypes.data_as(_DOUBLE_P),
+            st.ctypes.data_as(_DOUBLE_P),
+            acc.ctypes.data_as(_INT64_P),
+            starts.ctypes.data_as(_DOUBLE_P),
+            fins.ctypes.data_as(_DOUBLE_P),
         )
+        got = list(zip(acc[:q].tolist(), starts[:q].tolist(), fins[:q].tolist()))
         if q != len(expect) or got != expect:
             return False
         # the committed prefix must leave the same free clocks the
@@ -333,36 +230,6 @@ def _build():
         walk = library.repro_theta_walk
         walk.restype = ctypes.c_int64
         walk.argtypes = [_DOUBLE_P, _DOUBLE_P, ctypes.c_int64, ctypes.c_double, _UINT8_P]
-        pair = library.repro_dispatch_pair
-        pair.restype = ctypes.c_int64
-        pair.argtypes = [
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            _DOUBLE_P,
-            _UINT8_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-        ]
-        single = library.repro_dispatch_single
-        single.restype = ctypes.c_int64
-        single.argtypes = [
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_double,
-            _DOUBLE_P,
-            _UINT8_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-        ]
         kwide = library.repro_dispatch_k
         kwide.restype = ctypes.c_int64
         kwide.argtypes = [
@@ -397,9 +264,9 @@ def _build():
             )
             if got.tolist() != _reference_walk(check_u, check_v, theta):
                 return None
-        if not _check_dispatch(pair, single, kwide):
+        if not _check_dispatch(kwide):
             return None
-        return walk, pair, single, kwide
+        return walk, kwide
     except Exception:
         return None
     finally:
@@ -409,9 +276,7 @@ def _build():
 
 
 _BUILT = _build()
-_WALK, _PAIR, _SINGLE, _KWIDE = (
-    _BUILT if _BUILT is not None else (None, None, None, None)
-)
+_WALK, _KWIDE = _BUILT if _BUILT is not None else (None, None)
 
 #: whether the compiled kernels passed the self-check and are in use
 NATIVE_AVAILABLE = _BUILT is not None
@@ -467,57 +332,23 @@ def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None)
     state = np.asarray(free, dtype=np.float64)
     if nds is None:
         nds = (math.inf,) * width
-    if width == 2:
-        acc = np.empty(n, dtype=np.uint8)
-        svc0 = np.ascontiguousarray(services[0])
-        svc1 = np.ascontiguousarray(services[1])
-        q = _PAIR(
-            arrivals.ctypes.data_as(_DOUBLE_P),
-            class_ids.ctypes.data_as(_INT64_P),
-            svc0.ctypes.data_as(_DOUBLE_P),
-            svc1.ctypes.data_as(_DOUBLE_P),
-            n,
-            limit,
-            nds[0],
-            nds[1],
-            state.ctypes.data_as(_DOUBLE_P),
-            acc.ctypes.data_as(_UINT8_P),
-            starts.ctypes.data_as(_DOUBLE_P),
-            fins.ctypes.data_as(_DOUBLE_P),
-        )
-    elif width == 1:
-        acc = np.empty(n, dtype=np.uint8)
-        svc0 = np.ascontiguousarray(services[0])
-        q = _SINGLE(
-            arrivals.ctypes.data_as(_DOUBLE_P),
-            class_ids.ctypes.data_as(_INT64_P),
-            svc0.ctypes.data_as(_DOUBLE_P),
-            n,
-            limit,
-            nds[0],
-            state.ctypes.data_as(_DOUBLE_P),
-            acc.ctypes.data_as(_UINT8_P),
-            starts.ctypes.data_as(_DOUBLE_P),
-            fins.ctypes.data_as(_DOUBLE_P),
-        )
-    else:
-        acc = np.empty(n, dtype=np.int64)
-        matrix = np.ascontiguousarray(services, dtype=np.float64)
-        nd_arr = np.ascontiguousarray(nds, dtype=np.float64)
-        q = _KWIDE(
-            arrivals.ctypes.data_as(_DOUBLE_P),
-            class_ids.ctypes.data_as(_INT64_P),
-            matrix.ctypes.data_as(_DOUBLE_P),
-            width,
-            matrix.shape[1],
-            n,
-            limit,
-            nd_arr.ctypes.data_as(_DOUBLE_P),
-            state.ctypes.data_as(_DOUBLE_P),
-            acc.ctypes.data_as(_INT64_P),
-            starts.ctypes.data_as(_DOUBLE_P),
-            fins.ctypes.data_as(_DOUBLE_P),
-        )
+    acc = np.empty(n, dtype=np.int64)
+    matrix = np.ascontiguousarray(services, dtype=np.float64)
+    nd_arr = np.ascontiguousarray(nds, dtype=np.float64)
+    q = _KWIDE(
+        arrivals.ctypes.data_as(_DOUBLE_P),
+        class_ids.ctypes.data_as(_INT64_P),
+        matrix.ctypes.data_as(_DOUBLE_P),
+        width,
+        matrix.shape[1],
+        n,
+        limit,
+        nd_arr.ctypes.data_as(_DOUBLE_P),
+        state.ctypes.data_as(_DOUBLE_P),
+        acc.ctypes.data_as(_INT64_P),
+        starts.ctypes.data_as(_DOUBLE_P),
+        fins.ctypes.data_as(_DOUBLE_P),
+    )
     for order in range(width):
         free[order] = float(state[order])
     return q, acc[:q], starts[:q], fins[:q]
@@ -526,4 +357,4 @@ def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None)
 #: the accelerated kernels, or ``None`` when no compiler is available —
 #: callers must keep a pure-Python path behind these checks
 theta_walk = _theta_walk_native if _WALK is not None else None
-dispatch_exact = _dispatch_exact_native if _PAIR is not None else None
+dispatch_exact = _dispatch_exact_native if _KWIDE is not None else None

@@ -32,9 +32,9 @@ The pieces:
   ``versal-gemm serve --faults SPEC --fault-seed N``.
 
 Determinism guarantee: a schedule is plain data; given the same trace,
-schedule, policy, and dispatch engine the fault run is bit-reproducible
-(and identical across the scan/table/heap engines — enforced by
-``tests/conformance``).  :func:`chaos_schedule` draws from the same
+schedule, policy, and dispatch path the fault run is bit-reproducible
+(and identical between the scan oracle and the ``auto`` fast path —
+enforced by ``tests/conformance``).  :func:`chaos_schedule` draws from the same
 splitmix hash as trace generation, so ``--fault-seed`` reproduces the
 schedule exactly.
 """

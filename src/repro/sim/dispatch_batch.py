@@ -1,10 +1,11 @@
 """Speculative NumPy batch engine for earliest-finish dispatch.
 
-The scalar engines in :mod:`repro.sim.serving` retire one request per
-loop iteration; at a million requests the interpreter overhead dwarfs
-the arithmetic.  This module dispatches the same trace in vectorized
-*speculate-and-verify* rounds while staying **byte-identical** to the
-seed scan:
+The seed scan in :mod:`repro.sim.serving` retires one request per loop
+iteration; at a million requests the interpreter overhead dwarfs the
+arithmetic.  This module is the serving fast path: it dispatches the
+same trace through the native exact loop when a C compiler is present,
+and otherwise in vectorized *speculate-and-verify* rounds, staying
+**byte-identical** to the seed scan either way:
 
 1. **Guess** the per-request accelerator assignment with cheap
    approximate math — a θ-walk over cumulative service sums when a
@@ -39,10 +40,9 @@ every partition width ``k >= 1``, with the winner chosen by
 minimum — the scan's lane-order tie-break) and per-lane ``next_down``
 cut conditions for fault segments.  ``inf`` service entries
 (infeasible pairs) never win a strict-less comparison, so they flow
-through the verification untouched.  The entry points report how far
-they got so callers can fall back mid-trace: persistent low acceptance
-(an adversarial arrival pattern) bails out rather than degrading
-quadratically.
+through the verification untouched.  Persistent low acceptance (an
+adversarial arrival pattern) hands escalating bursts to an exact scalar
+loop rather than degrading quadratically.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ MIN_WINDOW = 512
 STALL_ACCEPT = 256
 
 #: consecutive stalled rounds before handing a burst to the scalar
-#: fallback — regime-transition churn (idle<->busy warmup) is skipped
+#: loop — regime-transition churn (idle<->busy warmup) is skipped
 #: at scalar speed instead of being speculated over and over
 MAX_STALLS = 2
 
-#: first scalar-fallback burst length; doubles while stalls persist, so
+#: first scalar burst length; doubles while stalls persist, so
 #: adversarial traces degrade to scalar throughput plus a vanishing
 #: fraction of failed speculation rounds
 MIN_BURST = 256
@@ -317,27 +317,52 @@ def _one_round(a, c, services, free, busy, limit=_INF, next_downs=None, correcte
     return _round_k_idle(a, c, services, free, limit, nds, corrected)
 
 
-def dispatch_vectorized(
-    arrivals, class_ids, services, free, flush, chunk_size, fallback=None
-):
-    """Dispatch a fault-free trace in speculate-and-verify rounds.
+def _dispatch_burst(arrivals, class_ids, rows, free):
+    """Exact scalar dispatch of one burst the rounds keep mispredicting.
+
+    The scan body lane by lane: ``rows[c]`` lists class ``c``'s service
+    on every lane (``inf`` = infeasible, never a strict-less winner) and
+    the winner is the first strict minimum finish.  Updates ``free`` in
+    place and returns ``(accs, starts, fins)`` arrays.
+    """
+    lanes = range(len(free))
+    accs: list[int] = []
+    starts: list[float] = []
+    fins: list[float] = []
+    for arrival, cid in zip(arrivals, class_ids):
+        row = rows[cid]
+        best = 0
+        best_fin = _INF
+        for i in lanes:
+            idle = free[i]
+            fin = (arrival if arrival > idle else idle) + row[i]
+            if fin < best_fin:
+                best = i
+                best_fin = fin
+        idle = free[best]
+        free[best] = best_fin
+        accs.append(best)
+        starts.append(arrival if arrival > idle else idle)
+        fins.append(best_fin)
+    return np.asarray(accs, dtype=np.int64), np.asarray(starts), np.asarray(fins)
+
+
+def dispatch_vectorized(arrivals, class_ids, services, free, flush, chunk_size):
+    """Dispatch a fault-free trace: the fast path's entry point.
 
     ``services`` is a ``(width, classes)`` float64 matrix with ``inf``
     marking infeasible pairs; ``free`` is the mutable per-accelerator
-    clock list shared with the scalar engines.  ``fallback(lo, hi)``
-    dispatches ``arrivals[lo:hi]`` through a scalar engine from the
-    current ``free`` state: it absorbs the stretches speculation keeps
-    mispredicting (regime transitions, adversarial arrival patterns) in
-    escalating bursts.  Without a fallback the function returns early
-    instead; the return value is how many requests were dispatched from
-    the front of the trace (``arrivals.size`` when a fallback is given).
+    clock list.  With the native kernel every ``chunk_size`` chunk is
+    dispatched in one C pass; otherwise speculate-and-verify rounds run,
+    and the stretches speculation keeps mispredicting (regime
+    transitions, adversarial arrival patterns) go through an exact
+    scalar loop in escalating bursts.  ``flush(base, accs, starts,
+    fins)`` receives every dispatched stretch in trace order.
     """
     n = int(arrivals.size)
     if _native_dispatch is not None:
         # exact native loop: no speculation to verify, no constraints to
-        # hit — every chunk is fully dispatched in one C pass, and the
-        # chunk-sized flushes keep streaming summation boundaries
-        # identical to the scalar engines
+        # hit — every chunk is fully dispatched in one C pass
         pos = 0
         while pos < n:
             hi = min(pos + chunk_size, n)
@@ -346,13 +371,14 @@ def dispatch_vectorized(
             )
             flush(pos, accs, starts, fins)
             pos = hi
-        return n
+        return
     pos = 0
     max_window = max(chunk_size, MIN_WINDOW)
     window = MIN_WINDOW
     busy = max(free) > float(arrivals[0]) if n else False
     stalls = 0
     burst = MIN_BURST
+    rows = services.T.tolist()
     while pos < n:
         hi = min(pos + window, n)
         span = hi - pos
@@ -378,16 +404,21 @@ def dispatch_vectorized(
             window = MIN_WINDOW
             stalls += 1
             if stalls >= MAX_STALLS:
-                if fallback is None:
-                    return pos
                 end = min(pos + burst, n)
-                fallback(pos, end)
+                flush(
+                    pos,
+                    *_dispatch_burst(
+                        arrivals[pos:end].tolist(),
+                        class_ids[pos:end].tolist(),
+                        rows,
+                        free,
+                    ),
+                )
                 pos = end
                 burst = min(burst * 2, max_window)
                 stalls = 0
                 if pos < n:
                     busy = max(free) > float(arrivals[pos])
-    return n
 
 
 def dispatch_segment(times, class_ids, services, free, limit, next_downs):

@@ -8,19 +8,14 @@ fully reproducible), dispatches each request to the partition
 accelerator that finishes it earliest, and reports throughput and
 latency percentiles.
 
-The dispatch engines all produce **byte-identical** decisions:
+Two dispatch paths produce **byte-identical** decisions:
 
 * the seed scan (``dispatch="scan"``) — the original O(requests x
-  accelerators) loop, kept as the ground truth and benchmark baseline;
-* the fast path (default) — per-shape-class service tables resolved
-  once per ``(accelerator, shape)`` pair, a dense earliest-finish scan
-  for small partitions and a per-class lazy earliest-finish heap
-  (O(n log k)) for larger ones;
-* the vectorized engine (``dispatch="vectorized"``, auto-selected for
-  one- and two-wide partitions on fault-free runs) — NumPy
-  speculate-and-verify batches over the SoA trace
-  (:mod:`repro.sim.dispatch_batch`), retiring tens of thousands of
-  requests per interpreter round-trip.
+  accelerators) loop, kept as the ground-truth oracle (exact mode only);
+* the fast path (``dispatch="auto"``, the default) — the vectorized
+  engine of :mod:`repro.sim.dispatch_batch` over the SoA trace, at every
+  partition width: the native k-wide exact loop when a C compiler is
+  present, NumPy speculate-and-verify rounds otherwise.
 
 ``run(..., streaming=True)`` feeds dispatched chunks straight into a
 :class:`~repro.sim.streaming.StreamingServingReport` — O(1) memory in
@@ -36,9 +31,9 @@ variants mid-run) under a :class:`~repro.sim.chaos.FaultPolicy`:
 executions a ``down`` window interrupts are killed and retried with
 exponential backoff, failing over to surviving accelerators, and shed
 with accounting once the retry budget is exhausted or nothing feasible
-remains.  All three engines implement **identical** fault semantics
-(enforced by ``tests/conformance``); ``faults=None`` or an empty
-schedule takes the untouched fault-free paths, byte for byte.
+remains.  Both paths implement **identical** fault semantics (enforced
+by ``tests/conformance``); ``faults=None`` or an empty schedule takes
+the untouched fault-free paths, byte for byte.
 
 Fault-run semantics, precisely:
 
@@ -82,11 +77,7 @@ from repro.sim.chaos import (
     FaultPolicy,
     FaultSchedule,
 )
-from repro.sim.dispatch_batch import (
-    dispatch_segment,
-    dispatch_vectorized,
-    native_available,
-)
+from repro.sim.dispatch_batch import dispatch_segment, dispatch_vectorized
 from repro.sim.streaming import (
     SoATrace,
     StreamingServingReport,
@@ -99,24 +90,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.slo import SloSpec
     from repro.obs.windows import ServingMonitor
 
-#: partitions at least this large dispatch through the per-class heap
-#: (below it, the dense table scan's constant factors win)
-HEAP_MIN_ACCELERATORS = 7
-
 #: requests buffered between streaming-report flushes (bounds memory)
 DISPATCH_CHUNK = 65536
 
-_DISPATCH_MODES = ("auto", "vectorized", "heap", "table", "scan")
-
-#: widths where ``auto`` still prefers the vectorized engine when only
-#: the NumPy speculate-and-verify fallback is available (no C
-#: compiler).  With the native kernel present the vectorized engine
-#: wins at every width — the measured crossover vs the heap is far
-#: beyond realistic fleets (see docs/performance.md) — so this
-#: constant only gates the fallback, whose guess quality drops on wide
-#: fleets.  ``dispatch="vectorized"`` is explicit and legal at any
-#: width either way.
-VECTORIZED_MAX_ACCELERATORS = 2
+_DISPATCH_MODES = ("auto", "scan")
 
 
 @dataclass(frozen=True)
@@ -153,9 +130,9 @@ def _feed_monitor_completed(
 ) -> None:
     """Feed already-materialized completions to a monitor.
 
-    Used by engines without a flush hook (scan, the fault loop): the
+    Used by the scan oracle, which has no flush hook: the
     arrival-ordered ``chunk_size`` blocks match the boundaries the fast
-    engines flush at, so the folded series are chunk-for-chunk the same.
+    path flushes at, so the folded series are chunk-for-chunk the same.
     """
     for lo in range(0, len(completed), chunk_size):
         batch = completed[lo : lo + chunk_size]
@@ -319,180 +296,6 @@ def generate_trace(
     return requests
 
 
-def _dispatch_pair(arrivals, class_ids, svc0, svc1, free, flush, chunk_size):
-    """Two-accelerator earliest-finish dispatch, fully unrolled.
-
-    The hot loop of the common case (a two-way partition where every
-    class is feasible on both accelerators): the scheduler state lives
-    in two locals, the per-class service times in two flat lists, and
-    iteration runs over chunk slices so the loop body carries no bounds
-    checks.  Decisions are byte-identical to the seed scan (strictly
-    earlier finish wins; ties go to the first accelerator).
-    """
-    n = len(arrivals)
-    free0, free1 = free
-    for lo in range(0, n, chunk_size):
-        hi = lo + chunk_size
-        out_acc: list[int] = []
-        out_start: list[float] = []
-        out_fin: list[float] = []
-        acc_append = out_acc.append
-        start_append = out_start.append
-        fin_append = out_fin.append
-        for arrival, cid in zip(arrivals[lo:hi], class_ids[lo:hi]):
-            start0 = arrival if arrival > free0 else free0
-            finish0 = start0 + svc0[cid]
-            start1 = arrival if arrival > free1 else free1
-            finish1 = start1 + svc1[cid]
-            if finish1 < finish0:
-                free1 = finish1
-                acc_append(1)
-                start_append(start1)
-                fin_append(finish1)
-            else:
-                free0 = finish0
-                acc_append(0)
-                start_append(start0)
-                fin_append(finish0)
-        flush(lo, out_acc, out_start, out_fin)
-    free[0] = free0
-    free[1] = free1
-
-
-def _dispatch_table(arrivals, class_ids, specs, free, flush, chunk_size):
-    """Dense earliest-finish dispatch (byte-identical to the seed scan).
-
-    ``specs[c]`` is a flat ``(acc, service, acc, service, ...)`` tuple in
-    the scan's accelerator iteration order; single- and dual-accelerator
-    classes (the common partitions) are unrolled.
-    """
-    used = {spec for spec in specs if spec}
-    if len(free) == 2 and all(len(spec) == 4 for spec in used):
-        svc0 = [spec[1] if spec else math.inf for spec in specs]
-        svc1 = [spec[3] if spec else math.inf for spec in specs]
-        _dispatch_pair(arrivals, class_ids, svc0, svc1, free, flush, chunk_size)
-        return
-    infinity = math.inf
-    n = len(arrivals)
-    for lo in range(0, n, chunk_size):
-        hi = lo + chunk_size
-        out_acc: list[int] = []
-        out_start: list[float] = []
-        out_fin: list[float] = []
-        acc_append = out_acc.append
-        start_append = out_start.append
-        fin_append = out_fin.append
-        for arrival, cid in zip(arrivals[lo:hi], class_ids[lo:hi]):
-            spec = specs[cid]
-            width = len(spec)
-            if width == 4:
-                acc = spec[0]
-                idle = free[acc]
-                start0 = arrival if arrival > idle else idle
-                finish0 = start0 + spec[1]
-                acc1 = spec[2]
-                idle = free[acc1]
-                start1 = arrival if arrival > idle else idle
-                finish1 = start1 + spec[3]
-                if finish1 < finish0:
-                    best_acc, best_start, best_finish = acc1, start1, finish1
-                else:
-                    best_acc, best_start, best_finish = acc, start0, finish0
-            elif width == 2:
-                best_acc = spec[0]
-                idle = free[best_acc]
-                best_start = arrival if arrival > idle else idle
-                best_finish = best_start + spec[1]
-            else:
-                best_finish = infinity
-                best_acc = -1
-                best_start = 0.0
-                for offset in range(0, width, 2):
-                    acc = spec[offset]
-                    idle = free[acc]
-                    start = arrival if arrival > idle else idle
-                    finish = start + spec[offset + 1]
-                    if finish < best_finish:
-                        best_finish, best_acc, best_start = finish, acc, start
-            free[best_acc] = best_finish
-            acc_append(best_acc)
-            start_append(best_start)
-            fin_append(best_finish)
-        flush(lo, out_acc, out_start, out_fin)
-
-
-def _dispatch_heap(arrivals, class_ids, heap_tables, free, flush, chunk_size):
-    """Per-class lazy earliest-finish heaps: O(n log k) dispatch.
-
-    Each class keeps one heap entry per feasible accelerator keyed by
-    ``(free + service, order)``; entries go stale when another class
-    dispatches the accelerator and are re-keyed lazily on pop.  Idle
-    accelerators (``free <= arrival``) are resolved through the class's
-    static ``(service, order)`` ranking, because their finish is
-    ``arrival + service``, not ``free + service``.  Decisions stay
-    byte-identical to the scan: both minimize ``(finish, scan order)``.
-    """
-    infinity = math.inf
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heapreplace = heapq.heapreplace
-    n = len(arrivals)
-    out_acc: list[int] = []
-    out_start: list[float] = []
-    out_fin: list[float] = []
-    base = 0
-    for index in range(n):
-        arrival = arrivals[index]
-        heap, services, idle_rank = heap_tables[class_ids[index]]
-        busy_key = infinity
-        busy_order = -1
-        busy_acc = -1
-        stash = None
-        while heap:
-            key, order, acc, snapshot = heap[0]
-            current = free[acc]
-            if snapshot != current:
-                heapreplace(heap, (current + services[acc], order, acc, current))
-                continue
-            if current <= arrival:
-                if stash is None:
-                    stash = []
-                stash.append(heappop(heap))
-                continue
-            busy_key, busy_order, busy_acc = key, order, acc
-            break
-        if stash is not None:
-            for entry in stash:
-                heappush(heap, entry)
-        idle_finish = infinity
-        idle_order = -1
-        idle_acc = -1
-        for service, order, acc in idle_rank:
-            if free[acc] <= arrival:
-                idle_finish = arrival + service
-                idle_order = order
-                idle_acc = acc
-                break
-        if idle_acc >= 0 and (
-            busy_acc < 0
-            or idle_finish < busy_key
-            or (idle_finish == busy_key and idle_order < busy_order)
-        ):
-            best_acc, best_start, best_finish = idle_acc, arrival, idle_finish
-        else:
-            best_acc, best_start, best_finish = busy_acc, free[busy_acc], busy_key
-        free[best_acc] = best_finish
-        out_acc.append(best_acc)
-        out_start.append(best_start)
-        out_fin.append(best_finish)
-        if len(out_acc) >= chunk_size:
-            flush(base, out_acc, out_start, out_fin)
-            base = index + 1
-            out_acc, out_start, out_fin = [], [], []
-    if out_acc:
-        flush(base, out_acc, out_start, out_fin)
-
-
 class _FaultView:
     """Fast time-indexed queries over a fault schedule for one partition.
 
@@ -502,7 +305,8 @@ class _FaultView:
     cache keys on positions, not objects.  Accelerators whose *healthy*
     device cannot serve a shape class stay infeasible for it in every
     window (degraded hardware never unlocks new shapes), which keeps the
-    three selectors' candidate sets identical by construction.
+    scalar selector's and the segment batches' candidate sets identical
+    by construction.
     """
 
     def __init__(self, simulator, schedule, names, classes, specs):
@@ -529,7 +333,6 @@ class _FaultView:
             self._down_starts.append([w.start for w in windows if w.kind == "down"])
         self._transitions = schedule.transitions()
         self._degraded_cache: dict[tuple[int, int, int], float | None] = {}
-        self._min_cache: dict[tuple[int, int], float | None] = {}
 
     def window_index_at(self, order: int, time: float) -> int | None:
         index = bisect.bisect_right(self._window_starts[order], time) - 1
@@ -561,25 +364,6 @@ class _FaultView:
         if window.kind == "down":
             return None
         return self._degraded(order, index, cid, base)
-
-    def min_service(self, order: int, cid: int) -> float | None:
-        """Minimum service across every state — the heap's lower bound."""
-        key = (order, cid)
-        if key in self._min_cache:
-            return self._min_cache[key]
-        base = self.base[order][cid]
-        if base is None:
-            value = None
-        else:
-            value = base
-            for index, window in enumerate(self.windows[order]):
-                if window.kind != "degraded":
-                    continue
-                degraded = self._degraded(order, index, cid, base)
-                if degraded is not None and degraded < value:
-                    value = degraded
-        self._min_cache[key] = value
-        return value
 
     def _degraded(
         self, order: int, index: int, cid: int, base: float
@@ -644,111 +428,6 @@ class _ScanFaultSelector:
         return best_order, best_start, best_finish
 
 
-class _TableFaultSelector:
-    """Dense fault dispatch over the per-class feasible-accelerator specs."""
-
-    def __init__(self, specs: list[tuple], view: _FaultView, free: list[float]):
-        self.specs = specs
-        self.view = view
-        self.free = free
-
-    def select(self, t: float, cid: int):
-        view = self.view
-        free = self.free
-        spec = self.specs[cid]
-        best_finish = math.inf
-        best_order = -1
-        best_start = 0.0
-        for offset in range(0, len(spec), 2):
-            order = spec[offset]
-            current = free[order]
-            start = current if current > t else t
-            service = view.service_at(order, cid, start)
-            if service is None:
-                continue
-            finish = start + service
-            if finish < best_finish:
-                best_finish, best_order, best_start = finish, order, start
-        if best_order < 0:
-            return None
-        return best_order, best_start, best_finish
-
-
-class _HeapFaultSelector:
-    """Lazy per-class heaps under faults, keyed by a true lower bound.
-
-    A fault-free heap entry's key ``free + service`` is exact; under
-    faults the service depends on the admission instant, so entries are
-    keyed ``free + min_service`` (the minimum across the healthy device
-    and every degraded window — a lower bound on any admission's
-    finish).  Popped entries get their exact finish resolved at the
-    attempt time; the pop loop stops as soon as the best exact candidate
-    beats the heap top's lower bound, so no candidate is ever missed.
-    Entries are stashed and pushed back because availability is
-    time-varying — an accelerator unusable now may win later.
-    """
-
-    def __init__(self, specs: list[tuple], view: _FaultView, free: list[float]):
-        self.view = view
-        self.free = free
-        self.heaps: list[list | None] = []
-        self.min_svc: list[dict[int, float] | None] = []
-        for cid, spec in enumerate(specs):
-            if not spec:
-                self.heaps.append(None)
-                self.min_svc.append(None)
-                continue
-            heap = []
-            mins: dict[int, float] = {}
-            for offset in range(0, len(spec), 2):
-                order = spec[offset]
-                lower = view.min_service(order, cid)
-                if lower is None:  # pragma: no cover - base implies a bound
-                    continue
-                mins[order] = lower
-                heap.append((0.0 + lower, order, order, 0.0))
-            heapq.heapify(heap)
-            self.heaps.append(heap)
-            self.min_svc.append(mins)
-
-    def select(self, t: float, cid: int):
-        heap = self.heaps[cid]
-        mins = self.min_svc[cid]
-        view = self.view
-        free = self.free
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        best_finish = math.inf
-        best_order = -1
-        best_start = 0.0
-        stash = []
-        while heap:
-            key, order, acc, snapshot = heap[0]
-            current = free[acc]
-            if snapshot != current:
-                heapreplace(heap, (current + mins[acc], order, acc, current))
-                continue
-            if best_order >= 0 and (
-                best_finish < key or (best_finish == key and best_order < order)
-            ):
-                break
-            stash.append(heappop(heap))
-            start = current if current > t else t
-            service = view.service_at(acc, cid, start)
-            if service is None:
-                continue
-            finish = start + service
-            if finish < best_finish or (
-                finish == best_finish and order < best_order
-            ):
-                best_finish, best_order, best_start = finish, order, start
-        for entry in stash:
-            heapq.heappush(heap, entry)
-        if best_order < 0:
-            return None
-        return best_order, best_start, best_finish
-
-
 class ServingSimulator:
     """Earliest-finish dispatch of a request trace over a partition.
 
@@ -808,8 +487,8 @@ class ServingSimulator:
         (``repro.bench``): ``factor(accelerator, shape)`` returns a
         finite positive multiplier per cached service time.  The
         perturbed table is materialised up front from this simulator's
-        cache, so the copy serves noisy services through every
-        dispatch engine — and through ``ShardedServingCluster``, whose
+        cache, so the copy serves noisy services through both
+        dispatch paths — and through ``ShardedServingCluster``, whose
         worker payload ships the cache — byte-identically, with no
         per-request draw.  Requires a resolved cache
         (:meth:`prewarm` first); infeasible pairs stay infeasible.
@@ -918,21 +597,17 @@ class ServingSimulator:
     ) -> ServingReport | StreamingServingReport:
         """Serve ``trace``; return an exact or streaming report.
 
-        ``dispatch`` selects the engine: ``auto``, ``vectorized``,
-        ``table``, ``heap``, or ``scan`` (the seed loop, exact mode
-        only).  The vectorized engine — the native k-wide exact loop
-        when a C compiler is present, the NumPy speculate-and-verify
-        fallback otherwise — is legal at **any** partition width.  On
-        fault-free runs ``auto`` picks it at every width when the
-        native kernel is available and up to
-        :data:`VECTORIZED_MAX_ACCELERATORS` otherwise, then falls back
-        to the table below :data:`HEAP_MIN_ACCELERATORS` and the heap
-        at or above it; under a fault schedule ``auto`` keeps the
-        scalar selectors and explicit ``vectorized`` batches the clean
-        segments between fault transitions.  All engines make
-        byte-identical dispatch decisions — engine choice is purely a
-        throughput knob (see the engine-selection matrix in
-        ``docs/performance.md``).
+        ``dispatch`` selects the path: ``auto`` (the default) runs the
+        vectorized fast path at every partition width — the native
+        k-wide exact loop when a C compiler is present, NumPy
+        speculate-and-verify rounds otherwise — and, under a fault
+        schedule, batches the clean segments between fault transitions
+        through it; ``scan`` runs the seed loop, the ground-truth oracle
+        (exact mode only).  Both make byte-identical dispatch decisions
+        (see the dispatch-path matrix in ``docs/performance.md``).
+        The fast path rejects NaN service times, naming the accelerator
+        and shape.
+
         ``streaming=True`` returns a :class:`StreamingServingReport`
         with O(1) memory and ``quantile_error``-bounded percentiles;
         the default exact mode materializes every completed request.
@@ -952,9 +627,12 @@ class ServingSimulator:
         if dispatch not in _DISPATCH_MODES:
             raise ValueError(f"dispatch must be one of {_DISPATCH_MODES}")
         if streaming and dispatch == "scan":
-            raise ValueError("streaming mode requires a fast dispatch engine")
+            raise ValueError(
+                "streaming mode requires dispatch='auto'; the scan oracle "
+                "is exact-mode only"
+            )
         if len(trace) == 0:
-            # one uniform contract across all four engines: an empty
+            # one uniform contract across both paths: an empty
             # trace has no dispatch semantics (generate_trace* likewise
             # reject num_requests < 1)
             raise ValueError(
@@ -986,13 +664,12 @@ class ServingSimulator:
                     if monitor is not None:
                         # scan has no flush hook; feed the monitor
                         # post-hoc in the same arrival-ordered
-                        # chunk_size blocks the fast engines flush
+                        # chunk_size blocks the fast path flushes
                         _feed_monitor_completed(monitor, report.completed, chunk_size)
                     return report
                 return self._run_fast(
                     trace,
                     streaming=streaming,
-                    dispatch=dispatch,
                     quantile_error=quantile_error,
                     chunk_size=chunk_size,
                     monitor=monitor,
@@ -1012,14 +689,15 @@ class ServingSimulator:
         policy: FaultPolicy,
         monitor: "ServingMonitor | None" = None,
     ) -> ServingReport | StreamingServingReport:
-        """The fault-aware event loop, shared by all three engines.
+        """The fault-aware event loop, shared by both dispatch paths.
 
         Attempts live in a heap of ``(time, arrival position, retries)``
         — time-ordered, position-tied — so re-attempts interleave with
-        later arrivals deterministically.  The engines differ only in
-        candidate *selection*; the loop (kills, backoff, requeues,
-        shedding) is one code path, which is what makes the three
-        engines' fault semantics identical by construction.
+        later arrivals deterministically.  Every scalar attempt goes
+        through one selector and the loop (kills, backoff, requeues,
+        shedding) is one code path; ``auto`` only adds segment batches
+        the scalar loop would have decided identically, which is what
+        makes both paths' fault semantics identical by construction.
         """
         names = list(self.partition.designs)
         unknown = set(faults.accelerators()) - set(names)
@@ -1038,15 +716,7 @@ class ServingSimulator:
         self.stats.cache_hits += len(class_ids)
         view = _FaultView(self, faults, names, classes, specs)
         free = [0.0] * len(names)
-        use_heap = dispatch == "heap" or (
-            dispatch == "auto" and len(names) >= HEAP_MIN_ACCELERATORS
-        )
-        if use_heap:
-            selector = _HeapFaultSelector(specs, view, free)
-        elif dispatch == "scan":
-            selector = _ScanFaultSelector(view, free, len(names))
-        else:
-            selector = _TableFaultSelector(specs, view, free)
+        selector = _ScanFaultSelector(view, free, len(names))
 
         arrival_list = arrivals.tolist()
         queue = [(arrival_list[pos], pos, 0) for pos in range(n)]
@@ -1065,15 +735,15 @@ class ServingSimulator:
         select = selector.select
         backoff = policy.backoff
         max_retries = policy.max_retries
-        # the vectorized engine batches clean segments — stretches where
-        # no fault window is active on any accelerator — through the
-        # speculate-and-verify rounds; the scalar loop below keeps sole
-        # ownership of kills, requeues and shedding, so anything the
-        # batch cannot prove safe (an admission crossing the next
-        # transition or down window) is simply handed back to it
-        use_batch = dispatch == "vectorized"
-        services = self._service_matrix(names, specs) if use_batch else None
+        # the fast path batches clean segments — stretches where no
+        # fault window is active on any accelerator — through the
+        # vectorized engine; the scalar loop below keeps sole ownership
+        # of kills, requeues and shedding, so anything the batch cannot
+        # prove safe (an admission crossing the next transition or down
+        # window) is simply handed back to it
+        use_batch = dispatch == "auto"
         if use_batch:
+            services = self._service_matrix(names, specs)
             self._require_finite_services(names, services, classes)
         width = len(names)
         min_batch = 64
@@ -1309,7 +979,7 @@ class ServingSimulator:
         ``as_arrays=True`` keeps the class ids as an int64 array (the
         vectorized engine's native form — an ``SoATrace`` passes through
         without a single element being boxed); the default returns the
-        list the scalar engines index fastest.
+        list the scalar fault loop indexes fastest.
         """
         if isinstance(trace, SoATrace):
             requests = trace.materialize() if need_requests else None
@@ -1360,21 +1030,21 @@ class ServingSimulator:
     def _require_finite_services(
         names: Sequence[str], services: np.ndarray, classes: Sequence[GemmShape]
     ) -> None:
-        """Reject NaN service entries for explicit ``dispatch="vectorized"``.
+        """Reject NaN service entries on every fast-path run.
 
         ``inf`` legitimately marks infeasible pairs (it can never win a
         strict-less earliest-finish comparison), but NaN poisons every
-        comparison and would silently desynchronize the engines — so an
-        explicit vectorized request fails loudly, naming the offending
-        accelerator and shape class, instead of falling back.
+        comparison and would silently desynchronize the fast path from
+        the scan oracle — so the run fails loudly, naming the offending
+        accelerator and shape class.
         """
         bad = np.argwhere(np.isnan(services))
         if bad.size:
             order, cid = (int(value) for value in bad[0])
             raise ValueError(
-                f"dispatch='vectorized' requires finite service times: "
-                f"accelerator {names[order]!r} reports NaN for shape class "
-                f"{classes[cid]}"
+                f"accelerator {names[order]!r} reports a NaN service time "
+                f"for shape {classes[cid]}; dispatch needs finite service "
+                f"times"
             )
 
     def _run_fast(
@@ -1382,61 +1052,48 @@ class ServingSimulator:
         trace: Union[Sequence[Request], SoATrace],
         *,
         streaming: bool,
-        dispatch: str,
         quantile_error: float,
         chunk_size: int,
         monitor: "ServingMonitor | None" = None,
     ) -> ServingReport | StreamingServingReport:
         names = list(self.partition.designs)
-        # the vectorized engine is legal at any width; ``auto`` picks it
-        # whenever the native exact loop is compiled (it beats both the
-        # table and the heap at every measured width) and keeps the
-        # NumPy speculative fallback to the narrow partitions where its
-        # guesses stay accurate
-        use_vectorized = dispatch == "vectorized" or (
-            dispatch == "auto"
-            and (native_available() or len(names) <= VECTORIZED_MAX_ACCELERATORS)
-        )
         arrivals, class_ids, classes, requests = self._normalize(
-            trace, need_requests=not streaming, as_arrays=use_vectorized
+            trace, need_requests=not streaming, as_arrays=True
         )
         if streaming:
             report = StreamingServingReport(names, quantile_error=quantile_error)
-        used = (
-            # bincount instead of np.unique: no million-element sort
-            set(
-                np.flatnonzero(
-                    np.bincount(class_ids, minlength=len(classes))
-                ).tolist()
-            )
-            if use_vectorized
-            else set(class_ids)
+        # bincount instead of np.unique: no million-element sort
+        used = set(
+            np.flatnonzero(np.bincount(class_ids, minlength=len(classes))).tolist()
         )
         specs = self._class_specs(classes, used)
+        services = self._service_matrix(names, specs)
+        self._require_finite_services(names, services, classes)
         # dispatched service lookups are cache hits by construction
         self.stats.cache_hits += len(class_ids)
         free = [0.0] * len(names)
-        arrival_list = None if use_vectorized else arrivals.tolist()
 
         if streaming:
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
+            def flush(base, accs, starts, finishes) -> None:
                 report.observe_batch(
-                    np.asarray(accs, dtype=np.int64),
-                    arrivals[base : base + len(accs)],
-                    np.asarray(starts),
-                    np.asarray(finishes),
+                    accs, arrivals[base : base + len(accs)], starts, finishes
                 )
         else:
             completed: list[CompletedRequest] = []
 
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
-                for offset in range(len(accs)):
+            def flush(base, accs, starts, finishes) -> None:
+                for request, acc, start, finish in zip(
+                    requests[base : base + len(accs)],
+                    accs.tolist(),
+                    starts.tolist(),
+                    finishes.tolist(),
+                ):
                     completed.append(
                         CompletedRequest(
-                            request=requests[base + offset],
-                            accelerator=names[accs[offset]],
-                            start=starts[offset],
-                            finish=finishes[offset],
+                            request=request,
+                            accelerator=names[acc],
+                            start=start,
+                            finish=finish,
                         )
                     )
 
@@ -1445,7 +1102,7 @@ class ServingSimulator:
             # flush callback with zero indirection
             inner_flush = flush
 
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
+            def flush(base, accs, starts, finishes) -> None:
                 with span(
                     "serve.dispatch_chunk",
                     track="serving",
@@ -1460,131 +1117,46 @@ class ServingSimulator:
             # never influence (byte-identity is conformance-gated)
             pre_monitor_flush = flush
 
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
+            def flush(base, accs, starts, finishes) -> None:
                 pre_monitor_flush(base, accs, starts, finishes)
                 monitor.observe_chunk(
-                    arrivals[base : base + len(accs)],
-                    np.asarray(starts, dtype=np.float64),
-                    np.asarray(finishes, dtype=np.float64),
+                    arrivals[base : base + len(accs)], starts, finishes
                 )
 
-        if use_vectorized:
-            if streaming:
-                # The streaming report's running float sums depend on
-                # flush boundaries, so the variable-length accepted
-                # segments are buffered and re-emitted as exact
-                # ``chunk_size`` blocks — the same boundaries the scalar
-                # engines use — keeping ``as_dict()`` bit-identical.
-                pend_accs: list[np.ndarray] = []
-                pend_starts: list[np.ndarray] = []
-                pend_fins: list[np.ndarray] = []
-                pend = {"count": 0, "base": 0}
+        # The streaming report's running float sums and the monitor's
+        # chunk series depend on flush boundaries, so the variable-length
+        # stretches the engine dispatches are buffered and re-emitted as
+        # exact ``chunk_size`` blocks — the boundaries the scan oracle
+        # and the fault loop use — keeping every report bit-identical
+        # whether the native loop or the NumPy rounds dispatched.
+        pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        pending_base = pending_count = 0
 
-                def vflush(base, accs, starts, finishes):
-                    if pend["count"] == 0:
-                        pend["base"] = base
-                    accs = np.asarray(accs, dtype=np.int64)
-                    pend_accs.append(accs)
-                    pend_starts.append(np.asarray(starts))
-                    pend_fins.append(np.asarray(finishes))
-                    pend["count"] += len(accs)
-                    while pend["count"] >= chunk_size:
-                        accs_all = np.concatenate(pend_accs)
-                        starts_all = np.concatenate(pend_starts)
-                        fins_all = np.concatenate(pend_fins)
-                        flush(
-                            pend["base"],
-                            accs_all[:chunk_size],
-                            starts_all[:chunk_size],
-                            fins_all[:chunk_size],
-                        )
-                        del pend_accs[:], pend_starts[:], pend_fins[:]
-                        pend["base"] += chunk_size
-                        pend["count"] -= chunk_size
-                        if pend["count"]:
-                            pend_accs.append(accs_all[chunk_size:])
-                            pend_starts.append(starts_all[chunk_size:])
-                            pend_fins.append(fins_all[chunk_size:])
+        def collect(base, accs, starts, finishes) -> None:
+            nonlocal pending_base, pending_count
+            if not pending:
+                pending_base = base
+            pending.append((accs, starts, finishes))
+            pending_count += len(accs)
+            if pending_count < chunk_size:
+                return
+            columns = [
+                np.concatenate(column) if len(column) > 1 else column[0]
+                for column in zip(*pending)
+            ]
+            pending.clear()
+            lo = 0
+            while pending_count - lo >= chunk_size:
+                flush(pending_base + lo, *(c[lo : lo + chunk_size] for c in columns))
+                lo += chunk_size
+            if lo < pending_count:
+                pending.append(tuple(c[lo:] for c in columns))
+            pending_base += lo
+            pending_count -= lo
 
-                def vfinish() -> None:
-                    if pend["count"]:
-                        flush(
-                            pend["base"],
-                            np.concatenate(pend_accs),
-                            np.concatenate(pend_starts),
-                            np.concatenate(pend_fins),
-                        )
-                        del pend_accs[:], pend_starts[:], pend_fins[:]
-                        pend["count"] = 0
-
-                seg_flush = vflush
-            else:
-                inner = flush
-
-                def vflush(base, accs, starts, finishes):
-                    inner(base, accs.tolist(), starts.tolist(), finishes.tolist())
-
-                vfinish = None
-                seg_flush = flush
-
-            services = self._service_matrix(names, specs)
-            if dispatch == "vectorized":
-                self._require_finite_services(names, services, classes)
-
-            def fallback(lo: int, hi: int) -> None:
-                # scalar burst over a stretch speculation keeps
-                # mispredicting; same engine state, same decisions
-                def burst_flush(base, accs, starts, finishes):
-                    seg_flush(lo + base, accs, starts, finishes)
-
-                _dispatch_table(
-                    arrivals[lo:hi].tolist(),
-                    class_ids[lo:hi].tolist(),
-                    specs,
-                    free,
-                    burst_flush,
-                    chunk_size,
-                )
-
-            dispatch_vectorized(
-                arrivals,
-                class_ids,
-                services,
-                free,
-                vflush,
-                chunk_size,
-                fallback=fallback,
-            )
-            if vfinish is not None:
-                vfinish()
-            return report if streaming else ServingReport(completed=completed)
-
-        use_heap = dispatch == "heap" or (
-            dispatch == "auto" and len(names) >= HEAP_MIN_ACCELERATORS
-        )
-        if use_heap:
-            heap_tables = []
-            for spec in specs:
-                if not spec:
-                    heap_tables.append(None)
-                    continue
-                services = [math.inf] * len(names)
-                heap = []
-                idle_rank = []
-                for offset in range(0, len(spec), 2):
-                    order = spec[offset]
-                    service = spec[offset + 1]
-                    services[order] = service
-                    heap.append((0.0 + service, order, order, 0.0))
-                    idle_rank.append((service, order, order))
-                heapq.heapify(heap)
-                idle_rank.sort()
-                heap_tables.append((heap, services, idle_rank))
-            _dispatch_heap(
-                arrival_list, class_ids, heap_tables, free, flush, chunk_size
-            )
-        else:
-            _dispatch_table(arrival_list, class_ids, specs, free, flush, chunk_size)
+        dispatch_vectorized(arrivals, class_ids, services, free, collect, chunk_size)
+        if pending:
+            flush(pending_base, *(np.concatenate(c) for c in zip(*pending)))
         return report if streaming else ServingReport(completed=completed)
 
 

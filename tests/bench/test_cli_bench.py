@@ -9,8 +9,8 @@ import json
 
 from repro.cli import main
 
-#: the pinned BENCH_serving scenario (trace seed 7, vectorized engine)
-_PINNED = ["bench", "serving", "--fixed-trace", "--dispatch", "vectorized",
+#: the pinned BENCH_serving scenario (trace seed 7, auto fast path)
+_PINNED = ["bench", "serving", "--fixed-trace", "--dispatch", "auto",
            "-n", "2", "--requests", "1000000"]
 
 

@@ -1,25 +1,29 @@
-"""Differential conformance harness for the serving dispatch engines.
+"""Differential conformance harness for the serving dispatch paths.
 
-The serving engine's core claim is that the scan, table, heap, and
-vectorized dispatch paths — and the exact and streaming reports — are
-*the same scheduler* expressed four ways.  This module makes that
+The serving engine's core claim is that the scan oracle and the fast
+path (``dispatch="auto"``: the native k-wide kernel, or the NumPy
+speculate-and-verify rounds without a compiler) — and the exact and
+streaming reports — are *the same scheduler*.  This module makes that
 claim a first-class, reusable assertion instead of an ad-hoc benchmark
 check:
 
-* :func:`make_partition` builds stub partitions of any width (1–9+),
-  crossing the ``HEAP_MIN_ACCELERATORS`` auto-dispatch boundary, with
-  infeasible pairs sprinkled in;
-* :func:`assert_engines_identical` runs every engine on the same seeded
-  trace (with or without a fault schedule) and diffs the per-request
-  assignments byte for byte, plus the exact-vs-streaming summaries.
+* :func:`make_partition` builds stub partitions of any width (1–16+),
+  with infeasible pairs sprinkled in;
+* :func:`assert_engines_identical` runs the oracle and every available
+  fast-path implementation on the same seeded trace (with or without a
+  fault schedule) and diffs the per-request assignments byte for byte,
+  plus the exact-vs-streaming summaries.
 
 Import these from any test that adds a new dispatch path or fault
-semantic — if the engines can disagree, this is the function that must
+semantic — if the paths can disagree, this is the function that must
 catch it.
 """
 
 from __future__ import annotations
 
+import contextlib
+
+from repro.sim import dispatch_batch
 from repro.sim.serving import ServingSimulator
 from repro.workloads.gemm import GemmShape
 
@@ -94,6 +98,30 @@ def shed_rows(report) -> list[tuple]:
     ]
 
 
+@contextlib.contextmanager
+def numpy_rounds():
+    """Run the fast path on the NumPy rounds inside this block."""
+    saved = dispatch_batch._native_dispatch, dispatch_batch._native_walk
+    dispatch_batch._native_dispatch = dispatch_batch._native_walk = None
+    try:
+        yield
+    finally:
+        dispatch_batch._native_dispatch, dispatch_batch._native_walk = saved
+
+
+def fast_variants() -> list:
+    """``(label, context)`` per fast-path implementation this process has.
+
+    With the native kernel compiled, ``auto`` runs it and the NumPy
+    rounds are forced as a second variant; under ``REPRO_NO_NATIVE=1``
+    ``auto`` already *is* the NumPy rounds.
+    """
+    variants = [("auto", contextlib.nullcontext)]
+    if dispatch_batch.native_available():
+        variants.append(("auto-numpy", numpy_rounds))
+    return variants
+
+
 def assert_engines_identical(
     trace,
     partition,
@@ -101,52 +129,48 @@ def assert_engines_identical(
     policy=None,
     quantile_error: float = 0.01,
 ) -> dict:
-    """Assert all dispatch engines and exact/streaming reports agree.
+    """Assert the scan oracle, the fast path and both report kinds agree.
 
-    Runs each engine on a **fresh** simulator (no shared scheduler
-    state), diffs the per-request assignment and shed lists byte for
-    byte, then checks the streaming report against the exact one:
-    makespan, count, and loads exactly; the mean to float tolerance;
-    percentiles within twice the sketch's documented bound.  Returns
-    the exact table-engine report's rows for further assertions.
+    Runs each path on a **fresh** simulator (no shared scheduler state),
+    diffs the fast path's per-request assignment and shed lists against
+    the oracle's byte for byte, then checks the streaming report against
+    the exact one: makespan, count, and loads exactly; the mean to float
+    tolerance; percentiles within twice the sketch's documented bound.
+    Returns the exact oracle report's rows for further assertions.
     """
-    exact = {}
-    for engine in ("scan", "table", "heap", "vectorized"):
-        simulator = ServingSimulator(partition)
-        exact[engine] = simulator.run(
-            trace, dispatch=engine, faults=faults, fault_policy=policy
-        )
-    base = exact["table"]
+    base = ServingSimulator(partition).run(
+        trace, dispatch="scan", faults=faults, fault_policy=policy
+    )
     base_rows = dispatch_rows(base)
     base_shed = shed_rows(base)
-    for engine in ("scan", "heap", "vectorized"):
-        assert dispatch_rows(exact[engine]) == base_rows, (
-            f"{engine} dispatch differs from table"
+    streams = []
+    for label, context in fast_variants():
+        with context():
+            fast = ServingSimulator(partition).run(
+                trace, faults=faults, fault_policy=policy
+            )
+            streams.append(
+                ServingSimulator(partition).run(
+                    trace,
+                    streaming=True,
+                    quantile_error=quantile_error,
+                    faults=faults,
+                    fault_policy=policy,
+                )
+            )
+        assert dispatch_rows(fast) == base_rows, f"{label} dispatch differs from scan"
+        assert shed_rows(fast) == base_shed, (
+            f"{label} shed accounting differs from scan"
         )
-        assert shed_rows(exact[engine]) == base_shed, (
-            f"{engine} shed accounting differs from table"
+        assert fast.fault_summary() == base.fault_summary(), (
+            f"{label} fault summary differs from scan"
         )
-        assert exact[engine].fault_summary() == base.fault_summary(), (
-            f"{engine} fault summary differs from table"
+    for stream in streams[1:]:
+        assert stream.as_dict() == streams[0].as_dict(), (
+            "streaming summaries differ between fast-path implementations"
         )
 
-    streaming = {}
-    for engine in ("table", "heap", "vectorized"):
-        simulator = ServingSimulator(partition)
-        streaming[engine] = simulator.run(
-            trace,
-            dispatch=engine,
-            streaming=True,
-            quantile_error=quantile_error,
-            faults=faults,
-            fault_policy=policy,
-        )
-    for engine in ("heap", "vectorized"):
-        assert streaming["table"].as_dict() == streaming[engine].as_dict(), (
-            f"streaming summaries differ between table and {engine}"
-        )
-
-    stream = streaming["table"]
+    stream = streams[0]
     assert stream.count == len(base.completed)
     assert stream.makespan == base.makespan
     assert stream.accelerator_load() == base.accelerator_load()

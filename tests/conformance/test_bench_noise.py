@@ -4,11 +4,11 @@ Two contracts, CI-gated on both the native and NumPy dispatch legs:
 
 * **identity** — with ``noise=None`` the harness produces results
   byte-identical to driving :class:`repro.sim.serving.ServingSimulator`
-  / :class:`repro.core.analytical_model.AnalyticalModel` directly, for
-  every dispatch engine;
+  / :class:`repro.core.analytical_model.AnalyticalModel` directly, on
+  both dispatch paths;
 * **determinism** — with noise enabled, the same seed yields the
   identical sample stream regardless of ``--jobs`` fan-out, shard
-  count, or dispatch-engine choice (wall-clock measurements excluded:
+  count, or dispatch-path choice (wall-clock measurements excluded:
   they measure this process, not the simulated system).
 """
 
@@ -33,7 +33,7 @@ from repro.mapping.configs import config_by_name
 from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
 
-ENGINES = ("scan", "table", "heap", "vectorized")
+ENGINES = ("scan", "auto")
 NOISE = [DramJitterNoise(0.1), ThermalDeratingNoise(0.2),
          ClockVariabilityNoise(0.05)]
 
@@ -96,8 +96,8 @@ class TestSeedStreamDeterminism:
         ]
 
     def test_engine_choice_preserves_sample_stream(self):
-        """Noise perturbs service times before dispatch, so every
-        exact engine sees the identical perturbed system."""
+        """Noise perturbs service times before dispatch, so both exact
+        paths see the identical perturbed system."""
         streams = []
         for engine in ENGINES:
             experiment = ServingExperiment(

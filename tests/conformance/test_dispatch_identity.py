@@ -1,19 +1,27 @@
-"""Differential identity tests across the scan/table/heap engines.
+"""Differential identity tests: the scan oracle against the fast path.
 
-Parametrized over partition widths 1–16 so the suite crosses both of
-the historical auto-dispatch boundaries — the old width-2 vectorized
-cap and ``HEAP_MIN_ACCELERATORS`` — on both sides, with and without
-fault schedules, on stub and real partitions.
+Parametrized over partition widths 1–16, with and without fault
+schedules, on stub and real partitions — every width runs the same
+k-wide fast path (native kernel or NumPy rounds), so no width may be
+left out.
 """
+
+import contextlib
 
 import pytest
 
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
-from repro.sim.serving import HEAP_MIN_ACCELERATORS, ServingSimulator, generate_trace
+from repro.sim.serving import ServingSimulator, generate_trace
 
-from .harness import SHAPES, assert_engines_identical, dispatch_rows, make_partition
+from .harness import (
+    SHAPES,
+    assert_engines_identical,
+    dispatch_rows,
+    make_partition,
+    numpy_rounds,
+)
 
 WIDTHS = list(range(1, 17))
 
@@ -32,10 +40,6 @@ def _schedule_for(width):
     if width >= 7:
         windows = windows + FaultSchedule.degraded("acc6", 0.0, 0.2, factor=4.0)
     return windows
-
-
-def test_widths_cross_heap_boundary():
-    assert WIDTHS[0] < HEAP_MIN_ACCELERATORS <= WIDTHS[-1]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -67,7 +71,7 @@ def test_empty_schedule_matches_no_faults():
     """``FaultSchedule(())`` must take the untouched fault-free paths."""
     trace = _trace()
     partition = make_partition(5)
-    for engine in ("scan", "table", "heap"):
+    for engine in ("scan", "auto"):
         plain = ServingSimulator(partition).run(trace, dispatch=engine)
         empty = ServingSimulator(partition).run(
             trace, dispatch=engine, faults=FaultSchedule(())
@@ -109,12 +113,20 @@ def test_fault_runs_deterministic():
     assert first.fault_summary() == second.fault_summary()
 
 
-@pytest.mark.parametrize("dispatch", ["scan", "table", "heap", "vectorized", "auto"])
-def test_empty_trace_rejected_uniformly(dispatch):
-    """Every engine raises the same clear ValueError for an empty trace.
+@pytest.mark.parametrize(
+    "dispatch, context",
+    [
+        pytest.param("scan", contextlib.nullcontext, id="scan"),
+        pytest.param("auto", contextlib.nullcontext, id="auto"),
+        # the fast path forced onto the NumPy vectorized rounds
+        pytest.param("auto", numpy_rounds, id="vectorized"),
+    ],
+)
+def test_empty_trace_rejected_uniformly(dispatch, context):
+    """Every path raises the same clear ValueError for an empty trace.
 
     The contract mirrors ``generate_trace*``'s ``num_requests >= 1``
-    validation: an empty trace has no dispatch semantics, so no engine
+    validation: an empty trace has no dispatch semantics, so no path
     gets to pick its own degenerate behaviour.
     """
     import numpy as np
@@ -128,14 +140,15 @@ def test_empty_trace_rejected_uniformly(dispatch):
         shape_ids=np.empty(0, dtype=np.int64),
         arrivals=np.empty(0, dtype=np.float64),
     )
-    for trace in ([], empty_soa):
-        with pytest.raises(ValueError, match="empty trace"):
-            simulator.run(trace, dispatch=dispatch)
-        if dispatch != "scan":
+    with context():
+        for trace in ([], empty_soa):
             with pytest.raises(ValueError, match="empty trace"):
-                simulator.run(trace, dispatch=dispatch, streaming=True)
-        with pytest.raises(ValueError, match="empty trace"):
-            simulator.run(
-                trace, dispatch=dispatch, faults=_schedule_for(2),
-                fault_policy=FaultPolicy(max_retries=1),
-            )
+                simulator.run(trace, dispatch=dispatch)
+            if dispatch != "scan":
+                with pytest.raises(ValueError, match="empty trace"):
+                    simulator.run(trace, dispatch=dispatch, streaming=True)
+            with pytest.raises(ValueError, match="empty trace"):
+                simulator.run(
+                    trace, dispatch=dispatch, faults=_schedule_for(2),
+                    fault_policy=FaultPolicy(max_retries=1),
+                )

@@ -1,12 +1,12 @@
 """Property-based invariants of the fault-injection event loop.
 
 Hypothesis drives randomized partition widths, fault schedules, and
-retry policies through the serving engines and checks the accounting
+retry policies through both dispatch paths and checks the accounting
 identities the docs promise: every offered request is either completed
 or shed (never both), availability stays in ``[0, 1]``, retry counts
 respect the policy budget, kills and retries balance, and runs are
 deterministic.  A separate property pins the byte-identity of an empty
-``FaultSchedule`` with ``faults=None`` on every engine.
+``FaultSchedule`` with ``faults=None`` on both paths.
 """
 
 import pytest
@@ -51,7 +51,7 @@ def fault_scenarios(draw):
     return width, schedule, policy, num_requests, seed
 
 
-def _run(width, schedule, policy, num_requests, seed, dispatch="table"):
+def _run(width, schedule, policy, num_requests, seed, dispatch="auto"):
     trace = generate_trace(SHAPES, num_requests, 2e-3, seed=seed)
     simulator = ServingSimulator(make_partition(width))
     return simulator.run(
@@ -117,7 +117,7 @@ def test_fault_runs_are_deterministic(scenario):
 def test_empty_schedule_is_byte_identical_on_every_engine(width, num_requests, seed):
     trace = generate_trace(SHAPES, num_requests, 2e-3, seed=seed)
     partition = make_partition(width)
-    for engine in ("scan", "table", "heap"):
+    for engine in ("scan", "auto"):
         plain = ServingSimulator(partition).run(trace, dispatch=engine)
         empty = ServingSimulator(partition).run(
             trace, dispatch=engine, faults=FaultSchedule(())

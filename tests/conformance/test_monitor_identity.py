@@ -2,10 +2,11 @@
 
 Two contracts from the windowed-telemetry layer:
 
-* attaching a :class:`~repro.obs.windows.ServingMonitor` to any engine
-  (scan/table/heap/vectorized), with or without a fault schedule, leaves
-  the dispatch decisions byte-identical to the monitor-off run — the
-  monitor only reads chunks after every decision in them is final;
+* attaching a :class:`~repro.obs.windows.ServingMonitor` to either
+  dispatch path (the scan oracle or the ``auto`` fast path), with or
+  without a fault schedule, leaves the dispatch decisions byte-identical
+  to the monitor-off run — the monitor only reads chunks after every
+  decision in them is final;
 * a sharded fleet's merged window series (per-shard monitors folded in
   shard order) equals the inline single-process reference, across pool
   start methods and shard counts, and equals a hand-merged fold of
@@ -31,10 +32,16 @@ from repro.sim.streaming import (
 )
 from repro.workloads.gemm import GemmShape
 
-from .harness import SHAPES, dispatch_rows, make_partition, shed_rows
+from .harness import (
+    SHAPES,
+    dispatch_rows,
+    fast_variants,
+    make_partition,
+    shed_rows,
+)
 
 WIDTHS = [1, 2, 3, 7]
-ENGINES = ("scan", "table", "heap", "vectorized")
+ENGINES = ("scan", "auto")
 
 REAL_SHAPES = (
     GemmShape(1024, 1024, 1024),
@@ -111,33 +118,36 @@ class TestMonitorDispatchIdentity:
         assert monitor.requests.total() == len(baseline.completed)
         assert monitor.sheds.total() == len(baseline.shed)
 
-    @pytest.mark.parametrize("engine", ("table", "heap", "vectorized"))
-    def test_streaming_summary_unchanged(self, engine):
+    @pytest.mark.parametrize(
+        "context", [pytest.param(c, id=label) for label, c in fast_variants()]
+    )
+    def test_streaming_summary_unchanged(self, context):
         partition = make_partition(3)
         trace = _trace()
-        baseline = ServingSimulator(partition).run(
-            trace, dispatch=engine, streaming=True
-        )
-        monitored = ServingSimulator(partition).run(
-            trace, dispatch=engine, streaming=True,
-            monitor=ServingMonitor(_window_width(trace)),
-        )
+        with context():
+            baseline = ServingSimulator(partition).run(trace, streaming=True)
+            monitored = ServingSimulator(partition).run(
+                trace, streaming=True,
+                monitor=ServingMonitor(_window_width(trace)),
+            )
         assert monitored.as_dict() == baseline.as_dict()
 
     def test_monitor_series_identical_across_engines(self):
         """Same decisions + same chunking => same telemetry, bit for bit."""
         partition = make_partition(3)
         trace = _trace()
-        states = {}
-        for engine in ENGINES:
+
+        def series(dispatch):
             monitor = ServingMonitor(_window_width(trace))
             ServingSimulator(partition).run(
-                trace, dispatch=engine, monitor=monitor
+                trace, dispatch=dispatch, monitor=monitor
             )
-            states[engine] = monitor.as_dict()
-        reference = states.pop("table")
-        for engine, state in states.items():
-            assert state == reference, f"{engine} telemetry diverged"
+            return monitor.as_dict()
+
+        reference = series("scan")
+        for label, context in fast_variants():
+            with context():
+                assert series("auto") == reference, f"{label} telemetry diverged"
 
 
 class TestShardedMonitorMerge:

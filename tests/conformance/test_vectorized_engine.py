@@ -1,11 +1,11 @@
-"""Conformance for the vectorized fault-free dispatch engine.
+"""Conformance for the vectorized engine behind ``dispatch="auto"``.
 
 The parametrized width tests in ``test_dispatch_identity`` already run
-the vectorized engine through :func:`harness.assert_engines_identical`;
-this module covers the engine's own seams: chunk-boundary stress, the
+the fast path through :func:`harness.assert_engines_identical`; this
+module covers the engine's own seams: chunk-boundary stress, the
 native-vs-NumPy split (the C exact loop and the speculate-and-verify
-fallback must be the *same scheduler*), and the fault-segment cut
-conditions at ``limit`` / next-down boundaries.
+fallback must be the *same scheduler*), the fault-segment cut
+conditions at ``limit`` / next-down boundaries, and NaN rejection.
 """
 
 import math
@@ -23,8 +23,10 @@ from repro.sim.streaming import generate_trace_soa
 
 from .harness import (
     SHAPES,
+    StubPartition,
     assert_engines_identical,
     dispatch_rows,
+    fast_variants,
     make_partition,
 )
 
@@ -47,19 +49,21 @@ def test_small_chunk_identity(width, chunk_size):
     partition = make_partition(width)
     trace = _trace()
     base = ServingSimulator(partition).run(
-        trace, dispatch="table", chunk_size=chunk_size
+        trace, dispatch="scan", chunk_size=chunk_size
     )
-    vec = ServingSimulator(partition).run(
-        trace, dispatch="vectorized", chunk_size=chunk_size
-    )
-    assert dispatch_rows(vec) == dispatch_rows(base)
-    stream_base = ServingSimulator(partition).run(
-        trace, dispatch="table", streaming=True, chunk_size=chunk_size
-    )
-    stream_vec = ServingSimulator(partition).run(
-        trace, dispatch="vectorized", streaming=True, chunk_size=chunk_size
-    )
-    assert stream_vec.as_dict() == stream_base.as_dict()
+    streams = []
+    for _, context in fast_variants():
+        with context():
+            fast = ServingSimulator(partition).run(trace, chunk_size=chunk_size)
+            streams.append(
+                ServingSimulator(partition).run(
+                    trace, streaming=True, chunk_size=chunk_size
+                )
+            )
+        assert dispatch_rows(fast) == dispatch_rows(base)
+    # every implementation flushes the streaming report in the same
+    # chunk_size blocks, so the float sums agree bit for bit
+    assert all(s.as_dict() == streams[0].as_dict() for s in streams[1:])
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
@@ -156,47 +160,47 @@ def test_repro_no_native_env_forces_fallback():
 
 def test_native_available_tracks_monkeypatch(no_native):
     """``native_available()`` reads the module state dynamically, so the
-    auto engine selector sees the same view the tests force."""
+    ``--stats`` native flag sees the same view the tests force."""
     assert dispatch_batch.native_available() is False
 
 
 def test_nan_service_raises_for_explicit_vectorized():
-    """A NaN service entry must fail loudly, naming the culprit."""
-    from .harness import StubPartition
+    """A NaN service entry must fail loudly on every fast-path run,
+    naming the culprit — fault-free and faulted, exact and streaming.
 
+    The NaN sits on the *first* lane: a NaN finish there never loses a
+    strict-less comparison in lane order, so a fast path that skipped
+    the check would silently disagree with the scan oracle.
+    """
     partition = StubPartition(
         {
-            "good": {shape: 0.002 for shape in SHAPES},
             "broken": {
                 SHAPES[0]: float("nan"),
                 SHAPES[1]: 0.003,
                 SHAPES[2]: 0.004,
             },
+            "good": {shape: 0.002 for shape in SHAPES},
         }
     )
     trace = _trace(num_requests=50)
-    with pytest.raises(ValueError, match="'broken'"):
-        ServingSimulator(partition).run(trace, dispatch="vectorized")
-    with pytest.raises(ValueError, match="NaN"):
-        ServingSimulator(partition).run(
-            trace, dispatch="vectorized", streaming=True
-        )
-    with pytest.raises(ValueError, match="vectorized"):
-        ServingSimulator(partition).run(
-            trace,
-            dispatch="vectorized",
-            faults=FaultSchedule.down("good", 0.01, 0.02),
-        )
+    faults = FaultSchedule.down("good", 0.01, 0.02)
+    for _, context in fast_variants():
+        with context():
+            for kwargs in ({}, {"streaming": True}, {"faults": faults}):
+                with pytest.raises(ValueError, match="'broken'.*NaN"):
+                    ServingSimulator(partition).run(
+                        trace, dispatch="auto", **kwargs
+                    )
 
 
 @pytest.mark.parametrize("width", [3, 8])
-def test_explicit_vectorized_legal_at_any_width(width):
-    """``dispatch="vectorized"`` no longer silently falls back on wide
-    fleets: it runs the k-wide engine and matches the table engine."""
+def test_explicit_vectorized_legal_at_any_width(no_native, width):
+    """Without a compiler ``auto`` still runs the vectorized engine on
+    wide fleets — the NumPy rounds at every width — and matches scan."""
     partition = make_partition(width)
     trace = _trace()
-    base = ServingSimulator(partition).run(trace, dispatch="table")
-    vec = ServingSimulator(partition).run(trace, dispatch="vectorized")
+    base = ServingSimulator(partition).run(trace, dispatch="scan")
+    vec = ServingSimulator(partition).run(trace, dispatch="auto")
     assert dispatch_rows(vec) == dispatch_rows(base)
 
 

@@ -17,14 +17,16 @@ from repro.sim.serving import (
 from repro.sim.streaming import generate_trace_soa
 from repro.workloads.gemm import GemmShape
 
+from ..conformance.harness import fast_variants
+
 SHAPES = [GemmShape(1024, 1024, 1024), GemmShape(512, 2048, 512)]
 
 
 class FakePartition:
     """A stub partition: hand-authored service times, ValueError = infeasible.
 
-    Lets the dispatch tests cover wide partitions (heap territory) and
-    infeasible (accelerator, shape) pairs, which the paper's real C5/C3
+    Lets the dispatch tests cover wide partitions and infeasible
+    (accelerator, shape) pairs, which the paper's real C5/C3
     partitions never produce for reasonable shapes.
     """
 
@@ -41,8 +43,8 @@ class FakePartition:
 
 
 def _wide_fake_partition(num_accelerators=9):
-    """A 9-wide partition (heap dispatch territory) with one shape
-    infeasible on some accelerators and varied service times."""
+    """A 9-wide partition with one shape infeasible on some
+    accelerators and varied service times."""
     services = {}
     for index in range(num_accelerators):
         per_shape = {
@@ -57,6 +59,15 @@ def _wide_fake_partition(num_accelerators=9):
 
 def _decisions(report):
     return [(c.accelerator, c.start, c.finish) for c in report.completed]
+
+
+def _assert_fast_path_matches_scan(simulator, trace):
+    """``auto`` (native kernel and NumPy rounds alike) agrees with scan."""
+    expected = _decisions(simulator.run(trace, dispatch="scan"))
+    for label, context in fast_variants():
+        with context():
+            got = _decisions(simulator.run(trace, dispatch="auto"))
+        assert got == expected, label
 
 
 @pytest.fixture(scope="module")
@@ -141,15 +152,12 @@ class TestServing:
 
 
 class TestDispatchEngines:
-    """All engines must make byte-identical decisions (same accelerator,
-    same float start/finish) — the tentpole's core contract."""
+    """Both dispatch paths must make byte-identical decisions (same
+    accelerator, same float start/finish) — the serving core contract."""
 
-    def test_table_and_heap_match_scan(self, simulator):
+    def test_fast_path_matches_scan(self, simulator):
         trace = generate_trace(SHAPES, 400, 0.3e-3, seed=5)
-        expected = _decisions(simulator.run(trace, dispatch="scan"))
-        assert _decisions(simulator.run(trace, dispatch="table")) == expected
-        assert _decisions(simulator.run(trace, dispatch="heap")) == expected
-        assert _decisions(simulator.run(trace, dispatch="auto")) == expected
+        _assert_fast_path_matches_scan(simulator, trace)
 
     def test_soa_trace_matches_list_trace(self, simulator):
         scalar = generate_trace(SHAPES, 300, 1e-3, seed=9)
@@ -159,22 +167,14 @@ class TestDispatchEngines:
         )
 
     def test_wide_partition_with_infeasible_pairs(self):
-        fake = _wide_fake_partition()
-        simulator = ServingSimulator(fake)
+        simulator = ServingSimulator(_wide_fake_partition())
         trace = generate_trace(SHAPES, 500, 0.5e-3, seed=3)
-        expected = _decisions(simulator.run(trace, dispatch="scan"))
-        assert _decisions(simulator.run(trace, dispatch="table")) == expected
-        assert _decisions(simulator.run(trace, dispatch="heap")) == expected
-        # 9 accelerators: auto routes through the heap
-        assert _decisions(simulator.run(trace, dispatch="auto")) == expected
+        _assert_fast_path_matches_scan(simulator, trace)
 
     def test_single_accelerator_partition(self):
         fake = FakePartition({"only": {SHAPES[0]: 0.002, SHAPES[1]: 0.003}})
-        simulator = ServingSimulator(fake)
         trace = generate_trace(SHAPES, 120, 1e-3, seed=1)
-        expected = _decisions(simulator.run(trace, dispatch="scan"))
-        assert _decisions(simulator.run(trace, dispatch="table")) == expected
-        assert _decisions(simulator.run(trace, dispatch="heap")) == expected
+        _assert_fast_path_matches_scan(ServingSimulator(fake), trace)
 
     def test_small_chunks_do_not_change_decisions(self, simulator):
         trace = generate_trace(SHAPES, 150, 1e-3, seed=2)

@@ -136,7 +136,7 @@ class TestServe:
     def test_dispatch_pinning(self, capsys):
         base = ["serve", self.SHAPES, "--requests", "150", "--seed", "3"]
         outputs = []
-        for engine in ("scan", "table", "heap", "vectorized"):
+        for engine in ("scan", "auto"):
             assert main(base + ["--dispatch", engine]) == 0
             outputs.append(capsys.readouterr().out)
         # byte-identical dispatch => byte-identical summaries
@@ -189,6 +189,16 @@ class TestServe:
         assert main(argv) == 2
         assert "not both" in capsys.readouterr().err
 
+    def test_rejects_streaming_with_scan_dispatch(self, capsys):
+        argv = [
+            "serve", self.SHAPES, "--requests", "150", "--streaming",
+            "--dispatch", "scan",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--streaming" in err and "scan" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_stats_reports_native_kernel_flag(self, capsys):
         from repro.obs.metrics import GLOBAL_METRICS
         from repro.sim.dispatch_batch import native_available
@@ -236,14 +246,14 @@ class TestServeFaults:
 
     def test_faulted_dispatch_engines_byte_identical(self, capsys):
         outputs = []
-        for engine in ("scan", "table", "heap"):
+        for engine in ("scan", "auto"):
             argv = self.BASE + [
                 "--faults", "C5:down:0.005:0.02,C3:slow:2.5:0.0:0.05",
                 "--dispatch", engine,
             ]
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_device_degraded_window_runs(self, capsys):
         argv = self.BASE + ["--faults", "C5:cols:1:0.0:0.05"]
