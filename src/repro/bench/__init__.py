@@ -19,36 +19,40 @@ or dispatch-engine choice, and ``noise=None`` runs are byte-identical
 to the un-harnessed paths.
 """
 
-from repro.bench.experiments import (
-    EstimateExperiment,
-    EvalThroughputExperiment,
-    Experiment,
-    LoadSweepExperiment,
-    PipelineExperiment,
-    ServingExperiment,
-)
-from repro.bench.measure import SpanRollupProbe, StatsProbe, TimerProbe, default_probes
-from repro.bench.noise import (
-    ClockVariabilityNoise,
-    DramJitterNoise,
-    NoiseModel,
-    ThermalDeratingNoise,
-    parse_noise_spec,
-)
-from repro.bench.regression import (
-    EXIT_REGRESSION,
-    BaselineError,
-    Gate,
-    Verdict,
-    check_entry,
-    check_result,
-    exit_code,
-    failure_messages,
-    load_baseline,
-)
-from repro.bench.runner import BenchResult, run_bench, write_csv, write_json
-from repro.bench.stats import MetricSummary, bootstrap_interval, summarize, t_critical
-from repro.bench.trajectory import append_trajectory, load_trajectory
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.experiments": (
+        "EstimateExperiment",
+        "EvalThroughputExperiment",
+        "Experiment",
+        "LoadSweepExperiment",
+        "PipelineExperiment",
+        "ServingExperiment",
+    ),
+    "repro.bench.measure": ("SpanRollupProbe", "StatsProbe", "TimerProbe", "default_probes"),
+    "repro.bench.noise": (
+        "ClockVariabilityNoise",
+        "DramJitterNoise",
+        "NoiseModel",
+        "ThermalDeratingNoise",
+        "parse_noise_spec",
+    ),
+    "repro.bench.regression": (
+        "EXIT_REGRESSION",
+        "BaselineError",
+        "Gate",
+        "Verdict",
+        "check_entry",
+        "check_result",
+        "exit_code",
+        "failure_messages",
+        "load_baseline",
+    ),
+    "repro.bench.runner": ("BenchResult", "run_bench", "write_csv", "write_json"),
+    "repro.bench.stats": ("MetricSummary", "bootstrap_interval", "summarize", "t_critical"),
+    "repro.bench.trajectory": ("append_trajectory", "load_trajectory"),
+})
 
 __all__ = [
     "BaselineError",

@@ -35,12 +35,6 @@ import argparse
 import json
 import sys
 
-from repro.core.analytical_model import AnalyticalModel
-from repro.core.dse import DesignSpaceExplorer
-from repro.experiments import available_experiments, run_experiment
-from repro.kernels.precision import Precision
-from repro.mapping.charm import CharmDesign
-from repro.mapping.configs import config_by_name
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.spans import GLOBAL_TRACER
 from repro.reporting import RENDERERS, format_seconds, render_bars, render_table
@@ -50,6 +44,25 @@ from repro.workloads.gemm import GemmShape
 #: end-of-run trace export (cleared at the start of every ``main``
 #: invocation); monitors become Perfetto counter tracks
 _PENDING_TRACE_SOURCES: list = []
+
+# Handlers import what they run inside their bodies, so a subcommand
+# loads only its own layers: ``estimate`` never builds the native
+# dispatch kernel, ``serve`` never imports the experiment drivers.  The
+# experiment entry points stay module-level names that import on call,
+# so wrappers of ``repro.cli.run_experiment`` (perfbench/probe.py times
+# it as the model layer) keep working.
+
+
+def available_experiments() -> list[str]:
+    from repro.experiments import available_experiments
+
+    return available_experiments()
+
+
+def run_experiment(experiment_id: str, **kwargs):
+    from repro.experiments import run_experiment
+
+    return run_experiment(experiment_id, **kwargs)
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -75,6 +88,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.core.analytical_model import AnalyticalModel
+    from repro.mapping.charm import CharmDesign
+    from repro.mapping.configs import config_by_name
+
     workload = GemmShape.parse(args.workload)
     design = CharmDesign(config_by_name(args.config))
     estimate = AnalyticalModel(design).estimate(workload)
@@ -107,6 +124,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_roofline(args: argparse.Namespace) -> int:
     """Render the Fig. 15 roofline in the terminal."""
     from repro.core.roofline import Roofline
+    from repro.kernels.precision import Precision
+    from repro.mapping.configs import config_by_name
     from repro.workloads.dnn import DNN_WORKLOADS
 
     roofline = Roofline(Precision.parse(args.precision))
@@ -123,6 +142,7 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     """Emit a configuration's AIE connectivity graph (summary or DOT)."""
+    from repro.mapping.configs import config_by_name
     from repro.mapping.connectivity import build_connectivity
 
     graph = build_connectivity(config_by_name(args.config))
@@ -183,6 +203,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     from repro.core.e2e import ModelEstimator
+    from repro.kernels.precision import Precision
     from repro.workloads.transformer import model_by_name
 
     model = model_by_name(args.model)
@@ -213,6 +234,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.mapping.charm import CharmDesign
+    from repro.mapping.configs import config_by_name
     from repro.sim.hwsim import HwSimulator
 
     workload = GemmShape.parse(args.workload)
@@ -229,6 +252,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.multi_acc import AcceleratorPartition
+    from repro.mapping.configs import config_by_name
     from repro.sim.chaos import FaultError, FaultPolicy, parse_fault_spec
     from repro.sim.serving import ServingSimulator, load_sweep
     from repro.sim.streaming import generate_trace_soa
@@ -278,11 +302,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "Compiled k-wide dispatch kernel in use (1) or NumPy fallback (0)",
     ).set(1.0 if native else 0.0)
     if args.stats:
-        print(
-            f"native       {'available' if native else 'unavailable'} "
-            "(k-wide C dispatch kernel)",
-            file=sys.stderr,
-        )
+        print(f"native       {_native_status(native)}", file=sys.stderr)
     simulator.prewarm(shapes, jobs=args.jobs, vectorize=args.vectorize)
 
     faults = None
@@ -456,7 +476,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _native_status(native: bool) -> str:
+    """The ``--stats`` native row: availability, and where the kernel
+    came from (compiled this run, or loaded from the kernel cache)."""
+    if not native:
+        return "unavailable (k-wide C dispatch kernel)"
+    from repro.sim._native import NATIVE_ORIGIN, NATIVE_PATH
+
+    if NATIVE_ORIGIN == "cached":
+        source = f"; cached at {NATIVE_PATH}"
+    elif NATIVE_ORIGIN == "compiled":
+        source = (f"; compiled, saved to {NATIVE_PATH}" if NATIVE_PATH
+                  else "; compiled, kernel cache unwritable")
+    else:
+        source = ""
+    return f"available (k-wide C dispatch kernel{source})"
+
+
 def _cmd_dse(args: argparse.Namespace) -> int:
+    from repro.core.dse import DesignSpaceExplorer
+    from repro.kernels.precision import Precision
+
     workload = GemmShape.parse(args.workload)
     explorer = DesignSpaceExplorer(
         Precision.parse(args.precision),
@@ -517,6 +557,7 @@ def _bench_experiment(args: argparse.Namespace):
     fault_policy = None
     if args.faults and args.kind in ("serving", "sweep"):
         from repro.core.multi_acc import AcceleratorPartition
+        from repro.mapping.configs import config_by_name
         from repro.sim.chaos import FaultError, FaultPolicy, parse_fault_spec
 
         partition = AcceleratorPartition([config_by_name(name) for name in configs])

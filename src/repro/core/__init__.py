@@ -1,12 +1,24 @@
 """The paper's primary contribution: the analytical performance model,
 execution breakdown, roofline analysis and design-space exploration."""
 
-from repro.core.analytical_model import AnalyticalModel, Estimate, AieLevelTimes, DramLevelTimes
-from repro.core.breakdown import Bottleneck, ExecutionBreakdown
-from repro.core.efficiency import kernel_efficiency, array_efficiency, achieved_ops
-from repro.core.roofline import Roofline, RooflinePoint, RooflineCeiling
-from repro.core.dse import DesignSpaceExplorer, DsePoint
-from repro.core.sweep import sweep, SweepResult
+from repro._lazy import lazy_exports
+
+# ``sweep`` is eager: the function shares its name with its submodule,
+# and a lazy export would be shadowed once ``repro.core.sweep`` loads
+from repro.core.sweep import SweepResult, sweep
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.analytical_model": (
+        "AnalyticalModel",
+        "Estimate",
+        "AieLevelTimes",
+        "DramLevelTimes",
+    ),
+    "repro.core.breakdown": ("Bottleneck", "ExecutionBreakdown"),
+    "repro.core.efficiency": ("kernel_efficiency", "array_efficiency", "achieved_ops"),
+    "repro.core.roofline": ("Roofline", "RooflinePoint", "RooflineCeiling"),
+    "repro.core.dse": ("DesignSpaceExplorer", "DsePoint"),
+})
 
 __all__ = [
     "AnalyticalModel",

@@ -1,17 +1,17 @@
 """Hardware model of the AMD Versal platform (VCK5000 and AIE-ML)."""
 
-from repro.hw.specs import DeviceSpec, VCK5000, AIE_ML_DEVICE, device_by_name
-from repro.hw.dram import DramModel, DramPorts
-from repro.hw.noc import NocModel
-from repro.hw.plio import PlioDirection, PlioPort, PlioAllocator
-from repro.hw.pl import PlMemoryBudget
-from repro.hw.aie import AieTile
-from repro.hw.aie_array import AieArray
-from repro.hw.interconnect import (
-    CommScheme,
-    CommTimingModel,
-    ChainTiming,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hw.specs": ("DeviceSpec", "VCK5000", "AIE_ML_DEVICE", "device_by_name"),
+    "repro.hw.dram": ("DramModel", "DramPorts"),
+    "repro.hw.noc": ("NocModel",),
+    "repro.hw.plio": ("PlioDirection", "PlioPort", "PlioAllocator"),
+    "repro.hw.pl": ("PlMemoryBudget",),
+    "repro.hw.aie": ("AieTile",),
+    "repro.hw.aie_array": ("AieArray",),
+    "repro.hw.interconnect": ("CommScheme", "CommTimingModel", "ChainTiming"),
+})
 
 __all__ = [
     "DeviceSpec",

@@ -2,18 +2,16 @@
 
 Models the 50x8 grid of the VCK5000 (400 tiles), the interface-tile row
 at the bottom, and the switch network used by via-switch (stream)
-connections.  Routing runs over a networkx grid graph so via-switch hop
-counts, placements (near / far / random) and link congestion can be
-measured rather than assumed — these feed the Fig. 8 communication-scheme
-study.
+connections.  Routing is a breadth-first search over the switch grid so
+via-switch hop counts, placements (near / far / random) and link
+congestion can be measured rather than assumed — these feed the Fig. 8
+communication-scheme study.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.hw.aie import AieTile
 from repro.hw.specs import DeviceSpec, VCK5000
@@ -49,7 +47,6 @@ class AieArray:
             for col in range(device.aie_cols)
             for row in range(device.aie_rows)
         }
-        self._graph = nx.grid_2d_graph(device.aie_cols, device.aie_rows)
         #: stream flows currently routed, per link (for congestion analysis)
         self._link_flows: dict[frozenset[tuple[int, int]], int] = {}
 
@@ -121,10 +118,59 @@ class AieArray:
     # ------------------------------------------------------------------
     # Via-switch routing
     # ------------------------------------------------------------------
+    def _neighbours(self, pos: tuple[int, int]) -> list[tuple[int, int]]:
+        # networkx's grid_2d_graph adjacency order; route ties break on it
+        i, j = pos
+        return [
+            p for p in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+            if p in self.tiles
+        ]
+
+    def shortest_path(
+        self, src: tuple[int, int], dst: tuple[int, int]
+    ) -> list[tuple[int, int]]:
+        """Bidirectional breadth-first search from ``src`` to ``dst``.
+
+        Expands the smaller frontier a level at a time and stops at the
+        first tile both searches reach, as ``networkx.shortest_path``
+        does on a grid graph, so ties resolve to the same path.
+        """
+        for pos in (src, dst):
+            if pos not in self.tiles:
+                raise ValueError(
+                    f"tile {pos} is off the {self.device.aie_cols}x"
+                    f"{self.device.aie_rows} AIE grid"
+                )
+        # parents[0] leads back to src, parents[1] on to dst
+        parents: tuple[dict, dict] = ({src: None}, {dst: None})
+        fringes = [[src], [dst]]
+        meet = src if src == dst else None
+        while meet is None:
+            side = 0 if len(fringes[0]) <= len(fringes[1]) else 1
+            seen, other = parents[side], parents[1 - side]
+            level, fringes[side] = fringes[side], []
+            for v in level:
+                for w in self._neighbours(v):
+                    if w not in seen:
+                        seen[w] = v
+                        fringes[side].append(w)
+                    if w in other:
+                        meet = w
+                        break
+                if meet is not None:
+                    break
+        path = [meet]
+        while parents[0][path[-1]] is not None:
+            path.append(parents[0][path[-1]])
+        path.reverse()
+        while parents[1][path[-1]] is not None:
+            path.append(parents[1][path[-1]])
+        return path
+
     def route(self, src: tuple[int, int], dst: tuple[int, int]) -> Route:
         """Shortest-path route through the switch network, recording the
         flow on every traversed link for congestion accounting."""
-        path = nx.shortest_path(self._graph, src, dst)
+        path = self.shortest_path(src, dst)
         for a, b in zip(path, path[1:]):
             link = frozenset((a, b))
             self._link_flows[link] = self._link_flows.get(link, 0) + 1

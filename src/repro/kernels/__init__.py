@@ -1,20 +1,24 @@
 """AIE kernel models: precision, programming style and cycle timing."""
 
-from repro.kernels.precision import Precision
-from repro.kernels.programming import KernelStyle, style_parameters, StyleParameters
-from repro.kernels.kernel_timing import (
-    compute_cycles,
-    stream_cycles,
-    KernelTiming,
-    kernel_timing,
-)
-from repro.kernels.gemm_kernel import (
-    SingleAieGemmKernel,
-    MemoryVerdict,
-    AIE_DATA_MEMORY_BYTES,
-    NEIGHBOR_MEMORY_BYTES,
-    MAX_DOUBLE_BUFFER_OPERAND_BYTES,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernels.precision": ("Precision",),
+    "repro.kernels.programming": ("KernelStyle", "style_parameters", "StyleParameters"),
+    "repro.kernels.kernel_timing": (
+        "compute_cycles",
+        "stream_cycles",
+        "KernelTiming",
+        "kernel_timing",
+    ),
+    "repro.kernels.gemm_kernel": (
+        "SingleAieGemmKernel",
+        "MemoryVerdict",
+        "AIE_DATA_MEMORY_BYTES",
+        "NEIGHBOR_MEMORY_BYTES",
+        "MAX_DOUBLE_BUFFER_OPERAND_BYTES",
+    ),
+})
 
 __all__ = [
     "Precision",

@@ -1,18 +1,22 @@
 """CHARM-style GEMM mapping: grouping, tiling, PLIO schemes, configurations."""
 
-from repro.mapping.grouping import AieGrouping, pack_depth_for
-from repro.mapping.configs import (
-    HardwareConfig,
-    ALL_CONFIGS,
-    FP32_CONFIGS,
-    INT8_CONFIGS,
-    config_by_name,
-    configs_for,
-)
-from repro.mapping.tiling import TilePlan, plan_tiling, TrafficSummary
-from repro.mapping.switching import SwitchingKind, PlioConnection, serialization_factor
-from repro.mapping.plio_schemes import PlioScheme, scheme_sweep, reference_schemes
-from repro.mapping.charm import CharmDesign
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mapping.grouping": ("AieGrouping", "pack_depth_for"),
+    "repro.mapping.configs": (
+        "HardwareConfig",
+        "ALL_CONFIGS",
+        "FP32_CONFIGS",
+        "INT8_CONFIGS",
+        "config_by_name",
+        "configs_for",
+    ),
+    "repro.mapping.tiling": ("TilePlan", "plan_tiling", "TrafficSummary"),
+    "repro.mapping.switching": ("SwitchingKind", "PlioConnection", "serialization_factor"),
+    "repro.mapping.plio_schemes": ("PlioScheme", "scheme_sweep", "reference_schemes"),
+    "repro.mapping.charm": ("CharmDesign",),
+})
 
 __all__ = [
     "AieGrouping",

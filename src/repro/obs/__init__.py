@@ -17,53 +17,58 @@ Three cooperating pieces:
   boundaries) and declarative SLOs with multi-window burn-rate
   alerting over those series.
 
-This package deliberately has no module-level imports from
-``repro.sim`` or ``repro.perf`` — those layers import *us*, and
-``repro/sim/__init__`` transitively imports ``repro.perf.metrics``.
+Every export loads on first use (see :mod:`repro._lazy`), so importing
+a module of this package pulls in only that module's own imports.
+``repro.sim`` and ``repro.perf`` import these modules, so the modules
+themselves import neither at module level.
 """
 
-from repro.obs.export import (
-    ChromeTraceBuilder,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    GLOBAL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.spans import (
-    GLOBAL_TRACER,
-    Span,
-    Tracer,
-    instant,
-    span,
-    tracing_enabled,
-)
-from repro.obs.slo import (
-    AlertEvent,
-    BurnRatePolicy,
-    SloObjective,
-    SloReport,
-    SloSpec,
-    evaluate_slo,
-    parse_slo,
-)
-from repro.obs.summary import (
-    TraceSummary,
-    TrackStats,
-    load_trace,
-    summarize_trace,
-)
-from repro.obs.windows import (
-    ServingMonitor,
-    WindowStats,
-    WindowedCounter,
-    WindowedGauge,
-    WindowedHistogram,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": (
+        "ChromeTraceBuilder",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "repro.obs.metrics": (
+        "GLOBAL_METRICS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+    ),
+    "repro.obs.spans": (
+        "GLOBAL_TRACER",
+        "Span",
+        "Tracer",
+        "instant",
+        "span",
+        "tracing_enabled",
+    ),
+    "repro.obs.slo": (
+        "AlertEvent",
+        "BurnRatePolicy",
+        "SloObjective",
+        "SloReport",
+        "SloSpec",
+        "evaluate_slo",
+        "parse_slo",
+    ),
+    "repro.obs.summary": (
+        "TraceSummary",
+        "TrackStats",
+        "load_trace",
+        "summarize_trace",
+    ),
+    "repro.obs.windows": (
+        "ServingMonitor",
+        "WindowStats",
+        "WindowedCounter",
+        "WindowedGauge",
+        "WindowedHistogram",
+    ),
+})
 
 __all__ = [
     "AlertEvent",

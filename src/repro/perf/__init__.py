@@ -5,24 +5,28 @@ funnel their candidate evaluations through this package so one cache,
 one fan-out primitive and one stats format serve the whole library.
 """
 
-from repro.perf.cache import (
-    DEFAULT_CACHE,
-    NULL_CACHE,
-    EvalCache,
-    NullCache,
-    clear_cache,
-    design_fingerprint,
-    get_cache,
-)
-from repro.perf.metrics import GLOBAL_STATS, EvalStats, StatsRegistry, track
-from repro.perf.parallel import default_chunksize, parallel_map, resolve_jobs
-from repro.perf.vectorized import (
-    BatchEstimate,
-    CandidateGrid,
-    batch_estimate,
-    batch_estimate_designs,
-    rank_feasible,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.cache": (
+        "DEFAULT_CACHE",
+        "NULL_CACHE",
+        "EvalCache",
+        "NullCache",
+        "clear_cache",
+        "design_fingerprint",
+        "get_cache",
+    ),
+    "repro.perf.metrics": ("GLOBAL_STATS", "EvalStats", "StatsRegistry", "track"),
+    "repro.perf.parallel": ("default_chunksize", "parallel_map", "resolve_jobs"),
+    "repro.perf.vectorized": (
+        "BatchEstimate",
+        "CandidateGrid",
+        "batch_estimate",
+        "batch_estimate_designs",
+        "rank_feasible",
+    ),
+})
 
 __all__ = [
     "DEFAULT_CACHE",

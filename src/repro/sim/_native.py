@@ -8,9 +8,16 @@ cost two orders of magnitude more than the arithmetic they perform:
 * the exact earliest-finish recurrence itself (each admission updates
   the free time the next admission reads).
 
-This module compiles both as a few dozen lines of C once per process
-(system ``cc``, a temp directory, no build system) and exposes them
-through :data:`theta_walk` and :data:`dispatch_exact`.
+This module compiles both as a few dozen lines of C (system ``cc``, a
+temp directory, no build system) and exposes them through
+:data:`theta_walk` and :data:`dispatch_exact`.  A build that passes the
+self-check is kept as ``$XDG_CACHE_HOME/repro/libreprowalk-<key>.so``
+(default ``~/.cache/repro``), keyed by a hash of the source, flags,
+compiler path and platform, so later processes load it instead of
+compiling.  Every load, cached or fresh, runs the self-check first; a
+cached file that fails to load or fails the check is deleted and
+rebuilt once, and an unwritable cache directory only means the build
+is not kept.
 
 ``dispatch_exact`` mirrors the scan loop bit for bit — same
 ``arrival if arrival > free else free`` start rule, same strict
@@ -25,18 +32,22 @@ infinite candidate finish can never win a strict-less comparison, and
 the next-down check only ever tests the winner.  Plain ``-O2`` keeps
 IEEE semantics (no ``-ffast-math``, no FMA contraction opportunities in
 pure add/compare code), and a self-check against a Python reference
-guards the build before it is trusted.  Any failure (no ``cc``, sandboxed filesystem,
-self-check mismatch) leaves both exports ``None`` and the pure-Python
-paths take over.  Set ``REPRO_NO_NATIVE=1`` to force that fallback
-explicitly (CI exercises it so the Python paths stay covered).
+guards the library before it is trusted.  Any failure (no ``cc``,
+sandboxed filesystem, self-check mismatch) leaves both exports ``None``
+and the pure-Python paths take over.  Set ``REPRO_NO_NATIVE=1`` to
+force that fallback explicitly (CI exercises it so the Python paths
+stay covered).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import hashlib
 import logging
 import math
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -106,6 +117,12 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
     return j;
 }
 """
+
+#: compilers tried in order, and the flags every build uses
+_COMPILERS = ("cc", "gcc", "clang")
+_FLAGS = ("-O2", "-fPIC", "-shared")
+#: length of the SHA-256 seal at the end of a cached library
+_SEAL_BYTES = hashlib.sha256().digest_size
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
@@ -201,89 +218,193 @@ def _check_dispatch(kwide):
     return True
 
 
-def _build():
-    if os.environ.get("REPRO_NO_NATIVE"):
-        return None
-    tmp = None
+def _check_walk(walk) -> bool:
+    check_u = [0.5, -1.0, 2.0, 0.25, 3.0, 3.0, 0.0]
+    check_v = [1.0, 1.0, 0.5, 2.0, 0.5, 0.5, 1.0]
+    for theta in (-1.0, 0.0, 0.4, 10.0):
+        cu = np.asarray(check_u)
+        cv = np.asarray(check_v)
+        got = np.empty(cu.size, dtype=np.uint8)
+        walk(
+            cu.ctypes.data_as(_DOUBLE_P),
+            cv.ctypes.data_as(_DOUBLE_P),
+            cu.size,
+            theta,
+            got.ctypes.data_as(_UINT8_P),
+        )
+        if got.tolist() != _reference_walk(check_u, check_v, theta):
+            return False
+    return True
+
+
+def _bind(lib_path: str):
+    """Load ``lib_path``; its ``(walk, kwide)`` kernels if they pass the
+    self-check against the reference implementations, else ``None``."""
     try:
-        tmp = tempfile.mkdtemp(prefix="repro-native-")
-        source = os.path.join(tmp, "walk.c")
-        lib_path = os.path.join(tmp, "libreprowalk.so")
-        with open(source, "w", encoding="utf-8") as handle:
-            handle.write(_SOURCE)
-        for compiler in ("cc", "gcc", "clang"):
-            if shutil.which(compiler) is None:
-                continue
-            try:
-                subprocess.run(
-                    [compiler, "-O2", "-fPIC", "-shared", "-o", lib_path, source],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-                break
-            except (subprocess.SubprocessError, OSError):
-                continue
-        else:
-            return None
         library = ctypes.CDLL(lib_path)
         walk = library.repro_theta_walk
-        walk.restype = ctypes.c_int64
-        walk.argtypes = [_DOUBLE_P, _DOUBLE_P, ctypes.c_int64, ctypes.c_double, _UINT8_P]
         kwide = library.repro_dispatch_k
-        kwide.restype = ctypes.c_int64
-        kwide.argtypes = [
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_double,
-            _DOUBLE_P,
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-        ]
-
-        # self-check against the reference implementations before
-        # trusting the build
-        check_u = [0.5, -1.0, 2.0, 0.25, 3.0, 3.0, 0.0]
-        check_v = [1.0, 1.0, 0.5, 2.0, 0.5, 0.5, 1.0]
-        for theta in (-1.0, 0.0, 0.4, 10.0):
-            cu = np.asarray(check_u)
-            cv = np.asarray(check_v)
-            got = np.empty(cu.size, dtype=np.uint8)
-            walk(
-                cu.ctypes.data_as(_DOUBLE_P),
-                cv.ctypes.data_as(_DOUBLE_P),
-                cu.size,
-                theta,
-                got.ctypes.data_as(_UINT8_P),
-            )
-            if got.tolist() != _reference_walk(check_u, check_v, theta):
-                return None
-        if not _check_dispatch(kwide):
-            return None
-        return walk, kwide
-    except Exception:
+    except (OSError, AttributeError):
         return None
-    finally:
-        # the loaded .so stays mapped; the directory entry can go
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
+    walk.restype = ctypes.c_int64
+    walk.argtypes = [_DOUBLE_P, _DOUBLE_P, ctypes.c_int64, ctypes.c_double, _UINT8_P]
+    kwide.restype = ctypes.c_int64
+    kwide.argtypes = [
+        _DOUBLE_P,
+        _INT64_P,
+        _DOUBLE_P,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_double,
+        _DOUBLE_P,
+        _DOUBLE_P,
+        _INT64_P,
+        _DOUBLE_P,
+        _DOUBLE_P,
+    ]
+    if not (_check_walk(walk) and _check_dispatch(kwide)):
+        return None
+    return walk, kwide
+
+
+def _cache_dir() -> str:
+    """Directory of compiled kernels: ``$XDG_CACHE_HOME/repro``, by
+    default ``~/.cache/repro``."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return os.path.join(base, "repro")
+
+
+def _cache_key(compiler: str) -> str:
+    """Hash of everything the compiled bytes depend on."""
+    digest = hashlib.sha256()
+    for part in (_SOURCE, *_FLAGS, compiler, platform.machine(), platform.system()):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
+def _trusted(directory: str) -> bool:
+    """Whether ``directory`` is ours alone: code loaded from it must not
+    be replaceable by another user."""
+    try:
+        info = os.stat(directory)
+    except OSError:
+        return False
+    return info.st_uid == os.getuid() and not info.st_mode & 0o022
+
+
+def _intact(path: str) -> bool:
+    """Whether a cache file ends with the SHA-256 of the bytes before it.
+
+    ``_publish`` appends that seal (the loader ignores trailing bytes).
+    Checking it first matters: loading a truncated library can kill the
+    process with SIGBUS before any self-check gets to run.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return False
+    body, seal = data[:-_SEAL_BYTES], data[-_SEAL_BYTES:]
+    return bool(body) and hashlib.sha256(body).digest() == seal
+
+
+def _compile(compiler: str, directory: str) -> str | None:
+    source = os.path.join(directory, "walk.c")
+    lib_path = os.path.join(directory, "libreprowalk.so")
+    with open(source, "w", encoding="utf-8") as handle:
+        handle.write(_SOURCE)
+    try:
+        subprocess.run(
+            [compiler, *_FLAGS, "-o", lib_path, source],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+    except (subprocess.SubprocessError, OSError):
+        return None
+    return lib_path
+
+
+def _publish(lib_path: str, cached: str) -> bool:
+    """Copy a checked build, sealed with its SHA-256, to ``cached``
+    atomically (temp file in the cache directory, then ``os.replace``);
+    ``False`` if it cannot be written there."""
+    directory = os.path.dirname(cached)
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        if not _trusted(directory):
+            return False
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(cached) + ".", dir=directory)
+    except OSError:
+        return False
+    try:
+        with open(lib_path, "rb") as built:
+            body = built.read()
+        with os.fdopen(fd, "wb") as out:
+            out.write(body + hashlib.sha256(body).digest())
+        os.replace(tmp, cached)
+        return True
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        return False
+
+
+def _build():
+    """``(walk, kwide, origin, cached_path)`` or ``None`` (fallback).
+
+    ``origin`` is ``"cached"`` when a previous process's build was
+    loaded from the cache and ``"compiled"`` otherwise; ``cached_path``
+    is the cache file, or ``None`` when a fresh build could not be
+    saved there.  Either way the kernels passed the self-check.
+    """
+    if os.environ.get("REPRO_NO_NATIVE"):
+        return None
+    try:
+        for compiler in filter(None, map(shutil.which, _COMPILERS)):
+            cached = os.path.join(
+                _cache_dir(), f"libreprowalk-{_cache_key(compiler)}.so"
+            )
+            if os.path.exists(cached) and _trusted(os.path.dirname(cached)):
+                kernels = _bind(cached) if _intact(cached) else None
+                if kernels is not None:
+                    return (*kernels, "cached", cached)
+                # damaged, foreign or miscompiled: evict, rebuild once
+                _LOG.warning("evicting unusable cached kernel %s", cached)
+                with contextlib.suppress(OSError):
+                    os.unlink(cached)
+            # the loaded .so stays mapped once its directory is removed
+            with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
+                lib_path = _compile(compiler, tmp)
+                if lib_path is None:
+                    continue
+                kernels = _bind(lib_path)
+                if kernels is None:
+                    return None
+                saved = cached if _publish(lib_path, cached) else None
+                return (*kernels, "compiled", saved)
+    except Exception:
+        _LOG.warning("native dispatch kernel build failed", exc_info=True)
+    return None
 
 
 _BUILT = _build()
-_WALK, _KWIDE = _BUILT if _BUILT is not None else (None, None)
+_WALK, _KWIDE, NATIVE_ORIGIN, NATIVE_PATH = (
+    _BUILT if _BUILT is not None else (None, None, None, None)
+)
 
 #: whether the compiled kernels passed the self-check and are in use
 NATIVE_AVAILABLE = _BUILT is not None
 
 if NATIVE_AVAILABLE:
     _LOG.info(
-        "native dispatch kernels compiled (k-wide exact earliest-finish loop)"
+        "native dispatch kernels %s (k-wide exact earliest-finish loop)%s",
+        NATIVE_ORIGIN,
+        f": {NATIVE_PATH}" if NATIVE_PATH else "",
     )
 elif os.environ.get("REPRO_NO_NATIVE"):
     _LOG.info(

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import atexit
+import os
+import shutil
+import tempfile
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+# the compiled dispatch kernel is cached under $XDG_CACHE_HOME; give the
+# test run (and every subprocess it starts) its own, so tests neither
+# read nor leave files in the user's cache
+_KERNEL_CACHE = tempfile.mkdtemp(prefix="repro-test-cache-")
+os.environ["XDG_CACHE_HOME"] = _KERNEL_CACHE
+atexit.register(shutil.rmtree, _KERNEL_CACHE, ignore_errors=True)
 
 # property tests explore deterministically so the suite gives the same
 # verdict on every run (counterexamples are hunted during development,

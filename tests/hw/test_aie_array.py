@@ -1,5 +1,8 @@
 """AIE array + switch network tests."""
 
+import random
+import re
+
 import pytest
 
 from repro.hw.aie_array import AieArray, HOP_LATENCY_CYCLES
@@ -83,3 +86,58 @@ class TestRouting:
 
         array = AieArray(AIE_ML_DEVICE)
         assert array.num_tiles == AIE_ML_DEVICE.num_aies
+
+
+class TestRoutingMatchesNetworkx:
+    """The grid BFS must return networkx's exact path (ties included),
+    so hop counts and link congestion match the networkx-routed seed."""
+
+    @staticmethod
+    def _array(cols, rows):
+        import dataclasses
+
+        return AieArray(dataclasses.replace(VCK5000, aie_cols=cols, aie_rows=rows))
+
+    @pytest.mark.parametrize("cols,rows", [(5, 3), (6, 4), (1, 5), (4, 1), (1, 1)])
+    def test_all_pairs_of_small_grids(self, cols, rows):
+        nx = pytest.importorskip("networkx")
+        array, graph = self._array(cols, rows), nx.grid_2d_graph(cols, rows)
+        for src in graph.nodes:
+            for dst in graph.nodes:
+                assert array.shortest_path(src, dst) == nx.shortest_path(graph, src, dst)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_pairs_of_the_vck5000_grid(self, seed):
+        nx = pytest.importorskip("networkx")
+        array = AieArray()
+        graph = nx.grid_2d_graph(VCK5000.aie_cols, VCK5000.aie_rows)
+        nodes = sorted(graph.nodes)
+        rng = random.Random(seed)
+        for _ in range(2000):
+            src, dst = rng.choice(nodes), rng.choice(nodes)
+            assert array.shortest_path(src, dst) == nx.shortest_path(graph, src, dst)
+
+    def test_link_congestion_unchanged(self):
+        nx = pytest.importorskip("networkx")
+        graph = nx.grid_2d_graph(VCK5000.aie_cols, VCK5000.aie_rows)
+        nodes = sorted(graph.nodes)
+        rng = random.Random(7)
+        array, expected = AieArray(), {}
+        for _ in range(300):
+            src, dst = rng.choice(nodes), rng.choice(nodes)
+            route = array.route(src, dst)
+            path = nx.shortest_path(graph, src, dst)
+            assert list(route.hops) == path
+            for a, b in zip(path, path[1:]):
+                link = frozenset((a, b))
+                expected[link] = expected.get(link, 0) + 1
+        assert array.max_link_congestion() == max(expected.values())
+        assert array.mean_link_congestion() == sum(expected.values()) / len(expected)
+
+    @pytest.mark.parametrize(
+        "src,dst,bad",
+        [((50, 0), (0, 0), (50, 0)), ((0, 0), (3, 8), (3, 8)), ((-1, 2), (0, 0), (-1, 2))],
+    )
+    def test_off_grid_endpoint_names_the_tile(self, src, dst, bad):
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            AieArray().route(src, dst)

@@ -211,6 +211,10 @@ class TestServe:
         )
         expected = "available" if native_available() else "unavailable"
         assert expected in native_line
+        if native_available():
+            from repro.sim._native import NATIVE_ORIGIN
+
+            assert NATIVE_ORIGIN in native_line
         family = GLOBAL_METRICS.snapshot()["repro_native_available"]
         assert family["type"] == "gauge"
         assert family["values"][0]["value"] == (

@@ -1,0 +1,123 @@
+"""Import budget: a ``versal-gemm`` process loads only what its
+subcommand runs.  Each check runs in a fresh interpreter, since this
+test process has long since imported everything."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SUBPACKAGES = (
+    "repro.bench",
+    "repro.core",
+    "repro.experiments",
+    "repro.hw",
+    "repro.kernels",
+    "repro.mapping",
+    "repro.obs",
+    "repro.perf",
+    "repro.sim",
+    "repro.workloads",
+)
+
+#: modules a command must leave unloaded (the probe prints which of
+#: them are in sys.modules after running the command in-process)
+WATCHED = ("numpy", "networkx", "repro.sim._native", "repro.experiments")
+
+
+def _loaded_after(code: str, tmp_path) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    probe = (
+        "import json, sys\n"
+        f"{code}\n"
+        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def _cli(*argv: str) -> str:
+    return (
+        "from repro.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+    )
+
+
+def test_cli_import_loads_no_heavy_module(tmp_path):
+    assert _loaded_after("import repro.cli", tmp_path) == []
+
+
+def test_package_import_loads_no_heavy_module(tmp_path):
+    assert _loaded_after("import repro", tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "1024x512x256", "--config", "C5"),
+        ("dse", "512x512x512", "--precision", "fp32", "--top", "3"),
+    ],
+    ids=["estimate", "dse"],
+)
+def test_model_commands_skip_native_kernel_and_networkx(tmp_path, argv):
+    loaded = _loaded_after(_cli(*argv), tmp_path)
+    assert "repro.sim._native" not in loaded
+    assert "networkx" not in loaded
+
+
+def test_serve_does_not_load_networkx(tmp_path):
+    loaded = _loaded_after(
+        _cli("serve", "512x512x512", "--requests", "200", "--streaming"), tmp_path
+    )
+    assert "networkx" not in loaded
+    assert "repro.experiments" not in loaded
+
+
+@pytest.mark.parametrize("package", ("repro",) + SUBPACKAGES)
+def test_every_export_resolves(package):
+    import importlib
+
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, f"{package}.{name}"
+        assert name in dir(module), f"{package}.{name} missing from dir()"
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from repro.sim import *", namespace)
+    import repro.sim
+
+    assert set(repro.sim.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    import repro.sim
+
+    with pytest.raises(AttributeError, match="no_such_export"):
+        repro.sim.no_such_export
+    assert not hasattr(repro, "no_such_export")
+
+
+def test_lazy_export_is_the_module_attribute():
+    import repro
+    import repro.core
+    from repro.core.sweep import sweep
+    from repro.host import Device
+    from repro.sim.serving import ServingSimulator
+
+    assert repro.ServingSimulator is ServingSimulator
+    assert repro.HostDevice is Device
+    # a function sharing its submodule's name stays the function
+    assert repro.core.sweep is sweep
