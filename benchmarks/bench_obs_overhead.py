@@ -12,9 +12,9 @@ a ``BENCH_obs.json`` trajectory:
 * ``overhead`` — the relative throughput delta between them, gated at
   ``OVERHEAD_LIMIT`` (3%) on the full run;
 * ``monitor`` — the default (exact) serving run with a windowed
-  :class:`ServingMonitor` attached (100 windows), gated at
-  ``MONITOR_OVERHEAD_LIMIT`` (5%) against the monitor-off run, with
-  dispatch decisions required to be byte-identical and a
+  :class:`ServingMonitor` attached (100 windows); its extra time over
+  the monitor-off run, per request, is gated at ``MONITOR_NS_CEILING``,
+  with dispatch decisions required to be byte-identical and a
   benchmark-run SLO verdict gated through the ``slo``
   regression-gate kind;
 * ``noop_span_ns`` — the cost of one disabled ``span(...)`` call,
@@ -66,11 +66,17 @@ MONITOR_WINDOWS = 100
 BENCH_SLO = "avail>0.999,shed<0.01"
 #: relative throughput delta allowed for the shipped-but-disabled tracer
 OVERHEAD_LIMIT = 0.03
-#: relative delta allowed with a windowed monitor attached (vs. off)
-MONITOR_OVERHEAD_LIMIT = 0.05
+#: extra nanoseconds per request allowed with a windowed monitor
+#: attached (vs. off).  An absolute budget, because the monitor-off
+#: exact run costs only tens of ns per request: 175 ns is 5% of the
+#: ~3.5 us/request the exact run took when it built one
+#: ``CompletedRequest`` per request (2-CPU x86-64 host), i.e. the
+#: budget the former 5%-of-the-run gate granted
+MONITOR_NS_CEILING = 175.0
 #: pytest smoke runs are short, so scheduler noise dominates — lenient
 SMOKE_OVERHEAD_LIMIT = 0.15
-SMOKE_MONITOR_OVERHEAD_LIMIT = 0.25
+#: 25% of the same ~3.5 us/request
+SMOKE_MONITOR_NS_CEILING = 875.0
 #: one disabled span() call (attribute check + return of the null span)
 NOOP_NS_CEILING = 2_000.0
 #: exported spans must reproduce the report's latency sums to this
@@ -142,6 +148,9 @@ def measure_overhead(num_requests: int, repeats: int = 3) -> dict:
         "monitor_overhead": (
             (monitor_best - monitor_off_best) / monitor_off_best
         ),
+        "monitor_ns_per_request": (
+            (monitor_best - monitor_off_best) / num_requests * 1e9
+        ),
         "_monitor": monitor,
     }
 
@@ -161,9 +170,15 @@ def measure_noop_span(calls: int = 200_000) -> float:
 def _dispatch_bytes(report) -> bytes:
     # stricter than scenarios.dispatch_bytes: request identity included,
     # so a reordering that preserves (accelerator, times) still fails
+    names = report.accelerator_names
     rows = [
-        (c.request.request_id, c.accelerator, repr(c.start), repr(c.finish))
-        for c in report.completed
+        (request_id, names[acc], repr(start), repr(finish))
+        for request_id, acc, start, finish in zip(
+            report.request_ids.tolist(),
+            report.accelerator_ids.tolist(),
+            report.starts.tolist(),
+            report.finishes.tolist(),
+        )
     ]
     return json.dumps(rows).encode()
 
@@ -216,15 +231,13 @@ def verify_trace_contract(num_requests: int) -> dict:
         elif event["ph"] == "M" and event["name"] == "thread_name":
             accelerator_tracks.add(event["args"]["name"])
     span_latency = (wait_us + exec_us) / 1e6
-    report_latency = sum(c.latency for c in traced.completed)
+    report_latency = sum(traced.latencies.tolist())
     accounting_error = (
         abs(span_latency - report_latency) / report_latency
         if report_latency
         else 0.0
     )
-    per_accelerator_tracks = {
-        c.accelerator for c in traced.completed
-    } <= accelerator_tracks
+    per_accelerator_tracks = set(traced.accelerator_load()) <= accelerator_tracks
     return {
         "dispatch_identical": dispatch_identical,
         "monitor_dispatch_identical": monitor_dispatch_identical,
@@ -245,8 +258,8 @@ def run_benchmark(
         "configs": list(CONFIGS),
         "smoke": smoke,
         "overhead_limit": SMOKE_OVERHEAD_LIMIT if smoke else OVERHEAD_LIMIT,
-        "monitor_overhead_limit": (
-            SMOKE_MONITOR_OVERHEAD_LIMIT if smoke else MONITOR_OVERHEAD_LIMIT
+        "monitor_ns_ceiling": (
+            SMOKE_MONITOR_NS_CEILING if smoke else MONITOR_NS_CEILING
         ),
         "noop_ns_ceiling": NOOP_NS_CEILING,
         "accounting_rtol": ACCOUNTING_RTOL,
@@ -285,10 +298,10 @@ def check(entry: dict) -> list[str]:
             f"disabled-tracer overhead {entry['overhead']:.2%} exceeds the "
             f"{entry['overhead_limit']:.0%} limit"
         )
-    if entry["monitor_overhead"] > entry["monitor_overhead_limit"]:
+    if entry["monitor_ns_per_request"] > entry["monitor_ns_ceiling"]:
         failures.append(
-            f"windowed-monitor overhead {entry['monitor_overhead']:.2%} "
-            f"exceeds the {entry['monitor_overhead_limit']:.0%} limit"
+            f"windowed monitor costs {entry['monitor_ns_per_request']:.0f} "
+            f"ns/request (ceiling {entry['monitor_ns_ceiling']:.0f} ns)"
         )
     if entry["noop_span_ns"] > entry["noop_ns_ceiling"]:
         failures.append(
@@ -365,8 +378,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{entry['monitor_rps']:12.1f} req/s")
     print(f"overhead:             {entry['overhead']:+.2%} "
           f"(limit {entry['overhead_limit']:.0%})")
-    print(f"monitor overhead:     {entry['monitor_overhead']:+.2%} "
-          f"(limit {entry['monitor_overhead_limit']:.0%})")
+    print(f"monitor cost:         {entry['monitor_ns_per_request']:.0f} "
+          f"ns/request, {entry['monitor_overhead']:+.2%} of the run "
+          f"(ceiling {entry['monitor_ns_ceiling']:.0f} ns)")
     print(f"slo {entry['slo']['spec']!r}: "
           f"{'ok' if entry['slo']['ok'] else 'BREACH'} "
           f"over {entry['slo']['windows']} windows")

@@ -241,7 +241,7 @@ def verify_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
 def _stream_matches_exact(stream, exact) -> bool:
     """A streaming report agrees with an exact one on every exact field."""
     return bool(
-        stream.count == len(exact.completed)
+        stream.count == exact.count
         and stream.makespan == exact.makespan
         and stream.accelerator_load() == exact.accelerator_load()
         and stream.fault_summary() == exact.fault_summary()
@@ -270,10 +270,16 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
     policy = FaultPolicy(max_retries=2)
 
     def fault_bytes(report) -> bytes:
+        names = report.accelerator_names
         rows = [
-            (c.request.request_id, c.accelerator, repr(c.start), repr(c.finish),
-             c.retries)
-            for c in report.completed
+            (request_id, names[acc], repr(start), repr(finish), retries)
+            for request_id, acc, start, finish, retries in zip(
+                report.request_ids.tolist(),
+                report.accelerator_ids.tolist(),
+                report.starts.tolist(),
+                report.finishes.tolist(),
+                report.retries.tolist(),
+            )
         ]
         shed = [
             (s.request.request_id, s.retries, s.reason, repr(s.time))
@@ -290,7 +296,7 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
     base = serve(soa)
     deterministic = fault_bytes(serve(soa)) == fault_bytes(base)
     accounting_exact = (
-        len(base.completed) + base.shed_count == num_requests
+        base.count + base.shed_count == num_requests
         and base.total_retries == base.kills
     )
     stream = serve(soa, streaming=True)
@@ -344,7 +350,7 @@ def verify_sharded_contract(partition: AcceleratorPartition, num_requests: int) 
                 reference.as_dict() == fleet.shard_reports[index].as_dict()
             )
             exact = simulator.run(sub)
-            latencies.extend(c.latency for c in exact.completed)
+            latencies.extend(exact.latencies.tolist())
         ordered = sorted(latencies)
         worst = 0.0
         for percentile in (50.0, 99.0):

@@ -75,7 +75,7 @@ class Experiment:
 
 def _report_metrics(report, wall_seconds: float, num_requests: int) -> dict[str, float]:
     p50, p99 = report.latency_percentiles([50, 99])
-    completed = report.count if hasattr(report, "count") else len(report.completed)
+    completed = report.count
     metrics = {
         "p50": p50,
         "p99": p99,

@@ -46,8 +46,14 @@ def build_partition(configs=SERVING_CONFIGS) -> AcceleratorPartition:
 
 def dispatch_bytes(report) -> bytes:
     """Serialize dispatch decisions for byte-exact engine comparison."""
+    names = report.accelerator_names
     rows = [
-        (c.accelerator, repr(c.start), repr(c.finish)) for c in report.completed
+        (names[acc], repr(start), repr(finish))
+        for acc, start, finish in zip(
+            report.accelerator_ids.tolist(),
+            report.starts.tolist(),
+            report.finishes.tolist(),
+        )
     ]
     return json.dumps(rows).encode()
 

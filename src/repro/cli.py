@@ -432,12 +432,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "repro_serving_latency_seconds",
                 "End-to-end request latency",
                 relative_error=args.quantile_error,
-            ).observe_many([c.latency for c in report.completed])
+            ).observe_many(report.latencies)
             GLOBAL_METRICS.histogram(
                 "repro_serving_queue_seconds",
                 "Request queueing delay before dispatch",
                 relative_error=args.quantile_error,
-            ).observe_many([c.queueing_delay for c in report.completed])
+            ).observe_many(report.queueing_delays)
     p50, p95, p99 = report.latency_percentiles([50, 95, 99])
     if fleet is not None:
         mode = (f"{fleet.shards} shards via {fleet.start_method}, "

@@ -449,7 +449,7 @@ def ext_chaos() -> ExperimentResult:
         rows.append(
             {
                 "scenario": label,
-                "completed": len(report.completed),
+                "completed": report.count,
                 "shed": report.shed_count,
                 "kills": report.kills,
                 "retries": report.total_retries,

@@ -158,8 +158,7 @@ class ChromeTraceBuilder:
         to one utilization slice per accelerator plus the fault
         windows, with a one-line warning.
         """
-        completed = getattr(report, "completed", None)
-        if completed is None:
+        if getattr(report, "request_ids", None) is None:
             warnings.warn(
                 "streaming/merged report: exporting accelerator utilization "
                 "and fault windows only (per-request lifecycles need the "
@@ -190,46 +189,62 @@ class ChromeTraceBuilder:
             self._add_fault_windows(getattr(report, "fault_events", ()))
             return self
         wait_tid = self.tid("request queue", SIM_PID)
-        for item in completed:
-            arrival = item.request.arrival
-            request_id = item.request.request_id
-            self._events.append(
+        # accelerator tracks are numbered in first-completion order, the
+        # order a row-by-row walk would first touch them
+        track_tids = {
+            name: self.tid(name, SIM_PID) for name in report.accelerator_load()
+        }
+        acc_tids = [track_tids.get(name) for name in report.accelerator_names]
+        shape_names = [str(shape) for shape in report.shapes]
+        events = self._events
+        for request_id, wait_ts, start_ts, dur, acc, cid, retries, latency, queue in zip(
+            report.request_ids.tolist(),
+            (report.arrivals * _MICROS).tolist(),
+            (report.starts * _MICROS).tolist(),
+            ((report.finishes - report.starts) * _MICROS).tolist(),
+            report.accelerator_ids.tolist(),
+            report.class_ids.tolist(),
+            report.retries.tolist(),
+            report.latencies.tolist(),
+            report.queueing_delays.tolist(),
+        ):
+            events.append(
                 {
                     "name": "wait",
                     "cat": "wait",
                     "ph": "b",
                     "id": str(request_id),
-                    "ts": arrival * _MICROS,
+                    "ts": wait_ts,
                     "pid": SIM_PID,
                     "tid": wait_tid,
                     "args": {"request_id": request_id},
                 }
             )
-            self._events.append(
+            events.append(
                 {
                     "name": "wait",
                     "cat": "wait",
                     "ph": "e",
                     "id": str(request_id),
-                    "ts": item.start * _MICROS,
+                    "ts": start_ts,
                     "pid": SIM_PID,
                     "tid": wait_tid,
                 }
             )
-            self._events.append(
+            events.append(
                 {
-                    "name": str(item.request.shape),
+                    "name": shape_names[cid],
                     "cat": "execute",
                     "ph": "X",
-                    "ts": item.start * _MICROS,
-                    "dur": (item.finish - item.start) * _MICROS,
+                    "ts": start_ts,
+                    "dur": dur,
                     "pid": SIM_PID,
-                    "tid": self.tid(item.accelerator, SIM_PID),
+                    "tid": acc_tids[acc],
                     "args": {
                         "request_id": request_id,
-                        "retries": getattr(item, "retries", 0),
-                        "latency_s": item.latency,
-                        "queue_s": item.start - arrival,
+                        "retries": retries,
+                        "latency_s": latency,
+                        "queue_s": queue,
                     },
                 }
             )
@@ -369,8 +384,10 @@ class ChromeTraceBuilder:
 
 
 def write_chrome_trace(path: str, trace: dict[str, Any]) -> None:
+    # json.dumps runs the C encoder; json.dump always takes the pure
+    # Python one (same bytes, ~3x slower on a per-request trace)
     with open(path, "w") as handle:
-        json.dump(trace, handle)
+        handle.write(json.dumps(trace))
         handle.write("\n")
 
 

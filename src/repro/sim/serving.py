@@ -123,24 +123,30 @@ class CompletedRequest:
         return self.start - self.request.arrival
 
 
-def _feed_monitor_completed(
+def _feed_monitor(
     monitor: "ServingMonitor",
-    completed: Sequence["CompletedRequest"],
+    arrivals: np.ndarray,
+    starts: np.ndarray,
+    finishes: np.ndarray,
     chunk_size: int,
 ) -> None:
-    """Feed already-materialized completions to a monitor.
+    """Feed already-final completion columns to a monitor.
 
-    Used by the scan oracle, which has no flush hook: the
-    arrival-ordered ``chunk_size`` blocks match the boundaries the fast
-    path flushes at, so the folded series are chunk-for-chunk the same.
+    Used by the scan oracle and the fault loop, which have no flush
+    hook: the arrival-ordered ``chunk_size`` blocks match the boundaries
+    the fast path flushes at, so the folded series are chunk-for-chunk
+    the same.
     """
-    for lo in range(0, len(completed), chunk_size):
-        batch = completed[lo : lo + chunk_size]
-        monitor.observe_chunk(
-            np.asarray([entry.request.arrival for entry in batch]),
-            np.asarray([entry.start for entry in batch]),
-            np.asarray([entry.finish for entry in batch]),
-        )
+    for lo in range(0, int(arrivals.size), chunk_size):
+        hi = lo + chunk_size
+        monitor.observe_chunk(arrivals[lo:hi], starts[lo:hi], finishes[lo:hi])
+
+
+def _request_ids(request_ids: np.ndarray | None, count: int) -> np.ndarray:
+    """The request-id column; ``None`` means ids are arrival positions."""
+    if request_ids is None:
+        return np.arange(count, dtype=np.int64)
+    return request_ids
 
 
 @dataclass(frozen=True)
@@ -155,9 +161,35 @@ class ShedRequest:
     time: float
 
 
-@dataclass
+#: accelerator-index column dtype (partitions stay far below 2**15 wide)
+_ACC_DTYPE = np.int16
+#: retry-count column dtype
+_RETRY_DTYPE = np.int32
+
+
+@dataclass(eq=False)
 class ServingReport:
-    completed: list[CompletedRequest]
+    """Exact serving report: one NumPy column per per-request field.
+
+    Row ``j`` is the ``j``-th completed request in arrival order.  The
+    engines write the columns directly — no per-request object exists
+    between dispatch and export; :attr:`completed` builds the
+    ``CompletedRequest`` list on first access for callers that want
+    objects.
+    """
+
+    arrivals: np.ndarray
+    starts: np.ndarray
+    finishes: np.ndarray
+    #: index into ``accelerator_names`` per row
+    accelerator_ids: np.ndarray
+    accelerator_names: tuple[str, ...]
+    #: index into ``shapes`` per row
+    class_ids: np.ndarray
+    shapes: tuple[GemmShape, ...]
+    request_ids: np.ndarray
+    #: executions killed by down windows before each row completed
+    retries: np.ndarray
     #: requests dropped under the fault policy (empty on fault-free runs)
     shed: list[ShedRequest] = field(default_factory=list)
     #: fault onset/clearance records, ordered by time
@@ -173,9 +205,39 @@ class ServingReport:
     #: renders these as instant markers (sheds carry their own records)
     fault_timeline: list = field(default_factory=list)
 
+    @cached_property
+    def completed(self) -> list[CompletedRequest]:
+        """The rows as ``CompletedRequest`` objects, built once on first
+        access (a snapshot: the columns stay the report's state)."""
+        names = self.accelerator_names
+        shapes = self.shapes
+        return [
+            CompletedRequest(
+                request=Request(request_id=rid, shape=shapes[cid], arrival=arrival),
+                accelerator=names[acc],
+                start=start,
+                finish=finish,
+                retries=retries,
+            )
+            for rid, cid, arrival, acc, start, finish, retries in zip(
+                self.request_ids.tolist(),
+                self.class_ids.tolist(),
+                self.arrivals.tolist(),
+                self.accelerator_ids.tolist(),
+                self.starts.tolist(),
+                self.finishes.tolist(),
+                self.retries.tolist(),
+            )
+        ]
+
+    @property
+    def count(self) -> int:
+        """Completed requests."""
+        return int(self.finishes.size)
+
     @property
     def makespan(self) -> float:
-        return max((c.finish for c in self.completed), default=0.0)
+        return float(self.finishes.max()) if self.count else 0.0
 
     @property
     def shed_count(self) -> int:
@@ -183,9 +245,7 @@ class ServingReport:
 
     @property
     def total_retries(self) -> int:
-        return sum(c.retries for c in self.completed) + sum(
-            s.retries for s in self.shed
-        )
+        return int(self.retries.sum()) + sum(s.retries for s in self.shed)
 
     def availability(self) -> dict[str, float]:
         """Per-accelerator up-fraction of the makespan, in ``[0, 1]``."""
@@ -200,15 +260,15 @@ class ServingReport:
     @property
     def request_availability(self) -> float:
         """Completed / offered requests (1.0 when nothing was offered)."""
-        total = len(self.completed) + len(self.shed)
+        total = self.count + len(self.shed)
         if total == 0:
             return 1.0
-        return len(self.completed) / total
+        return self.count / total
 
     def fault_summary(self) -> dict:
         """The fault-accounting block the CLI and experiments print."""
         return {
-            "completed": len(self.completed),
+            "completed": self.count,
             "shed": self.shed_count,
             "kills": self.kills,
             "retries": self.total_retries,
@@ -222,13 +282,23 @@ class ServingReport:
     def throughput_rps(self) -> float:
         if self.makespan == 0:
             return 0.0
-        return len(self.completed) / self.makespan
+        return self.count / self.makespan
 
     @cached_property
-    def _sorted_latencies(self) -> list[float]:
-        # `completed` is effectively frozen after construction, so the
-        # sort is cached instead of being redone on every percentile
-        return sorted(c.latency for c in self.completed)
+    def latencies(self) -> np.ndarray:
+        """Per-row ``finish - arrival``."""
+        return self.finishes - self.arrivals
+
+    @property
+    def queueing_delays(self) -> np.ndarray:
+        """Per-row ``start - arrival``."""
+        return self.starts - self.arrivals
+
+    @cached_property
+    def _sorted_latencies(self) -> np.ndarray:
+        # the columns are frozen after construction, so the sort is
+        # cached instead of being redone on every percentile
+        return np.sort(self.latencies)
 
     def latency_percentile(self, percentile: float) -> float:
         return self.latency_percentiles([percentile])[0]
@@ -238,25 +308,32 @@ class ServingReport:
         for percentile in percentiles:
             if not 0 < percentile <= 100:
                 raise ValueError("percentile must be in (0, 100]")
-        if not self.completed:
+        count = self.count
+        if not count:
             raise ValueError("no completed requests")
         latencies = self._sorted_latencies
-        count = len(latencies)
         return [
-            latencies[min(count - 1, math.ceil(percentile / 100 * count) - 1)]
+            float(latencies[min(count - 1, math.ceil(percentile / 100 * count) - 1)])
             for percentile in percentiles
         ]
 
     def mean_latency(self) -> float:
-        if not self.completed:
+        if not self.count:
             raise ValueError("no completed requests")
-        return sum(c.latency for c in self.completed) / len(self.completed)
+        # the builtin sum over Python floats, not ndarray.sum's pairwise
+        # reduction: the mean keeps the exact bits of summing the rows
+        # one by one
+        return sum(self.latencies.tolist()) / self.count
 
     def accelerator_load(self) -> dict[str, int]:
-        load: dict[str, int] = {}
-        for request in self.completed:
-            load[request.accelerator] = load.get(request.accelerator, 0) + 1
-        return load
+        """Completions per accelerator, keyed in first-completion order."""
+        ids = self.accelerator_ids
+        counts = np.bincount(ids, minlength=len(self.accelerator_names))
+        used = np.flatnonzero(counts).tolist()
+        first = sorted((int(np.argmax(ids == index)), index) for index in used)
+        return {
+            self.accelerator_names[index]: int(counts[index]) for _, index in first
+        }
 
 
 def _lcg_uniform(seed: int, index: int) -> float:
@@ -610,7 +687,8 @@ class ServingSimulator:
 
         ``streaming=True`` returns a :class:`StreamingServingReport`
         with O(1) memory and ``quantile_error``-bounded percentiles;
-        the default exact mode materializes every completed request.
+        the default exact mode keeps every completed request as report
+        columns (see :class:`ServingReport`).
 
         ``faults`` injects a time-varying fault schedule under
         ``fault_policy`` (default :data:`~repro.sim.chaos.DEFAULT_FAULT_POLICY`)
@@ -665,7 +743,13 @@ class ServingSimulator:
                         # scan has no flush hook; feed the monitor
                         # post-hoc in the same arrival-ordered
                         # chunk_size blocks the fast path flushes
-                        _feed_monitor_completed(monitor, report.completed, chunk_size)
+                        _feed_monitor(
+                            monitor,
+                            report.arrivals,
+                            report.starts,
+                            report.finishes,
+                            chunk_size,
+                        )
                     return report
                 return self._run_fast(
                     trace,
@@ -706,9 +790,7 @@ class ServingSimulator:
                 f"fault schedule names accelerators not in the partition: "
                 f"{sorted(unknown)} (partition has {names})"
             )
-        arrivals, class_ids, classes, requests = self._normalize(
-            trace, need_requests=not streaming
-        )
+        arrivals, class_ids, classes, request_ids = self._normalize(trace)
         n = len(arrivals)
         if streaming:
             report = StreamingServingReport(names, quantile_error=quantile_error)
@@ -851,36 +933,37 @@ class ServingSimulator:
             )
 
         shed_records.sort()
-        makespan = max(
-            (entry[2] for entry in completions if entry is not None), default=0.0
+        done = [pos for pos in range(n) if completions[pos] is not None]
+        rows = [completions[pos] for pos in done]
+        acc_col, start_col, finish_col, retry_col = (
+            np.fromiter((row[slot] for row in rows), dtype=dtype, count=len(rows))
+            for slot, dtype in enumerate(
+                (_ACC_DTYPE, np.float64, np.float64, _RETRY_DTYPE)
+            )
         )
+        done_arrivals = arrivals[done]
+        makespan = float(finish_col.max()) if done else 0.0
         downtime = {name: 0.0 for name in names}
         downtime.update(faults.downtime(makespan))
+        total_retries = int(retry_col.sum()) + sum(
+            record[1] for record in shed_records
+        )
         GLOBAL_STATS.record_faults(
             FaultStats(
                 windows=len(faults),
                 kills=kills,
-                retries=sum(entry[3] for entry in completions if entry is not None)
-                + sum(record[1] for record in shed_records),
+                retries=total_retries,
                 requeues=requeues,
                 shed=len(shed_records),
-                completed=sum(1 for entry in completions if entry is not None),
+                completed=len(done),
             )
         )
 
-        if streaming or monitor is not None:
-            positions = [pos for pos in range(n) if completions[pos] is not None]
         if monitor is not None:
             # the fault loop has no flush hook; feed the monitor the
             # final outcomes in the same arrival-ordered chunk_size
             # blocks the streaming report consumes below
-            for lo in range(0, len(positions), chunk_size):
-                batch = positions[lo : lo + chunk_size]
-                monitor.observe_chunk(
-                    arrivals[batch],
-                    np.asarray([completions[pos][1] for pos in batch]),
-                    np.asarray([completions[pos][2] for pos in batch]),
-                )
+            _feed_monitor(monitor, done_arrivals, start_col, finish_col, chunk_size)
             if shed_records:
                 monitor.observe_sheds(
                     np.asarray([record[3] for record in shed_records])
@@ -888,20 +971,17 @@ class ServingSimulator:
             if kill_times:
                 monitor.observe_kills(np.asarray(kill_times))
         if streaming:
-            for lo in range(0, len(positions), chunk_size):
-                batch = positions[lo : lo + chunk_size]
+            for lo in range(0, len(done), chunk_size):
+                hi = lo + chunk_size
                 report.observe_batch(
-                    np.asarray([completions[pos][0] for pos in batch], dtype=np.int64),
-                    arrivals[batch],
-                    np.asarray([completions[pos][1] for pos in batch]),
-                    np.asarray([completions[pos][2] for pos in batch]),
+                    acc_col[lo:hi],
+                    done_arrivals[lo:hi],
+                    start_col[lo:hi],
+                    finish_col[lo:hi],
                 )
             report.record_fault_metadata(
                 shed_count=len(shed_records),
-                total_retries=sum(
-                    entry[3] for entry in completions if entry is not None
-                )
-                + sum(record[1] for record in shed_records),
+                total_retries=total_retries,
                 kills=kills,
                 requeues=requeues,
                 fault_events=faults.events(),
@@ -909,27 +989,34 @@ class ServingSimulator:
             )
             return report
 
-        completed = [
-            CompletedRequest(
-                request=requests[pos],
-                accelerator=names[entry[0]],
-                start=entry[1],
-                finish=entry[2],
-                retries=entry[3],
-            )
-            for pos, entry in enumerate(completions)
-            if entry is not None
-        ]
+        request_ids = _request_ids(request_ids, n)
         shed = [
-            ShedRequest(request=requests[pos], retries=r, reason=reason, time=when)
+            ShedRequest(
+                request=Request(
+                    request_id=int(request_ids[pos]),
+                    shape=classes[class_ids[pos]],
+                    arrival=float(arrivals[pos]),
+                ),
+                retries=r,
+                reason=reason,
+                time=when,
+            )
             for pos, r, reason, when in shed_records
         ]
         fault_timeline = sorted(
-            (when, kind, requests[pos].request_id, retries)
+            (when, kind, int(request_ids[pos]), retries)
             for when, kind, pos, retries in (timeline or [])
         )
         return ServingReport(
-            completed=completed,
+            arrivals=done_arrivals,
+            starts=start_col,
+            finishes=finish_col,
+            accelerator_ids=acc_col,
+            accelerator_names=tuple(names),
+            class_ids=np.asarray(class_ids, dtype=np.int64)[done],
+            shapes=tuple(classes),
+            request_ids=request_ids[done],
+            retries=retry_col,
             shed=shed,
             fault_events=faults.events(),
             downtime=downtime,
@@ -939,52 +1026,61 @@ class ServingSimulator:
         )
 
     def _run_scan(self, trace: Union[Sequence[Request], SoATrace]) -> ServingReport:
-        """The seed dispatch loop: linear scan, one object per request."""
-        if isinstance(trace, SoATrace):
-            trace = trace.materialize()
+        """The seed dispatch loop: linear scan over every accelerator."""
+        arrivals, class_ids, classes, request_ids = self._normalize(trace)
         free_at = {name: 0.0 for name in self.partition.designs}
-        completed = []
-        for request in sorted(trace, key=lambda r: r.arrival):
+        order_of = {name: order for order, name in enumerate(free_at)}
+        accs, starts, finishes = [], [], []
+        for arrival, cid in zip(arrivals.tolist(), class_ids):
+            shape = classes[cid]
             best_name, best_finish, best_start = None, float("inf"), 0.0
             for name in free_at:
                 try:
-                    service = self._service(name, request.shape)
+                    service = self._service(name, shape)
                 except ValueError:
                     continue
-                start = max(request.arrival, free_at[name])
+                start = max(arrival, free_at[name])
                 finish = start + service
                 if finish < best_finish:
                     best_name, best_finish, best_start = name, finish, start
             if best_name is None:
-                raise ValueError(f"no accelerator can serve {request.shape}")
+                raise ValueError(f"no accelerator can serve {shape}")
             free_at[best_name] = best_finish
-            completed.append(
-                CompletedRequest(
-                    request=request,
-                    accelerator=best_name,
-                    start=best_start,
-                    finish=best_finish,
-                )
-            )
-        return ServingReport(completed=completed)
+            accs.append(order_of[best_name])
+            starts.append(best_start)
+            finishes.append(best_finish)
+        return ServingReport(
+            arrivals=arrivals,
+            starts=np.asarray(starts, dtype=np.float64),
+            finishes=np.asarray(finishes, dtype=np.float64),
+            accelerator_ids=np.asarray(accs, dtype=_ACC_DTYPE),
+            accelerator_names=tuple(free_at),
+            class_ids=np.asarray(class_ids, dtype=np.int64),
+            shapes=tuple(classes),
+            request_ids=_request_ids(request_ids, len(accs)),
+            retries=np.zeros(len(accs), dtype=_RETRY_DTYPE),
+        )
 
     def _normalize(
         self,
         trace: Union[Sequence[Request], SoATrace],
-        need_requests: bool,
         as_arrays: bool = False,
-    ) -> tuple[np.ndarray, Sequence[int], list[GemmShape], list[Request] | None]:
-        """Arrival-sorted SoA view of ``trace`` (+ Request list if needed).
+    ) -> tuple[np.ndarray, Sequence[int], list[GemmShape], np.ndarray | None]:
+        """Arrival-sorted SoA view of ``trace``: ``(arrivals, class_ids,
+        classes, request_ids)``.
+
+        ``request_ids`` is None for an ``SoATrace``, whose request ids
+        are the arrival positions (:func:`_request_ids` expands them
+        when a report needs the column).
 
         ``as_arrays=True`` keeps the class ids as an int64 array (the
         vectorized engine's native form — an ``SoATrace`` passes through
         without a single element being boxed); the default returns the
-        list the scalar fault loop indexes fastest.
+        list the scalar loops index fastest.
         """
         if isinstance(trace, SoATrace):
-            requests = trace.materialize() if need_requests else None
             class_ids = trace.shape_ids if as_arrays else trace.shape_ids.tolist()
-            return trace.arrivals, class_ids, list(trace.shapes), requests
+            return trace.arrivals, class_ids, list(trace.shapes), None
         ordered = sorted(trace, key=lambda r: r.arrival)
         class_index: dict[GemmShape, int] = {}
         class_ids = [
@@ -992,9 +1088,12 @@ class ServingSimulator:
             for request in ordered
         ]
         arrivals = np.asarray([request.arrival for request in ordered])
+        request_ids = np.asarray(
+            [request.request_id for request in ordered], dtype=np.int64
+        )
         if as_arrays:
             class_ids = np.asarray(class_ids, dtype=np.int64)
-        return arrivals, class_ids, list(class_index), ordered
+        return arrivals, class_ids, list(class_index), request_ids
 
     def _class_specs(
         self, classes: Sequence[GemmShape], used: set[int]
@@ -1057,8 +1156,8 @@ class ServingSimulator:
         monitor: "ServingMonitor | None" = None,
     ) -> ServingReport | StreamingServingReport:
         names = list(self.partition.designs)
-        arrivals, class_ids, classes, requests = self._normalize(
-            trace, need_requests=not streaming, as_arrays=True
+        arrivals, class_ids, classes, request_ids = self._normalize(
+            trace, as_arrays=True
         )
         if streaming:
             report = StreamingServingReport(names, quantile_error=quantile_error)
@@ -1079,23 +1178,11 @@ class ServingSimulator:
                     accs, arrivals[base : base + len(accs)], starts, finishes
                 )
         else:
-            completed: list[CompletedRequest] = []
+            # the chunks' columns, concatenated once after dispatch
+            chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
             def flush(base, accs, starts, finishes) -> None:
-                for request, acc, start, finish in zip(
-                    requests[base : base + len(accs)],
-                    accs.tolist(),
-                    starts.tolist(),
-                    finishes.tolist(),
-                ):
-                    completed.append(
-                        CompletedRequest(
-                            request=request,
-                            accelerator=names[acc],
-                            start=start,
-                            finish=finish,
-                        )
-                    )
+                chunks.append((accs.astype(_ACC_DTYPE), starts, finishes))
 
         if GLOBAL_TRACER.enabled:
             # wrap only when tracing: the disabled path keeps the raw
@@ -1157,7 +1244,23 @@ class ServingSimulator:
         dispatch_vectorized(arrivals, class_ids, services, free, collect, chunk_size)
         if pending:
             flush(pending_base, *(np.concatenate(c) for c in zip(*pending)))
-        return report if streaming else ServingReport(completed=completed)
+        if streaming:
+            return report
+        accs, starts, finishes = (
+            np.concatenate(column) if len(column) > 1 else column[0]
+            for column in zip(*chunks)
+        )
+        return ServingReport(
+            arrivals=arrivals,
+            starts=starts,
+            finishes=finishes,
+            accelerator_ids=accs,
+            accelerator_names=tuple(names),
+            class_ids=class_ids,
+            shapes=tuple(classes),
+            request_ids=_request_ids(request_ids, len(arrivals)),
+            retries=np.zeros(len(arrivals), dtype=_RETRY_DTYPE),
+        )
 
 
 @dataclass(frozen=True)

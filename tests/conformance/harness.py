@@ -79,15 +79,16 @@ def dispatch_rows(report) -> list[tuple]:
     ``repr`` of the float timestamps makes the comparison exact to the
     last bit — two engines that differ by one ULP anywhere fail.
     """
+    names = report.accelerator_names
     return [
-        (
-            c.request.request_id,
-            c.accelerator,
-            repr(c.start),
-            repr(c.finish),
-            c.retries,
+        (request_id, names[acc], repr(start), repr(finish), retries)
+        for request_id, acc, start, finish, retries in zip(
+            report.request_ids.tolist(),
+            report.accelerator_ids.tolist(),
+            report.starts.tolist(),
+            report.finishes.tolist(),
+            report.retries.tolist(),
         )
-        for c in report.completed
     ]
 
 
@@ -171,11 +172,11 @@ def assert_engines_identical(
         )
 
     stream = streams[0]
-    assert stream.count == len(base.completed)
+    assert stream.count == base.count
     assert stream.makespan == base.makespan
     assert stream.accelerator_load() == base.accelerator_load()
     assert stream.fault_summary() == base.fault_summary()
-    if base.completed:
+    if base.count:
         exact_mean = base.mean_latency()
         assert abs(stream.mean_latency() - exact_mean) <= 1e-12 * max(
             1.0, abs(exact_mean)

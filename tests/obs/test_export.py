@@ -238,3 +238,9 @@ class TestWriteTrace:
         loaded = json.loads(path.read_text())
         validate_chrome_trace(loaded)
         assert loaded == trace
+
+    def test_file_bytes_are_the_c_encoder_output(self, tmp_path):
+        trace = ChromeTraceBuilder().add_serving_report(serve(requests=50)).build()
+        path = tmp_path / "trace.json"
+        write_chrome_trace(str(path), trace)
+        assert path.read_bytes() == (json.dumps(trace) + "\n").encode()

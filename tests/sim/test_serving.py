@@ -264,7 +264,18 @@ class TestReportSatellites:
         assert report._sorted_latencies is first  # one sort, ever
 
     def test_empty_report_mean_latency_raises_value_error(self):
-        report = ServingReport(completed=[])
+        empty = np.empty(0)
+        report = ServingReport(
+            arrivals=empty,
+            starts=empty,
+            finishes=empty,
+            accelerator_ids=empty.astype(np.int16),
+            accelerator_names=(),
+            class_ids=empty.astype(np.int64),
+            shapes=(),
+            request_ids=empty.astype(np.int64),
+            retries=empty.astype(np.int32),
+        )
         with pytest.raises(ValueError, match="no completed requests"):
             report.mean_latency()
         with pytest.raises(ValueError, match="no completed requests"):
@@ -276,6 +287,76 @@ class TestReportSatellites:
         report = self._report(simulator)
         with pytest.raises(ValueError):
             report.latency_percentiles([50, 0])
+
+
+class TestReportColumns:
+    """The exact report is NumPy columns; per-request objects are opt-in."""
+
+    @staticmethod
+    def _trace(num_requests):
+        return generate_trace_soa(SHAPES, num_requests, 1e-3, seed=5)
+
+    def test_columns_hold_at_most_50_bytes_per_request(self, simulator):
+        report = simulator.run(self._trace(100_000))
+        columns = (
+            report.arrivals,
+            report.starts,
+            report.finishes,
+            report.accelerator_ids,
+            report.class_ids,
+            report.request_ids,
+            report.retries,
+        )
+        assert all(column.size == report.count == 100_000 for column in columns)
+        assert sum(column.nbytes for column in columns) / report.count <= 50
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "faulted"])
+    def test_fast_path_builds_no_request_objects(self, monkeypatch, faulted):
+        from repro.obs.export import ChromeTraceBuilder
+        from repro.sim.serving import CompletedRequest
+        from repro.sim.streaming import SoATrace
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-request object built on the exact path")
+
+        simulator = ServingSimulator(_wide_fake_partition(4))
+        faults = (
+            FaultSchedule.down("acc1", 0.05, 0.2)
+            + FaultSchedule.degraded("acc2", 0.1, 0.3, factor=2.0)
+            if faulted
+            else None
+        )
+        trace = self._trace(2000)
+        monkeypatch.setattr(CompletedRequest, "__init__", forbidden)
+        monkeypatch.setattr(SoATrace, "materialize", forbidden)
+        report = simulator.run(trace, faults=faults)
+        assert report.count + report.shed_count == 2000
+        if faulted:
+            assert report.kills > 0
+        report.latency_percentiles([50, 95, 99])
+        report.mean_latency()
+        report.accelerator_load()
+        report.fault_summary()
+        assert report.throughput_rps > 0
+        ChromeTraceBuilder().add_serving_report(report).build()
+
+    @pytest.mark.parametrize("dispatch", ["auto", "scan"])
+    def test_properties_match_row_by_row_reference(self, simulator, dispatch):
+        import math
+
+        report = simulator.run(self._trace(3000), dispatch=dispatch)
+        rows = report.completed
+        latencies = [c.latency for c in rows]
+        ordered = sorted(latencies)
+        for percentile in (1, 50, 95, 99, 100):
+            rank = min(len(ordered), math.ceil(percentile / 100 * len(ordered)))
+            assert report.latency_percentile(percentile) == ordered[rank - 1]
+        assert report.mean_latency() == sum(latencies) / len(rows)
+        assert report.makespan == max(c.finish for c in rows)
+        load = {}
+        for c in rows:
+            load[c.accelerator] = load.get(c.accelerator, 0) + 1
+        assert list(report.accelerator_load().items()) == list(load.items())
 
 
 class TestRunRecordsStats:
