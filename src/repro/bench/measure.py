@@ -3,11 +3,13 @@
 A probe brackets each repeat and contributes metrics to its sample:
 
 * :class:`TimerProbe` — wall seconds (always on);
-* :class:`StatsProbe` — the :data:`repro.perf.metrics.GLOBAL_STATS`
-  delta attributed to the repeat (model evaluations, cache behaviour);
+* :class:`StatsProbe` — the change in the ``repro_eval_*`` counters
+  (:func:`repro.perf.metrics.read_totals`) attributed to the repeat
+  (model evaluations, cache behaviour);
 * :class:`SpanRollupProbe` — enables :data:`repro.obs.spans.GLOBAL_TRACER`
   for the repeat and rolls recorded span durations up by span name
-  (opt-in: tracing costs throughput, see ``BENCH_obs.json``).
+  (opt-in: tracing costs throughput, see
+  ``benchmarks/bench_obs_overhead.py``).
 
 Probes only *add* metrics; they never touch what the experiment itself
 reported, so the ``noise=None`` byte-identity contract is unaffected.
@@ -19,7 +21,7 @@ import time
 from typing import Any
 
 from repro.obs.spans import GLOBAL_TRACER
-from repro.perf.metrics import GLOBAL_STATS
+from repro.perf.metrics import read_totals
 
 
 class Probe:
@@ -46,16 +48,16 @@ class TimerProbe(Probe):
 
 
 class StatsProbe(Probe):
-    """GLOBAL_STATS delta: evaluations and cache traffic per repeat."""
+    """Evaluation-counter delta: evaluations and cache traffic per repeat."""
 
     def __init__(self) -> None:
         self._before = None
 
     def start(self) -> None:
-        self._before = GLOBAL_STATS.snapshot()
+        self._before = read_totals().evals
 
     def finish(self, metrics: dict[str, float]) -> None:
-        delta = GLOBAL_STATS.snapshot().delta_since(self._before)
+        delta = read_totals().evals.delta_since(self._before)
         metrics["stats_evaluations"] = float(delta.evaluations)
         metrics["stats_cache_hits"] = float(delta.cache_hits)
         metrics["stats_cache_misses"] = float(delta.cache_misses)

@@ -28,7 +28,8 @@ MEAN_INTERARRIVAL = 0.5e-3
 SERVING_TRACE_SEED = 7
 QUANTILE_ERROR = 0.01
 
-#: the BENCH_obs.json scenario (three-shape mix, same partition)
+#: the benchmarks/bench_obs_overhead.py scenario (three-shape mix, same
+#: partition)
 OBS_SHAPES = (
     GemmShape(1024, 1024, 1024),
     GemmShape(512, 512, 512),

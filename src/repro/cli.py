@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.obs.metrics import GLOBAL_METRICS
@@ -92,7 +93,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     from repro.mapping.charm import CharmDesign
     from repro.mapping.configs import config_by_name
 
-    workload = GemmShape.parse(args.workload)
+    workload = args.workload
     design = CharmDesign(config_by_name(args.config))
     estimate = AnalyticalModel(design).estimate(workload)
     if args.json:
@@ -238,7 +239,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.mapping.configs import config_by_name
     from repro.sim.hwsim import HwSimulator
 
-    workload = GemmShape.parse(args.workload)
+    workload = args.workload
     design = CharmDesign(config_by_name(args.config))
     trace = HwSimulator(design).trace(workload)
     print(f"{workload} on {design.config.name}: "
@@ -257,10 +258,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sim.serving import ServingSimulator, load_sweep
     from repro.sim.streaming import generate_trace_soa
 
-    shapes = [GemmShape.parse(token) for token in args.shapes.split(",") if token]
-    if not shapes:
-        print("serve: need at least one MxKxN shape", file=sys.stderr)
-        return 2
+    shapes = list(args.shapes)
     if args.rate is not None and args.mean_interarrival is not None:
         print("serve: pass --rate or --mean-interarrival, not both", file=sys.stderr)
         return 2
@@ -291,7 +289,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         mean_interarrival = 1.0 / args.rate
     else:
         mean_interarrival = args.mean_interarrival or 1e-3
-    configs = [config_by_name(name) for name in args.configs.split(",") if name]
+    configs = [config_by_name(name) for name in args.configs]
     partition = AcceleratorPartition(configs)
     simulator = ServingSimulator(partition)
     from repro.sim.dispatch_batch import native_available
@@ -497,7 +495,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.core.dse import DesignSpaceExplorer
     from repro.kernels.precision import Precision
 
-    workload = GemmShape.parse(args.workload)
+    workload = args.workload
     explorer = DesignSpaceExplorer(
         Precision.parse(args.precision),
         explore_ports=args.explore_ports,
@@ -540,16 +538,8 @@ def _bench_experiment(args: argparse.Namespace):
     )
     from repro.bench.scenarios import SERVING_CONFIGS, SERVING_SHAPES
 
-    shapes = (
-        tuple(GemmShape.parse(token) for token in args.shapes.split(",") if token)
-        if args.shapes
-        else SERVING_SHAPES
-    )
-    configs = (
-        tuple(token for token in args.configs.split(",") if token)
-        if args.configs
-        else SERVING_CONFIGS
-    )
+    shapes = args.shapes or SERVING_SHAPES
+    configs = args.configs or SERVING_CONFIGS
     requests = args.requests or _BENCH_REQUESTS_DEFAULT.get(args.kind, 0)
     mean_interarrival = args.mean_interarrival or 0.5e-3
 
@@ -608,10 +598,9 @@ def _bench_experiment(args: argparse.Namespace):
             quantile_error=args.quantile_error,
         )
     if args.kind == "estimate":
-        workload = GemmShape.parse(args.workload) if args.workload else None
         return (
-            EstimateExperiment(config=args.config, workload=workload)
-            if workload
+            EstimateExperiment(config=args.config, workload=args.workload)
+            if args.workload
             else EstimateExperiment(config=args.config)
         )
     if args.kind == "pipeline":
@@ -846,6 +835,82 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
+# ``type=`` converters: bad values exit 2 with argparse's one-line
+# "argument --flag: ..." error instead of a traceback from deep inside
+def _int_at_least(minimum: int):
+    def convert(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = minimum - 1
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {value!r}"
+            )
+        return number
+
+    return convert
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _float_in(low: float, high: float = math.inf):
+    """Finite floats in the open interval ``(low, high)``."""
+
+    def convert(value: str) -> float:
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not (math.isfinite(number) and low < number < high):
+            bounds = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {bounds}, got {value!r}"
+            )
+        return number
+
+    return convert
+
+
+_positive_float = _float_in(0.0)
+_unit_fraction = _float_in(0.0, 1.0)
+
+
+def _shape(value: str) -> GemmShape:
+    try:
+        return GemmShape.parse(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _config_name(value: str) -> str:
+    from repro.mapping.configs import config_by_name
+
+    try:
+        config_by_name(value)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+    return value
+
+
+def _comma_list(convert, what: str):
+    def convert_all(value: str) -> tuple:
+        items = tuple(convert(token) for token in value.split(",") if token)
+        if not items:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {value!r}"
+            )
+        return items
+
+    return convert_all
+
+
+_shape_list = _comma_list(_shape, "MxKxN shapes")
+_config_list = _comma_list(_config_name, "Table II config names")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="versal-gemm",
@@ -880,13 +945,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     estimate = sub.add_parser("estimate", help="estimate one workload on a config")
-    estimate.add_argument("workload", help="MxKxN, e.g. 2048x2048x2048")
-    estimate.add_argument("--config", default="C6", help="Table II config name")
+    estimate.add_argument("workload", type=_shape,
+                          help="MxKxN, e.g. 2048x2048x2048")
+    estimate.add_argument("--config", type=_config_name, default="C6",
+                          help="Table II config name")
     estimate.add_argument("--json", action="store_true", help="machine-readable output")
     estimate.set_defaults(func=_cmd_estimate)
 
     dse = sub.add_parser("dse", help="explore designs for a workload")
-    dse.add_argument("workload", help="MxKxN")
+    dse.add_argument("workload", type=_shape, help="MxKxN")
     dse.add_argument("--precision", default="fp32", choices=["fp32", "int8", "int16"])
     dse.add_argument("--top", type=int, default=10)
     dse.add_argument("--explore-ports", action="store_true")
@@ -902,8 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
     model.set_defaults(func=_cmd_model)
 
     trace = sub.add_parser("trace", help="show a pipeline Gantt for a run")
-    trace.add_argument("workload", help="MxKxN")
-    trace.add_argument("--config", default="C6")
+    trace.add_argument("workload", type=_shape, help="MxKxN")
+    trace.add_argument("--config", type=_config_name, default="C6")
     trace.add_argument("--width", type=int, default=72)
     trace.set_defaults(func=_cmd_trace)
 
@@ -913,13 +980,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     roofline = sub.add_parser("roofline", help="render Fig. 15 in the terminal")
     roofline.add_argument("--precision", default="int8", choices=["fp32", "int8", "int16"])
-    roofline.add_argument("--config", default="C11", help="config for tiled points")
+    roofline.add_argument("--config", type=_config_name, default="C11",
+                          help="config for tiled points")
     roofline.add_argument("--width", type=int, default=70)
     roofline.add_argument("--height", type=int, default=20)
     roofline.set_defaults(func=_cmd_roofline)
 
     graph = sub.add_parser("graph", help="emit a config's AIE connectivity graph")
-    graph.add_argument("--config", default="C1")
+    graph.add_argument("--config", type=_config_name, default="C1")
     graph.add_argument("--dot", action="store_true", help="Graphviz DOT output")
     graph.set_defaults(func=_cmd_graph)
 
@@ -932,20 +1000,21 @@ def build_parser() -> argparse.ArgumentParser:
     chart.set_defaults(func=_cmd_chart)
 
     serve = sub.add_parser("serve", help="simulate serving a GEMM request stream")
-    serve.add_argument("shapes", help="comma-separated MxKxN mix, e.g. "
+    serve.add_argument("shapes", type=_shape_list,
+                       help="comma-separated MxKxN mix, e.g. "
                        "1024x1024x1024,512x512x512")
-    serve.add_argument("--configs", default="C5,C3",
+    serve.add_argument("--configs", type=_config_list, default="C5,C3",
                        help="partition accelerators (Table II names, comma-separated)")
-    serve.add_argument("--requests", type=int, default=10000)
-    serve.add_argument("--rate", type=float, default=None,
+    serve.add_argument("--requests", type=_positive_int, default=10000)
+    serve.add_argument("--rate", type=_positive_float, default=None,
                        help="offered load in requests/sec")
-    serve.add_argument("--mean-interarrival", type=float, default=None,
+    serve.add_argument("--mean-interarrival", type=_positive_float, default=None,
                        help="mean seconds between arrivals (alternative to --rate)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--streaming", action=argparse.BooleanOptionalAction,
                        default=False,
                        help="O(1)-memory report with sketched percentiles")
-    serve.add_argument("--quantile-error", type=float, default=0.01,
+    serve.add_argument("--quantile-error", type=_unit_fraction, default=0.01,
                        help="relative error bound for streaming percentiles")
     serve.add_argument(
         "--dispatch",
@@ -974,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(also clock/dram/drambw/cols — see docs/robustness.md)")
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="seed for 'chaos' fault schedules (deterministic)")
-    serve.add_argument("--max-retries", type=int, default=3,
+    serve.add_argument("--max-retries", type=_non_negative_int, default=3,
                        help="kills a request survives before being shed")
     serve.add_argument("--slo", default=None, metavar="SPEC",
                        help="windowed SLO spec, e.g. 'p99<50ms,avail>0.999,"
@@ -1029,20 +1098,20 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH", help="serving baseline for --smoke")
     bench.add_argument("--eval-baseline", default="BENCH_eval.json",
                        metavar="PATH", help="eval baseline for --smoke")
-    bench.add_argument("--shapes", default=None,
+    bench.add_argument("--shapes", type=_shape_list, default=None,
                        help="comma-separated MxKxN mix (serving/sweep)")
-    bench.add_argument("--configs", default=None,
+    bench.add_argument("--configs", type=_config_list, default=None,
                        help="partition configs (serving/sweep; default C5,C3)")
-    bench.add_argument("--requests", type=int, default=None,
+    bench.add_argument("--requests", type=_positive_int, default=None,
                        help="requests per repeat (serving) or per sweep point")
-    bench.add_argument("--mean-interarrival", type=float, default=None,
+    bench.add_argument("--mean-interarrival", type=_positive_float, default=None,
                        help="mean seconds between arrivals (default 0.5e-3)")
     bench.add_argument("--dispatch", choices=["auto", "scan"],
                        default="auto", help="serving dispatch path")
     bench.add_argument("--streaming", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="streaming serving report (sketched percentiles)")
-    bench.add_argument("--quantile-error", type=float, default=0.01,
+    bench.add_argument("--quantile-error", type=_unit_fraction, default=0.01,
                        help="relative error bound for streaming percentiles")
     bench.add_argument("--shards", type=int, default=1, metavar="N",
                        help="process-parallel shard replicas (serving/sweep)")
@@ -1054,7 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "models (serving/sweep; see docs/robustness.md)")
     bench.add_argument("--fault-seed", type=int, default=0,
                        help="seed for 'chaos' fault schedules")
-    bench.add_argument("--max-retries", type=int, default=3,
+    bench.add_argument("--max-retries", type=_non_negative_int, default=3,
                        help="kills a request survives before being shed")
     bench.add_argument("--fixed-trace", action="store_true",
                        help="pin every repeat to --trace-seed (simulated "
@@ -1063,9 +1132,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace seed used with --fixed-trace")
     bench.add_argument("--loads", default=None,
                        help="comma-separated offered loads (rps) for sweep")
-    bench.add_argument("--config", default="C5",
+    bench.add_argument("--config", type=_config_name, default="C5",
                        help="Table II config for the estimate kind")
-    bench.add_argument("--workload", default=None,
+    bench.add_argument("--workload", type=_shape, default=None,
                        help="MxKxN workload for the estimate kind")
     bench.add_argument("--items", type=int, default=4096,
                        help="items replayed per repeat (pipeline kind)")
@@ -1111,12 +1180,11 @@ def _write_trace_file(path: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.perf import GLOBAL_STATS, get_cache
+    from repro.perf import get_cache, read_totals
 
     # per-invocation counters: successive in-process calls (tests, REPLs)
     # must not accumulate into each other's --stats report; cache entries
     # are kept — only the hit/miss counters restart
-    GLOBAL_STATS.reset()
     GLOBAL_METRICS.reset()
     get_cache().reset_counters()
     _PENDING_TRACE_SOURCES.clear()
@@ -1157,11 +1225,12 @@ def main(argv: list[str] | None = None) -> int:
             handle.write(GLOBAL_METRICS.to_prometheus())
         print(f"wrote {metrics_out}", file=sys.stderr)
     if args.stats:
-        print(f"eval stats   {GLOBAL_STATS.total.summary()} "
-              f"over {GLOBAL_STATS.batches} batches", file=sys.stderr)
-        if GLOBAL_STATS.fault_runs:
-            print(f"fault stats  {GLOBAL_STATS.faults.summary()} "
-                  f"over {GLOBAL_STATS.fault_runs} runs", file=sys.stderr)
+        totals = read_totals()
+        print(f"eval stats   {totals.evals.summary()} "
+              f"over {totals.batches} batches", file=sys.stderr)
+        if totals.fault_runs:
+            print(f"fault stats  {totals.faults.summary()} "
+                  f"over {totals.fault_runs} runs", file=sys.stderr)
         for table, counters in get_cache().counters().items():
             print(f"cache        {table}: {counters['hits']} hits / "
                   f"{counters['misses']} misses ({counters['entries']} entries)",

@@ -26,7 +26,7 @@ from repro.mapping.configs import KERNEL_BY_PRECISION, HardwareConfig
 from repro.mapping.grouping import AieGrouping, pack_depth_for
 from repro.obs.spans import span
 from repro.perf.cache import EvalCache, get_cache
-from repro.perf.metrics import GLOBAL_STATS, EvalStats, track
+from repro.perf.metrics import EvalStats, record_eval, track
 from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.workloads.gemm import GemmShape
 
@@ -219,7 +219,7 @@ class DesignSpaceExplorer:
                 stats.evaluations, stats.skipped = feasibility
             stats.cache_hits = self.cache.hits - hits0
             stats.cache_misses = self.cache.misses - misses0
-            GLOBAL_STATS.record(stats)
+            record_eval(stats)
             explore_span.set(
                 evaluated=stats.evaluations, skipped=stats.skipped
             )

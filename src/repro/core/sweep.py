@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.spans import span
-from repro.perf.metrics import GLOBAL_STATS, EvalStats, track
+from repro.perf.metrics import EvalStats, record_eval, track
 from repro.perf.parallel import parallel_map, resolve_jobs
 
 
@@ -92,6 +92,6 @@ def sweep(
             record.update(outcome)
             result.records.append(record)
         stats.evaluations = len(result.records)
-        GLOBAL_STATS.record(stats)
+        record_eval(stats)
         sweep_span.set(evaluated=stats.evaluations, skipped=stats.skipped)
         return result

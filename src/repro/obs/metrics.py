@@ -233,6 +233,29 @@ class MetricsRegistry:
             lambda n, key: Histogram(n, key, relative_error),
         )
 
+    def value(self, name: str, **labels: str) -> float:
+        """A counter's or gauge's current value, ``0.0`` when absent.
+
+        Unlike :meth:`counter`/:meth:`gauge` this never registers the
+        family, so reading a total does not change the exposition.
+        """
+        label_key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        with self._lock:
+            family = self._families.get(name)
+            child = family.children.get(label_key) if family else None
+            return child.value if child is not None else 0.0
+
+    def atomic(self) -> threading.RLock:
+        """The registry lock, for ``with registry.atomic(): ...``.
+
+        Updates and reads grouped under it are indivisible with respect
+        to :meth:`reset`, :meth:`dump`, :meth:`merge_dump` and other
+        groups: a batch that publishes several counters is never seen
+        half-applied.  Re-entrant, so the grouped calls may use the
+        registry's own accessors.
+        """
+        return self._lock
+
     # -- maintenance ----------------------------------------------------
     def reset(self, prefix: str | None = None) -> None:
         """Drop every family (or only those whose name starts with
@@ -288,24 +311,30 @@ class MetricsRegistry:
         and gauges keep the running maximum — the gauges this registry
         publishes (peak worker counts, last-run throughput) all read
         sensibly under max when k shard workers report in.  Instruments
-        the dump names are created on demand.
+        the dump names are created on demand.  The whole dump folds in
+        under the registry lock, so a concurrent read grouped under
+        :meth:`atomic` sees all of it or none.
         """
-        for family in dump:
-            kind = family["kind"]
-            name = family["name"]
-            help_ = family["help"]
-            for label_key, state in family["children"]:
-                labels = dict(label_key)
-                if kind == "counter":
-                    self.counter(name, help_, **labels).inc(state)
-                elif kind == "gauge":
-                    self.gauge(name, help_, **labels).max_(state)
-                else:
-                    histogram = self.histogram(
-                        name, help_, relative_error=state.relative_error, **labels
-                    )
-                    with histogram._lock:
-                        histogram.sketch.merge(state)
+        with self._lock:
+            for family in dump:
+                kind = family["kind"]
+                name = family["name"]
+                help_ = family["help"]
+                for label_key, state in family["children"]:
+                    labels = dict(label_key)
+                    if kind == "counter":
+                        self.counter(name, help_, **labels).inc(state)
+                    elif kind == "gauge":
+                        self.gauge(name, help_, **labels).max_(state)
+                    else:
+                        histogram = self.histogram(
+                            name,
+                            help_,
+                            relative_error=state.relative_error,
+                            **labels,
+                        )
+                        with histogram._lock:
+                            histogram.sketch.merge(state)
 
     # -- exposition -----------------------------------------------------
     def to_prometheus(self) -> str:

@@ -36,6 +36,7 @@ surface only.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -142,8 +143,10 @@ def _parse_clause(clause: str) -> SloObjective:
                 f"latency percentile must be in (0, 100): {clause!r}"
             )
         threshold = float(match.group("num")) * _UNIT_SECONDS[match.group("unit")]
-        if threshold <= 0:
-            raise ValueError(f"latency threshold must be positive: {clause!r}")
+        if not 0 < threshold < math.inf:
+            raise ValueError(
+                f"latency threshold must be positive and finite: {clause!r}"
+            )
         return SloObjective(
             kind="latency",
             name=f"p{match.group('pct')}<{threshold:g}s",

@@ -17,7 +17,15 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "design_fingerprint",
         "get_cache",
     ),
-    "repro.perf.metrics": ("GLOBAL_STATS", "EvalStats", "StatsRegistry", "track"),
+    "repro.perf.metrics": (
+        "EvalStats",
+        "FaultStats",
+        "StatsTotals",
+        "read_totals",
+        "record_eval",
+        "record_faults",
+        "track",
+    ),
     "repro.perf.parallel": ("default_chunksize", "parallel_map", "resolve_jobs"),
     "repro.perf.vectorized": (
         "BatchEstimate",
@@ -36,9 +44,12 @@ __all__ = [
     "clear_cache",
     "design_fingerprint",
     "get_cache",
-    "GLOBAL_STATS",
     "EvalStats",
-    "StatsRegistry",
+    "FaultStats",
+    "StatsTotals",
+    "read_totals",
+    "record_eval",
+    "record_faults",
     "track",
     "default_chunksize",
     "parallel_map",

@@ -5,23 +5,22 @@ sensitivity curves, serving prewarm) reports an :class:`EvalStats`
 describing how much work it did and how much of it the memoization layer
 absorbed.  The CLI surfaces the aggregate after a run (``--stats``).
 
-The dataclasses remain the in-process *views* call sites read, but
-:class:`StatsRegistry` also publishes every recorded batch into
-:data:`repro.obs.metrics.GLOBAL_METRICS`, so ``--metrics-out`` exposes
-the same counters in Prometheus/JSON form under the
-``repro_eval_*`` / ``repro_fault_*`` names documented in
-``docs/observability.md``.
+The dataclasses are plain per-batch values.  :func:`record_eval` and
+:func:`record_faults` publish each one into
+:data:`repro.obs.metrics.GLOBAL_METRICS` under the ``repro_eval_*`` /
+``repro_fault_*`` names documented in ``docs/observability.md``; that
+registry is the only store, so ``--stats`` (via :func:`read_totals`),
+``--metrics-out`` and shard-worker dumps all read the same counters.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 
 
 @dataclass
@@ -82,9 +81,9 @@ class EvalStats:
     def delta_since(self, snapshot: "EvalStats") -> "EvalStats":
         """Counters accumulated since ``snapshot`` was taken.
 
-        The standard way to publish one operation's contribution to
-        ``GLOBAL_STATS`` when the operation mutates a long-lived stats
-        object: take a snapshot before, record the delta after.
+        The standard way to publish one operation's contribution when
+        the operation mutates a long-lived stats object: take a
+        snapshot before, :func:`record_eval` the delta after.
         """
         return EvalStats(
             evaluations=self.evaluations - snapshot.evaluations,
@@ -144,15 +143,6 @@ class FaultStats:
     shed: int = 0
     completed: int = 0
 
-    def merge(self, other: "FaultStats") -> "FaultStats":
-        self.windows += other.windows
-        self.kills += other.kills
-        self.retries += other.retries
-        self.requeues += other.requeues
-        self.shed += other.shed
-        self.completed += other.completed
-        return self
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "windows": self.windows,
@@ -171,138 +161,94 @@ class FaultStats:
         )
 
 
-class StatsRegistry:
-    """Session-scoped accumulator the CLI drains for ``--stats``.
+# (field, metric name, help) per published counter; the field names
+# double as the keyword arguments that rebuild the dataclass from totals
+_EVAL_COUNTERS = (
+    ("evaluations", "repro_eval_evaluations_total", "Model evaluations performed"),
+    ("cache_hits", "repro_eval_cache_hits_total",
+     "Evaluations served from the memo cache"),
+    ("cache_misses", "repro_eval_cache_misses_total",
+     "Evaluations that missed the memo cache"),
+    ("skipped", "repro_eval_skipped_total", "Infeasible candidates skipped"),
+)
+_FAULT_COUNTERS = (
+    ("windows", "repro_fault_windows_total", "Fault windows in injected schedules"),
+    ("kills", "repro_fault_kills_total", "Executions interrupted by a down window"),
+    ("retries", "repro_fault_retries_total", "Retry attempts consumed"),
+    ("requeues", "repro_fault_requeues_total",
+     "Attempts deferred to a schedule transition"),
+    ("shed", "repro_fault_shed_total", "Requests shed after exhausting retries"),
+    ("completed", "repro_fault_completed_total", "Requests completed under faults"),
+)
+_EVAL_WALL = "repro_eval_wall_seconds_total"
+_EVAL_BATCHES = "repro_eval_batches_total"
+_EVAL_JOBS = "repro_eval_jobs"
+_FAULT_RUNS = "repro_fault_runs_total"
 
-    Thread-safe: parallel ``jobs=N`` evaluators and the serving
-    simulator publish concurrently, so ``record``/``record_faults`` and
-    ``reset`` hold a lock around the merge (dataclass ``merge`` is a
-    multi-field read-modify-write and would lose updates otherwise).
-    Each recorded batch is mirrored into the process-wide
-    :data:`repro.obs.metrics.GLOBAL_METRICS` registry; the dataclass
-    attributes stay as views so existing call sites keep working.
+
+def record_eval(
+    stats: EvalStats, registry: MetricsRegistry = GLOBAL_METRICS
+) -> None:
+    """Publish one evaluation batch as ``repro_eval_*`` series.
+
+    The batch lands atomically: :meth:`MetricsRegistry.reset` and
+    :func:`read_totals` never observe it half-applied.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.total = EvalStats()
-        self.batches = 0
-        self.faults = FaultStats()
-        self.fault_runs = 0
-
-    def record(self, stats: EvalStats) -> None:
-        with self._lock:
-            self.total.merge(stats)
-            self.batches += 1
-        _publish_eval(stats)
-
-    def record_faults(self, stats: FaultStats) -> None:
-        with self._lock:
-            self.faults.merge(stats)
-            self.fault_runs += 1
-        _publish_faults(stats)
-
-    def snapshot(self) -> EvalStats:
-        """A lock-consistent copy of the aggregate evaluation counters.
-
-        Pairs with :meth:`EvalStats.delta_since` so measurement
-        wrappers (``repro.bench``) can attribute exactly the
-        evaluations one operation contributed:
-        ``before = GLOBAL_STATS.snapshot(); ...;
-        delta = GLOBAL_STATS.snapshot().delta_since(before)``.
-        """
-        with self._lock:
-            return self.total.snapshot()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.total = EvalStats()
-            self.batches = 0
-            self.faults = FaultStats()
-            self.fault_runs = 0
-        GLOBAL_METRICS.reset("repro_eval_")
-        GLOBAL_METRICS.reset("repro_fault_")
-
-    # -- cross-process merge --------------------------------------------
-    def dump(self) -> dict[str, Any]:
-        """A picklable snapshot a shard worker ships to its parent."""
-        with self._lock:
-            return {
-                "total": self.total.snapshot(),
-                "batches": self.batches,
-                "faults": replace(self.faults),
-                "fault_runs": self.fault_runs,
-            }
-
-    def merge_dump(self, dump: dict[str, Any]) -> None:
-        """Fold a worker's :meth:`dump` into this registry.
-
-        Deliberately does **not** mirror the merged counters into
-        ``GLOBAL_METRICS``: the worker's own metrics registry already
-        published them, and its dump is merged separately through
-        :meth:`repro.obs.metrics.MetricsRegistry.merge_dump` — routing
-        them here too would double-count every ``repro_eval_*`` /
-        ``repro_fault_*`` series.
-        """
-        with self._lock:
-            self.total.merge(dump["total"])
-            self.batches += dump["batches"]
-            self.faults.merge(dump["faults"])
-            self.fault_runs += dump["fault_runs"]
+    with registry.atomic():
+        for field, name, help_ in _EVAL_COUNTERS:
+            registry.counter(name, help_).inc(getattr(stats, field))
+        registry.counter(
+            _EVAL_WALL, "Wall time spent in evaluation batches"
+        ).inc(max(stats.wall_seconds, 0.0))
+        registry.counter(_EVAL_BATCHES, "Evaluation batches recorded").inc(1)
+        registry.gauge(
+            _EVAL_JOBS, "Peak worker count across recorded batches"
+        ).max_(stats.jobs)
 
 
-def _publish_eval(stats: EvalStats) -> None:
-    """Mirror one evaluation batch onto the metrics registry."""
-    metrics = GLOBAL_METRICS
-    metrics.counter(
-        "repro_eval_evaluations_total", "Model evaluations performed"
-    ).inc(stats.evaluations)
-    metrics.counter(
-        "repro_eval_cache_hits_total", "Evaluations served from the memo cache"
-    ).inc(stats.cache_hits)
-    metrics.counter(
-        "repro_eval_cache_misses_total", "Evaluations that missed the memo cache"
-    ).inc(stats.cache_misses)
-    metrics.counter(
-        "repro_eval_skipped_total", "Infeasible candidates skipped"
-    ).inc(stats.skipped)
-    metrics.counter(
-        "repro_eval_wall_seconds_total", "Wall time spent in evaluation batches"
-    ).inc(max(stats.wall_seconds, 0.0))
-    metrics.counter(
-        "repro_eval_batches_total", "Evaluation batches recorded"
-    ).inc(1)
-    metrics.gauge(
-        "repro_eval_jobs", "Peak worker count across recorded batches"
-    ).max_(stats.jobs)
+def record_faults(
+    stats: FaultStats, registry: MetricsRegistry = GLOBAL_METRICS
+) -> None:
+    """Publish one fault-injected serving run as ``repro_fault_*`` series."""
+    with registry.atomic():
+        for field, name, help_ in _FAULT_COUNTERS:
+            registry.counter(name, help_).inc(getattr(stats, field))
+        registry.counter(_FAULT_RUNS, "Fault-injected serving runs recorded").inc(1)
 
 
-def _publish_faults(stats: FaultStats) -> None:
-    """Mirror one fault-injected serving run onto the metrics registry."""
-    metrics = GLOBAL_METRICS
-    metrics.counter(
-        "repro_fault_windows_total", "Fault windows in injected schedules"
-    ).inc(stats.windows)
-    metrics.counter(
-        "repro_fault_kills_total", "Executions interrupted by a down window"
-    ).inc(stats.kills)
-    metrics.counter(
-        "repro_fault_retries_total", "Retry attempts consumed"
-    ).inc(stats.retries)
-    metrics.counter(
-        "repro_fault_requeues_total", "Attempts deferred to a schedule transition"
-    ).inc(stats.requeues)
-    metrics.counter(
-        "repro_fault_shed_total", "Requests shed after exhausting retries"
-    ).inc(stats.shed)
-    metrics.counter(
-        "repro_fault_completed_total", "Requests completed under faults"
-    ).inc(stats.completed)
-    metrics.counter(
-        "repro_fault_runs_total", "Fault-injected serving runs recorded"
-    ).inc(1)
+@dataclass(frozen=True)
+class StatsTotals:
+    """Everything recorded since the last reset, read back from the
+    ``repro_eval_*`` / ``repro_fault_*`` counters."""
+
+    evals: EvalStats
+    batches: int
+    faults: FaultStats
+    fault_runs: int
 
 
-#: process-wide registry; batch evaluators publish here so the CLI can
-#: report one aggregate line regardless of which subsystems ran
-GLOBAL_STATS = StatsRegistry()
+def read_totals(registry: MetricsRegistry = GLOBAL_METRICS) -> StatsTotals:
+    """Aggregate evaluation and fault counters, read in one atomic step.
+
+    Counts come back as ints (counters store floats); ``jobs`` is the
+    peak across batches, and 1 when nothing was recorded.  Pair with
+    :meth:`EvalStats.delta_since` to attribute one operation's share:
+    ``before = read_totals().evals; ...;
+    delta = read_totals().evals.delta_since(before)``.
+    """
+    value = registry.value
+    with registry.atomic():
+        evals = EvalStats(
+            **{field: int(value(name)) for field, name, _ in _EVAL_COUNTERS},
+            wall_seconds=value(_EVAL_WALL),
+            jobs=max(1, int(value(_EVAL_JOBS))),
+        )
+        faults = FaultStats(
+            **{field: int(value(name)) for field, name, _ in _FAULT_COUNTERS}
+        )
+        return StatsTotals(
+            evals=evals,
+            batches=int(value(_EVAL_BATCHES)),
+            faults=faults,
+            fault_runs=int(value(_FAULT_RUNS)),
+        )

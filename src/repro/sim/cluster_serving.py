@@ -37,11 +37,13 @@ identical serving cells would do.  It is **not** bit-equal to one
 partition serving the whole trace — that contract belongs to the
 engines, not the fleet.
 
-Worker-side ``GLOBAL_STATS`` / ``GLOBAL_METRICS`` registries are
-invisible to the parent, so each task resets its process-local
-registries, runs, and ships ``dump()`` snapshots home; the parent folds
-them via ``merge_dump`` so ``--stats`` / ``--metrics-out`` reflect the
-whole fleet (the inline path publishes natively and skips the merge).
+A worker's ``GLOBAL_METRICS`` registry is invisible to the parent, so
+each task resets it, runs, and ships one ``dump()`` home (the inline
+path serves on a replica whose private registry plays that part).  The
+parent folds the shard dumps into one fleet registry, reads
+``FleetReport.stats`` / ``fault_stats`` from its ``repro_eval_*`` /
+``repro_fault_*`` counters, and merges it into its own registry once,
+so ``--stats`` / ``--metrics-out`` reflect the whole fleet.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from repro.obs.windows import ServingMonitor
 from repro.perf.cache import _CachePickler
-from repro.perf.metrics import GLOBAL_STATS, EvalStats, FaultStats
+from repro.perf.metrics import EvalStats, FaultStats, read_totals
 from repro.sim.serving import DISPATCH_CHUNK, ServingSimulator
 from repro.sim.streaming import (
     StreamingServingReport,
@@ -151,20 +153,11 @@ def _worker_init(payload_bytes: bytes) -> None:
     }
 
 
-def _run_shard_task(task: tuple) -> bytes:
-    """Serve one shard in a pool worker; return the pickled result.
-
-    The process-local registries are reset at task start so the shipped
-    dumps are exactly this shard's contribution — under ``fork`` the
-    child inherits whatever the parent had accumulated, and without the
-    reset those counters would be re-merged (double-counted) at home.
-    """
+def _serve_shard(
+    simulator: ServingSimulator, payload: dict[str, Any], task: tuple
+) -> tuple[StreamingServingReport, ServingMonitor | None]:
+    """Regenerate one shard's sub-trace and serve it on ``simulator``."""
     num_requests, mean_interarrival, seed, lo, hi, offset, monitor_window = task
-    state = _WORKER_STATE
-    payload = state["payload"]
-    simulator: ServingSimulator = state["simulator"]
-    GLOBAL_STATS.reset()
-    GLOBAL_METRICS.reset()
     trace = generate_trace_shard(
         payload["shapes"],
         num_requests,
@@ -189,13 +182,22 @@ def _run_shard_task(task: tuple) -> bytes:
         fault_policy=payload["fault_policy"],
         monitor=monitor,
     )
+    return report, monitor
+
+
+def _run_shard_task(task: tuple) -> bytes:
+    """Serve one shard in a pool worker; return the pickled result.
+
+    The process-local metrics registry is reset at task start so the
+    shipped dump is exactly this shard's contribution — under ``fork``
+    the child inherits whatever the parent had accumulated, and without
+    the reset those counters would be re-merged (double-counted) at home.
+    """
+    state = _WORKER_STATE
+    GLOBAL_METRICS.reset()
+    report, monitor = _serve_shard(state["simulator"], state["payload"], task)
     return _dumps(
-        {
-            "report": report,
-            "stats": GLOBAL_STATS.dump(),
-            "metrics": GLOBAL_METRICS.dump(),
-            "monitor": monitor,
-        }
+        {"report": report, "metrics": GLOBAL_METRICS.dump(), "monitor": monitor}
     )
 
 
@@ -211,8 +213,8 @@ class FleetReport:
     ``report`` is the fleet-wide :class:`StreamingServingReport` (counts,
     loads and sums exact; percentiles within the sketch bound of the
     union of the shard streams; ``replicas`` set to the shard count).
-    ``stats`` / ``fault_stats`` aggregate the workers' evaluation and
-    fault counters — the same numbers the parent registries received.
+    ``stats`` / ``fault_stats`` total the shards' evaluation and fault
+    counters — the same numbers the parent registry received.
     ``shard_reports`` is populated only when the serve kept them.
     ``monitor`` is the fleet-wide windowed-telemetry series (per-shard
     monitors merged in shard order), present only when the serve
@@ -396,10 +398,18 @@ class ShardedServingCluster:
             )
             for index, (lo, hi) in enumerate(bounds)
         ]
+        # one accounting path for every start method: the shards'
+        # counters arrive as registry dumps and fold into a fleet
+        # registry, which the parent registry takes in one merge
         if self.start_method == "inline":
-            reports, stats, fault_stats, monitors = self._serve_inline(tasks)
+            reports, monitors, dumps = self._serve_inline(tasks)
         else:
-            reports, stats, fault_stats, monitors = self._serve_pool(tasks)
+            reports, monitors, dumps = self._serve_pool(tasks)
+        fleet_metrics = MetricsRegistry()
+        for dump in dumps:
+            fleet_metrics.merge_dump(dump)
+        GLOBAL_METRICS.merge_dump(fleet_metrics.dump())
+        totals = read_totals(fleet_metrics)
         merged = copy.deepcopy(reports[0]) if keep_shard_reports else reports[0]
         for shard_report in reports[1:]:
             merged.merge(shard_report)
@@ -413,96 +423,40 @@ class ShardedServingCluster:
             shards=len(bounds),
             start_method=self.start_method,
             bounds=bounds,
-            stats=stats,
-            fault_stats=fault_stats,
+            stats=totals.evals,
+            fault_stats=totals.faults,
             shard_reports=list(reports) if keep_shard_reports else None,
             monitor=fleet_monitor,
         )
 
-    def _serve_pool(
-        self, tasks: list[tuple]
-    ) -> tuple[
-        list[StreamingServingReport],
-        EvalStats,
-        FaultStats,
-        list[ServingMonitor | None],
-    ]:
+    def _serve_pool(self, tasks: list[tuple]) -> tuple[list, list, list]:
+        """Reports, monitors and metrics dumps from the worker pool."""
         pool = self._ensure_pool()
-        stats = EvalStats()
-        fault_stats = FaultStats()
-        reports: list[StreamingServingReport] = []
-        monitors: list[ServingMonitor | None] = []
         # Executor.map preserves task order regardless of completion order
-        for blob in pool.map(_run_shard_task, tasks):
-            result = pickle.loads(blob)
-            reports.append(result["report"])
-            monitors.append(result["monitor"])
-            shard_stats = result["stats"]
-            stats.merge(shard_stats["total"])
-            fault_stats.merge(shard_stats["faults"])
-            GLOBAL_STATS.merge_dump(shard_stats)
-            GLOBAL_METRICS.merge_dump(result["metrics"])
-        return reports, stats, fault_stats, monitors
+        results = [pickle.loads(blob) for blob in pool.map(_run_shard_task, tasks)]
+        return (
+            [result["report"] for result in results],
+            [result["monitor"] for result in results],
+            [result["metrics"] for result in results],
+        )
 
-    def _serve_inline(
-        self, tasks: list[tuple]
-    ) -> tuple[
-        list[StreamingServingReport],
-        EvalStats,
-        FaultStats,
-        list[ServingMonitor | None],
-    ]:
+    def _serve_inline(self, tasks: list[tuple]) -> tuple[list, list, list]:
         """The no-pool reference path: every shard served in-process.
 
         Runs on a dedicated replica simulator built exactly like a
         worker's (same payload), so dispatch and cache behaviour match
-        the pooled modes; stats publish into the parent registries
-        natively (no dump/merge round trip to double-count).
+        the pooled modes; its counters go to a private registry whose
+        dump stands in for the workers'.
         """
         payload = self._payload
         simulator = _build_worker_simulator(payload)
-        eval_before = GLOBAL_STATS.dump()
-        reports = []
-        monitors: list[ServingMonitor | None] = []
-        for task in tasks:
-            num_requests, mean_interarrival, seed, lo, hi, offset, window = task
-            trace = generate_trace_shard(
-                payload["shapes"],
-                num_requests,
-                mean_interarrival,
-                seed,
-                lo=lo,
-                hi=hi,
-                arrival_offset=offset,
-            )
-            monitor = (
-                ServingMonitor(window, quantile_error=payload["quantile_error"])
-                if window is not None
-                else None
-            )
-            monitors.append(monitor)
-            reports.append(
-                simulator.run(
-                    trace,
-                    streaming=True,
-                    dispatch=payload["dispatch"],
-                    quantile_error=payload["quantile_error"],
-                    chunk_size=payload["chunk_size"],
-                    faults=payload["faults"],
-                    fault_policy=payload["fault_policy"],
-                    monitor=monitor,
-                )
-            )
-        eval_after = GLOBAL_STATS.dump()
-        stats = eval_after["total"].delta_since(eval_before["total"])
-        before_faults, after_faults = eval_before["faults"], eval_after["faults"]
-        fault_stats = FaultStats(
-            **{
-                key: getattr(after_faults, key) - getattr(before_faults, key)
-                for key in after_faults.as_dict()
-            }
+        simulator.metrics = MetricsRegistry()
+        served = [_serve_shard(simulator, payload, task) for task in tasks]
+        return (
+            [report for report, _ in served],
+            [monitor for _, monitor in served],
+            [simulator.metrics.dump()],
         )
-        return reports, stats, fault_stats, monitors
 
 
 def serve_sharded(

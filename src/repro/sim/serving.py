@@ -68,8 +68,15 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 import numpy as np
 
 from repro.core.multi_acc import AcceleratorPartition
+from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from repro.obs.spans import GLOBAL_TRACER, span
-from repro.perf.metrics import GLOBAL_STATS, EvalStats, FaultStats, track
+from repro.perf.metrics import (
+    EvalStats,
+    FaultStats,
+    record_eval,
+    record_faults,
+    track,
+)
 from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.sim.chaos import (
     DEFAULT_FAULT_POLICY,
@@ -512,8 +519,10 @@ class ServingSimulator:
     :meth:`prewarm` fills that cache in parallel before serving starts
     so no request pays a cold model evaluation, and :attr:`stats`
     reports the hit/miss balance after a run.  Every :meth:`run`
-    records its evaluation counters into ``GLOBAL_STATS`` so the CLI's
-    ``--stats`` reflects serving end to end.
+    publishes its evaluation counters through
+    :func:`~repro.perf.metrics.record_eval` into :attr:`metrics`
+    (``GLOBAL_METRICS`` unless replaced), so the CLI's ``--stats``
+    reflects serving end to end.
     """
 
     def __init__(self, partition: AcceleratorPartition):
@@ -522,6 +531,7 @@ class ServingSimulator:
         self._service_cache: dict[tuple[str, GemmShape], float] = {}
         self._infeasible: set[tuple[str, GemmShape]] = set()
         self.stats = EvalStats()
+        self.metrics: MetricsRegistry = GLOBAL_METRICS
 
     def _service(self, accelerator: str, shape: GemmShape) -> float:
         key = (accelerator, shape)
@@ -631,7 +641,7 @@ class ServingSimulator:
         self._infeasible.update(pair for pair in pairs if pair not in warmed_keys)
         self.stats.evaluations += len(warmed)
         self.stats.skipped += len(pairs) - len(warmed)
-        GLOBAL_STATS.record(EvalStats(evaluations=len(warmed), jobs=jobs))
+        record_eval(EvalStats(evaluations=len(warmed), jobs=jobs), self.metrics)
         return len(warmed)
 
     def _prewarm_vectorized(
@@ -759,7 +769,7 @@ class ServingSimulator:
                     monitor=monitor,
                 )
         finally:
-            GLOBAL_STATS.record(self.stats.delta_since(before))
+            record_eval(self.stats.delta_since(before), self.metrics)
 
     def _run_faulted(
         self,
@@ -948,7 +958,7 @@ class ServingSimulator:
         total_retries = int(retry_col.sum()) + sum(
             record[1] for record in shed_records
         )
-        GLOBAL_STATS.record_faults(
+        record_faults(
             FaultStats(
                 windows=len(faults),
                 kills=kills,
@@ -956,7 +966,8 @@ class ServingSimulator:
                 requeues=requeues,
                 shed=len(shed_records),
                 completed=len(done),
-            )
+            ),
+            self.metrics,
         )
 
         if monitor is not None:

@@ -148,8 +148,10 @@ class GemmShape:
         parts = text.lower().split("x")
         if len(parts) != 3:
             raise ValueError(f"expected MxKxN, got {text!r}")
-        m, k, n = (int(p) for p in parts)
-        return cls(m, k, n)
+        try:
+            return cls(*(int(p) for p in parts))
+        except ValueError as error:
+            raise ValueError(f"bad MxKxN shape {text!r}: {error}") from None
 
     @classmethod
     def square(cls, size: int) -> "GemmShape":

@@ -1,6 +1,17 @@
-"""EvalStats / StatsRegistry behaviour."""
+"""EvalStats / FaultStats values and their publication as metrics."""
 
-from repro.perf.metrics import EvalStats, StatsRegistry, track
+import sys
+import threading
+
+from repro.obs.metrics import MetricsRegistry
+from repro.perf.metrics import (
+    EvalStats,
+    FaultStats,
+    read_totals,
+    record_eval,
+    record_faults,
+    track,
+)
 
 
 class TestEvalStats:
@@ -79,115 +90,145 @@ class TestEvalStats:
         assert payload["hit_rate"] == 0.5
 
 
-class TestStatsRegistry:
+class TestRecordAndTotals:
     def test_record_and_reset(self):
-        registry = StatsRegistry()
-        registry.record(EvalStats(evaluations=2))
-        registry.record(EvalStats(evaluations=3, skipped=1))
-        assert registry.total.evaluations == 5
-        assert registry.total.skipped == 1
-        assert registry.batches == 2
+        registry = MetricsRegistry()
+        record_eval(EvalStats(evaluations=2), registry)
+        record_eval(EvalStats(evaluations=3, skipped=1), registry)
+        totals = read_totals(registry)
+        assert totals.evals.evaluations == 5
+        assert totals.evals.skipped == 1
+        assert totals.batches == 2
         registry.reset()
-        assert registry.total.evaluations == 0
-        assert registry.batches == 0
+        totals = read_totals(registry)
+        assert totals.evals.evaluations == 0
+        assert totals.batches == 0
 
     def test_record_publishes_to_metrics_registry(self):
-        from repro.obs.metrics import GLOBAL_METRICS
-        from repro.perf.metrics import FaultStats
-
-        registry = StatsRegistry()
-        registry.reset()  # clears any repro_eval_/repro_fault_ families
-        registry.record(EvalStats(evaluations=4, cache_hits=2, jobs=3))
-        registry.record_faults(FaultStats(windows=2, kills=1, completed=5))
-        snapshot = GLOBAL_METRICS.snapshot()
+        registry = MetricsRegistry()
+        record_eval(EvalStats(evaluations=4, cache_hits=2, jobs=3), registry)
+        record_faults(FaultStats(windows=2, kills=1, completed=5), registry)
+        snapshot = registry.snapshot()
         assert (
             snapshot["repro_eval_evaluations_total"]["values"][0]["value"] == 4
         )
         assert snapshot["repro_eval_jobs"]["values"][0]["value"] == 3
         assert snapshot["repro_fault_kills_total"]["values"][0]["value"] == 1
-        registry.reset()
-        assert not any(
-            name.startswith(("repro_eval_", "repro_fault_"))
-            for name in GLOBAL_METRICS.families()
-        )
+        registry.reset("repro_eval_")
+        registry.reset("repro_fault_")
+        assert registry.families() == []
+
+    def test_totals_are_ints_and_default_to_one_job(self):
+        registry = MetricsRegistry()
+        empty = read_totals(registry)
+        assert empty.evals.jobs == 1
+        assert (empty.batches, empty.fault_runs) == (0, 0)
+        record_eval(EvalStats(evaluations=4, wall_seconds=0.5), registry)
+        record_faults(FaultStats(windows=8, kills=1), registry)
+        totals = read_totals(registry)
+        assert "4 evaluations" in totals.evals.summary()
+        assert type(totals.evals.evaluations) is int
+        assert type(totals.faults.windows) is int
+        assert totals.evals.wall_seconds == 0.5
+        assert totals.faults.summary().startswith("8 fault windows: 1 kills")
+
+    def test_reading_totals_registers_nothing(self):
+        registry = MetricsRegistry()
+        read_totals(registry)
+        assert registry.families() == []
+        assert registry.to_prometheus() == ""
+
+
+def _run_threads(threads, timeout=30.0):
+    """Start and join ``threads`` under a short switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # force frequent preemption
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestThreadSafety:
     def test_threaded_record_hammer_loses_no_updates(self):
-        """Satellite regression: parallel publishers must not lose merges.
+        """Parallel publishers must not lose updates.
 
-        The dataclass merge is a multi-field read-modify-write; without
-        the registry lock, concurrent ``record`` calls drop updates.
+        Each batch increments several counters; concurrent
+        ``record_eval``/``record_faults`` calls must land every one.
         """
-        import threading
-
-        from repro.perf.metrics import FaultStats
-
-        registry = StatsRegistry()
+        registry = MetricsRegistry()
         workers, rounds = 8, 300
         barrier = threading.Barrier(workers)
 
         def hammer():
             barrier.wait()  # maximize interleaving
             for _ in range(rounds):
-                registry.record(
-                    EvalStats(evaluations=1, cache_hits=1, skipped=1, jobs=2)
+                record_eval(
+                    EvalStats(evaluations=1, cache_hits=1, skipped=1, jobs=2),
+                    registry,
                 )
-                registry.record_faults(FaultStats(windows=1, kills=1))
+                record_faults(FaultStats(windows=1, kills=1), registry)
 
-        threads = [threading.Thread(target=hammer) for _ in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        _run_threads([threading.Thread(target=hammer) for _ in range(workers)])
         expected = workers * rounds
-        assert registry.total.evaluations == expected
-        assert registry.total.cache_hits == expected
-        assert registry.total.skipped == expected
-        assert registry.batches == expected
-        assert registry.faults.windows == expected
-        assert registry.faults.kills == expected
-        assert registry.fault_runs == expected
+        totals = read_totals(registry)
+        assert totals.evals.evaluations == expected
+        assert totals.evals.cache_hits == expected
+        assert totals.evals.skipped == expected
+        assert totals.evals.jobs == 2
+        assert totals.batches == expected
+        assert totals.faults.windows == expected
+        assert totals.faults.kills == expected
+        assert totals.fault_runs == expected
 
     def test_threaded_reset_record_race_stays_consistent(self):
-        """reset() racing record() must never leave torn state."""
-        import threading
-
-        registry = StatsRegistry()
+        """reset() racing record_eval() must never expose a torn batch."""
+        registry = MetricsRegistry()
         stop = threading.Event()
+        torn: list = []
 
         def recorder():
             while not stop.is_set():
-                registry.record(EvalStats(evaluations=1, cache_hits=1))
+                record_eval(EvalStats(evaluations=1, cache_hits=1), registry)
 
         def resetter():
-            for _ in range(50):
-                registry.reset()
+            try:
+                for _ in range(50):
+                    registry.reset()
+                    totals = read_totals(registry)
+                    if not (
+                        totals.evals.evaluations
+                        == totals.evals.cache_hits
+                        == totals.batches
+                    ):
+                        torn.append(totals)
+            finally:
+                stop.set()
 
         threads = [threading.Thread(target=recorder) for _ in range(4)]
-        threads.append(threading.Thread(target=resetter))
-        for thread in threads:
-            thread.start()
-        threads[-1].join()
-        stop.set()
-        for thread in threads[:-1]:
-            thread.join()
-        # invariant under any interleaving: the two counters moved in
-        # lockstep inside the lock, so they can never disagree
-        assert registry.total.evaluations == registry.total.cache_hits
-        registry.reset()
+        _run_threads(threads + [threading.Thread(target=resetter)])
+        # invariant under any interleaving: the counters of one batch
+        # move together under the registry lock, so reads never disagree
+        totals = read_totals(registry)
+        evals = totals.evals
+        assert evals.evaluations == evals.cache_hits == totals.batches
+        assert torn == []
 
 
-class TestStatsRegistryDumpMerge:
-    """Cross-process shipping of eval/fault counters."""
+class TestTotalsAcrossDumps:
+    """Cross-process shipping of eval/fault counters as registry dumps."""
 
     def _populated(self):
-        registry = StatsRegistry()
-        registry.record(EvalStats(evaluations=2, cache_hits=5, jobs=4))
-        registry.record(EvalStats(evaluations=1, cache_misses=3))
-        from repro.perf.metrics import FaultStats
-
-        registry.record_faults(FaultStats(windows=2, kills=1, shed=1, completed=9))
+        registry = MetricsRegistry()
+        record_eval(EvalStats(evaluations=2, cache_hits=5, jobs=4), registry)
+        record_eval(EvalStats(evaluations=1, cache_misses=3), registry)
+        record_faults(
+            FaultStats(windows=2, kills=1, shed=1, completed=9), registry
+        )
         return registry
 
     def test_dump_round_trips_through_pickle(self):
@@ -195,45 +236,38 @@ class TestStatsRegistryDumpMerge:
 
         source = self._populated()
         blob = pickle.dumps(source.dump(), protocol=pickle.HIGHEST_PROTOCOL)
-        target = StatsRegistry()
+        target = MetricsRegistry()
         target.merge_dump(pickle.loads(blob))
-        assert target.total.as_dict() == source.total.as_dict()
-        assert target.batches == source.batches
-        assert target.faults.as_dict() == source.faults.as_dict()
-        assert target.fault_runs == source.fault_runs
+        assert read_totals(target) == read_totals(source)
 
     def test_merge_dump_folds_counters(self):
         parent = self._populated()
         worker = self._populated()
         parent.merge_dump(worker.dump())
-        assert parent.total.evaluations == 6
-        assert parent.total.cache_hits == 10
-        assert parent.batches == 4
-        assert parent.faults.windows == 4
-        assert parent.fault_runs == 2
+        totals = read_totals(parent)
+        assert totals.evals.evaluations == 6
+        assert totals.evals.cache_hits == 10
+        assert totals.evals.jobs == 4
+        assert totals.batches == 4
+        assert totals.faults.windows == 4
+        assert totals.fault_runs == 2
 
     def test_dump_is_a_snapshot_not_a_view(self):
         registry = self._populated()
         dump = registry.dump()
-        registry.record(EvalStats(evaluations=100))
-        assert dump["total"].evaluations == 3
-        assert dump["batches"] == 2
+        record_eval(EvalStats(evaluations=100), registry)
+        target = MetricsRegistry()
+        target.merge_dump(dump)
+        assert read_totals(target).evals.evaluations == 3
+        assert read_totals(target).batches == 2
 
-    def test_merge_dump_skips_metric_publication(self):
-        """Merging a worker dump must not re-publish to GLOBAL_METRICS.
-
-        The worker's own metrics dump is merged separately (through
-        ``MetricsRegistry.merge_dump``); publishing here too would
-        double-count every repro_eval_* series.
-        """
-        from repro.obs.metrics import GLOBAL_METRICS
-
-        GLOBAL_METRICS.reset("repro_eval_")
-        worker = StatsRegistry()
-        worker.record(EvalStats(evaluations=4, cache_hits=7))  # publishes once
-        parent = StatsRegistry()
-        parent.merge_dump(worker.dump())  # must not publish again
-        snapshot = GLOBAL_METRICS.snapshot()
+    def test_merged_dump_counts_each_series_once(self):
+        """A worker's batch reaches the parent exactly once, via its dump."""
+        worker = MetricsRegistry()
+        record_eval(EvalStats(evaluations=4, cache_hits=7), worker)
+        parent = MetricsRegistry()
+        parent.merge_dump(worker.dump())
+        snapshot = parent.snapshot()
         hits = snapshot["repro_eval_cache_hits_total"]["values"][0]["value"]
         assert hits == 7
-        assert parent.total.cache_hits == 7
+        assert read_totals(parent).evals.cache_hits == 7

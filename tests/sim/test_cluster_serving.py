@@ -17,7 +17,7 @@ import pytest
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.obs.metrics import GLOBAL_METRICS
-from repro.perf.metrics import GLOBAL_STATS
+from repro.perf.metrics import read_totals
 from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.cluster_serving import (
     FleetReport,
@@ -395,7 +395,6 @@ class TestCrossProcessStatsPublication:
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")
     def test_parent_registries_reflect_worker_stats(self, simulator):
         num_requests, shards = 6000, 3
-        GLOBAL_STATS.reset()
         GLOBAL_METRICS.reset()
         serve_sharded(
             simulator, SHAPES, num_requests, MEAN_INTERARRIVAL,
@@ -403,15 +402,15 @@ class TestCrossProcessStatsPublication:
         )
         # every dispatched request is a service-cache hit in some worker;
         # without the dump/merge round trip the parent would see none
-        assert GLOBAL_STATS.total.cache_hits >= num_requests
-        assert GLOBAL_STATS.batches >= shards
+        totals = read_totals()
+        assert totals.evals.cache_hits >= num_requests
+        assert totals.batches >= shards
         snapshot = GLOBAL_METRICS.snapshot()
         hits = snapshot["repro_eval_cache_hits_total"]["values"][0]["value"]
         assert hits >= num_requests
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")
     def test_parent_sees_worker_fault_stats(self, simulator):
-        GLOBAL_STATS.reset()
         GLOBAL_METRICS.reset()
         serve_sharded(
             simulator, SHAPES, 3000, MEAN_INTERARRIVAL, shards=2, seed=1,
@@ -419,23 +418,48 @@ class TestCrossProcessStatsPublication:
             faults=FaultSchedule.down("C5", 0.2, 0.6),
             fault_policy=FaultPolicy(max_retries=1),
         )
-        assert GLOBAL_STATS.fault_runs == 2
-        assert GLOBAL_STATS.faults.windows == 2
+        totals = read_totals()
+        assert totals.fault_runs == 2
+        assert totals.faults.windows == 2
         snapshot = GLOBAL_METRICS.snapshot()
         windows = snapshot["repro_fault_windows_total"]["values"][0]["value"]
         assert windows == 2
 
     def test_inline_publishes_natively_without_double_count(self, simulator):
-        GLOBAL_STATS.reset()
+        GLOBAL_METRICS.reset()
         fleet = serve_sharded(
             simulator, SHAPES, 3000, MEAN_INTERARRIVAL, shards=2, seed=1,
             start_method="inline",
         )
-        # the fleet's own stats equal what landed in the parent registry:
-        # inline publishes natively, so a dump/merge round trip on top
-        # would show up here as a doubled count
+        # the fleet's own stats equal what landed in the parent registry;
+        # a shard counted both natively and through its dump would show
+        # up here as a doubled count
         assert fleet.stats.cache_hits >= 3000
-        assert GLOBAL_STATS.total.cache_hits == fleet.stats.cache_hits
+        assert read_totals().evals.cache_hits == fleet.stats.cache_hits
+
+    @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")
+    def test_fleet_stats_identical_across_start_methods(self, simulator):
+        """Pool and inline serves account their shards the same way.
+
+        The parent's own prewarm ran with ``jobs=2``; that batch is not
+        part of the serve, so no start method may report it.
+        """
+        simulator.prewarm(SHAPES, jobs=2)
+        fleets = [
+            serve_sharded(
+                simulator, SHAPES, 3000, MEAN_INTERARRIVAL, shards=2, seed=1,
+                start_method=method, max_workers=2,
+                faults=FaultSchedule.down("C5", 0.2, 0.6),
+            )
+            for method in ("fork", "inline")
+        ]
+        views = []
+        for fleet in fleets:
+            stats = fleet.stats.as_dict()
+            del stats["wall_seconds"], stats["evals_per_second"]
+            views.append((stats, fleet.fault_stats.as_dict()))
+        assert views[0] == views[1]
+        assert views[0][0]["jobs"] == 1
 
 
 class TestLoadSweepSharded:

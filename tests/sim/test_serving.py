@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
-from repro.perf.metrics import GLOBAL_STATS
+from repro.obs.metrics import GLOBAL_METRICS
+from repro.perf.metrics import read_totals
 from repro.sim.chaos import FaultError, FaultPolicy, FaultSchedule
 from repro.sim.serving import (
     Request,
@@ -364,11 +365,12 @@ class TestRunRecordsStats:
         fake = FakePartition({"a": {SHAPES[0]: 0.001, SHAPES[1]: 0.002}})
         simulator = ServingSimulator(fake)
         trace = generate_trace(SHAPES, 40, 1e-3, seed=0)
-        GLOBAL_STATS.reset()
+        GLOBAL_METRICS.reset()
         simulator.run(trace)
-        assert GLOBAL_STATS.batches == 1
-        assert GLOBAL_STATS.total.cache_hits > 0
-        assert GLOBAL_STATS.total.wall_seconds > 0
+        totals = read_totals()
+        assert totals.batches == 1
+        assert totals.evals.cache_hits > 0
+        assert totals.evals.wall_seconds > 0
 
     def test_prewarm_then_run_all_hits_with_infeasible(self):
         fake = _wide_fake_partition()
@@ -474,31 +476,6 @@ class TestLoadSweep:
         )
         with pytest.raises(ValueError, match="no accelerator"):
             load_sweep(unserveable, SHAPES)
-
-
-class TestReleaseTimesInEventSim:
-    def test_release_delays_start(self):
-        from repro.sim.events import EventSimulator, Task
-
-        result = EventSimulator([Task("late", "r", 1.0, release=5.0)]).run()
-        assert result.records["late"].start == pytest.approx(5.0)
-
-    def test_release_with_dependencies(self):
-        from repro.sim.events import EventSimulator, Task
-
-        result = EventSimulator(
-            [
-                Task("a", "r", 1.0),
-                Task("b", "r", 1.0, depends_on=("a",), release=10.0),
-            ]
-        ).run()
-        assert result.records["b"].start == pytest.approx(10.0)
-
-    def test_negative_release_rejected(self):
-        from repro.sim.events import Task
-
-        with pytest.raises(ValueError):
-            Task("x", "r", 1.0, release=-1.0)
 
 
 class TestFaultInjection:

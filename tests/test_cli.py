@@ -222,6 +222,54 @@ class TestServe:
         )
 
 
+_SERVE = ["serve", "512x512x512", "--requests", "100"]
+
+
+class TestBadInput:
+    """Bad flag values end in a one-line argparse error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["serve", "0x1x1"], "0x1x1"),
+            (["serve", "1x2"], "1x2"),
+            (["serve", "axbxc"], "axbxc"),
+            (["serve", "1e3x1x1"], "1e3x1x1"),
+            (["serve", "512x512x512,0x1x1"], "0x1x1"),
+            (["serve", ","], ","),
+            (["estimate", "1x2"], "1x2"),
+            (["dse", "axbxc"], "axbxc"),
+            (["estimate", "64x64x64", "--config", "C99"], "C99"),
+            (_SERVE[:2] + ["--requests", "0"], "0"),
+            (_SERVE + ["--rate", "-1"], "-1"),
+            (_SERVE + ["--rate", "0"], "0"),
+            (_SERVE + ["--rate", "inf"], "inf"),
+            (_SERVE + ["--rate", "nan"], "nan"),
+            (_SERVE + ["--mean-interarrival", "0"], "0"),
+            (_SERVE + ["--configs", "C99"], "C99"),
+            (_SERVE + ["--configs", "C5,C99"], "C99"),
+            (_SERVE + ["--max-retries", "-1", "--faults", "chaos"], "-1"),
+            (_SERVE + ["--quantile-error", "0"], "0"),
+            (_SERVE + ["--quantile-error", "nan"], "nan"),
+            (["bench", "serving", "--shapes", "1x2"], "1x2"),
+            (["bench", "serving", "--configs", "C99"], "C99"),
+            (["bench", "serving", "--requests", "0"], "0"),
+            (["bench", "serving", "--mean-interarrival", "nan"], "nan"),
+            (["bench", "serving", "--quantile-error", "1"], "1"),
+            (["bench", "serving", "--max-retries", "-1"], "-1"),
+            (["bench", "estimate", "--workload", "0x1x1"], "0x1x1"),
+        ],
+    )
+    def test_exits_2_naming_the_value(self, argv, token, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(token) in err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("versal-gemm ")
+
+
 class TestServeFaults:
     SHAPES = "1024x1024x1024,512x512x512"
     BASE = ["serve", SHAPES, "--requests", "200", "--rate", "2000", "--seed", "3"]
