@@ -13,12 +13,15 @@ engine's throughput is tracked across commits:
   surviving top-K.
 
 The engine's contract is a declarative gate list judged by
-:mod:`repro.bench.regression`: cached+parallel exploration is at least
-2x the seed serial path on the same candidate set, the vectorized path
-is at least 10x, and the top-10 rankings are byte-identical between
-serial, parallel, and vectorized runs.  The floors are recorded into
-every trajectory entry, so later runs gate against the committed
-values rather than this file's defaults.
+:mod:`repro.bench.regression`: every mode sustains at least
+``EVALS_PER_SEC_FLOOR`` evaluations/s (``SMOKE_EVALS_PER_SEC_FLOOR`` on
+the ``--smoke`` set), about what the vectorized mode reached while the
+tile planner still searched all 16x16x16 multiples, and the top-10
+rankings are byte-identical between serial, parallel, and vectorized
+runs.  Absolute floors, not speedup ratios: the serial mode is the
+ratios' denominator, and it is now nearly as fast as the others.  Each
+mode is timed over ``ROUNDS`` rounds and keeps its fastest, and each
+trajectory entry records the floor it was judged against.
 
 Run directly (``python benchmarks/bench_eval_throughput.py``) or let CI
 invoke the ``--smoke`` variant; ``test_eval_throughput_smoke`` keeps it
@@ -30,6 +33,7 @@ measurement through the repeated-run statistical harness
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -43,17 +47,24 @@ from repro.perf.cache import EvalCache, NullCache
 from repro.workloads.gemm import GemmShape
 
 DEFAULT_WORKLOAD = EVAL_WORKLOAD
-SPEEDUP_FLOOR = 2.0
-VECTORIZED_SPEEDUP_FLOOR = 10.0
+#: evaluations/s every mode must reach.  Under the 16x16x16 tile
+#: planner the vectorized mode ran, on a 2-CPU x86-64 host, 3.4-3.7k on
+#: the smoke set (best of 5 rounds) and 4.4-5.8k on the full set (one
+#: round, median 4.8k; 7.4-7.8k best of 5, which the serial mode does
+#: not reach)
+EVALS_PER_SEC_FLOOR = 5000.0
+SMOKE_EVALS_PER_SEC_FLOOR = 3800.0
+#: timed rounds per mode; each mode reports its fastest
+ROUNDS = 5
 
-#: the engine's contract, declaratively (judged by check_entry)
-GATES = (
-    Gate(metric="rankings_identical", kind="flag",
-         label="serial, parallel, and vectorized top-10 rankings differ"),
-    Gate(metric="speedup_cached_parallel", kind="floor", value=SPEEDUP_FLOOR),
-    Gate(metric="speedup_vectorized", kind="floor",
-         value=VECTORIZED_SPEEDUP_FLOOR),
-)
+
+def gates(floor: float) -> tuple[Gate, ...]:
+    """The engine's contract, declaratively (judged by check_entry)."""
+    return (
+        Gate(metric="rankings_identical", kind="flag",
+             label="serial, parallel, and vectorized top-10 rankings differ"),
+        Gate(metric="modes.*.evals_per_sec", kind="floor", value=floor),
+    )
 
 
 def _explorer(
@@ -84,34 +95,35 @@ def run_benchmark(
     max_aies: int = 128,
     repeats: int = 3,
     jobs: int = 4,
+    floor: float = EVALS_PER_SEC_FLOOR,
 ) -> dict:
     num_candidates = len(_explorer(max_aies, 1, NullCache()).candidates())
     evaluations = num_candidates * repeats
 
-    serial_seconds, serial_result = _time_mode(
-        _explorer(max_aies, 1, NullCache()), workload, repeats
-    )
-    cached_seconds, _ = _time_mode(
-        _explorer(max_aies, 1, EvalCache()), workload, repeats
-    )
-    parallel_seconds, parallel_result = _time_mode(
-        _explorer(max_aies, jobs, EvalCache()), workload, repeats
-    )
-    vectorized_seconds, vectorized_result = _time_mode(
-        _explorer(max_aies, jobs, EvalCache(), vectorize=True), workload, repeats
-    )
-
-    modes = {
-        "serial": serial_seconds,
-        "cached": cached_seconds,
-        "parallel": parallel_seconds,
-        "vectorized": vectorized_seconds,
+    settings = {
+        "serial": (1, NullCache, False),
+        "cached": (1, EvalCache, False),
+        "parallel": (jobs, EvalCache, False),
+        "vectorized": (jobs, EvalCache, True),
     }
+    modes = dict.fromkeys(settings, math.inf)
+    results = {}
+    # every round times each mode on a fresh explorer (cold cache), and
+    # a mode keeps its fastest round: a slow slice of a shared host then
+    # costs one sample instead of a whole mode
+    for _ in range(ROUNDS):
+        for name, (mode_jobs, cache, vectorize) in settings.items():
+            seconds, results[name] = _time_mode(
+                _explorer(max_aies, mode_jobs, cache(), vectorize), workload, repeats
+            )
+            modes[name] = min(modes[name], seconds)
+    serial_seconds = modes["serial"]
     return {
         "timestamp": time.time(),
         "workload": str(workload),
         "candidates": num_candidates,
         "repeats": repeats,
+        "rounds": ROUNDS,
         "jobs": jobs,
         "modes": {
             name: {
@@ -120,31 +132,27 @@ def run_benchmark(
             }
             for name, seconds in modes.items()
         },
-        "speedup_cached": serial_seconds / cached_seconds,
-        "speedup_cached_parallel": serial_seconds / parallel_seconds,
-        "speedup_vectorized": serial_seconds / vectorized_seconds,
-        "rankings_identical": ranking_bytes(serial_result)
-        == ranking_bytes(parallel_result)
-        == ranking_bytes(vectorized_result),
-        "floors": {
-            "speedup_cached_parallel": SPEEDUP_FLOOR,
-            "speedup_vectorized": VECTORIZED_SPEEDUP_FLOOR,
-        },
+        "speedup_cached": serial_seconds / modes["cached"],
+        "speedup_cached_parallel": serial_seconds / modes["parallel"],
+        "speedup_vectorized": serial_seconds / modes["vectorized"],
+        "rankings_identical": ranking_bytes(results["serial"])
+        == ranking_bytes(results["parallel"])
+        == ranking_bytes(results["vectorized"]),
+        "floors": {"evals_per_sec": floor},
     }
 
 
-def check(entry: dict, baseline: dict | None = None) -> list[str]:
-    """The engine's contract; empty list means the run is acceptable.
-
-    A ``baseline`` trajectory entry overrides the declared floors with
-    its recorded ``floors`` map, so the gate tracks committed history.
-    """
-    return failure_messages(check_entry(entry, GATES, baseline))
+def check(entry: dict) -> list[str]:
+    """The engine's contract; empty list means the run is acceptable."""
+    floor = entry["floors"]["evals_per_sec"]
+    return failure_messages(check_entry(entry, gates(floor)))
 
 
 def test_eval_throughput_smoke():
     """Tier-2 smoke: small candidate set, full contract still holds."""
-    entry = run_benchmark(max_aies=64, repeats=3, jobs=2)
+    entry = run_benchmark(
+        max_aies=64, repeats=3, jobs=2, floor=SMOKE_EVALS_PER_SEC_FLOOR
+    )
     assert check(entry) == []
 
 
@@ -166,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         max_aies=64 if args.smoke else args.max_aies,
         repeats=args.repeats,
         jobs=args.jobs,
+        floor=SMOKE_EVALS_PER_SEC_FLOOR if args.smoke else EVALS_PER_SEC_FLOOR,
     )
     append_trajectory(entry, Path(args.output))
 

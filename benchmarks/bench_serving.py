@@ -21,11 +21,6 @@ the result to a ``BENCH_serving.json`` trajectory:
   AIE demand exceeds the 400-tile array), served by the fast path
   versus the scan oracle on the same trace.
 
-The script also times the analytical-model prewarm cold (empty
-``EvalCache``) versus warm (restored from an on-disk snapshot via
-``save_disk``/``load_disk``) and records the ratio as the ``cache``
-entry.
-
 The script asserts the serving engine's contract on every run:
 
 * fast-path throughput is at least ``SPEEDUP_FLOOR`` (10x) over the
@@ -51,10 +46,7 @@ The script asserts the serving engine's contract on every run:
   (the speedup gate disarms on smaller machines — the determinism
   checks never do);
 * streaming P50/P99 are within twice the sketch's documented relative
-  error bound of the exact percentiles;
-* the warm prewarm serves every estimate from the snapshot (hits > 0)
-  and, on full runs, is at least ``PREWARM_SPEEDUP_FLOOR`` (10x)
-  faster than the cold prewarm.
+  error bound of the exact percentiles.
 
 Run directly (``python benchmarks/bench_serving.py``) or let CI invoke
 the ``--smoke`` variant; ``test_serving_throughput_smoke`` keeps it
@@ -93,7 +85,6 @@ DEFAULT_REQUESTS = 1_000_000
 VERIFY_REQUESTS = 20_000
 SPEEDUP_FLOOR = 10.0
 SMOKE_SPEEDUP_FLOOR = 3.0
-PREWARM_SPEEDUP_FLOOR = 10.0
 SHARDED_FLOOR = 3.0
 SHARDED_SHARD_COUNTS = (2, 4, 8)
 #: the speedup gate only arms on machines with enough cores to host the
@@ -596,47 +587,7 @@ def run_benchmark(
         partition, num_requests, start_method=start_method
     )
     entry["wide"] = run_wide_benchmark(num_requests)
-    entry["cache"] = measure_cache_warmup(partition)
     return entry
-
-
-def measure_cache_warmup(partition: AcceleratorPartition, repeats: int = 3) -> dict:
-    """Cold vs warm analytical-model prewarm through the disk snapshot.
-
-    Cold: clear the process cache and prewarm a fresh simulator (every
-    estimate recomputed).  Warm: restore the snapshot ``save_disk``
-    wrote and prewarm again — every estimate must come from the
-    snapshot.  Best-of-N on both sides; the process cache is left warm.
-    """
-    import shutil
-    import tempfile
-
-    from repro.perf import clear_cache, get_cache
-
-    tmpdir = tempfile.mkdtemp(prefix="bench-evalcache-")
-    cold_seconds = warm_seconds = math.inf
-    warm_hits = 0
-    try:
-        for _ in range(repeats):
-            clear_cache()
-            started = time.perf_counter()
-            ServingSimulator(partition).prewarm(SHAPES)
-            cold_seconds = min(cold_seconds, time.perf_counter() - started)
-            get_cache().save_disk(tmpdir)
-            clear_cache()
-            started = time.perf_counter()
-            get_cache().load_disk(tmpdir)
-            ServingSimulator(partition).prewarm(SHAPES)
-            warm_seconds = min(warm_seconds, time.perf_counter() - started)
-            warm_hits = get_cache().hits
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return {
-        "cold_prewarm_seconds": cold_seconds,
-        "warm_prewarm_seconds": warm_seconds,
-        "prewarm_speedup": cold_seconds / warm_seconds,
-        "warm_hits": warm_hits,
-    }
 
 
 def sharded_gates() -> list[Gate]:
@@ -675,7 +626,7 @@ def wide_gates(smoke: bool) -> list[Gate]:
 
 
 def serving_gates(smoke: bool) -> list[Gate]:
-    """The full serving contract (speedups, identity, accuracy, cache)."""
+    """The full serving contract (speedups, identity, accuracy)."""
     floor = SMOKE_SPEEDUP_FLOOR if smoke else SPEEDUP_FLOOR
     bound = 2 * QUANTILE_ERROR
     gates = [
@@ -704,16 +655,7 @@ def serving_gates(smoke: bool) -> list[Gate]:
              label=f"streaming p99 is off by more than the {bound} bound"),
         Gate(metric="speedup", kind="floor", value=floor,
              label=f"serving speedup is below the {floor}x floor"),
-        Gate(metric="cache.warm_hits", kind="floor", value=1.0,
-             label="warm prewarm served no estimates from the snapshot"),
     ]
-    if not smoke:
-        gates.append(
-            Gate(metric="cache.prewarm_speedup", kind="floor",
-                 value=PREWARM_SPEEDUP_FLOOR,
-                 label=f"warm prewarm speedup is below the "
-                       f"{PREWARM_SPEEDUP_FLOOR}x floor")
-        )
     return gates + sharded_gates() + wide_gates(smoke)
 
 
@@ -834,10 +776,6 @@ def main(argv: list[str] | None = None) -> int:
           f"({wide['accelerators']} accelerators via {kernel})")
     print(f"wide speedup:         {wide['speedup_vs_scan']:.2f}x over scan  "
           f"identical: {wide['identical']}")
-    cache = entry["cache"]
-    print(f"prewarm cache:        cold {cache['cold_prewarm_seconds'] * 1e3:.2f} ms"
-          f"  warm {cache['warm_prewarm_seconds'] * 1e3:.2f} ms"
-          f"  ({cache['prewarm_speedup']:.1f}x, {cache['warm_hits']} hits)")
     print(f"trace identical:      {entry['trace_identical']}")
     print(f"dispatch identical:   {entry['dispatch_identical']}")
     print(f"streaming identical:  {entry['streaming_identical']}")

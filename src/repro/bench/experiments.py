@@ -450,6 +450,9 @@ class EvalThroughputExperiment(Experiment):
             name: cold[name] + (self.inner_repeats - 1) * warm[name]
             for name in cold
         }
+        # every leg explores the same candidate set inner_repeats times
+        candidates = self._explorer(1, NullCache(), False).candidates()
+        evaluations = self.inner_repeats * len(candidates)
         identical = (
             ranking_bytes(results["serial"])
             == ranking_bytes(results["parallel"])
@@ -459,6 +462,9 @@ class EvalThroughputExperiment(Experiment):
             "serial_seconds": leg["serial"],
             "parallel_seconds": leg["parallel"],
             "vectorized_seconds": leg["vectorized"],
+            "serial_evals_per_sec": evaluations / leg["serial"],
+            "parallel_evals_per_sec": evaluations / leg["parallel"],
+            "vectorized_evals_per_sec": evaluations / leg["vectorized"],
             "speedup_cached_parallel": leg["serial"] / leg["parallel"],
             "speedup_vectorized": leg["serial"] / leg["vectorized"],
             "rankings_identical": 1.0 if identical else 0.0,

@@ -12,8 +12,8 @@ baselines:
   real behaviour change, and an injected slowdown (``--noise``) trips
   the detector deterministically;
 * the eval spec measures DSE engine throughput (wall-clock), so its
-  gates are the recorded floors (best-of-N against scheduler noise)
-  plus a generous baseline band on the vectorized speedup.
+  gates are per-leg evaluations/s floors (best-of-N against scheduler
+  noise) plus the ranking identity of the three legs.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ from repro.bench.runner import run_bench, write_csv, write_json
 SMOKE_REPEATS = 5
 #: relative band around the deterministic simulated p50/p99 baselines
 SERVING_TOLERANCE = 0.05
-#: recorded wall-clock floors for the smoke eval spec (best-of-N)
-EVAL_PARALLEL_FLOOR = 2.0
-EVAL_VECTORIZED_FLOOR = 6.0
-#: the vectorized speedup may sit well under the committed full-size
-#: run's ratio on a small CI candidate set — regression only below
-#: (1 - tolerance) of the recorded value
-EVAL_BASELINE_TOLERANCE = 0.75
+#: per-leg DSE throughput floor of the smoke eval spec (best-of-N),
+#: evaluations/s: every leg, serial included, must beat what the
+#: vectorized leg reached under the 16x16x16 tile planner (at most 2.3k
+#: here and 3.7k on bench_eval_throughput's smoke set, 2-CPU x86-64 host)
+EVAL_EVALS_PER_SEC_FLOOR = 3800.0
+EVAL_LEGS = ("serial", "parallel", "vectorized")
 
 
 def serving_smoke_experiment(num_requests: int = 1_000_000) -> ServingExperiment:
@@ -77,16 +76,14 @@ def eval_smoke_experiment() -> EvalThroughputExperiment:
 
 
 def eval_smoke_gates() -> list[Gate]:
-    """Recorded floors + a baseline band for the eval-throughput spec."""
+    """Ranking identity + a throughput floor per engine leg."""
     return [
         Gate(metric="rankings_identical", kind="flag",
              label="serial, parallel, and vectorized rankings differ"),
-        Gate(metric="speedup_cached_parallel", kind="floor",
-             value=EVAL_PARALLEL_FLOOR, aggregate="max"),
-        Gate(metric="speedup_vectorized", kind="floor",
-             value=EVAL_VECTORIZED_FLOOR, aggregate="max"),
-        Gate(metric="speedup_vectorized", kind="baseline", direction="higher",
-             tolerance=EVAL_BASELINE_TOLERANCE, aggregate="max"),
+    ] + [
+        Gate(metric=f"{leg}_evals_per_sec", kind="floor",
+             value=EVAL_EVALS_PER_SEC_FLOOR, aggregate="max")
+        for leg in EVAL_LEGS
     ]
 
 
@@ -148,11 +145,10 @@ def run_smoke(
     evaluation = run_bench(eval_smoke_experiment(), repeats=repeats, seed=seed)
     write_csv(evaluation, out_dir / "bench_smoke_eval.csv")
     write_json(evaluation, out_dir / "bench_smoke_eval.json")
-    speedup = evaluation.metric("speedup_vectorized")
-    print(
-        f"eval: {repeats} repeats  vectorized speedup mean {speedup.mean:.2f}x "
-        f"[{speedup.ci_low:.2f}, {speedup.ci_high:.2f}] max {speedup.max:.2f}x"
-    )
+    print(f"eval: {repeats} repeats  best evals/s " + "  ".join(
+        f"{leg} {evaluation.metric(f'{leg}_evals_per_sec').max:.0f}"
+        for leg in EVAL_LEGS
+    ))
     eval_verdicts = check_result(evaluation, eval_smoke_gates(), eval_base)
     _print_verdicts("eval", eval_verdicts)
     verdicts.extend(eval_verdicts)

@@ -925,12 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print evaluation-engine statistics to stderr after the command",
     )
     parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist the evaluation cache under DIR: warm-start from a "
-             "previous invocation's snapshot and save an updated one on "
-             "success (corrupt or stale snapshots cold-start silently)",
-    )
-    parser.add_argument(
         "--vectorize", action=argparse.BooleanOptionalAction, default=False,
         help="batch-evaluate candidate grids with the NumPy fast path "
              "(results identical; --no-vectorize forces the scalar path)",
@@ -1189,8 +1183,6 @@ def main(argv: list[str] | None = None) -> int:
     get_cache().reset_counters()
     _PENDING_TRACE_SOURCES.clear()
     args = build_parser().parse_args(argv)
-    if args.cache_dir:
-        get_cache().load_disk(args.cache_dir)
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         GLOBAL_TRACER.enable(clear=True)
@@ -1201,8 +1193,6 @@ def main(argv: list[str] | None = None) -> int:
             GLOBAL_TRACER.disable()
     if status == 0 and trace_out:
         _write_trace_file(trace_out)
-    if status == 0 and args.cache_dir:
-        get_cache().save_disk(args.cache_dir)
     cache = get_cache()
     disk = cache.disk_stats()
     GLOBAL_METRICS.counter(
@@ -1234,10 +1224,6 @@ def main(argv: list[str] | None = None) -> int:
         for table, counters in get_cache().counters().items():
             print(f"cache        {table}: {counters['hits']} hits / "
                   f"{counters['misses']} misses ({counters['entries']} entries)",
-                  file=sys.stderr)
-        if args.cache_dir:
-            print(f"cache disk   {disk['loaded']} loaded / {disk['saved']} saved"
-                  + (" (cold start)" if disk["cold_starts"] else ""),
                   file=sys.stderr)
     return status
 

@@ -22,12 +22,24 @@ The excess over reading everything once is the *tiling overhead*
 (Section IV-A); it is what pushes the Fig. 15 workloads left on the
 roofline.  Larger PL tiles reduce it but must fit the usable PL memory,
 double-buffered when DRAM-PL double buffering is on.
+
+:func:`plan_tiling` minimises ``(traffic, tile count)`` over the PL-tile
+multiples with a 16x16 search over ``(am, an)`` instead of the 16x16x16
+one over ``(am, ak, an)``.  The reduction is exact:
+
+* for a fixed ``(am, an)``, DRAM traffic does not depend on ``ak``;
+* the footprint grows with ``ak``, so the feasible ``ak`` form a prefix
+  ``1..ak_max``;
+* the tile count does not rise with ``ak``, so the best ``ak`` is the
+  smallest one whose tile count equals that of ``ak_max``.
+
+Candidates compare on ``(traffic, tiles, am, ak, an)``, the trailing
+multiples reproducing the full search's first-in-loop-order tie-break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.hw.specs import DeviceSpec, VCK5000
 from repro.kernels.precision import Precision
@@ -122,9 +134,9 @@ class TilePlan:
     def fits(self, device: DeviceSpec = VCK5000, budget_bytes: int | None = None) -> bool:
         """Does the plan fit the usable PL memory?
 
-        ``budget_bytes`` overrides the device default — designs with many
-        PLIOs reserve part of the PL memory for per-stream FIFOs (see
-        :meth:`repro.mapping.charm.CharmDesign.pl_budget_bytes`).
+        The budget is ``device.pl_usable_bytes`` unless ``budget_bytes``
+        overrides it (the what-if studies pass the raw
+        ``device.pl_memory_bytes``).
         """
         budget = device.pl_usable_bytes if budget_bytes is None else budget_bytes
         return self.pl_footprint_bytes() <= budget
@@ -174,39 +186,49 @@ def plan_tiling(
     precision: Precision,
     device: DeviceSpec = VCK5000,
     double_buffered: bool = True,
-    objective: Callable[[TilePlan], float] | None = None,
     max_multiple: int = 16,
     budget_bytes: int | None = None,
 ) -> TilePlan:
-    """Choose PL-tile multiples minimising ``objective`` within PL memory.
+    """Choose the PL-tile multiples with the least DRAM traffic.
 
-    The default objective is total DRAM traffic (with tile count as the
-    tie-breaker), which is what CHARM's DSE optimises for memory-bound
-    workloads.  Raises if even the minimal (1, 1, 1) plan does not fit.
+    Minimises total DRAM traffic with the DRAM tile count as the
+    tie-breaker (CHARM's DSE objective for memory-bound workloads) over
+    multiples up to ``max_multiple`` per dimension whose footprint fits
+    the budget (see :meth:`TilePlan.fits`); remaining ties go to the
+    lexicographically smallest ``(am, ak, an)``.  Raises if even the
+    minimal (1, 1, 1) plan does not fit.
     """
-    padded = workload.padded_to(native)
-    limits = (
-        min(max_multiple, padded.m // native.m),
-        min(max_multiple, padded.k // native.k),
-        min(max_multiple, padded.n // native.n),
-    )
-    best: TilePlan | None = None
-    best_key: tuple[float, float] | None = None
-    for am in range(1, limits[0] + 1):
-        for ak in range(1, limits[1] + 1):
-            for an in range(1, limits[2] + 1):
-                plan = TilePlan(workload, native, precision, (am, ak, an), double_buffered)
-                if not plan.fits(device, budget_bytes):
-                    continue
-                score = objective(plan) if objective else float(plan.traffic().total)
-                key = (score, float(plan.num_dram_tiles))
-                if best_key is None or key < best_key:
-                    best, best_key = plan, key
+    budget = device.pl_usable_bytes if budget_bytes is None else budget_bytes
+    eb = precision.element_bytes
+    factor = 2 if double_buffered else 1
+    nm, nk, nn = native.m, native.k, native.n
+    # padded dimensions in native tiles
+    um, uk, un = -(-workload.m // nm), -(-workload.k // nk), -(-workload.n // nn)
+    bytes_a = um * nm * uk * nk * eb
+    bytes_b = uk * nk * un * nn * eb
+    bytes_c = um * nm * un * nn * eb
+    lim_k = min(max_multiple, uk)
+    best: tuple[int, int, int, int, int] | None = None
+    for am in range(1, min(max_multiple, um) + 1):
+        tile_m = nm * am
+        tm = -(-um // am)
+        for an in range(1, min(max_multiple, un) + 1):
+            tile_n = nn * an
+            # footprint = factor*eb*(tile_m*tile_n + tile_k*(tile_m + tile_n))
+            spare = budget - factor * eb * tile_m * tile_n
+            ak_max = min(lim_k, spare // (factor * eb * (tile_m + tile_n) * nk))
+            if ak_max < 1:
+                continue
+            tk = -(-uk // ak_max)
+            tn = -(-un // an)
+            traffic = bytes_a * tn + bytes_b * tm + bytes_c
+            key = (traffic, tm * tk * tn, am, -(-uk // tk), an)
+            if best is None or key < best:
+                best = key
     if best is None:
         minimal = TilePlan(workload, native, precision, (1, 1, 1), double_buffered)
-        budget = device.pl_usable_bytes if budget_bytes is None else budget_bytes
         raise ValueError(
             f"no tile plan fits: native {native} needs "
             f"{minimal.pl_footprint_bytes()} B, budget is {budget} B"
         )
-    return best
+    return TilePlan(workload, native, precision, best[2:], double_buffered)

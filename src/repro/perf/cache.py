@@ -17,9 +17,9 @@ Thread-safe: batch evaluators share one cache across worker threads.
 
 The cache can also persist across processes: :meth:`EvalCache.load_disk`
 and :meth:`EvalCache.save_disk` read/write a versioned snapshot under a
-cache directory (the CLI's ``--cache-dir``), so ``versal-gemm serve`` /
-``dse`` warm-start instead of re-deriving every estimate.  The snapshot
-is written atomically (temp file + ``os.replace``) and stamped with
+cache directory, so a library caller can warm-start instead of
+re-deriving every estimate.  The snapshot is written atomically (temp
+file + ``os.replace``) and stamped with
 :data:`CACHE_SCHEMA_VERSION`; a missing, corrupt, or version-mismatched
 file silently degrades to a cold start — persistence is an optimization,
 never a correctness dependency.

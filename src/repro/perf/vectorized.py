@@ -4,9 +4,8 @@ The batch drivers (DSE, sweeps, sensitivity, serving prewarm) are
 embarrassingly data-parallel: the same Eq. 1 / Eq. 2 closed forms applied
 to thousands of ``(design, workload)`` candidates.  The scalar path pays
 full Python object overhead per candidate — a :class:`CharmDesign`, an
-``AnalyticalModel``, a 16x16x16 ``plan_tiling`` search building a
-``TilePlan`` per grid cell.  This module evaluates *arrays* of candidates
-instead:
+``AnalyticalModel``, a 16x16 ``plan_tiling`` search and the ``TilePlan``
+it returns.  This module evaluates *arrays* of candidates instead:
 
 * :class:`CandidateGrid` — a structure-of-arrays batch: grouping factors
   ``gm/gk/gn``, kernel tile sizes, PLIO allocations, DRAM port
@@ -59,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports perf)
 MAX_TILE_MULTIPLE = 16
 
 #: candidates processed per tile-planning chunk: bounds the transient
-#: (chunk, 16, 16, 16) grids to a few MB regardless of batch size
+#: (chunk, 16, 16) grids to well under a MB regardless of batch size
 _PLAN_CHUNK = 128
 
 
@@ -469,27 +468,31 @@ def _plan_tiles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Choose PL-tile multiples per candidate; returns (multiples, found).
 
-    Evaluates the full ``(am, ak, an)`` grid per candidate with the exact
-    scalar objective — total DRAM traffic, tile count as tie-breaker,
-    first-in-iteration-order winning further ties — and masks candidates
-    for which no plan fits the PL memory (the scalar ``ValueError``).
+    Evaluates ``plan_tiling``'s ``(am, an)`` grid per candidate, each
+    cell with its best ``ak`` in closed form (the reduction in
+    :mod:`repro.mapping.tiling`), under the exact scalar objective —
+    total DRAM traffic, tile count as tie-breaker, the smallest
+    ``(am, ak, an)`` winning further ties — and masks candidates for
+    which no plan fits the PL memory (the scalar ``ValueError``).
     """
     n = len(grid)
     nm, nk, nn = grid.native_m, grid.native_k, grid.native_n
-    padded_m = ((grid.wm + nm - 1) // nm) * nm
-    padded_k = ((grid.wk + nk - 1) // nk) * nk
-    padded_n = ((grid.wn + nn - 1) // nn) * nn
-    lim_m = np.minimum(max_multiple, padded_m // nm)
-    lim_k = np.minimum(max_multiple, padded_k // nk)
-    lim_n = np.minimum(max_multiple, padded_n // nn)
+    # padded dimensions in native tiles
+    um = -(-grid.wm // nm)
+    uk = -(-grid.wk // nk)
+    un = -(-grid.wn // nn)
+    lim_m = np.minimum(max_multiple, um)
+    lim_k = np.minimum(max_multiple, uk)
+    lim_n = np.minimum(max_multiple, un)
     lm = int(lim_m.max(initial=1))
-    lk = int(lim_k.max(initial=1))
     ln = int(lim_n.max(initial=1))
-    am = np.arange(1, lm + 1, dtype=np.int64)[None, :, None, None]
-    ak = np.arange(1, lk + 1, dtype=np.int64)[None, None, :, None]
-    an = np.arange(1, ln + 1, dtype=np.int64)[None, None, None, :]
+    am = np.arange(1, lm + 1, dtype=np.int64)[None, :, None]
+    an = np.arange(1, ln + 1, dtype=np.int64)[None, None, :]
     eb = grid.precision.element_bytes
     factor = np.where(grid.pl_double_buffered, 2, 1).astype(np.int64)
+    bytes_a = um * nm * uk * nk * eb
+    bytes_b = uk * nk * un * nn * eb
+    bytes_c = um * nm * un * nn * eb
 
     multiples = np.ones((n, 3), dtype=np.int64)
     found = np.zeros(n, dtype=bool)
@@ -497,46 +500,39 @@ def _plan_tiles(
         sl = slice(start, min(start + _PLAN_CHUNK, n))
 
         def per(v: np.ndarray) -> np.ndarray:
-            return v[sl, None, None, None]
+            return v[sl, None, None]
 
         tile_m = per(nm) * am
-        tile_k = per(nk) * ak
         tile_n = per(nn) * an
-        footprint = per(factor) * (
-            (tile_m * tile_k + tile_k * tile_n + tile_m * tile_n) * eb
+        spare = per(grid.pl_budget_bytes) - per(factor) * eb * tile_m * tile_n
+        ak_max = np.minimum(
+            per(lim_k), spare // (per(factor) * eb * (tile_m + tile_n) * per(nk))
         )
-        valid = (
-            (am <= per(lim_m))
-            & (ak <= per(lim_k))
-            & (an <= per(lim_n))
-            & (footprint <= per(grid.pl_budget_bytes))
-        )
-        tm = -(-per(padded_m) // tile_m)
-        tk = -(-per(padded_k) // tile_k)
-        tn = -(-per(padded_n) // tile_n)
-        score = (
-            per(padded_m * padded_k * eb) * tn
-            + per(padded_k * padded_n * eb) * tm
-            + per(padded_m * padded_n * eb)
-        ).astype(np.float64)
-        tiles = (tm * tk * tn).astype(np.float64)
+        valid = (am <= per(lim_m)) & (an <= per(lim_n)) & (ak_max >= 1)
+        tm = -(-per(um) // am)
+        tk = -(-per(uk) // np.maximum(ak_max, 1))
+        tn = -(-per(un) // an)
+        ak = -(-per(uk) // tk)
+        score = per(bytes_a) * tn + per(bytes_b) * tm + per(bytes_c)
+        tiles = tm * tk * tn
 
         c = sl.stop - sl.start
-        score_flat = np.where(valid, score, np.inf).reshape(c, -1)
-        best_score = score_flat.min(axis=1)
-        chunk_found = np.isfinite(best_score)
-        tiles_flat = np.where(
-            score_flat == best_score[:, None], tiles.reshape(c, -1), np.inf
-        )
-        best_tiles = tiles_flat.min(axis=1)
-        # argmax finds the first cell matching both keys — the same
-        # candidate the scalar loop keeps (strict < never replaces ties)
-        first = (tiles_flat == best_tiles[:, None]).argmax(axis=1)
-        ia, ik, in_ = np.unravel_index(first, (lm, lk, ln))
+        big = np.iinfo(np.int64).max
+        score_flat = np.where(valid, score, big).reshape(c, -1)
+        best_score = score_flat.min(axis=1, keepdims=True)
+        tied = valid.reshape(c, -1) & (score_flat == best_score)
+        tiles_flat = np.where(tied, tiles.reshape(c, -1), big)
+        tied &= tiles_flat == tiles_flat.min(axis=1, keepdims=True)
+        # argmax finds the first tied cell in (am, an) order, which is
+        # also the smallest tied (am, ak, an): two tied cells with one am
+        # share tm, so equal traffic forces equal tn, equal tiles equal
+        # tk, and so the same ak
+        first = tied.argmax(axis=1)
+        ia, in_ = np.unravel_index(first, (lm, ln))
         multiples[sl, 0] = ia + 1
-        multiples[sl, 1] = ik + 1
+        multiples[sl, 1] = ak.reshape(c, -1)[np.arange(c), first]
         multiples[sl, 2] = in_ + 1
-        found[sl] = chunk_found
+        found[sl] = valid.reshape(c, -1).any(axis=1)
     return multiples, found
 
 

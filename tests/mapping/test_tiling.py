@@ -142,17 +142,6 @@ class TestPlanSearch:
                 budget_bytes=1024,
             )
 
-    def test_custom_objective(self):
-        # minimise the number of DRAM tiles instead of traffic
-        plan = plan_tiling(
-            GemmShape(2048, 2048, 2048),
-            NATIVE_C1,
-            Precision.FP32,
-            objective=lambda p: p.num_dram_tiles,
-        )
-        greedy = plan_tiling(GemmShape(2048, 2048, 2048), NATIVE_C1, Precision.FP32)
-        assert plan.num_dram_tiles <= greedy.num_dram_tiles
-
     def test_small_workload_single_tile(self):
         plan = plan_tiling(NATIVE_C1, NATIVE_C1, Precision.FP32)
         assert plan.num_dram_tiles == 1

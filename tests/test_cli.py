@@ -142,26 +142,6 @@ class TestServe:
         # byte-identical dispatch => byte-identical summaries
         assert len(set(outputs)) == 1
 
-    def test_cache_dir_warm_starts_second_invocation(self, capsys, tmp_path):
-        from repro.perf import clear_cache
-
-        argv = [
-            "--stats", "--cache-dir", str(tmp_path),
-            "serve", self.SHAPES, "--requests", "200",
-        ]
-        clear_cache()
-        assert main(argv) == 0
-        cold = capsys.readouterr().err
-        assert "cache disk" in cold and "(cold start)" in cold
-        clear_cache()  # a fresh process: only the snapshot file remains
-        assert main(argv) == 0
-        warm = capsys.readouterr().err
-        disk_line = next(l for l in warm.splitlines() if "cache disk" in l)
-        assert "(cold start)" not in disk_line
-        loaded = int(disk_line.split()[2])
-        assert loaded > 0  # warm hits from the snapshot
-        assert "estimate: 0 hits" not in warm
-
     def test_sweep_jobs_output_identical(self, capsys):
         argv = [
             "serve", self.SHAPES, "--sweep", "--requests", "150",
