@@ -27,9 +27,11 @@ conditions as ``_corrected_step_k`` — so the NumPy speculate-and-verify
 engine becomes the fallback rather than the hot path when a compiler
 is present.  One k-wide kernel serves every partition width, the
 paper's one- and two-wide C5+C3-style partitions included.  ``inf``
-service entries (infeasible accelerator/class pairs) are safe: an
-infinite candidate finish can never win a strict-less comparison, and
-the next-down check only ever tests the winner.  Plain ``-O2`` keeps
+service entries (infeasible pairs, down accelerators in a fault
+segment) are safe: an infinite candidate finish can never win a
+strict-less comparison, the next-down check only ever tests the
+winner, and a row whose every lane is ``inf`` stops the loop before it
+is committed (the fault loop requeues it).  Plain ``-O2`` keeps
 IEEE semantics (no ``-ffast-math``, no FMA contraction opportunities in
 pure add/compare code), and a self-check against a Python reference
 guards the library before it is trusted.  Any failure (no ``cc``,
@@ -57,6 +59,7 @@ import numpy as np
 _LOG = logging.getLogger("repro.sim.native")
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 int64_t repro_theta_walk(const double *u, const double *v, int64_t n,
@@ -78,7 +81,8 @@ int64_t repro_theta_walk(const double *u, const double *v, int64_t n,
 /* The k-wide exact loop: svc is the row-major (k, classes) service
  * matrix, nd the per-accelerator next-down array.  Winner = first
  * strict minimum finish in lane order (np.argmin semantics); any lane
- * whose start reaches `limit` cuts the segment before a commit. */
+ * whose start reaches `limit` cuts the segment before a commit, and so
+ * does a row no lane can serve (every service inf). */
 int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
                          const double *svc, int64_t k, int64_t classes,
                          int64_t n, double limit, const double *nd,
@@ -107,7 +111,7 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
                 best_e = e;
             }
         }
-        if (cut || best_e > nd[best])
+        if (cut || isinf(best_e) || best_e > nd[best])
             break;
         state[best] = best_e;
         acc[j] = best;
@@ -152,7 +156,7 @@ def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
         for i in range(1, len(fins)):
             if fins[i] < fins[best]:
                 best = i
-        if fins[best] > nds[best]:
+        if math.isinf(fins[best]) or fins[best] > nds[best]:
             break
         state[best] = fins[best]
         out.append((best, starts[best], fins[best]))
@@ -161,11 +165,17 @@ def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
 
 def _check_dispatch(kwide):
     inf = float("inf")
-    arrivals = [0.0, 0.1, 0.15, 0.2, 1.0, 1.05, 1.5, 2.0]
-    cids = [0, 1, 0, 1, 0, 0, 1, 1]
-    # four lanes, one infeasible (inf) entry: the kernel must never let
-    # an infinite candidate win a strict-less comparison
-    rows = [[0.3, 0.5], [0.4, 0.5], [0.35, inf], [0.25, 0.45]]
+    arrivals = [0.0, 0.1, 0.15, 0.2, 1.0, 1.05, 1.5, 2.0, 2.5]
+    cids = [0, 1, 0, 1, 0, 0, 1, 1, 2]
+    # four lanes with inf (infeasible or down) entries: the kernel must
+    # never let an infinite candidate win a strict-less comparison, and
+    # must stop before class 2's row on one lane, where no lane can serve
+    rows = [
+        [0.3, 0.5, inf],
+        [0.4, 0.5, 0.6],
+        [0.35, inf, inf],
+        [0.25, 0.45, inf],
+    ]
     cases = [
         (2, inf, (inf, inf)),
         (2, 1.2, (inf, inf)),

@@ -422,23 +422,37 @@ def dispatch_vectorized(arrivals, class_ids, services, free, flush, chunk_size):
 
 
 def dispatch_segment(times, class_ids, services, free, limit, next_downs):
-    """Dispatch one clean fault segment (no window active, all times
-    below ``limit``); used by the fault loop between transitions.
+    """Dispatch one fault segment; used by the fault loop between
+    transitions.
 
-    ``next_downs[order]`` is the first down-window start after the
-    segment opens (``inf`` when none): any admission whose start would
-    reach ``limit`` or whose finish would cross its accelerator's next
-    down window is left to the scalar fault loop, which owns the kill
-    and requeue bookkeeping.  Returns ``(accepted, accs, starts,
-    fins)`` for the verified prefix.
+    Every time is below ``limit``, the next fault transition, so one
+    window state holds for any admission that starts before it:
+    ``services`` is that state's ``(width, classes)`` matrix, with
+    ``inf`` columns for down accelerators and ``inf`` entries for
+    infeasible pairs.  ``next_downs[order]`` is the first down-window
+    start after the segment opens (``inf`` when none).  The batch stops
+    before the first admission the scalar fault loop must own — a start
+    reaching ``limit`` on any accelerator, a winner whose finish would
+    cross its accelerator's next down window (the loop kills it), or a
+    row no accelerator can serve (every service ``inf``; the loop
+    requeues it).  Returns ``(accepted, runs)``: the length of the
+    verified prefix and its ``(base, accs, starts, fins)`` runs.
     """
     n = int(times.size)
     if n and _native_dispatch is not None:
+        # the kernel itself stops before a row with no finite service
         nds = tuple(next_downs) if next_downs else None
         q, accs, starts, fins = _native_dispatch(
             times, class_ids, services, free, limit, nds
         )
         return q, ([(0, accs, starts, fins)] if q else [])
+    # the rounds would commit lane 0 with an infinite finish on a row
+    # no lane can serve, so the batch ends before the first one
+    dead = np.isinf(services).all(axis=0)
+    if n and dead.any():
+        rows = np.flatnonzero(dead[class_ids])
+        if rows.size:
+            n = int(rows[0])
     busy = max(free) > float(times[0]) if n else False
     pos = 0
     out = []

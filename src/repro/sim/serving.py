@@ -483,6 +483,28 @@ class _FaultView:
         self._degraded_cache[key] = value
         return value
 
+    def segment_services(
+        self, signature: tuple[int | None, ...], healthy: np.ndarray
+    ) -> np.ndarray:
+        """The ``(width, classes)`` service matrix :meth:`service_at`
+        implies while the windows in ``signature`` (the per-accelerator
+        :meth:`window_index_at`) are active: a down accelerator's column
+        is ``inf``, a degraded one's is its derated service (``inf``
+        where that does not resolve), every other column is
+        ``healthy``'s."""
+        services = healthy.copy()
+        for order, index in enumerate(signature):
+            if index is None:
+                continue
+            if self.windows[order][index].kind == "down":
+                services[order] = math.inf
+                continue
+            for cid, base in enumerate(self.base[order]):
+                if base is not None:
+                    value = self._degraded(order, index, cid, base)
+                    services[order, cid] = math.inf if value is None else value
+        return services
+
 
 class _ScanFaultSelector:
     """The seed loop under faults: scan every accelerator per attempt."""
@@ -688,8 +710,9 @@ class ServingSimulator:
         vectorized fast path at every partition width — the native
         k-wide exact loop when a C compiler is present, NumPy
         speculate-and-verify rounds otherwise — and, under a fault
-        schedule, batches the clean segments between fault transitions
-        through it; ``scan`` runs the seed loop, the ground-truth oracle
+        schedule, batches every segment between two fault transitions
+        through it, whatever windows are active there; ``scan`` runs
+        the seed loop, the ground-truth oracle
         (exact mode only).  Both make byte-identical dispatch decisions
         (see the dispatch-path matrix in ``docs/performance.md``).
         The fast path rejects NaN service times, naming the accelerator
@@ -785,13 +808,18 @@ class ServingSimulator:
     ) -> ServingReport | StreamingServingReport:
         """The fault-aware event loop, shared by both dispatch paths.
 
-        Attempts live in a heap of ``(time, arrival position, retries)``
-        — time-ordered, position-tied — so re-attempts interleave with
-        later arrivals deterministically.  Every scalar attempt goes
-        through one selector and the loop (kills, backoff, requeues,
-        shedding) is one code path; ``auto`` only adds segment batches
-        the scalar loop would have decided identically, which is what
-        makes both paths' fault semantics identical by construction.
+        Attempts run in ``(time, arrival position, retries)`` order —
+        time-ordered, position-tied — so re-attempts interleave with
+        later arrivals deterministically.  Fresh arrivals are read
+        through a cursor over the sorted arrival column; only
+        re-attempts (kill backoffs, requeues) live in a heap, and one
+        wins a tie with the next arrival because its position is
+        smaller.  Every scalar attempt goes through one selector and
+        the loop (kills, backoff, requeues, shedding) is one code path;
+        ``auto`` only adds segment batches the scalar loop would have
+        decided identically, which is what makes both paths' fault
+        semantics identical by construction.  Outcomes are written into
+        preallocated per-position report columns plus a done mask.
         """
         names = list(self.partition.designs)
         unknown = set(faults.accelerators()) - set(names)
@@ -807,13 +835,18 @@ class ServingSimulator:
         specs = self._class_specs(classes, set(class_ids))
         self.stats.cache_hits += len(class_ids)
         view = _FaultView(self, faults, names, classes, specs)
-        free = [0.0] * len(names)
-        selector = _ScanFaultSelector(view, free, len(names))
+        width = len(names)
+        free = [0.0] * width
+        select = _ScanFaultSelector(view, free, width).select
 
         arrival_list = arrivals.tolist()
-        queue = [(arrival_list[pos], pos, 0) for pos in range(n)]
-        heapq.heapify(queue)
-        completions: list[tuple | None] = [None] * n
+        cursor = 0
+        retry_heap: list[tuple[float, int, int]] = []
+        acc_col = np.zeros(n, dtype=_ACC_DTYPE)
+        start_col = np.zeros(n)
+        finish_col = np.zeros(n)
+        retry_col = np.zeros(n, dtype=_RETRY_DTYPE)
+        done = np.zeros(n, dtype=bool)
         shed_records: list[tuple[int, int, str, float]] = []
         # decision log for the trace exporter; streaming mode keeps its
         # O(1)-memory promise by not collecting one
@@ -824,85 +857,120 @@ class ServingSimulator:
         requeues = 0
         # kill timestamps are only retained when a monitor wants them
         kill_times: list[float] | None = [] if monitor is not None else None
-        select = selector.select
         backoff = policy.backoff
         max_retries = policy.max_retries
-        # the fast path batches clean segments — stretches where no
-        # fault window is active on any accelerator — through the
-        # vectorized engine; the scalar loop below keeps sole ownership
-        # of kills, requeues and shedding, so anything the batch cannot
-        # prove safe (an admission crossing the next transition or down
-        # window) is simply handed back to it
+        # the fast path batches every segment [t0, next transition) — the
+        # set of active windows is constant there — through the
+        # vectorized engine, on the service matrix of that window state
+        # (a down accelerator is an inf column); the scalar loop below
+        # keeps sole ownership of kills, requeues and shedding, so
+        # anything the batch cannot prove safe (a start reaching the
+        # next transition, a finish crossing a down onset, a row no
+        # accelerator can serve) is simply handed back to it
         use_batch = dispatch == "auto"
         if use_batch:
-            services = self._service_matrix(names, specs)
-            self._require_finite_services(names, services, classes)
-        width = len(names)
+            healthy = self._service_matrix(names, specs)
+            self._require_finite_services(names, healthy, classes)
+            cid_col = np.asarray(class_ids, dtype=np.int64)
+            # active-window signature -> that segment's service matrix
+            matrices: dict[tuple[int | None, ...], np.ndarray] = {}
         min_batch = 64
         batch_paused = False
         no_batch_before = -math.inf
+        batched = scalar = segments = 0
         loop_span = span("serve.fault_loop", track="serving", requests=n)
         with loop_span:
-            while queue:
+            while cursor < n or retry_heap:
                 if (
                     use_batch
                     and not batch_paused
-                    and len(queue) >= min_batch
-                    and queue[0][0] >= no_batch_before
+                    and n - cursor + len(retry_heap) >= min_batch
                 ):
-                    t0 = queue[0][0]
-                    if all(
-                        view.window_index_at(order, t0) is None
-                        for order in range(width)
-                    ):
+                    t0 = arrival_list[cursor] if cursor < n else math.inf
+                    if retry_heap and retry_heap[0][0] <= t0:
+                        t0 = retry_heap[0][0]
+                    if t0 >= no_batch_before:
                         nxt = view.next_transition_after(t0)
                         limit = math.inf if nxt is None else nxt
-                        batch = []
-                        while queue and queue[0][0] < limit:
-                            batch.append(heapq.heappop(queue))
-                        if len(batch) >= min_batch:
-                            times = np.asarray([item[0] for item in batch])
-                            cids = np.asarray(
-                                [class_ids[item[1]] for item in batch],
-                                dtype=np.int64,
+                        hi = bisect.bisect_left(arrival_list, limit, cursor)
+                        due: list[tuple[float, int, int]] = []
+                        while retry_heap and retry_heap[0][0] < limit:
+                            due.append(heapq.heappop(retry_heap))
+                        if hi - cursor + len(due) < min_batch:
+                            for item in due:
+                                heapq.heappush(retry_heap, item)
+                            no_batch_before = limit
+                        else:
+                            signature = tuple(
+                                view.window_index_at(order, t0)
+                                for order in range(width)
                             )
+                            services = matrices.get(signature)
+                            if services is None:
+                                services = matrices[signature] = (
+                                    view.segment_services(signature, healthy)
+                                )
+                            times = arrivals[cursor:hi]
+                            positions = np.arange(cursor, hi)
+                            tries = np.zeros(hi - cursor, dtype=_RETRY_DTYPE)
+                            if due:
+                                # re-attempts first, so the stable sort
+                                # breaks equal times toward their smaller
+                                # positions
+                                due_times, due_positions, due_tries = zip(*due)
+                                times = np.concatenate((due_times, times))
+                                positions = np.concatenate((due_positions, positions))
+                                tries = np.concatenate((due_tries, tries))
+                                ordered = np.argsort(times, kind="stable")
+                                times = times[ordered]
+                                positions = positions[ordered]
+                                tries = tries[ordered]
                             next_downs = tuple(
                                 nd if (nd := view.next_down_after(order, t0))
                                 is not None
                                 else math.inf
                                 for order in range(width)
                             )
-                            accepted, segments = dispatch_segment(
-                                times, cids, services, free, limit, next_downs
+                            accepted, runs = dispatch_segment(
+                                times,
+                                cid_col[positions],
+                                services,
+                                free,
+                                limit,
+                                next_downs,
                             )
-                            for seg_base, accs, starts, fins in segments:
-                                for off, (acc, start, fin) in enumerate(
-                                    zip(
-                                        accs.tolist(),
-                                        starts.tolist(),
-                                        fins.tolist(),
-                                    )
-                                ):
-                                    item = batch[seg_base + off]
-                                    completions[item[1]] = (
-                                        acc,
-                                        start,
-                                        fin,
-                                        item[2],
-                                    )
-                            for item in batch[accepted:]:
-                                heapq.heappush(queue, item)
+                            segments += 1
+                            batched += accepted
+                            for base, accs, starts, fins in runs:
+                                rows = positions[base : base + len(accs)]
+                                acc_col[rows] = accs
+                                start_col[rows] = starts
+                                finish_col[rows] = fins
+                                retry_col[rows] = tries[base : base + len(accs)]
+                                done[rows] = True
+                            # re-attempts sit below the cursor; what is
+                            # left of both sources goes back to them
+                            fresh = int(
+                                np.count_nonzero(positions[:accepted] >= cursor)
+                            )
+                            for item in due[accepted - fresh :]:
+                                heapq.heappush(retry_heap, item)
+                            cursor += fresh
                             if accepted == 0:
                                 # boundary-blocked segment: the scalar
                                 # loop finishes it without re-draining
                                 no_batch_before = limit
-                            elif accepted < len(batch):
+                            elif accepted < len(times):
                                 batch_paused = True
                             continue
-                        for item in batch:
-                            heapq.heappush(queue, item)
-                        no_batch_before = limit
-                t, pos, retries = heapq.heappop(queue)
+                if retry_heap and (
+                    cursor == n or retry_heap[0][0] <= arrival_list[cursor]
+                ):
+                    t, pos, retries = heapq.heappop(retry_heap)
+                else:
+                    t, pos, retries = arrival_list[cursor], cursor, 0
+                    cursor += 1
+                scalar += 1
                 batch_paused = False
                 best = select(t, class_ids[pos])
                 if best is None:
@@ -915,7 +983,7 @@ class ServingSimulator:
                     requeues += 1
                     if timeline is not None:
                         timeline.append((nxt, "requeue", pos, retries))
-                    heapq.heappush(queue, (nxt, pos, retries))
+                    heapq.heappush(retry_heap, (nxt, pos, retries))
                     continue
                 order, start, finish = best
                 next_down = view.next_down_after(order, start)
@@ -933,26 +1001,35 @@ class ServingSimulator:
                         )
                         continue
                     heapq.heappush(
-                        queue, (next_down + backoff(retries + 1), pos, retries + 1)
+                        retry_heap,
+                        (next_down + backoff(retries + 1), pos, retries + 1),
                     )
                     continue
                 free[order] = finish
-                completions[pos] = (order, start, finish, retries)
+                acc_col[pos] = order
+                start_col[pos] = start
+                finish_col[pos] = finish
+                retry_col[pos] = retries
+                done[pos] = True
             loop_span.set(
-                kills=kills, requeues=requeues, shed=len(shed_records)
+                kills=kills,
+                requeues=requeues,
+                shed=len(shed_records),
+                batched=batched,
+                scalar=scalar,
+                segments=segments,
             )
 
         shed_records.sort()
-        done = [pos for pos in range(n) if completions[pos] is not None]
-        rows = [completions[pos] for pos in done]
-        acc_col, start_col, finish_col, retry_col = (
-            np.fromiter((row[slot] for row in rows), dtype=dtype, count=len(rows))
-            for slot, dtype in enumerate(
-                (_ACC_DTYPE, np.float64, np.float64, _RETRY_DTYPE)
-            )
-        )
-        done_arrivals = arrivals[done]
-        makespan = float(finish_col.max()) if done else 0.0
+        completed = int(np.count_nonzero(done))
+        # keep every column whole (a view, no copy) when nothing was shed
+        keep = slice(None) if completed == n else done
+        acc_col = acc_col[keep]
+        start_col = start_col[keep]
+        finish_col = finish_col[keep]
+        retry_col = retry_col[keep]
+        done_arrivals = arrivals[keep]
+        makespan = float(finish_col.max()) if completed else 0.0
         downtime = {name: 0.0 for name in names}
         downtime.update(faults.downtime(makespan))
         total_retries = int(retry_col.sum()) + sum(
@@ -965,7 +1042,7 @@ class ServingSimulator:
                 retries=total_retries,
                 requeues=requeues,
                 shed=len(shed_records),
-                completed=len(done),
+                completed=completed,
             ),
             self.metrics,
         )
@@ -982,7 +1059,7 @@ class ServingSimulator:
             if kill_times:
                 monitor.observe_kills(np.asarray(kill_times))
         if streaming:
-            for lo in range(0, len(done), chunk_size):
+            for lo in range(0, completed, chunk_size):
                 hi = lo + chunk_size
                 report.observe_batch(
                     acc_col[lo:hi],
@@ -1024,9 +1101,9 @@ class ServingSimulator:
             finishes=finish_col,
             accelerator_ids=acc_col,
             accelerator_names=tuple(names),
-            class_ids=np.asarray(class_ids, dtype=np.int64)[done],
+            class_ids=np.asarray(class_ids, dtype=np.int64)[keep],
             shapes=tuple(classes),
-            request_ids=request_ids[done],
+            request_ids=request_ids[keep],
             retries=retry_col,
             shed=shed,
             fault_events=faults.events(),

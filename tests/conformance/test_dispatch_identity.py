@@ -3,17 +3,25 @@
 Parametrized over partition widths 1–16, with and without fault
 schedules, on stub and real partitions — every width runs the same
 k-wide fast path (native kernel or NumPy rounds), so no width may be
-left out.
+left out.  The real-scale cases serve thousands of requests under
+device-degraded windows, so the fault loop batches segments while
+windows are active.
 """
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from repro.core.multi_acc import AcceleratorPartition
+from repro.hw.faults import derate_clock, disable_aie_columns
+from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import config_by_name
+from repro.sim import serving
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
 from repro.sim.serving import ServingSimulator, generate_trace
+from repro.sim.streaming import generate_trace_soa
+from repro.workloads.gemm import GemmShape
 
 from .harness import (
     SHAPES,
@@ -101,6 +109,78 @@ def test_real_partition_engines_identical():
     )
     assert_engines_identical(trace, partition)
     assert_engines_identical(trace, partition, faults=schedule)
+
+
+#: the serving benchmark's shape mix
+REAL_SHAPES = (
+    GemmShape(1024, 1024, 1024),
+    GemmShape(512, 512, 512),
+    GemmShape(2048, 1024, 512),
+    GemmShape(1024, 2048, 1024),
+)
+
+
+@pytest.mark.parametrize(
+    "configs, rate, requests, target, columns",
+    [
+        pytest.param(("C5", "C3"), 1000, 8000, "C5", 20, id="C5+C3"),
+        pytest.param(
+            ("C1", "C2", "C3", "C4", "C7", "C8", "C9", "I1"),
+            3000,
+            12000,
+            "C4",
+            35,
+            id="8-wide",
+        ),
+    ],
+)
+def test_real_scale_device_degraded_engines_identical(
+    configs, rate, requests, target, columns, monkeypatch
+):
+    """Chaos device windows on real designs, at a scale that batches.
+
+    Every accelerator but ``target`` gets seeded chaos windows through
+    the ``hw.faults`` device injectors, which re-evaluate the model per
+    window.  ``target`` is down once, serves on a derated clock once,
+    and once loses ``columns`` AIE columns — more than its design
+    survives, so that window is an ``inf`` service column.
+    """
+    partition = AcceleratorPartition([config_by_name(name) for name in configs])
+    device = partition.device
+    assert not CharmDesign(
+        config_by_name(target), disable_aie_columns(device, columns)
+    ).is_valid()
+    horizon = requests / rate
+    others = [name for name in partition.designs if name != target]
+    schedule = (
+        chaos_schedule(others, horizon, seed=5, device=device)
+        + FaultSchedule.degraded(
+            target, 0.1 * horizon, 0.3 * horizon,
+            device=disable_aie_columns(device, columns),
+        )
+        + FaultSchedule.down(target, 0.45 * horizon, 0.55 * horizon)
+        + FaultSchedule.degraded(
+            target, 0.7 * horizon, 0.85 * horizon,
+            device=derate_clock(device, 0.8),
+        )
+    )
+    trace = generate_trace_soa(REAL_SHAPES, requests, 1.0 / rate, seed=17)
+
+    # rows the fast path committed in segments with a lane down or invalid
+    batched_unusable = []
+
+    def recording(times, class_ids, services, free, limit, next_downs):
+        accepted, runs = segment(times, class_ids, services, free, limit, next_downs)
+        if np.isinf(services).all(axis=1).any():
+            batched_unusable.append(accepted)
+        return accepted, runs
+
+    segment = serving.dispatch_segment
+    monkeypatch.setattr(serving, "dispatch_segment", recording)
+    result = assert_engines_identical(trace, partition, faults=schedule)
+    report = result["report"]
+    assert len(report.completed) + len(report.shed) == requests
+    assert sum(batched_unusable) >= requests // 10, batched_unusable
 
 
 def test_fault_runs_deterministic():

@@ -617,3 +617,38 @@ class TestFaultInjection:
         simulator = ServingSimulator(self._single())
         with pytest.raises(ValueError, match="empty trace"):
             simulator.run([], faults=FaultSchedule.down("solo", 0.0, 1.0))
+
+    @pytest.mark.parametrize("dispatch", ["auto", "scan"])
+    def test_fault_loop_span_counts_every_attempt(self, dispatch):
+        from repro.obs.spans import GLOBAL_TRACER
+
+        partition = _wide_fake_partition(4)
+        trace = generate_trace_soa(SHAPES, 3000, 4e-3, seed=4)
+        faults = (
+            FaultSchedule.down("acc1", 2.4, 4.8)
+            + FaultSchedule.degraded("acc2", 3.6, 8.4, factor=2.0)
+            + FaultSchedule.down("acc0", 6.0, 6.6)
+        )
+        GLOBAL_TRACER.enable()
+        try:
+            report = ServingSimulator(partition).run(
+                trace, dispatch=dispatch, faults=faults
+            )
+            (loop,) = [s for s in GLOBAL_TRACER.spans() if s.name == "serve.fault_loop"]
+        finally:
+            GLOBAL_TRACER.disable()
+            GLOBAL_TRACER.clear()
+        attrs = loop.attrs
+        budget_sheds = sum(s.reason == "retry_budget_exhausted" for s in report.shed)
+        # every attempt is either batched or scalar: one per request, plus
+        # one per requeue and per kill that was retried
+        assert attrs["batched"] + attrs["scalar"] == (
+            len(trace) + report.requeues + report.kills - budget_sheds
+        )
+        if dispatch == "scan":
+            assert attrs["batched"] == attrs["segments"] == 0
+        else:
+            # windows are active for half the trace, and the fast path
+            # batches through them
+            assert attrs["segments"] >= 4
+            assert attrs["batched"] >= 0.9 * len(trace)
