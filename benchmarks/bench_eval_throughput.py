@@ -1,6 +1,6 @@
-"""Evaluation-engine throughput: serial vs. cached vs. parallel vs. vectorized DSE.
+"""Evaluation-engine throughput: serial vs. cached vs. parallel DSE.
 
-Measures evaluations/second over a fixed DSE candidate set in four
+Measures evaluations/second over a fixed DSE candidate set in three
 modes and appends the result to a ``BENCH_eval.json`` trajectory so the
 engine's throughput is tracked across commits:
 
@@ -8,19 +8,16 @@ engine's throughput is tracked across commits:
   scratch (``NULL_CACHE``), one thread.
 * ``cached``     — the memoization layer enabled, one thread.
 * ``parallel``   — memoization plus ``parallel_map`` fan-out.
-* ``vectorized`` — the batch evaluation kernel: one NumPy coarse pass
-  over the whole candidate grid, then a cached exact re-rank of the
-  surviving top-K.
 
 The engine's contract is a declarative gate list judged by
 :mod:`repro.bench.regression`: every mode sustains at least
 ``EVALS_PER_SEC_FLOOR`` evaluations/s (``SMOKE_EVALS_PER_SEC_FLOOR`` on
-the ``--smoke`` set), about what the vectorized mode reached while the
-tile planner still searched all 16x16x16 multiples, and the top-10
-rankings are byte-identical between serial, parallel, and vectorized
-runs.  Absolute floors, not speedup ratios: the serial mode is the
-ratios' denominator, and it is now nearly as fast as the others.  Each
-mode is timed over ``ROUNDS`` rounds and keeps its fastest, and each
+the ``--smoke`` set), about what the since-retired NumPy batch mode
+reached while the tile planner still searched all 16x16x16 multiples,
+and the top-10 rankings are byte-identical between the serial and
+parallel runs.  Absolute floors, not speedup ratios: the serial mode is
+the ratios' denominator, and it is now nearly as fast as the others.
+Each mode is timed over ``ROUNDS`` rounds and keeps its fastest, and each
 trajectory entry records the floor it was judged against.
 
 Run directly (``python benchmarks/bench_eval_throughput.py``) or let CI
@@ -48,7 +45,7 @@ from repro.workloads.gemm import GemmShape
 
 DEFAULT_WORKLOAD = EVAL_WORKLOAD
 #: evaluations/s every mode must reach.  Under the 16x16x16 tile
-#: planner the vectorized mode ran, on a 2-CPU x86-64 host, 3.4-3.7k on
+#: planner the retired NumPy batch mode ran, on a 2-CPU x86-64 host, 3.4-3.7k on
 #: the smoke set (best of 5 rounds) and 4.4-5.8k on the full set (one
 #: round, median 4.8k; 7.4-7.8k best of 5, which the serial mode does
 #: not reach)
@@ -62,21 +59,18 @@ def gates(floor: float) -> tuple[Gate, ...]:
     """The engine's contract, declaratively (judged by check_entry)."""
     return (
         Gate(metric="rankings_identical", kind="flag",
-             label="serial, parallel, and vectorized top-10 rankings differ"),
+             label="serial and parallel top-10 rankings differ"),
         Gate(metric="modes.*.evals_per_sec", kind="floor", value=floor),
     )
 
 
-def _explorer(
-    max_aies: int, jobs: int, cache: EvalCache, vectorize: bool = False
-) -> DesignSpaceExplorer:
+def _explorer(max_aies: int, jobs: int, cache: EvalCache) -> DesignSpaceExplorer:
     return DesignSpaceExplorer(
         Precision.FP32,
         max_aies=max_aies,
         explore_ports=True,
         jobs=jobs,
         cache=cache,
-        vectorize=vectorize,
     )
 
 
@@ -101,10 +95,9 @@ def run_benchmark(
     evaluations = num_candidates * repeats
 
     settings = {
-        "serial": (1, NullCache, False),
-        "cached": (1, EvalCache, False),
-        "parallel": (jobs, EvalCache, False),
-        "vectorized": (jobs, EvalCache, True),
+        "serial": (1, NullCache),
+        "cached": (1, EvalCache),
+        "parallel": (jobs, EvalCache),
     }
     modes = dict.fromkeys(settings, math.inf)
     results = {}
@@ -112,9 +105,9 @@ def run_benchmark(
     # a mode keeps its fastest round: a slow slice of a shared host then
     # costs one sample instead of a whole mode
     for _ in range(ROUNDS):
-        for name, (mode_jobs, cache, vectorize) in settings.items():
+        for name, (mode_jobs, cache) in settings.items():
             seconds, results[name] = _time_mode(
-                _explorer(max_aies, mode_jobs, cache(), vectorize), workload, repeats
+                _explorer(max_aies, mode_jobs, cache()), workload, repeats
             )
             modes[name] = min(modes[name], seconds)
     serial_seconds = modes["serial"]
@@ -134,10 +127,8 @@ def run_benchmark(
         },
         "speedup_cached": serial_seconds / modes["cached"],
         "speedup_cached_parallel": serial_seconds / modes["parallel"],
-        "speedup_vectorized": serial_seconds / modes["vectorized"],
         "rankings_identical": ranking_bytes(results["serial"])
-        == ranking_bytes(results["parallel"])
-        == ranking_bytes(results["vectorized"]),
+        == ranking_bytes(results["parallel"]),
         "floors": {"evals_per_sec": floor},
     }
 
@@ -185,7 +176,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{mode['evals_per_sec']:8.1f} evals/s")
     print(f"speedup (cached):          {entry['speedup_cached']:.2f}x")
     print(f"speedup (cached+parallel): {entry['speedup_cached_parallel']:.2f}x")
-    print(f"speedup (vectorized):      {entry['speedup_vectorized']:.2f}x")
     print(f"rankings identical:        {entry['rankings_identical']}")
     print(f"trajectory -> {args.output}")
 

@@ -366,8 +366,8 @@ class EvalThroughputExperiment(Experiment):
 
     A pure wall-clock experiment (the harness analogue of
     ``benchmarks/bench_eval_throughput.py``): serial seed-path
-    exploration vs cached+parallel vs vectorized, with byte-identical
-    ranking verification.  Noise models make no sense here — wall time
+    exploration vs cached+parallel, with byte-identical ranking
+    verification.  Noise models make no sense here — wall time
     is the measured quantity — so passing any is an error.
     """
 
@@ -393,7 +393,7 @@ class EvalThroughputExperiment(Experiment):
             "jobs": self.jobs,
         }
 
-    def _explorer(self, jobs: int, cache, vectorize: bool):
+    def _explorer(self, jobs: int, cache):
         from repro.core.dse import DesignSpaceExplorer
 
         from repro.kernels.precision import Precision
@@ -404,7 +404,6 @@ class EvalThroughputExperiment(Experiment):
             explore_ports=True,
             jobs=jobs,
             cache=cache,
-            vectorize=vectorize,
         )
 
     def _timed(self, explorer):
@@ -428,18 +427,14 @@ class EvalThroughputExperiment(Experiment):
         # back, and each is then taken at its minimum over the rounds, so
         # a slow slice of the host costs one sample rather than sinking
         # a whole leg (and with it a speedup ratio).
-        legs = (
-            ("serial", 1, False),
-            ("parallel", self.jobs, False),
-            ("vectorized", self.jobs, True),
-        )
-        cold = {name: math.inf for name, _, _ in legs}
+        legs = (("serial", 1), ("parallel", self.jobs))
+        cold = {name: math.inf for name, _ in legs}
         warm = dict(cold)
         results = {}
         for _ in range(self.inner_repeats):
-            for name, jobs, vectorize in legs:
+            for name, jobs in legs:
                 cache = NullCache() if name == "serial" else EvalCache()
-                explorer = self._explorer(jobs, cache, vectorize)
+                explorer = self._explorer(jobs, cache)
                 seconds, results[name] = self._timed(explorer)
                 cold[name] = min(cold[name], seconds)
                 # the serial leg has no cache: its every exploration is cold
@@ -451,22 +446,17 @@ class EvalThroughputExperiment(Experiment):
             for name in cold
         }
         # every leg explores the same candidate set inner_repeats times
-        candidates = self._explorer(1, NullCache(), False).candidates()
+        candidates = self._explorer(1, NullCache()).candidates()
         evaluations = self.inner_repeats * len(candidates)
-        identical = (
-            ranking_bytes(results["serial"])
-            == ranking_bytes(results["parallel"])
-            == ranking_bytes(results["vectorized"])
+        identical = ranking_bytes(results["serial"]) == ranking_bytes(
+            results["parallel"]
         )
         return {
             "serial_seconds": leg["serial"],
             "parallel_seconds": leg["parallel"],
-            "vectorized_seconds": leg["vectorized"],
             "serial_evals_per_sec": evaluations / leg["serial"],
             "parallel_evals_per_sec": evaluations / leg["parallel"],
-            "vectorized_evals_per_sec": evaluations / leg["vectorized"],
             "speedup_cached_parallel": leg["serial"] / leg["parallel"],
-            "speedup_vectorized": leg["serial"] / leg["vectorized"],
             "rankings_identical": 1.0 if identical else 0.0,
         }
 

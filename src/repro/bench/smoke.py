@@ -13,7 +13,7 @@ baselines:
   the detector deterministically;
 * the eval spec measures DSE engine throughput (wall-clock), so its
   gates are per-leg evaluations/s floors (best-of-N against scheduler
-  noise) plus the ranking identity of the three legs.
+  noise) plus the ranking identity of the two legs.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ SMOKE_REPEATS = 5
 #: relative band around the deterministic simulated p50/p99 baselines
 SERVING_TOLERANCE = 0.05
 #: per-leg DSE throughput floor of the smoke eval spec (best-of-N),
-#: evaluations/s: every leg, serial included, must beat what the
-#: vectorized leg reached under the 16x16x16 tile planner (at most 2.3k
+#: evaluations/s: every leg, serial included, must beat what the retired
+#: NumPy batch leg reached under the 16x16x16 tile planner (at most 2.3k
 #: here and 3.7k on bench_eval_throughput's smoke set, 2-CPU x86-64 host)
 EVAL_EVALS_PER_SEC_FLOOR = 3800.0
-EVAL_LEGS = ("serial", "parallel", "vectorized")
+EVAL_LEGS = ("serial", "parallel")
 
 
 def serving_smoke_experiment(num_requests: int = 1_000_000) -> ServingExperiment:
@@ -79,7 +79,7 @@ def eval_smoke_gates() -> list[Gate]:
     """Ranking identity + a throughput floor per engine leg."""
     return [
         Gate(metric="rankings_identical", kind="flag",
-             label="serial, parallel, and vectorized rankings differ"),
+             label="serial and parallel rankings differ"),
     ] + [
         Gate(metric=f"{leg}_evals_per_sec", kind="floor",
              value=EVAL_EVALS_PER_SEC_FLOOR, aggregate="max")

@@ -17,10 +17,9 @@ Usage::
 Global flags (before the subcommand): ``--jobs/-j N`` fans batched
 evaluations out over N worker threads (0 = one per CPU), ``--stats``
 prints evaluation-engine statistics (evaluations, cache hits, wall
-time) to stderr after the command, ``--vectorize`` batch-evaluates
-candidate grids through the NumPy fast path (identical results).
-Stats and cache counters reset at the start of every invocation, so
-``--stats`` always reports per-run numbers.
+time) to stderr after the command.  Stats and cache counters reset at
+the start of every invocation, so ``--stats`` always reports per-run
+numbers.
 
 ``serve`` and ``dse`` additionally accept ``--trace-out trace.json``
 (enable the tracer for the run and export a Chrome trace-event file —
@@ -301,7 +300,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ).set(1.0 if native else 0.0)
     if args.stats:
         print(f"native       {_native_status(native)}", file=sys.stderr)
-    simulator.prewarm(shapes, jobs=args.jobs, vectorize=args.vectorize)
+    simulator.prewarm(shapes, jobs=args.jobs)
 
     faults = None
     fault_policy = None
@@ -500,7 +499,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         Precision.parse(args.precision),
         explore_ports=args.explore_ports,
         jobs=args.jobs,
-        vectorize=args.vectorize,
     )
     points = explorer.explore(workload, top=args.top)
     rows = [
@@ -924,11 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="print evaluation-engine statistics to stderr after the command",
     )
-    parser.add_argument(
-        "--vectorize", action=argparse.BooleanOptionalAction, default=False,
-        help="batch-evaluate candidate grids with the NumPy fast path "
-             "(results identical; --no-vectorize forces the scalar path)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list available experiments").set_defaults(func=_cmd_list)
@@ -1194,21 +1187,12 @@ def main(argv: list[str] | None = None) -> int:
     if status == 0 and trace_out:
         _write_trace_file(trace_out)
     cache = get_cache()
-    disk = cache.disk_stats()
     GLOBAL_METRICS.counter(
         "repro_cache_hits_total", "Evaluation-cache hits this invocation"
     ).inc(cache.hits)
     GLOBAL_METRICS.counter(
         "repro_cache_misses_total", "Evaluation-cache misses this invocation"
     ).inc(cache.misses)
-    GLOBAL_METRICS.counter(
-        "repro_cache_disk_loaded_total",
-        "Evaluation-cache entries warm-started from disk",
-    ).inc(disk["loaded"])
-    GLOBAL_METRICS.counter(
-        "repro_cache_disk_saved_total",
-        "Evaluation-cache entries persisted to disk",
-    ).inc(disk["saved"])
     metrics_out = getattr(args, "metrics_out", None)
     if status == 0 and metrics_out:
         with open(metrics_out, "w") as handle:

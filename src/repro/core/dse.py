@@ -90,7 +90,6 @@ class DesignSpaceExplorer:
         explore_ports: bool = False,
         jobs: int = 1,
         cache: EvalCache | None = None,
-        vectorize: bool = False,
     ):
         self.precision = precision
         self.device = device
@@ -98,7 +97,6 @@ class DesignSpaceExplorer:
         self.explore_ports = explore_ports
         self.jobs = resolve_jobs(jobs)
         self.cache = get_cache() if cache is None else cache
-        self.vectorize = vectorize
         self.kernel = KERNEL_BY_PRECISION[precision]
 
     # ------------------------------------------------------------------
@@ -155,68 +153,34 @@ class DesignSpaceExplorer:
         workload: GemmShape,
         top: int = 10,
         jobs: int | None = None,
-        vectorize: bool | None = None,
     ) -> DseResult:
         """Evaluate every candidate on ``workload``; best first.
 
         Returns a :class:`DseResult` — a ranked list whose ``stats``
         field reports evaluated/skipped candidate counts and cache
         behaviour for the batch.
-
-        ``vectorize`` (default: the constructor's setting) switches to
-        the two-phase fast path: a NumPy batch evaluation of the whole
-        candidate grid (:mod:`repro.perf.vectorized`) ranks every
-        candidate, then only the leading survivors are re-ranked through
-        the scalar cached model, so the returned points — rankings and
-        ``Estimate`` objects alike — are byte-identical to the serial
-        path while skipping the per-candidate Python overhead for the
-        rest of the grid.
         """
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        vectorize = self.vectorize if vectorize is None else vectorize
         designs = self.candidates()
         hits0, misses0 = self.cache.hits, self.cache.misses
         stats = EvalStats(jobs=jobs)
-        feasibility: tuple[int, int] | None = None
         explore_span = span(
             "dse.explore",
             track="dse",
             workload=str(workload),
             candidates=len(designs),
             jobs=jobs,
-            vectorize=bool(vectorize),
         )
         with explore_span:
             with track(stats):
-                if vectorize and designs:
-                    from repro.perf.vectorized import (
-                        batch_estimate_designs,
-                        rank_feasible,
-                    )
-
-                    batch = batch_estimate_designs(designs, workload)
-                    # generous safety margin over `top`: the exact pass
-                    # re-sorts the survivors, so near-ties cannot be lost
-                    coarse_k = max(4 * top, top + 16)
-                    survivors = rank_feasible(batch)[:coarse_k]
-                    feasibility = (batch.num_feasible, batch.num_infeasible)
-                    outcomes = parallel_map(
-                        lambda index: self._evaluate(designs[index], workload),
-                        survivors,
-                        jobs=jobs,
-                    )
-                else:
-                    outcomes = parallel_map(
-                        lambda design: self._evaluate(design, workload),
-                        designs,
-                        jobs=jobs,
-                    )
+                outcomes = parallel_map(
+                    lambda design: self._evaluate(design, workload),
+                    designs,
+                    jobs=jobs,
+                )
             points = [point for point in outcomes if point is not None]
-            if feasibility is None:
-                stats.evaluations = len(points)
-                stats.skipped = len(designs) - len(points)
-            else:
-                stats.evaluations, stats.skipped = feasibility
+            stats.evaluations = len(points)
+            stats.skipped = len(designs) - len(points)
             stats.cache_hits = self.cache.hits - hits0
             stats.cache_misses = self.cache.misses - misses0
             record_eval(stats)

@@ -55,14 +55,12 @@ class SensitivityAnalysis:
         workload: GemmShape,
         jobs: int = 1,
         cache: EvalCache | None = None,
-        vectorize: bool = False,
     ):
         design.validate()
         self.design = design
         self.workload = workload
         self.jobs = resolve_jobs(jobs)
         self.cache = get_cache() if cache is None else cache
-        self.vectorize = vectorize
 
     def _evaluate(self, parameter: str, value: object, design: CharmDesign) -> SensitivityPoint:
         estimate = AnalyticalModel(design, cache=self.cache).estimate(self.workload)
@@ -78,39 +76,9 @@ class SensitivityAnalysis:
             parameter=variants[0][0] if variants else "",
             points=len(variants),
         ):
-            if self.vectorize:
-                points = self._evaluate_axis_vectorized(variants)
-                if points is not None:
-                    return points
             return parallel_map(
                 lambda variant: self._evaluate(*variant), variants, jobs=self.jobs
             )
-
-    def _evaluate_axis_vectorized(
-        self, variants: Sequence[tuple[str, object, CharmDesign]]
-    ) -> list[SensitivityPoint] | None:
-        """One batch evaluation for the whole axis; None to fall back.
-
-        Perturbed devices (frequency, PL memory, DRAM bandwidth) are
-        per-candidate scalars of the grid, so one batch covers any axis.
-        An axis containing an infeasible variant falls back to the scalar
-        path, which raises exactly the error the serial analysis raises.
-        """
-        from repro.perf.vectorized import batch_estimate_designs
-
-        designs = [design for (_, _, design) in variants]
-        if not designs:
-            return []
-        try:
-            batch = batch_estimate_designs(designs, self.workload)
-        except ValueError:
-            return None
-        if not all(batch.feasible):
-            return None
-        return [
-            SensitivityPoint(parameter=parameter, value=value, estimate=batch.estimate(i))
-            for i, (parameter, value, _) in enumerate(variants)
-        ]
 
     # ------------------------------------------------------------------
     def dram_ports(self, setups: Sequence[DramPorts]) -> list[SensitivityPoint]:

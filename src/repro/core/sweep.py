@@ -40,7 +40,6 @@ def sweep(
     axes: Mapping[str, Iterable[Any]],
     evaluate: Callable[..., Mapping[str, Any]],
     jobs: int = 1,
-    batch_evaluate: Callable[[list[dict[str, Any]]], list[Any]] | None = None,
 ) -> SweepResult:
     """Run ``evaluate(**point)`` over the cartesian product of ``axes``.
 
@@ -48,13 +47,6 @@ def sweep(
     returns.  ``evaluate`` may return None to skip a combination.
     ``jobs`` parallelises the evaluations; record order always follows
     the cartesian-product order, identical to the serial result.
-
-    ``batch_evaluate`` is the vectorized opt-in: the sweep cannot
-    auto-vectorize an arbitrary ``evaluate``, but a caller whose
-    evaluator has an array form (e.g. one built on
-    :func:`repro.perf.vectorized.batch_estimate`) can supply a function
-    receiving the full cartesian-product point list and returning one
-    outcome per point (None to skip), replacing the per-point calls.
     """
     materialized = {name: list(values) for name, values in axes.items()}
     stats = EvalStats(jobs=resolve_jobs(jobs))
@@ -69,21 +61,12 @@ def sweep(
         track="sweep",
         axes=",".join(names),
         points=len(points),
-        vectorize=batch_evaluate is not None,
     )
     with sweep_span:
         with track(stats):
-            if batch_evaluate is not None:
-                outcomes = list(batch_evaluate(points))
-                if len(outcomes) != len(points):
-                    raise ValueError(
-                        f"batch_evaluate returned {len(outcomes)} outcomes "
-                        f"for {len(points)} points"
-                    )
-            else:
-                outcomes = parallel_map(
-                    lambda point: evaluate(**point), points, jobs=jobs
-                )
+            outcomes = parallel_map(
+                lambda point: evaluate(**point), points, jobs=jobs
+            )
         for point, outcome in zip(points, outcomes):
             if outcome is None:
                 stats.skipped += 1

@@ -27,13 +27,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "track",
     ),
     "repro.perf.parallel": ("default_chunksize", "parallel_map", "resolve_jobs"),
-    "repro.perf.vectorized": (
-        "BatchEstimate",
-        "CandidateGrid",
-        "batch_estimate",
-        "batch_estimate_designs",
-        "rank_feasible",
-    ),
 })
 
 __all__ = [
@@ -54,9 +47,4 @@ __all__ = [
     "default_chunksize",
     "parallel_map",
     "resolve_jobs",
-    "BatchEstimate",
-    "CandidateGrid",
-    "batch_estimate",
-    "batch_estimate_designs",
-    "rank_feasible",
 ]

@@ -14,26 +14,13 @@ Designs are frozen dataclasses but hold a :class:`types.MappingProxyType`
 :func:`design_fingerprint` canonicalises a design into a hashable tuple.
 
 Thread-safe: batch evaluators share one cache across worker threads.
-
-The cache can also persist across processes: :meth:`EvalCache.load_disk`
-and :meth:`EvalCache.save_disk` read/write a versioned snapshot under a
-cache directory, so a library caller can warm-start instead of
-re-deriving every estimate.  The snapshot is written atomically (temp
-file + ``os.replace``) and stamped with
-:data:`CACHE_SCHEMA_VERSION`; a missing, corrupt, or version-mismatched
-file silently degrades to a cold start — persistence is an optimization,
-never a correctness dependency.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import os
-import pickle
-import tempfile
 import threading
-import types
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports perf)
@@ -45,37 +32,29 @@ T = TypeVar("T")
 #: memory during long serving runs without LRU bookkeeping on the hot path
 DEFAULT_MAX_ENTRIES = 65536
 
-#: bump whenever the fingerprint scheme or a cached value type changes
-#: shape — old snapshots then cold-start instead of poisoning the cache
-CACHE_SCHEMA_VERSION = 1
 
-#: snapshot file name inside a cache directory; the version is part of
-#: the name so a schema bump never even opens an old snapshot
-DISK_BASENAME = f"evalcache-v{CACHE_SCHEMA_VERSION}.pkl"
+#: leaf types returned as they are, before any ABC ``isinstance`` check;
+#: exact types only, so enum members and other subclasses take their
+#: own branch below
+_LEAF_TYPES = frozenset({int, float, str, bool, type(None)})
 
-
-def _restore_mapping_proxy(data: dict) -> types.MappingProxyType:
-    """Unpickle target for proxies (the type itself has no pickle name)."""
-    return types.MappingProxyType(data)
-
-
-class _CachePickler(pickle.Pickler):
-    """Pickler that round-trips ``MappingProxyType`` faithfully.
-
-    Cached estimates reference their design, and designs carry the
-    device's read-only MACs/cycle table as a mapping proxy — which the
-    stock pickler rejects.  Reducing it through
-    :func:`_restore_mapping_proxy` reconstructs an equal proxy on load.
-    """
-
-    def reducer_override(self, obj):
-        if isinstance(obj, types.MappingProxyType):
-            return _restore_mapping_proxy, (dict(obj),)
-        return NotImplemented
+#: dataclass type -> its field names, filled the first time an instance
+#: reaches the dataclass branch (so a cached type is known to be none of
+#: the container kinds checked before it)
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def _freeze(value: Any) -> Hashable:
     """Recursively convert a value into a hashable canonical form."""
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        return value
+    names = _FIELD_NAMES.get(cls)
+    if names is not None:
+        return (
+            cls.__qualname__,
+            tuple((name, _freeze(getattr(value, name))) for name in names),
+        )
     if isinstance(value, enum.Enum):
         return (type(value).__qualname__, value.name)
     if isinstance(value, Mapping):
@@ -87,13 +66,8 @@ def _freeze(value: Any) -> Hashable:
     if isinstance(value, (set, frozenset)):
         return tuple(sorted((_freeze(v) for v in value), key=repr))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__qualname__,
-            tuple(
-                (f.name, _freeze(getattr(value, f.name)))
-                for f in dataclasses.fields(value)
-            ),
-        )
+        _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(value))
+        return _freeze(value)
     return value
 
 
@@ -121,7 +95,6 @@ class EvalCache:
         }
         self._hits: dict[str, int] = {name: 0 for name in self._tables}
         self._misses: dict[str, int] = {name: 0 for name in self._tables}
-        self._disk: dict[str, int] = {"loaded": 0, "saved": 0, "cold_starts": 0}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -143,8 +116,9 @@ class EvalCache:
         value = compute()
         with self._lock:
             if len(entries) >= self.max_entries:
-                # FIFO eviction of the oldest half (dicts preserve order)
-                for stale in list(entries)[: self.max_entries // 2]:
+                # FIFO eviction of the oldest half, at least one entry
+                # (dicts preserve order)
+                for stale in list(entries)[: max(1, self.max_entries // 2)]:
                     del entries[stale]
             entries.setdefault(key, value)
             return entries[key]
@@ -174,88 +148,6 @@ class EvalCache:
                 for name, table in self._tables.items()
             }
 
-    def disk_stats(self) -> dict[str, int]:
-        """Entries loaded from / saved to disk and silent cold starts."""
-        with self._lock:
-            return dict(self._disk)
-
-    # ------------------------------------------------------------------
-    def load_disk(self, directory: str) -> int:
-        """Warm-start from a snapshot under ``directory``.
-
-        Returns the number of entries loaded.  A missing, corrupt,
-        truncated, or schema-mismatched snapshot is a silent cold start
-        (returns 0): the cache must never make a run worse than running
-        cold.  Loaded entries never evict fresher in-memory ones and
-        respect ``max_entries`` per table.
-        """
-        path = os.path.join(directory, DISK_BASENAME)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except Exception:
-            with self._lock:
-                self._disk["cold_starts"] += 1
-            return 0
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != CACHE_SCHEMA_VERSION
-            or not isinstance(payload.get("tables"), dict)
-        ):
-            with self._lock:
-                self._disk["cold_starts"] += 1
-            return 0
-        loaded = 0
-        with self._lock:
-            for name, entries in payload["tables"].items():
-                table = self._tables.get(name)
-                if table is None or not isinstance(entries, dict):
-                    continue
-                budget = self.max_entries - len(table)
-                for key, value in entries.items():
-                    if budget <= 0:
-                        break
-                    if key not in table:
-                        table[key] = value
-                        loaded += 1
-                        budget -= 1
-            self._disk["loaded"] += loaded
-        return loaded
-
-    def save_disk(self, directory: str) -> int:
-        """Atomically snapshot every table under ``directory``.
-
-        Returns the number of entries written, or 0 when the snapshot
-        could not be written (read-only filesystem, unpicklable entry) —
-        persistence failures never propagate into the run.
-        """
-        with self._lock:
-            snapshot = {name: dict(table) for name, table in self._tables.items()}
-        payload = {"version": CACHE_SCHEMA_VERSION, "tables": snapshot}
-        count = sum(len(table) for table in snapshot.values())
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=DISK_BASENAME + ".", dir=directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    _CachePickler(
-                        handle, protocol=pickle.HIGHEST_PROTOCOL
-                    ).dump(payload)
-                os.replace(tmp_path, os.path.join(directory, DISK_BASENAME))
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            return 0
-        with self._lock:
-            self._disk["saved"] += count
-        return count
-
     def reset_counters(self) -> None:
         """Zero the hit/miss counters without dropping any entries.
 
@@ -267,8 +159,6 @@ class EvalCache:
             for name in self._hits:
                 self._hits[name] = 0
                 self._misses[name] = 0
-            for name in self._disk:
-                self._disk[name] = 0
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
@@ -278,8 +168,6 @@ class EvalCache:
             for name in self._hits:
                 self._hits[name] = 0
                 self._misses[name] = 0
-            for name in self._disk:
-                self._disk[name] = 0
 
 
 class NullCache(EvalCache):

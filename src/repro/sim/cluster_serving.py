@@ -53,13 +53,13 @@ import io
 import multiprocessing
 import os
 import pickle
+import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from repro.obs.windows import ServingMonitor
-from repro.perf.cache import _CachePickler
 from repro.perf.metrics import EvalStats, FaultStats, read_totals
 from repro.sim.serving import DISPATCH_CHUNK, ServingSimulator
 from repro.sim.streaming import (
@@ -96,6 +96,26 @@ def resolve_start_method(start_method: str | None) -> str:
     if start_method not in START_METHODS:
         raise ValueError(f"start_method must be one of {START_METHODS}")
     return start_method
+
+
+def _restore_mapping_proxy(data: dict) -> types.MappingProxyType:
+    """Unpickle target for proxies (the type itself has no pickle name)."""
+    return types.MappingProxyType(data)
+
+
+class _CachePickler(pickle.Pickler):
+    """Pickler that round-trips ``MappingProxyType`` faithfully.
+
+    Cached estimates reference their design, and designs carry the
+    device's read-only MACs/cycle table as a mapping proxy — which the
+    stock pickler rejects.  Reducing it through
+    :func:`_restore_mapping_proxy` reconstructs an equal proxy on load.
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, types.MappingProxyType):
+            return _restore_mapping_proxy, (dict(obj),)
+        return NotImplemented
 
 
 def _dumps(payload: Any) -> bytes:

@@ -619,17 +619,12 @@ class ServingSimulator:
         clone._infeasible = set(self._infeasible)
         return clone
 
-    def prewarm(
-        self, shapes: Sequence[GemmShape], jobs: int = 1, vectorize: bool = False
-    ) -> int:
+    def prewarm(self, shapes: Sequence[GemmShape], jobs: int = 1) -> int:
         """Precompute service times for ``shapes`` on every accelerator.
 
         Infeasible pairs are skipped (dispatch skips them too).  Returns
         the number of pairs resolved; with ``jobs > 1`` the model
-        evaluations run concurrently.  ``vectorize`` resolves all pairs
-        through one batch evaluation per (precision, kernel style)
-        family instead of per-pair model walks; the cached service times
-        are bit-identical either way.
+        evaluations run concurrently.
         """
 
         def resolve(pair: tuple[str, GemmShape]) -> tuple[tuple[str, GemmShape], float] | None:
@@ -650,13 +645,9 @@ class ServingSimulator:
             track="serving",
             pairs=len(pairs),
             jobs=jobs,
-            vectorize=vectorize,
         ), track(self.stats):
-            if vectorize and pairs:
-                warmed = self._prewarm_vectorized(pairs)
-            else:
-                resolved = parallel_map(resolve, pairs, jobs=jobs)
-                warmed = [entry for entry in resolved if entry is not None]
+            resolved = parallel_map(resolve, pairs, jobs=jobs)
+            warmed = [entry for entry in resolved if entry is not None]
         for key, service in warmed:
             self._service_cache[key] = service
         warmed_keys = {key for key, _ in warmed}
@@ -665,31 +656,6 @@ class ServingSimulator:
         self.stats.skipped += len(pairs) - len(warmed)
         record_eval(EvalStats(evaluations=len(warmed), jobs=jobs), self.metrics)
         return len(warmed)
-
-    def _prewarm_vectorized(
-        self, pairs: Sequence[tuple[str, GemmShape]]
-    ) -> list[tuple[tuple[str, GemmShape], float]]:
-        """Resolve pairs through the batch evaluation kernel.
-
-        A grid evaluates one (precision, kernel style) family at a time,
-        so mixed partitions are grouped; within a group every pair
-        carries its own workload shape.
-        """
-        from repro.perf.vectorized import batch_estimate_designs
-
-        groups: dict[tuple, list[tuple[str, GemmShape]]] = {}
-        for pair in pairs:
-            design = self.partition.designs[pair[0]]
-            groups.setdefault((design.precision, design.kernel_style), []).append(pair)
-        warmed = []
-        for group in groups.values():
-            designs = [self.partition.designs[name] for name, _ in group]
-            shapes = [shape for _, shape in group]
-            batch = batch_estimate_designs(designs, shapes)
-            for index, pair in enumerate(group):
-                if batch.feasible[index]:
-                    warmed.append((pair, float(batch.total_seconds[index])))
-        return warmed
 
     # ------------------------------------------------------------------
     def run(

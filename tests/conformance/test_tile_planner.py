@@ -1,8 +1,7 @@
 """Differential conformance of the DRAM-level tile planner.
 
 ``plan_tiling`` searches the ``(am, an)`` PL-tile multiples and picks
-``ak`` in closed form; ``perf.vectorized._plan_tiles`` does the same
-over a NumPy grid.  Both must choose exactly what the full
+``ak`` in closed form.  It must choose exactly what the full
 ``(am, ak, an)`` search chooses.  The oracle below is that search, kept
 verbatim (minus the custom-objective hook, which only ever defaulted to
 DRAM traffic): it builds a ``TilePlan`` for every cell and keeps the
@@ -17,9 +16,6 @@ raise the same ``ValueError``.
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +24,6 @@ from repro.kernels.precision import Precision
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import ALL_CONFIGS, config_by_name
 from repro.mapping.tiling import TilePlan, plan_tiling
-from repro.perf.vectorized import CandidateGrid, _plan_tiles
 from repro.workloads.dnn import DNN_WORKLOADS
 from repro.workloads.gemm import GemmShape
 
@@ -177,40 +172,3 @@ def test_ties_go_to_the_first_cell_of_the_full_search(workload, budget, tied):
         shape, design.native_size, design.precision, budget_bytes=budget
     ).multiples == tied[0]
     _assert_same(shape, design, True, budget)
-
-
-@pytest.mark.parametrize("precision", [Precision.FP32, Precision.INT8])
-def test_batch_planner_matches_the_full_search(precision):
-    """``_plan_tiles`` multiples and ``found`` equal the oracle's."""
-    designs, workloads, buffering, budgets = [], [], [], []
-    for config in ALL_CONFIGS:
-        if config.precision is not precision:
-            continue
-        design = CharmDesign(config)
-        minimal = TilePlan(
-            GemmShape(2048, 2048, 2048), design.native_size, precision, (1, 1, 1)
-        ).pl_footprint_bytes()
-        for workload in SHAPES + (GemmShape(2048, 2048, 2048), GemmShape(1, 1, 1)):
-            for double_buffered in (True, False):
-                for budget in BUDGETS + (minimal - 1,):
-                    designs.append(design)
-                    workloads.append(workload)
-                    buffering.append(double_buffered)
-                    budgets.append(
-                        design.device.pl_usable_bytes if budget is None else budget
-                    )
-    grid = dataclasses.replace(
-        CandidateGrid.from_designs(designs, workloads),
-        pl_double_buffered=np.array(buffering),
-        pl_budget_bytes=np.array(budgets, dtype=np.int64),
-    )
-    multiples, found = _plan_tiles(grid)
-    for index, design in enumerate(designs):
-        expected = _outcome(
-            oracle_plan_tiling, workloads[index], design, buffering[index], budgets[index]
-        )
-        if isinstance(expected, str):
-            assert not found[index], (index, expected)
-        else:
-            assert found[index], index
-            assert tuple(int(x) for x in multiples[index]) == expected, index

@@ -1,10 +1,14 @@
 """Design-space exploration tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.dse import DesignSpaceExplorer
+from repro.hw.specs import VCK5000
 from repro.kernels.precision import Precision
 from repro.mapping.grouping import pack_depth_for
+from repro.perf.cache import NullCache
 from repro.workloads.gemm import GemmShape
 
 
@@ -57,3 +61,15 @@ class TestExploration:
         explorer = DesignSpaceExplorer(Precision.INT8, max_aies=64)
         best = explorer.best(GemmShape(1024, 1024, 1024))
         assert best.config.precision is Precision.INT8
+
+    def test_infeasible_candidates_counted_as_skipped(self):
+        """On a PL-starved device most candidates cannot tile the
+        workload; they are counted, never silently dropped."""
+        starved = dataclasses.replace(VCK5000, pl_usable_fraction=0.01)
+        explorer = DesignSpaceExplorer(
+            Precision.FP32, device=starved, max_aies=400, cache=NullCache()
+        )
+        points = explorer.explore(GemmShape(1024, 1024, 1024))
+        assert points.skipped > 0 and points.evaluated > 0
+        assert points.evaluated + points.skipped == len(explorer.candidates())
+        assert len(points) == min(10, points.evaluated)

@@ -56,6 +56,12 @@ class TestAxes:
         assert points[1].seconds == pytest.approx(points[0].seconds, rel=0.01)
 
 
+    def test_infeasible_variant_raises(self, analysis):
+        """A variant that cannot tile the workload fails loudly."""
+        with pytest.raises(ValueError):
+            analysis.pl_memory_fraction([0.0001])
+
+
 class TestSummary:
     def test_summary_covers_axes(self, analysis):
         summary = analysis.summary()

@@ -18,6 +18,7 @@ class TestSweep:
             lambda a: None if a == 2 else {"sq": a * a},
         )
         assert len(result) == 2
+        assert (result.stats.evaluations, result.stats.skipped) == (2, 1)
 
     def test_column_access(self):
         result = sweep({"a": [1, 2]}, lambda a: {"b": a * 2})

@@ -8,13 +8,7 @@ from repro.core.analytical_model import AnalyticalModel
 from repro.hw.dram import DramPorts
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import config_by_name
-from repro.perf.cache import (
-    CACHE_SCHEMA_VERSION,
-    DISK_BASENAME,
-    EvalCache,
-    NullCache,
-    design_fingerprint,
-)
+from repro.perf.cache import EvalCache, NullCache, design_fingerprint
 from repro.workloads.gemm import GemmShape
 
 
@@ -86,11 +80,22 @@ class TestEvalCache:
         assert cache.misses == 0
         assert cache.entries == 0
 
-    def test_eviction_bounds_entries(self):
-        cache = EvalCache(max_entries=8)
+    @pytest.mark.parametrize("max_entries", [1, 2, 3, 8])
+    def test_eviction_bounds_entries(self, max_entries):
+        cache = EvalCache(max_entries=max_entries)
         for i in range(50):
             cache.get_or_compute("estimate", i, lambda i=i: i)
-        assert len(cache._tables["estimate"]) <= 8
+        assert 1 <= len(cache._tables["estimate"]) <= max_entries
+        # the newest entry always survives its own insertion
+        assert cache.get_or_compute("estimate", 49, lambda: -1) == 49
+
+    def test_reset_counters_keeps_entries(self):
+        cache = EvalCache()
+        cache.get_or_compute("estimate", "k", lambda: 7)
+        cache.get_or_compute("estimate", "k", lambda: 7)
+        cache.reset_counters()
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.entries == 1
 
     def test_null_cache_never_retains(self):
         cache = NullCache()
@@ -100,113 +105,6 @@ class TestEvalCache:
         assert len(calls) == 3
         assert cache.hits == 0
         assert cache.entries == 0
-
-
-class TestDiskPersistence:
-    def _warm_cache(self):
-        cache = EvalCache()
-        cache.get_or_compute("estimate", ("fp", "2048x2048x2048"), lambda: 7.5)
-        cache.get_or_compute("aie_level", ("fp",), lambda: {"cycles": 3})
-        return cache
-
-    def test_roundtrip(self, tmp_path):
-        cache = self._warm_cache()
-        saved = cache.save_disk(str(tmp_path))
-        assert saved == 2
-        assert (tmp_path / DISK_BASENAME).exists()
-        fresh = EvalCache()
-        assert fresh.load_disk(str(tmp_path)) == 2
-        calls = []
-        value = fresh.get_or_compute(
-            "estimate", ("fp", "2048x2048x2048"), lambda: calls.append(1) or -1
-        )
-        assert value == 7.5 and calls == []  # warm hit, no recompute
-        assert fresh.disk_stats()["loaded"] == 2
-
-    def test_roundtrip_with_real_estimates(self, design, workload, tmp_path):
-        cache = EvalCache()
-        expected = AnalyticalModel(design, cache=cache).estimate(workload)
-        assert cache.save_disk(str(tmp_path)) > 0
-        fresh = EvalCache()
-        assert fresh.load_disk(str(tmp_path)) > 0
-        warm = AnalyticalModel(design, cache=fresh).estimate(workload)
-        assert warm.total_seconds == expected.total_seconds
-        assert fresh.misses == 0  # every level served from the snapshot
-
-    def test_missing_snapshot_is_silent_cold_start(self, tmp_path):
-        cache = EvalCache()
-        assert cache.load_disk(str(tmp_path / "nowhere")) == 0
-        assert cache.disk_stats()["cold_starts"] == 1
-
-    def test_corrupt_snapshot_is_silent_cold_start(self, tmp_path):
-        (tmp_path / DISK_BASENAME).write_bytes(b"not a pickle at all")
-        cache = EvalCache()
-        assert cache.load_disk(str(tmp_path)) == 0
-        assert cache.disk_stats()["cold_starts"] == 1
-        assert cache.entries == 0
-
-    def test_truncated_snapshot_is_silent_cold_start(self, tmp_path):
-        self._warm_cache().save_disk(str(tmp_path))
-        path = tmp_path / DISK_BASENAME
-        path.write_bytes(path.read_bytes()[:-7])
-        cache = EvalCache()
-        assert cache.load_disk(str(tmp_path)) == 0
-        assert cache.disk_stats()["cold_starts"] == 1
-
-    def test_version_mismatch_is_silent_cold_start(self, tmp_path):
-        import pickle
-
-        payload = {"version": CACHE_SCHEMA_VERSION + 1, "tables": {"estimate": {"k": 1}}}
-        (tmp_path / DISK_BASENAME).write_bytes(pickle.dumps(payload))
-        cache = EvalCache()
-        assert cache.load_disk(str(tmp_path)) == 0
-        assert cache.disk_stats()["cold_starts"] == 1
-
-    def test_load_never_clobbers_fresh_entries(self, tmp_path):
-        self._warm_cache().save_disk(str(tmp_path))
-        cache = EvalCache()
-        cache.get_or_compute("estimate", ("fp", "2048x2048x2048"), lambda: 99.0)
-        cache.load_disk(str(tmp_path))
-        assert (
-            cache.get_or_compute(
-                "estimate", ("fp", "2048x2048x2048"), lambda: -1
-            )
-            == 99.0
-        )
-
-    def test_load_respects_max_entries(self, tmp_path):
-        big = EvalCache()
-        for i in range(20):
-            big.get_or_compute("estimate", i, lambda i=i: i)
-        big.save_disk(str(tmp_path))
-        small = EvalCache(max_entries=4)
-        assert small.load_disk(str(tmp_path)) == 4
-        assert len(small._tables["estimate"]) == 4
-
-    def test_unwritable_directory_returns_zero(self):
-        cache = self._warm_cache()
-        assert cache.save_disk("/proc/definitely/not/writable") == 0
-        assert cache.disk_stats()["saved"] == 0
-
-    def test_reset_counters_zeroes_disk_stats(self, tmp_path):
-        cache = self._warm_cache()
-        cache.save_disk(str(tmp_path))
-        cache.reset_counters()
-        assert cache.disk_stats() == {"loaded": 0, "saved": 0, "cold_starts": 0}
-        assert cache.entries == 2  # entries survive a counter reset
-
-    def test_mapping_proxy_roundtrip(self, tmp_path):
-        import types
-
-        cache = EvalCache()
-        proxy = types.MappingProxyType({"a": 1})
-        cache.get_or_compute("estimate", "proxy", lambda: proxy)
-        cache.save_disk(str(tmp_path))
-        fresh = EvalCache()
-        fresh.load_disk(str(tmp_path))
-        restored = fresh.get_or_compute("estimate", "proxy", lambda: None)
-        assert isinstance(restored, types.MappingProxyType)
-        assert dict(restored) == {"a": 1}
 
 
 class TestModelCaching:

@@ -10,11 +10,15 @@ suite already guarantees.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
+import types
 
 import numpy as np
 import pytest
 
 from repro.core.multi_acc import AcceleratorPartition
+from repro.hw.faults import derate_clock
+from repro.hw.specs import VCK5000
 from repro.mapping.configs import config_by_name
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.perf.metrics import read_totals
@@ -22,6 +26,7 @@ from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.cluster_serving import (
     FleetReport,
     ShardedServingCluster,
+    _dumps,
     resolve_start_method,
     serve_sharded,
 )
@@ -53,6 +58,25 @@ def simulator():
     sim = ServingSimulator(partition)
     sim.prewarm(SHAPES)
     return sim
+
+
+class TestShardTransport:
+    def test_mapping_proxy_roundtrip(self):
+        """Shard payloads carry ``DeviceSpec`` tables and device-degraded
+        fault windows, both holding mapping proxies the stock pickler
+        rejects; ``_dumps`` must reduce them to equal proxies."""
+        degraded = derate_clock(VCK5000, 0.8)
+        schedule = FaultSchedule.degraded("C5", 0.1, 0.2, device=degraded)
+        proxy = types.MappingProxyType({"a": 1})
+        payload = {"proxy": proxy, "device": VCK5000, "faults": schedule}
+        with pytest.raises(TypeError):
+            pickle.dumps(payload)
+        restored = pickle.loads(_dumps(payload))
+        assert isinstance(restored["proxy"], types.MappingProxyType)
+        assert dict(restored["proxy"]) == {"a": 1}
+        assert restored["device"] == VCK5000
+        assert restored["faults"].windows == schedule.windows
+        assert restored["faults"].windows[0].device == degraded
 
 
 class TestShardBounds:

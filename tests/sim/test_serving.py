@@ -380,6 +380,17 @@ class TestRunRecordsStats:
         simulator.run(generate_trace(SHAPES, 60, 1e-3, seed=0))
         assert simulator.stats.cache_misses == misses_before
 
+    def test_prewarm_mixed_precision_partition(self):
+        """Every (accelerator, shape) pair of a mixed fp32/int8 fleet is
+        cached at exactly the model's estimate."""
+        partition = AcceleratorPartition([config_by_name("C1"), config_by_name("C7")])
+        shapes = [GemmShape(1024, 1024, 1024), GemmShape(64, 64, 64),
+                  GemmShape(333, 100, 70)]
+        simulator = ServingSimulator(partition)
+        assert simulator.prewarm(shapes) == len(shapes) * len(partition.designs)
+        for (name, shape), service in simulator._service_cache.items():
+            assert service == partition.estimate_on(name, shape)
+
     def test_wall_seconds_accumulates(self, simulator):
         before = simulator.stats.wall_seconds
         simulator.run(generate_trace(SHAPES, 30, 1e-3, seed=0))

@@ -43,13 +43,6 @@ class TestParser:
         out = capsys.readouterr().out
         assert "rank" in out
 
-    def test_dse_vectorize_identical_output(self, capsys):
-        argv = ["dse", "512x512x512", "--precision", "fp32", "--top", "3"]
-        assert main(["--no-vectorize"] + argv) == 0
-        serial = capsys.readouterr().out
-        assert main(["--vectorize"] + argv) == 0
-        assert capsys.readouterr().out == serial
-
     def test_stats_reset_per_invocation(self, capsys):
         argv = ["--stats", "dse", "768x768x768", "--precision", "int8", "--top", "2"]
         assert main(argv) == 0

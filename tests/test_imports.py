@@ -74,6 +74,9 @@ def test_model_commands_skip_native_kernel_and_networkx(tmp_path, argv):
     loaded = _loaded_after(_cli(*argv), tmp_path)
     assert "repro.sim._native" not in loaded
     assert "networkx" not in loaded
+    # the scalar model path never needs NumPy, whose import alone costs
+    # more than a whole exploration
+    assert "numpy" not in loaded
 
 
 def test_serve_does_not_load_networkx(tmp_path):
