@@ -77,7 +77,7 @@ from repro.bench.scenarios import (
 from repro.bench.trajectory import append_trajectory
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
-from repro.sim.serving import ServingSimulator, generate_trace
+from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
 from repro.workloads.gemm import GemmShape
 
@@ -158,6 +158,28 @@ def _seed_generate_trace(shapes, num_requests, mean_interarrival, seed=0):
     return requests
 
 
+def _scalar_generate_trace(shapes, num_requests, mean_interarrival, seed=0):
+    """The scalar generator ``generate_trace_soa`` replaced, verbatim.
+
+    The oracle of the ``trace_identical`` gate.  Unlike the frozen seed
+    copy above it takes the log through ``np.log``, the float64 log the
+    SoA generator evaluates, so the two must agree bit for bit.
+    """
+    if num_requests < 1:
+        raise ValueError("need at least one request")
+    if mean_interarrival <= 0:
+        raise ValueError("mean inter-arrival must be positive")
+    if not shapes:
+        raise ValueError("need at least one shape")
+    requests = []
+    clock = 0.0
+    for index in range(num_requests):
+        clock += -mean_interarrival * float(np.log(_seed_lcg_uniform(seed, 2 * index)))
+        shape = shapes[int(_seed_lcg_uniform(seed, 2 * index + 1) * len(shapes))]
+        requests.append(SeedRequest(request_id=index, shape=shape, arrival=clock))
+    return requests
+
+
 class SeedSimulator:
     def __init__(self, partition):
         self.partition = partition
@@ -206,7 +228,7 @@ def verify_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
     """Byte-identity and accuracy checks on a verification subset."""
     simulator = ServingSimulator(partition)
     simulator.prewarm(SHAPES)
-    scalar = generate_trace(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
+    scalar = _scalar_generate_trace(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
     soa = generate_trace_soa(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
     trace_identical = bool(
         np.array_equal(soa.arrivals, np.array([r.arrival for r in scalar]))
@@ -215,7 +237,7 @@ def verify_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
             for i in range(num_requests)
         )
     )
-    scan = simulator.run(scalar, dispatch="scan")
+    scan = simulator.run(soa, dispatch="scan")
     auto = simulator.run(soa)
     exact_p50, exact_p99 = scan.latency_percentiles([50, 99])
     streaming = simulator.run(soa, streaming=True, quantile_error=QUANTILE_ERROR)
@@ -250,7 +272,6 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
     """
     from repro.sim.chaos import FaultPolicy, FaultSchedule
 
-    scalar = generate_trace(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
     soa = generate_trace_soa(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=7)
     horizon = num_requests * MEAN_INTERARRIVAL
     faults = (
@@ -283,7 +304,7 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
             trace, faults=faults, fault_policy=policy, **kwargs
         )
 
-    scan = serve(scalar, dispatch="scan")
+    scan = serve(soa, dispatch="scan")
     base = serve(soa)
     deterministic = fault_bytes(serve(soa)) == fault_bytes(base)
     accounting_exact = (
@@ -457,8 +478,8 @@ def run_wide_benchmark(num_requests: int, repeats: int = 2) -> dict:
     paths and compared byte for byte — the speedup claim is only
     meaningful if they are the same scheduler.  Timing then covers each
     path's full serving pipeline (trace generation + dispatch + P50/P99)
-    best-of-N: the oracle in exact mode, its only mode, and the fast
-    path in streaming mode, as ``versal-gemm serve --streaming`` runs it.
+    best-of-N: the oracle in exact mode and the fast path in streaming
+    mode, as ``versal-gemm serve --streaming`` runs it.
     """
     from repro.sim.dispatch_batch import native_available
 

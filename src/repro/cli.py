@@ -264,14 +264,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("serve: --shards must be at least 1", file=sys.stderr)
         return 2
-    if args.shards > 1 and args.dispatch == "scan":
-        print("serve: --shards streams its reports; the scan engine is "
-              "exact-mode only", file=sys.stderr)
-        return 2
-    if args.streaming and args.dispatch == "scan":
-        print("serve: --streaming needs --dispatch auto; the scan engine is "
-              "exact-mode only", file=sys.stderr)
-        return 2
     if args.windows < 1:
         print("serve: --windows must be at least 1", file=sys.stderr)
         return 2
@@ -1000,17 +992,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--streaming", action=argparse.BooleanOptionalAction,
                        default=False,
-                       help="O(1)-memory report with sketched percentiles")
+                       help="sketched-percentile report (O(1) memory on "
+                            "fault-free runs)")
     serve.add_argument("--quantile-error", type=_unit_fraction, default=0.01,
                        help="relative error bound for streaming percentiles")
     serve.add_argument(
         "--dispatch",
         choices=["auto", "scan"],
         default="auto",
-        help="dispatch path (byte-identical): auto is the fast path — "
-             "native k-wide C kernel when a compiler is present, NumPy "
-             "speculate-and-verify otherwise; scan is the seed-loop "
-             "oracle (exact mode only)")
+        help="dispatch path (byte-identical, exact or streaming): auto "
+             "is the fast path — native k-wide C kernel when a compiler "
+             "is present, NumPy speculate-and-verify otherwise; scan is "
+             "the seed-loop oracle")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the trace across N process-parallel "
                             "shard replicas and merge one fleet report")

@@ -254,7 +254,8 @@ def ext_consistency() -> ExperimentResult:
 def ext_serving() -> ExperimentResult:
     """Tail latency vs offered load for a served GEMM mix."""
     from repro.core.multi_acc import AcceleratorPartition
-    from repro.sim.serving import ServingSimulator, generate_trace
+    from repro.sim.serving import ServingSimulator
+    from repro.sim.streaming import generate_trace_soa
     from repro.workloads.gemm import GemmShape
 
     partition = AcceleratorPartition(
@@ -265,7 +266,9 @@ def ext_serving() -> ExperimentResult:
               GemmShape(512, 2048, 512)]
     rows = []
     for mean_interarrival in (20e-3, 5e-3, 2e-3, 1e-3, 0.5e-3):
-        trace = generate_trace(shapes, num_requests=120, mean_interarrival=mean_interarrival, seed=11)
+        trace = generate_trace_soa(
+            shapes, num_requests=120, mean_interarrival=mean_interarrival, seed=11
+        )
         report = simulator.run(trace)
         p50, p95, p99 = report.latency_percentiles([50, 95, 99])
         rows.append(
@@ -420,14 +423,17 @@ def ext_chaos() -> ExperimentResult:
     """Serving through injected runtime faults: availability vs damage."""
     from repro.core.multi_acc import AcceleratorPartition
     from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
-    from repro.sim.serving import ServingSimulator, generate_trace
+    from repro.sim.serving import ServingSimulator
+    from repro.sim.streaming import generate_trace_soa
     from repro.workloads.gemm import GemmShape
 
     partition = AcceleratorPartition(
         [config_by_name("C5"), config_by_name("C3"), config_by_name("C1")]
     )
     shapes = [GemmShape(1024, 1024, 1024), GemmShape(512, 2048, 512)]
-    trace = generate_trace(shapes, num_requests=150, mean_interarrival=600e-6, seed=7)
+    trace = generate_trace_soa(
+        shapes, num_requests=150, mean_interarrival=600e-6, seed=7
+    )
     horizon = 150 * 600e-6
     scenarios = [
         ("fault-free", None),

@@ -19,10 +19,11 @@ The determinism story is exact, not approximate:
   the arrival clock (the sequential cumsum carry crosses shard
   boundaries through :func:`~repro.sim.streaming.shard_arrival_offsets`).
 * **Per-shard dispatch is byte-identical to an unsharded run over the
-  same sub-trace.**  Each worker runs the stock ``auto`` fast path on a
-  stock simulator whose service-time cache is a copy of the parent's,
-  so its ``StreamingServingReport.as_dict()`` equals an in-process
-  ``simulator.run(sub_trace)`` exactly.
+  same sub-trace.**  Each worker runs the configured dispatch path
+  (``auto`` or the ``scan`` oracle, which stream byte-identical
+  reports) on a stock simulator whose service-time cache is a copy of
+  the parent's, so its ``StreamingServingReport.as_dict()`` equals an
+  in-process ``simulator.run(sub_trace, streaming=True)`` exactly.
 * **Merged percentiles keep the sketch bound.**  Sketch merges add
   bucket counts exactly, so a merged quantile is within the documented
   relative error of the exact ranked value of the *union* of the
@@ -301,11 +302,6 @@ class ShardedServingCluster:
             raise ValueError("need at least one shard")
         if not shapes:
             raise ValueError("need at least one shape")
-        if dispatch == "scan":
-            raise ValueError(
-                "sharded serving streams its reports; the scan engine is "
-                "exact-mode only (use dispatch='auto')"
-            )
         self.shards = shards
         self.start_method = resolve_start_method(start_method)
         self.max_workers = max_workers

@@ -2,27 +2,35 @@
 
 A deployed Versal board serves a *stream* of inference requests, not one
 workload; what matters operationally is tail latency versus offered
-load.  This module generates deterministic pseudo-random request traces
-(exponential-ish inter-arrivals from a hash-based LCG — no global RNG,
-fully reproducible), dispatches each request to the partition
-accelerator that finishes it earliest, and reports throughput and
-latency percentiles.
+load.  This module serves a deterministic pseudo-random request trace
+(an :class:`~repro.sim.streaming.SoATrace` from
+:func:`~repro.sim.streaming.generate_trace_soa`: exponential-ish
+inter-arrivals from a hash-based LCG — no global RNG, fully
+reproducible), dispatches each request to the partition accelerator
+that finishes it earliest, and reports throughput and latency
+percentiles.
 
 Two dispatch paths produce **byte-identical** decisions:
 
 * the seed scan (``dispatch="scan"``) — the original O(requests x
-  accelerators) loop, kept as the ground-truth oracle (exact mode only);
+  accelerators) loop, kept as the ground-truth oracle;
 * the fast path (``dispatch="auto"``, the default) — the vectorized
   engine of :mod:`repro.sim.dispatch_batch` over the SoA trace, at every
   partition width: the native k-wide exact loop when a C compiler is
   present, NumPy speculate-and-verify rounds otherwise.
 
-``run(..., streaming=True)`` feeds dispatched chunks straight into a
-:class:`~repro.sim.streaming.StreamingServingReport` — O(1) memory in
-the trace length, with the sketch's documented percentile error bound —
-and :func:`load_sweep` drives the offered-load -> tail-latency curve
-the paper's serving discussion is about, with saturation-knee detection
-and an early exit once throughput plateaus.
+Every engine — the scan oracle, the fast path and the fault loop —
+hands its arrival-ordered decisions to one report sink, which cuts them
+into the same ``chunk_size`` blocks and builds either report from them:
+the exact :class:`ServingReport` keeps the columns, while
+``run(..., streaming=True)`` folds the blocks into a
+:class:`~repro.sim.streaming.StreamingServingReport` (sketched
+percentiles within the sketch's documented error bound, O(1) memory in
+the trace length on fault-free runs).  Either report is therefore
+byte-identical across engines.  :func:`load_sweep` drives the
+offered-load -> tail-latency curve the paper's serving discussion is
+about, with saturation-knee detection and an early exit once throughput
+plateaus.
 
 ``run(..., faults=...)`` injects a time-varying
 :class:`~repro.sim.chaos.FaultSchedule` (accelerators go down and come
@@ -62,14 +70,14 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.core.multi_acc import AcceleratorPartition
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
-from repro.obs.spans import GLOBAL_TRACER, span
+from repro.obs.spans import span
 from repro.perf.metrics import (
     EvalStats,
     FaultStats,
@@ -128,32 +136,6 @@ class CompletedRequest:
     @property
     def queueing_delay(self) -> float:
         return self.start - self.request.arrival
-
-
-def _feed_monitor(
-    monitor: "ServingMonitor",
-    arrivals: np.ndarray,
-    starts: np.ndarray,
-    finishes: np.ndarray,
-    chunk_size: int,
-) -> None:
-    """Feed already-final completion columns to a monitor.
-
-    Used by the scan oracle and the fault loop, which have no flush
-    hook: the arrival-ordered ``chunk_size`` blocks match the boundaries
-    the fast path flushes at, so the folded series are chunk-for-chunk
-    the same.
-    """
-    for lo in range(0, int(arrivals.size), chunk_size):
-        hi = lo + chunk_size
-        monitor.observe_chunk(arrivals[lo:hi], starts[lo:hi], finishes[lo:hi])
-
-
-def _request_ids(request_ids: np.ndarray | None, count: int) -> np.ndarray:
-    """The request-id column; ``None`` means ids are arrival positions."""
-    if request_ids is None:
-        return np.arange(count, dtype=np.int64)
-    return request_ids
 
 
 @dataclass(frozen=True)
@@ -343,41 +325,141 @@ class ServingReport:
         }
 
 
-def _lcg_uniform(seed: int, index: int) -> float:
-    """Deterministic uniform in (0, 1) from a splitmix-style hash."""
-    x = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 29
-    return ((x & 0xFFFFFFFF) + 1) / (2**32 + 2)
+def _joined(pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """One array from ``pieces``; a single piece is returned as is."""
+    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
-def generate_trace(
-    shapes: Sequence[GemmShape],
-    num_requests: int,
-    mean_interarrival: float,
-    seed: int = 0,
-) -> list[Request]:
-    """An exponential-interarrival request trace over a shape mix.
+class _ReportSink:
+    """Turns any engine's arrival-ordered decisions into its report.
 
-    The scalar reference: :func:`~repro.sim.streaming.generate_trace_soa`
-    produces the same trace bit-identically as a structure-of-arrays
-    (the log is evaluated through ``np.log`` here precisely so both
-    paths share one float64 log implementation).
+    Every engine hands its decisions over as ``(base, accs, starts,
+    finishes)`` stretches of rows ``[base, base + len(accs))`` of
+    ``arrivals``: the fast path chunk by chunk, the scan oracle and the
+    fault loop as whole columns.  The streaming report's running float
+    sums and the monitor's window series depend on block boundaries,
+    so the stretches are re-cut into exact ``chunk_size`` blocks at rows
+    ``0, chunk_size, 2 * chunk_size, ...`` whatever engine produced
+    them.  Per block, in order: a ``serve.dispatch_chunk`` span opens,
+    the streaming report folds the block, and the monitor sees it —
+    after every decision in it is final, so a monitor observes and
+    never steers.  Equal decisions therefore give byte-equal reports
+    and monitor series on every engine.  Exact mode keeps the stretches
+    themselves as the report's columns, so a whole column is kept
+    without a copy.
     """
-    if num_requests < 1:
-        raise ValueError("need at least one request")
-    if mean_interarrival <= 0:
-        raise ValueError("mean inter-arrival must be positive")
-    if not shapes:
-        raise ValueError("need at least one shape")
-    requests = []
-    clock = 0.0
-    for index in range(num_requests):
-        clock += -mean_interarrival * float(np.log(_lcg_uniform(seed, 2 * index)))
-        shape = shapes[int(_lcg_uniform(seed, 2 * index + 1) * len(shapes))]
-        requests.append(Request(request_id=index, shape=shape, arrival=clock))
-    return requests
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        arrivals: np.ndarray,
+        *,
+        streaming: bool,
+        quantile_error: float,
+        chunk_size: int,
+        monitor: "ServingMonitor | None",
+    ):
+        self.names = names
+        self.arrivals = arrivals
+        self.chunk_size = chunk_size
+        self.monitor = monitor
+        self.report = (
+            StreamingServingReport(names, quantile_error=quantile_error)
+            if streaming
+            else None
+        )
+        # exact mode: the report columns, as the engine handed them over
+        self._stretches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # the stretches since the last full block, starting at row _base
+        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._base = self._count = 0
+
+    def add(
+        self, base: int, accs: np.ndarray, starts: np.ndarray, finishes: np.ndarray
+    ) -> None:
+        """Take the decisions for rows ``[base, base + len(accs))``."""
+        if self.report is None:
+            self._stretches.append(
+                (accs.astype(_ACC_DTYPE, copy=False), starts, finishes)
+            )
+        pending = self._pending
+        if not pending:
+            self._base = base
+        pending.append((accs, starts, finishes))
+        self._count += len(accs)
+        size = self.chunk_size
+        if self._count < size:
+            return
+        columns = [_joined(column) for column in zip(*pending)]
+        pending.clear()
+        lo = 0
+        while self._count - lo >= size:
+            self._block(self._base + lo, *(c[lo : lo + size] for c in columns))
+            lo += size
+        if lo < self._count:
+            pending.append(tuple(c[lo:] for c in columns))
+        self._base += lo
+        self._count -= lo
+
+    def _block(
+        self, base: int, accs: np.ndarray, starts: np.ndarray, finishes: np.ndarray
+    ) -> None:
+        with span("serve.dispatch_chunk", track="serving", base=base, size=len(accs)):
+            arrivals = self.arrivals[base : base + len(accs)]
+            if self.report is not None:
+                self.report.observe_batch(accs, arrivals, starts, finishes)
+            if self.monitor is not None:
+                self.monitor.observe_chunk(arrivals, starts, finishes)
+
+    def finish(
+        self,
+        class_ids: np.ndarray,
+        shapes: Sequence[GemmShape],
+        *,
+        request_ids: np.ndarray | None = None,
+        retries: np.ndarray | None = None,
+        **faults,
+    ) -> ServingReport | StreamingServingReport:
+        """Fold the last partial block and build the report, once.
+
+        ``class_ids``, ``request_ids`` (``None``: the row positions)
+        and ``retries`` (``None``: all zero) are the exact report's
+        remaining columns.  ``faults`` holds a faulted run's
+        :class:`ServingReport` fault fields; a streaming report records
+        their totals.
+        """
+        if self._count:
+            self._block(self._base, *(_joined(c) for c in zip(*self._pending)))
+        if self.report is not None:
+            if faults:
+                shed = faults["shed"]
+                self.report.record_fault_metadata(
+                    shed_count=len(shed),
+                    total_retries=int(retries.sum()) + sum(s.retries for s in shed),
+                    kills=faults["kills"],
+                    requeues=faults["requeues"],
+                    fault_events=faults["fault_events"],
+                    downtime=faults["downtime"],
+                )
+            return self.report
+        accs, starts, finishes = (_joined(c) for c in zip(*self._stretches))
+        count = int(finishes.size)
+        return ServingReport(
+            arrivals=self.arrivals,
+            starts=starts,
+            finishes=finishes,
+            accelerator_ids=accs,
+            accelerator_names=tuple(self.names),
+            class_ids=class_ids,
+            shapes=tuple(shapes),
+            request_ids=(
+                np.arange(count, dtype=np.int64) if request_ids is None else request_ids
+            ),
+            retries=(
+                np.zeros(count, dtype=_RETRY_DTYPE) if retries is None else retries
+            ),
+            **faults,
+        )
 
 
 class _FaultView:
@@ -660,7 +742,7 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     def run(
         self,
-        trace: Union[Sequence[Request], SoATrace],
+        trace: SoATrace,
         *,
         streaming: bool = False,
         dispatch: str = "auto",
@@ -672,22 +754,29 @@ class ServingSimulator:
     ) -> ServingReport | StreamingServingReport:
         """Serve ``trace``; return an exact or streaming report.
 
+        ``trace`` is a :class:`~repro.sim.streaming.SoATrace`, as
+        :func:`~repro.sim.streaming.generate_trace_soa` builds it.
+
         ``dispatch`` selects the path: ``auto`` (the default) runs the
         vectorized fast path at every partition width — the native
         k-wide exact loop when a C compiler is present, NumPy
         speculate-and-verify rounds otherwise — and, under a fault
         schedule, batches every segment between two fault transitions
         through it, whatever windows are active there; ``scan`` runs
-        the seed loop, the ground-truth oracle
-        (exact mode only).  Both make byte-identical dispatch decisions
+        the seed loop, the ground-truth oracle.  Both make
+        byte-identical dispatch decisions and hand them to one report
+        sink, so either report kind is byte-identical across paths too
         (see the dispatch-path matrix in ``docs/performance.md``).
         The fast path rejects NaN service times, naming the accelerator
         and shape.
 
         ``streaming=True`` returns a :class:`StreamingServingReport`
-        with O(1) memory and ``quantile_error``-bounded percentiles;
-        the default exact mode keeps every completed request as report
-        columns (see :class:`ServingReport`).
+        with ``quantile_error``-bounded percentiles, folded chunk by
+        chunk: O(1) memory in the trace length on fault-free runs,
+        while a faulted run's fault loop holds its per-request outcome
+        columns until the loop ends.  The default exact mode keeps
+        every completed request as report columns (see
+        :class:`ServingReport`).
 
         ``faults`` injects a time-varying fault schedule under
         ``fault_policy`` (default :data:`~repro.sim.chaos.DEFAULT_FAULT_POLICY`)
@@ -695,26 +784,35 @@ class ServingSimulator:
         an empty schedule takes the fault-free paths untouched.
 
         ``monitor`` attaches a :class:`repro.obs.windows.ServingMonitor`
-        fed at the existing dispatch-chunk boundaries, *after* every
-        decision in a chunk is final — so an attached monitor cannot
-        change a single dispatch decision (a conformance-tested
-        byte-identity contract).  Sheds and kills under a fault schedule
-        are reported to the monitor at their simulated decision times.
+        fed at the dispatch-chunk boundaries, *after* every decision in
+        a chunk is final — so an attached monitor cannot change a
+        single dispatch decision (a conformance-tested byte-identity
+        contract).  Sheds and kills under a fault schedule are reported
+        to the monitor at their simulated decision times.
         """
         if dispatch not in _DISPATCH_MODES:
             raise ValueError(f"dispatch must be one of {_DISPATCH_MODES}")
-        if streaming and dispatch == "scan":
-            raise ValueError(
-                "streaming mode requires dispatch='auto'; the scan oracle "
-                "is exact-mode only"
+        if not isinstance(trace, SoATrace):
+            raise TypeError(
+                f"run() serves an SoATrace, got {type(trace).__name__}; "
+                "build the trace with generate_trace_soa()"
             )
         if len(trace) == 0:
-            # one uniform contract across both paths: an empty
-            # trace has no dispatch semantics (generate_trace* likewise
-            # reject num_requests < 1)
+            # one uniform contract across every path: an empty trace
+            # has no dispatch semantics (generate_trace_soa likewise
+            # rejects num_requests < 1)
             raise ValueError(
                 "cannot serve an empty trace: num_requests must be positive"
             )
+        faulted = faults is not None and not faults.is_empty
+        make_sink = partial(
+            _ReportSink,
+            list(self.partition.designs),
+            streaming=streaming,
+            quantile_error=quantile_error,
+            chunk_size=chunk_size,
+            monitor=monitor,
+        )
         before = self.stats.snapshot()
         try:
             with span(
@@ -723,54 +821,30 @@ class ServingSimulator:
                 requests=len(trace),
                 dispatch=dispatch,
                 streaming=streaming,
-                faulted=faults is not None and not faults.is_empty,
+                faulted=faulted,
             ), track(self.stats):
-                if faults is not None and not faults.is_empty:
+                if faulted:
                     return self._run_faulted(
                         trace,
-                        streaming=streaming,
+                        make_sink,
                         dispatch=dispatch,
-                        quantile_error=quantile_error,
-                        chunk_size=chunk_size,
                         faults=faults,
                         policy=fault_policy or DEFAULT_FAULT_POLICY,
-                        monitor=monitor,
                     )
                 if dispatch == "scan":
-                    report = self._run_scan(trace)
-                    if monitor is not None:
-                        # scan has no flush hook; feed the monitor
-                        # post-hoc in the same arrival-ordered
-                        # chunk_size blocks the fast path flushes
-                        _feed_monitor(
-                            monitor,
-                            report.arrivals,
-                            report.starts,
-                            report.finishes,
-                            chunk_size,
-                        )
-                    return report
-                return self._run_fast(
-                    trace,
-                    streaming=streaming,
-                    quantile_error=quantile_error,
-                    chunk_size=chunk_size,
-                    monitor=monitor,
-                )
+                    return self._run_scan(trace, make_sink)
+                return self._run_fast(trace, make_sink)
         finally:
             record_eval(self.stats.delta_since(before), self.metrics)
 
     def _run_faulted(
         self,
-        trace: Union[Sequence[Request], SoATrace],
+        trace: SoATrace,
+        make_sink: Callable[[np.ndarray], _ReportSink],
         *,
-        streaming: bool,
         dispatch: str,
-        quantile_error: float,
-        chunk_size: int,
         faults: FaultSchedule,
         policy: FaultPolicy,
-        monitor: "ServingMonitor | None" = None,
     ) -> ServingReport | StreamingServingReport:
         """The fault-aware event loop, shared by both dispatch paths.
 
@@ -785,7 +859,8 @@ class ServingSimulator:
         ``auto`` only adds segment batches the scalar loop would have
         decided identically, which is what makes both paths' fault
         semantics identical by construction.  Outcomes are written into
-        preallocated per-position report columns plus a done mask.
+        preallocated per-position columns plus a done mask, which the
+        report sink takes whole once the loop ends.
         """
         names = list(self.partition.designs)
         unknown = set(faults.accelerators()) - set(names)
@@ -794,12 +869,12 @@ class ServingSimulator:
                 f"fault schedule names accelerators not in the partition: "
                 f"{sorted(unknown)} (partition has {names})"
             )
-        arrivals, class_ids, classes, request_ids = self._normalize(trace)
+        arrivals = trace.arrivals
+        class_ids = trace.shape_ids.tolist()
+        classes = trace.shapes
         n = len(arrivals)
-        if streaming:
-            report = StreamingServingReport(names, quantile_error=quantile_error)
-        specs = self._class_specs(classes, set(class_ids))
-        self.stats.cache_hits += len(class_ids)
+        specs = self._class_specs(classes, trace.shape_ids)
+        self.stats.cache_hits += n
         view = _FaultView(self, faults, names, classes, specs)
         width = len(names)
         free = [0.0] * width
@@ -814,15 +889,10 @@ class ServingSimulator:
         retry_col = np.zeros(n, dtype=_RETRY_DTYPE)
         done = np.zeros(n, dtype=bool)
         shed_records: list[tuple[int, int, str, float]] = []
-        # decision log for the trace exporter; streaming mode keeps its
-        # O(1)-memory promise by not collecting one
-        timeline: list[tuple[float, str, int, int]] | None = (
-            None if streaming else []
-        )
+        # kill/requeue decision log, ``(time, kind, position, retries)``
+        timeline: list[tuple[float, str, int, int]] = []
         kills = 0
         requeues = 0
-        # kill timestamps are only retained when a monitor wants them
-        kill_times: list[float] | None = [] if monitor is not None else None
         backoff = policy.backoff
         max_retries = policy.max_retries
         # the fast path batches every segment [t0, next transition) — the
@@ -837,7 +907,7 @@ class ServingSimulator:
         if use_batch:
             healthy = self._service_matrix(names, specs)
             self._require_finite_services(names, healthy, classes)
-            cid_col = np.asarray(class_ids, dtype=np.int64)
+            cid_col = trace.shape_ids
             # active-window signature -> that segment's service matrix
             matrices: dict[tuple[int | None, ...], np.ndarray] = {}
         min_batch = 64
@@ -947,8 +1017,7 @@ class ServingSimulator:
                         )
                         continue
                     requeues += 1
-                    if timeline is not None:
-                        timeline.append((nxt, "requeue", pos, retries))
+                    timeline.append((nxt, "requeue", pos, retries))
                     heapq.heappush(retry_heap, (nxt, pos, retries))
                     continue
                 order, start, finish = best
@@ -956,10 +1025,7 @@ class ServingSimulator:
                 if next_down is not None and next_down < finish:
                     # killed: the down window opened mid-execution
                     kills += 1
-                    if kill_times is not None:
-                        kill_times.append(next_down)
-                    if timeline is not None:
-                        timeline.append((next_down, "kill", pos, retries + 1))
+                    timeline.append((next_down, "kill", pos, retries + 1))
                     free[order] = next_down
                     if retries + 1 > max_retries:
                         shed_records.append(
@@ -990,22 +1056,17 @@ class ServingSimulator:
         completed = int(np.count_nonzero(done))
         # keep every column whole (a view, no copy) when nothing was shed
         keep = slice(None) if completed == n else done
-        acc_col = acc_col[keep]
-        start_col = start_col[keep]
-        finish_col = finish_col[keep]
         retry_col = retry_col[keep]
-        done_arrivals = arrivals[keep]
+        finish_col = finish_col[keep]
         makespan = float(finish_col.max()) if completed else 0.0
         downtime = {name: 0.0 for name in names}
         downtime.update(faults.downtime(makespan))
-        total_retries = int(retry_col.sum()) + sum(
-            record[1] for record in shed_records
-        )
         record_faults(
             FaultStats(
                 windows=len(faults),
                 kills=kills,
-                retries=total_retries,
+                retries=int(retry_col.sum())
+                + sum(record[1] for record in shed_records),
                 requeues=requeues,
                 shed=len(shed_records),
                 completed=completed,
@@ -1013,79 +1074,53 @@ class ServingSimulator:
             self.metrics,
         )
 
-        if monitor is not None:
-            # the fault loop has no flush hook; feed the monitor the
-            # final outcomes in the same arrival-ordered chunk_size
-            # blocks the streaming report consumes below
-            _feed_monitor(monitor, done_arrivals, start_col, finish_col, chunk_size)
-            if shed_records:
-                monitor.observe_sheds(
-                    np.asarray([record[3] for record in shed_records])
-                )
-            if kill_times:
-                monitor.observe_kills(np.asarray(kill_times))
-        if streaming:
-            for lo in range(0, completed, chunk_size):
-                hi = lo + chunk_size
-                report.observe_batch(
-                    acc_col[lo:hi],
-                    done_arrivals[lo:hi],
-                    start_col[lo:hi],
-                    finish_col[lo:hi],
-                )
-            report.record_fault_metadata(
-                shed_count=len(shed_records),
-                total_retries=total_retries,
-                kills=kills,
-                requeues=requeues,
-                fault_events=faults.events(),
-                downtime=downtime,
-            )
-            return report
-
-        request_ids = _request_ids(request_ids, n)
-        shed = [
-            ShedRequest(
-                request=Request(
-                    request_id=int(request_ids[pos]),
-                    shape=classes[class_ids[pos]],
-                    arrival=float(arrivals[pos]),
-                ),
-                retries=r,
-                reason=reason,
-                time=when,
-            )
-            for pos, r, reason, when in shed_records
-        ]
-        fault_timeline = sorted(
-            (when, kind, int(request_ids[pos]), retries)
-            for when, kind, pos, retries in (timeline or [])
-        )
-        return ServingReport(
-            arrivals=done_arrivals,
-            starts=start_col,
-            finishes=finish_col,
-            accelerator_ids=acc_col,
-            accelerator_names=tuple(names),
-            class_ids=np.asarray(class_ids, dtype=np.int64)[keep],
-            shapes=tuple(classes),
-            request_ids=request_ids[keep],
+        sink = make_sink(arrivals[keep])
+        sink.add(0, acc_col[keep], start_col[keep], finish_col)
+        report = sink.finish(
+            trace.shape_ids[keep],
+            classes,
+            # request ids are arrival positions
+            request_ids=np.flatnonzero(done),
             retries=retry_col,
-            shed=shed,
+            shed=[
+                ShedRequest(
+                    request=Request(
+                        request_id=pos,
+                        shape=classes[class_ids[pos]],
+                        arrival=arrival_list[pos],
+                    ),
+                    retries=retries,
+                    reason=reason,
+                    time=when,
+                )
+                for pos, retries, reason, when in shed_records
+            ],
             fault_events=faults.events(),
             downtime=downtime,
             kills=kills,
             requeues=requeues,
-            fault_timeline=fault_timeline,
+            fault_timeline=sorted(timeline),
         )
+        monitor = sink.monitor
+        if monitor is not None:
+            if shed_records:
+                monitor.observe_sheds(
+                    np.asarray([record[3] for record in shed_records])
+                )
+            kill_times = [when for when, kind, _, _ in timeline if kind == "kill"]
+            if kill_times:
+                monitor.observe_kills(np.asarray(kill_times))
+        return report
 
-    def _run_scan(self, trace: Union[Sequence[Request], SoATrace]) -> ServingReport:
+    def _run_scan(
+        self, trace: SoATrace, make_sink: Callable[[np.ndarray], _ReportSink]
+    ) -> ServingReport | StreamingServingReport:
         """The seed dispatch loop: linear scan over every accelerator."""
-        arrivals, class_ids, classes, request_ids = self._normalize(trace)
+        classes = trace.shapes
         free_at = {name: 0.0 for name in self.partition.designs}
         order_of = {name: order for order, name in enumerate(free_at)}
         accs, starts, finishes = [], [], []
-        for arrival, cid in zip(arrivals.tolist(), class_ids):
+        for arrival, cid in zip(trace.arrivals.tolist(), trace.shape_ids.tolist()):
             shape = classes[cid]
             best_name, best_finish, best_start = None, float("inf"), 0.0
             for name in free_at:
@@ -1103,60 +1138,26 @@ class ServingSimulator:
             accs.append(order_of[best_name])
             starts.append(best_start)
             finishes.append(best_finish)
-        return ServingReport(
-            arrivals=arrivals,
-            starts=np.asarray(starts, dtype=np.float64),
-            finishes=np.asarray(finishes, dtype=np.float64),
-            accelerator_ids=np.asarray(accs, dtype=_ACC_DTYPE),
-            accelerator_names=tuple(free_at),
-            class_ids=np.asarray(class_ids, dtype=np.int64),
-            shapes=tuple(classes),
-            request_ids=_request_ids(request_ids, len(accs)),
-            retries=np.zeros(len(accs), dtype=_RETRY_DTYPE),
+        sink = make_sink(trace.arrivals)
+        sink.add(
+            0,
+            np.asarray(accs, dtype=_ACC_DTYPE),
+            np.asarray(starts, dtype=np.float64),
+            np.asarray(finishes, dtype=np.float64),
         )
-
-    def _normalize(
-        self,
-        trace: Union[Sequence[Request], SoATrace],
-        as_arrays: bool = False,
-    ) -> tuple[np.ndarray, Sequence[int], list[GemmShape], np.ndarray | None]:
-        """Arrival-sorted SoA view of ``trace``: ``(arrivals, class_ids,
-        classes, request_ids)``.
-
-        ``request_ids`` is None for an ``SoATrace``, whose request ids
-        are the arrival positions (:func:`_request_ids` expands them
-        when a report needs the column).
-
-        ``as_arrays=True`` keeps the class ids as an int64 array (the
-        vectorized engine's native form — an ``SoATrace`` passes through
-        without a single element being boxed); the default returns the
-        list the scalar loops index fastest.
-        """
-        if isinstance(trace, SoATrace):
-            class_ids = trace.shape_ids if as_arrays else trace.shape_ids.tolist()
-            return trace.arrivals, class_ids, list(trace.shapes), None
-        ordered = sorted(trace, key=lambda r: r.arrival)
-        class_index: dict[GemmShape, int] = {}
-        class_ids = [
-            class_index.setdefault(request.shape, len(class_index))
-            for request in ordered
-        ]
-        arrivals = np.asarray([request.arrival for request in ordered])
-        request_ids = np.asarray(
-            [request.request_id for request in ordered], dtype=np.int64
-        )
-        if as_arrays:
-            class_ids = np.asarray(class_ids, dtype=np.int64)
-        return arrivals, class_ids, list(class_index), request_ids
+        return sink.finish(trace.shape_ids, classes)
 
     def _class_specs(
-        self, classes: Sequence[GemmShape], used: set[int]
+        self, classes: Sequence[GemmShape], class_ids: np.ndarray
     ) -> list[tuple]:
-        """Flat ``(acc, service, ...)`` dispatch spec per shape class."""
+        """Flat ``(acc, service, ...)`` dispatch spec per shape class
+        (empty for a class no request of ``class_ids`` uses)."""
         names = list(self.partition.designs)
+        # bincount instead of np.unique: no million-element sort
+        used = np.bincount(class_ids, minlength=len(classes)).tolist()
         specs: list[tuple] = []
         for class_id, shape in enumerate(classes):
-            if class_id not in used:
+            if not used[class_id]:
                 specs.append(())
                 continue
             flat: list = []
@@ -1201,120 +1202,21 @@ class ServingSimulator:
             )
 
     def _run_fast(
-        self,
-        trace: Union[Sequence[Request], SoATrace],
-        *,
-        streaming: bool,
-        quantile_error: float,
-        chunk_size: int,
-        monitor: "ServingMonitor | None" = None,
+        self, trace: SoATrace, make_sink: Callable[[np.ndarray], _ReportSink]
     ) -> ServingReport | StreamingServingReport:
         names = list(self.partition.designs)
-        arrivals, class_ids, classes, request_ids = self._normalize(
-            trace, as_arrays=True
-        )
-        if streaming:
-            report = StreamingServingReport(names, quantile_error=quantile_error)
-        # bincount instead of np.unique: no million-element sort
-        used = set(
-            np.flatnonzero(np.bincount(class_ids, minlength=len(classes))).tolist()
-        )
-        specs = self._class_specs(classes, used)
+        arrivals = trace.arrivals
+        class_ids = trace.shape_ids
+        specs = self._class_specs(trace.shapes, class_ids)
         services = self._service_matrix(names, specs)
-        self._require_finite_services(names, services, classes)
+        self._require_finite_services(names, services, trace.shapes)
         # dispatched service lookups are cache hits by construction
         self.stats.cache_hits += len(class_ids)
-        free = [0.0] * len(names)
-
-        if streaming:
-            def flush(base, accs, starts, finishes) -> None:
-                report.observe_batch(
-                    accs, arrivals[base : base + len(accs)], starts, finishes
-                )
-        else:
-            # the chunks' columns, concatenated once after dispatch
-            chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-            def flush(base, accs, starts, finishes) -> None:
-                chunks.append((accs.astype(_ACC_DTYPE), starts, finishes))
-
-        if GLOBAL_TRACER.enabled:
-            # wrap only when tracing: the disabled path keeps the raw
-            # flush callback with zero indirection
-            inner_flush = flush
-
-            def flush(base, accs, starts, finishes) -> None:
-                with span(
-                    "serve.dispatch_chunk",
-                    track="serving",
-                    base=base,
-                    size=len(accs),
-                ):
-                    inner_flush(base, accs, starts, finishes)
-
-        if monitor is not None:
-            # outermost wrap: the monitor reads the chunk's final
-            # decisions after the report consumed them — it can observe,
-            # never influence (byte-identity is conformance-gated)
-            pre_monitor_flush = flush
-
-            def flush(base, accs, starts, finishes) -> None:
-                pre_monitor_flush(base, accs, starts, finishes)
-                monitor.observe_chunk(
-                    arrivals[base : base + len(accs)], starts, finishes
-                )
-
-        # The streaming report's running float sums and the monitor's
-        # chunk series depend on flush boundaries, so the variable-length
-        # stretches the engine dispatches are buffered and re-emitted as
-        # exact ``chunk_size`` blocks — the boundaries the scan oracle
-        # and the fault loop use — keeping every report bit-identical
-        # whether the native loop or the NumPy rounds dispatched.
-        pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        pending_base = pending_count = 0
-
-        def collect(base, accs, starts, finishes) -> None:
-            nonlocal pending_base, pending_count
-            if not pending:
-                pending_base = base
-            pending.append((accs, starts, finishes))
-            pending_count += len(accs)
-            if pending_count < chunk_size:
-                return
-            columns = [
-                np.concatenate(column) if len(column) > 1 else column[0]
-                for column in zip(*pending)
-            ]
-            pending.clear()
-            lo = 0
-            while pending_count - lo >= chunk_size:
-                flush(pending_base + lo, *(c[lo : lo + chunk_size] for c in columns))
-                lo += chunk_size
-            if lo < pending_count:
-                pending.append(tuple(c[lo:] for c in columns))
-            pending_base += lo
-            pending_count -= lo
-
-        dispatch_vectorized(arrivals, class_ids, services, free, collect, chunk_size)
-        if pending:
-            flush(pending_base, *(np.concatenate(c) for c in zip(*pending)))
-        if streaming:
-            return report
-        accs, starts, finishes = (
-            np.concatenate(column) if len(column) > 1 else column[0]
-            for column in zip(*chunks)
+        sink = make_sink(arrivals)
+        dispatch_vectorized(
+            arrivals, class_ids, services, [0.0] * len(names), sink.add, sink.chunk_size
         )
-        return ServingReport(
-            arrivals=arrivals,
-            starts=starts,
-            finishes=finishes,
-            accelerator_ids=accs,
-            accelerator_names=tuple(names),
-            class_ids=class_ids,
-            shapes=tuple(classes),
-            request_ids=_request_ids(request_ids, len(arrivals)),
-            retries=np.zeros(len(arrivals), dtype=_RETRY_DTYPE),
-        )
+        return sink.finish(class_ids, trace.shapes)
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,27 @@
 """Streaming serving structures: SoA traces and O(1)-memory reports.
 
-Serving a million-request trace through the seed path materializes one
-``Request`` and one ``CompletedRequest`` object per request and sorts
-every latency on each percentile query — hundreds of MB and seconds of
-interpreter time for numbers the operator reads off a dashboard.  This
-module provides the scalable counterparts:
+Serving a million-request trace as one ``Request`` object per request,
+and sorting every latency on each percentile query, costs hundreds of
+MB and seconds of interpreter time for numbers the operator reads off a
+dashboard.  This module provides the scalable counterparts:
 
-* :func:`splitmix_uniforms` — the NumPy uint64 replication of the
-  scalar ``_lcg_uniform`` hash; **bit-identical** by construction (the
-  integer arithmetic wraps exactly like the scalar mask-and-shift
-  chain, and the final float division is the same float64 operation).
-* :class:`SoATrace` / :func:`generate_trace_soa` — a structure-of-arrays
-  request trace (one float64 arrival and one int shape id per request,
-  16 bytes instead of a ~200-byte object graph) whose arrivals are
-  bit-identical to ``generate_trace``'s scalar loop.
+* :func:`splitmix_uniforms` — the splitmix-style uniform hash over a
+  uint64 index array, bit-identical to the scalar mask-and-shift chain
+  it replaced (the integer arithmetic wraps the same way, and the final
+  float division is the same float64 operation).
+* :class:`SoATrace` / :func:`generate_trace_soa` — the request trace
+  every serving path takes, as a structure of arrays: one float64
+  arrival and one int shape id per request, 16 bytes instead of a
+  ~200-byte object graph.
 * :class:`QuantileSketch` — a DDSketch-style log-bucketed quantile
   sketch with a *guaranteed relative error bound*: every reported
   quantile is within ``relative_error`` (default 1%) of the exact
   ranked value, using O(log(dynamic range) / relative_error) memory.
 * :class:`StreamingServingReport` — running aggregates plus one sketch
-  per accelerator; mirrors ``ServingReport``'s read API with O(1)
-  memory in the trace length.
+  per accelerator, folded from the same dispatch chunks the exact
+  ``ServingReport`` keeps; mirrors its read API with O(1) memory in the
+  trace length (a faulted run's fault loop still holds its per-request
+  outcome columns until the loop ends).
 
 The error bound, precisely: a value ``v > min_value`` lands in bucket
 ``ceil(log_gamma(v))`` with ``gamma = (1 + e) / (1 - e)``; the bucket's
@@ -35,14 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.workloads.gemm import GemmShape
-
-if TYPE_CHECKING:  # pragma: no cover - serving imports this module
-    from repro.sim.serving import Request
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MUL_SEED = 0x9E3779B97F4A7C15
@@ -67,12 +65,13 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def splitmix_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized ``_lcg_uniform``: uniforms in (0, 1), bit-identical.
+    """Splitmix-hashed uniforms in (0, 1), one per integer index.
 
-    ``indices`` is an integer array; the return value satisfies
-    ``out[j] == _lcg_uniform(seed, int(indices[j]))`` exactly — the
-    uint64 multiply/xor/shift chain wraps identically and the final
-    ``(x & 0xFFFFFFFF) + 1) / (2**32 + 2)`` is the same float64 divide.
+    ``out[j]`` is a pure function of ``(seed, indices[j])``: the
+    multiply/xor/shift chain :func:`derive_seed` runs, over ``(seed *
+    0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) mod 2**64``, then
+    ``((x & 0xFFFFFFFF) + 1) / (2**32 + 2)`` in float64 — bit-identical
+    to evaluating the chain with Python ints one index at a time.
 
     The chain runs in place on one scratch array: at a million requests
     the naive expression allocates (and page-faults) a fresh 16 MB
@@ -99,8 +98,8 @@ class SoATrace:
     ``shapes`` holds the shape mix (one entry per *position* in the mix
     handed to :func:`generate_trace_soa`, duplicates preserved);
     ``shape_ids[j]`` indexes into it for request ``j``; ``arrivals`` is
-    the nondecreasing float64 arrival clock.  Request ids are implicit:
-    request ``j`` has ``request_id == j``.
+    the nondecreasing, finite float64 arrival clock.  Request ids are
+    implicit: request ``j`` has ``request_id == j``.
     """
 
     shapes: tuple[GemmShape, ...]
@@ -119,23 +118,29 @@ class SoATrace:
                 self.shapes
             ):
                 raise ValueError("shape_ids index outside the shape mix")
-            if np.any(np.diff(self.arrivals) < 0):
+            # NaN propagates through min/max, and from a finite first
+            # arrival every arrival is finite when every step is: two
+            # reductions validate the clock without a per-request mask
+            steps = np.diff(self.arrivals)
+            low = float(steps.min()) if steps.size else 0.0
+            high = float(steps.max()) if steps.size else 0.0
+            if not (
+                math.isfinite(self.arrivals[0])
+                and math.isfinite(low)
+                and math.isfinite(high)
+            ):
+                finite = np.isfinite(self.arrivals)
+                if not finite.all():
+                    position = int(np.argmin(finite))
+                    raise ValueError(
+                        f"arrivals must be finite: arrivals[{position}] is "
+                        f"{self.arrivals[position]}"
+                    )
+            if low < 0:
                 raise ValueError("arrivals must be nondecreasing")
 
     def __len__(self) -> int:
         return int(self.arrivals.size)
-
-    def materialize(self) -> "list[Request]":
-        """The equivalent list-of-``Request`` trace (compat path)."""
-        from repro.sim.serving import Request
-
-        shapes = self.shapes
-        return [
-            Request(request_id=index, shape=shapes[sid], arrival=arrival)
-            for index, (sid, arrival) in enumerate(
-                zip(self.shape_ids.tolist(), self.arrivals.tolist())
-            )
-        ]
 
 
 def generate_trace_soa(
@@ -144,13 +149,14 @@ def generate_trace_soa(
     mean_interarrival: float,
     seed: int = 0,
 ) -> SoATrace:
-    """Vectorized :func:`repro.sim.serving.generate_trace`.
+    """An exponential-interarrival request trace over a shape mix.
 
-    Bit-identical to the scalar loop: the uniform stream is the exact
-    :func:`splitmix_uniforms` replication, ``np.log`` evaluates each
-    element exactly as the scalar path's ``np.log`` call, and
-    ``np.cumsum`` accumulates left-to-right exactly like the scalar
-    ``clock +=``.  ~50x faster and 16 bytes per request.
+    Request ``i`` draws its inter-arrival ``-mean_interarrival *
+    log(u[2 i])`` and its shape ``shapes[int(u[2 i + 1] * len(shapes))]``
+    from the :func:`splitmix_uniforms` stream ``u`` of ``seed``; the
+    arrival clock is their left-to-right ``np.cumsum``.  Bit-identical
+    to the scalar per-request loop it replaced (``np.log`` per element,
+    ``clock +=`` per request), ~50x faster and 16 bytes per request.
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
@@ -584,17 +590,6 @@ class StreamingServingReport:
                 continue
             self._per_accelerator[name].add_keyed(latencies[mask], keys[mask])
             self._loads[name] += num
-
-    def observe(
-        self, accelerator_index: int, arrival: float, start: float, finish: float
-    ) -> None:
-        """Scalar feed for incremental (non-batched) producers."""
-        self.observe_batch(
-            np.asarray([accelerator_index]),
-            np.asarray([arrival]),
-            np.asarray([start]),
-            np.asarray([finish]),
-        )
 
     @property
     def makespan(self) -> float:

@@ -37,6 +37,13 @@ class TestBenchBasics:
         assert main(["bench", "eval", "--noise", "dram"]) == 2
         assert "noise models do not apply" in capsys.readouterr().err
 
+    def test_serving_scan_dispatch_streams(self, capsys):
+        """The scan oracle serves the default streaming bench too."""
+        argv = ["bench", "serving", "--dispatch", "scan", "--requests", "2000",
+                "--repeats", "1"]
+        assert main(argv) == 0
+        assert "completed_requests  2000" in capsys.readouterr().out
+
     def test_writes_artifacts(self, tmp_path, capsys):
         csv_out = tmp_path / "r.csv"
         json_out = tmp_path / "r.json"

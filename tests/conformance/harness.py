@@ -12,7 +12,8 @@ check:
 * :func:`assert_engines_identical` runs the oracle and every available
   fast-path implementation on the same seeded trace (with or without a
   fault schedule) and diffs the per-request assignments byte for byte,
-  plus the exact-vs-streaming summaries.
+  the streaming reports byte for byte, plus the exact-vs-streaming
+  summaries.
 
 Import these from any test that adds a new dispatch path or fault
 semantic — if the paths can disagree, this is the function that must
@@ -133,10 +134,11 @@ def assert_engines_identical(
     """Assert the scan oracle, the fast path and both report kinds agree.
 
     Runs each path on a **fresh** simulator (no shared scheduler state),
-    diffs the fast path's per-request assignment and shed lists against
-    the oracle's byte for byte, then checks the streaming report against
-    the exact one: makespan, count, and loads exactly; the mean to float
-    tolerance; percentiles within twice the sketch's documented bound.
+    diffs the fast path's per-request assignment and shed lists and its
+    streaming report against the oracle's byte for byte, then checks the
+    streaming report against the exact one: makespan, count, and loads
+    exactly; the mean to float tolerance; percentiles within twice the
+    sketch's documented bound.
     Returns the exact oracle report's rows for further assertions.
     """
     base = ServingSimulator(partition).run(
@@ -144,6 +146,14 @@ def assert_engines_identical(
     )
     base_rows = dispatch_rows(base)
     base_shed = shed_rows(base)
+    base_stream = ServingSimulator(partition).run(
+        trace,
+        dispatch="scan",
+        streaming=True,
+        quantile_error=quantile_error,
+        faults=faults,
+        fault_policy=policy,
+    )
     streams = []
     for label, context in fast_variants():
         with context():
@@ -166,9 +176,9 @@ def assert_engines_identical(
         assert fast.fault_summary() == base.fault_summary(), (
             f"{label} fault summary differs from scan"
         )
-    for stream in streams[1:]:
-        assert stream.as_dict() == streams[0].as_dict(), (
-            "streaming summaries differ between fast-path implementations"
+    for stream in streams:
+        assert stream.as_dict() == base_stream.as_dict(), (
+            "streaming report differs from the scan oracle's"
         )
 
     stream = streams[0]

@@ -19,7 +19,7 @@ from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import config_by_name
 from repro.sim import serving
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
-from repro.sim.serving import ServingSimulator, generate_trace
+from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
 from repro.workloads.gemm import GemmShape
 
@@ -35,7 +35,7 @@ WIDTHS = list(range(1, 17))
 
 
 def _trace(num_requests=120, mean_interarrival=2e-3, seed=11):
-    return generate_trace(SHAPES, num_requests, mean_interarrival, seed=seed)
+    return generate_trace_soa(SHAPES, num_requests, mean_interarrival, seed=seed)
 
 
 def _schedule_for(width):
@@ -103,7 +103,7 @@ def test_far_future_window_matches_no_faults():
 def test_real_partition_engines_identical():
     partition = AcceleratorPartition([config_by_name("C5"), config_by_name("C3")])
     shapes = [SHAPES[0], SHAPES[1]]
-    trace = generate_trace(shapes, 80, 5e-4, seed=3)
+    trace = generate_trace_soa(shapes, 80, 5e-4, seed=3)
     schedule = FaultSchedule.down("C5", 0.004, 0.012) + FaultSchedule.degraded(
         "C3", 0.002, 0.02, factor=3.0
     )
@@ -205,30 +205,26 @@ def test_fault_runs_deterministic():
 def test_empty_trace_rejected_uniformly(dispatch, context):
     """Every path raises the same clear ValueError for an empty trace.
 
-    The contract mirrors ``generate_trace*``'s ``num_requests >= 1``
+    The contract mirrors ``generate_trace_soa``'s ``num_requests >= 1``
     validation: an empty trace has no dispatch semantics, so no path
-    gets to pick its own degenerate behaviour.
+    gets to pick its own degenerate behaviour, exact or streaming.
     """
-    import numpy as np
-
     from repro.sim.streaming import SoATrace
 
     partition = make_partition(2)
     simulator = ServingSimulator(partition)
-    empty_soa = SoATrace(
+    empty = SoATrace(
         shapes=SHAPES,
         shape_ids=np.empty(0, dtype=np.int64),
         arrivals=np.empty(0, dtype=np.float64),
     )
     with context():
-        for trace in ([], empty_soa):
+        for streaming in (False, True):
             with pytest.raises(ValueError, match="empty trace"):
-                simulator.run(trace, dispatch=dispatch)
-            if dispatch != "scan":
-                with pytest.raises(ValueError, match="empty trace"):
-                    simulator.run(trace, dispatch=dispatch, streaming=True)
+                simulator.run(empty, dispatch=dispatch, streaming=streaming)
             with pytest.raises(ValueError, match="empty trace"):
                 simulator.run(
-                    trace, dispatch=dispatch, faults=_schedule_for(2),
+                    empty, dispatch=dispatch, streaming=streaming,
+                    faults=_schedule_for(2),
                     fault_policy=FaultPolicy(max_retries=1),
                 )

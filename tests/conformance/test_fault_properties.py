@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.sim.chaos import FaultPolicy, FaultSchedule, FaultWindow  # noqa: E402
-from repro.sim.serving import ServingSimulator, generate_trace  # noqa: E402
+from repro.sim.serving import ServingSimulator  # noqa: E402
 from repro.sim.streaming import generate_trace_soa  # noqa: E402
 
 from .harness import (  # noqa: E402
@@ -61,7 +61,7 @@ def fault_scenarios(draw):
 
 
 def _run(width, schedule, policy, num_requests, seed, dispatch="auto"):
-    trace = generate_trace(SHAPES, num_requests, 2e-3, seed=seed)
+    trace = generate_trace_soa(SHAPES, num_requests, 2e-3, seed=seed)
     simulator = ServingSimulator(make_partition(width))
     return simulator.run(
         trace, dispatch=dispatch, faults=schedule, fault_policy=policy
@@ -124,7 +124,7 @@ def test_fault_runs_are_deterministic(scenario):
     seed=st.integers(min_value=0, max_value=99),
 )
 def test_empty_schedule_is_byte_identical_on_every_engine(width, num_requests, seed):
-    trace = generate_trace(SHAPES, num_requests, 2e-3, seed=seed)
+    trace = generate_trace_soa(SHAPES, num_requests, 2e-3, seed=seed)
     partition = make_partition(width)
     for engine in ("scan", "auto"):
         plain = ServingSimulator(partition).run(trace, dispatch=engine)

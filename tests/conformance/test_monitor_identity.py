@@ -24,7 +24,7 @@ from repro.mapping.configs import config_by_name
 from repro.obs.windows import ServingMonitor
 from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.cluster_serving import serve_sharded
-from repro.sim.serving import ServingSimulator, generate_trace
+from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import (
     generate_trace_shard,
     generate_trace_soa,
@@ -53,7 +53,7 @@ FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _trace(num_requests=160, mean_interarrival=2e-3, seed=17):
-    return generate_trace(SHAPES, num_requests, mean_interarrival, seed=seed)
+    return generate_trace_soa(SHAPES, num_requests, mean_interarrival, seed=seed)
 
 
 def _schedule_for(width):
@@ -66,7 +66,7 @@ def _schedule_for(width):
 
 
 def _window_width(trace):
-    horizon = max(request.arrival for request in trace) or 1.0
+    horizon = float(trace.arrivals[-1]) or 1.0
     return horizon / 20
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.sim import dispatch_batch
 from repro.sim.chaos import FaultPolicy, FaultSchedule
-from repro.sim.serving import ServingSimulator, generate_trace
+from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
 
 from .harness import (
@@ -32,7 +32,7 @@ from .harness import (
 
 
 def _trace(num_requests=300, mean_interarrival=1e-3, seed=19):
-    return generate_trace(SHAPES, num_requests, mean_interarrival, seed=seed)
+    return generate_trace_soa(SHAPES, num_requests, mean_interarrival, seed=seed)
 
 
 @pytest.fixture

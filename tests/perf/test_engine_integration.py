@@ -127,22 +127,24 @@ class TestServingPrewarm:
         return AcceleratorPartition([config_by_name("C1"), config_by_name("C2")])
 
     def test_prewarm_then_run_all_hits(self, partition):
-        from repro.sim.serving import ServingSimulator, generate_trace
+        from repro.sim.serving import ServingSimulator
+        from repro.sim.streaming import generate_trace_soa
 
         shapes = [GemmShape(512, 512, 512), GemmShape(1024, 1024, 1024)]
         simulator = ServingSimulator(partition)
         warmed = simulator.prewarm(shapes, jobs=2)
         assert warmed == len(shapes) * len(partition.designs)
-        trace = generate_trace(shapes, num_requests=20, mean_interarrival=0.01)
+        trace = generate_trace_soa(shapes, num_requests=20, mean_interarrival=0.01)
         simulator.run(trace)
         assert simulator.stats.cache_hits > 0
         assert simulator.stats.cache_misses == 0  # everything prewarmed
 
     def test_prewarm_matches_lazy_results(self, partition):
-        from repro.sim.serving import ServingSimulator, generate_trace
+        from repro.sim.serving import ServingSimulator
+        from repro.sim.streaming import generate_trace_soa
 
         shapes = [GemmShape(512, 512, 512)]
-        trace = generate_trace(shapes, num_requests=10, mean_interarrival=0.01)
+        trace = generate_trace_soa(shapes, num_requests=10, mean_interarrival=0.01)
         lazy = ServingSimulator(partition).run(trace)
         warmed_sim = ServingSimulator(partition)
         warmed_sim.prewarm(shapes, jobs=2)

@@ -166,9 +166,13 @@ class TestTracePartitionDeterminism:
 
 def _report_from(latencies, names=("a", "b"), accelerator=0, start=100.0):
     report = StreamingServingReport(list(names))
-    for offset, latency in enumerate(latencies):
-        arrival = start + offset
-        report.observe(accelerator, arrival, arrival, arrival + latency)
+    arrivals = start + np.arange(len(latencies), dtype=np.float64)
+    report.observe_batch(
+        np.full(len(latencies), accelerator),
+        arrivals,
+        arrivals,
+        arrivals + np.asarray(latencies, dtype=np.float64),
+    )
     return report
 
 
@@ -331,8 +335,6 @@ class TestInlineCluster:
     def test_rejects_bad_configuration(self, simulator):
         with pytest.raises(ValueError, match="shard"):
             ShardedServingCluster(simulator, SHAPES, shards=0)
-        with pytest.raises(ValueError, match="scan"):
-            ShardedServingCluster(simulator, SHAPES, shards=2, dispatch="scan")
         with pytest.raises(ValueError, match="shape"):
             ShardedServingCluster(simulator, [], shards=2)
         with pytest.raises(ValueError, match="start_method"):

@@ -9,13 +9,11 @@ from repro.obs.metrics import GLOBAL_METRICS
 from repro.perf.metrics import read_totals
 from repro.sim.chaos import FaultError, FaultPolicy, FaultSchedule
 from repro.sim.serving import (
-    Request,
     ServingReport,
     ServingSimulator,
-    generate_trace,
     load_sweep,
 )
-from repro.sim.streaming import generate_trace_soa
+from repro.sim.streaming import SoATrace, generate_trace_soa
 from repro.workloads.gemm import GemmShape
 
 from ..conformance.harness import fast_variants
@@ -58,6 +56,10 @@ def _wide_fake_partition(num_accelerators=9):
     return FakePartition(services)
 
 
+def _empty_trace():
+    return SoATrace(SHAPES, np.empty(0, dtype=np.int64), np.empty(0))
+
+
 def _decisions(report):
     return [(c.accelerator, c.start, c.finish) for c in report.completed]
 
@@ -83,42 +85,42 @@ def simulator(partition):
 
 class TestTraceGeneration:
     def test_deterministic(self):
-        a = generate_trace(SHAPES, 20, 1e-3, seed=7)
-        b = generate_trace(SHAPES, 20, 1e-3, seed=7)
-        assert [(r.arrival, r.shape) for r in a] == [(r.arrival, r.shape) for r in b]
+        a = generate_trace_soa(SHAPES, 20, 1e-3, seed=7)
+        b = generate_trace_soa(SHAPES, 20, 1e-3, seed=7)
+        assert a.arrivals.tobytes() == b.arrivals.tobytes()
+        assert a.shape_ids.tolist() == b.shape_ids.tolist()
 
     def test_seed_changes_trace(self):
-        a = generate_trace(SHAPES, 20, 1e-3, seed=1)
-        b = generate_trace(SHAPES, 20, 1e-3, seed=2)
-        assert [r.arrival for r in a] != [r.arrival for r in b]
+        a = generate_trace_soa(SHAPES, 20, 1e-3, seed=1)
+        b = generate_trace_soa(SHAPES, 20, 1e-3, seed=2)
+        assert a.arrivals.tolist() != b.arrivals.tolist()
 
     def test_arrivals_increase(self):
-        trace = generate_trace(SHAPES, 50, 1e-3, seed=0)
-        arrivals = [r.arrival for r in trace]
-        assert all(b > a for a, b in zip(arrivals, arrivals[1:]))
+        trace = generate_trace_soa(SHAPES, 50, 1e-3, seed=0)
+        assert (np.diff(trace.arrivals) > 0).all()
 
     def test_mean_interarrival_approximate(self):
-        trace = generate_trace(SHAPES, 2000, 1e-3, seed=3)
-        mean = trace[-1].arrival / len(trace)
+        trace = generate_trace_soa(SHAPES, 2000, 1e-3, seed=3)
+        mean = trace.arrivals[-1] / len(trace)
         assert mean == pytest.approx(1e-3, rel=0.15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generate_trace(SHAPES, 0, 1e-3)
+            generate_trace_soa(SHAPES, 0, 1e-3)
         with pytest.raises(ValueError):
-            generate_trace(SHAPES, 5, 0)
+            generate_trace_soa(SHAPES, 5, 0)
         with pytest.raises(ValueError):
-            generate_trace([], 5, 1e-3)
+            generate_trace_soa([], 5, 1e-3)
 
 
 class TestServing:
     def test_all_requests_complete(self, simulator):
-        trace = generate_trace(SHAPES, 30, 5e-3, seed=0)
+        trace = generate_trace_soa(SHAPES, 30, 5e-3, seed=0)
         report = simulator.run(trace)
         assert len(report.completed) == 30
 
     def test_latency_at_least_service_time(self, simulator, partition):
-        trace = generate_trace(SHAPES, 10, 1.0, seed=0)  # no queueing
+        trace = generate_trace_soa(SHAPES, 10, 1.0, seed=0)  # no queueing
         report = simulator.run(trace)
         for completed in report.completed:
             _, best = partition.best_accelerator(completed.request.shape)
@@ -126,28 +128,28 @@ class TestServing:
             assert completed.queueing_delay == pytest.approx(0.0, abs=1e-9)
 
     def test_overload_builds_queueing_delay(self, simulator):
-        light = simulator.run(generate_trace(SHAPES, 40, 1.0, seed=0))
-        heavy = simulator.run(generate_trace(SHAPES, 40, 1e-4, seed=0))
+        light = simulator.run(generate_trace_soa(SHAPES, 40, 1.0, seed=0))
+        heavy = simulator.run(generate_trace_soa(SHAPES, 40, 1e-4, seed=0))
         assert heavy.latency_percentile(95) > 3 * light.latency_percentile(95)
 
     def test_percentiles_ordered(self, simulator):
-        report = simulator.run(generate_trace(SHAPES, 60, 1e-3, seed=1))
+        report = simulator.run(generate_trace_soa(SHAPES, 60, 1e-3, seed=1))
         p50 = report.latency_percentile(50)
         p95 = report.latency_percentile(95)
         p99 = report.latency_percentile(99)
         assert p50 <= p95 <= p99
 
     def test_load_spreads_across_accelerators(self, simulator):
-        report = simulator.run(generate_trace(SHAPES, 60, 1e-4, seed=2))
+        report = simulator.run(generate_trace_soa(SHAPES, 60, 1e-4, seed=2))
         load = report.accelerator_load()
         assert len(load) == 2  # both accelerators pick up work under load
 
     def test_throughput_positive(self, simulator):
-        report = simulator.run(generate_trace(SHAPES, 30, 1e-3, seed=0))
+        report = simulator.run(generate_trace_soa(SHAPES, 30, 1e-3, seed=0))
         assert report.throughput_rps > 0
 
     def test_percentile_validation(self, simulator):
-        report = simulator.run(generate_trace(SHAPES, 5, 1e-3, seed=0))
+        report = simulator.run(generate_trace_soa(SHAPES, 5, 1e-3, seed=0))
         with pytest.raises(ValueError):
             report.latency_percentile(0)
 
@@ -157,35 +159,28 @@ class TestDispatchEngines:
     accelerator, same float start/finish) — the serving core contract."""
 
     def test_fast_path_matches_scan(self, simulator):
-        trace = generate_trace(SHAPES, 400, 0.3e-3, seed=5)
+        trace = generate_trace_soa(SHAPES, 400, 0.3e-3, seed=5)
         _assert_fast_path_matches_scan(simulator, trace)
-
-    def test_soa_trace_matches_list_trace(self, simulator):
-        scalar = generate_trace(SHAPES, 300, 1e-3, seed=9)
-        soa = generate_trace_soa(SHAPES, 300, 1e-3, seed=9)
-        assert _decisions(simulator.run(soa)) == _decisions(
-            simulator.run(scalar, dispatch="scan")
-        )
 
     def test_wide_partition_with_infeasible_pairs(self):
         simulator = ServingSimulator(_wide_fake_partition())
-        trace = generate_trace(SHAPES, 500, 0.5e-3, seed=3)
+        trace = generate_trace_soa(SHAPES, 500, 0.5e-3, seed=3)
         _assert_fast_path_matches_scan(simulator, trace)
 
     def test_single_accelerator_partition(self):
         fake = FakePartition({"only": {SHAPES[0]: 0.002, SHAPES[1]: 0.003}})
-        trace = generate_trace(SHAPES, 120, 1e-3, seed=1)
+        trace = generate_trace_soa(SHAPES, 120, 1e-3, seed=1)
         _assert_fast_path_matches_scan(ServingSimulator(fake), trace)
 
     def test_small_chunks_do_not_change_decisions(self, simulator):
-        trace = generate_trace(SHAPES, 150, 1e-3, seed=2)
+        trace = generate_trace_soa(SHAPES, 150, 1e-3, seed=2)
         expected = _decisions(simulator.run(trace, dispatch="scan"))
         assert _decisions(simulator.run(trace, chunk_size=7)) == expected
 
     def test_unserveable_shape_raises(self):
         fake = FakePartition({"a": {SHAPES[0]: 0.001, SHAPES[1]: None}})
         simulator = ServingSimulator(fake)
-        trace = generate_trace(SHAPES, 50, 1e-3, seed=0)
+        trace = generate_trace_soa(SHAPES, 50, 1e-3, seed=0)
         with pytest.raises(ValueError, match="no accelerator can serve"):
             simulator.run(trace)
         with pytest.raises(ValueError, match="no accelerator can serve"):
@@ -193,16 +188,25 @@ class TestDispatchEngines:
 
     def test_empty_trace_rejected(self, simulator):
         with pytest.raises(ValueError, match="empty trace"):
-            simulator.run([])
+            simulator.run(_empty_trace())
         with pytest.raises(ValueError, match="empty trace"):
-            simulator.run([], streaming=True)
+            simulator.run(_empty_trace(), streaming=True)
+
+    @pytest.mark.parametrize("trace", [[], (), None, "trace"])
+    def test_non_soa_trace_rejected(self, simulator, trace):
+        with pytest.raises(TypeError, match=type(trace).__name__) as error:
+            simulator.run(trace)
+        assert "generate_trace_soa" in str(error.value)
 
     def test_kwargs_validation(self, simulator):
-        trace = generate_trace(SHAPES, 5, 1e-3, seed=0)
+        trace = generate_trace_soa(SHAPES, 5, 1e-3, seed=0)
         with pytest.raises(ValueError, match="dispatch"):
             simulator.run(trace, dispatch="warp")
-        with pytest.raises(ValueError, match="streaming"):
-            simulator.run(trace, streaming=True, dispatch="scan")
+        # scan streams like every other engine, to the same report
+        assert (
+            simulator.run(trace, streaming=True, dispatch="scan").as_dict()
+            == simulator.run(trace, streaming=True).as_dict()
+        )
 
 
 class TestStreamingRun:
@@ -249,7 +253,7 @@ class TestStreamingRun:
 
 class TestReportSatellites:
     def _report(self, simulator):
-        return simulator.run(generate_trace(SHAPES, 80, 1e-3, seed=1))
+        return simulator.run(generate_trace_soa(SHAPES, 80, 1e-3, seed=1))
 
     def test_batch_percentiles_match_singles(self, simulator):
         report = self._report(simulator)
@@ -315,7 +319,6 @@ class TestReportColumns:
     def test_fast_path_builds_no_request_objects(self, monkeypatch, faulted):
         from repro.obs.export import ChromeTraceBuilder
         from repro.sim.serving import CompletedRequest
-        from repro.sim.streaming import SoATrace
 
         def forbidden(*args, **kwargs):
             raise AssertionError("per-request object built on the exact path")
@@ -329,7 +332,6 @@ class TestReportColumns:
         )
         trace = self._trace(2000)
         monkeypatch.setattr(CompletedRequest, "__init__", forbidden)
-        monkeypatch.setattr(SoATrace, "materialize", forbidden)
         report = simulator.run(trace, faults=faults)
         assert report.count + report.shed_count == 2000
         if faulted:
@@ -364,7 +366,7 @@ class TestRunRecordsStats:
     def test_run_publishes_to_global_stats(self):
         fake = FakePartition({"a": {SHAPES[0]: 0.001, SHAPES[1]: 0.002}})
         simulator = ServingSimulator(fake)
-        trace = generate_trace(SHAPES, 40, 1e-3, seed=0)
+        trace = generate_trace_soa(SHAPES, 40, 1e-3, seed=0)
         GLOBAL_METRICS.reset()
         simulator.run(trace)
         totals = read_totals()
@@ -377,7 +379,7 @@ class TestRunRecordsStats:
         simulator = ServingSimulator(fake)
         simulator.prewarm(SHAPES)
         misses_before = simulator.stats.cache_misses
-        simulator.run(generate_trace(SHAPES, 60, 1e-3, seed=0))
+        simulator.run(generate_trace_soa(SHAPES, 60, 1e-3, seed=0))
         assert simulator.stats.cache_misses == misses_before
 
     def test_prewarm_mixed_precision_partition(self):
@@ -393,7 +395,7 @@ class TestRunRecordsStats:
 
     def test_wall_seconds_accumulates(self, simulator):
         before = simulator.stats.wall_seconds
-        simulator.run(generate_trace(SHAPES, 30, 1e-3, seed=0))
+        simulator.run(generate_trace_soa(SHAPES, 30, 1e-3, seed=0))
         assert simulator.stats.wall_seconds > before
 
 
@@ -495,15 +497,16 @@ class TestFaultInjection:
     def _single(self, service=0.001):
         return FakePartition({"solo": {SHAPES[0]: service}})
 
-    def _request(self, arrival=0.0, request_id=0, shape=SHAPES[0]):
-        return Request(request_id=request_id, shape=shape, arrival=arrival)
+    def _trace(self):
+        """One request for ``SHAPES[0]``, arriving at 0."""
+        return SoATrace((SHAPES[0],), [0], [0.0])
 
     def test_down_window_kills_retries_and_completes(self):
         # execution starts at 0, the window at 0.0005 kills it; the retry
         # lands inside the window (requeued to its end) and completes
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.down("solo", 0.0005, 0.002)
-        report = simulator.run([self._request()], faults=faults)
+        report = simulator.run(self._trace(), faults=faults)
         assert len(report.completed) == 1
         completed = report.completed[0]
         assert completed.retries == 1
@@ -518,7 +521,7 @@ class TestFaultInjection:
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.down("solo", 0.0005, 0.002)
         policy = FaultPolicy(max_retries=0)
-        report = simulator.run([self._request()], faults=faults, fault_policy=policy)
+        report = simulator.run(self._trace(), faults=faults, fault_policy=policy)
         assert report.completed == []
         assert len(report.shed) == 1
         shed = report.shed[0]
@@ -534,7 +537,7 @@ class TestFaultInjection:
         )
         simulator = ServingSimulator(partition)
         faults = FaultSchedule.down("fast", 0.0005, 0.1)
-        report = simulator.run([self._request()], faults=faults)
+        report = simulator.run(self._trace(), faults=faults)
         completed = report.completed[0]
         assert completed.accelerator == "slow"
         assert completed.retries == 1
@@ -544,13 +547,13 @@ class TestFaultInjection:
         # though the window ends mid-execution
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.degraded("solo", 0.0, 0.0015, factor=10.0)
-        report = simulator.run([self._request()], faults=faults)
+        report = simulator.run(self._trace(), faults=faults)
         assert report.completed[0].finish == pytest.approx(0.01)
 
     def test_degraded_window_slows_service(self):
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.degraded("solo", 0.0, 10.0, factor=3.0)
-        report = simulator.run([self._request()], faults=faults)
+        report = simulator.run(self._trace(), faults=faults)
         assert report.completed[0].finish == pytest.approx(0.003)
         assert report.kills == 0
 
@@ -560,18 +563,18 @@ class TestFaultInjection:
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.degraded("solo", 0.0, 1.0, device=VCK5000)
         with pytest.raises(ValueError, match="factor="):
-            simulator.run([self._request()], faults=faults)
+            simulator.run(self._trace(), faults=faults)
 
     def test_unknown_accelerator_in_schedule_rejected(self):
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.down("ghost", 0.0, 1.0)
         with pytest.raises(FaultError, match="ghost"):
-            simulator.run([self._request()], faults=faults)
+            simulator.run(self._trace(), faults=faults)
 
     def test_downtime_and_availability_reported(self):
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.down("solo", 0.0005, 0.002)
-        report = simulator.run([self._request()], faults=faults)
+        report = simulator.run(self._trace(), faults=faults)
         assert report.downtime["solo"] == pytest.approx(0.0015)
         availability = report.availability()
         assert availability["solo"] == pytest.approx(1 - 0.0015 / 0.003)
@@ -580,13 +583,13 @@ class TestFaultInjection:
     def test_fault_events_attached_in_time_order(self):
         simulator = ServingSimulator(self._single())
         faults = FaultSchedule.down("solo", 0.0005, 0.002)
-        report = simulator.run([self._request()], faults=faults)
+        report = simulator.run(self._trace(), faults=faults)
         assert [e.time for e in report.fault_events] == [0.0005, 0.002]
 
     def test_fault_summary_keys(self):
         simulator = ServingSimulator(self._single())
         report = simulator.run(
-            [self._request()], faults=FaultSchedule.down("solo", 5.0, 6.0)
+            self._trace(), faults=FaultSchedule.down("solo", 5.0, 6.0)
         )
         assert set(report.fault_summary()) == {
             "completed", "shed", "kills", "retries", "requeues",
@@ -595,7 +598,7 @@ class TestFaultInjection:
 
     def test_streaming_run_carries_fault_metadata(self):
         partition = _wide_fake_partition(4)
-        trace = generate_trace(SHAPES, 200, 1e-3, seed=2)
+        trace = generate_trace_soa(SHAPES, 200, 1e-3, seed=2)
         faults = FaultSchedule.down("acc1", 0.01, 0.05)
         exact = ServingSimulator(partition).run(trace, faults=faults)
         stream = ServingSimulator(partition).run(
@@ -606,7 +609,7 @@ class TestFaultInjection:
 
     def test_streaming_fault_free_dict_has_no_faults_key(self):
         partition = _wide_fake_partition(4)
-        trace = generate_trace(SHAPES, 50, 1e-3, seed=2)
+        trace = generate_trace_soa(SHAPES, 50, 1e-3, seed=2)
         stream = ServingSimulator(partition).run(trace, streaming=True)
         assert "faults" not in stream.as_dict()
 
@@ -627,7 +630,9 @@ class TestFaultInjection:
     def test_zero_requests_with_faults_rejected(self):
         simulator = ServingSimulator(self._single())
         with pytest.raises(ValueError, match="empty trace"):
-            simulator.run([], faults=FaultSchedule.down("solo", 0.0, 1.0))
+            simulator.run(
+                _empty_trace(), faults=FaultSchedule.down("solo", 0.0, 1.0)
+            )
 
     @pytest.mark.parametrize("dispatch", ["auto", "scan"])
     def test_fault_loop_span_counts_every_attempt(self, dispatch):

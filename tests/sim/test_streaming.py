@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim.serving import _lcg_uniform, generate_trace
+from repro.sim.serving import Request
 from repro.sim.streaming import (
     QuantileSketch,
     SoATrace,
@@ -20,6 +20,34 @@ SHAPES = (
     GemmShape(512, 2048, 512),
     GemmShape(2048, 1024, 512),
 )
+
+
+# The scalar trace generator the SoA one replaced, kept verbatim as the
+# oracle of the bit-identity tests below.
+def _lcg_uniform(seed: int, index: int) -> float:
+    """Deterministic uniform in (0, 1) from a splitmix-style hash."""
+    x = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 31
+    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 29
+    return ((x & 0xFFFFFFFF) + 1) / (2**32 + 2)
+
+
+def generate_trace(shapes, num_requests, mean_interarrival, seed=0):
+    """An exponential-interarrival request trace over a shape mix."""
+    if num_requests < 1:
+        raise ValueError("need at least one request")
+    if mean_interarrival <= 0:
+        raise ValueError("mean inter-arrival must be positive")
+    if not shapes:
+        raise ValueError("need at least one shape")
+    requests = []
+    clock = 0.0
+    for index in range(num_requests):
+        clock += -mean_interarrival * float(np.log(_lcg_uniform(seed, 2 * index)))
+        shape = shapes[int(_lcg_uniform(seed, 2 * index + 1) * len(shapes))]
+        requests.append(Request(request_id=index, shape=shape, arrival=clock))
+    return requests
 
 
 class TestSplitmixUniforms:
@@ -49,11 +77,6 @@ class TestGenerateTraceSoa:
         assert [SHAPES[i] for i in soa.shape_ids.tolist()] == [
             r.shape for r in scalar
         ]
-
-    def test_materialize_round_trip(self):
-        scalar = generate_trace(SHAPES, 50, 1e-3, seed=4)
-        materialized = generate_trace_soa(SHAPES, 50, 1e-3, seed=4).materialize()
-        assert materialized == scalar
 
     def test_duplicate_shapes_preserved(self):
         mix = (SHAPES[0], SHAPES[0], SHAPES[1])
@@ -113,6 +136,26 @@ class TestSoATrace:
     def test_rejects_empty_shape_mix(self):
         with pytest.raises(ValueError):
             SoATrace((), np.asarray([], dtype=np.int64), np.asarray([]))
+
+    @pytest.mark.parametrize(
+        "arrivals, position",
+        [
+            ([1.0, math.inf], 1),
+            ([0.0, math.nan, 1.0], 1),
+            ([-math.inf, 0.0], 0),
+            ([0.0, 1.0, 2.0, math.nan], 3),
+        ],
+    )
+    def test_rejects_non_finite_arrivals(self, arrivals, position):
+        with pytest.raises(ValueError, match=rf"arrivals\[{position}\]"):
+            SoATrace(SHAPES, np.zeros(len(arrivals), dtype=np.int64), arrivals)
+
+    def test_finite_arrivals_with_overflowing_step_accepted(self):
+        with np.errstate(over="ignore"):
+            trace = SoATrace(SHAPES, np.zeros(2, dtype=np.int64), [-1e308, 1e308])
+            with pytest.raises(ValueError, match="nondecreasing"):
+                SoATrace(SHAPES, np.zeros(2, dtype=np.int64), [1e308, -1e308])
+        assert len(trace) == 2
 
 
 class TestQuantileSketch:
@@ -209,6 +252,7 @@ class TestStreamingServingReport:
         assert report.accelerator_load() == {"a": 3, "b": 1}
 
     def test_scalar_observe_matches_batch(self):
+        """One-row batches fold to the same report as one whole batch."""
         batched = self._report()
         scalar = StreamingServingReport(["a", "b"])
         for acc, arrival, start, finish in [
@@ -217,7 +261,7 @@ class TestStreamingServingReport:
             (0, 2.0, 2.5, 4.0),
             (0, 3.0, 4.0, 6.0),
         ]:
-            scalar.observe(acc, arrival, start, finish)
+            scalar.observe_batch([acc], [arrival], [start], [finish])
         assert scalar.as_dict() == batched.as_dict()
 
     def test_empty_report_raises(self):

@@ -162,15 +162,14 @@ class TestServe:
         assert main(argv) == 2
         assert "not both" in capsys.readouterr().err
 
-    def test_rejects_streaming_with_scan_dispatch(self, capsys):
-        argv = [
-            "serve", self.SHAPES, "--requests", "150", "--streaming",
-            "--dispatch", "scan",
-        ]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "--streaming" in err and "scan" in err
-        assert len(err.strip().splitlines()) == 1
+    def test_streaming_scan_dispatch_matches_auto(self, capsys):
+        base = ["serve", self.SHAPES, "--requests", "150", "--streaming"]
+        assert main(base + ["--dispatch", "scan"]) == 0
+        scan = capsys.readouterr().out
+        assert main(base) == 0
+        # one report sink: the oracle's streaming report is byte-identical
+        assert capsys.readouterr().out == scan
+        assert "streaming" in scan
 
     def test_stats_reports_native_kernel_flag(self, capsys):
         from repro.obs.metrics import GLOBAL_METRICS
