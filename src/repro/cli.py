@@ -15,11 +15,11 @@ Usage::
     versal-gemm bench --smoke --out-dir artifacts  # CI statistical gate
 
 Global flags (before the subcommand): ``--jobs/-j N`` fans batched
-evaluations out over N worker threads (0 = one per CPU), ``--stats``
-prints evaluation-engine statistics (evaluations, cache hits, wall
-time) to stderr after the command.  Stats and cache counters reset at
-the start of every invocation, so ``--stats`` always reports per-run
-numbers.
+evaluations out over N worker threads (0 = one per usable CPU, i.e.
+per CPU in the process's affinity mask), ``--stats`` prints
+evaluation-engine statistics (evaluations, cache hits, wall time) to
+stderr after the command.  Stats and cache counters reset at the start
+of every invocation, so ``--stats`` always reports per-run numbers.
 
 ``serve`` and ``dse`` additionally accept ``--trace-out trace.json``
 (enable the tracer for the run and export a Chrome trace-event file —
@@ -821,7 +821,9 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def _jobs_arg(value: str) -> int:
     jobs = int(value)
     if jobs < 0:
-        raise argparse.ArgumentTypeError("jobs must be >= 0 (0 = one per CPU)")
+        raise argparse.ArgumentTypeError(
+            "jobs must be >= 0 (0 = one per usable CPU)"
+        )
     return jobs
 
 
@@ -908,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", "-j", type=_jobs_arg, default=1, metavar="N",
-        help="worker threads for batched evaluations (0 = one per CPU)",
+        help="worker threads for batched evaluations (0 = one per usable CPU)",
     )
     parser.add_argument(
         "--stats", action="store_true",

@@ -29,10 +29,23 @@ R = TypeVar("R")
 _CHUNKS_PER_WORKER = 4
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The size of its affinity mask where the platform has one (a
+    ``taskset`` pin or a cpuset container shrinks it), else the
+    machine's CPU count: the rule of Python 3.13's
+    ``os.process_cpu_count``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: int | None) -> int:
-    """Normalise a jobs request: ``None``/``0`` means one per CPU."""
+    """Normalise a jobs request: ``None``/``0`` means one per usable CPU."""
     if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
+        return usable_cpus()
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs
@@ -55,8 +68,9 @@ def parallel_map(
     """``[fn(x) for x in items]`` with ``jobs`` workers, order preserved.
 
     ``jobs=1`` (the default) runs the plain serial loop with zero pool
-    overhead; ``jobs=0``/``None`` uses one worker per CPU.  Results are
-    always returned in input order regardless of completion order.
+    overhead; ``jobs=0``/``None`` uses one worker per usable CPU.
+    Results are always returned in input order regardless of
+    completion order.
     """
     materialized = list(items)
     jobs = resolve_jobs(jobs)

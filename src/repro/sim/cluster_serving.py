@@ -38,6 +38,17 @@ identical serving cells would do.  It is **not** bit-equal to one
 partition serving the whole trace — that contract belongs to the
 engines, not the fleet.
 
+A pool starts ``min(shards, max_workers or usable CPUs)`` workers,
+where usable CPUs follows the process's affinity mask
+(:func:`~repro.perf.parallel.usable_cpus`): under a one-CPU pin a
+single worker drains every shard task in order, instead of several
+interpreters taking turns on one core.  A worker imports only the
+dispatch layer: its partition builds the analytical model, the CHARM
+designs and their placement on first need (a device-degraded fault
+window), and :mod:`repro.obs.windows` loads only for a monitor.  Under
+``spawn`` each worker is a fresh interpreter, so both rules are
+start-up time saved.
+
 A worker's ``GLOBAL_METRICS`` registry is invisible to the parent, so
 each task resets it, runs, and ships one ``dump()`` home (the inline
 path serves on a replica whose private registry plays that part).  The
@@ -52,16 +63,17 @@ from __future__ import annotations
 import copy
 import io
 import multiprocessing
-import os
 import pickle
 import types
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
-from repro.obs.windows import ServingMonitor
 from repro.perf.metrics import EvalStats, FaultStats, read_totals
+from repro.perf.parallel import usable_cpus
 from repro.sim.serving import DISPATCH_CHUNK, ServingSimulator
 from repro.sim.streaming import (
     StreamingServingReport,
@@ -70,6 +82,10 @@ from repro.sim.streaming import (
     shard_bounds,
 )
 from repro.workloads.gemm import GemmShape
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.multi_acc import AcceleratorPartition
+    from repro.obs.windows import ServingMonitor
 
 __all__ = [
     "FleetReport",
@@ -142,23 +158,65 @@ def _dumps(payload: Any) -> bytes:
 _WORKER_STATE: dict[str, Any] | None = None
 
 
+class _ShardDesigns(Mapping):
+    """Accelerator name -> design, the partition built on first lookup.
+
+    Iterating yields the names alone, which is all dispatch reads, so
+    the analytical model, the CHARM designs and their placement check
+    load only when something asks for a design.
+    """
+
+    def __init__(self, config_names: Sequence[str], device) -> None:
+        self._names = tuple(config_names)
+        self._device = device
+
+    @cached_property
+    def partition(self) -> AcceleratorPartition:
+        from repro.core.multi_acc import AcceleratorPartition
+        from repro.mapping.configs import config_by_name
+
+        return AcceleratorPartition(
+            [config_by_name(name) for name in self._names], device=self._device
+        )
+
+    def __getitem__(self, name: str):
+        return self.partition.designs[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+class _ShardPartition:
+    """The duck-typed partition a shard worker serves on.
+
+    The parent's service table arrives seeded, so a worker resolves a
+    design only for a device-degraded fault window (which re-runs the
+    model on the derated device) or a service-table miss; until then it
+    imports only the dispatch layer.
+    """
+
+    def __init__(self, config_names: Sequence[str], device) -> None:
+        self.designs = _ShardDesigns(config_names, device)
+
+    def estimate_on(self, accelerator: str, shape: GemmShape) -> float:
+        return self.designs.partition.estimate_on(accelerator, shape)
+
+
 def _build_worker_simulator(payload: dict[str, Any]) -> ServingSimulator:
-    """A stock simulator over a rebuilt partition, cache pre-seeded.
+    """A stock simulator over a lazily built partition, cache pre-seeded.
 
     The partition is reconstructed from config *names* (configs carry
-    no state beyond their registry entry) on the payload's device; the
-    parent's service-time table and infeasibility set are copied in, so
-    the worker never pays a cold model evaluation and dispatches exactly
-    like the parent would.
+    no state beyond their registry entry) on the payload's device, on
+    first need only; the parent's service-time table and infeasibility
+    set are copied in, so the worker never pays a cold model evaluation
+    and dispatches exactly like the parent would.
     """
-    from repro.core.multi_acc import AcceleratorPartition
-    from repro.mapping.configs import config_by_name
-
-    partition = AcceleratorPartition(
-        [config_by_name(name) for name in payload["config_names"]],
-        device=payload["device"],
+    simulator = ServingSimulator(
+        _ShardPartition(payload["config_names"], payload["device"])
     )
-    simulator = ServingSimulator(partition)
     simulator._service_cache.update(payload["service_table"])
     simulator._infeasible.update(payload["infeasible"])
     return simulator
@@ -188,11 +246,13 @@ def _serve_shard(
         hi=hi,
         arrival_offset=offset,
     )
-    monitor = (
-        ServingMonitor(monitor_window, quantile_error=payload["quantile_error"])
-        if monitor_window is not None
-        else None
-    )
+    monitor = None
+    if monitor_window is not None:
+        from repro.obs.windows import ServingMonitor
+
+        monitor = ServingMonitor(
+            monitor_window, quantile_error=payload["quantile_error"]
+        )
     report = simulator.run(
         trace,
         streaming=True,
@@ -337,14 +397,18 @@ class ShardedServingCluster:
             self._pool.shutdown()
             self._pool = None
 
+    @property
+    def pool_size(self) -> int:
+        """Worker processes a pooled serve starts: one per shard, capped
+        by ``max_workers`` or else by the CPUs this process may run on.
+        Merging is by shard, so the fleet report does not depend on it."""
+        return max(1, min(self.shards, self.max_workers or usable_cpus()))
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             context = multiprocessing.get_context(self.start_method)
-            workers = min(
-                self.max_workers or os.cpu_count() or 1, self.shards
-            )
             self._pool = ProcessPoolExecutor(
-                max_workers=max(workers, 1),
+                max_workers=self.pool_size,
                 mp_context=context,
                 initializer=_worker_init,
                 initargs=(self._payload_bytes,),

@@ -75,7 +75,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.core.multi_acc import AcceleratorPartition
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from repro.obs.spans import span
 from repro.perf.metrics import (
@@ -102,6 +101,7 @@ from repro.sim.streaming import (
 from repro.workloads.gemm import GemmShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.multi_acc import AcceleratorPartition
     from repro.obs.slo import SloSpec
     from repro.obs.windows import ServingMonitor
 
@@ -627,6 +627,12 @@ class ServingSimulator:
     :func:`~repro.perf.metrics.record_eval` into :attr:`metrics`
     (``GLOBAL_METRICS`` unless replaced), so the CLI's ``--stats``
     reflects serving end to end.
+
+    ``partition`` is duck-typed: dispatch iterates ``designs`` for the
+    accelerator names and calls ``estimate_on`` on a cache miss; only a
+    device-degraded fault window reads a design (its ``.config``).  An
+    :class:`~repro.core.multi_acc.AcceleratorPartition` qualifies, and
+    so does a shard worker's partition that builds one on first need.
     """
 
     def __init__(self, partition: AcceleratorPartition):

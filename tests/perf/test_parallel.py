@@ -1,10 +1,16 @@
 """parallel_map: determinism, fallback and jobs resolution."""
 
+import os
 import threading
 
 import pytest
 
-from repro.perf.parallel import default_chunksize, parallel_map, resolve_jobs
+from repro.perf.parallel import (
+    default_chunksize,
+    parallel_map,
+    resolve_jobs,
+    usable_cpus,
+)
 
 
 class TestResolveJobs:
@@ -19,6 +25,21 @@ class TestResolveJobs:
 
     def test_none_means_cpu_count(self):
         assert resolve_jobs(None) == resolve_jobs(0)
+
+    def test_zero_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {2, 5}, raising=False
+        )
+        assert usable_cpus() == 2
+        assert resolve_jobs(0) == 2
+
+    def test_cpu_count_without_affinity_support(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(None) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ suite already guarantees.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import types
 
@@ -22,6 +23,7 @@ from repro.hw.specs import VCK5000
 from repro.mapping.configs import config_by_name
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.perf.metrics import read_totals
+from repro.perf.parallel import resolve_jobs
 from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.cluster_serving import (
     FleetReport,
@@ -413,6 +415,48 @@ class TestProcessPools:
         )
         assert fork.report.as_dict() == inline.report.as_dict()
         assert fork.fault_stats.as_dict() == inline.fault_stats.as_dict()
+
+
+class TestPoolSizing:
+    def test_pool_follows_the_affinity_mask(self, simulator, monkeypatch):
+        """Pinned to one CPU of a four-CPU host, ``--jobs 0`` resolves
+        to one worker, and a spawn cluster without ``max_workers``
+        starts one interpreter that drains both shards."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert resolve_jobs(0) == 1
+        with ShardedServingCluster(
+            simulator, SHAPES, shards=2, start_method="spawn"
+        ) as cluster:
+            assert cluster.pool_size == 1
+            spawn = cluster.serve(2000, MEAN_INTERARRIVAL, seed=3)
+            assert len(cluster._pool._processes) == 1
+        inline = serve_sharded(
+            simulator, SHAPES, 2000, MEAN_INTERARRIVAL,
+            shards=2, seed=3, start_method="inline",
+        )
+        assert spawn.report.as_dict() == inline.report.as_dict()
+
+    @pytest.mark.parametrize(
+        "shards, max_workers, expected",
+        [(3, None, 2), (3, 1, 1), (2, 8, 2), (1, None, 1), (5, 0, 2)],
+    )
+    def test_pool_size_rule(
+        self, simulator, monkeypatch, shards, max_workers, expected
+    ):
+        """``min(shards, max_workers or usable CPUs)``; building the
+        cluster starts no pool."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        cluster = ShardedServingCluster(
+            simulator, SHAPES, shards=shards, start_method="spawn",
+            max_workers=max_workers,
+        )
+        assert cluster.pool_size == expected
+        assert cluster._pool is None
 
 
 class TestCrossProcessStatsPublication:

@@ -30,14 +30,24 @@ SUBPACKAGES = (
 WATCHED = ("numpy", "networkx", "repro.sim._native", "repro.experiments")
 
 
-def _loaded_after(code: str, tmp_path) -> list[str]:
+#: the model stack a shard worker must not import: its service table
+#: arrives seeded, and the monitor module only when a monitor is attached
+WORKER_WATCHED = (
+    "repro.core.analytical_model",
+    "repro.mapping.charm",
+    "repro.mapping.placement",
+    "repro.obs.windows",
+)
+
+
+def _loaded_after(code: str, tmp_path, watched=WATCHED) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     probe = (
         "import json, sys\n"
         f"{code}\n"
-        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -85,6 +95,41 @@ def test_serve_does_not_load_networkx(tmp_path):
     )
     assert "networkx" not in loaded
     assert "repro.experiments" not in loaded
+
+
+def test_shard_worker_imports_only_the_dispatch_layer(tmp_path):
+    """A pool worker initialised from a fault-free, monitor-free payload
+    serves its shard without loading the model stack."""
+    import pickle
+
+    from repro.core.multi_acc import AcceleratorPartition
+    from repro.mapping.configs import config_by_name
+    from repro.sim.cluster_serving import ShardedServingCluster
+    from repro.sim.serving import ServingSimulator
+    from repro.workloads.gemm import GemmShape
+
+    shapes = [GemmShape(1024, 1024, 1024), GemmShape(512, 512, 512)]
+    simulator = ServingSimulator(
+        AcceleratorPartition([config_by_name("C5"), config_by_name("C3")])
+    )
+    cluster = ShardedServingCluster(
+        simulator, shapes, shards=2, start_method="inline"
+    )
+    bounds, offsets = cluster.plan(2000, 1e-3, 3)
+    (lo, hi), offset = bounds[1], offsets[1]
+    handoff = tmp_path / "worker.pickle"
+    handoff.write_bytes(pickle.dumps(
+        (cluster._payload_bytes, (2000, 1e-3, 3, lo, hi, offset, None))
+    ))
+    code = (
+        "import pickle\n"
+        "from repro.sim.cluster_serving import _run_shard_task, _worker_init\n"
+        f"payload, task = pickle.loads(open({str(handoff)!r}, 'rb').read())\n"
+        "_worker_init(payload)\n"
+        "result = pickle.loads(_run_shard_task(task))\n"
+        f"assert result['report'].count == {hi - lo}\n"
+    )
+    assert _loaded_after(code, tmp_path, WORKER_WATCHED) == []
 
 
 @pytest.mark.parametrize("package", ("repro",) + SUBPACKAGES)
