@@ -1004,8 +1004,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="dispatch path (byte-identical, exact or streaming): auto "
              "is the fast path — native k-wide C kernel when a compiler "
-             "is present, NumPy speculate-and-verify otherwise; scan is "
-             "the seed-loop oracle")
+             "is present; without one, NumPy speculate-and-verify on "
+             "fault-free serves and scan's scalar fault loop on faulted "
+             "ones; scan is the seed-loop oracle")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the trace across N process-parallel "
                             "shard replicas and merge one fleet report")

@@ -7,7 +7,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.hw.dram": ("DramModel", "DramPorts"),
     "repro.hw.noc": ("NocModel",),
     "repro.hw.plio": ("PlioDirection", "PlioPort", "PlioAllocator"),
-    "repro.hw.pl": ("PlMemoryBudget",),
     "repro.hw.aie": ("AieTile",),
     "repro.hw.aie_array": ("AieArray",),
     "repro.hw.interconnect": ("CommScheme", "CommTimingModel", "ChainTiming"),
@@ -24,7 +23,6 @@ __all__ = [
     "PlioDirection",
     "PlioPort",
     "PlioAllocator",
-    "PlMemoryBudget",
     "AieTile",
     "AieArray",
     "CommScheme",

@@ -21,12 +21,15 @@ is not kept.
 
 ``dispatch_exact`` mirrors the scan loop bit for bit — same
 ``arrival if arrival > free else free`` start rule, same strict
-first-minimum winner over the ``(width, classes)`` service matrix,
-same fault-segment ``limit`` / per-accelerator next-down cut
-conditions as ``_corrected_step_k`` — so the NumPy speculate-and-verify
-engine becomes the fallback rather than the hot path when a compiler
-is present.  One k-wide kernel serves every partition width, the
-paper's one- and two-wide C5+C3-style partitions included.  ``inf``
+first-minimum winner over the ``(width, classes)`` service matrix —
+and stops a fault segment where the scalar fault loop must take over:
+before any start that reaches ``limit`` (the next fault transition)
+and before a winner whose finish crosses its accelerator's next down
+window.  It is the only engine that batches fault segments; without
+it, fault-free runs use the NumPy speculate-and-verify rounds and
+faulted runs the scalar fault loop.  One k-wide kernel serves every
+partition width, the paper's one- and two-wide C5+C3-style partitions
+included.  ``inf``
 service entries (infeasible pairs, down accelerators in a fault
 segment) are safe: an infinite candidate finish can never win a
 strict-less comparison, the next-down check only ever tests the
@@ -145,7 +148,9 @@ def _reference_walk(u, v, theta):
 
 
 def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
-    """Pure-Python mirror of the scan/``_corrected_step_k`` loop."""
+    """Pure-Python mirror of the kernel: the scan loop plus its
+    fault-segment cut conditions (``limit``, next-down, no finite
+    service)."""
     out = []
     for a, c in zip(arrivals, cids):
         starts = [a if a > f else f for f in state]
@@ -418,13 +423,14 @@ if NATIVE_AVAILABLE:
     )
 elif os.environ.get("REPRO_NO_NATIVE"):
     _LOG.info(
-        "REPRO_NO_NATIVE set: vectorized dispatch uses the NumPy "
-        "speculate-and-verify fallback"
+        "REPRO_NO_NATIVE set: fault-free dispatch uses the NumPy "
+        "speculate-and-verify fallback, faulted dispatch the scalar loop"
     )
 else:
     _LOG.warning(
-        "no working C compiler: vectorized dispatch falls back to the "
-        "NumPy speculate-and-verify engine (slower, same results)"
+        "no working C compiler: fault-free dispatch falls back to the "
+        "NumPy speculate-and-verify engine, faulted dispatch to the "
+        "scalar loop (slower, same results)"
     )
 
 

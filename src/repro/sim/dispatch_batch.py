@@ -37,12 +37,13 @@ a *guess*; nothing they compute reaches the output.
 The rounds are width-generic: one busy and one idle formulation cover
 every partition width ``k >= 1``, with the winner chosen by
 ``np.argmin`` over a ``(k, batch)`` finish matrix (first strict
-minimum — the scan's lane-order tie-break) and per-lane ``next_down``
-cut conditions for fault segments.  ``inf`` service entries
+minimum — the scan's lane-order tie-break).  ``inf`` service entries
 (infeasible pairs) never win a strict-less comparison, so they flow
 through the verification untouched.  Persistent low acceptance (an
 adversarial arrival pattern) hands escalating bursts to an exact scalar
-loop rather than degrading quadratically.
+loop rather than degrading quadratically.  The rounds serve fault-free
+runs only: fault segments batch through the native kernel alone, and
+without it a faulted run takes the scan's scalar fault loop.
 """
 
 from __future__ import annotations
@@ -170,13 +171,12 @@ def _guess_busy(svc: np.ndarray, free) -> np.ndarray:
     return d
 
 
-def _round_k_busy(a, c, services, free, limit=_INF, nds=None, corrected=True):
+def _round_k_busy(a, c, services, free):
     """One saturated-regime speculation round at any width.
 
     Returns ``(accepted, accs, starts, fins, reason)`` where ``reason``
-    is ``None`` (full window), ``"idle"`` (the cut position needs an
-    idle admission — the caller should try the idle guesser), or
-    ``"boundary"`` (a ``limit``/next-down fault-segment constraint cut).
+    is ``None`` (full window) or ``"idle"`` (the cut position needs an
+    idle admission — the caller should try the idle guesser).
     """
     k = services.shape[0]
     B = a.size
@@ -199,11 +199,6 @@ def _round_k_busy(a, c, services, free, limit=_INF, nds=None, corrected=True):
     fin = st + svc
     w = np.argmin(fin, axis=0)
     ok &= w == d
-    if limit != _INF:
-        ok &= (st < limit).all(axis=0)
-    if nds is not None and any(nd != _INF for nd in nds):
-        nds_arr = np.asarray(nds)
-        ok &= fin[d, ar] <= nds_arr[d]
     if ok.all():
         for i in range(k):
             free[i] = float(trajs[i][-1])
@@ -215,11 +210,7 @@ def _round_k_busy(a, c, services, free, limit=_INF, nds=None, corrected=True):
     starts = st[d[:q], ar[:q]]
     fins = fin[d[:q], ar[:q]]
     reason = None if float(fb[d[q], q]) >= float(a[q]) else "idle"
-    if not corrected:
-        return q, accs, starts, fins, reason or "boundary"
-    step = _corrected_step_k(float(a[q]), svc[:, q], free, limit, nds)
-    if step is None:
-        return q, accs, starts, fins, "boundary"
+    step = _corrected_step_k(float(a[q]), svc[:, q], free)
     return (
         q + 1,
         np.concatenate((accs, (step[0],))),
@@ -229,7 +220,7 @@ def _round_k_busy(a, c, services, free, limit=_INF, nds=None, corrected=True):
     )
 
 
-def _round_k_idle(a, c, services, free, limit=_INF, nds=None, corrected=True):
+def _round_k_idle(a, c, services, free):
     """One idle-regime round: every admission guessed as ``arrival + service``."""
     k = services.shape[0]
     B = a.size
@@ -247,11 +238,6 @@ def _round_k_idle(a, c, services, free, limit=_INF, nds=None, corrected=True):
         prev[1:] = lasts[i][:-1]
         fb[i] = np.where(prev >= 0, fins_full[np.maximum(prev, 0)], free[i])
     ok = (a >= fb).all(axis=0)
-    if nds is not None and any(nd != _INF for nd in nds):
-        nds_arr = np.asarray(nds)
-        ok &= fins_full <= nds_arr[d]
-    # starts equal arrivals wherever ``ok`` holds, so a finite ``limit``
-    # is already satisfied: segment batches only contain times < limit
     if ok.all():
         for i in range(k):
             last = int(lasts[i][-1])
@@ -268,11 +254,7 @@ def _round_k_idle(a, c, services, free, limit=_INF, nds=None, corrected=True):
     starts = a[:q].copy()
     fins = fins_full[:q]
     reason = "busy" if bool((a[q] < fb[:, q]).any()) else None
-    if not corrected:
-        return q, accs, starts, fins, reason or "boundary"
-    step = _corrected_step_k(float(a[q]), svc[:, q], free, limit, nds)
-    if step is None:
-        return q, accs, starts, fins, "boundary"
+    step = _corrected_step_k(float(a[q]), svc[:, q], free)
     return (
         q + 1,
         np.concatenate((accs, (step[0],))),
@@ -282,21 +264,15 @@ def _round_k_idle(a, c, services, free, limit=_INF, nds=None, corrected=True):
     )
 
 
-def _corrected_step_k(arrival, svc_col, free, limit, nds=None):
+def _corrected_step_k(arrival, svc_col, free):
     """One exact scalar dispatch step from verified state.
 
     Mirrors the scan body bit for bit: ``start = arrival if arrival >
     free else free``, ``finish = start + service``, winner = first
     strictly smaller finish in lane order.  Updates ``free`` in place
-    and returns ``(acc, start, finish)``, or ``None`` when a
-    fault-segment constraint (any start beyond ``limit``, winner finish
-    past its accelerator's next down window) means the scalar fault
-    loop must take over.
+    and returns ``(acc, start, finish)``.
     """
     starts = [arrival if arrival > f else f for f in free]
-    for st in starts:
-        if st >= limit:
-            return None
     best = 0
     best_fin = starts[0] + float(svc_col[0])
     for i in range(1, len(starts)):
@@ -304,17 +280,14 @@ def _corrected_step_k(arrival, svc_col, free, limit, nds=None):
         if fin < best_fin:
             best = i
             best_fin = fin
-    if nds is not None and best_fin > nds[best]:
-        return None
     free[best] = best_fin
     return best, starts[best], best_fin
 
 
-def _one_round(a, c, services, free, busy, limit=_INF, next_downs=None, corrected=True):
-    nds = tuple(next_downs) if next_downs else None
+def _one_round(a, c, services, free, busy):
     if busy:
-        return _round_k_busy(a, c, services, free, limit, nds, corrected)
-    return _round_k_idle(a, c, services, free, limit, nds, corrected)
+        return _round_k_busy(a, c, services, free)
+    return _round_k_idle(a, c, services, free)
 
 
 def _dispatch_burst(arrivals, class_ids, rows, free):
@@ -419,62 +392,3 @@ def dispatch_vectorized(arrivals, class_ids, services, free, flush, chunk_size):
                 stalls = 0
                 if pos < n:
                     busy = max(free) > float(arrivals[pos])
-
-
-def dispatch_segment(times, class_ids, services, free, limit, next_downs):
-    """Dispatch one fault segment; used by the fault loop between
-    transitions.
-
-    Every time is below ``limit``, the next fault transition, so one
-    window state holds for any admission that starts before it:
-    ``services`` is that state's ``(width, classes)`` matrix, with
-    ``inf`` columns for down accelerators and ``inf`` entries for
-    infeasible pairs.  ``next_downs[order]`` is the first down-window
-    start after the segment opens (``inf`` when none).  The batch stops
-    before the first admission the scalar fault loop must own — a start
-    reaching ``limit`` on any accelerator, a winner whose finish would
-    cross its accelerator's next down window (the loop kills it), or a
-    row no accelerator can serve (every service ``inf``; the loop
-    requeues it).  Returns ``(accepted, runs)``: the length of the
-    verified prefix and its ``(base, accs, starts, fins)`` runs.
-    """
-    n = int(times.size)
-    if n and _native_dispatch is not None:
-        # the kernel itself stops before a row with no finite service
-        nds = tuple(next_downs) if next_downs else None
-        q, accs, starts, fins = _native_dispatch(
-            times, class_ids, services, free, limit, nds
-        )
-        return q, ([(0, accs, starts, fins)] if q else [])
-    # the rounds would commit lane 0 with an infinite finish on a row
-    # no lane can serve, so the batch ends before the first one
-    dead = np.isinf(services).all(axis=0)
-    if n and dead.any():
-        rows = np.flatnonzero(dead[class_ids])
-        if rows.size:
-            n = int(rows[0])
-    busy = max(free) > float(times[0]) if n else False
-    pos = 0
-    out = []
-    while pos < n:
-        q, accs, starts, fins, reason = _one_round(
-            times[pos:n],
-            class_ids[pos:n],
-            services,
-            free,
-            busy,
-            limit=limit,
-            next_downs=next_downs,
-        )
-        if q:
-            out.append((pos, accs, starts, fins))
-            pos += q
-        if reason == "boundary":
-            break
-        if reason == "idle":
-            busy = False
-        elif reason == "busy":
-            busy = True
-        if not q:
-            break
-    return pos, out

@@ -17,7 +17,8 @@ Two dispatch paths produce **byte-identical** decisions:
 * the fast path (``dispatch="auto"``, the default) — the vectorized
   engine of :mod:`repro.sim.dispatch_batch` over the SoA trace, at every
   partition width: the native k-wide exact loop when a C compiler is
-  present, NumPy speculate-and-verify rounds otherwise.
+  present, NumPy speculate-and-verify rounds otherwise (a faulted run
+  without the compiler takes the scan's scalar fault loop instead).
 
 Every engine — the scan oracle, the fast path and the fault loop —
 hands its arrival-ordered decisions to one report sink, which cuts them
@@ -91,7 +92,8 @@ from repro.sim.chaos import (
     FaultPolicy,
     FaultSchedule,
 )
-from repro.sim.dispatch_batch import dispatch_segment, dispatch_vectorized
+from repro.sim import dispatch_batch
+from repro.sim.dispatch_batch import dispatch_vectorized
 from repro.sim.streaming import (
     SoATrace,
     StreamingServingReport,
@@ -768,13 +770,15 @@ class ServingSimulator:
         k-wide exact loop when a C compiler is present, NumPy
         speculate-and-verify rounds otherwise — and, under a fault
         schedule, batches every segment between two fault transitions
-        through it, whatever windows are active there; ``scan`` runs
+        through the native loop, whatever windows are active there
+        (without a compiler, a faulted run takes every attempt through
+        the scan's scalar fault loop); ``scan`` runs
         the seed loop, the ground-truth oracle.  Both make
         byte-identical dispatch decisions and hand them to one report
         sink, so either report kind is byte-identical across paths too
         (see the dispatch-path matrix in ``docs/performance.md``).
-        The fast path rejects NaN service times, naming the accelerator
-        and shape.
+        ``auto`` rejects NaN service times, naming the accelerator and
+        shape.
 
         ``streaming=True`` returns a :class:`StreamingServingReport`
         with ``quantile_error``-bounded percentiles, folded chunk by
@@ -862,11 +866,11 @@ class ServingSimulator:
         wins a tie with the next arrival because its position is
         smaller.  Every scalar attempt goes through one selector and
         the loop (kills, backoff, requeues, shedding) is one code path;
-        ``auto`` only adds segment batches the scalar loop would have
-        decided identically, which is what makes both paths' fault
-        semantics identical by construction.  Outcomes are written into
-        preallocated per-position columns plus a done mask, which the
-        report sink takes whole once the loop ends.
+        ``auto`` only adds native-kernel segment batches the scalar
+        loop would have decided identically, which is what makes both
+        paths' fault semantics identical by construction.  Outcomes are
+        written into preallocated per-position columns plus a done mask,
+        which the report sink takes whole once the loop ends.
         """
         names = list(self.partition.designs)
         unknown = set(faults.accelerators()) - set(names)
@@ -901,18 +905,21 @@ class ServingSimulator:
         requeues = 0
         backoff = policy.backoff
         max_retries = policy.max_retries
-        # the fast path batches every segment [t0, next transition) — the
-        # set of active windows is constant there — through the
-        # vectorized engine, on the service matrix of that window state
-        # (a down accelerator is an inf column); the scalar loop below
-        # keeps sole ownership of kills, requeues and shedding, so
-        # anything the batch cannot prove safe (a start reaching the
-        # next transition, a finish crossing a down onset, a row no
-        # accelerator can serve) is simply handed back to it
-        use_batch = dispatch == "auto"
-        if use_batch:
+        # with the native kernel, the fast path batches every segment
+        # [t0, next transition) — the set of active windows is constant
+        # there — on the service matrix of that window state (a down
+        # accelerator is an inf column); the scalar loop below keeps
+        # sole ownership of kills, requeues and shedding, so anything
+        # the kernel cannot prove safe (a start reaching the next
+        # transition, a finish crossing a down onset, a row no
+        # accelerator can serve) is simply handed back to it.  Without
+        # the kernel every attempt takes the scalar loop, as on scan
+        if dispatch == "auto":
             healthy = self._service_matrix(names, specs)
             self._require_finite_services(names, healthy, classes)
+        use_batch = dispatch == "auto" and dispatch_batch.native_available()
+        if use_batch:
+            kernel = dispatch_batch._native_dispatch
             cid_col = trace.shape_ids
             # active-window signature -> that segment's service matrix
             matrices: dict[tuple[int | None, ...], np.ndarray] = {}
@@ -973,7 +980,7 @@ class ServingSimulator:
                                 else math.inf
                                 for order in range(width)
                             )
-                            accepted, runs = dispatch_segment(
+                            accepted, accs, starts, fins = kernel(
                                 times,
                                 cid_col[positions],
                                 services,
@@ -983,13 +990,12 @@ class ServingSimulator:
                             )
                             segments += 1
                             batched += accepted
-                            for base, accs, starts, fins in runs:
-                                rows = positions[base : base + len(accs)]
-                                acc_col[rows] = accs
-                                start_col[rows] = starts
-                                finish_col[rows] = fins
-                                retry_col[rows] = tries[base : base + len(accs)]
-                                done[rows] = True
+                            rows = positions[:accepted]
+                            acc_col[rows] = accs
+                            start_col[rows] = starts
+                            finish_col[rows] = fins
+                            retry_col[rows] = tries[:accepted]
+                            done[rows] = True
                             # re-attempts sit below the cursor; what is
                             # left of both sources goes back to them
                             fresh = int(
@@ -1190,7 +1196,7 @@ class ServingSimulator:
     def _require_finite_services(
         names: Sequence[str], services: np.ndarray, classes: Sequence[GemmShape]
     ) -> None:
-        """Reject NaN service entries on every fast-path run.
+        """Reject NaN service entries on every ``auto`` run.
 
         ``inf`` legitimately marks infeasible pairs (it can never win a
         strict-less earliest-finish comparison), but NaN poisons every

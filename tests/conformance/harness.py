@@ -1,8 +1,9 @@
 """Differential conformance harness for the serving dispatch paths.
 
 The serving engine's core claim is that the scan oracle and the fast
-path (``dispatch="auto"``: the native k-wide kernel, or the NumPy
-speculate-and-verify rounds without a compiler) — and the exact and
+path (``dispatch="auto"``: the native k-wide kernel, or without a
+compiler the NumPy speculate-and-verify rounds on fault-free runs and
+the scalar fault loop on faulted ones) — and the exact and
 streaming reports — are *the same scheduler*.  This module makes that
 claim a first-class, reusable assertion instead of an ad-hoc benchmark
 check:
@@ -102,7 +103,8 @@ def shed_rows(report) -> list[tuple]:
 
 @contextlib.contextmanager
 def numpy_rounds():
-    """Run the fast path on the NumPy rounds inside this block."""
+    """Run ``auto`` without the native kernel inside this block: the
+    NumPy rounds fault-free, the scalar fault loop under faults."""
     saved = dispatch_batch._native_dispatch, dispatch_batch._native_walk
     dispatch_batch._native_dispatch = dispatch_batch._native_walk = None
     try:
@@ -114,9 +116,9 @@ def numpy_rounds():
 def fast_variants() -> list:
     """``(label, context)`` per fast-path implementation this process has.
 
-    With the native kernel compiled, ``auto`` runs it and the NumPy
-    rounds are forced as a second variant; under ``REPRO_NO_NATIVE=1``
-    ``auto`` already *is* the NumPy rounds.
+    With the native kernel compiled, ``auto`` runs it and the no-kernel
+    path is forced as a second variant; under ``REPRO_NO_NATIVE=1``
+    ``auto`` already *is* the no-kernel path.
     """
     variants = [("auto", contextlib.nullcontext)]
     if dispatch_batch.native_available():

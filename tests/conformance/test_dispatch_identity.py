@@ -4,8 +4,8 @@ Parametrized over partition widths 1–16, with and without fault
 schedules, on stub and real partitions — every width runs the same
 k-wide fast path (native kernel or NumPy rounds), so no width may be
 left out.  The real-scale cases serve thousands of requests under
-device-degraded windows, so the fault loop batches segments while
-windows are active.
+device-degraded windows, so with the native kernel the fault loop
+batches segments while windows are active.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ from repro.core.multi_acc import AcceleratorPartition
 from repro.hw.faults import derate_clock, disable_aie_columns
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import config_by_name
-from repro.sim import serving
+from repro.sim import dispatch_batch
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
 from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
@@ -166,21 +166,24 @@ def test_real_scale_device_degraded_engines_identical(
     )
     trace = generate_trace_soa(REAL_SHAPES, requests, 1.0 / rate, seed=17)
 
-    # rows the fast path committed in segments with a lane down or invalid
+    # rows the kernel committed in segments with a lane down or invalid
     batched_unusable = []
 
-    def recording(times, class_ids, services, free, limit, next_downs):
-        accepted, runs = segment(times, class_ids, services, free, limit, next_downs)
+    def recording(times, class_ids, services, free, limit, nds=None):
+        out = kernel(times, class_ids, services, free, limit, nds)
         if np.isinf(services).all(axis=1).any():
-            batched_unusable.append(accepted)
-        return accepted, runs
+            batched_unusable.append(out[0])
+        return out
 
-    segment = serving.dispatch_segment
-    monkeypatch.setattr(serving, "dispatch_segment", recording)
+    kernel = dispatch_batch._native_dispatch
+    if kernel is not None:
+        monkeypatch.setattr(dispatch_batch, "_native_dispatch", recording)
     result = assert_engines_identical(trace, partition, faults=schedule)
     report = result["report"]
     assert len(report.completed) + len(report.shed) == requests
-    assert sum(batched_unusable) >= requests // 10, batched_unusable
+    # only the kernel batches fault segments
+    if kernel is not None:
+        assert sum(batched_unusable) >= requests // 10, batched_unusable
 
 
 def test_fault_runs_deterministic():

@@ -1,14 +1,13 @@
-"""Property-based conformance for the k-wide speculation rounds.
+"""Property-based conformance for the native k-wide kernel.
 
 Hypothesis drives random partition widths, service matrices (with
 infeasible ``inf`` entries), initial free clocks, and fault-segment
-``limit``/next-down constraints through :func:`dispatch_segment` and
-checks the result bit for bit against the pure-Python exact reference
-loop (:func:`repro.sim._native._reference_dispatch` — the same mirror
-the native build self-checks against).  Both the NumPy
-speculate-and-verify path and, when a compiler is present, the native
-k-wide kernel must reproduce the reference's accepted prefix, rows,
-and final free clocks exactly.
+``limit``/next-down constraints through the kernel that batches fault
+segments, and checks the result bit for bit against the pure-Python
+exact reference loop (:func:`repro.sim._native._reference_dispatch` —
+the same mirror the native build self-checks against): the accepted
+prefix, rows, and final free clocks must match exactly.  Without a C
+compiler there is no kernel to check, and the test skips.
 """
 
 import math
@@ -74,16 +73,9 @@ def segment_cases(draw):
     return services, times, class_ids, free, limit, next_downs
 
 
-def _segment_rows(segments):
-    rows = []
-    for base, accs, starts, fins in segments:
-        for off, (acc, start, fin) in enumerate(
-            zip(accs.tolist(), starts.tolist(), fins.tolist())
-        ):
-            rows.append((base + off, int(acc), repr(start), repr(fin)))
-    return rows
-
-
+@pytest.mark.skipif(
+    not dispatch_batch.native_available(), reason="no C compiler available"
+)
 @settings(max_examples=120, deadline=None)
 @given(case=segment_cases())
 def test_kwide_rounds_match_scalar_reference(case):
@@ -102,28 +94,61 @@ def test_kwide_rounds_match_scalar_reference(case):
         for pos, (acc, start, fin) in enumerate(expect)
     ]
 
-    saved = dispatch_batch._native_dispatch
-    dispatch_batch._native_dispatch = None
-    try:
-        free_py = list(free)
-        accepted, segments = dispatch_batch.dispatch_segment(
-            times, class_ids, services, free_py, limit, next_downs
-        )
-    finally:
-        dispatch_batch._native_dispatch = saved
+    free_native = list(free)
+    accepted, accs, starts, fins = dispatch_batch._native_dispatch(
+        times, class_ids, services, free_native, limit, next_downs
+    )
     assert accepted == len(expect)
-    assert _segment_rows(segments) == expect_rows
-    assert [repr(value) for value in free_py] == [
+    assert [
+        (pos, int(acc), repr(start), repr(fin))
+        for pos, (acc, start, fin) in enumerate(
+            zip(accs.tolist(), starts.tolist(), fins.tolist())
+        )
+    ] == expect_rows
+    assert [repr(value) for value in free_native] == [
         repr(value) for value in ref_state
     ]
 
-    if saved is not None:
-        free_native = list(free)
-        accepted_native, segments_native = dispatch_batch.dispatch_segment(
-            times, class_ids, services, free_native, limit, next_downs
+
+@settings(max_examples=120, deadline=None)
+@given(case=segment_cases())
+def test_numpy_rounds_match_scalar_reference(case):
+    """The fault-free NumPy rounds against the same reference, with no
+    segment constraints: every row dispatches, bit for bit."""
+    services, times, class_ids, free, _, _ = case
+    ref_state = list(free)
+    expect = _reference_dispatch(
+        times.tolist(),
+        class_ids.tolist(),
+        services.tolist(),
+        ref_state,
+        math.inf,
+        (math.inf,) * len(free),
+    )
+    rows = []
+
+    def flush(base, accs, starts, fins):
+        rows.extend(
+            (base + off, int(acc), repr(start), repr(fin))
+            for off, (acc, start, fin) in enumerate(
+                zip(accs.tolist(), starts.tolist(), fins.tolist())
+            )
         )
-        assert accepted_native == len(expect)
-        assert _segment_rows(segments_native) == expect_rows
-        assert [repr(value) for value in free_native] == [
-            repr(value) for value in ref_state
-        ]
+
+    saved = dispatch_batch._native_dispatch, dispatch_batch._native_walk
+    dispatch_batch._native_dispatch = dispatch_batch._native_walk = None
+    free_py = list(free)
+    try:
+        dispatch_batch.dispatch_vectorized(
+            times, class_ids, services, free_py, flush, chunk_size=16
+        )
+    finally:
+        dispatch_batch._native_dispatch, dispatch_batch._native_walk = saved
+    assert len(expect) == len(times)
+    assert rows == [
+        (pos, acc, repr(start), repr(fin))
+        for pos, (acc, start, fin) in enumerate(expect)
+    ]
+    assert [repr(value) for value in free_py] == [
+        repr(value) for value in ref_state
+    ]

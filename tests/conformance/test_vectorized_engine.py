@@ -4,8 +4,9 @@ The parametrized width tests in ``test_dispatch_identity`` already run
 the fast path through :func:`harness.assert_engines_identical`; this
 module covers the engine's own seams: chunk-boundary stress, the
 native-vs-NumPy split (the C exact loop and the speculate-and-verify
-fallback must be the *same scheduler*), the fault-segment cut
-conditions at ``limit`` / next-down boundaries, and NaN rejection.
+fallback must be the *same scheduler*), the kernel's fault-segment cut
+conditions at ``limit`` / next-down boundaries against the pure-Python
+reference loop, and NaN rejection.
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.sim import dispatch_batch
+from repro.sim._native import _reference_dispatch
 from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
@@ -95,12 +97,15 @@ def _wide_services(width: int) -> np.ndarray:
 
 @pytest.mark.parametrize("width", [2, 3, 5, 8])
 def test_native_and_fallback_agree(width):
-    """C exact loop vs speculate-and-verify on the same segment.
+    """C exact loop vs the pure-Python reference loop on one segment.
 
-    Runs the k-wide kernel against the NumPy rounds at widths crossing
-    the old two-accelerator native cap, including service matrices with
-    infeasible (``inf``) entries: accepted counts, per-request rows,
-    and the final free clocks must all be bit-equal.
+    Runs the k-wide kernel against :func:`_reference_dispatch` (the
+    mirror the native build self-checks against, and what the scalar
+    fault loop decides without a compiler) at widths crossing the old
+    two-accelerator native cap, including service matrices with
+    infeasible (``inf``) entries and fault-segment ``limit`` /
+    next-down cuts: accepted counts, per-request rows, and the final
+    free clocks must all be bit-equal.
     """
     if dispatch_batch._native_dispatch is None:
         pytest.skip("no C compiler available")
@@ -116,31 +121,24 @@ def test_native_and_fallback_agree(width):
         ),
     ]:
         free_native = [0.0] * width
-        accepted_native, segs_native = dispatch_batch.dispatch_segment(
+        accepted, accs, starts, fins = dispatch_batch._native_dispatch(
             soa.arrivals, soa.shape_ids, services, free_native, limit, next_downs
         )
-        saved = dispatch_batch._native_dispatch
-        dispatch_batch._native_dispatch = None
-        try:
-            free_py = [0.0] * width
-            accepted_py, segs_py = dispatch_batch.dispatch_segment(
-                soa.arrivals, soa.shape_ids, services, free_py, limit, next_downs
-            )
-        finally:
-            dispatch_batch._native_dispatch = saved
-
-        def flat(segs):
-            rows = []
-            for base, accs, starts, fins in segs:
-                for off, (acc, start, fin) in enumerate(
-                    zip(accs.tolist(), starts.tolist(), fins.tolist())
-                ):
-                    rows.append((base + off, int(acc), repr(start), repr(fin)))
-            return rows
-
-        assert accepted_native == accepted_py
-        assert flat(segs_native) == flat(segs_py)
-        assert [repr(f) for f in free_native] == [repr(f) for f in free_py]
+        free_ref = [0.0] * width
+        expect = _reference_dispatch(
+            soa.arrivals.tolist(),
+            soa.shape_ids.tolist(),
+            services.tolist(),
+            free_ref,
+            limit,
+            next_downs,
+        )
+        assert accepted == len(expect)
+        assert [
+            (int(acc), repr(start), repr(fin))
+            for acc, start, fin in zip(accs.tolist(), starts.tolist(), fins.tolist())
+        ] == [(acc, repr(start), repr(fin)) for acc, start, fin in expect]
+        assert [repr(f) for f in free_native] == [repr(f) for f in free_ref]
 
 
 def test_repro_no_native_env_forces_fallback():

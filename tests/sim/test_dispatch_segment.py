@@ -1,10 +1,11 @@
-"""``dispatch_segment`` on fault-segment service matrices.
+"""The native kernel on fault-segment service matrices.
 
 Inside a fault segment a down accelerator is an ``inf`` column, so a
 shape class whose every feasible accelerator is down has no finite
 service at all.  Such a row belongs to the scalar fault loop (it
-requeues to the next transition); both engines must stop before it
-instead of committing lane 0 with an infinite finish.
+requeues to the next transition); the kernel, the only engine that
+batches fault segments, must stop before it instead of committing
+lane 0 with an infinite finish.
 """
 
 import math
@@ -30,41 +31,34 @@ CLASSES = np.array([0, 1, 0, 1, 2, 0], dtype=np.int64)
 DEAD_ROW = 4
 
 
-def _engines():
-    engines = [pytest.param(False, id="numpy")]
-    if dispatch_batch.native_available():
-        engines.insert(0, pytest.param(True, id="native"))
-    return engines
+#: the one engine that batches fault segments (the parametrize id keeps
+#: each test's name); skipped without a C compiler
+ENGINES = [
+    pytest.param(
+        "native",
+        id="native",
+        marks=pytest.mark.skipif(
+            not dispatch_batch.native_available(), reason="no C compiler available"
+        ),
+    )
+]
 
 
-def _dispatch(native, times, classes, services, free, limit=INF):
-    saved = dispatch_batch._native_dispatch
-    if not native:
-        dispatch_batch._native_dispatch = None
-    try:
-        return dispatch_batch.dispatch_segment(
-            times, classes, services, free, limit, (INF,) * services.shape[0]
-        )
-    finally:
-        dispatch_batch._native_dispatch = saved
+def _dispatch(times, classes, services, free):
+    """``(accepted, rows)``: the kernel's verified prefix as
+    ``(position, acc, start, finish)`` rows."""
+    accepted, accs, starts, fins = dispatch_batch._native_dispatch(
+        times, classes, services, free, INF, (INF,) * services.shape[0]
+    )
+    rows = list(zip(range(accepted), accs.tolist(), starts.tolist(), fins.tolist()))
+    return accepted, rows
 
 
-def _rows(runs):
-    return [
-        (base + off, acc, start, fin)
-        for base, accs, starts, fins in runs
-        for off, (acc, start, fin) in enumerate(
-            zip(accs.tolist(), starts.tolist(), fins.tolist())
-        )
-    ]
-
-
-@pytest.mark.parametrize("native", _engines())
-def test_stops_before_a_row_no_lane_can_serve(native):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_stops_before_a_row_no_lane_can_serve(engine):
     free = [0.0, 0.0, 0.0]
-    accepted, runs = _dispatch(native, TIMES, CLASSES, SERVICES, free)
+    accepted, rows = _dispatch(TIMES, CLASSES, SERVICES, free)
     assert accepted == DEAD_ROW
-    rows = _rows(runs)
     assert [row[0] for row in rows] == list(range(DEAD_ROW))
     assert all(math.isfinite(row[3]) for row in rows)
     # the down lane is never chosen, and the clocks reflect only the
@@ -74,23 +68,23 @@ def test_stops_before_a_row_no_lane_can_serve(native):
     assert max(free) == max(row[3] for row in rows)
 
 
-@pytest.mark.parametrize("native", _engines())
-def test_dead_first_row_commits_nothing(native):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_dead_first_row_commits_nothing(engine):
     free = [0.0, 0.0, 0.0]
-    accepted, runs = _dispatch(
-        native, TIMES[DEAD_ROW:], CLASSES[DEAD_ROW:], SERVICES, free
+    accepted, rows = _dispatch(
+        TIMES[DEAD_ROW:], CLASSES[DEAD_ROW:], SERVICES, free
     )
     assert accepted == 0
-    assert runs == []
+    assert rows == []
     assert free == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("native", _engines())
-def test_down_column_alone_does_not_stop_the_batch(native):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_down_column_alone_does_not_stop_the_batch(engine):
     """Rows with one finite lane left dispatch through the segment."""
     live = CLASSES != 2
     free = [0.0, 0.0, 0.0]
-    accepted, runs = _dispatch(native, TIMES[live], CLASSES[live], SERVICES, free)
+    accepted, rows = _dispatch(TIMES[live], CLASSES[live], SERVICES, free)
     assert accepted == int(live.sum())
-    assert {row[1] for row in _rows(runs)} <= {0, 2}
+    assert {row[1] for row in rows} <= {0, 2}
 

@@ -634,10 +634,20 @@ class TestFaultInjection:
                 _empty_trace(), faults=FaultSchedule.down("solo", 0.0, 1.0)
             )
 
-    @pytest.mark.parametrize("dispatch", ["auto", "scan"])
-    def test_fault_loop_span_counts_every_attempt(self, dispatch):
+    @pytest.mark.parametrize(
+        "dispatch, kernel",
+        [
+            pytest.param("auto", True, id="auto"),
+            pytest.param("scan", True, id="scan"),
+            pytest.param("auto", False, id="auto-no-kernel"),
+        ],
+    )
+    def test_fault_loop_span_counts_every_attempt(self, dispatch, kernel, monkeypatch):
         from repro.obs.spans import GLOBAL_TRACER
+        from repro.sim import dispatch_batch
 
+        if not kernel:
+            monkeypatch.setattr(dispatch_batch, "_native_dispatch", None)
         partition = _wide_fake_partition(4)
         trace = generate_trace_soa(SHAPES, 3000, 4e-3, seed=4)
         faults = (
@@ -661,10 +671,20 @@ class TestFaultInjection:
         assert attrs["batched"] + attrs["scalar"] == (
             len(trace) + report.requeues + report.kills - budget_sheds
         )
-        if dispatch == "scan":
+        if dispatch == "scan" or not dispatch_batch.native_available():
+            # only the native kernel batches fault segments: without it
+            # auto takes every attempt through scan's scalar loop
             assert attrs["batched"] == attrs["segments"] == 0
         else:
             # windows are active for half the trace, and the fast path
             # batches through them
             assert attrs["segments"] >= 4
             assert attrs["batched"] >= 0.9 * len(trace)
+        if not kernel:
+            streams = [
+                ServingSimulator(partition)
+                .run(trace, dispatch=engine, faults=faults, streaming=True)
+                .as_dict()
+                for engine in ("auto", "scan")
+            ]
+            assert streams[0] == streams[1]
