@@ -6,7 +6,6 @@ returned pair as its module-level ``__getattr__`` and ``__dir__``::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
         "repro.sim.engine": ("PipelineSimulator", "PipelineStage"),
-        "repro.host": ("Device as HostDevice",),
     })
 
 A name's module is imported the first time the name is looked up, and
@@ -27,23 +26,18 @@ def lazy_exports(
 ) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
     """``(__getattr__, __dir__)`` for ``package``'s export ``table``.
 
-    ``table`` maps a module to the names it provides; ``"attr as name"``
-    exports ``module.attr`` under ``name``.
+    ``table`` maps a module to the names it provides.
     """
-    sources: dict[str, tuple[str, str]] = {}
-    for module, names in table.items():
-        for entry in names:
-            attr, _, alias = entry.partition(" as ")
-            sources[alias or attr] = (module, attr)
+    sources = {name: module for module, names in table.items() for name in names}
 
     def __getattr__(name: str) -> object:
         try:
-            module, attr = sources[name]
+            module = sources[name]
         except KeyError:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}"
             ) from None
-        value = getattr(importlib.import_module(module), attr)
+        value = getattr(importlib.import_module(module), name)
         setattr(sys.modules[package], name, value)
         return value
 

@@ -1,16 +1,10 @@
-"""Workload definitions: GEMM shape algebra, DNN shapes, synthetic sweeps."""
+"""Workload definitions: GEMM shape algebra and the paper's DNN shapes."""
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.workloads.gemm": ("GemmShape",),
     "repro.workloads.dnn": ("DNN_WORKLOADS", "DnnWorkload", "workload_by_id"),
-    "repro.workloads.synthetic": (
-        "square_sweep",
-        "shape_sweep",
-        "native_multiples",
-        "single_aie_sweep",
-    ),
 })
 
 __all__ = [
@@ -18,8 +12,4 @@ __all__ = [
     "DNN_WORKLOADS",
     "DnnWorkload",
     "workload_by_id",
-    "square_sweep",
-    "shape_sweep",
-    "native_multiples",
-    "single_aie_sweep",
 ]

@@ -7,6 +7,7 @@ injected slowdown (``--noise``) exits non-zero through the CLI.
 
 import json
 
+from repro.bench.experiments import EvalThroughputExperiment
 from repro.cli import main
 
 #: the pinned BENCH_serving scenario (trace seed 7, auto fast path)
@@ -99,10 +100,23 @@ class TestBenchRegressionGating:
         assert "no baseline gates" in capsys.readouterr().err
 
 
+def _fixed_duration(monkeypatch, seconds):
+    """Time every eval-leg exploration at ``seconds``.
+
+    The exploration itself still runs, so ranking identity is computed
+    for real; only the wall clock, which depends on host load, is pinned.
+    """
+    def timed(self, explorer):
+        return seconds, explorer.explore(self.workload)
+
+    monkeypatch.setattr(EvalThroughputExperiment, "_timed", timed)
+
+
 class TestBenchSmoke:
-    def test_smoke_small_runs_end_to_end(self, tmp_path, capsys):
+    def test_smoke_small_runs_end_to_end(self, tmp_path, capsys, monkeypatch):
         """A reduced --smoke run writes all four artifacts and exits 0
         (simulated percentiles only improve at smaller request counts)."""
+        _fixed_duration(monkeypatch, 1e-6)
         code = main(["bench", "--smoke", "--out-dir", str(tmp_path),
                      "-n", "2", "--requests", "100000"])
         out = capsys.readouterr().out
@@ -110,3 +124,13 @@ class TestBenchSmoke:
         for name in ("bench_smoke_serving.csv", "bench_smoke_serving.json",
                      "bench_smoke_eval.csv", "bench_smoke_eval.json"):
             assert (tmp_path / name).exists()
+
+    def test_smoke_fails_below_the_evals_per_sec_floor(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _fixed_duration(monkeypatch, 10.0)
+        code = main(["bench", "--smoke", "--out-dir", str(tmp_path),
+                     "-n", "2", "--requests", "100000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "eval: [regression] serial_evals_per_sec" in err

@@ -75,6 +75,12 @@ class TestEstimate:
         estimate = AnalyticalModel(c11_design).estimate(square_2048)
         assert estimate.total_seconds == pytest.approx(0.92e-3, rel=0.20)
 
+    def test_estimate_with_cached_plan(self, c6_design, square_2048):
+        """What a DSE inner loop pays per candidate: the plan is reused."""
+        plan = c6_design.tile_plan(square_2048)
+        estimate = AnalyticalModel(c6_design).estimate(square_2048, plan)
+        assert estimate.total_seconds > 0
+
     def test_efficiency_bounded(self, c6_design, square_2048):
         estimate = AnalyticalModel(c6_design).estimate(square_2048)
         assert 0 < estimate.efficiency < 1

@@ -38,6 +38,7 @@ class TestFragmentation:
         result = run_experiment("ext_fragmentation")
         modest = [r for r in result.rows if r["waste_pct"] < 10]
         assert len(modest) >= len(result.rows) - 2
+        assert all(0 <= r["waste_pct"] <= 55 for r in result.rows)
 
     def test_small_k_layer_pays_on_deep_k_native(self):
         """L3's K=128 is smaller than C4's native K=256: the reduction
@@ -49,6 +50,8 @@ class TestFragmentation:
             if r["workload"] == "L3" and r["configuration"] == "C4"
         )
         assert row["waste_pct"] == pytest.approx(50.0, abs=1)
+        worst = max(result.rows, key=lambda r: r["waste_pct"])
+        assert (worst["workload"], worst["configuration"]) == ("L3", "C4")
 
     def test_waste_zero_when_aligned(self):
         result = run_experiment("ext_fragmentation")
@@ -70,11 +73,19 @@ class TestSensitivity:
         result = run_experiment("ext_sensitivity")
         assert all(r["ms"] > 0 for r in result.rows)
 
+    def test_dram_ports_plateau(self):
+        result = run_experiment("ext_sensitivity")
+        ports = [r for r in result.rows if r["parameter"] == "dram_ports"]
+        times = {r["value"]: r["ms"] for r in ports}
+        assert times["2r1w"] > times["4r2w"]
+        assert times["8r4w"] == pytest.approx(times["4r2w"], rel=0.01)
+
 
 class TestTransformerE2e:
     def test_zoo_covered(self):
         result = run_experiment("ext_transformer")
         assert len(result.rows) == 5
+        assert all(r["tflops"] > 0 for r in result.rows)
 
     def test_bigger_models_slower(self):
         result = run_experiment("ext_transformer")
@@ -85,6 +96,15 @@ class TestTransformerE2e:
     def test_mlp_dominates(self):
         result = run_experiment("ext_transformer")
         assert all(r["dominant_layer"].startswith("mlp") for r in result.rows)
+
+
+class TestMultiAcc:
+    def test_composed_beats_serial(self):
+        """Composed heterogeneous accelerators (CHARM) vs serial execution."""
+        result = run_experiment("ext_multi_acc")
+        summary = result.panels["summary"][0]
+        assert summary["speedup_vs_serial"] > 1.0
+        assert summary["makespan_ms"] < summary["serial_ms"]
 
 
 class TestConsistency:

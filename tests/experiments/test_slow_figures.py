@@ -25,6 +25,11 @@ def fig14():
     return run_experiment("fig14")
 
 
+@pytest.fixture(scope="module")
+def buffering():
+    return run_experiment("buffering")
+
+
 class TestFig9StrongScaling:
     def test_fp32_latency_decreases_through_c5(self, fig9):
         rows = fig9.panels["FP32"]
@@ -45,6 +50,10 @@ class TestFig9StrongScaling:
         times = [r["seconds"] for r in fig9.panels["INT8"]]
         for a, b in zip(times, times[1:]):
             assert b <= 1.05 * a
+
+    def test_int8_speedup_over_4x(self, fig9):
+        int8 = [r["seconds"] for r in fig9.panels["INT8"]]
+        assert int8[0] / min(int8) > 4
 
     def test_order_of_magnitude_speedup_c1_to_c6(self, fig9):
         """Fig. 9: latency 'decreases exponentially' across configs."""
@@ -74,13 +83,19 @@ class TestFig10WeakScaling:
         fp32 = fig10.panels["FP32"]
         assert 1.15 <= fp32[-1]["vs_smallest"] <= 2.2
 
+    def test_fp32_spread_exceeds_int8(self, fig10):
+        """Paper: 100% (FP32) vs 40% (INT8)."""
+        fp32_spread = fig10.panels["FP32"][-1]["vs_smallest"]
+        int8_spread = fig10.panels["INT8"][-1]["vs_smallest"]
+        assert fp32_spread > int8_spread > 1.0
+
 
 class TestFig11Breakdown:
     def test_model_error_within_5pct(self, fig11):
         assert all(abs(r["model_error_pct"]) <= 5.0 for r in fig11.rows)
 
     def test_memory_bound_right_of_c4(self, fig11):
-        for name in ("C5", "C6"):
+        for name in ("C5", "C6", "C10", "C11"):
             assert fig11.row_by("configuration", name)["memory_bound"]
 
     def test_compute_side_bound_left_of_c4(self, fig11):
@@ -105,15 +120,26 @@ class TestModelAccuracy:
 
 
 class TestBuffering:
-    def test_fp32_same_tiles_matches_paper_ratio(self):
-        result = run_experiment("buffering")
-        c6 = result.row_by("configuration", "C6")
+    def test_double_buffered_times_near_paper(self, buffering):
+        """Section V-G: 9.95 ms (C6) and 0.92 ms (C11) double buffered."""
+        c6 = buffering.row_by("configuration", "C6")
+        assert c6["double_ms"] == pytest.approx(9.95, rel=0.15)
+        c11 = buffering.row_by("configuration", "C11")
+        assert c11["double_ms"] == pytest.approx(0.92, rel=0.20)
+
+    def test_fp32_same_tiles_matches_paper_ratio(self, buffering):
+        c6 = buffering.row_by("configuration", "C6")
         assert 1.35 <= c6["same_tiles_ratio"] <= 1.6  # paper: 1.48
 
-    def test_int8_retiled_beats_same_tiles(self):
-        result = run_experiment("buffering")
-        c11 = result.row_by("configuration", "C11")
+    def test_int8_retiled_beats_same_tiles(self, buffering):
+        c11 = buffering.row_by("configuration", "C11")
         assert c11["single_retiled_ms"] < c11["single_same_tiles_ms"]
+
+    def test_int8_retiling_recovers_most_of_the_loss(self, buffering):
+        """The paper measured an outright win; see EXPERIMENTS.md for the
+        recorded deviation."""
+        c11 = buffering.row_by("configuration", "C11")
+        assert c11["retiled_ratio"] <= 1.15
 
 
 class TestFig14:

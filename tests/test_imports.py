@@ -162,10 +162,8 @@ def test_lazy_export_is_the_module_attribute():
     import repro
     import repro.core
     from repro.core.sweep import sweep
-    from repro.host import Device
     from repro.sim.serving import ServingSimulator
 
     assert repro.ServingSimulator is ServingSimulator
-    assert repro.HostDevice is Device
     # a function sharing its submodule's name stays the function
     assert repro.core.sweep is sweep
