@@ -253,7 +253,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.multi_acc import AcceleratorPartition
     from repro.mapping.configs import config_by_name
-    from repro.sim.chaos import FaultError, FaultPolicy, parse_fault_spec
     from repro.sim.serving import ServingSimulator, load_sweep
     from repro.sim.streaming import generate_trace_soa
 
@@ -297,6 +296,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     faults = None
     fault_policy = None
     if args.faults:
+        from repro.sim.chaos import FaultError, FaultPolicy, parse_fault_spec
+
         # the expected span of the trace anchors relative chaos windows
         horizon = args.requests * mean_interarrival
         try:

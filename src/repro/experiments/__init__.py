@@ -1,7 +1,9 @@
 """Experiment drivers: one per table/figure of the paper.
 
-Importing this package registers every driver with the runner registry;
-use :func:`repro.experiments.run_experiment` (or the CLI) to execute one.
+:data:`repro.experiments.runner.DRIVERS` names every driver by module
+and function; :func:`run_experiment` (or the CLI) imports only the
+module of the experiment it runs, so importing this package loads no
+driver.
 """
 
 from repro.experiments.runner import (
@@ -9,19 +11,5 @@ from repro.experiments.runner import (
     available_experiments,
     run_experiment,
 )
-
-# importing the driver modules registers them
-from repro.experiments import tables  # noqa: F401
-from repro.experiments import single_aie  # noqa: F401
-from repro.experiments import comm_schemes  # noqa: F401
-from repro.experiments import scaling  # noqa: F401
-from repro.experiments import breakdown_analysis  # noqa: F401
-from repro.experiments import plio_study  # noqa: F401
-from repro.experiments import real_workloads  # noqa: F401
-from repro.experiments import roofline_analysis  # noqa: F401
-from repro.experiments import dram_ports  # noqa: F401
-from repro.experiments import insights  # noqa: F401
-from repro.experiments import extensions  # noqa: F401
-from repro.experiments import research_questions  # noqa: F401
 
 __all__ = ["ExperimentResult", "available_experiments", "run_experiment"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.analytical_model import AnalyticalModel
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import ALL_CONFIGS, config_by_name
 from repro.sim.hwsim import HwSimulator
@@ -14,7 +14,6 @@ from repro.workloads.gemm import GemmShape
 BREAKDOWN_WORKLOAD = GemmShape(2048, 2048, 2048)
 
 
-@experiment("fig11")
 def fig11_breakdown() -> ExperimentResult:
     """Execution time + breakdown for 2048^3, model vs simulated HW."""
     rows = []
@@ -54,7 +53,6 @@ def fig11_breakdown() -> ExperimentResult:
     )
 
 
-@experiment("model_accuracy")
 def model_accuracy() -> ExperimentResult:
     """Section V-A: analytical model vs (simulated) hardware, +/-5%."""
     workloads = [
@@ -89,7 +87,6 @@ def model_accuracy() -> ExperimentResult:
     )
 
 
-@experiment("buffering")
 def buffering_study() -> ExperimentResult:
     """Section V-G: PL double vs single buffering on C6 (FP32) and C11
     (INT8).

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.hw.interconnect import CommScheme, CommTimingModel
 from repro.kernels.precision import Precision
 from repro.workloads.gemm import GemmShape
@@ -14,7 +14,6 @@ PANELS = (
 )
 
 
-@experiment("fig8")
 def fig8_comm_schemes() -> ExperimentResult:
     """Execution time of AIE-AIE communication schemes vs cascade."""
     model = CommTimingModel()

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.hw.dram import DramModel, DramPorts
 from repro.hw.noc import NocModel
 
 
-@experiment("dram_ports")
 def dram_ports_study() -> ExperimentResult:
     """Achieved DRAM bandwidth as HLS read/write ports are added."""
     noc = NocModel()

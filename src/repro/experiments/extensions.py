@@ -21,7 +21,7 @@ from repro.core.energy import EnergyModel
 from repro.core.fusion import FusionPlanner, PostOp
 from repro.core.multi_acc import AcceleratorPartition, GemmJob, MultiAccScheduler
 from repro.core.sensitivity import SensitivityAnalysis
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.kernels.precision import Precision
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import ALL_CONFIGS, config_by_name
@@ -33,7 +33,6 @@ from repro.workloads.gemm import GemmShape
 _WORKLOAD = GemmShape(2048, 2048, 2048)
 
 
-@experiment("ext_fusion")
 def ext_fusion() -> ExperimentResult:
     """Ablation: post-ops fused onto spare AIEs vs a separate pass."""
     planner = FusionPlanner(CharmDesign(config_by_name("C5")))
@@ -62,7 +61,6 @@ def ext_fusion() -> ExperimentResult:
     )
 
 
-@experiment("ext_fragmentation")
 def ext_fragmentation() -> ExperimentResult:
     """Tile-size vs padding trade-off for the Table III DNN workloads."""
     analysis = FragmentationAnalysis(Precision.FP32)
@@ -92,7 +90,6 @@ def ext_fragmentation() -> ExperimentResult:
     )
 
 
-@experiment("ext_sensitivity")
 def ext_sensitivity() -> ExperimentResult:
     """Architecture-parameter sensitivity of C6 on 2048^3."""
     analysis = SensitivityAnalysis(CharmDesign(config_by_name("C6")), _WORKLOAD)
@@ -115,7 +112,6 @@ def ext_sensitivity() -> ExperimentResult:
     )
 
 
-@experiment("ext_transformer")
 def ext_transformer() -> ExperimentResult:
     """End-to-end transformer forward passes on the Table II configs."""
     estimator = ModelEstimator(Precision.FP32)
@@ -142,7 +138,6 @@ def ext_transformer() -> ExperimentResult:
     )
 
 
-@experiment("ext_multi_acc")
 def ext_multi_acc() -> ExperimentResult:
     """Composed heterogeneous accelerators vs one serial device (CHARM)."""
     from repro.workloads.transformer import BERT_LARGE
@@ -193,7 +188,6 @@ def ext_multi_acc() -> ExperimentResult:
     )
 
 
-@experiment("ext_consistency")
 def ext_consistency() -> ExperimentResult:
     """Three-way agreement: emulator vs closed-form model vs aiesimulator.
 
@@ -250,7 +244,6 @@ def ext_consistency() -> ExperimentResult:
     )
 
 
-@experiment("ext_serving")
 def ext_serving() -> ExperimentResult:
     """Tail latency vs offered load for a served GEMM mix."""
     from repro.core.multi_acc import AcceleratorPartition
@@ -295,7 +288,6 @@ def ext_serving() -> ExperimentResult:
     )
 
 
-@experiment("ext_spmm")
 def ext_spmm() -> ExperimentResult:
     """Sparse-vs-dense execution crossover for SpMM (H-GCN's territory)."""
     from repro.workloads.gemm import GemmShape
@@ -330,7 +322,6 @@ def ext_spmm() -> ExperimentResult:
     )
 
 
-@experiment("ext_decode")
 def ext_decode() -> ExperimentResult:
     """LLM decode (M = batch) vs prefill: padding waste and throughput."""
     from repro.core.analytical_model import AnalyticalModel
@@ -369,7 +360,6 @@ def ext_decode() -> ExperimentResult:
     )
 
 
-@experiment("ext_faults")
 def ext_faults() -> ExperimentResult:
     """Graceful degradation: estimates under injected hardware faults."""
     from repro.core.analytical_model import AnalyticalModel
@@ -418,7 +408,6 @@ def ext_faults() -> ExperimentResult:
     )
 
 
-@experiment("ext_chaos")
 def ext_chaos() -> ExperimentResult:
     """Serving through injected runtime faults: availability vs damage."""
     from repro.core.multi_acc import AcceleratorPartition
@@ -479,7 +468,6 @@ def ext_chaos() -> ExperimentResult:
     )
 
 
-@experiment("ext_conv")
 def ext_conv() -> ExperimentResult:
     """CNN layers (im2col-lowered) through the same analysis pipeline."""
     from repro.core.analytical_model import AnalyticalModel
@@ -513,7 +501,6 @@ def ext_conv() -> ExperimentResult:
     )
 
 
-@experiment("ext_energy")
 def ext_energy() -> ExperimentResult:
     """Energy and efficiency of 2048^3 across every configuration."""
     rows = []

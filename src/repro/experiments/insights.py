@@ -14,7 +14,7 @@ from typing import Callable
 
 from repro.core.analytical_model import AnalyticalModel
 from repro.core.roofline import Roofline
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.hw.dram import DramModel, DramPorts
 from repro.hw.interconnect import CommScheme, CommTimingModel
 from repro.hw.specs import VCK5000
@@ -247,7 +247,6 @@ INSIGHTS: tuple[Insight, ...] = (
 )
 
 
-@experiment("insights")
 def insights_audit() -> ExperimentResult:
     """Evaluate every boxed paper insight against the models."""
     rows = []

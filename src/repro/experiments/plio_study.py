@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.hw.specs import VCK5000
 from repro.mapping.configs import config_by_name
 from repro.mapping.plio_schemes import reference_schemes
@@ -10,7 +10,6 @@ from repro.perf.parallel import parallel_map
 from repro.sim.aiesim import simulate_graph
 
 
-@experiment("fig13")
 def fig13_plio_sensitivity(jobs: int = 1) -> ExperimentResult:
     """GEMM performance sensitivity to PLIO count, 16-AIE designs."""
 
@@ -54,7 +53,6 @@ def fig13_plio_sensitivity(jobs: int = 1) -> ExperimentResult:
     )
 
 
-@experiment("fig12")
 def fig12_reference_schemes() -> ExperimentResult:
     """The four highlighted schemes of Fig. 12 (subset of the Fig. 13 sweep)."""
     config = config_by_name("C1")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.analytical_model import AnalyticalModel
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.hw.dram import CHARM_DEFAULT_PORTS, IMPROVED_PORTS
 from repro.kernels.precision import Precision
 from repro.mapping.charm import CharmDesign
@@ -62,7 +62,6 @@ def _estimate(design: CharmDesign, workload: GemmShape):
         return model.estimate(workload, plan)
 
 
-@experiment("fig14")
 def fig14_real_workloads() -> ExperimentResult:
     """Latency + bottleneck of Table III workloads under design variants."""
     rows = []

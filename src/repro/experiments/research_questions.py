@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ RESEARCH_QUESTIONS: tuple[ResearchQuestion, ...] = (
 )
 
 
-@experiment("questions")
 def research_question_index() -> ExperimentResult:
     """Navigable index: question -> experiments -> one-line answer."""
     rows = [

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from repro.core.roofline import Roofline
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.kernels.precision import Precision
 from repro.mapping.configs import config_by_name
 from repro.workloads.dnn import DNN_WORKLOADS
 
 
-@experiment("fig15")
 def fig15_roofline() -> ExperimentResult:
     """Roofline ceilings, bandwidth slopes, and workload points."""
     roofline = Roofline(Precision.INT8)

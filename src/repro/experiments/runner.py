@@ -1,14 +1,16 @@
-"""Experiment framework: uniform results and a registry of drivers.
+"""Experiment framework: uniform results and a table of drivers.
 
 Each driver function reproduces one of the paper's tables or figures and
 returns an :class:`ExperimentResult` whose ``rows`` are the data the
-artifact plots/tabulates.  The registry maps experiment ids (``fig9``,
-``table2``, ...) to drivers so the CLI and the benchmark harness share
-one entry point.
+artifact plots/tabulates.  :data:`DRIVERS` maps experiment ids (``fig9``,
+``table2``, ...) to ``"module:function"`` names inside this package, so
+the CLI and the benchmark harness share one entry point and running one
+experiment imports only its own driver module.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -54,38 +56,67 @@ class ExperimentResult:
 
 ExperimentDriver = Callable[..., ExperimentResult]
 
-_REGISTRY: dict[str, ExperimentDriver] = {}
+#: experiment id -> ``"module:function"`` in :mod:`repro.experiments`
+DRIVERS: dict[str, str] = {
+    "table1": "tables:table1_platforms",
+    "table2": "tables:table2_configs",
+    "table3": "tables:table3_workloads",
+    "fig5": "single_aie:fig5_api_vs_intrinsic",
+    "fig6": "single_aie:fig6_single_aie_fp32",
+    "fig7": "single_aie:fig7_single_aie_int8",
+    "fig8": "comm_schemes:fig8_comm_schemes",
+    "fig9": "scaling:fig9_strong_scaling",
+    "fig10": "scaling:fig10_weak_scaling",
+    "fig11": "breakdown_analysis:fig11_breakdown",
+    "model_accuracy": "breakdown_analysis:model_accuracy",
+    "buffering": "breakdown_analysis:buffering_study",
+    "fig12": "plio_study:fig12_reference_schemes",
+    "fig13": "plio_study:fig13_plio_sensitivity",
+    "fig14": "real_workloads:fig14_real_workloads",
+    "fig15": "roofline_analysis:fig15_roofline",
+    "dram_ports": "dram_ports:dram_ports_study",
+    "insights": "insights:insights_audit",
+    "questions": "research_questions:research_question_index",
+    "ext_fusion": "extensions:ext_fusion",
+    "ext_fragmentation": "extensions:ext_fragmentation",
+    "ext_sensitivity": "extensions:ext_sensitivity",
+    "ext_transformer": "extensions:ext_transformer",
+    "ext_multi_acc": "extensions:ext_multi_acc",
+    "ext_consistency": "extensions:ext_consistency",
+    "ext_serving": "extensions:ext_serving",
+    "ext_spmm": "extensions:ext_spmm",
+    "ext_decode": "extensions:ext_decode",
+    "ext_faults": "extensions:ext_faults",
+    "ext_chaos": "extensions:ext_chaos",
+    "ext_conv": "extensions:ext_conv",
+    "ext_energy": "extensions:ext_energy",
+}
 
 
-def experiment(experiment_id: str) -> Callable[[ExperimentDriver], ExperimentDriver]:
-    """Decorator registering a driver under an experiment id."""
-
-    def register(driver: ExperimentDriver) -> ExperimentDriver:
-        if experiment_id in _REGISTRY:
-            raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = driver
-        return driver
-
-    return register
+def resolve_driver(experiment_id: str) -> ExperimentDriver:
+    """Import the driver of ``experiment_id`` (its module only)."""
+    try:
+        target = DRIVERS[experiment_id.lower()]
+    except KeyError:
+        known = ", ".join(sorted(DRIVERS))
+        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}") from None
+    module, _, function = target.partition(":")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), function)
 
 
 def run_experiment(experiment_id: str, jobs: int = 1) -> ExperimentResult:
-    """Run one registered driver.
+    """Run one experiment's driver.
 
     ``jobs`` is forwarded to drivers that declare a ``jobs`` parameter
     (batch-heavy drivers fan their candidate evaluations out through
     :func:`repro.perf.parallel.parallel_map`); drivers without one run
     unchanged, so the flag is always safe to pass.
     """
-    try:
-        driver = _REGISTRY[experiment_id.lower()]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}") from None
+    driver = resolve_driver(experiment_id)
     if "jobs" in inspect.signature(driver).parameters:
         return driver(jobs=jobs)
     return driver()
 
 
 def available_experiments() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(DRIVERS)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.efficiency import array_efficiency
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import FP32_CONFIGS, INT8_CONFIGS, HardwareConfig
 from repro.sim.hwsim import HwSimulator
@@ -31,7 +31,6 @@ def _strong_row(config: HardwareConfig, workload: GemmShape) -> dict:
     }
 
 
-@experiment("fig9")
 def fig9_strong_scaling() -> ExperimentResult:
     """Strong scaling: fixed 4096^3 workload, growing AIE counts."""
     panels = {
@@ -51,7 +50,6 @@ def fig9_strong_scaling() -> ExperimentResult:
     )
 
 
-@experiment("fig10")
 def fig10_weak_scaling() -> ExperimentResult:
     """Weak scaling: each config runs its own native size."""
     panels = {}

@@ -8,7 +8,7 @@ marking kernels that borrow neighbour memory (the dotted bars).
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.hw.specs import VCK5000
 from repro.kernels.gemm_kernel import SingleAieGemmKernel
 from repro.kernels.precision import Precision
@@ -74,7 +74,6 @@ def _kernel_row(kernel: SingleAieGemmKernel, device=VCK5000) -> dict:
     }
 
 
-@experiment("fig5")
 def fig5_api_vs_intrinsic() -> ExperimentResult:
     """Fig. 5: intrinsic vs API single-AIE kernels."""
     rows = []
@@ -136,13 +135,11 @@ def _sweep_result(
     )
 
 
-@experiment("fig6")
 def fig6_single_aie_fp32() -> ExperimentResult:
     """Fig. 6: FP32 single-AIE efficiency and breakdown across shapes."""
     return _sweep_result("fig6", Precision.FP32, FP32_SWEEP, "Fig. 6 / Section V-C")
 
 
-@experiment("fig7")
 def fig7_single_aie_int8() -> ExperimentResult:
     """Fig. 7: INT8 single-AIE efficiency and breakdown across shapes."""
     return _sweep_result("fig7", Precision.INT8, INT8_SWEEP, "Fig. 7 / Section V-C")

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentResult, experiment
+from repro.experiments.runner import ExperimentResult
 from repro.mapping.configs import ALL_CONFIGS
 from repro.sim.platforms import PLATFORMS
 from repro.workloads.dnn import DNN_WORKLOADS
 
 
-@experiment("table1")
 def table1_platforms() -> ExperimentResult:
     """Table I: Versal execution platforms."""
     rows = [
@@ -28,7 +27,6 @@ def table1_platforms() -> ExperimentResult:
     )
 
 
-@experiment("table2")
 def table2_configs() -> ExperimentResult:
     """Table II: hardware configurations involving multiple AIEs."""
     rows = [
@@ -54,7 +52,6 @@ def table2_configs() -> ExperimentResult:
     )
 
 
-@experiment("table3")
 def table3_workloads() -> ExperimentResult:
     """Table III: selected GEMM workloads from popular DNNs."""
     rows = [

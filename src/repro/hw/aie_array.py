@@ -49,6 +49,8 @@ class AieArray:
         }
         #: stream flows currently routed, per link (for congestion analysis)
         self._link_flows: dict[frozenset[tuple[int, int]], int] = {}
+        #: how many times :meth:`reset_placement` has cleared the grid
+        self.resets = 0
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -114,6 +116,7 @@ class AieArray:
             tile.kernel = None
             tile.reserved_bytes = 0
         self._link_flows.clear()
+        self.resets += 1
 
     # ------------------------------------------------------------------
     # Via-switch routing

@@ -82,24 +82,17 @@ class CharmPlacer:
         self.array = AieArray(device)
         self.plios = PlioAllocator(device)
         self.placements: list[Placement] = []
+        self._snake = self._snake_order()
+        #: every snake position before this index is occupied; valid
+        #: while the array has not been reset since ``_array_resets``
+        self._first_free = 0
+        self._array_resets = self.array.resets
 
     # ------------------------------------------------------------------
-    def _cascade_chain(self, start: tuple[int, int], depth: int) -> list[tuple[int, int]]:
-        """Consecutive tiles along the cascade snake from ``start``."""
-        chain = [start]
-        position = start
-        while len(chain) < depth:
-            tile = self.array.tiles[position]
-            successor = tile.cascade_successor()
-            if successor is None:
-                raise PlacementError("cascade chain ran off the array")
-            chain.append(successor)
-            position = successor
-        return chain
-
     def _snake_order(self) -> list[tuple[int, int]]:
         """All positions in cascade-snake order (row-major, alternating
-        direction), so chains pack without fragmenting the snake."""
+        direction), so chains pack without fragmenting the snake.  Each
+        position's cascade successor is the next one in this order."""
         order = []
         for row in range(self.device.aie_rows):
             cols = range(self.device.aie_cols)
@@ -109,15 +102,20 @@ class CharmPlacer:
         return order
 
     def _find_free_chain(self, depth: int) -> list[tuple[int, int]]:
-        for position in self._snake_order():
-            if self.array.tiles[position].occupied:
+        """The first ``depth`` consecutive free tiles along the snake."""
+        snake, tiles = self._snake, self.array.tiles
+        if self._array_resets != self.array.resets:
+            self._first_free, self._array_resets = 0, self.array.resets
+        while self._first_free < len(snake) and tiles[snake[self._first_free]].occupied:
+            self._first_free += 1
+        run = 0
+        for index in range(self._first_free, len(snake)):
+            if tiles[snake[index]].occupied:
+                run = 0
                 continue
-            try:
-                chain = self._cascade_chain(position, depth)
-            except PlacementError:
-                continue
-            if all(not self.array.tiles[p].occupied for p in chain):
-                return chain
+            run += 1
+            if run == depth:
+                return snake[index - depth + 1 : index + 1]
         raise PlacementError(f"no free cascade chain of depth {depth} left")
 
     # ------------------------------------------------------------------
@@ -148,6 +146,7 @@ class CharmPlacer:
                 tile = self.array.tiles[position]
                 tile.kernel = None
                 tile.reserved_bytes = 0
+            self._first_free = 0
             raise
 
         placement = Placement(design=design, packs=packs)

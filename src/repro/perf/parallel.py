@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -76,6 +75,10 @@ def parallel_map(
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(materialized) <= 1:
         return [fn(item) for item in materialized]
+    # the pool module (and the threading it pulls in) loads only when
+    # a run fans out
+    from concurrent.futures import ThreadPoolExecutor
+
     if chunksize is None:
         chunksize = default_chunksize(len(materialized), jobs)
     chunks = [

@@ -33,11 +33,12 @@ result is always bit-identical to the scalar simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
 from repro.obs.spans import span
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: ``run(vectorize=None)`` auto-enables the vectorized solver at this size
 VECTORIZE_MIN_ITEMS = 512
@@ -237,6 +238,10 @@ class PipelineSimulator:
         resumes the exact loop — the output is bit-identical to
         :meth:`_run_exact` in every case, which the test suite asserts.
         """
+        # NumPy loads only for runs this long: the scalar loop never
+        # pays its import
+        import numpy as np
+
         n_stages = len(self.stages)
         max_slots = max((stage.slots for stage in self.stages[1:]), default=1)
         end = np.zeros((n_stages, num_items))
@@ -302,6 +307,8 @@ class PipelineSimulator:
         Returns ``[(stage, branch), ...]`` or None when no consistent
         acyclic assignment exists (e.g. a single-buffered ping-pong where
         adjacent stages alternate winners)."""
+        import numpy as np
+
         if window < 2:
             return None
         n_stages = len(self.stages)
@@ -350,6 +357,8 @@ class PipelineSimulator:
     ) -> None:
         """Extend each stage's row over ``[cursor, n)`` assuming its
         detected constraint keeps winning (verified afterwards)."""
+        import numpy as np
+
         n = end.shape[1]
         for s, branch in plan:
             c = constants[s]
@@ -375,6 +384,8 @@ class PipelineSimulator:
     def _verify(self, end: np.ndarray, start: np.ndarray, cursor: int) -> int:
         """Items from ``cursor`` whose replayed begins dominate *every*
         constraint (the replay is exact up to the first violation)."""
+        import numpy as np
+
         n_stages, n = end.shape
         bad = np.zeros(n - cursor, dtype=bool)
         for s in range(n_stages):

@@ -86,12 +86,6 @@ from repro.perf.metrics import (
     track,
 )
 from repro.perf.parallel import parallel_map, resolve_jobs
-from repro.sim.chaos import (
-    DEFAULT_FAULT_POLICY,
-    FaultError,
-    FaultPolicy,
-    FaultSchedule,
-)
 from repro.sim import dispatch_batch
 from repro.sim.dispatch_batch import dispatch_vectorized
 from repro.sim.streaming import (
@@ -106,6 +100,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.multi_acc import AcceleratorPartition
     from repro.obs.slo import SloSpec
     from repro.obs.windows import ServingMonitor
+    from repro.sim.chaos import FaultPolicy, FaultSchedule
 
 #: requests buffered between streaming-report flushes (bounds memory)
 DISPATCH_CHUNK = 65536
@@ -839,7 +834,7 @@ class ServingSimulator:
                         make_sink,
                         dispatch=dispatch,
                         faults=faults,
-                        policy=fault_policy or DEFAULT_FAULT_POLICY,
+                        policy=fault_policy,
                     )
                 if dispatch == "scan":
                     return self._run_scan(trace, make_sink)
@@ -854,7 +849,7 @@ class ServingSimulator:
         *,
         dispatch: str,
         faults: FaultSchedule,
-        policy: FaultPolicy,
+        policy: FaultPolicy | None,
     ) -> ServingReport | StreamingServingReport:
         """The fault-aware event loop, shared by both dispatch paths.
 
@@ -872,6 +867,10 @@ class ServingSimulator:
         written into preallocated per-position columns plus a done mask,
         which the report sink takes whole once the loop ends.
         """
+        # the fault layer loads only for a faulted run
+        from repro.sim.chaos import DEFAULT_FAULT_POLICY, FaultError
+
+        policy = policy or DEFAULT_FAULT_POLICY
         names = list(self.partition.designs)
         unknown = set(faults.accelerators()) - set(names)
         if unknown:

@@ -31,12 +31,21 @@ WATCHED = ("numpy", "networkx", "repro.sim._native", "repro.experiments")
 
 
 #: the model stack a shard worker must not import: its service table
-#: arrives seeded, and the monitor module only when a monitor is attached
+#: arrives seeded, the monitor module only when a monitor is attached,
+#: and the fault layer only when the payload carries a fault schedule
 WORKER_WATCHED = (
     "repro.core.analytical_model",
     "repro.mapping.charm",
     "repro.mapping.placement",
     "repro.obs.windows",
+    "repro.sim.chaos",
+)
+
+#: every experiment driver module (all of the package but its runner)
+DRIVER_MODULES = tuple(
+    f"repro.experiments.{path.stem}"
+    for path in sorted((SRC / "repro" / "experiments").glob("*.py"))
+    if path.stem not in ("__init__", "runner")
 )
 
 
@@ -81,20 +90,46 @@ def test_package_import_loads_no_heavy_module(tmp_path):
     ids=["estimate", "dse"],
 )
 def test_model_commands_skip_native_kernel_and_networkx(tmp_path, argv):
-    loaded = _loaded_after(_cli(*argv), tmp_path)
+    loaded = _loaded_after(
+        _cli(*argv), tmp_path, WATCHED + ("concurrent.futures",)
+    )
     assert "repro.sim._native" not in loaded
     assert "networkx" not in loaded
     # the scalar model path never needs NumPy, whose import alone costs
     # more than a whole exploration
     assert "numpy" not in loaded
+    # a one-job run builds no thread pool
+    assert "concurrent.futures" not in loaded
+
+
+def test_run_loads_only_its_own_driver(tmp_path):
+    loaded = _loaded_after(
+        _cli("run", "fig13"), tmp_path, ("numpy",) + DRIVER_MODULES
+    )
+    # fig13's eight-item pipelines stay on the scalar loop
+    assert loaded == ["repro.experiments.plio_study"]
 
 
 def test_serve_does_not_load_networkx(tmp_path):
     loaded = _loaded_after(
-        _cli("serve", "512x512x512", "--requests", "200", "--streaming"), tmp_path
+        _cli("serve", "512x512x512", "--requests", "200", "--streaming"),
+        tmp_path,
+        WATCHED + ("repro.sim.chaos",),
     )
     assert "networkx" not in loaded
     assert "repro.experiments" not in loaded
+    # a fault-free serve never loads the fault layer
+    assert "repro.sim.chaos" not in loaded
+
+
+def test_faulted_serve_loads_the_fault_layer(tmp_path):
+    loaded = _loaded_after(
+        _cli("serve", "512x512x512", "--requests", "200", "--streaming",
+             "--faults", "chaos", "--fault-seed", "3"),
+        tmp_path,
+        ("repro.sim.chaos",),
+    )
+    assert loaded == ["repro.sim.chaos"]
 
 
 def test_shard_worker_imports_only_the_dispatch_layer(tmp_path):
