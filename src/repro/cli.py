@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from repro.obs.metrics import GLOBAL_METRICS
@@ -462,7 +463,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if slo_report is not None:
             _print_slo_verdict(slo_report)
         if args.monitor_out:
-            _write_monitor_file(args.monitor_out, monitor, args.slo, slo_report)
+            try:
+                _write_monitor_file(args.monitor_out, monitor, args.slo, slo_report)
+            except OSError as error:
+                return _cannot_write("--monitor-out", args.monitor_out, error)
     return 0
 
 
@@ -809,12 +813,12 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--trace-out", default=None, metavar="PATH",
+        "--trace-out", type=_output_path, default=None, metavar="PATH",
         help="enable the tracer for this run and write a Chrome "
              "trace-event JSON (open at https://ui.perfetto.dev)",
     )
     parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
+        "--metrics-out", type=_output_path, default=None, metavar="PATH",
         help="write the metrics registry in Prometheus text format",
     )
 
@@ -869,6 +873,20 @@ def _float_in(low: float, high: float = math.inf):
 
 _positive_float = _float_in(0.0)
 _unit_fraction = _float_in(0.0, 1.0)
+
+
+def _output_path(value: str) -> str:
+    """An output file whose directory exists, checked before any work
+    (an unwritable file still fails at write time, without a traceback)."""
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise argparse.ArgumentTypeError(f"no such directory for {value!r}")
+    return value
+
+
+def _cannot_write(flag: str, path: str, error: OSError) -> int:
+    print(f"versal-gemm: cannot write {flag} {path}: "
+          f"{error.strerror or error}", file=sys.stderr)
+    return 1
 
 
 def _shape(value: str) -> GemmShape:
@@ -1036,7 +1054,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--windows", type=int, default=100, metavar="N",
                        help="telemetry windows the run's horizon is cut into "
                             "for --slo / --monitor-out (default 100)")
-    serve.add_argument("--monitor-out", default=None, metavar="PATH",
+    serve.add_argument("--monitor-out", type=_output_path, default=None,
+                       metavar="PATH",
                        help="write the windowed telemetry series as JSON "
                             "(re-evaluate any spec later with 'obs slo')")
     _add_obs_flags(serve)
@@ -1150,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_trace_file(path: str) -> None:
-    from repro.obs.export import ChromeTraceBuilder, write_chrome_trace
+    from repro.obs.export import ChromeTraceBuilder
 
     builder = ChromeTraceBuilder()
     builder.add_spans(GLOBAL_TRACER.spans())
@@ -1159,7 +1178,7 @@ def _write_trace_file(path: str) -> None:
             builder.add_monitor(source)
         else:
             builder.add_serving_report(source)
-    write_chrome_trace(path, builder.build())
+    builder.write(path)
     print(f"wrote {path} ({len(builder)} trace events)", file=sys.stderr)
 
 
@@ -1182,7 +1201,10 @@ def main(argv: list[str] | None = None) -> int:
         if trace_out:
             GLOBAL_TRACER.disable()
     if status == 0 and trace_out:
-        _write_trace_file(trace_out)
+        try:
+            _write_trace_file(trace_out)
+        except OSError as error:
+            status = _cannot_write("--trace-out", trace_out, error)
     cache = get_cache()
     GLOBAL_METRICS.counter(
         "repro_cache_hits_total", "Evaluation-cache hits this invocation"
@@ -1192,9 +1214,13 @@ def main(argv: list[str] | None = None) -> int:
     ).inc(cache.misses)
     metrics_out = getattr(args, "metrics_out", None)
     if status == 0 and metrics_out:
-        with open(metrics_out, "w") as handle:
-            handle.write(GLOBAL_METRICS.to_prometheus())
-        print(f"wrote {metrics_out}", file=sys.stderr)
+        try:
+            with open(metrics_out, "w") as handle:
+                handle.write(GLOBAL_METRICS.to_prometheus())
+        except OSError as error:
+            status = _cannot_write("--metrics-out", metrics_out, error)
+        else:
+            print(f"wrote {metrics_out}", file=sys.stderr)
     if args.stats:
         totals = read_totals()
         print(f"eval stats   {totals.evals.summary()} "

@@ -31,9 +31,11 @@ pairs, and ``X`` events with nonnegative durations.
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.obs.spans import Span
@@ -73,13 +75,181 @@ def _jsonable_args(attrs: dict[str, Any] | None) -> dict[str, Any]:
     return {str(key): _jsonable(value) for key, value in attrs.items()}
 
 
-class ChromeTraceBuilder:
-    """Accumulates events from any source and emits one sorted trace."""
+#: sort items formatted and written per batch (bounds the transient text)
+_BATCH = 4096
+
+# The request events' text, byte for byte what ``json.dumps`` makes of
+# the event dicts: the same keys in the same order, request ids and
+# start times (each used more than once) pre-formatted with ``str`` and
+# ``repr``, other ints as ``%d`` and floats as ``%r`` — ``float.__repr__``
+# is the float form ``json`` writes (only finite values get here).
+# A wait ``b``:
+_BEGIN = (
+    '{"name": "wait", "cat": "wait", "ph": "b", "id": "%s", "ts": %r, '
+    f'"pid": {SIM_PID}, "tid": %d, "args": {{"request_id": %s}}}}'
+)
+# ... and the wait ``e`` with the execution ``X`` that follows it:
+_END_EXECUTE = (
+    '{"name": "wait", "cat": "wait", "ph": "e", "id": "%s", "ts": %s, '
+    f'"pid": {SIM_PID}, "tid": %d}}, '
+    '{"name": %s, "cat": "execute", "ph": "X", "ts": %s, "dur": %r, '
+    f'"pid": {SIM_PID}, "tid": %d, "args": {{"request_id": %s, '
+    '"retries": %d, "latency_s": %r, "queue_s": %r}}'
+)
+
+
+class _EventList:
+    """A run of events kept as the dicts ``json.dumps`` encodes: spans,
+    fault markers and windows, counters, pipeline stages, utilization
+    slices.  One sort item per event."""
 
     def __init__(self):
-        self._events: list[dict[str, Any]] = []
+        self.events: list[dict[str, Any]] = []
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    @property
+    def items(self) -> int:
+        return len(self.events)
+
+    def sort_keys(self, out) -> None:
+        out[:] = [event["ts"] for event in self.events]
+
+    def texts(self, items, ts) -> list[str]:
+        events = self.events
+        return [json.dumps(events[item]) for item in items.tolist()]
+
+
+class _RequestEvents:
+    """One exact report's request lifecycles, kept as its columns.
+
+    Row ``j`` stands for three events: the wait ``b`` at its arrival,
+    then the wait ``e`` and the execution ``X`` at its start.  The last
+    two share a timestamp and are adjacent in insertion order, so a
+    stable sort never parts them: they sort as one item, and ``n`` rows
+    are ``2n`` sort items (item ``2j`` the ``b``, ``2j + 1`` the pair).
+    The report's columns are frozen after construction, so holding
+    references is enough.
+    """
+
+    def __init__(
+        self, report: "ServingReport", wait_tid: int, track_tids: dict[str, int]
+    ):
+        import numpy as np
+
+        self.arrivals = report.arrivals
+        self.starts = report.starts
+        self.finishes = report.finishes
+        self.accelerator_ids = report.accelerator_ids
+        self.class_ids = report.class_ids
+        self.request_ids = report.request_ids
+        self.retries = report.retries
+        self.wait_tid = wait_tid
+        # an accelerator that completed nothing has no track and no row
+        self.acc_tids = np.array(
+            [track_tids.get(name, 0) for name in report.accelerator_names],
+            dtype=np.int64,
+        )
+        self.shape_names = np.array(
+            [json.dumps(str(shape)) for shape in report.shapes], dtype=object
+        )
+        for what, values in self._derived():
+            bad = ~np.isfinite(values)
+            if bad.any():
+                row = int(bad.argmax())
+                raise ValueError(
+                    f"serving report row {row} (request "
+                    f"{int(self.request_ids[row])}) has a non-finite {what} "
+                    f"({float(values[row])!r}), which JSON cannot encode"
+                )
+
+    def _derived(self):
+        """Every float the events carry, one full column at a time."""
+        yield "arrival time", self.arrivals * _MICROS
+        yield "start time", self.starts * _MICROS
+        yield "duration", (self.finishes - self.starts) * _MICROS
+        yield "latency", self.finishes - self.arrivals
+        yield "queueing delay", self.starts - self.arrivals
+
+    def __len__(self) -> int:
+        return 3 * self.finishes.size
+
+    @property
+    def items(self) -> int:
+        return 2 * self.finishes.size
+
+    def sort_keys(self, out) -> None:
+        import numpy as np
+
+        np.multiply(self.arrivals, _MICROS, out=out[0::2])
+        np.multiply(self.starts, _MICROS, out=out[1::2])
+
+    def texts(self, items, ts):
+        """The texts of sort ``items`` (whose keys are ``ts``), in order,
+        as an object array."""
+        import numpy as np
+
+        rows = items >> 1
+        is_pair = (items & 1).astype(bool)
+        texts = np.empty(items.size, dtype=object)
+        wait_tid = repeat(self.wait_tid)
+        begins = np.flatnonzero(~is_pair)
+        if begins.size:
+            ids = list(map(str, self.request_ids[rows[begins]].tolist()))
+            texts[begins] = list(
+                map(_BEGIN.__mod__, zip(ids, ts[begins].tolist(), wait_tid, ids))
+            )
+        pairs = np.flatnonzero(is_pair)
+        if pairs.size:
+            at = rows[pairs]
+            ids = list(map(str, self.request_ids[at].tolist()))
+            starts = list(map(repr, ts[pairs].tolist()))
+            arrivals, start, finish = (
+                self.arrivals[at], self.starts[at], self.finishes[at]
+            )
+            texts[pairs] = list(
+                map(
+                    _END_EXECUTE.__mod__,
+                    zip(
+                        ids,
+                        starts,
+                        wait_tid,
+                        self.shape_names[self.class_ids[at]].tolist(),
+                        starts,
+                        ((finish - start) * _MICROS).tolist(),
+                        self.acc_tids[self.accelerator_ids[at]].tolist(),
+                        ids,
+                        self.retries[at].tolist(),
+                        (finish - arrivals).tolist(),
+                        (start - arrivals).tolist(),
+                    ),
+                )
+            )
+        return texts
+
+
+class ChromeTraceBuilder:
+    """Accumulates events from any source and writes one sorted trace.
+
+    Exact serving reports are kept as their columns, not as event
+    dicts: :meth:`write` formats their events batch by batch while it
+    streams the file, so a trace costs about 32 bytes of NumPy per
+    request on top of the report itself.
+    """
+
+    def __init__(self):
+        #: event sources in insertion order: runs of event dicts and
+        #: exact reports' request columns
+        self._sources: list[_EventList | _RequestEvents] = []
         self._tids: dict[tuple[int, str], int] = {}
         self._next_tid = 1
+
+    def _add(self, event: dict[str, Any]) -> None:
+        sources = self._sources
+        if not sources or not isinstance(sources[-1], _EventList):
+            sources.append(_EventList())
+        sources[-1].events.append(event)
 
     # -- track bookkeeping ---------------------------------------------
     def tid(self, track: str, pid: int = WALL_PID) -> int:
@@ -132,7 +302,7 @@ class ChromeTraceBuilder:
         for span in spans:
             args = _jsonable_args(span.attrs)
             args["depth"] = span.depth
-            self._events.append(
+            self._add(
                 {
                     "name": span.name,
                     "cat": "span",
@@ -157,6 +327,9 @@ class ChromeTraceBuilder:
         merged fleet reports hold no per-request state — they degrade
         to one utilization slice per accelerator plus the fault
         windows, with a one-line warning.
+
+        Raises ``ValueError`` naming the row when a request's derived
+        time, duration, latency or queueing delay is not finite.
         """
         if getattr(report, "request_ids", None) is None:
             warnings.warn(
@@ -170,7 +343,7 @@ class ChromeTraceBuilder:
             total = sum(loads.values()) or 1
             downtime = getattr(report, "downtime", {})
             for name, count in sorted(loads.items()):
-                self._events.append(
+                self._add(
                     {
                         "name": f"{count} requests ({count / total:.0%} of load)",
                         "cat": "utilization",
@@ -194,62 +367,9 @@ class ChromeTraceBuilder:
         track_tids = {
             name: self.tid(name, SIM_PID) for name in report.accelerator_load()
         }
-        acc_tids = [track_tids.get(name) for name in report.accelerator_names]
-        shape_names = [str(shape) for shape in report.shapes]
-        events = self._events
-        for request_id, wait_ts, start_ts, dur, acc, cid, retries, latency, queue in zip(
-            report.request_ids.tolist(),
-            (report.arrivals * _MICROS).tolist(),
-            (report.starts * _MICROS).tolist(),
-            ((report.finishes - report.starts) * _MICROS).tolist(),
-            report.accelerator_ids.tolist(),
-            report.class_ids.tolist(),
-            report.retries.tolist(),
-            report.latencies.tolist(),
-            report.queueing_delays.tolist(),
-        ):
-            events.append(
-                {
-                    "name": "wait",
-                    "cat": "wait",
-                    "ph": "b",
-                    "id": str(request_id),
-                    "ts": wait_ts,
-                    "pid": SIM_PID,
-                    "tid": wait_tid,
-                    "args": {"request_id": request_id},
-                }
-            )
-            events.append(
-                {
-                    "name": "wait",
-                    "cat": "wait",
-                    "ph": "e",
-                    "id": str(request_id),
-                    "ts": start_ts,
-                    "pid": SIM_PID,
-                    "tid": wait_tid,
-                }
-            )
-            events.append(
-                {
-                    "name": shape_names[cid],
-                    "cat": "execute",
-                    "ph": "X",
-                    "ts": start_ts,
-                    "dur": dur,
-                    "pid": SIM_PID,
-                    "tid": acc_tids[acc],
-                    "args": {
-                        "request_id": request_id,
-                        "retries": retries,
-                        "latency_s": latency,
-                        "queue_s": queue,
-                    },
-                }
-            )
+        self._sources.append(_RequestEvents(report, wait_tid, track_tids))
         for shed in getattr(report, "shed", ()):
-            self._events.append(
+            self._add(
                 {
                     "name": f"shed:{shed.reason}",
                     "cat": "fault",
@@ -265,7 +385,7 @@ class ChromeTraceBuilder:
                 }
             )
         for time, kind, request_id, retries in getattr(report, "fault_timeline", ()):
-            self._events.append(
+            self._add(
                 {
                     "name": kind,
                     "cat": "fault",
@@ -293,7 +413,7 @@ class ChromeTraceBuilder:
             if not pending:
                 continue
             onset = pending.pop(0)
-            self._events.append(
+            self._add(
                 {
                     "name": f"{onset.kind}: {onset.detail or onset.accelerator}",
                     "cat": "fault-window",
@@ -329,7 +449,7 @@ class ChromeTraceBuilder:
                 (f"{prefix} sheds", float(stats.shed)),
                 (f"{prefix} kills", float(stats.kills)),
             ):
-                self._events.append(
+                self._add(
                     {
                         "name": metric,
                         "cat": "counter",
@@ -356,7 +476,7 @@ class ChromeTraceBuilder:
         """
         events = trace if isinstance(trace, (list, tuple)) else trace.events_json()
         for record in events:
-            self._events.append(
+            self._add(
                 {
                     "name": f"item {record['item']}",
                     "cat": "stage",
@@ -371,19 +491,76 @@ class ChromeTraceBuilder:
         return self
 
     # -- output ---------------------------------------------------------
+    def write(self, path: str) -> None:
+        """Write the finished trace to ``path``: metadata first, then
+        every event by timestamp (ties keep insertion order).
+
+        The text is streamed in batches, byte for byte
+        ``json.dumps(trace) + "\\n"`` of the same trace as a dict.
+        """
+        with open(path, "w") as handle:
+            self._write_to(handle)
+
     def build(self) -> dict[str, Any]:
-        """The finished trace: metadata first, then events by timestamp."""
-        body = sorted(self._events, key=lambda event: event["ts"])
-        return {
-            "traceEvents": self._metadata_events() + body,
-            "displayTimeUnit": "ms",
-        }
+        """The finished trace as a dict: the parsed text of :meth:`write`
+        (every event as a Python object at once — for small traces and
+        tests)."""
+        buffer = io.StringIO()
+        self._write_to(buffer)
+        return json.loads(buffer.getvalue())
+
+    def _write_to(self, handle: TextIO) -> None:
+        handle.write('{"traceEvents": [')
+        separator = ""
+        for chunk in self._chunks():
+            handle.write(separator)
+            handle.write(chunk)
+            separator = ", "
+        handle.write('], "displayTimeUnit": "ms"}\n')
+
+    def _chunks(self) -> Iterator[str]:
+        """The events' JSON texts, ``", "``-joined a batch at a time."""
+        metadata = self._metadata_events()
+        if metadata:
+            yield ", ".join(map(json.dumps, metadata))
+        sources = self._sources
+        if not any(isinstance(source, _RequestEvents) for source in sources):
+            # no request columns, so one run of dicts at most: the same
+            # stable order without loading NumPy (model commands' spans)
+            events = sorted(
+                sources[0].events if sources else (), key=lambda event: event["ts"]
+            )
+            for lo in range(0, len(events), _BATCH):
+                yield ", ".join(map(json.dumps, events[lo : lo + _BATCH]))
+            return
+        import numpy as np
+
+        bounds = np.cumsum([0, *(source.items for source in sources)])
+        ts = np.empty(int(bounds[-1]))
+        for source, lo, hi in zip(sources, bounds[:-1], bounds[1:]):
+            source.sort_keys(ts[lo:hi])
+        order = np.argsort(ts, kind="stable")
+        for lo in range(0, order.size, _BATCH):
+            items = order[lo : lo + _BATCH]
+            owners = np.searchsorted(bounds, items, side="right") - 1
+            texts = np.empty(items.size, dtype=object)
+            for owner in np.unique(owners).tolist():
+                mine = np.flatnonzero(owners == owner)
+                picked = items[mine]
+                texts[mine] = sources[owner].texts(picked - bounds[owner], ts[picked])
+            yield ", ".join(texts.tolist())
 
     def __len__(self) -> int:
-        return len(self._events)
+        return sum(len(source) for source in self._sources)
 
 
-def write_chrome_trace(path: str, trace: dict[str, Any]) -> None:
+def write_chrome_trace(
+    path: str, trace: "dict[str, Any] | ChromeTraceBuilder"
+) -> None:
+    """Write a trace dict, or stream a builder's trace (same bytes)."""
+    if isinstance(trace, ChromeTraceBuilder):
+        trace.write(path)
+        return
     # json.dumps runs the C encoder; json.dump always takes the pure
     # Python one (same bytes, ~3x slower on a per-request trace)
     with open(path, "w") as handle:

@@ -1,18 +1,15 @@
 """Optional C acceleration for the vectorized dispatch engine.
 
-Two pieces of the fault-free fast path are irreducibly sequential —
-per-element decision chains NumPy cannot express — and in CPython they
-cost two orders of magnitude more than the arithmetic they perform:
+The exact earliest-finish recurrence is irreducibly sequential — each
+admission updates the free time the next admission reads, a decision
+chain NumPy cannot express — and in CPython it costs two orders of
+magnitude more than the arithmetic it performs.
 
-* the θ-walk guesser in :mod:`repro.sim.dispatch_batch`, and
-* the exact earliest-finish recurrence itself (each admission updates
-  the free time the next admission reads).
-
-This module compiles both as a few dozen lines of C (system ``cc``, a
-temp directory, no build system) and exposes them through
-:data:`theta_walk` and :data:`dispatch_exact`.  A build that passes the
-self-check is kept as ``$XDG_CACHE_HOME/repro/libreprowalk-<key>.so``
-(default ``~/.cache/repro``), keyed by a hash of the source, flags,
+This module compiles it as a few dozen lines of C (system ``cc``, a
+temp directory, no build system) and exposes it through
+:data:`dispatch_exact`.  A build that passes the self-check is kept as
+``$XDG_CACHE_HOME/repro/libreprowalk-<key>.so`` (default
+``~/.cache/repro``), keyed by a hash of the source, flags,
 compiler path and platform, so later processes load it instead of
 compiling.  Every load, cached or fresh, runs the self-check first; a
 cached file that fails to load or fails the check is deleted and
@@ -38,7 +35,7 @@ is committed (the fault loop requeues it).  Plain ``-O2`` keeps
 IEEE semantics (no ``-ffast-math``, no FMA contraction opportunities in
 pure add/compare code), and a self-check against a Python reference
 guards the library before it is trusted.  Any failure (no ``cc``,
-sandboxed filesystem, self-check mismatch) leaves both exports ``None``
+sandboxed filesystem, self-check mismatch) leaves the export ``None``
 and the pure-Python paths take over.  Set ``REPRO_NO_NATIVE=1`` to
 force that fallback explicitly (CI exercises it so the Python paths
 stay covered).
@@ -54,8 +51,6 @@ import math
 import os
 import platform
 import shutil
-import subprocess
-import tempfile
 
 import numpy as np
 
@@ -64,22 +59,6 @@ _LOG = logging.getLogger("repro.sim.native")
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
-
-int64_t repro_theta_walk(const double *u, const double *v, int64_t n,
-                         double theta, uint8_t *out)
-{
-    int64_t picks = 0;
-    for (int64_t j = 0; j < n; ++j) {
-        if (u[j] > theta) {
-            out[j] = 1;
-            theta += v[j];
-            ++picks;
-        } else {
-            out[j] = 0;
-        }
-    }
-    return picks;
-}
 
 /* The k-wide exact loop: svc is the row-major (k, classes) service
  * matrix, nd the per-accelerator next-down array.  Winner = first
@@ -133,18 +112,6 @@ _SEAL_BYTES = hashlib.sha256().digest_size
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
-_UINT8_P = ctypes.POINTER(ctypes.c_uint8)
-
-
-def _reference_walk(u, v, theta):
-    out = []
-    for j, value in enumerate(u):
-        if value > theta:
-            out.append(1)
-            theta += v[j]
-        else:
-            out.append(0)
-    return out
 
 
 def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
@@ -233,36 +200,13 @@ def _check_dispatch(kwide):
     return True
 
 
-def _check_walk(walk) -> bool:
-    check_u = [0.5, -1.0, 2.0, 0.25, 3.0, 3.0, 0.0]
-    check_v = [1.0, 1.0, 0.5, 2.0, 0.5, 0.5, 1.0]
-    for theta in (-1.0, 0.0, 0.4, 10.0):
-        cu = np.asarray(check_u)
-        cv = np.asarray(check_v)
-        got = np.empty(cu.size, dtype=np.uint8)
-        walk(
-            cu.ctypes.data_as(_DOUBLE_P),
-            cv.ctypes.data_as(_DOUBLE_P),
-            cu.size,
-            theta,
-            got.ctypes.data_as(_UINT8_P),
-        )
-        if got.tolist() != _reference_walk(check_u, check_v, theta):
-            return False
-    return True
-
-
 def _bind(lib_path: str):
-    """Load ``lib_path``; its ``(walk, kwide)`` kernels if they pass the
-    self-check against the reference implementations, else ``None``."""
+    """Load ``lib_path``; its k-wide kernel if it passes the self-check
+    against the reference loop, else ``None``."""
     try:
-        library = ctypes.CDLL(lib_path)
-        walk = library.repro_theta_walk
-        kwide = library.repro_dispatch_k
+        kwide = ctypes.CDLL(lib_path).repro_dispatch_k
     except (OSError, AttributeError):
         return None
-    walk.restype = ctypes.c_int64
-    walk.argtypes = [_DOUBLE_P, _DOUBLE_P, ctypes.c_int64, ctypes.c_double, _UINT8_P]
     kwide.restype = ctypes.c_int64
     kwide.argtypes = [
         _DOUBLE_P,
@@ -278,9 +222,7 @@ def _bind(lib_path: str):
         _DOUBLE_P,
         _DOUBLE_P,
     ]
-    if not (_check_walk(walk) and _check_dispatch(kwide)):
-        return None
-    return walk, kwide
+    return kwide if _check_dispatch(kwide) else None
 
 
 def _cache_dir() -> str:
@@ -328,6 +270,8 @@ def _intact(path: str) -> bool:
 
 
 def _compile(compiler: str, directory: str) -> str | None:
+    import subprocess
+
     source = os.path.join(directory, "walk.c")
     lib_path = os.path.join(directory, "libreprowalk.so")
     with open(source, "w", encoding="utf-8") as handle:
@@ -348,6 +292,8 @@ def _publish(lib_path: str, cached: str) -> bool:
     """Copy a checked build, sealed with its SHA-256, to ``cached``
     atomically (temp file in the cache directory, then ``os.replace``);
     ``False`` if it cannot be written there."""
+    import tempfile
+
     directory = os.path.dirname(cached)
     try:
         os.makedirs(directory, mode=0o700, exist_ok=True)
@@ -370,12 +316,12 @@ def _publish(lib_path: str, cached: str) -> bool:
 
 
 def _build():
-    """``(walk, kwide, origin, cached_path)`` or ``None`` (fallback).
+    """``(kwide, origin, cached_path)`` or ``None`` (fallback).
 
     ``origin`` is ``"cached"`` when a previous process's build was
     loaded from the cache and ``"compiled"`` otherwise; ``cached_path``
     is the cache file, or ``None`` when a fresh build could not be
-    saved there.  Either way the kernels passed the self-check.
+    saved there.  Either way the kernel passed the self-check.
     """
     if os.environ.get("REPRO_NO_NATIVE"):
         return None
@@ -385,39 +331,42 @@ def _build():
                 _cache_dir(), f"libreprowalk-{_cache_key(compiler)}.so"
             )
             if os.path.exists(cached) and _trusted(os.path.dirname(cached)):
-                kernels = _bind(cached) if _intact(cached) else None
-                if kernels is not None:
-                    return (*kernels, "cached", cached)
+                kwide = _bind(cached) if _intact(cached) else None
+                if kwide is not None:
+                    return kwide, "cached", cached
                 # damaged, foreign or miscompiled: evict, rebuild once
                 _LOG.warning("evicting unusable cached kernel %s", cached)
                 with contextlib.suppress(OSError):
                     os.unlink(cached)
+            # compiling is the only use of these: a cached load skips them
+            import tempfile
+
             # the loaded .so stays mapped once its directory is removed
             with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
                 lib_path = _compile(compiler, tmp)
                 if lib_path is None:
                     continue
-                kernels = _bind(lib_path)
-                if kernels is None:
+                kwide = _bind(lib_path)
+                if kwide is None:
                     return None
                 saved = cached if _publish(lib_path, cached) else None
-                return (*kernels, "compiled", saved)
+                return kwide, "compiled", saved
     except Exception:
         _LOG.warning("native dispatch kernel build failed", exc_info=True)
     return None
 
 
 _BUILT = _build()
-_WALK, _KWIDE, NATIVE_ORIGIN, NATIVE_PATH = (
-    _BUILT if _BUILT is not None else (None, None, None, None)
+_KWIDE, NATIVE_ORIGIN, NATIVE_PATH = (
+    _BUILT if _BUILT is not None else (None, None, None)
 )
 
-#: whether the compiled kernels passed the self-check and are in use
+#: whether the compiled kernel passed the self-check and are in use
 NATIVE_AVAILABLE = _BUILT is not None
 
 if NATIVE_AVAILABLE:
     _LOG.info(
-        "native dispatch kernels %s (k-wide exact earliest-finish loop)%s",
+        "native dispatch kernel %s (k-wide exact earliest-finish loop)%s",
         NATIVE_ORIGIN,
         f": {NATIVE_PATH}" if NATIVE_PATH else "",
     )
@@ -432,21 +381,6 @@ else:
         "NumPy speculate-and-verify engine, faulted dispatch to the "
         "scalar loop (slower, same results)"
     )
-
-
-def _theta_walk_native(u: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
-    """Boolean pick array for the k=2 busy-regime θ-walk, at C speed."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    out = np.empty(u.size, dtype=np.uint8)
-    _WALK(
-        u.ctypes.data_as(_DOUBLE_P),
-        v.ctypes.data_as(_DOUBLE_P),
-        u.size,
-        theta,
-        out.ctypes.data_as(_UINT8_P),
-    )
-    return out.view(np.bool_)
 
 
 def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None):
@@ -491,7 +425,6 @@ def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None)
     return q, acc[:q], starts[:q], fins[:q]
 
 
-#: the accelerated kernels, or ``None`` when no compiler is available —
-#: callers must keep a pure-Python path behind these checks
-theta_walk = _theta_walk_native if _WALK is not None else None
+#: the accelerated kernel, or ``None`` when no compiler is available —
+#: callers must keep a pure-Python path behind this check
 dispatch_exact = _dispatch_exact_native if _KWIDE is not None else None

@@ -105,12 +105,12 @@ def shed_rows(report) -> list[tuple]:
 def numpy_rounds():
     """Run ``auto`` without the native kernel inside this block: the
     NumPy rounds fault-free, the scalar fault loop under faults."""
-    saved = dispatch_batch._native_dispatch, dispatch_batch._native_walk
-    dispatch_batch._native_dispatch = dispatch_batch._native_walk = None
+    saved = dispatch_batch._native_dispatch
+    dispatch_batch._native_dispatch = None
     try:
         yield
     finally:
-        dispatch_batch._native_dispatch, dispatch_batch._native_walk = saved
+        dispatch_batch._native_dispatch = saved
 
 
 def fast_variants() -> list:

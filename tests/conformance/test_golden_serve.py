@@ -54,6 +54,8 @@ CASES = {
                                   "C3:slow:2.5:0.15:0.25",
                       "--max-retries", "0", "--slo", SLO, "--windows", "10",
                       "--trace-out"],
+    "exact_trace": ["--configs", NARROW, "--requests", "2000", "--rate", "1000",
+                    "--seed", "15", "--trace-out"],
 }
 
 #: metric samples that describe the host, not the simulated run

@@ -135,15 +135,15 @@ def test_numpy_rounds_match_scalar_reference(case):
             )
         )
 
-    saved = dispatch_batch._native_dispatch, dispatch_batch._native_walk
-    dispatch_batch._native_dispatch = dispatch_batch._native_walk = None
+    saved = dispatch_batch._native_dispatch
+    dispatch_batch._native_dispatch = None
     free_py = list(free)
     try:
         dispatch_batch.dispatch_vectorized(
             times, class_ids, services, free_py, flush, chunk_size=16
         )
     finally:
-        dispatch_batch._native_dispatch, dispatch_batch._native_walk = saved
+        dispatch_batch._native_dispatch = saved
     assert len(expect) == len(times)
     assert rows == [
         (pos, acc, repr(start), repr(fin))

@@ -41,7 +41,6 @@ def _trace(num_requests=300, mean_interarrival=1e-3, seed=19):
 def no_native(monkeypatch):
     """Force the pure-NumPy speculative paths inside this process."""
     monkeypatch.setattr(dispatch_batch, "_native_dispatch", None)
-    monkeypatch.setattr(dispatch_batch, "_native_walk", None)
 
 
 @pytest.mark.parametrize("width", [1, 2, 8])
@@ -142,13 +141,13 @@ def test_native_and_fallback_agree(width):
 
 
 def test_repro_no_native_env_forces_fallback():
-    """``REPRO_NO_NATIVE=1`` must disable the C kernels at import."""
+    """``REPRO_NO_NATIVE=1`` must disable the C kernel at import."""
     env = dict(os.environ, REPRO_NO_NATIVE="1")
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     code = (
-        "from repro.sim._native import NATIVE_AVAILABLE, theta_walk, dispatch_exact\n"
-        "assert theta_walk is None and dispatch_exact is None\n"
+        "from repro.sim._native import NATIVE_AVAILABLE, dispatch_exact\n"
+        "assert dispatch_exact is None\n"
         "assert NATIVE_AVAILABLE is False\n"
         "from repro.sim.dispatch_batch import native_available\n"
         "assert native_available() is False\n"
@@ -201,16 +200,3 @@ def test_explicit_vectorized_legal_at_any_width(no_native, width):
     vec = ServingSimulator(partition).run(trace, dispatch="auto")
     assert dispatch_rows(vec) == dispatch_rows(base)
 
-
-def test_walk_fallback_matches_native():
-    if dispatch_batch._native_walk is None:
-        pytest.skip("no C compiler available")
-    rng = np.random.default_rng(21)
-    u = np.cumsum(rng.uniform(0.0, 2e-3, 5000)) - rng.uniform(0.0, 1e-3, 5000)
-    v = rng.uniform(1e-4, 3e-3, 5000)
-    for theta in (-1e-3, 0.0, 2e-3):
-        native = dispatch_batch._native_walk(u, v, theta)
-        picks = np.zeros(u.size, dtype=bool)
-        enders = dispatch_batch._theta_walk(u.tolist(), v.tolist(), theta)
-        picks[enders] = True
-        assert np.array_equal(native, picks)

@@ -1,6 +1,7 @@
 """Chrome trace-event export: schema, tracks, latency accounting."""
 
 import json
+import warnings
 
 import pytest
 
@@ -244,3 +245,136 @@ class TestWriteTrace:
         path = tmp_path / "trace.json"
         write_chrome_trace(str(path), trace)
         assert path.read_bytes() == (json.dumps(trace) + "\n").encode()
+
+
+def columns_report(rows: int, bad_row: int | None = None):
+    """An exact report built straight from synthetic columns: two
+    accelerators, two shapes, every request admitted on arrival."""
+    import numpy as np
+
+    from repro.sim.serving import ServingReport
+
+    arrivals = np.arange(rows) * 1e-3 + 1.0 / 3.0
+    starts = arrivals.copy()
+    finishes = starts + np.where(np.arange(rows) % 2, 7e-4, 1.3e-3)
+    if bad_row is not None:
+        finishes[bad_row] = float("inf")
+    return ServingReport(
+        arrivals=arrivals,
+        starts=starts,
+        finishes=finishes,
+        accelerator_ids=(np.arange(rows) % 2).astype(np.int16),
+        accelerator_names=("C5", "C3"),
+        class_ids=(np.arange(rows) // 3 % 2).astype(np.int64),
+        shapes=SHAPES,
+        request_ids=np.arange(rows, dtype=np.int64),
+        retries=np.zeros(rows, dtype=np.int32),
+    )
+
+
+class TestStreamingWrite:
+    """``write`` streams the text ``json.dumps`` would make of the whole
+    trace; ``build`` is that text parsed back."""
+
+    CLI_SHAPES = "1024x1024x1024,512x512x512,2048x1024x512,1024x2048x1024"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            (),
+            ("--faults", "chaos", "--fault-seed", "5", "--slo",
+             "p99<50ms,avail>0.999", "--windows", "20"),
+            ("--streaming", "--faults", "chaos", "--fault-seed", "2"),
+        ],
+        ids=["exact", "exact-chaos-slo", "streaming-chaos"],
+    )
+    def test_cli_trace_is_canonical_json(self, extra, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        argv = ["serve", self.CLI_SHAPES, "--configs", "C5,C3", "--requests",
+                "3000", "--rate", "1000", "--seed", "13", *extra,
+                "--trace-out", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert main(argv) == 0
+        text = path.read_text()
+        trace = json.loads(text)
+        assert text == json.dumps(trace) + "\n"
+        validate_chrome_trace(trace)
+        events = len(trace["traceEvents"])
+        metadata = sum(event["ph"] == "M" for event in trace["traceEvents"])
+        assert capsys.readouterr().err.strip().endswith(
+            f"({events - metadata} trace events)"
+        )
+
+    def test_build_is_the_written_file_parsed(self, tmp_path):
+        horizon = 200 * 0.5e-3
+        faults = FaultSchedule.down("C5", 0.1 * horizon, 0.6 * horizon)
+        tracer = Tracer()
+        tracer.enable()
+        with tracer.span("work", track="t"):
+            pass
+        builder = (
+            ChromeTraceBuilder()
+            .add_spans(tracer.spans())
+            .add_serving_report(serve(faults=faults))
+            .add_serving_report(serve(requests=50))
+        )
+        path = tmp_path / "trace.json"
+        builder.write(str(path))
+        with open(path) as handle:
+            assert builder.build() == json.load(handle)
+        write_chrome_trace(str(tmp_path / "again.json"), builder)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_ties_keep_insertion_order_across_sources(self):
+        report = columns_report(5000)
+        # stage slices at the same microsecond as request 4321's arrival,
+        # added before and after the report
+        at = float(report.arrivals[4321])
+        stage = [{"stage": "s", "item": 0, "start": at, "end": at + 1.0}]
+        late = [{"stage": "s", "item": 1, "start": at, "end": at + 1.0}]
+        trace = (
+            ChromeTraceBuilder()
+            .add_execution_trace(stage)
+            .add_serving_report(report)
+            .add_execution_trace(late)
+            .build()
+        )
+        validate_chrome_trace(trace)
+        tied = [
+            (e["name"], e["ph"])
+            for e in trace["traceEvents"]
+            if e["ph"] != "M" and e["ts"] == at * 1e6
+        ]
+        assert tied == [
+            ("item 0", "X"),
+            ("wait", "b"),
+            ("wait", "e"),
+            ("1024x1024x1024", "X"),
+            ("item 1", "X"),
+        ]
+
+    def test_len_counts_three_events_per_request(self):
+        builder = ChromeTraceBuilder().add_serving_report(columns_report(700))
+        assert len(builder) == 2100
+
+    def test_non_finite_row_raises_naming_it(self):
+        with pytest.raises(ValueError, match=r"row 1234 \(request 1234\)"):
+            ChromeTraceBuilder().add_serving_report(
+                columns_report(2000, bad_row=1234)
+            )
+
+    def test_write_memory_is_bounded(self, tmp_path):
+        import tracemalloc
+
+        builder = ChromeTraceBuilder().add_serving_report(columns_report(80_000))
+        tracemalloc.start()
+        try:
+            builder.write(str(tmp_path / "trace.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an event dict per request event, as build() makes, needs ~190 MB
+        assert peak < 16e6

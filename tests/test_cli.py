@@ -242,6 +242,49 @@ class TestBadInput:
         assert err.strip().splitlines()[-1].startswith("versal-gemm ")
 
 
+_OUTPUT_FLAGS = [
+    (_SERVE, "--trace-out"),
+    (_SERVE, "--metrics-out"),
+    (_SERVE, "--monitor-out"),
+    (["dse", "512x512x512", "--top", "3"], "--trace-out"),
+    (["dse", "512x512x512", "--top", "3"], "--metrics-out"),
+]
+_OUTPUT_IDS = [f"{argv[0]}{flag}" for argv, flag in _OUTPUT_FLAGS]
+
+
+class TestOutputPaths:
+    """Output files that cannot be written end in one line, never a
+    traceback: a missing directory before any work is done, anything
+    else when the file is written."""
+
+    @pytest.mark.parametrize("argv, flag", _OUTPUT_FLAGS, ids=_OUTPUT_IDS)
+    def test_missing_directory_exits_2_before_running(
+        self, argv, flag, capsys, tmp_path
+    ):
+        path = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, path])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith(f"versal-gemm {argv[0]}: error: argument {flag}: ")
+        assert repr(path) in last
+
+    @pytest.mark.parametrize("argv, flag", _OUTPUT_FLAGS, ids=_OUTPUT_IDS)
+    def test_unwritable_file_exits_1_with_one_line(
+        self, argv, flag, capsys, tmp_path
+    ):
+        # the directory exists, but a directory cannot be opened as a file
+        assert main(argv + [flag, str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            f"versal-gemm: cannot write {flag} {tmp_path}: Is a directory"
+        )
+
+
 class TestServeFaults:
     SHAPES = "1024x1024x1024,512x512x512"
     BASE = ["serve", SHAPES, "--requests", "200", "--rate", "2000", "--seed", "3"]

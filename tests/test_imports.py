@@ -49,14 +49,22 @@ DRIVER_MODULES = tuple(
 )
 
 
-def _loaded_after(code: str, tmp_path, watched=WATCHED) -> list[str]:
+def _loaded_after(
+    code: str, tmp_path, watched=WATCHED, newly: bool = False
+) -> list[str]:
+    """The ``watched`` modules loaded once ``code`` has run; ``newly``
+    leaves out those the interpreter had loaded before it (``site`` may
+    load stdlib modules at start-up)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    before = "set(sys.modules)" if newly else "set()"
     probe = (
         "import json, sys\n"
+        f"before = {before}\n"
         f"{code}\n"
-        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {watched!r}\n"
+        "                  if m in sys.modules and m not in before]))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -120,6 +128,17 @@ def test_serve_does_not_load_networkx(tmp_path):
     assert "repro.experiments" not in loaded
     # a fault-free serve never loads the fault layer
     assert "repro.sim.chaos" not in loaded
+
+
+def test_cached_kernel_serve_loads_no_compiler_modules(tmp_path):
+    serve = _cli("serve", "512x512x512", "--requests", "200")
+    # the first serve compiles the kernel into the (empty) cache
+    _loaded_after(serve, tmp_path)
+    loaded = _loaded_after(
+        serve, tmp_path, ("repro.sim._native", "subprocess", "tempfile"),
+        newly=True,
+    )
+    assert loaded == ["repro.sim._native"]
 
 
 def test_faulted_serve_loads_the_fault_layer(tmp_path):
