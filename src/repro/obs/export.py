@@ -520,21 +520,12 @@ class ChromeTraceBuilder:
 
     def _chunks(self) -> Iterator[str]:
         """The events' JSON texts, ``", "``-joined a batch at a time."""
+        import numpy as np
+
         metadata = self._metadata_events()
         if metadata:
             yield ", ".join(map(json.dumps, metadata))
         sources = self._sources
-        if not any(isinstance(source, _RequestEvents) for source in sources):
-            # no request columns, so one run of dicts at most: the same
-            # stable order without loading NumPy (model commands' spans)
-            events = sorted(
-                sources[0].events if sources else (), key=lambda event: event["ts"]
-            )
-            for lo in range(0, len(events), _BATCH):
-                yield ", ".join(map(json.dumps, events[lo : lo + _BATCH]))
-            return
-        import numpy as np
-
         bounds = np.cumsum([0, *(source.items for source in sources)])
         ts = np.empty(int(bounds[-1]))
         for source, lo, hi in zip(sources, bounds[:-1], bounds[1:]):
