@@ -1,13 +1,12 @@
-"""Evaluation-engine throughput: serial vs. cached vs. parallel DSE.
+"""Evaluation-engine throughput: serial vs. cached DSE.
 
-Measures evaluations/second over a fixed DSE candidate set in three
+Measures evaluations/second over a fixed DSE candidate set in two
 modes and appends the result to a ``BENCH_eval.json`` trajectory so the
 engine's throughput is tracked across commits:
 
 * ``serial``     — the seed path: every candidate re-derived from
-  scratch (``NULL_CACHE``), one thread.
-* ``cached``     — the memoization layer enabled, one thread.
-* ``parallel``   — memoization plus ``parallel_map`` fan-out.
+  scratch (``NULL_CACHE``).
+* ``cached``     — the memoization layer enabled.
 
 The engine's contract is a declarative gate list judged by
 :mod:`repro.bench.regression`: every mode sustains at least
@@ -15,7 +14,7 @@ The engine's contract is a declarative gate list judged by
 the ``--smoke`` set), about what the since-retired NumPy batch mode
 reached while the tile planner still searched all 16x16x16 multiples,
 and the top-10 rankings are byte-identical between the serial and
-parallel runs.  Absolute floors, not speedup ratios: the serial mode is
+cached runs.  Absolute floors, not speedup ratios: the serial mode is
 the ratios' denominator, and it is now nearly as fast as the others.
 Each mode is timed over ``ROUNDS`` rounds and keeps its fastest, and each
 trajectory entry records the floor it was judged against.
@@ -59,17 +58,16 @@ def gates(floor: float) -> tuple[Gate, ...]:
     """The engine's contract, declaratively (judged by check_entry)."""
     return (
         Gate(metric="rankings_identical", kind="flag",
-             label="serial and parallel top-10 rankings differ"),
+             label="serial and cached top-10 rankings differ"),
         Gate(metric="modes.*.evals_per_sec", kind="floor", value=floor),
     )
 
 
-def _explorer(max_aies: int, jobs: int, cache: EvalCache) -> DesignSpaceExplorer:
+def _explorer(max_aies: int, cache: EvalCache) -> DesignSpaceExplorer:
     return DesignSpaceExplorer(
         Precision.FP32,
         max_aies=max_aies,
         explore_ports=True,
-        jobs=jobs,
         cache=cache,
     )
 
@@ -88,36 +86,29 @@ def run_benchmark(
     workload: GemmShape = DEFAULT_WORKLOAD,
     max_aies: int = 128,
     repeats: int = 3,
-    jobs: int = 4,
     floor: float = EVALS_PER_SEC_FLOOR,
 ) -> dict:
-    num_candidates = len(_explorer(max_aies, 1, NullCache()).candidates())
+    num_candidates = len(_explorer(max_aies, NullCache()).candidates())
     evaluations = num_candidates * repeats
 
-    settings = {
-        "serial": (1, NullCache),
-        "cached": (1, EvalCache),
-        "parallel": (jobs, EvalCache),
-    }
+    settings = {"serial": NullCache, "cached": EvalCache}
     modes = dict.fromkeys(settings, math.inf)
     results = {}
     # every round times each mode on a fresh explorer (cold cache), and
     # a mode keeps its fastest round: a slow slice of a shared host then
     # costs one sample instead of a whole mode
     for _ in range(ROUNDS):
-        for name, (mode_jobs, cache) in settings.items():
+        for name, cache in settings.items():
             seconds, results[name] = _time_mode(
-                _explorer(max_aies, mode_jobs, cache()), workload, repeats
+                _explorer(max_aies, cache()), workload, repeats
             )
             modes[name] = min(modes[name], seconds)
-    serial_seconds = modes["serial"]
     return {
         "timestamp": time.time(),
         "workload": str(workload),
         "candidates": num_candidates,
         "repeats": repeats,
         "rounds": ROUNDS,
-        "jobs": jobs,
         "modes": {
             name: {
                 "seconds": seconds,
@@ -125,10 +116,9 @@ def run_benchmark(
             }
             for name, seconds in modes.items()
         },
-        "speedup_cached": serial_seconds / modes["cached"],
-        "speedup_cached_parallel": serial_seconds / modes["parallel"],
+        "speedup_cached": modes["serial"] / modes["cached"],
         "rankings_identical": ranking_bytes(results["serial"])
-        == ranking_bytes(results["parallel"]),
+        == ranking_bytes(results["cached"]),
         "floors": {"evals_per_sec": floor},
     }
 
@@ -142,7 +132,7 @@ def check(entry: dict) -> list[str]:
 def test_eval_throughput_smoke():
     """Tier-2 smoke: small candidate set, full contract still holds."""
     entry = run_benchmark(
-        max_aies=64, repeats=3, jobs=2, floor=SMOKE_EVALS_PER_SEC_FLOOR
+        max_aies=64, repeats=3, floor=SMOKE_EVALS_PER_SEC_FLOOR
     )
     assert check(entry) == []
 
@@ -152,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", default="1024x1024x1024", help="MxKxN")
     parser.add_argument("--max-aies", type=int, default=128)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--jobs", "-j", type=int, default=4)
     parser.add_argument("--output", "-o", default="BENCH_eval.json")
     parser.add_argument(
         "--smoke", action="store_true",
@@ -164,19 +153,17 @@ def main(argv: list[str] | None = None) -> int:
         workload=GemmShape.parse(args.workload),
         max_aies=64 if args.smoke else args.max_aies,
         repeats=args.repeats,
-        jobs=args.jobs,
         floor=SMOKE_EVALS_PER_SEC_FLOOR if args.smoke else EVALS_PER_SEC_FLOOR,
     )
     append_trajectory(entry, Path(args.output))
 
     print(f"workload {entry['workload']}  candidates {entry['candidates']}  "
-          f"repeats {entry['repeats']}  jobs {entry['jobs']}")
+          f"repeats {entry['repeats']}")
     for name, mode in entry["modes"].items():
         print(f"{name:>9}: {mode['seconds'] * 1e3:8.1f} ms  "
               f"{mode['evals_per_sec']:8.1f} evals/s")
-    print(f"speedup (cached):          {entry['speedup_cached']:.2f}x")
-    print(f"speedup (cached+parallel): {entry['speedup_cached_parallel']:.2f}x")
-    print(f"rankings identical:        {entry['rankings_identical']}")
+    print(f"speedup (cached):   {entry['speedup_cached']:.2f}x")
+    print(f"rankings identical: {entry['rankings_identical']}")
     print(f"trajectory -> {args.output}")
 
     failures = check(entry)

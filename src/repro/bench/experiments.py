@@ -366,7 +366,7 @@ class EvalThroughputExperiment(Experiment):
 
     A pure wall-clock experiment (the harness analogue of
     ``benchmarks/bench_eval_throughput.py``): serial seed-path
-    exploration vs cached+parallel, with byte-identical ranking
+    exploration vs the memoized one, with byte-identical ranking
     verification.  Noise models make no sense here — wall time
     is the measured quantity — so passing any is an error.
     """
@@ -378,22 +378,19 @@ class EvalThroughputExperiment(Experiment):
         workload: GemmShape = EVAL_WORKLOAD,
         max_aies: int = 48,
         inner_repeats: int = 3,
-        jobs: int = 2,
     ):
         self.workload = workload
         self.max_aies = max_aies
         self.inner_repeats = inner_repeats
-        self.jobs = jobs
 
     def params(self) -> dict[str, Any]:
         return {
             "workload": str(self.workload),
             "max_aies": self.max_aies,
             "inner_repeats": self.inner_repeats,
-            "jobs": self.jobs,
         }
 
-    def _explorer(self, jobs: int, cache):
+    def _explorer(self, cache):
         from repro.core.dse import DesignSpaceExplorer
 
         from repro.kernels.precision import Precision
@@ -402,7 +399,6 @@ class EvalThroughputExperiment(Experiment):
             Precision.FP32,
             max_aies=self.max_aies,
             explore_ports=True,
-            jobs=jobs,
             cache=cache,
         )
 
@@ -427,14 +423,13 @@ class EvalThroughputExperiment(Experiment):
         # back, and each is then taken at its minimum over the rounds, so
         # a slow slice of the host costs one sample rather than sinking
         # a whole leg (and with it a speedup ratio).
-        legs = (("serial", 1), ("parallel", self.jobs))
+        legs = (("serial", NullCache), ("cached", EvalCache))
         cold = {name: math.inf for name, _ in legs}
         warm = dict(cold)
         results = {}
         for _ in range(self.inner_repeats):
-            for name, jobs in legs:
-                cache = NullCache() if name == "serial" else EvalCache()
-                explorer = self._explorer(jobs, cache)
+            for name, cache in legs:
+                explorer = self._explorer(cache())
                 seconds, results[name] = self._timed(explorer)
                 cold[name] = min(cold[name], seconds)
                 # the serial leg has no cache: its every exploration is cold
@@ -446,17 +441,17 @@ class EvalThroughputExperiment(Experiment):
             for name in cold
         }
         # every leg explores the same candidate set inner_repeats times
-        candidates = self._explorer(1, NullCache()).candidates()
+        candidates = self._explorer(NullCache()).candidates()
         evaluations = self.inner_repeats * len(candidates)
         identical = ranking_bytes(results["serial"]) == ranking_bytes(
-            results["parallel"]
+            results["cached"]
         )
         return {
             "serial_seconds": leg["serial"],
-            "parallel_seconds": leg["parallel"],
+            "cached_seconds": leg["cached"],
             "serial_evals_per_sec": evaluations / leg["serial"],
-            "parallel_evals_per_sec": evaluations / leg["parallel"],
-            "speedup_cached_parallel": leg["serial"] / leg["parallel"],
+            "cached_evals_per_sec": evaluations / leg["cached"],
+            "speedup_cached": leg["serial"] / leg["cached"],
             "rankings_identical": 1.0 if identical else 0.0,
         }
 

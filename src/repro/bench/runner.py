@@ -23,6 +23,7 @@ from repro.bench.experiments import Experiment
 from repro.bench.measure import Probe, default_probes, run_probed
 from repro.bench.noise import NoiseModel
 from repro.bench.stats import MetricSummary, summarize
+from repro.perf.parallel import parallel_map
 from repro.sim.streaming import derive_seed
 
 #: bootstrap-resample stream lane, disjoint from repeat lanes
@@ -91,8 +92,6 @@ def run_bench(
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
-    from repro.perf.parallel import parallel_map
-
     experiment.prepare()
     repeat_seeds = [derive_seed(seed, repeat) for repeat in range(repeats)]
 
@@ -102,10 +101,7 @@ def run_bench(
             lambda: experiment.run_repeat(repeat_seed, noise), stack
         )
 
-    if jobs == 1:
-        samples = [one(repeat_seed) for repeat_seed in repeat_seeds]
-    else:
-        samples = parallel_map(one, repeat_seeds, jobs=jobs, chunksize=1)
+    samples = parallel_map(one, repeat_seeds, jobs=jobs)
 
     names = sorted({name for sample in samples for name in sample})
     summaries = {}

@@ -41,7 +41,7 @@ SERVING_TOLERANCE = 0.05
 #: NumPy batch leg reached under the 16x16x16 tile planner (at most 2.3k
 #: here and 3.7k on bench_eval_throughput's smoke set, 2-CPU x86-64 host)
 EVAL_EVALS_PER_SEC_FLOOR = 3800.0
-EVAL_LEGS = ("serial", "parallel")
+EVAL_LEGS = ("serial", "cached")
 
 
 def serving_smoke_experiment(num_requests: int = 1_000_000) -> ServingExperiment:
@@ -72,14 +72,14 @@ def serving_baseline_gates(tolerance: float = SERVING_TOLERANCE) -> list[Gate]:
 
 
 def eval_smoke_experiment() -> EvalThroughputExperiment:
-    return EvalThroughputExperiment(max_aies=48, inner_repeats=3, jobs=2)
+    return EvalThroughputExperiment(max_aies=48, inner_repeats=3)
 
 
 def eval_smoke_gates() -> list[Gate]:
     """Ranking identity + a throughput floor per engine leg."""
     return [
         Gate(metric="rankings_identical", kind="flag",
-             label="serial and parallel rankings differ"),
+             label="serial and cached rankings differ"),
     ] + [
         Gate(metric=f"{leg}_evals_per_sec", kind="floor",
              value=EVAL_EVALS_PER_SEC_FLOOR, aggregate="max")

@@ -7,16 +7,18 @@ Usage::
     versal-gemm run all --format csv
     versal-gemm estimate 2048x2048x2048 --config C6
     versal-gemm dse 4096x4096x4096 --precision fp32
-    versal-gemm -j 4 --stats dse 4096x4096x4096    # parallel + stats
+    versal-gemm --stats dse 4096x4096x4096         # + engine stats
     versal-gemm serve 1024x1024x1024 --trace-out trace.json \
         --metrics-out metrics.prom                 # observability out
     versal-gemm obs summary trace.json             # analyze a trace
     versal-gemm bench serving -n 10 --noise dram:0.1,clock:0.05
     versal-gemm bench --smoke --out-dir artifacts  # CI statistical gate
 
-Global flags (before the subcommand): ``--jobs/-j N`` fans batched
-evaluations out over N worker threads (0 = one per usable CPU, i.e.
-per CPU in the process's affinity mask), ``--stats`` prints
+Global flags (before the subcommand): ``--jobs/-j N`` runs
+``serve --sweep`` points and ``bench`` repeats on N worker threads and
+caps a ``--shards`` pool at N worker processes (0 = one per usable CPU,
+i.e. per CPU in the process's affinity mask); the analytical model
+always evaluates serially, since it holds the GIL.  ``--stats`` prints
 evaluation-engine statistics (evaluations, cache hits, wall time) to
 stderr after the command.  Stats and cache counters reset at the start
 of every invocation, so ``--stats`` always reports per-run numbers.
@@ -60,10 +62,20 @@ def available_experiments() -> list[str]:
     return available_experiments()
 
 
-def run_experiment(experiment_id: str, **kwargs):
+def run_experiment(experiment_id: str):
     from repro.experiments import run_experiment
 
-    return run_experiment(experiment_id, **kwargs)
+    return run_experiment(experiment_id)
+
+
+def _unknown_experiment(command: str, experiment_id: str) -> bool:
+    """Print the one-line error for an id no driver answers to."""
+    known = available_experiments()
+    if experiment_id.lower() in known:
+        return False
+    print(f"{command}: unknown experiment {experiment_id!r}; "
+          f"known: {', '.join(known)}", file=sys.stderr)
+    return True
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -73,9 +85,11 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.experiment != "all" and _unknown_experiment("run", args.experiment):
+        return 2
     targets = available_experiments() if args.experiment == "all" else [args.experiment]
     for target in targets:
-        result = run_experiment(target, jobs=args.jobs)
+        result = run_experiment(target)
         if args.format == "table":
             print(result.render())
         else:
@@ -153,6 +167,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_chart(args: argparse.Namespace) -> int:
     """Render one experiment column as an ASCII bar chart."""
+    if _unknown_experiment("chart", args.experiment):
+        return 2
     result = run_experiment(args.experiment)
     panels = {"rows": result.rows, **result.panels} if result.rows else result.panels
     for name, rows in panels.items():
@@ -183,7 +199,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "",
     ]
     for experiment_id in available_experiments():
-        result = run_experiment(experiment_id, jobs=args.jobs)
+        result = run_experiment(experiment_id)
         lines.append(f"## {result.experiment_id}: {result.title}")
         lines.append(f"*{result.paper_reference}*")
         lines.append("")
@@ -292,7 +308,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ).set(1.0 if native else 0.0)
     if args.stats:
         print(f"native       {_native_status(native)}", file=sys.stderr)
-    simulator.prewarm(shapes, jobs=args.jobs)
+    simulator.prewarm(shapes)
 
     faults = None
     fault_policy = None
@@ -315,13 +331,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_policy = FaultPolicy(max_retries=args.max_retries)
 
     if args.sweep:
-        loads = None
-        if args.loads:
-            loads = [float(token) for token in args.loads.split(",") if token]
         result = load_sweep(
             simulator,
             shapes,
-            loads,
+            args.loads,
             num_requests=args.requests,
             seed=args.seed,
             streaming=args.streaming,
@@ -495,7 +508,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     explorer = DesignSpaceExplorer(
         Precision.parse(args.precision),
         explore_ports=args.explore_ports,
-        jobs=args.jobs,
     )
     points = explorer.explore(workload, top=args.top)
     rows = [
@@ -575,15 +587,10 @@ def _bench_experiment(args: argparse.Namespace):
             trace_seed=args.trace_seed,
         )
     if args.kind == "sweep":
-        loads = (
-            [float(token) for token in args.loads.split(",") if token]
-            if args.loads
-            else None
-        )
         return LoadSweepExperiment(
             shapes,
             configs,
-            offered_loads=loads,
+            offered_loads=args.loads,
             num_requests=requests,
             jobs=args.jobs,
             shards=args.shards,
@@ -601,9 +608,7 @@ def _bench_experiment(args: argparse.Namespace):
     if args.kind == "pipeline":
         return PipelineExperiment(items=args.items)
     return EvalThroughputExperiment(
-        max_aies=args.max_aies,
-        inner_repeats=args.inner_repeats,
-        jobs=args.eval_jobs,
+        max_aies=args.max_aies, inner_repeats=args.inner_repeats
     )
 
 
@@ -823,15 +828,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _jobs_arg(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            "jobs must be >= 0 (0 = one per usable CPU)"
-        )
-    return jobs
-
-
 # ``type=`` converters: bad values exit 2 with argparse's one-line
 # "argument --flag: ..." error instead of a traceback from deep inside
 def _int_at_least(minimum: int):
@@ -920,6 +916,7 @@ def _comma_list(convert, what: str):
 
 _shape_list = _comma_list(_shape, "MxKxN shapes")
 _config_list = _comma_list(_config_name, "Table II config names")
+_load_list = _comma_list(_positive_float, "offered loads (rps)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -928,8 +925,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="GEMM performance analysis on the simulated AMD Versal VCK5000",
     )
     parser.add_argument(
-        "--jobs", "-j", type=_jobs_arg, default=1, metavar="N",
-        help="worker threads for batched evaluations (0 = one per usable CPU)",
+        "--jobs", "-j", type=_non_negative_int, default=1, metavar="N",
+        help="worker threads for serve --sweep points and bench repeats, "
+             "and the worker-process cap of a --shards pool (0 = one per "
+             "usable CPU); the analytical model always runs serially",
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -1037,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "inline = no pool, serial reference mode)")
     serve.add_argument("--sweep", action="store_true",
                        help="sweep offered load; report the saturation knee")
-    serve.add_argument("--loads", default=None,
+    serve.add_argument("--loads", type=_load_list, default=None,
                        help="comma-separated offered loads (rps) for --sweep")
     serve.add_argument("--faults", default=None, metavar="SPEC",
                        help="inject a fault schedule: 'chaos' (seeded random) or "
@@ -1073,7 +1072,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--smoke", action="store_true",
                        help="run the CI smoke specs (serving + eval) against "
                             "the committed BENCH_*.json baselines")
-    bench.add_argument("--repeats", "-n", type=int, default=None, metavar="N",
+    bench.add_argument("--repeats", "-n", type=_positive_int, default=None,
+                       metavar="N",
                        help="seeded repeats (default 5)")
     bench.add_argument("--seed", type=int, default=None,
                        help="root seed; repeat r uses derive_seed(seed, r)")
@@ -1133,7 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "metrics become baseline-comparable constants)")
     bench.add_argument("--trace-seed", type=int, default=7,
                        help="trace seed used with --fixed-trace")
-    bench.add_argument("--loads", default=None,
+    bench.add_argument("--loads", type=_load_list, default=None,
                        help="comma-separated offered loads (rps) for sweep")
     bench.add_argument("--config", type=_config_name, default="C5",
                        help="Table II config for the estimate kind")
@@ -1145,8 +1145,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="DSE candidate-space bound (eval kind)")
     bench.add_argument("--inner-repeats", type=int, default=3,
                        help="explorations timed per repeat (eval kind)")
-    bench.add_argument("--eval-jobs", type=int, default=2,
-                       help="worker threads for the eval kind's parallel leg")
     _add_obs_flags(bench)
     bench.set_defaults(func=_cmd_bench)
 

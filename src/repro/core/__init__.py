@@ -3,10 +3,6 @@ execution breakdown, roofline analysis and design-space exploration."""
 
 from repro._lazy import lazy_exports
 
-# ``sweep`` is eager: the function shares its name with its submodule,
-# and a lazy export would be shadowed once ``repro.core.sweep`` loads
-from repro.core.sweep import SweepResult, sweep
-
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.analytical_model": (
         "AnalyticalModel",
@@ -35,6 +31,4 @@ __all__ = [
     "RooflineCeiling",
     "DesignSpaceExplorer",
     "DsePoint",
-    "sweep",
-    "SweepResult",
 ]

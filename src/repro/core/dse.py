@@ -27,7 +27,6 @@ from repro.mapping.grouping import AieGrouping, pack_depth_for
 from repro.obs.spans import span
 from repro.perf.cache import EvalCache, get_cache
 from repro.perf.metrics import EvalStats, record_eval, track
-from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.workloads.gemm import GemmShape
 
 
@@ -76,9 +75,7 @@ class DseResult(list):
 class DesignSpaceExplorer:
     """Enumerates and ranks CHARM-style designs for a workload.
 
-    ``jobs`` fans candidate evaluation out over worker threads through
-    :func:`repro.perf.parallel.parallel_map`; results are deterministic
-    and bit-identical to the serial order for any ``jobs``.  All model
+    Candidates are evaluated serially, in enumeration order; all model
     evaluations share ``cache`` (the process-wide one by default).
     """
 
@@ -88,14 +85,12 @@ class DesignSpaceExplorer:
         device: DeviceSpec = VCK5000,
         max_aies: int | None = None,
         explore_ports: bool = False,
-        jobs: int = 1,
         cache: EvalCache | None = None,
     ):
         self.precision = precision
         self.device = device
         self.max_aies = device.num_aies if max_aies is None else max_aies
         self.explore_ports = explore_ports
-        self.jobs = resolve_jobs(jobs)
         self.cache = get_cache() if cache is None else cache
         self.kernel = KERNEL_BY_PRECISION[precision]
 
@@ -148,37 +143,29 @@ class DesignSpaceExplorer:
             return None
         return DsePoint(config=design.config, estimate=estimate)
 
-    def explore(
-        self,
-        workload: GemmShape,
-        top: int = 10,
-        jobs: int | None = None,
-    ) -> DseResult:
+    def explore(self, workload: GemmShape, top: int = 10) -> DseResult:
         """Evaluate every candidate on ``workload``; best first.
 
         Returns a :class:`DseResult` — a ranked list whose ``stats``
         field reports evaluated/skipped candidate counts and cache
         behaviour for the batch.
         """
-        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
         designs = self.candidates()
         hits0, misses0 = self.cache.hits, self.cache.misses
-        stats = EvalStats(jobs=jobs)
+        stats = EvalStats()
         explore_span = span(
             "dse.explore",
             track="dse",
             workload=str(workload),
             candidates=len(designs),
-            jobs=jobs,
         )
         with explore_span:
             with track(stats):
-                outcomes = parallel_map(
-                    lambda design: self._evaluate(design, workload),
-                    designs,
-                    jobs=jobs,
-                )
-            points = [point for point in outcomes if point is not None]
+                points = [
+                    point
+                    for design in designs
+                    if (point := self._evaluate(design, workload)) is not None
+                ]
             stats.evaluations = len(points)
             stats.skipped = len(designs) - len(points)
             stats.cache_hits = self.cache.hits - hits0

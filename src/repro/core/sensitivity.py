@@ -20,7 +20,6 @@ from repro.hw.dram import DramPorts
 from repro.mapping.charm import CharmDesign
 from repro.obs.spans import span
 from repro.perf.cache import EvalCache, get_cache
-from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.workloads.gemm import GemmShape
 
 
@@ -44,8 +43,7 @@ class SensitivityPoint:
 class SensitivityAnalysis:
     """Latency curves under single-parameter perturbations.
 
-    ``jobs`` evaluates the perturbed designs of each axis concurrently
-    (point order always matches the requested value order); ``cache``
+    Point order always matches the requested value order; ``cache``
     memoizes the shared base-design sub-results across axes.
     """
 
@@ -53,13 +51,11 @@ class SensitivityAnalysis:
         self,
         design: CharmDesign,
         workload: GemmShape,
-        jobs: int = 1,
         cache: EvalCache | None = None,
     ):
         design.validate()
         self.design = design
         self.workload = workload
-        self.jobs = resolve_jobs(jobs)
         self.cache = get_cache() if cache is None else cache
 
     def _evaluate(self, parameter: str, value: object, design: CharmDesign) -> SensitivityPoint:
@@ -69,16 +65,14 @@ class SensitivityAnalysis:
     def _evaluate_axis(
         self, variants: Sequence[tuple[str, object, CharmDesign]]
     ) -> list[SensitivityPoint]:
-        """Evaluate one axis's perturbed designs, fanning out when asked."""
+        """Evaluate one axis's perturbed designs, in request order."""
         with span(
             "sensitivity.axis",
             track="sensitivity",
             parameter=variants[0][0] if variants else "",
             points=len(variants),
         ):
-            return parallel_map(
-                lambda variant: self._evaluate(*variant), variants, jobs=self.jobs
-            )
+            return [self._evaluate(*variant) for variant in variants]
 
     # ------------------------------------------------------------------
     def dram_ports(self, setups: Sequence[DramPorts]) -> list[SensitivityPoint]:

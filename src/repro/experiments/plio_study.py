@@ -6,11 +6,10 @@ from repro.experiments.runner import ExperimentResult
 from repro.hw.specs import VCK5000
 from repro.mapping.configs import config_by_name
 from repro.mapping.plio_schemes import reference_schemes
-from repro.perf.parallel import parallel_map
 from repro.sim.aiesim import simulate_graph
 
 
-def fig13_plio_sensitivity(jobs: int = 1) -> ExperimentResult:
+def fig13_plio_sensitivity() -> ExperimentResult:
     """GEMM performance sensitivity to PLIO count, 16-AIE designs."""
 
     def evaluate(scheme):
@@ -32,7 +31,7 @@ def fig13_plio_sensitivity(jobs: int = 1) -> ExperimentResult:
     panels = {}
     for label, config_name in (("FP32 (C1)", "C1"), ("INT8 (C7)", "C7")):
         config = config_by_name(config_name)
-        rows = parallel_map(evaluate, reference_schemes(config), jobs=jobs)
+        rows = [evaluate(scheme) for scheme in reference_schemes(config)]
         rows.sort(key=lambda r: r["plios"])
         base, best = rows[0]["cycles_per_tile"], rows[-1]["cycles_per_tile"]
         for row in rows:

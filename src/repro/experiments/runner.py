@@ -11,7 +11,6 @@ experiment imports only its own driver module.
 from __future__ import annotations
 
 import importlib
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -104,18 +103,9 @@ def resolve_driver(experiment_id: str) -> ExperimentDriver:
     return getattr(importlib.import_module(f"{__package__}.{module}"), function)
 
 
-def run_experiment(experiment_id: str, jobs: int = 1) -> ExperimentResult:
-    """Run one experiment's driver.
-
-    ``jobs`` is forwarded to drivers that declare a ``jobs`` parameter
-    (batch-heavy drivers fan their candidate evaluations out through
-    :func:`repro.perf.parallel.parallel_map`); drivers without one run
-    unchanged, so the flag is always safe to pass.
-    """
-    driver = resolve_driver(experiment_id)
-    if "jobs" in inspect.signature(driver).parameters:
-        return driver(jobs=jobs)
-    return driver()
+def run_experiment(experiment_id: str) -> ExperimentResult:
+    """Run one experiment's driver."""
+    return resolve_driver(experiment_id)()
 
 
 def available_experiments() -> list[str]:

@@ -2,8 +2,8 @@
 
 The paper reads its double-buffering and bottleneck stories off
 ``aiesimulator`` timelines; this module is the library's equivalent
-instrument: every subsystem (the analytical model, DSE, sweeps, the
-serving engines, the pipeline simulator) opens :func:`span` blocks
+instrument: every subsystem (the analytical model, DSE, load sweeps,
+the serving engines, the pipeline simulator) opens :func:`span` blocks
 around its phases, and the exporter in :mod:`repro.obs.export` renders
 the collected spans as a Chrome trace-event timeline loadable in
 Perfetto.
@@ -18,10 +18,10 @@ The contract that keeps this safe to leave in hot paths:
 * Timestamps are monotonic (``time.perf_counter``) relative to the
   tracer's enable epoch, so exported timelines are nonnegative and
   ordered even across threads.
-* The span stack is thread-local: concurrent workers (``jobs=N`` DSE,
-  the serving simulator) nest spans independently and default their
-  track to the worker thread's name, giving one Perfetto track per
-  worker with no coordination.
+* The span stack is thread-local: concurrent workers (``--jobs N``
+  load-sweep points and bench repeats) nest spans independently and
+  default their track to the worker thread's name, giving one Perfetto
+  track per worker with no coordination.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""Evaluation engine: memoization, parallel fan-out and instrumentation.
+"""Evaluation engine: memoization, instrumentation and thread fan-out.
 
-The batch drivers (DSE, sweeps, sensitivity, serving, experiments) all
-funnel their candidate evaluations through this package so one cache,
-one fan-out primitive and one stats format serve the whole library.
+The batch drivers (DSE, sensitivity, serving prewarm, experiments)
+evaluate the model serially through one shared cache and report one
+stats format.  ``parallel_map`` fans out only serving work (load-sweep
+points, bench repeats), whose native kernel and NumPy passes release
+the GIL.
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +28,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "record_faults",
         "track",
     ),
-    "repro.perf.parallel": ("default_chunksize", "parallel_map", "resolve_jobs"),
+    "repro.perf.parallel": ("parallel_map", "resolve_jobs"),
 })
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "record_eval",
     "record_faults",
     "track",
-    "default_chunksize",
     "parallel_map",
     "resolve_jobs",
 ]

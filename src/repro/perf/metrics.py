@@ -1,9 +1,9 @@
 """Lightweight timing/counter instrumentation for the evaluation engine.
 
-Every batched evaluation path (DSE exploration, parameter sweeps,
-sensitivity curves, serving prewarm) reports an :class:`EvalStats`
-describing how much work it did and how much of it the memoization layer
-absorbed.  The CLI surfaces the aggregate after a run (``--stats``).
+Every batched evaluation path (DSE exploration, serving prewarm)
+reports an :class:`EvalStats` describing how much work it did and how
+much of it the memoization layer absorbed.  The CLI surfaces the
+aggregate after a run (``--stats``).
 
 The dataclasses are plain per-batch values.  :func:`record_eval` and
 :func:`record_faults` publish each one into
@@ -38,7 +38,6 @@ class EvalStats:
     cache_misses: int = 0
     skipped: int = 0
     wall_seconds: float = 0.0
-    jobs: int = 1
 
     @property
     def attempted(self) -> int:
@@ -64,7 +63,6 @@ class EvalStats:
         self.cache_misses += other.cache_misses
         self.skipped += other.skipped
         self.wall_seconds += other.wall_seconds
-        self.jobs = max(self.jobs, other.jobs)
         return self
 
     def snapshot(self) -> "EvalStats":
@@ -75,7 +73,6 @@ class EvalStats:
             cache_misses=self.cache_misses,
             skipped=self.skipped,
             wall_seconds=self.wall_seconds,
-            jobs=self.jobs,
         )
 
     def delta_since(self, snapshot: "EvalStats") -> "EvalStats":
@@ -91,7 +88,6 @@ class EvalStats:
             cache_misses=self.cache_misses - snapshot.cache_misses,
             skipped=self.skipped - snapshot.skipped,
             wall_seconds=self.wall_seconds - snapshot.wall_seconds,
-            jobs=self.jobs,
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -101,7 +97,6 @@ class EvalStats:
             "cache_misses": self.cache_misses,
             "skipped": self.skipped,
             "wall_seconds": self.wall_seconds,
-            "jobs": self.jobs,
             "hit_rate": self.hit_rate,
             "evals_per_second": self.evals_per_second,
         }
@@ -109,7 +104,7 @@ class EvalStats:
     def summary(self) -> str:
         return (
             f"{self.evaluations} evaluations ({self.skipped} skipped) in "
-            f"{self.wall_seconds * 1e3:.1f} ms with jobs={self.jobs}; "
+            f"{self.wall_seconds * 1e3:.1f} ms; "
             f"cache {self.cache_hits} hits / {self.cache_misses} misses "
             f"({self.hit_rate:.0%})"
         )
@@ -182,7 +177,6 @@ _FAULT_COUNTERS = (
 )
 _EVAL_WALL = "repro_eval_wall_seconds_total"
 _EVAL_BATCHES = "repro_eval_batches_total"
-_EVAL_JOBS = "repro_eval_jobs"
 _FAULT_RUNS = "repro_fault_runs_total"
 
 
@@ -201,9 +195,6 @@ def record_eval(
             _EVAL_WALL, "Wall time spent in evaluation batches"
         ).inc(max(stats.wall_seconds, 0.0))
         registry.counter(_EVAL_BATCHES, "Evaluation batches recorded").inc(1)
-        registry.gauge(
-            _EVAL_JOBS, "Peak worker count across recorded batches"
-        ).max_(stats.jobs)
 
 
 def record_faults(
@@ -230,8 +221,7 @@ class StatsTotals:
 def read_totals(registry: MetricsRegistry = GLOBAL_METRICS) -> StatsTotals:
     """Aggregate evaluation and fault counters, read in one atomic step.
 
-    Counts come back as ints (counters store floats); ``jobs`` is the
-    peak across batches, and 1 when nothing was recorded.  Pair with
+    Counts come back as ints (counters store floats).  Pair with
     :meth:`EvalStats.delta_since` to attribute one operation's share:
     ``before = read_totals().evals; ...;
     delta = read_totals().evals.delta_since(before)``.
@@ -241,7 +231,6 @@ def read_totals(registry: MetricsRegistry = GLOBAL_METRICS) -> StatsTotals:
         evals = EvalStats(
             **{field: int(value(name)) for field, name, _ in _EVAL_COUNTERS},
             wall_seconds=value(_EVAL_WALL),
-            jobs=max(1, int(value(_EVAL_JOBS))),
         )
         faults = FaultStats(
             **{field: int(value(name)) for field, name, _ in _FAULT_COUNTERS}

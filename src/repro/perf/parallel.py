@@ -1,31 +1,26 @@
-"""Deterministic parallel mapping for batched model evaluations.
+"""Deterministic thread fan-out for serving work.
 
-``parallel_map`` is the one fan-out primitive every batch driver uses:
-it chunks the item list, dispatches chunks to a thread pool, and stitches
-results back in input order, so parallel output is bit-identical to the
-serial output for any pure ``fn``.  Threads (not processes) because the
-evaluated objects hold unpicklable ``MappingProxyType`` device tables and
-the work is fine-grained; on free-threaded builds the pool scales across
-cores, elsewhere it still overlaps any I/O and keeps one code path.
+``parallel_map`` runs ``fn`` over a list on a thread pool and returns
+the results in input order, so its output is bit-identical to the
+serial loop for any pure ``fn``.  Its callers are the load sweep's
+points (:func:`repro.sim.serving.load_sweep`) and the bench harness's
+repeats (:func:`repro.bench.runner.run_bench`): serving work whose
+native dispatch kernel and NumPy passes release the GIL, so threads
+overlap them.  Model evaluation is pure Python under the GIL and stays
+serial.  Threads (not processes) because the simulators hold
+unpicklable ``MappingProxyType`` device tables.
 
-Failure semantics: if a chunk's future raises, the chunk is retried
-serially item-by-item — a transient worker failure degrades to the
-serial path without losing items, while a deterministic ``fn`` error
-surfaces exactly as it would have serially.
+An exception from ``fn`` propagates exactly as the serial loop raises
+it: the earliest failing item in input order.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: chunks submitted per worker: small enough to amortise dispatch
-#: overhead, large enough to balance uneven per-item cost
-_CHUNKS_PER_WORKER = 4
 
 
 def usable_cpus() -> int:
@@ -50,26 +45,17 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def default_chunksize(num_items: int, jobs: int) -> int:
-    return max(1, math.ceil(num_items / (jobs * _CHUNKS_PER_WORKER)))
-
-
-def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> list[R]:
-    return [fn(item) for item in chunk]
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: int | None = 1,
-    chunksize: int | None = None,
 ) -> list[R]:
-    """``[fn(x) for x in items]`` with ``jobs`` workers, order preserved.
+    """``[fn(x) for x in items]`` with ``jobs`` worker threads, order preserved.
 
     ``jobs=1`` (the default) runs the plain serial loop with zero pool
-    overhead; ``jobs=0``/``None`` uses one worker per usable CPU.
-    Results are always returned in input order regardless of
-    completion order.
+    overhead; ``jobs=0``/``None`` uses one worker per usable CPU.  Each
+    item is its own task, so an uneven item costs one worker, not a
+    chunk of its neighbours.
     """
     materialized = list(items)
     jobs = resolve_jobs(jobs)
@@ -79,20 +65,5 @@ def parallel_map(
     # a run fans out
     from concurrent.futures import ThreadPoolExecutor
 
-    if chunksize is None:
-        chunksize = default_chunksize(len(materialized), jobs)
-    chunks = [
-        materialized[start : start + chunksize]
-        for start in range(0, len(materialized), chunksize)
-    ]
-    results: list[R] = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-        for future, chunk in zip(futures, chunks):
-            try:
-                results.extend(future.result())
-            except Exception:
-                # degrade to serial for this chunk; deterministic fn
-                # errors re-raise here with serial semantics
-                results.extend(fn(item) for item in chunk)
-    return results
+        return list(pool.map(fn, materialized))

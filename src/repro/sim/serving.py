@@ -704,43 +704,34 @@ class ServingSimulator:
         clone._infeasible = set(self._infeasible)
         return clone
 
-    def prewarm(self, shapes: Sequence[GemmShape], jobs: int = 1) -> int:
+    def prewarm(self, shapes: Sequence[GemmShape]) -> int:
         """Precompute service times for ``shapes`` on every accelerator.
 
         Infeasible pairs are skipped (dispatch skips them too).  Returns
-        the number of pairs resolved; with ``jobs > 1`` the model
-        evaluations run concurrently.
+        the number of pairs resolved.
         """
-
-        def resolve(pair: tuple[str, GemmShape]) -> tuple[tuple[str, GemmShape], float] | None:
-            name, shape = pair
-            try:
-                return pair, self.partition.estimate_on(name, shape)
-            except ValueError:
-                return None
-
         pairs = [
             (name, shape)
             for shape in dict.fromkeys(shapes)
             for name in self.partition.designs
             if (name, shape) not in self._service_cache
         ]
-        with span(
-            "serve.prewarm",
-            track="serving",
-            pairs=len(pairs),
-            jobs=jobs,
-        ), track(self.stats):
-            resolved = parallel_map(resolve, pairs, jobs=jobs)
-            warmed = [entry for entry in resolved if entry is not None]
-        for key, service in warmed:
-            self._service_cache[key] = service
-        warmed_keys = {key for key, _ in warmed}
-        self._infeasible.update(pair for pair in pairs if pair not in warmed_keys)
-        self.stats.evaluations += len(warmed)
-        self.stats.skipped += len(pairs) - len(warmed)
-        record_eval(EvalStats(evaluations=len(warmed), jobs=jobs), self.metrics)
-        return len(warmed)
+        warmed = 0
+        with span("serve.prewarm", track="serving", pairs=len(pairs)), track(
+            self.stats
+        ):
+            for name, shape in pairs:
+                try:
+                    service = self.partition.estimate_on(name, shape)
+                except ValueError:
+                    self._infeasible.add((name, shape))
+                    continue
+                self._service_cache[(name, shape)] = service
+                warmed += 1
+        self.stats.evaluations += warmed
+        self.stats.skipped += len(pairs) - warmed
+        record_eval(EvalStats(evaluations=warmed), self.metrics)
+        return warmed
 
     # ------------------------------------------------------------------
     def run(
@@ -1474,7 +1465,7 @@ def load_sweep(
                 for index in range(position, min(position + wave, len(offered_loads)))
             ]
             position += len(tasks)
-            for point in parallel_map(evaluate, tasks, jobs=wave, chunksize=1):
+            for point in parallel_map(evaluate, tasks, jobs=wave):
                 points.append(point)
                 if knee_rps is None and point.saturation < 1.0 - knee_tol:
                     knee_rps = point.offered_rps

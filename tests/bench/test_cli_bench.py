@@ -134,3 +134,4 @@ class TestBenchSmoke:
         err = capsys.readouterr().err
         assert code == 1
         assert "eval: [regression] serial_evals_per_sec" in err
+        assert "eval: [regression] cached_evals_per_sec" in err

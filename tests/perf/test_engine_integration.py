@@ -1,8 +1,10 @@
-"""The evaluation engine wired through DSE, sweeps, sensitivity, serving.
+"""The evaluation engine wired through DSE, sensitivity, serving.
 
-The contract under test: parallel results are bit-identical to serial on
-the same candidate list, skipped/infeasible candidates are reported
-instead of silently swallowed, and the cache counters reflect the work.
+The contract under test: the model evaluates serially, and results
+from one cache shared by concurrent callers (bench repeats on
+threads) are bit-identical to the uncached serial ones; skipped/
+infeasible candidates are reported instead of silently swallowed, and
+the cache counters reflect the work.
 """
 
 import dataclasses
@@ -11,12 +13,12 @@ import pytest
 
 from repro.core.dse import DesignSpaceExplorer, DseResult
 from repro.core.sensitivity import SensitivityAnalysis
-from repro.core.sweep import sweep
 from repro.hw.specs import VCK5000
 from repro.kernels.precision import Precision
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import config_by_name
-from repro.perf.cache import EvalCache
+from repro.perf.cache import EvalCache, NullCache
+from repro.perf.parallel import parallel_map
 from repro.workloads.gemm import GemmShape
 
 WORKLOAD = GemmShape(1024, 1024, 1024)
@@ -25,15 +27,15 @@ WORKLOAD = GemmShape(1024, 1024, 1024)
 class TestDseParallel:
     def test_parallel_identical_to_serial(self):
         serial = DesignSpaceExplorer(
-            Precision.FP32, max_aies=128, cache=EvalCache()
+            Precision.FP32, max_aies=128, cache=NullCache()
         ).explore(WORKLOAD)
-        parallel = DesignSpaceExplorer(
-            Precision.FP32, max_aies=128, jobs=4, cache=EvalCache()
-        ).explore(WORKLOAD)
-        assert list(serial) == list(parallel)
-        assert [repr(p.seconds) for p in serial] == [
-            repr(p.seconds) for p in parallel
-        ]
+        shared = DesignSpaceExplorer(Precision.FP32, max_aies=128, cache=EvalCache())
+        explorations = parallel_map(lambda _: shared.explore(WORKLOAD), range(4), jobs=4)
+        for parallel in explorations:
+            assert list(serial) == list(parallel)
+            assert [repr(p.seconds) for p in serial] == [
+                repr(p.seconds) for p in parallel
+            ]
 
     def test_result_is_still_a_list(self):
         result = DesignSpaceExplorer(
@@ -61,12 +63,6 @@ class TestDseParallel:
         assert result.skipped > 0
         assert result.evaluated + result.skipped == result.stats.attempted
 
-    def test_explore_jobs_override(self):
-        explorer = DesignSpaceExplorer(Precision.FP32, max_aies=64, cache=EvalCache())
-        assert list(explorer.explore(WORKLOAD)) == list(
-            explorer.explore(WORKLOAD, jobs=4)
-        )
-
     def test_repeat_exploration_hits_cache(self):
         cache = EvalCache()
         explorer = DesignSpaceExplorer(Precision.FP32, max_aies=64, cache=cache)
@@ -77,44 +73,27 @@ class TestDseParallel:
         assert list(cold) == list(warm)
 
 
-class TestSweepParallel:
-    AXES = {"m": [256, 512, 1024], "n": [256, 512]}
-
-    @staticmethod
-    def _evaluate(m, n):
-        if m == n == 256:
-            return None  # exercise the skip path
-        return {"area": m * n}
-
-    def test_parallel_identical_to_serial(self):
-        serial = sweep(self.AXES, self._evaluate)
-        parallel = sweep(self.AXES, self._evaluate, jobs=4)
-        assert serial.records == parallel.records
-
-    def test_stats_count_skips(self):
-        result = sweep(self.AXES, self._evaluate, jobs=2)
-        assert result.stats.evaluations == 5
-        assert result.stats.skipped == 1
-        assert result.stats.jobs == 2
-
-
 class TestSensitivityParallel:
     def test_parallel_identical_to_serial(self):
         design = CharmDesign(config_by_name("C6"))
-        serial = SensitivityAnalysis(design, WORKLOAD, cache=EvalCache())
-        parallel = SensitivityAnalysis(design, WORKLOAD, jobs=4, cache=EvalCache())
+        serial = SensitivityAnalysis(design, WORKLOAD, cache=NullCache())
+        shared = SensitivityAnalysis(design, WORKLOAD, cache=EvalCache())
         counts = [48, 96, 192]
-        assert [p.seconds for p in serial.plio_count(counts)] == [
-            p.seconds for p in parallel.plio_count(counts)
-        ]
         freqs = [0.8e9, 1.0e9, 1.25e9]
-        assert [p.seconds for p in serial.aie_frequency(freqs)] == [
-            p.seconds for p in parallel.aie_frequency(freqs)
-        ]
+
+        def curves(analysis):
+            return (
+                [p.seconds for p in analysis.plio_count(counts)],
+                [p.seconds for p in analysis.aie_frequency(freqs)],
+            )
+
+        expected = curves(serial)
+        concurrent = parallel_map(lambda _: curves(shared), range(4), jobs=4)
+        assert concurrent == [expected] * 4
 
     def test_point_order_matches_request_order(self):
         design = CharmDesign(config_by_name("C6"))
-        analysis = SensitivityAnalysis(design, WORKLOAD, jobs=4, cache=EvalCache())
+        analysis = SensitivityAnalysis(design, WORKLOAD, cache=EvalCache())
         fractions = [0.4, 0.1, 0.2]
         assert [p.value for p in analysis.pl_memory_fraction(fractions)] == fractions
 
@@ -132,7 +111,7 @@ class TestServingPrewarm:
 
         shapes = [GemmShape(512, 512, 512), GemmShape(1024, 1024, 1024)]
         simulator = ServingSimulator(partition)
-        warmed = simulator.prewarm(shapes, jobs=2)
+        warmed = simulator.prewarm(shapes)
         assert warmed == len(shapes) * len(partition.designs)
         trace = generate_trace_soa(shapes, num_requests=20, mean_interarrival=0.01)
         simulator.run(trace)
@@ -147,7 +126,7 @@ class TestServingPrewarm:
         trace = generate_trace_soa(shapes, num_requests=10, mean_interarrival=0.01)
         lazy = ServingSimulator(partition).run(trace)
         warmed_sim = ServingSimulator(partition)
-        warmed_sim.prewarm(shapes, jobs=2)
+        warmed_sim.prewarm(shapes)
         warmed = warmed_sim.run(trace)
         assert [c.finish for c in lazy.completed] == [
             c.finish for c in warmed.completed

@@ -29,17 +29,16 @@ class TestEvalStats:
         assert EvalStats(evaluations=5, skipped=2).attempted == 7
 
     def test_merge(self):
-        total = EvalStats(evaluations=1, cache_hits=2, wall_seconds=0.5, jobs=1)
-        total.merge(EvalStats(evaluations=3, cache_misses=4, skipped=1, jobs=8))
+        total = EvalStats(evaluations=1, cache_hits=2, wall_seconds=0.5)
+        total.merge(EvalStats(evaluations=3, cache_misses=4, skipped=1))
         assert total.evaluations == 4
         assert total.cache_hits == 2
         assert total.cache_misses == 4
         assert total.skipped == 1
         assert total.wall_seconds == 0.5
-        assert total.jobs == 8
 
     def test_snapshot_and_delta(self):
-        stats = EvalStats(evaluations=2, cache_hits=5, wall_seconds=0.25, jobs=2)
+        stats = EvalStats(evaluations=2, cache_hits=5, wall_seconds=0.25)
         before = stats.snapshot()
         stats.evaluations += 3
         stats.cache_hits += 1
@@ -52,7 +51,6 @@ class TestEvalStats:
         assert delta.cache_misses == 4
         assert delta.skipped == 2
         assert delta.wall_seconds == 0.5
-        assert delta.jobs == 2
         # the snapshot is an independent copy, not a view
         assert before.evaluations == 2
 
@@ -78,10 +76,10 @@ class TestEvalStats:
         assert stats.evals_per_second == 5.0
 
     def test_summary_mentions_counts(self):
-        text = EvalStats(evaluations=7, skipped=2, jobs=4).summary()
+        text = EvalStats(evaluations=7, skipped=2, cache_hits=3).summary()
         assert "7 evaluations" in text
         assert "2 skipped" in text
-        assert "jobs=4" in text
+        assert "cache 3 hits" in text
 
     def test_as_dict_round_trip(self):
         stats = EvalStats(evaluations=2, cache_hits=1, cache_misses=1)
@@ -106,22 +104,22 @@ class TestRecordAndTotals:
 
     def test_record_publishes_to_metrics_registry(self):
         registry = MetricsRegistry()
-        record_eval(EvalStats(evaluations=4, cache_hits=2, jobs=3), registry)
+        record_eval(EvalStats(evaluations=4, cache_hits=2), registry)
         record_faults(FaultStats(windows=2, kills=1, completed=5), registry)
         snapshot = registry.snapshot()
         assert (
             snapshot["repro_eval_evaluations_total"]["values"][0]["value"] == 4
         )
-        assert snapshot["repro_eval_jobs"]["values"][0]["value"] == 3
+        assert snapshot["repro_eval_batches_total"]["values"][0]["value"] == 1
         assert snapshot["repro_fault_kills_total"]["values"][0]["value"] == 1
         registry.reset("repro_eval_")
         registry.reset("repro_fault_")
         assert registry.families() == []
 
-    def test_totals_are_ints_and_default_to_one_job(self):
+    def test_totals_are_ints_and_default_to_zero(self):
         registry = MetricsRegistry()
         empty = read_totals(registry)
-        assert empty.evals.jobs == 1
+        assert empty.evals == EvalStats()
         assert (empty.batches, empty.fault_runs) == (0, 0)
         record_eval(EvalStats(evaluations=4, wall_seconds=0.5), registry)
         record_faults(FaultStats(windows=8, kills=1), registry)
@@ -168,7 +166,7 @@ class TestThreadSafety:
             barrier.wait()  # maximize interleaving
             for _ in range(rounds):
                 record_eval(
-                    EvalStats(evaluations=1, cache_hits=1, skipped=1, jobs=2),
+                    EvalStats(evaluations=1, cache_hits=1, skipped=1),
                     registry,
                 )
                 record_faults(FaultStats(windows=1, kills=1), registry)
@@ -179,7 +177,6 @@ class TestThreadSafety:
         assert totals.evals.evaluations == expected
         assert totals.evals.cache_hits == expected
         assert totals.evals.skipped == expected
-        assert totals.evals.jobs == 2
         assert totals.batches == expected
         assert totals.faults.windows == expected
         assert totals.faults.kills == expected
@@ -224,7 +221,7 @@ class TestTotalsAcrossDumps:
 
     def _populated(self):
         registry = MetricsRegistry()
-        record_eval(EvalStats(evaluations=2, cache_hits=5, jobs=4), registry)
+        record_eval(EvalStats(evaluations=2, cache_hits=5), registry)
         record_eval(EvalStats(evaluations=1, cache_misses=3), registry)
         record_faults(
             FaultStats(windows=2, kills=1, shed=1, completed=9), registry
@@ -247,7 +244,6 @@ class TestTotalsAcrossDumps:
         totals = read_totals(parent)
         assert totals.evals.evaluations == 6
         assert totals.evals.cache_hits == 10
-        assert totals.evals.jobs == 4
         assert totals.batches == 4
         assert totals.faults.windows == 4
         assert totals.fault_runs == 2

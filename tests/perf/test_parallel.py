@@ -1,16 +1,11 @@
-"""parallel_map: determinism, fallback and jobs resolution."""
+"""parallel_map: order, error propagation and jobs resolution."""
 
 import os
 import threading
 
 import pytest
 
-from repro.perf.parallel import (
-    default_chunksize,
-    parallel_map,
-    resolve_jobs,
-    usable_cpus,
-)
+from repro.perf.parallel import parallel_map, resolve_jobs, usable_cpus
 
 
 class TestResolveJobs:
@@ -46,15 +41,6 @@ class TestResolveJobs:
             resolve_jobs(-2)
 
 
-class TestChunking:
-    def test_covers_all_items(self):
-        size = default_chunksize(100, 4)
-        assert 1 <= size <= 100
-
-    def test_small_input(self):
-        assert default_chunksize(1, 8) == 1
-
-
 class TestParallelMap:
     def test_serial_path(self):
         assert parallel_map(lambda x: x * 2, range(10), jobs=1) == [
@@ -62,10 +48,8 @@ class TestParallelMap:
         ]
 
     def test_parallel_matches_serial_order(self):
-        items = list(range(97))  # not a multiple of any chunk size
-        serial = [x**2 for x in items]
-        assert parallel_map(lambda x: x**2, items, jobs=4) == serial
-        assert parallel_map(lambda x: x**2, items, jobs=4, chunksize=1) == serial
+        items = list(range(97))
+        assert parallel_map(lambda x: x**2, items, jobs=4) == [x**2 for x in items]
 
     def test_empty_input(self):
         assert parallel_map(lambda x: x, [], jobs=4) == []
@@ -82,30 +66,17 @@ class TestParallelMap:
                 seen.add(threading.current_thread().name)
             return x
 
-        parallel_map(record, range(64), jobs=4, chunksize=1)
+        parallel_map(record, range(64), jobs=4)
         assert len(seen) >= 1  # at least dispatched through the pool
-
-    def test_flaky_worker_degrades_to_serial_without_losing_items(self):
-        """A transient failure retries the chunk serially; no item lost."""
-        failed_once = set()
-        lock = threading.Lock()
-
-        def flaky(x):
-            with lock:
-                first_attempt = x not in failed_once
-                failed_once.add(x)
-            if x % 7 == 0 and first_attempt:
-                raise RuntimeError("transient worker failure")
-            return x * 3
-
-        items = list(range(50))
-        assert parallel_map(flaky, items, jobs=4) == [x * 3 for x in items]
 
     def test_deterministic_error_propagates_like_serial(self):
         def bad(x):
-            if x == 13:
-                raise ValueError("always fails")
+            if x in (5, 13):
+                raise ValueError(f"item {x} fails")
             return x
 
-        with pytest.raises(ValueError, match="always fails"):
+        # the serial loop's error: the earliest failing item's
+        with pytest.raises(ValueError, match="item 5 fails"):
+            parallel_map(bad, range(20), jobs=1)
+        with pytest.raises(ValueError, match="item 5 fails"):
             parallel_map(bad, range(20), jobs=4)

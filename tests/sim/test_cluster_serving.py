@@ -511,10 +511,10 @@ class TestCrossProcessStatsPublication:
     def test_fleet_stats_identical_across_start_methods(self, simulator):
         """Pool and inline serves account their shards the same way.
 
-        The parent's own prewarm ran with ``jobs=2``; that batch is not
-        part of the serve, so no start method may report it.
+        The parent's own prewarm of a shape the trace never asks for is
+        not part of the serve, so no start method may report it.
         """
-        simulator.prewarm(SHAPES, jobs=2)
+        assert simulator.prewarm(SHAPES + (GemmShape(256, 256, 256),)) == 2
         fleets = [
             serve_sharded(
                 simulator, SHAPES, 3000, MEAN_INTERARRIVAL, shards=2, seed=1,
@@ -529,7 +529,7 @@ class TestCrossProcessStatsPublication:
             del stats["wall_seconds"], stats["evals_per_second"]
             views.append((stats, fleet.fault_stats.as_dict()))
         assert views[0] == views[1]
-        assert views[0][0]["jobs"] == 1
+        assert views[0][0]["evaluations"] == 0
 
 
 class TestLoadSweepSharded:

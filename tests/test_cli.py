@@ -29,9 +29,18 @@ class TestParser:
         assert main(["run", "table1", "--format", "json"]) == 0
         assert "aiesimulator" in capsys.readouterr().out
 
-    def test_run_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            main(["run", "fig99"])
+    def test_run_unknown_experiment(self, capsys):
+        assert main(["run", "fig99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("run: unknown experiment 'fig99'; known: ")
+        assert "fig9, " in line and "table3" in line
+
+    def test_chart_unknown_experiment(self, capsys):
+        assert main(["chart", "fig99", "--value", "plios"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("chart: unknown experiment 'fig99'; known: ")
 
     def test_estimate(self, capsys):
         assert main(["estimate", "1024x1024x1024", "--config", "C3"]) == 0
@@ -230,6 +239,12 @@ class TestBadInput:
             (["bench", "serving", "--quantile-error", "1"], "1"),
             (["bench", "serving", "--max-retries", "-1"], "-1"),
             (["bench", "estimate", "--workload", "0x1x1"], "0x1x1"),
+            (["bench", "estimate", "--repeats", "0"], "0"),
+            (_SERVE + ["--sweep", "--loads", "-5"], "-5"),
+            (_SERVE + ["--sweep", "--loads", "abc"], "abc"),
+            (_SERVE + ["--sweep", "--loads", "500,inf"], "inf"),
+            (_SERVE + ["--sweep", "--loads", ","], ","),
+            (["bench", "sweep", "--loads", "0"], "0"),
         ],
     )
     def test_exits_2_naming_the_value(self, argv, token, capsys):
@@ -240,6 +255,18 @@ class TestBadInput:
         assert repr(token) in err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith("versal-gemm ")
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_jobs_exits_2_naming_the_value(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["-j", value, "list"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1] == (
+            "versal-gemm: error: argument --jobs/-j: "
+            f"expected an integer >= 0, got {value!r}"
+        )
 
 
 _OUTPUT_FLAGS = [

@@ -214,10 +214,6 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_lazy_export_is_the_module_attribute():
     import repro
-    import repro.core
-    from repro.core.sweep import sweep
     from repro.sim.serving import ServingSimulator
 
     assert repro.ServingSimulator is ServingSimulator
-    # a function sharing its submodule's name stays the function
-    assert repro.core.sweep is sweep
