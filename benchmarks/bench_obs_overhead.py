@@ -322,23 +322,6 @@ def check(entry: dict) -> list[str]:
     return failures
 
 
-def append_trajectory(entry: dict, output: Path) -> None:
-    """Append one run to the benchmark's JSON trajectory file."""
-    trajectory: list[dict] = []
-    if output.exists():
-        try:
-            trajectory = json.loads(output.read_text())
-        except json.JSONDecodeError as error:
-            raise SystemExit(
-                f"{output} exists but is not valid JSON ({error}); "
-                "move it aside to start a fresh trajectory"
-            ) from None
-        if not isinstance(trajectory, list):
-            raise SystemExit(f"{output} is not a JSON list trajectory")
-    trajectory.append(entry)
-    output.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
 def test_obs_overhead_smoke():
     """Tier-2 smoke: reduced trace, noise-lenient overhead gate."""
     entry = run_benchmark(num_requests=20_000, smoke=True, repeats=3)

@@ -849,16 +849,21 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _float_in(low: float, high: float = math.inf):
-    """Finite floats in the open interval ``(low, high)``."""
+def _float_in(low: float, high: float = math.inf, *, closed_low: bool = False):
+    """Finite floats in the open interval ``(low, high)``, or
+    ``[low, high)`` with ``closed_low``."""
 
     def convert(value: str) -> float:
         try:
             number = float(value)
         except ValueError:
             number = math.nan
-        if not (math.isfinite(number) and low < number < high):
-            bounds = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+        above_low = low <= number if closed_low else low < number
+        if not (math.isfinite(number) and above_low and number < high):
+            if high == math.inf:
+                bounds = f"{'>=' if closed_low else '>'} {low:g}"
+            else:
+                bounds = f"in {'[' if closed_low else '('}{low:g}, {high:g})"
             raise argparse.ArgumentTypeError(
                 f"expected a finite number {bounds}, got {value!r}"
             )
@@ -868,6 +873,7 @@ def _float_in(low: float, high: float = math.inf):
 
 
 _positive_float = _float_in(0.0)
+_non_negative_float = _float_in(0.0, closed_low=True)
 _unit_fraction = _float_in(0.0, 1.0)
 
 
@@ -954,14 +960,14 @@ def build_parser() -> argparse.ArgumentParser:
     dse = sub.add_parser("dse", help="explore designs for a workload")
     dse.add_argument("workload", type=_shape, help="MxKxN")
     dse.add_argument("--precision", default="fp32", choices=["fp32", "int8", "int16"])
-    dse.add_argument("--top", type=int, default=10)
+    dse.add_argument("--top", type=_positive_int, default=10)
     dse.add_argument("--explore-ports", action="store_true")
     _add_obs_flags(dse)
     dse.set_defaults(func=_cmd_dse)
 
     model = sub.add_parser("model", help="estimate a transformer forward pass")
     model.add_argument("model", help="e.g. Llama2-13B, BERT-large")
-    model.add_argument("--tokens", type=int, default=2048)
+    model.add_argument("--tokens", type=_positive_int, default=2048)
     model.add_argument("--precision", default="fp32", choices=["fp32", "int8", "int16"])
     model.add_argument("--fixed-config", action="store_true",
                        help="use one configuration for every layer")
@@ -970,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="show a pipeline Gantt for a run")
     trace.add_argument("workload", type=_shape, help="MxKxN")
     trace.add_argument("--config", type=_config_name, default="C6")
-    trace.add_argument("--width", type=int, default=72)
+    trace.add_argument("--width", type=_positive_int, default=72)
     trace.set_defaults(func=_cmd_trace)
 
     report = sub.add_parser("report", help="run everything, write RESULTS.md")
@@ -981,8 +987,8 @@ def build_parser() -> argparse.ArgumentParser:
     roofline.add_argument("--precision", default="int8", choices=["fp32", "int8", "int16"])
     roofline.add_argument("--config", type=_config_name, default="C11",
                           help="config for tiled points")
-    roofline.add_argument("--width", type=int, default=70)
-    roofline.add_argument("--height", type=int, default=20)
+    roofline.add_argument("--width", type=_int_at_least(2), default=70)
+    roofline.add_argument("--height", type=_positive_int, default=20)
     roofline.set_defaults(func=_cmd_roofline)
 
     graph = sub.add_parser("graph", help="emit a config's AIE connectivity graph")
@@ -994,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     chart.add_argument("experiment")
     chart.add_argument("--value", required=True, help="numeric column to plot")
     chart.add_argument("--label", default=None, help="label column (default: first)")
-    chart.add_argument("--width", type=int, default=50)
+    chart.add_argument("--width", type=_positive_int, default=50)
     chart.add_argument("--log", action="store_true")
     chart.set_defaults(func=_cmd_chart)
 
@@ -1093,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--baseline", default=None, metavar="PATH",
                        help="BENCH_*.json trajectory to gate against "
                             "(serving/eval kinds; exit 1 on regression)")
-    bench.add_argument("--tolerance", type=float, default=0.05,
+    bench.add_argument("--tolerance", type=_non_negative_float, default=0.05,
                        help="relative tolerance band for baseline gates")
     bench.add_argument("--out-dir", default=".", metavar="DIR",
                        help="artifact directory for --smoke CSV/JSON outputs")
@@ -1116,7 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="streaming serving report (sketched percentiles)")
     bench.add_argument("--quantile-error", type=_unit_fraction, default=0.01,
                        help="relative error bound for streaming percentiles")
-    bench.add_argument("--shards", type=int, default=1, metavar="N",
+    bench.add_argument("--shards", type=_positive_int, default=1, metavar="N",
                        help="process-parallel shard replicas (serving/sweep)")
     bench.add_argument("--start-method",
                        choices=["fork", "spawn", "forkserver", "inline"],
@@ -1139,11 +1145,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Table II config for the estimate kind")
     bench.add_argument("--workload", type=_shape, default=None,
                        help="MxKxN workload for the estimate kind")
-    bench.add_argument("--items", type=int, default=4096,
+    bench.add_argument("--items", type=_positive_int, default=4096,
                        help="items replayed per repeat (pipeline kind)")
-    bench.add_argument("--max-aies", type=int, default=48,
+    bench.add_argument("--max-aies", type=_positive_int, default=48,
                        help="DSE candidate-space bound (eval kind)")
-    bench.add_argument("--inner-repeats", type=int, default=3,
+    bench.add_argument("--inner-repeats", type=_positive_int, default=3,
                        help="explorations timed per repeat (eval kind)")
     _add_obs_flags(bench)
     bench.set_defaults(func=_cmd_bench)

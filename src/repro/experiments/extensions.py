@@ -1,22 +1,28 @@
 """Extension experiments beyond the paper's figures.
 
-These cover the paper's explicit suggestions and future work:
+Each driver supports one claim (EXPERIMENTS.md's ``Claim`` column):
 
-* ``ext_fusion`` — post-op fusion on spare AIEs (Section V-G's summary
-  recommendation), as an ablation against PL/DRAM round trips.
-* ``ext_fragmentation`` — tile-size vs padding trade-off for DNN
-  workloads (Section IV-A's declared future work).
-* ``ext_sensitivity`` — single-parameter architecture sensitivity
-  curves (the research-question machinery generalised).
-* ``ext_transformer`` — end-to-end transformer forward-pass estimates
-  built from the Table III networks.
-* ``ext_energy`` — energy/efficiency comparison across configurations
-  (the paper's energy-efficiency motivation, quantified).
+* ``ext_fusion`` — post-op fusion on spare AIEs, Section V-G's summary
+  recommendation, as an ablation against PL/DRAM round trips.
+* ``ext_fragmentation`` — the tile-size vs padding trade-off that
+  Section IV-A leaves as future work (and WideSA's array utilization).
+* ``ext_decode`` — the same padding question in its sharpest case,
+  LLM decode GEMMs whose M is the batch size.
+* ``ext_sensitivity`` — Section IV-B's research question on
+  architecture parameters (#AIEs, #PLIOs, PL memory).
+* ``ext_multi_acc`` — CHARM composition, the mapping the paper extends
+  (Section IV-A); the serving partition is built on it.
+* ``ext_consistency`` — the kernel cycle model behind Figs. 5-7,
+  checked by issue-level emulation and the aiesimulator stand-in.
+* ``ext_energy`` — energy per GEMM across configurations (Papalamprou
+  et al.'s energy-aware GEMM on Versal).
+* ``ext_serving``, ``ext_faults``, ``ext_chaos`` — the serving
+  extension's contract: tail latency vs load, degraded devices, and
+  runtime faults.
 """
 
 from __future__ import annotations
 
-from repro.core.e2e import ModelEstimator
 from repro.core.energy import EnergyModel
 from repro.core.fusion import FusionPlanner, PostOp
 from repro.core.multi_acc import AcceleratorPartition, GemmJob, MultiAccScheduler
@@ -27,7 +33,6 @@ from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import ALL_CONFIGS, config_by_name
 from repro.mapping.fragmentation import FragmentationAnalysis
 from repro.workloads.dnn import DNN_WORKLOADS
-from repro.workloads.transformer import MODEL_ZOO
 from repro.workloads.gemm import GemmShape
 
 _WORKLOAD = GemmShape(2048, 2048, 2048)
@@ -108,32 +113,6 @@ def ext_sensitivity() -> ExperimentResult:
         experiment_id="ext_sensitivity",
         title=f"Architecture sensitivity, {_WORKLOAD} on C6",
         paper_reference="Section V-B research questions (arch. parameters)",
-        rows=rows,
-    )
-
-
-def ext_transformer() -> ExperimentResult:
-    """End-to-end transformer forward passes on the Table II configs."""
-    estimator = ModelEstimator(Precision.FP32)
-    rows = []
-    for model in MODEL_ZOO:
-        estimate = estimator.estimate(model, tokens=2048)
-        dominant = estimate.dominant_layer()
-        rows.append(
-            {
-                "model": model.name,
-                "tokens": estimate.tokens,
-                "gflop": round(estimate.total_flops / 1e9, 0),
-                "ms": round(estimate.total_seconds * 1e3, 1),
-                "tflops": round(estimate.throughput_ops / 1e12, 2),
-                "dominant_layer": dominant.gemm.name,
-                "dominant_config": dominant.config_name,
-            }
-        )
-    return ExperimentResult(
-        experiment_id="ext_transformer",
-        title="End-to-end transformer forward passes (FP32, per-layer config)",
-        paper_reference="Section V-I extended",
         rows=rows,
     )
 
@@ -288,40 +267,6 @@ def ext_serving() -> ExperimentResult:
     )
 
 
-def ext_spmm() -> ExperimentResult:
-    """Sparse-vs-dense execution crossover for SpMM (H-GCN's territory)."""
-    from repro.workloads.gemm import GemmShape
-    from repro.workloads.sparse import SpmmEstimator, SpmmWorkload
-
-    design = CharmDesign(config_by_name("C5"))
-    estimator = SpmmEstimator(design)
-    shape = GemmShape(4096, 4096, 512)
-    rows = []
-    for density in (0.01, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0):
-        comparison = estimator.compare(SpmmWorkload(shape, density))
-        rows.append(
-            {
-                "density": density,
-                "dense_ms": round(comparison.dense_seconds * 1e3, 3),
-                "sparse_ms": round(comparison.sparse_seconds * 1e3, 3),
-                "winner": "sparse" if comparison.sparse_wins else "dense",
-                "sparse_speedup": round(comparison.speedup, 2),
-            }
-        )
-    crossover = estimator.crossover_density(shape)
-    return ExperimentResult(
-        experiment_id="ext_spmm",
-        title=f"SpMM on C5: sparse vs dense execution, A = {shape}",
-        paper_reference="SpMM extension (H-GCN [18])",
-        rows=rows,
-        notes=[
-            f"crossover density ~{crossover:.2f}: below it the gather "
-            "kernel's nnz-proportional compute beats the dense datapath "
-            "despite its derated vector efficiency",
-        ],
-    )
-
-
 def ext_decode() -> ExperimentResult:
     """LLM decode (M = batch) vs prefill: padding waste and throughput."""
     from repro.core.analytical_model import AnalyticalModel
@@ -464,39 +409,6 @@ def ext_chaos() -> ExperimentResult:
             "fail over to the survivors; tail latency absorbs the damage "
             "until the retry budget sheds load — the graceful-degradation "
             "curve a deployed board needs",
-        ],
-    )
-
-
-def ext_conv() -> ExperimentResult:
-    """CNN layers (im2col-lowered) through the same analysis pipeline."""
-    from repro.core.analytical_model import AnalyticalModel
-    from repro.workloads.conv import RESNET50_LAYERS
-
-    design = CharmDesign(config_by_name("C5"))
-    model = AnalyticalModel(design)
-    rows = []
-    for layer in RESNET50_LAYERS:
-        shape = layer.im2col_shape(batch=8)
-        estimate = model.estimate(shape)
-        rows.append(
-            {
-                "layer": layer.name,
-                "gemm": str(shape),
-                "aspect": shape.aspect(),
-                "im2col_expansion": round(layer.im2col_expansion(), 1),
-                "ms": round(estimate.total_seconds * 1e3, 3),
-                "bottleneck": str(estimate.bottleneck),
-            }
-        )
-    return ExperimentResult(
-        experiment_id="ext_conv",
-        title="ResNet-50-style conv layers (im2col) on C5, batch 8",
-        paper_reference="CNN extension (CHARM's DNN suite, Perryman et al.)",
-        rows=rows,
-        notes=[
-            "im2col GEMMs are tall; 1x1 convolutions lower with no data "
-            "expansion, 3x3 convolutions amplify input reads ~9x",
         ],
     )
 

@@ -79,15 +79,12 @@ DRIVERS: dict[str, str] = {
     "ext_fusion": "extensions:ext_fusion",
     "ext_fragmentation": "extensions:ext_fragmentation",
     "ext_sensitivity": "extensions:ext_sensitivity",
-    "ext_transformer": "extensions:ext_transformer",
     "ext_multi_acc": "extensions:ext_multi_acc",
     "ext_consistency": "extensions:ext_consistency",
     "ext_serving": "extensions:ext_serving",
-    "ext_spmm": "extensions:ext_spmm",
     "ext_decode": "extensions:ext_decode",
     "ext_faults": "extensions:ext_faults",
     "ext_chaos": "extensions:ext_chaos",
-    "ext_conv": "extensions:ext_conv",
     "ext_energy": "extensions:ext_energy",
 }
 

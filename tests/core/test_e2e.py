@@ -39,6 +39,20 @@ class TestModelEstimates:
         assert estimate.dominant_layer().gemm.name.startswith("mlp")
 
 
+    def test_repeated_layer_pays_setup_once(self, estimator):
+        """A resident graph pays the AIE setup once, not once per call."""
+        for layer in estimator.estimate(BERT_LARGE, tokens=512).layers:
+            naive = layer.gemm.count * layer.single_seconds
+            saved = (layer.gemm.count - 1) * layer.setup_seconds
+            assert layer.setup_seconds > 0
+            assert layer.total_seconds == pytest.approx(naive - saved)
+
+    def test_e2e_with_attention_slower(self, estimator):
+        base = estimator.estimate(BERT_LARGE, 1024)
+        full = estimator.estimate(BERT_LARGE, 1024, include_attention=True)
+        assert full.total_seconds > base.total_seconds
+        assert full.total_flops > base.total_flops
+
 class TestConfigSelection:
     def test_per_layer_selection_never_worse(self):
         per_layer = ModelEstimator(Precision.FP32, per_layer_selection=True)

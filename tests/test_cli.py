@@ -245,6 +245,19 @@ class TestBadInput:
             (_SERVE + ["--sweep", "--loads", "500,inf"], "inf"),
             (_SERVE + ["--sweep", "--loads", ","], ","),
             (["bench", "sweep", "--loads", "0"], "0"),
+            (["dse", "512x512x512", "--top", "-1"], "-1"),
+            (["trace", "256x256x256", "--width", "0"], "0"),
+            (["model", "BERT-large", "--tokens", "0"], "0"),
+            (["roofline", "--width", "1"], "1"),
+            (["roofline", "--width", "0"], "0"),
+            (["roofline", "--height", "0"], "0"),
+            (["chart", "fig5", "--value", "efficiency", "--width", "-3"], "-3"),
+            (["bench", "eval", "--inner-repeats", "0"], "0"),
+            (["bench", "eval", "--max-aies", "0"], "0"),
+            (["bench", "pipeline", "--items", "0"], "0"),
+            (["bench", "serving", "--shards", "0"], "0"),
+            (["bench", "estimate", "--tolerance", "-1"], "-1"),
+            (["bench", "estimate", "--tolerance", "inf"], "inf"),
         ],
     )
     def test_exits_2_naming_the_value(self, argv, token, capsys):

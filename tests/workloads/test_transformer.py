@@ -56,6 +56,19 @@ class TestForwardPass:
         assert LLAMA2_13B.head_dim == 128
 
 
+
+class TestAttentionGemms:
+    def test_shapes(self):
+        scores, values = LLAMA2_13B.attention_gemms(2048)
+        assert scores.shape == GemmShape(2048, 128, 2048)
+        assert values.shape == GemmShape(2048, 2048, 128)
+        assert scores.count == LLAMA2_13B.num_heads
+
+    def test_forward_with_attention_has_more_flops(self):
+        with_attn = BERT_LARGE.forward_flops(1024, include_attention=True)
+        without = BERT_LARGE.forward_flops(1024, include_attention=False)
+        assert with_attn > without
+
 class TestDecodeGemms:
     def test_m_is_batch(self):
         for gemm in LLAMA2_13B.decode_gemms(batch=4):
