@@ -293,9 +293,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"serve: {error}", file=sys.stderr)
             return 2
     if args.rate is not None:
-        mean_interarrival = 1.0 / args.rate
+        flag, mean_interarrival = f"--rate {args.rate}", 1.0 / args.rate
     else:
+        flag = f"--mean-interarrival {args.mean_interarrival}"
         mean_interarrival = args.mean_interarrival or 1e-3
+    # the trace's expected span anchors chaos and monitor windows; no
+    # draw exceeds log(2**32 + 2) ~ 22.2 mean inter-arrivals, so a
+    # finite 23x span keeps every arrival finite
+    horizon = args.requests * mean_interarrival
+    if not math.isfinite(23.0 * horizon):
+        print(f"serve: {flag} overflows the arrival clock of {args.requests} "
+              "requests", file=sys.stderr)
+        return 2
     configs = [config_by_name(name) for name in args.configs]
     partition = AcceleratorPartition(configs)
     simulator = ServingSimulator(partition)
@@ -315,8 +324,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.faults:
         from repro.sim.chaos import FaultError, FaultPolicy, parse_fault_spec
 
-        # the expected span of the trace anchors relative chaos windows
-        horizon = args.requests * mean_interarrival
         try:
             faults = parse_fault_spec(
                 args.faults,
@@ -367,7 +374,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     want_monitor = slo_spec is not None or args.monitor_out is not None
     # chunk-fed windowed telemetry: cut the expected horizon into
     # --windows equal slices of simulated time
-    window_seconds = args.requests * mean_interarrival / args.windows
+    window_seconds = horizon / args.windows
     fleet = None
     if args.shards > 1:
         from repro.sim.cluster_serving import ShardedServingCluster

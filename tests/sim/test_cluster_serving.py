@@ -34,6 +34,7 @@ from repro.sim.cluster_serving import (
 )
 from repro.sim.serving import ServingSimulator, load_sweep
 from repro.sim.streaming import (
+    TRACE_BLOCK,
     StreamingServingReport,
     generate_trace_shard,
     generate_trace_soa,
@@ -146,6 +147,41 @@ class TestTracePartitionDeterminism:
             if index:
                 # the carry is bitwise the full trace's arrival at lo - 1
                 assert offsets[index] == full.arrivals[lo - 1]
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [
+            (TRACE_BLOCK // 2,),
+            (TRACE_BLOCK - 1, TRACE_BLOCK + 1),
+            (TRACE_BLOCK + 5, 2 * TRACE_BLOCK + 3, 3 * TRACE_BLOCK - 1),
+        ],
+    )
+    def test_shards_cut_mid_block_match_full_trace(self, cuts):
+        """Shards that start and end inside a generation block walk the
+        same blocks' values as the full trace, carries included."""
+        num_requests, seed = 3 * TRACE_BLOCK + 7, 6
+        full = generate_trace_soa(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=seed)
+        edges = [0, *cuts, num_requests]
+        bounds = list(zip(edges[:-1], edges[1:]))
+        offsets = shard_arrival_offsets(
+            num_requests, MEAN_INTERARRIVAL, seed, bounds
+        )
+        arrivals, shape_ids = [], []
+        for (lo, hi), offset in zip(bounds, offsets):
+            assert offset == (full.arrivals[lo - 1] if lo else 0.0)
+            shard = generate_trace_shard(
+                SHAPES,
+                num_requests,
+                MEAN_INTERARRIVAL,
+                seed,
+                lo=lo,
+                hi=hi,
+                arrival_offset=offset,
+            )
+            arrivals.append(shard.arrivals)
+            shape_ids.append(shard.shape_ids)
+        assert np.concatenate(arrivals).tobytes() == full.arrivals.tobytes()
+        assert np.concatenate(shape_ids).tobytes() == full.shape_ids.tobytes()
 
     def test_shard_without_offset_diverges_after_first_shard(self):
         """The carry is load-bearing: dropping it breaks the identity."""

@@ -1,12 +1,14 @@
 """Streaming serving structures: bit-identity, sketch bounds, SoA traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.sim.serving import Request
 from repro.sim.streaming import (
+    TRACE_BLOCK,
     QuantileSketch,
     SoATrace,
     StreamingServingReport,
@@ -104,15 +106,39 @@ class TestGenerateTraceSoa:
         with pytest.raises(ValueError):
             generate_trace_soa(SHAPES, 0, 1e-3)
 
-    @pytest.mark.parametrize("num_requests", [65535, 65536, 65537])
+    @pytest.mark.parametrize(
+        "num_requests",
+        [
+            65535,
+            65536,
+            65537,
+            TRACE_BLOCK - 1,
+            TRACE_BLOCK,
+            TRACE_BLOCK + 1,
+            3 * TRACE_BLOCK + 7,
+        ],
+    )
     def test_parity_at_chunk_boundaries(self, num_requests):
-        """Sizes straddling ``DISPATCH_CHUNK`` stay bit-identical."""
+        """Sizes straddling ``DISPATCH_CHUNK`` and the generator's
+        ``TRACE_BLOCK`` stay bit-identical."""
         scalar = generate_trace(SHAPES, num_requests, 0.5e-3, seed=7)
         soa = generate_trace_soa(SHAPES, num_requests, 0.5e-3, seed=7)
         assert soa.arrivals.tolist() == [r.arrival for r in scalar]
         assert [SHAPES[i] for i in soa.shape_ids.tolist()] == [
             r.shape for r in scalar
         ]
+
+    def test_generation_scratch_is_block_bounded(self):
+        """A 1M-request trace peaks at most 4 MB above the 16 B per
+        request it returns (whole-trace temporaries needed ~38 MB)."""
+        tracemalloc.start()
+        try:
+            trace = generate_trace_soa(SHAPES, 1_000_000, 1e-3, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = trace.arrivals.nbytes + trace.shape_ids.nbytes
+        assert peak - held <= 4 * 2**20
 
 
 class TestSoATrace:
@@ -149,6 +175,22 @@ class TestSoATrace:
     def test_rejects_non_finite_arrivals(self, arrivals, position):
         with pytest.raises(ValueError, match=rf"arrivals\[{position}\]"):
             SoATrace(SHAPES, np.zeros(len(arrivals), dtype=np.int64), arrivals)
+
+    @pytest.mark.parametrize(
+        "position", [TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK]
+    )
+    def test_block_seams_checked(self, position):
+        """Validation runs in one-element-overlapping blocks: a bad step
+        or a NaN at a seam is still caught, a NaN still by position."""
+        size = 2 * TRACE_BLOCK + 1
+        ids = np.zeros(size, dtype=np.int64)
+        arrivals = np.arange(size, dtype=np.float64)
+        arrivals[position:] -= 2.0  # the one step into ``position`` drops
+        with pytest.raises(ValueError, match="nondecreasing"):
+            SoATrace(SHAPES, ids, arrivals)
+        arrivals[position] = math.nan
+        with pytest.raises(ValueError, match=rf"arrivals\[{position}\] is nan"):
+            SoATrace(SHAPES, ids, arrivals)
 
     def test_finite_arrivals_with_overflowing_step_accepted(self):
         with np.errstate(over="ignore"):

@@ -204,6 +204,7 @@ class TestServe:
 
 
 _SERVE = ["serve", "512x512x512", "--requests", "100"]
+_HUGE_GAP = ["--mean-interarrival", "1e308"]
 
 
 class TestBadInput:
@@ -268,6 +269,26 @@ class TestBadInput:
         assert repr(token) in err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith("versal-gemm ")
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--rate", "1e-320"], "--rate 1e-320"),
+            (_HUGE_GAP, "--mean-interarrival 1e+308"),
+            (_HUGE_GAP + ["--shards", "2", "--streaming"], "--mean-interarrival 1e+308"),
+            (_HUGE_GAP + ["--faults", "chaos"], "--mean-interarrival 1e+308"),
+        ],
+        ids=["rate", "unsharded", "sharded", "chaos"],
+    )
+    def test_overflowing_arrival_clock_exits_2_before_running(
+        self, extra, flag, capsys
+    ):
+        assert main(["serve", "512x512x512", "--requests", "50"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"serve: {flag} overflows the arrival clock of 50 requests"
+        ]
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
     def test_jobs_exits_2_naming_the_value(self, value, capsys):
