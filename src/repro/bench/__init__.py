@@ -5,8 +5,8 @@ NPU measurements vary run to run.  This package turns any experiment —
 an analytical-model estimate, a serving trace, a load sweep, a pipeline
 replay — into an N-repeat seeded experiment with pluggable noise
 models, per-metric confidence intervals, and a regression detector that
-compares new distributions against the committed ``BENCH_*.json``
-trajectories.  Exposed on the CLI as ``versal-gemm bench`` (see
+judges each run by declarative gates (bounds, contract flags, and the
+committed ``BENCH_serving.json`` baseline).  Exposed on the CLI as ``versal-gemm bench`` (see
 ``docs/benchmarking.md``).
 
 Determinism contract: every random draw — noise factors, bootstrap
@@ -27,6 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "EvalThroughputExperiment",
         "Experiment",
         "LoadSweepExperiment",
+        "PairedExperiment",
         "PipelineExperiment",
         "ServingExperiment",
     ),
@@ -43,15 +44,12 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "BaselineError",
         "Gate",
         "Verdict",
-        "check_entry",
         "check_result",
         "exit_code",
-        "failure_messages",
         "load_baseline",
     ),
     "repro.bench.runner": ("BenchResult", "run_bench", "write_csv", "write_json"),
     "repro.bench.stats": ("MetricSummary", "bootstrap_interval", "summarize", "t_critical"),
-    "repro.bench.trajectory": ("append_trajectory", "load_trajectory"),
 })
 
 __all__ = [
@@ -67,6 +65,7 @@ __all__ = [
     "LoadSweepExperiment",
     "MetricSummary",
     "NoiseModel",
+    "PairedExperiment",
     "PipelineExperiment",
     "ServingExperiment",
     "SpanRollupProbe",
@@ -74,15 +73,11 @@ __all__ = [
     "ThermalDeratingNoise",
     "TimerProbe",
     "Verdict",
-    "append_trajectory",
     "bootstrap_interval",
-    "check_entry",
     "check_result",
     "default_probes",
     "exit_code",
-    "failure_messages",
     "load_baseline",
-    "load_trajectory",
     "parse_noise_spec",
     "run_bench",
     "summarize",

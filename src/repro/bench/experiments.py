@@ -20,15 +20,18 @@ Noise routing per kind:
   models contribute a multiplicative slowdown on the modeled total;
 * ``pipeline`` — one uniform stage factor via
   :meth:`repro.sim.engine.PipelineSimulator.derated`;
-* ``eval`` — a pure wall-clock measurement (DSE engine throughput);
+* ``eval`` and ``paired`` — pure wall-clock measurements (DSE engine
+  throughput; two legs of one serving path timed against each other);
   noise models do not apply and are rejected loudly.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import time
-from typing import Any, Sequence
+from contextlib import AbstractContextManager, ExitStack
+from typing import Any, Callable, Sequence
 
 from repro.bench.noise import (
     NoiseModel,
@@ -65,6 +68,9 @@ class Experiment:
 
     def prepare(self) -> None:
         """Resolve shared state once before any repeat runs."""
+
+    def close(self) -> None:
+        """Release what :meth:`prepare` acquired (after the last repeat)."""
 
     def run_repeat(
         self, repeat_seed: int, noise: list[NoiseModel] | None
@@ -364,11 +370,10 @@ class EstimateExperiment(Experiment):
 class EvalThroughputExperiment(Experiment):
     """N repeats of the DSE evaluation-engine throughput measurement.
 
-    A pure wall-clock experiment (the harness analogue of
-    ``benchmarks/bench_eval_throughput.py``): serial seed-path
-    exploration vs the memoized one, with byte-identical ranking
-    verification.  Noise models make no sense here — wall time
-    is the measured quantity — so passing any is an error.
+    A pure wall-clock experiment: serial seed-path exploration vs the
+    memoized one, with byte-identical ranking verification.  Noise
+    models make no sense here — wall time is the measured quantity —
+    so passing any is an error.
     """
 
     kind = "eval"
@@ -454,6 +459,100 @@ class EvalThroughputExperiment(Experiment):
             "speedup_cached": leg["serial"] / leg["cached"],
             "rankings_identical": 1.0 if identical else 0.0,
         }
+
+
+#: one timed leg: runs its workload once and returns nothing
+Leg = Callable[[], object]
+
+
+class PairedExperiment(Experiment):
+    """Two legs of one measurement, timed back to back in every repeat.
+
+    ``setup`` is a context-manager factory: :meth:`prepare` enters it
+    and it yields the ``(base, change)`` legs, already warmed, and
+    :meth:`close` exits it (a shard pool, say, is shut there).  A
+    repeat runs ``rounds`` rounds, each timing both legs back to back
+    and each leading with the leg the previous round ran second, so a
+    host that speeds up or slows down mid-run moves both legs alike
+    rather than one; legs of a few milliseconds take several rounds
+    to outlast the host's jitter.  A repeat reports each leg's mean
+    seconds per round, ``ratio = change_s / base_s`` and, given
+    ``requests``, ``extra_ns_per_request``: what the change leg adds
+    per request in absolute terms.  ``side`` returns further metrics,
+    measured after the rounds of each repeat.
+    """
+
+    kind = "paired"
+
+    def __init__(
+        self,
+        name: str,
+        setup: Callable[[], AbstractContextManager[tuple[Leg, Leg]]],
+        requests: int = 0,
+        rounds: int = 1,
+        side: Callable[[], dict[str, float]] | None = None,
+    ):
+        if rounds < 1:
+            raise ValueError("need at least one round")
+        self.name = name
+        self.setup = setup
+        self.requests = requests
+        self.rounds = rounds
+        self.side = side
+        self._legs: dict[str, Leg] | None = None
+        self._stack: ExitStack | None = None
+        self._turn = 0
+
+    def params(self) -> dict[str, Any]:
+        return {"pair": self.name, "requests": self.requests, "rounds": self.rounds}
+
+    def prepare(self) -> None:
+        self.close()
+        self._stack = ExitStack()
+        base, change = self._stack.enter_context(self.setup())
+        self._legs = {"base": base, "change": change}
+        self._turn = 0
+
+    def close(self) -> None:
+        if self._stack is not None:
+            self._legs = None
+            stack, self._stack = self._stack, None
+            stack.close()
+
+    def _time(self, leg: str) -> float:
+        started = time.perf_counter()
+        self._legs[leg]()
+        return time.perf_counter() - started
+
+    def run_repeat(
+        self, repeat_seed: int, noise: list[NoiseModel] | None
+    ) -> dict[str, float]:
+        if noise:
+            raise ValueError(
+                "a paired experiment measures wall-clock time; "
+                "noise models do not apply"
+            )
+        if self._legs is None:
+            self.prepare()
+        # the previous repeat's garbage is collected outside the timing
+        gc.collect()
+        total = {"base": 0.0, "change": 0.0}
+        for _ in range(self.rounds):
+            order = ("base", "change") if self._turn % 2 == 0 else ("change", "base")
+            self._turn += 1
+            for leg in order:
+                total[leg] += self._time(leg)
+        base, change = total["base"] / self.rounds, total["change"] / self.rounds
+        metrics = {
+            "base_seconds": base,
+            "change_seconds": change,
+            "ratio": change / base,
+        }
+        if self.requests:
+            metrics["extra_ns_per_request"] = (change - base) / self.requests * 1e9
+        if self.side is not None:
+            metrics.update(self.side())
+        return metrics
 
 
 #: CHARM-flavoured load/compute/store dataflow for the pipeline kind

@@ -8,8 +8,7 @@ A probe brackets each repeat and contributes metrics to its sample:
   (model evaluations, cache behaviour);
 * :class:`SpanRollupProbe` — enables :data:`repro.obs.spans.GLOBAL_TRACER`
   for the repeat and rolls recorded span durations up by span name
-  (opt-in: tracing costs throughput, see
-  ``benchmarks/bench_obs_overhead.py``).
+  (opt-in: an enabled tracer costs throughput).
 
 Probes only *add* metrics; they never touch what the experiment itself
 reported, so the ``noise=None`` byte-identity contract is unaffected.

@@ -8,9 +8,6 @@ A :class:`Gate` names one metric and how to judge it:
 * ``ceiling`` — the metric must not exceed a bound (error bounds,
   overhead limits);
 * ``flag`` — the metric must be truthy (byte-identity contracts);
-* ``slo`` — the metric is an SLO verdict: either a plain boolean or a
-  dict carrying ``ok`` (and optionally ``alerts``, whose count lands
-  in the failure message); the gate fails when the SLO was breached;
 * ``baseline`` — the metric is compared against the value recorded in
   a prior ``BENCH_*.json`` entry under a relative tolerance, with a
   direction (``lower``/``higher`` is better) deciding which side is a
@@ -26,17 +23,17 @@ contract: non-zero exactly when a gate failed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.bench.runner import BenchResult
-from repro.bench.trajectory import load_trajectory
 
 EXIT_OK = 0
 EXIT_REGRESSION = 1
 
-_KINDS = ("floor", "ceiling", "flag", "slo", "baseline")
+_KINDS = ("floor", "ceiling", "flag", "baseline")
 _DIRECTIONS = ("lower", "higher")
 _FAILING = ("regression", "corrupt_baseline")
 
@@ -61,8 +58,6 @@ class Gate:
     tolerance: float = 0.05
     #: dotted path into the baseline entry (defaults to ``metric``)
     baseline_metric: str | None = None
-    #: dotted path into the entry; gate disarms when falsy
-    when: str | None = None
     #: human-readable failure text (a generic one is derived if unset)
     label: str | None = None
     #: fail (rather than report) when the baseline is missing
@@ -116,9 +111,11 @@ def load_baseline(path: Path | str) -> dict | None:
     if not path.exists():
         return None
     try:
-        trajectory = load_trajectory(path)
-    except SystemExit as error:
-        raise BaselineError(str(error)) from None
+        trajectory = json.loads(path.read_text())
+    except json.JSONDecodeError as error:
+        raise BaselineError(f"{path} exists but is not valid JSON ({error})") from None
+    if not isinstance(trajectory, list):
+        raise BaselineError(f"{path} is not a JSON list trajectory")
     if not trajectory or not isinstance(trajectory[-1], dict):
         raise BaselineError(f"{path} holds no usable baseline entry")
     return trajectory[-1]
@@ -134,22 +131,8 @@ def resolve_path(entry: dict | None, dotted: str) -> Any:
     return node
 
 
-def _expand(entry: dict, dotted: str) -> list[tuple[str, Any]]:
-    """Resolve a dotted path, expanding one ``*`` over dict values."""
-    if "*" not in dotted:
-        return [(dotted, resolve_path(entry, dotted))]
-    prefix, _, suffix = dotted.partition(".*")
-    parent = resolve_path(entry, prefix)
-    if not isinstance(parent, dict):
-        return [(dotted, None)]
-    expanded = []
-    for key in sorted(parent):
-        child_path = f"{prefix}.{key}" + suffix
-        expanded.append((child_path, resolve_path(entry, child_path)))
-    return expanded
-
-
-def _judge_bound(gate: Gate, path: str, observed: Any, floor_value: float) -> Verdict:
+def _judge_bound(gate: Gate, observed: Any, floor_value: float) -> Verdict:
+    path = gate.metric
     if observed is None:
         return Verdict(
             metric=path, kind=gate.kind, status="regression",
@@ -170,40 +153,19 @@ def _judge_bound(gate: Gate, path: str, observed: Any, floor_value: float) -> Ve
     )
 
 
-def _judge_flag(gate: Gate, path: str, observed: Any) -> Verdict:
+def _judge_flag(gate: Gate, observed: Any) -> Verdict:
     ok = bool(observed)
     return Verdict(
-        metric=path,
+        metric=gate.metric,
         kind="flag",
         status="pass" if ok else "regression",
         observed=None if observed is None else float(bool(observed)),
-        detail="" if ok else (gate.label or f"{path} contract does not hold"),
+        detail="" if ok else (gate.label or f"{gate.metric} contract does not hold"),
     )
 
 
-def _judge_slo(gate: Gate, path: str, observed: Any) -> Verdict:
-    if observed is None:
-        return Verdict(
-            metric=path, kind="slo", status="regression",
-            detail=gate.label or f"{path} is missing from the run entry",
-        )
-    if isinstance(observed, dict):
-        ok = bool(observed.get("ok"))
-        alerts = observed.get("alerts") or ()
-        tail = f" ({len(alerts)} burn-rate alert(s) fired)" if alerts else ""
-    else:
-        ok = bool(observed)
-        tail = ""
-    return Verdict(
-        metric=path,
-        kind="slo",
-        status="pass" if ok else "regression",
-        observed=float(ok),
-        detail="" if ok else (gate.label or f"{path}: SLO breached{tail}"),
-    )
-
-
-def _judge_baseline(gate: Gate, path: str, observed: Any, baseline: dict | None) -> Verdict:
+def _judge_baseline(gate: Gate, observed: Any, baseline: dict | None) -> Verdict:
+    path = gate.metric
     if observed is None:
         return Verdict(
             metric=path, kind="baseline", status="regression",
@@ -261,30 +223,6 @@ def _recorded_floor(gate: Gate, baseline: dict | None) -> float:
     return float(recorded) if recorded is not None else float(gate.value)
 
 
-def check_entry(
-    entry: dict,
-    gates: Sequence[Gate],
-    baseline: dict | None = None,
-) -> list[Verdict]:
-    """Evaluate gates against a plain benchmark entry (dotted paths)."""
-    verdicts: list[Verdict] = []
-    for gate in gates:
-        if gate.when is not None and not resolve_path(entry, gate.when):
-            continue
-        for path, observed in _expand(entry, gate.metric):
-            if gate.kind == "flag":
-                verdicts.append(_judge_flag(gate, path, observed))
-            elif gate.kind == "slo":
-                verdicts.append(_judge_slo(gate, path, observed))
-            elif gate.kind == "baseline":
-                verdicts.append(_judge_baseline(gate, path, observed, baseline))
-            else:
-                verdicts.append(
-                    _judge_bound(gate, path, observed, _recorded_floor(gate, baseline))
-                )
-    return verdicts
-
-
 def check_result(
     result: BenchResult,
     gates: Sequence[Gate],
@@ -303,25 +241,14 @@ def check_result(
         if gate.kind == "flag":
             # a flag over repeats holds only when every repeat held
             flag = None if summary is None else summary.value("min")
-            verdicts.append(_judge_flag(gate, gate.metric, flag))
-        elif gate.kind == "slo":
-            # like a flag: the SLO held only when every repeat held it
-            held = None if summary is None else summary.value("min")
-            verdicts.append(_judge_slo(gate, gate.metric, held))
+            verdicts.append(_judge_flag(gate, flag))
         elif gate.kind == "baseline":
-            verdicts.append(_judge_baseline(gate, gate.metric, observed, baseline))
+            verdicts.append(_judge_baseline(gate, observed, baseline))
         else:
             verdicts.append(
-                _judge_bound(
-                    gate, gate.metric, observed, _recorded_floor(gate, baseline)
-                )
+                _judge_bound(gate, observed, _recorded_floor(gate, baseline))
             )
     return verdicts
-
-
-def failure_messages(verdicts: Sequence[Verdict]) -> list[str]:
-    """The messages of failing verdicts (the old ``check()`` contract)."""
-    return [verdict.message for verdict in verdicts if verdict.failed]
 
 
 def exit_code(verdicts: Sequence[Verdict]) -> int:

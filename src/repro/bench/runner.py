@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,11 +26,32 @@ from repro.bench.experiments import Experiment
 from repro.bench.measure import Probe, default_probes, run_probed
 from repro.bench.noise import NoiseModel
 from repro.bench.stats import MetricSummary, summarize
-from repro.perf.parallel import parallel_map
+from repro.perf.parallel import parallel_map, usable_cpus
 from repro.sim.streaming import derive_seed
 
 #: bootstrap-resample stream lane, disjoint from repeat lanes
 _BOOTSTRAP_LANE = 0x5EED
+
+
+def environment() -> dict[str, Any]:
+    """What the host and process contribute to a measurement.
+
+    ``native_kernel`` is true when this process dispatched through the
+    compiled k-wide kernel (false when it never loaded the dispatch
+    layer).  ``pythondontwritebytecode`` matters to short invocations:
+    without a bytecode cache every process compiles what it imports.
+    """
+    import numpy
+
+    dispatch = sys.modules.get("repro.sim.dispatch_batch")
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "machine": platform.machine(),
+        "usable_cpus": usable_cpus(),
+        "native_kernel": dispatch is not None and dispatch.native_available(),
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+    }
 
 
 @dataclass
@@ -61,6 +85,7 @@ class BenchResult:
             "seed": self.seed,
             "noise": self.noise,
             "confidence": self.confidence,
+            "environment": environment(),
             "metrics": {
                 name: summary.as_dict()
                 for name, summary in sorted(self.summaries.items())
@@ -92,7 +117,6 @@ def run_bench(
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
-    experiment.prepare()
     repeat_seeds = [derive_seed(seed, repeat) for repeat in range(repeats)]
 
     def one(repeat_seed: int) -> dict[str, float]:
@@ -101,7 +125,11 @@ def run_bench(
             lambda: experiment.run_repeat(repeat_seed, noise), stack
         )
 
-    samples = parallel_map(one, repeat_seeds, jobs=jobs)
+    experiment.prepare()
+    try:
+        samples = parallel_map(one, repeat_seeds, jobs=jobs)
+    finally:
+        experiment.close()
 
     names = sorted({name for sample in samples for name in sample})
     summaries = {}

@@ -267,6 +267,31 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _arrival_clock_error(
+    command: str, requests: int, args: argparse.Namespace
+) -> str | None:
+    """The one-line error when a flag's mean inter-arrival gap overflows
+    the arrival clock of ``requests`` requests, else None.
+
+    Covers ``--rate``, ``--mean-interarrival`` and every ``--loads``
+    value (a load of L rps is a gap of 1/L).  No draw exceeds
+    log(2**32 + 2) ~ 22.2 mean inter-arrivals, so a finite 23x span
+    keeps every arrival finite.
+    """
+    gaps = []
+    if getattr(args, "rate", None) is not None:
+        gaps.append((f"--rate {args.rate}", 1.0 / args.rate))
+    if args.mean_interarrival is not None:
+        gaps.append((f"--mean-interarrival {args.mean_interarrival}",
+                     args.mean_interarrival))
+    gaps.extend((f"--loads {load}", 1.0 / load) for load in args.loads or ())
+    for flag, gap in gaps:
+        if not math.isfinite(23.0 * requests * gap):
+            return (f"{command}: {flag} overflows the arrival clock of "
+                    f"{requests} requests")
+    return None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.multi_acc import AcceleratorPartition
     from repro.mapping.configs import config_by_name
@@ -292,19 +317,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"serve: {error}", file=sys.stderr)
             return 2
-    if args.rate is not None:
-        flag, mean_interarrival = f"--rate {args.rate}", 1.0 / args.rate
-    else:
-        flag = f"--mean-interarrival {args.mean_interarrival}"
-        mean_interarrival = args.mean_interarrival or 1e-3
-    # the trace's expected span anchors chaos and monitor windows; no
-    # draw exceeds log(2**32 + 2) ~ 22.2 mean inter-arrivals, so a
-    # finite 23x span keeps every arrival finite
-    horizon = args.requests * mean_interarrival
-    if not math.isfinite(23.0 * horizon):
-        print(f"serve: {flag} overflows the arrival clock of {args.requests} "
-              "requests", file=sys.stderr)
+    clock_error = _arrival_clock_error("serve", args.requests, args)
+    if clock_error:
+        print(clock_error, file=sys.stderr)
         return 2
+    if args.rate is not None:
+        mean_interarrival = 1.0 / args.rate
+    else:
+        mean_interarrival = args.mean_interarrival or 1e-3
+    # the trace's expected span anchors chaos and monitor windows
+    horizon = args.requests * mean_interarrival
     configs = [config_by_name(name) for name in args.configs]
     partition = AcceleratorPartition(configs)
     simulator = ServingSimulator(partition)
@@ -645,12 +667,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             seed=7 if args.seed is None else args.seed,
             noise=noise or None,
             serving_baseline=args.serving_baseline,
-            eval_baseline=args.eval_baseline,
             serving_requests=args.requests or 1_000_000,
         )
     if args.kind is None:
         print("bench: pass an experiment kind or --smoke", file=sys.stderr)
         return 2
+    if args.kind in _BENCH_REQUESTS_DEFAULT:
+        clock_error = _arrival_clock_error(
+            "bench", args.requests or _BENCH_REQUESTS_DEFAULT[args.kind], args
+        )
+        if clock_error:
+            print(clock_error, file=sys.stderr)
+            return 2
 
     try:
         experiment = _bench_experiment(args)
@@ -1112,8 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artifact directory for --smoke CSV/JSON outputs")
     bench.add_argument("--serving-baseline", default="BENCH_serving.json",
                        metavar="PATH", help="serving baseline for --smoke")
-    bench.add_argument("--eval-baseline", default="BENCH_eval.json",
-                       metavar="PATH", help="eval baseline for --smoke")
     bench.add_argument("--shapes", type=_shape_list, default=None,
                        help="comma-separated MxKxN mix (serving/sweep)")
     bench.add_argument("--configs", type=_config_list, default=None,

@@ -1,13 +1,18 @@
 """CLI tests: ``versal-gemm bench`` exit codes and regression gating.
 
 The acceptance contract lives here: against the committed
-``BENCH_serving.json`` the pinned serving scenario passes clean, and an
-injected slowdown (``--noise``) exits non-zero through the CLI.
+``BENCH_serving.json`` the pinned serving scenario passes clean, an
+injected slowdown (``--noise``) exits non-zero through the CLI, and a
+slowed leg fails its ``--smoke`` timing pair.  Every wall clock the
+smoke gates read is pinned, so these tests never gate on host speed.
 """
 
 import json
 
-from repro.bench.experiments import EvalThroughputExperiment
+import pytest
+
+from repro.bench import smoke
+from repro.bench.experiments import EvalThroughputExperiment, PairedExperiment
 from repro.cli import main
 
 #: the pinned BENCH_serving scenario (trace seed 7, auto fast path)
@@ -112,23 +117,88 @@ def _fixed_duration(monkeypatch, seconds):
     monkeypatch.setattr(EvalThroughputExperiment, "_timed", timed)
 
 
+_PAIRS = ("fastpath", "wide", "sharded", "tracer", "monitor")
+
+
+def _fixed_pairs(monkeypatch, slowed=None, run_legs=True):
+    """Time every pair's base leg at 1 s and its change leg at 0.1 s.
+
+    The ``slowed`` pair's change leg takes 10 s instead (``"noop"``
+    slows the disabled ``span()`` call the tracer pair measures).  With
+    ``run_legs`` each leg still runs, so the pairs' set-up and legs are
+    exercised for real; without it neither runs.  Arming is forced on,
+    so every pair gates on any host.
+    """
+    def timed(self, leg):
+        if run_legs:
+            self._legs[leg]()
+        if leg == "base":
+            return 1.0
+        return 10.0 if self.name == slowed else 0.1
+
+    monkeypatch.setattr(PairedExperiment, "_time", timed)
+    if not run_legs:
+        monkeypatch.setattr(PairedExperiment, "prepare", lambda self: None)
+    monkeypatch.setattr(
+        smoke, "noop_span_ns",
+        lambda: {"noop_span_ns": 1e4 if slowed == "noop" else 100.0},
+    )
+    monkeypatch.setattr(smoke, "usable_cpus", lambda: smoke.SHARDED_MIN_CPUS)
+    monkeypatch.setattr(smoke, "native_available", lambda: True)
+
+
 class TestBenchSmoke:
     def test_smoke_small_runs_end_to_end(self, tmp_path, capsys, monkeypatch):
-        """A reduced --smoke run writes all four artifacts and exits 0
+        """A reduced --smoke run writes every artifact and exits 0
         (simulated percentiles only improve at smaller request counts)."""
         _fixed_duration(monkeypatch, 1e-6)
+        _fixed_pairs(monkeypatch)
         code = main(["bench", "--smoke", "--out-dir", str(tmp_path),
-                     "-n", "2", "--requests", "100000"])
+                     "-n", "1", "--requests", "100000"])
         out = capsys.readouterr().out
         assert code == 0, out
-        for name in ("bench_smoke_serving.csv", "bench_smoke_serving.json",
-                     "bench_smoke_eval.csv", "bench_smoke_eval.json"):
-            assert (tmp_path / name).exists()
+        for name in ("serving", "eval") + _PAIRS:
+            assert (tmp_path / f"bench_smoke_{name}.csv").exists()
+            entry = json.loads((tmp_path / f"bench_smoke_{name}.json").read_text())
+            assert entry["environment"]["usable_cpus"] >= 1
+        for name in _PAIRS:
+            assert f"{name}: 1 repeats  median ratio 0.100  armed" in out
+
+    @pytest.mark.parametrize(
+        "slowed, metric",
+        [(pair, "ratio") for pair in _PAIRS[:-1]]
+        + [("monitor", "extra_ns_per_request"), ("noop", "noop_span_ns")],
+    )
+    def test_slowed_change_leg_fails_its_pair(
+        self, slowed, metric, tmp_path, capsys, monkeypatch
+    ):
+        _fixed_duration(monkeypatch, 1e-6)
+        _fixed_pairs(monkeypatch, slowed=slowed, run_legs=False)
+        code = main(["bench", "--smoke", "--out-dir", str(tmp_path),
+                     "-n", "1", "--requests", "20000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        pair = "tracer" if slowed == "noop" else slowed
+        failing = [line for line in err.splitlines() if "[regression]" in line]
+        assert len(failing) == 1, err
+        assert failing[0].startswith(f"{pair}: [regression] {metric} = ")
+
+    def test_disarmed_pair_does_not_gate(self, tmp_path, capsys, monkeypatch):
+        _fixed_duration(monkeypatch, 1e-6)
+        _fixed_pairs(monkeypatch, slowed="sharded", run_legs=False)
+        monkeypatch.setattr(smoke, "usable_cpus", lambda: 2)
+        code = main(["bench", "--smoke", "--out-dir", str(tmp_path),
+                     "-n", "1", "--requests", "20000"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "sharded: 1 repeats  median ratio 10.000  disarmed " \
+            "(2 usable CPUs, needs 4)" in out
 
     def test_smoke_fails_below_the_evals_per_sec_floor(
         self, tmp_path, capsys, monkeypatch
     ):
         _fixed_duration(monkeypatch, 10.0)
+        _fixed_pairs(monkeypatch, run_legs=False)
         code = main(["bench", "--smoke", "--out-dir", str(tmp_path),
                      "-n", "2", "--requests", "100000"])
         err = capsys.readouterr().err

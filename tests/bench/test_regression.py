@@ -10,13 +10,26 @@ from repro.bench.regression import (
     EXIT_REGRESSION,
     BaselineError,
     Gate,
-    check_entry,
     check_result,
     exit_code,
-    failure_messages,
     load_baseline,
 )
-from repro.bench.runner import run_bench
+from repro.bench.runner import BenchResult, run_bench
+from repro.bench.stats import summarize
+
+
+def _result(**metrics: float) -> BenchResult:
+    """A one-repeat harness result whose metrics read ``metrics``."""
+    return BenchResult(
+        kind="test", params={}, repeats=1, seed=0, noise=[], confidence=0.95,
+        samples=[metrics],
+        summaries={name: summarize([value]) for name, value in metrics.items()},
+    )
+
+
+def _check(metrics: dict, gates, baseline=None):
+    """Judge ``gates`` against a one-repeat result reading ``metrics``."""
+    return check_result(_result(**metrics), gates, baseline)
 
 
 class TestGateValidation:
@@ -40,27 +53,27 @@ class TestGateValidation:
 class TestBounds:
     def test_floor_pass_and_regression(self):
         gates = [Gate(metric="speedup", kind="floor", value=2.0)]
-        ok = check_entry({"speedup": 3.0}, gates)
+        ok = _check({"speedup": 3.0}, gates)
         assert [v.status for v in ok] == ["pass"]
-        bad = check_entry({"speedup": 1.5}, gates)
+        bad = _check({"speedup": 1.5}, gates)
         assert [v.status for v in bad] == ["regression"]
         assert bad[0].failed and "below the floor" in bad[0].message
 
     def test_ceiling(self):
         gates = [Gate(metric="error", kind="ceiling", value=0.01)]
-        assert check_entry({"error": 0.005}, gates)[0].status == "pass"
-        assert check_entry({"error": 0.02}, gates)[0].status == "regression"
+        assert _check({"error": 0.005}, gates)[0].status == "pass"
+        assert _check({"error": 0.02}, gates)[0].status == "regression"
 
     def test_missing_metric_is_regression(self):
         gates = [Gate(metric="speedup", kind="floor", value=2.0)]
-        verdicts = check_entry({}, gates)
+        verdicts = _check({}, gates)
         assert verdicts[0].status == "regression"
         assert "missing" in verdicts[0].message
 
     def test_baseline_recorded_floor_overrides_gate_value(self):
         gates = [Gate(metric="speedup", kind="floor", value=2.0)]
         baseline = {"floors": {"speedup": 5.0}}
-        verdicts = check_entry({"speedup": 3.0}, gates, baseline)
+        verdicts = _check({"speedup": 3.0}, gates, baseline)
         assert verdicts[0].status == "regression"
         assert verdicts[0].reference == 5.0
 
@@ -68,8 +81,8 @@ class TestBounds:
 class TestFlags:
     def test_truthy_passes(self):
         gates = [Gate(metric="identical", kind="flag", label="differs")]
-        assert check_entry({"identical": True}, gates)[0].status == "pass"
-        bad = check_entry({"identical": False}, gates)
+        assert _check({"identical": True}, gates)[0].status == "pass"
+        bad = _check({"identical": False}, gates)
         assert bad[0].status == "regression"
         assert "differs" in bad[0].message
 
@@ -79,42 +92,42 @@ class TestBaselineGates:
                   tolerance=0.10)]
 
     def test_improvement(self):
-        verdicts = check_entry({"p99": 80.0}, self.GATES, {"p99": 100.0})
+        verdicts = _check({"p99": 80.0}, self.GATES, {"p99": 100.0})
         assert verdicts[0].status == "improvement"
 
     def test_within_tolerance(self):
-        verdicts = check_entry({"p99": 105.0}, self.GATES, {"p99": 100.0})
+        verdicts = _check({"p99": 105.0}, self.GATES, {"p99": 100.0})
         assert verdicts[0].status == "within_tolerance"
         assert not verdicts[0].failed
 
     def test_regression_beyond_tolerance(self):
-        verdicts = check_entry({"p99": 120.0}, self.GATES, {"p99": 100.0})
+        verdicts = _check({"p99": 120.0}, self.GATES, {"p99": 100.0})
         assert verdicts[0].status == "regression"
         assert exit_code(verdicts) == EXIT_REGRESSION
 
     def test_pass_when_slightly_better(self):
-        verdicts = check_entry({"p99": 95.0}, self.GATES, {"p99": 100.0})
+        verdicts = _check({"p99": 95.0}, self.GATES, {"p99": 100.0})
         assert verdicts[0].status == "pass"
 
     def test_higher_is_better_direction(self):
         gates = [Gate(metric="speedup", kind="baseline", direction="higher",
                       tolerance=0.10)]
-        assert check_entry(
+        assert _check(
             {"speedup": 15.0}, gates, {"speedup": 10.0}
         )[0].status == "improvement"
-        assert check_entry(
+        assert _check(
             {"speedup": 8.0}, gates, {"speedup": 10.0}
         )[0].status == "regression"
 
     def test_missing_baseline_reports_without_failing(self):
-        verdicts = check_entry({"p99": 80.0}, self.GATES, None)
+        verdicts = _check({"p99": 80.0}, self.GATES, None)
         assert verdicts[0].status == "missing_baseline"
         assert not verdicts[0].failed
         assert exit_code(verdicts) == EXIT_OK
 
     def test_missing_baseline_fails_when_required(self):
         gates = [Gate(metric="p99", kind="baseline", require_baseline=True)]
-        verdicts = check_entry({"p99": 80.0}, gates, None)
+        verdicts = _check({"p99": 80.0}, gates, None)
         assert verdicts[0].status == "regression"
 
     def test_dotted_baseline_metric_path(self):
@@ -122,27 +135,9 @@ class TestBaselineGates:
                       baseline_metric="modes.vectorized.p50",
                       tolerance=0.05)]
         baseline = {"modes": {"vectorized": {"p50": 100.0}}}
-        assert check_entry({"p50": 100.0}, gates, baseline)[0].status in (
+        assert _check({"p50": 100.0}, gates, baseline)[0].status in (
             "pass", "within_tolerance"
         )
-
-
-class TestWildcardAndWhen:
-    def test_wildcard_expands_over_dict(self):
-        gates = [Gate(metric="errors.*", kind="ceiling", value=0.01)]
-        entry = {"errors": {"2": 0.005, "4": 0.02, "8": 0.001}}
-        verdicts = check_entry(entry, gates)
-        assert len(verdicts) == 3
-        statuses = {v.metric: v.status for v in verdicts}
-        assert statuses["errors.4"] == "regression"
-        assert statuses["errors.2"] == statuses["errors.8"] == "pass"
-
-    def test_when_disarms_gate(self):
-        gates = [Gate(metric="speedup", kind="floor", value=3.0,
-                      when="gated")]
-        assert check_entry({"speedup": 1.0, "gated": False}, gates) == []
-        armed = check_entry({"speedup": 1.0, "gated": True}, gates)
-        assert armed[0].status == "regression"
 
 
 class TestLoadBaseline:
@@ -197,11 +192,3 @@ class TestCheckResult:
         gates = [Gate(metric="no_such_metric", kind="floor", value=1.0)]
         verdicts = check_result(result, gates)
         assert verdicts[0].status == "regression"
-
-    def test_failure_messages_contract(self):
-        verdicts = check_entry(
-            {"speedup": 1.0}, [Gate(metric="speedup", kind="floor", value=2.0)]
-        )
-        messages = failure_messages(verdicts)
-        assert len(messages) == 1 and "speedup" in messages[0]
-        assert failure_messages([]) == []

@@ -107,6 +107,10 @@ class TestArtifacts:
         assert entry["repeats"] == 2
         assert entry["metrics"]["total_seconds"]["n"] == 2
         assert len(entry["samples"]) == 2
+        assert set(entry["environment"]) == {
+            "python", "numpy", "machine", "usable_cpus", "native_kernel",
+            "pythondontwritebytecode",
+        }
 
     def test_entry_is_json_serializable(self):
         result = run_bench(

@@ -6,7 +6,7 @@ Two contracts from the windowed-telemetry layer:
   dispatch path (the scan oracle or the ``auto`` fast path), with or
   without a fault schedule, leaves the dispatch decisions byte-identical
   to the monitor-off run — the monitor only reads chunks after every
-  decision in them is final;
+  decision in them is final — and so does enabling the tracer;
 * a sharded fleet's merged window series (per-shard monitors folded in
   shard order) equals the inline single-process reference, across pool
   start methods and shard counts, and equals a hand-merged fold of
@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
+from repro.obs.spans import GLOBAL_TRACER
 from repro.obs.windows import ServingMonitor
 from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.cluster_serving import serve_sharded
@@ -117,6 +118,26 @@ class TestMonitorDispatchIdentity:
         assert monitored.fault_summary() == baseline.fault_summary()
         assert monitor.requests.total() == len(baseline.completed)
         assert monitor.sheds.total() == len(baseline.shed)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_tracer_enabled(self, engine, width):
+        """An enabled tracer records spans and steers nothing either."""
+        partition = make_partition(width)
+        trace = _trace()
+        baseline = ServingSimulator(partition).run(trace, dispatch=engine)
+        was_enabled = GLOBAL_TRACER.enabled
+        GLOBAL_TRACER.enable(clear=True)
+        try:
+            traced = ServingSimulator(partition).run(trace, dispatch=engine)
+            spans = GLOBAL_TRACER.drain()
+        finally:
+            if not was_enabled:
+                GLOBAL_TRACER.disable()
+        assert dispatch_rows(traced) == dispatch_rows(baseline), (
+            f"{engine} dispatch changed with the tracer enabled"
+        )
+        assert any(recorded.name == "serve.run" for recorded in spans)
 
     @pytest.mark.parametrize(
         "context", [pytest.param(c, id=label) for label, c in fast_variants()]

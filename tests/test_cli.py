@@ -205,6 +205,7 @@ class TestServe:
 
 _SERVE = ["serve", "512x512x512", "--requests", "100"]
 _HUGE_GAP = ["--mean-interarrival", "1e308"]
+_TINY_SERVE = ["serve", "512x512x512", "--requests", "50"]
 
 
 class TestBadInput:
@@ -271,24 +272,34 @@ class TestBadInput:
         assert err.strip().splitlines()[-1].startswith("versal-gemm ")
 
     @pytest.mark.parametrize(
-        "extra, flag",
+        "argv, flag",
         [
-            (["--rate", "1e-320"], "--rate 1e-320"),
-            (_HUGE_GAP, "--mean-interarrival 1e+308"),
-            (_HUGE_GAP + ["--shards", "2", "--streaming"], "--mean-interarrival 1e+308"),
-            (_HUGE_GAP + ["--faults", "chaos"], "--mean-interarrival 1e+308"),
+            (_TINY_SERVE + ["--rate", "1e-320"], "serve: --rate 1e-320"),
+            (_TINY_SERVE + _HUGE_GAP, "serve: --mean-interarrival 1e+308"),
+            (_TINY_SERVE + _HUGE_GAP + ["--shards", "2", "--streaming"],
+             "serve: --mean-interarrival 1e+308"),
+            (_TINY_SERVE + _HUGE_GAP + ["--faults", "chaos"],
+             "serve: --mean-interarrival 1e+308"),
+            (_TINY_SERVE + ["--sweep", "--loads", "500,1e-310"],
+             "serve: --loads 1e-310"),
+            (["bench", "serving", "--requests", "50"] + _HUGE_GAP,
+             "bench: --mean-interarrival 1e+308"),
+            (["bench", "sweep", "--requests", "50", "--loads", "1e-310"],
+             "bench: --loads 1e-310"),
         ],
-        ids=["rate", "unsharded", "sharded", "chaos"],
+        ids=["rate", "unsharded", "sharded", "chaos", "serve-sweep-loads",
+             "bench-serving", "bench-sweep-loads"],
     )
     def test_overflowing_arrival_clock_exits_2_before_running(
-        self, extra, flag, capsys
+        self, argv, flag, capsys, recwarn
     ):
-        assert main(["serve", "512x512x512", "--requests", "50"] + extra) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"serve: {flag} overflows the arrival clock of 50 requests"
+            f"{flag} overflows the arrival clock of 50 requests"
         ]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
     def test_jobs_exits_2_naming_the_value(self, value, capsys):
