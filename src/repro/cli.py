@@ -33,6 +33,8 @@ docs/observability.md.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -42,6 +44,15 @@ from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.spans import GLOBAL_TRACER
 from repro.reporting import RENDERERS, format_seconds, render_bars, render_table
 from repro.workloads.gemm import GemmShape
+
+# Exit without the interpreter's final collection, which walks and frees
+# every live object just before the process returns its memory anyway:
+# a frozen heap sits in the permanent generation, which is never
+# collected.  Safe because nothing in the package leaves cleanup to an
+# exit-time collection (docs/robustness.md, "Process exit").  Module
+# level, since the installed script calls ``main`` and never runs the
+# ``__main__`` block.
+atexit.register(gc.freeze)
 
 #: serving reports and windowed monitors queued by commands for the
 #: end-of-run trace export (cleared at the start of every ``main``
@@ -719,12 +730,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for name, summary in sorted(result.summaries.items())
     ]
     print(render_table(rows))
-    if args.csv_out:
-        write_csv(result, args.csv_out)
-        print(f"wrote {args.csv_out}", file=sys.stderr)
-    if args.json_out:
-        write_json(result, args.json_out)
-        print(f"wrote {args.json_out}", file=sys.stderr)
+    for flag, path, write in (("--csv-out", args.csv_out, write_csv),
+                              ("--json-out", args.json_out, write_json)):
+        if path:
+            try:
+                write(result, path)
+            except OSError as error:
+                return _cannot_write(flag, path, error)
+            print(f"wrote {path}", file=sys.stderr)
 
     if not args.baseline:
         return 0
@@ -1127,9 +1140,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bootstrap resamples per metric")
     bench.add_argument("--trace-rollup", action="store_true",
                        help="add a tracer-span rollup probe per repeat")
-    bench.add_argument("--csv-out", default=None, metavar="PATH",
+    bench.add_argument("--csv-out", type=_output_path, default=None,
+                       metavar="PATH",
                        help="write per-metric summary rows as CSV")
-    bench.add_argument("--json-out", default=None, metavar="PATH",
+    bench.add_argument("--json-out", type=_output_path, default=None,
+                       metavar="PATH",
                        help="write the full result entry as JSON")
     bench.add_argument("--baseline", default=None, metavar="PATH",
                        help="BENCH_*.json trajectory to gate against "

@@ -60,7 +60,9 @@ so ``--stats`` / ``--metrics-out`` reflect the whole fleet.
 
 from __future__ import annotations
 
+import atexit
 import copy
+import gc
 import io
 import multiprocessing
 import pickle
@@ -223,8 +225,14 @@ def _build_worker_simulator(payload: dict[str, Any]) -> ServingSimulator:
 
 
 def _worker_init(payload_bytes: bytes) -> None:
-    """Pool initializer: build this worker's simulator once."""
+    """Pool initializer: build this worker's simulator once.
+
+    A spawn worker exits through interpreter shutdown, so it freezes its
+    heap at exit as the CLI does (``repro.cli``) and skips the final
+    collection; fork and forkserver workers leave through ``os._exit``.
+    """
     global _WORKER_STATE
+    atexit.register(gc.freeze)
     payload = pickle.loads(payload_bytes)
     _WORKER_STATE = {
         "payload": payload,

@@ -206,6 +206,7 @@ class TestServe:
 _SERVE = ["serve", "512x512x512", "--requests", "100"]
 _HUGE_GAP = ["--mean-interarrival", "1e308"]
 _TINY_SERVE = ["serve", "512x512x512", "--requests", "50"]
+_TINY_BENCH = ["bench", "serving", "--requests", "100", "-n", "1"]
 
 
 class TestBadInput:
@@ -260,6 +261,10 @@ class TestBadInput:
             (["bench", "serving", "--shards", "0"], "0"),
             (["bench", "estimate", "--tolerance", "-1"], "-1"),
             (["bench", "estimate", "--tolerance", "inf"], "inf"),
+            (_TINY_BENCH + ["--json-out", "/nonexistent/x.json"],
+             "/nonexistent/x.json"),
+            (_TINY_BENCH + ["--csv-out", "/nonexistent/x.csv"],
+             "/nonexistent/x.csv"),
         ],
     )
     def test_exits_2_naming_the_value(self, argv, token, capsys):
@@ -344,7 +349,11 @@ class TestOutputPaths:
         assert last.startswith(f"versal-gemm {argv[0]}: error: argument {flag}: ")
         assert repr(path) in last
 
-    @pytest.mark.parametrize("argv, flag", _OUTPUT_FLAGS, ids=_OUTPUT_IDS)
+    @pytest.mark.parametrize(
+        "argv, flag",
+        _OUTPUT_FLAGS + [(_TINY_BENCH, "--csv-out"), (_TINY_BENCH, "--json-out")],
+        ids=_OUTPUT_IDS + ["bench--csv-out", "bench--json-out"],
+    )
     def test_unwritable_file_exits_1_with_one_line(
         self, argv, flag, capsys, tmp_path
     ):

@@ -49,15 +49,30 @@ DRIVER_MODULES = tuple(
 )
 
 
+def _child_env(tmp_path) -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    return env
+
+
+def _last_line_of(probe: str, tmp_path) -> str:
+    """Run ``probe`` in a fresh interpreter; return its last stdout line."""
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=_child_env(tmp_path), cwd=tmp_path,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
 def _loaded_after(
     code: str, tmp_path, watched=WATCHED, newly: bool = False
 ) -> list[str]:
     """The ``watched`` modules loaded once ``code`` has run; ``newly``
     leaves out those the interpreter had loaded before it (``site`` may
     load stdlib modules at start-up)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     before = "set(sys.modules)" if newly else "set()"
     probe = (
         "import json, sys\n"
@@ -66,12 +81,7 @@ def _loaded_after(
         f"print(json.dumps([m for m in {watched!r}\n"
         "                  if m in sys.modules and m not in before]))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    return json.loads(_last_line_of(probe, tmp_path))
 
 
 def _cli(*argv: str) -> str:
@@ -151,9 +161,9 @@ def test_faulted_serve_loads_the_fault_layer(tmp_path):
     assert loaded == ["repro.sim.chaos"]
 
 
-def test_shard_worker_imports_only_the_dispatch_layer(tmp_path):
-    """A pool worker initialised from a fault-free, monitor-free payload
-    serves its shard without loading the model stack."""
+def _worker_handoff(tmp_path) -> str:
+    """Pickle a real pool payload and one shard task to a file; return
+    child code that initialises a worker from it and serves the shard."""
     import pickle
 
     from repro.core.multi_acc import AcceleratorPartition
@@ -175,7 +185,7 @@ def test_shard_worker_imports_only_the_dispatch_layer(tmp_path):
     handoff.write_bytes(pickle.dumps(
         (cluster._payload_bytes, (2000, 1e-3, 3, lo, hi, offset, None))
     ))
-    code = (
+    return (
         "import pickle\n"
         "from repro.sim.cluster_serving import _run_shard_task, _worker_init\n"
         f"payload, task = pickle.loads(open({str(handoff)!r}, 'rb').read())\n"
@@ -183,7 +193,84 @@ def test_shard_worker_imports_only_the_dispatch_layer(tmp_path):
         "result = pickle.loads(_run_shard_task(task))\n"
         f"assert result['report'].count == {hi - lo}\n"
     )
+
+
+def test_shard_worker_imports_only_the_dispatch_layer(tmp_path):
+    """A pool worker initialised from a fault-free, monitor-free payload
+    serves its shard without loading the model stack."""
+    code = _worker_handoff(tmp_path)
     assert _loaded_after(code, tmp_path, WORKER_WATCHED) == []
+
+
+def _freeze_count_at_exit(code: str, tmp_path) -> int:
+    """``gc.get_freeze_count()`` read by the last atexit handler of a
+    fresh interpreter that runs ``code``: registered before ``code``
+    runs, it runs after every handler ``code`` registers."""
+    probe = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        f"{code}\n"
+    )
+    return int(_last_line_of(probe, tmp_path))
+
+
+def test_cli_process_exits_with_a_frozen_heap(tmp_path):
+    """The interpreter's final collection skips the permanent generation,
+    so a frozen heap is not walked object by object at exit."""
+    code = _cli("estimate", "1024x512x256", "--config", "C5") + _cli(
+        "serve", "512x512x512,1024x1024x1024", "--requests", "1000"
+    )
+    assert _freeze_count_at_exit(code, tmp_path) > 0
+
+
+def test_shard_worker_exits_with_a_frozen_heap(tmp_path):
+    assert _freeze_count_at_exit(_worker_handoff(tmp_path), tmp_path) > 0
+
+
+def test_fresh_process_writes_what_an_in_process_run_writes(
+    tmp_path, capsys, monkeypatch
+):
+    """Every output file is complete when ``main`` returns: none waits
+    for an exit-time collection to flush or close it.  The trace and the
+    metrics are compared without the samples that time the host."""
+    from repro.cli import main
+    from repro.perf import clear_cache
+    from tests.conformance.test_golden_serve import (
+        _sim_events,
+        _strip_host_metrics,
+    )
+
+    argv = [
+        "serve", "1024x1024x1024,512x512x512", "--configs", "C5,C3",
+        "--requests", "1000", "--rate", "1000", "--seed", "3",
+        "--slo", "p99<50ms,avail>0.999", "--windows", "20",
+        "--trace-out", "trace.json", "--metrics-out", "metrics.prom",
+        "--monitor-out", "monitor.json",
+    ]
+    fresh, in_process = tmp_path / "fresh", tmp_path / "in_process"
+    fresh.mkdir()
+    in_process.mkdir()
+    child = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, env=_child_env(tmp_path), cwd=fresh,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    monkeypatch.chdir(in_process)
+    clear_cache()  # the cache counters land in the metrics file
+    assert main(argv) == 0
+    assert child.stdout == capsys.readouterr().out
+
+    def written(directory):
+        trace = (directory / "trace.json").read_text()
+        return (
+            _sim_events(trace),
+            len(json.loads(trace)["traceEvents"]),
+            _strip_host_metrics((directory / "metrics.prom").read_text()),
+            (directory / "monitor.json").read_bytes(),
+        )
+
+    assert written(fresh) == written(in_process)
 
 
 @pytest.mark.parametrize("package", ("repro",) + SUBPACKAGES)
