@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gc
 import math
+import statistics
 import time
 from contextlib import AbstractContextManager, ExitStack
 from typing import Any, Callable, Sequence
@@ -476,9 +477,11 @@ class PairedExperiment(Experiment):
     host that speeds up or slows down mid-run moves both legs alike
     rather than one; legs of a few milliseconds take several rounds
     to outlast the host's jitter.  A repeat reports each leg's mean
-    seconds per round, ``ratio = change_s / base_s`` and, given
-    ``requests``, ``extra_ns_per_request``: what the change leg adds
-    per request in absolute terms.  ``side`` returns further metrics,
+    seconds per round, ``ratio``, the median over its rounds of
+    ``change_s / base_s`` (one hiccup in either leg moves one round's
+    ratio, not the repeat's), and, given ``requests``,
+    ``extra_ns_per_request``: what the change leg adds per request in
+    absolute terms.  ``side`` returns further metrics,
     measured after the rounds of each repeat.
     """
 
@@ -536,17 +539,17 @@ class PairedExperiment(Experiment):
             self.prepare()
         # the previous repeat's garbage is collected outside the timing
         gc.collect()
-        total = {"base": 0.0, "change": 0.0}
+        rounds = []
         for _ in range(self.rounds):
             order = ("base", "change") if self._turn % 2 == 0 else ("change", "base")
             self._turn += 1
-            for leg in order:
-                total[leg] += self._time(leg)
-        base, change = total["base"] / self.rounds, total["change"] / self.rounds
+            rounds.append({leg: self._time(leg) for leg in order})
+        base = sum(seconds["base"] for seconds in rounds) / self.rounds
+        change = sum(seconds["change"] for seconds in rounds) / self.rounds
         metrics = {
             "base_seconds": base,
             "change_seconds": change,
-            "ratio": change / base,
+            "ratio": statistics.median(s["change"] / s["base"] for s in rounds),
         }
         if self.requests:
             metrics["extra_ns_per_request"] = (change - base) / self.requests * 1e9

@@ -279,15 +279,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _arrival_clock_error(
-    command: str, requests: int, args: argparse.Namespace
+    command: str, requests: int, args: argparse.Namespace, shortest_service: float
 ) -> str | None:
     """The one-line error when a flag's mean inter-arrival gap overflows
-    the arrival clock of ``requests`` requests, else None.
+    the arrival clock of ``requests`` requests, or makes it too coarse
+    to resolve a latency, else None.
 
     Covers ``--rate``, ``--mean-interarrival`` and every ``--loads``
     value (a load of L rps is a gap of 1/L).  No draw exceeds
     log(2**32 + 2) ~ 22.2 mean inter-arrivals, so a finite 23x span
-    keeps every arrival finite.
+    keeps every arrival finite.  A latency is the difference of two
+    clock readings near the trace horizon, so the clock's spacing there
+    must not exceed the sketch's ``--quantile-error`` resolution of
+    ``shortest_service``; a coarser clock quantizes every latency.
     """
     gaps = []
     if getattr(args, "rate", None) is not None:
@@ -300,7 +304,25 @@ def _arrival_clock_error(
         if not math.isfinite(23.0 * requests * gap):
             return (f"{command}: {flag} overflows the arrival clock of "
                     f"{requests} requests")
+        spacing = math.ulp(requests * gap)
+        if spacing > args.quantile_error * shortest_service:
+            return (f"{command}: {flag} spaces the arrival clock of {requests} "
+                    f"requests {spacing:.3g} s apart, coarser than "
+                    f"{args.quantile_error:g} of the {shortest_service:.3g} s "
+                    "shortest service time")
     return None
+
+
+def _shortest_service(shapes: list[GemmShape], configs: list[str]) -> float:
+    """The shortest service time of any shape on its fastest config
+    (inf when a shape fits none; the run itself reports that)."""
+    from repro.bench.scenarios import build_partition
+
+    partition = build_partition(configs)
+    try:
+        return min(partition.best_accelerator(shape)[1] for shape in shapes)
+    except ValueError:
+        return math.inf
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -328,10 +350,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"serve: {error}", file=sys.stderr)
             return 2
-    clock_error = _arrival_clock_error("serve", args.requests, args)
-    if clock_error:
-        print(clock_error, file=sys.stderr)
-        return 2
     if args.rate is not None:
         mean_interarrival = 1.0 / args.rate
     else:
@@ -351,6 +369,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.stats:
         print(f"native       {_native_status(native)}", file=sys.stderr)
     simulator.prewarm(shapes)
+    shortest = min(simulator._service_cache.values(), default=math.inf)
+    clock_error = _arrival_clock_error("serve", args.requests, args, shortest)
+    if clock_error:
+        print(clock_error, file=sys.stderr)
+        return 2
 
     faults = None
     fault_policy = None
@@ -684,8 +707,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("bench: pass an experiment kind or --smoke", file=sys.stderr)
         return 2
     if args.kind in _BENCH_REQUESTS_DEFAULT:
+        from repro.bench.scenarios import SERVING_CONFIGS, SERVING_SHAPES
+
         clock_error = _arrival_clock_error(
-            "bench", args.requests or _BENCH_REQUESTS_DEFAULT[args.kind], args
+            "bench",
+            args.requests or _BENCH_REQUESTS_DEFAULT[args.kind],
+            args,
+            _shortest_service(
+                args.shapes or SERVING_SHAPES, args.configs or SERVING_CONFIGS
+            ),
         )
         if clock_error:
             print(clock_error, file=sys.stderr)

@@ -13,12 +13,13 @@ series accumulate per-window state:
   relative-error bound.
 
 :class:`ServingMonitor` bundles the series behind the hook the serving
-engines call: ``observe_chunk(arrivals, starts, finishes)`` at the same
-chunk boundaries the streaming report uses, plus ``observe_sheds`` /
-``observe_kills`` from the fault loop.  The monitor only *reads* the
-already-decided dispatch results, so attaching one cannot perturb
-dispatch decisions — byte-identity of monitored vs. unmonitored runs is
-a conformance-tested contract.
+engines call: ``observe_chunk(finishes, latencies, keys)`` with each
+block the streaming report folds (the engines' sink computes its
+latencies and sketch bucket keys once for both), plus
+``observe_sheds`` / ``observe_kills`` from the fault loop.  The monitor
+only *reads* the already-decided dispatch results, so attaching one
+cannot perturb dispatch decisions — byte-identity of monitored vs.
+unmonitored runs is a conformance-tested contract.
 
 Mergeability mirrors :meth:`repro.sim.streaming.StreamingServingReport.merge`:
 counters add, gauges keep the maximum, window sketches merge
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class _WindowedSeries:
         idx = (
             np.asarray(times, dtype=np.float64) / self.window_seconds
         ).astype(np.int64)
-        return np.maximum(idx, 0)
+        return np.maximum(idx, 0, out=idx)
 
     def bounds(self, index: int) -> tuple[float, float]:
         return index * self.window_seconds, (index + 1) * self.window_seconds
@@ -137,14 +138,12 @@ class WindowedCounter(_WindowedSeries):
         times = np.asarray(times, dtype=np.float64)
         if times.size == 0:
             return
-        self.add_indices(self.indices_of(times))
-
-    def add_indices(self, idx: np.ndarray) -> None:
-        """Count one event per precomputed window index (vectorized)."""
-        if idx.size == 0:
-            return
+        idx = self.indices_of(times)
         base = int(idx.min())
-        counts = np.bincount(idx - base)
+        self.add_counts(base, np.bincount(idx - base))
+
+    def add_counts(self, base: int, counts: np.ndarray) -> None:
+        """Count ``counts[i]`` events in window ``base + i``."""
         store = self._values
         for offset in np.flatnonzero(counts).tolist():
             index = base + int(offset)
@@ -281,13 +280,16 @@ class WindowedHistogram(_WindowedSeries):
         times: np.ndarray,
         values: np.ndarray,
         indices: np.ndarray | None = None,
+        keys: np.ndarray | None = None,
+        counter: WindowedCounter | None = None,
     ) -> list[int]:
         """Fold ``values[i]`` into the window holding ``times[i]``.
 
-        ``indices`` short-circuits the window-index computation when the
-        caller already holds ``indices_of(times)`` (the monitor shares
-        one pass across all its series).  Returns the sorted list of
-        window indices the chunk touched.
+        ``indices`` (``indices_of(times)``) and ``keys`` (the values'
+        bucket keys from a same-resolution ``prepare_keys``) are work
+        the caller shares with its other consumers; ``counter`` is
+        credited with each window's value count from the same pass.
+        Returns the sorted list of window indices the chunk touched.
         """
         values = np.asarray(values, dtype=np.float64)
         if indices is None:
@@ -306,10 +308,14 @@ class WindowedHistogram(_WindowedSeries):
         base = int(idx.min())
         span = int(idx.max()) - base + 1
         probe = self._sketch_for(base)
-        keys = probe.prepare_keys(values)
-        if keys is None or span * _key_span(keys) > _DENSE_SCATTER_LIMIT:
+        if keys is None:
+            keys = probe.prepare_keys(values)
+        krange = _key_span(keys) if keys is not None else 0
+        if keys is None or span * krange > _DENSE_SCATTER_LIMIT:
             # underflow values or a pathologically wide scatter: group
             # by window through one stable sort and take the exact path
+            if counter is not None:
+                counter.add_counts(base, np.bincount(idx - base))
             order = np.argsort(idx, kind="stable")
             sorted_idx = idx[order]
             sorted_values = values[order]
@@ -324,29 +330,29 @@ class WindowedHistogram(_WindowedSeries):
             self._evict(self._sketches, base + span - 1)
             return touched
         kmin = int(keys.min())
-        krange = _key_span(keys)
-        combo = (idx - base) * krange + (keys - kmin)
+        offsets = idx - base
+        combo = offsets * krange
+        combo += keys
+        combo -= kmin
         scattered = np.bincount(combo, minlength=span * krange).reshape(
             span, krange
         )
-        counts = np.bincount(idx - base, minlength=span)
-        sums = np.bincount(idx - base, weights=values, minlength=span)
+        counts = scattered.sum(axis=1)
+        if counter is not None:
+            counter.add_counts(base, counts)
+        sums = np.bincount(offsets, weights=values, minlength=span)
         gamma = probe._gamma
         touched = []
         for offset in np.flatnonzero(counts).tolist():
-            index = base + int(offset)
+            index = base + offset
             touched.append(index)
             sketch = self._sketch_for(index)
             row = scattered[offset]
             occupied = np.flatnonzero(row)
             bucket = sketch._counts
-            lo_key = hi_key = None
-            for key_offset in occupied.tolist():
-                key = kmin + key_offset
-                bucket[key] = bucket.get(key, 0) + int(row[key_offset])
-                if lo_key is None:
-                    lo_key = key
-                hi_key = key
+            for key, num in zip((occupied + kmin).tolist(), row[occupied].tolist()):
+                bucket[key] = bucket.get(key, 0) + num
+            lo_key, hi_key = kmin + int(occupied[0]), kmin + int(occupied[-1])
             sketch.count += int(counts[offset])
             sketch._sum += float(sums[offset])
             # bucket-representative extremes: deterministic under any
@@ -482,9 +488,9 @@ class ServingMonitor:
     """The windowed-telemetry hook the serving engines feed.
 
     One monitor watches one serve (or one shard of one): the engines
-    call :meth:`observe_chunk` with each flushed chunk's arrival /
-    start / finish arrays — the *same* chunk boundaries the streaming
-    report consumes, after dispatch decisions are final — and the fault
+    call :meth:`observe_chunk` with each flushed chunk's finish times
+    and latencies — the *same* chunk boundaries the streaming report
+    consumes, after dispatch decisions are final — and the fault
     loop reports sheds and kills by their simulated timestamps.
     Completions land in the window of their **finish** time (telemetry
     reports events when they happen, not when they were requested);
@@ -515,21 +521,23 @@ class ServingMonitor:
     # -- feed ----------------------------------------------------------
     def observe_chunk(
         self,
-        arrivals: np.ndarray,
-        starts: np.ndarray,
         finishes: np.ndarray,
+        latencies: np.ndarray,
+        keys: np.ndarray | None = None,
     ) -> None:
-        """Fold one flushed dispatch chunk (arrays align by request)."""
+        """Fold one flushed dispatch chunk (arrays align by request);
+        the latencies' bucket ``keys`` are derived when absent."""
         finishes = np.asarray(finishes, dtype=np.float64)
         if finishes.size == 0:
             return
-        arrivals = np.asarray(arrivals, dtype=np.float64)
+        latencies = np.asarray(latencies, dtype=np.float64)
         self.chunks += 1
-        # one window-index pass shared by every series of the monitor
+        # one window-index pass shared by every series of the monitor,
+        # and one scatter counting the requests and folding the latencies
         indices = self.requests.indices_of(finishes)
-        self.requests.add_indices(indices)
-        latency = finishes - arrivals
-        touched = self.latency.observe_values(finishes, latency, indices=indices)
+        touched = self.latency.observe_values(
+            finishes, latencies, indices=indices, keys=keys, counter=self.requests
+        )
         # peak per window from the freshly folded sketches keeps the
         # gauge consistent with the histogram under any chunking
         for index in touched:
@@ -592,10 +600,6 @@ class ServingMonitor:
     def timeline(self) -> list[WindowStats]:
         """Every populated window, oldest first."""
         return [self.window_stats(index) for index in self.window_indices()]
-
-    def iter_rows(self) -> Iterator[dict[str, Any]]:
-        for stats in self.timeline():
-            yield stats.as_dict()
 
     # -- (de)serialization ---------------------------------------------
     def as_dict(self) -> dict[str, Any]:

@@ -89,6 +89,7 @@ from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.sim import dispatch_batch
 from repro.sim.dispatch_batch import dispatch_vectorized
 from repro.sim.streaming import (
+    QuantileSketch,
     SoATrace,
     StreamingServingReport,
     derive_seed,
@@ -338,8 +339,9 @@ class _ReportSink:
     so the stretches are re-cut into exact ``chunk_size`` blocks at rows
     ``0, chunk_size, 2 * chunk_size, ...`` whatever engine produced
     them.  Per block, in order: a ``serve.dispatch_chunk`` span opens,
-    the streaming report folds the block, and the monitor sees it —
-    after every decision in it is final, so a monitor observes and
+    the block's latencies and sketch bucket keys are computed once, the
+    streaming report folds them and the monitor sees them — all after
+    every decision in the block is final, so a monitor observes and
     never steers.  Equal decisions therefore give byte-equal reports
     and monitor series on every engine.  Exact mode keeps the stretches
     themselves as the report's columns, so a whole column is kept
@@ -363,6 +365,13 @@ class _ReportSink:
         self.report = (
             StreamingServingReport(names, quantile_error=quantile_error)
             if streaming
+            else None
+        )
+        # one bucket-key pass per block at the report's resolution (the
+        # monitor's in exact mode), shared by the consumers at it
+        self._keyer = (
+            QuantileSketch(quantile_error if streaming else monitor.quantile_error)
+            if streaming or monitor is not None
             else None
         )
         # exact mode: the report columns, as the engine handed them over
@@ -402,11 +411,19 @@ class _ReportSink:
         self, base: int, accs: np.ndarray, starts: np.ndarray, finishes: np.ndarray
     ) -> None:
         with span("serve.dispatch_chunk", track="serving", base=base, size=len(accs)):
+            if self._keyer is None:
+                return
             arrivals = self.arrivals[base : base + len(accs)]
+            latencies = finishes - arrivals
+            keys = self._keyer.prepare_keys(latencies)
             if self.report is not None:
-                self.report.observe_batch(accs, arrivals, starts, finishes)
+                self.report.observe_batch(
+                    accs, arrivals, starts, finishes, latencies, keys
+                )
             if self.monitor is not None:
-                self.monitor.observe_chunk(arrivals, starts, finishes)
+                if self.monitor.quantile_error != self._keyer.relative_error:
+                    keys = None
+                self.monitor.observe_chunk(finishes, latencies, keys)
 
     def finish(
         self,

@@ -17,11 +17,11 @@ dashboard.  This module provides the scalable counterparts:
   sketch with a *guaranteed relative error bound*: every reported
   quantile is within ``relative_error`` (default 1%) of the exact
   ranked value, using O(log(dynamic range) / relative_error) memory.
-* :class:`StreamingServingReport` — running aggregates plus one sketch
-  per accelerator, folded from the same dispatch chunks the exact
-  ``ServingReport`` keeps; mirrors its read API with O(1) memory in the
-  trace length (a faulted run's fault loop still holds its per-request
-  outcome columns until the loop ends).
+* :class:`StreamingServingReport` — running aggregates, per-accelerator
+  loads and one latency sketch, folded from the same dispatch chunks
+  the exact ``ServingReport`` keeps; mirrors its read API with O(1)
+  memory in the trace length (a faulted run's fault loop still holds
+  its per-request outcome columns until the loop ends).
 
 The error bound, precisely: a value ``v > min_value`` lands in bucket
 ``ceil(log_gamma(v))`` with ``gamma = (1 + e) / (1 - e)``; the bucket's
@@ -376,7 +376,7 @@ class QuantileSketch:
             return None
         keys = np.log(arr)
         keys /= self._log_gamma
-        return np.ceil(keys).astype(np.int64)
+        return np.ceil(keys, out=keys).astype(np.int64)
 
     def add_keyed(self, values: np.ndarray, keys: np.ndarray) -> None:
         """Fold ``values`` whose bucket keys were precomputed.
@@ -396,10 +396,10 @@ class QuantileSketch:
         self._max = max(self._max, float(values.max()))
         kmin = int(keys.min())
         counts = np.bincount(keys - kmin)
+        occupied = np.flatnonzero(counts)
         bucket = self._counts
-        for offset in np.flatnonzero(counts).tolist():
-            key = kmin + int(offset)
-            bucket[key] = bucket.get(key, 0) + int(counts[offset])
+        for key, num in zip((occupied + kmin).tolist(), counts[occupied].tolist()):
+            bucket[key] = bucket.get(key, 0) + num
 
     @property
     def min(self) -> float:
@@ -504,7 +504,7 @@ class QuantileSketch:
 
 
 class StreamingServingReport:
-    """O(1)-memory serving report: running aggregates + quantile sketches.
+    """O(1)-memory serving report: running aggregates + one quantile sketch.
 
     Mirrors :class:`repro.sim.serving.ServingReport`'s read API
     (``makespan``, ``throughput_rps``, ``mean_latency``,
@@ -528,9 +528,6 @@ class StreamingServingReport:
         self._latency_sum = 0.0
         self._queueing_sum = 0.0
         self._latency = QuantileSketch(quantile_error)
-        self._per_accelerator = {
-            name: QuantileSketch(quantile_error) for name in self.accelerator_names
-        }
         self._loads = {name: 0 for name in self.accelerator_names}
         # fault accounting (zero / empty on fault-free runs)
         self.shed_count = 0
@@ -549,15 +546,16 @@ class StreamingServingReport:
         arrivals: np.ndarray,
         starts: np.ndarray,
         finishes: np.ndarray,
+        latencies: np.ndarray | None = None,
+        keys: np.ndarray | None = None,
     ) -> None:
         """Fold one dispatched chunk (index-aligned arrays) into the report.
 
-        The bucket keys for the block's latencies are computed once and
-        shared between the global sketch and the per-accelerator
-        sketches (:meth:`QuantileSketch.add_keyed`), so each latency
-        pays one ``np.log`` instead of two plus two sorts.  The
-        resulting report state is bit-identical to the naive
-        ``add_many`` feed — the rare underflow block falls back to it.
+        ``latencies`` (``finishes - arrivals``) and their bucket ``keys``
+        at this report's resolution are derived when absent (the engines'
+        sink computes both once per block for the report and monitor).
+        The state is bit-identical to a naive ``add_many`` feed, which a
+        block with underflow values (no keys) takes.
         """
         accelerator_indices = np.asarray(accelerator_indices)
         arrivals = np.asarray(arrivals, dtype=np.float64)
@@ -565,35 +563,21 @@ class StreamingServingReport:
         finishes = np.asarray(finishes, dtype=np.float64)
         if accelerator_indices.size == 0:
             return
-        latencies = finishes - arrivals
+        if latencies is None:
+            latencies = finishes - arrivals
+        if keys is None:
+            keys = self._latency.prepare_keys(latencies)
         self.count += int(accelerator_indices.size)
         self._makespan = max(self._makespan, float(finishes.max()))
         self._latency_sum += float(latencies.sum())
         self._queueing_sum += float((starts - arrivals).sum())
-        names = self.accelerator_names
-        keys = self._latency.prepare_keys(latencies)
         if keys is None:
             # underflow values present: take the validated slow path
             self._latency.add_many(latencies)
-            for index in np.unique(np.asarray(accelerator_indices, dtype=np.int64)).tolist():
-                mask = accelerator_indices == index
-                name = names[index]
-                self._per_accelerator[name].add_many(latencies[mask])
-                self._loads[name] += int(np.count_nonzero(mask))
-            return
-        self._latency.add_keyed(latencies, keys)
-        if len(names) == 1:
-            # one accelerator: its sketch sees the whole block
-            self._per_accelerator[names[0]].add_keyed(latencies, keys)
-            self._loads[names[0]] += int(accelerator_indices.size)
-            return
-        for index, name in enumerate(names):
-            mask = accelerator_indices == index
-            num = int(np.count_nonzero(mask))
-            if not num:
-                continue
-            self._per_accelerator[name].add_keyed(latencies[mask], keys[mask])
-            self._loads[name] += num
+        else:
+            self._latency.add_keyed(latencies, keys)
+        for index, name in enumerate(self.accelerator_names):
+            self._loads[name] += int(np.count_nonzero(accelerator_indices == index))
 
     @property
     def makespan(self) -> float:
@@ -622,12 +606,6 @@ class StreamingServingReport:
         if self.count == 0:
             raise ValueError("no completed requests")
         return self._latency.quantiles(percentiles)
-
-    def accelerator_percentile(self, accelerator: str, percentile: float) -> float:
-        sketch = self._per_accelerator[accelerator]
-        if sketch.count == 0:
-            raise ValueError(f"no completed requests on {accelerator}")
-        return sketch.quantile(percentile)
 
     def accelerator_load(self) -> dict[str, int]:
         return {name: load for name, load in self._loads.items() if load}
@@ -708,7 +686,6 @@ class StreamingServingReport:
         self._queueing_sum += other._queueing_sum
         self._latency.merge(other._latency)
         for name in self.accelerator_names:
-            self._per_accelerator[name].merge(other._per_accelerator[name])
             self._loads[name] += other._loads[name]
         self.shed_count += other.shed_count
         self.total_retries += other.total_retries

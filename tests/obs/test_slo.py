@@ -93,7 +93,7 @@ def _complete(monitor, window, count, latency):
     start, end = monitor.requests.bounds(window)
     finishes = np.linspace(start, end, count, endpoint=False)
     arrivals = finishes - latency
-    monitor.observe_chunk(arrivals, arrivals, finishes)
+    monitor.observe_chunk(finishes, finishes - arrivals)
 
 
 class TestEvaluate:

@@ -234,7 +234,7 @@ def _feed(monitor, finishes, latencies):
     finishes = np.asarray(finishes, dtype=np.float64)
     latencies = np.asarray(latencies, dtype=np.float64)
     arrivals = finishes - latencies
-    monitor.observe_chunk(arrivals, arrivals, finishes)
+    monitor.observe_chunk(finishes, finishes - arrivals)
 
 
 def assert_monitors_match(left, right, ignore_chunks=False):

@@ -319,12 +319,6 @@ class TestStreamingServingReport:
         assert report.throughput_rps == 0.0
         assert report.accelerator_load() == {}
 
-    def test_accelerator_percentile(self):
-        report = self._report()
-        assert report.accelerator_percentile("b", 50) == pytest.approx(1.0, rel=0.02)
-        with pytest.raises(ValueError):
-            StreamingServingReport(["a"]).accelerator_percentile("a", 50)
-
     def test_rejects_empty_partition(self):
         with pytest.raises(ValueError):
             StreamingServingReport([])

@@ -207,6 +207,8 @@ _SERVE = ["serve", "512x512x512", "--requests", "100"]
 _HUGE_GAP = ["--mean-interarrival", "1e308"]
 _TINY_SERVE = ["serve", "512x512x512", "--requests", "50"]
 _TINY_BENCH = ["bench", "serving", "--requests", "100", "-n", "1"]
+_COARSE_SERVE = ["serve", "1024x1024x1024,512x512x512", "--configs", "C5,C3",
+                 "--requests", "1000"]
 
 
 class TestBadInput:
@@ -305,6 +307,42 @@ class TestBadInput:
             f"{flag} overflows the arrival clock of 50 requests"
         ]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (_COARSE_SERVE + ["--rate", "1e-14"], "serve: --rate 1e-14"),
+            (_COARSE_SERVE + ["--rate", "1e-10", "--streaming"],
+             "serve: --rate 1e-10"),
+            (_COARSE_SERVE + ["--mean-interarrival", "1e10", "--shards", "2",
+                              "--streaming"],
+             "serve: --mean-interarrival 10000000000.0"),
+            (_COARSE_SERVE + ["--sweep", "--loads", "500,1e-10"],
+             "serve: --loads 1e-10"),
+            (["bench", "serving", "--requests", "1000", "--mean-interarrival",
+              "1e10"], "bench: --mean-interarrival 10000000000.0"),
+            (["bench", "sweep", "--requests", "1000", "--loads", "1e-10"],
+             "bench: --loads 1e-10"),
+        ],
+        ids=["rate", "streaming", "sharded", "serve-sweep-loads",
+             "bench-serving", "bench-sweep-loads"],
+    )
+    def test_too_coarse_arrival_clock_exits_2_naming_the_flag(
+        self, argv, flag, capsys
+    ):
+        # at 1e13 s the clock's spacing is ~2 ms: every latency of a
+        # ~330 us service would print quantized (0.0 us at --rate 1e-14)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"{flag} spaces the arrival clock of 1000 requests ")
+        assert line.endswith("coarser than 0.01 of the 0.00033 s shortest service time")
+
+    def test_slow_rate_with_a_fine_enough_clock_still_runs(self, capsys):
+        assert main(_COARSE_SERVE + ["--rate", "1e-6"]) == 0
+        out = capsys.readouterr().out
+        assert "latency      p50 329.7 us" in out
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
     def test_jobs_exits_2_naming_the_value(self, value, capsys):
