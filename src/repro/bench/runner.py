@@ -1,13 +1,9 @@
-"""The repeated-run driver: N seeded repeats -> per-metric summaries.
+"""The repeated-run driver: N timed repeats -> per-metric summaries.
 
-``run_bench`` derives one seed per repeat up front
-(``derive_seed(seed, repeat)``), runs the repeats serially or through
-:func:`repro.perf.parallel.parallel_map` (thread-based,
-order-preserving), and summarizes every metric across repeats with
-:func:`repro.bench.stats.summarize`.  Because each repeat's randomness
-is a pure function of its own derived seed, a ``--jobs N`` run
-produces the identical sample stream to a serial run — only wall-clock
-measurements (which are *measurements*, not draws) can differ.
+``run_bench`` runs an experiment's repeats serially, times each one
+(``wall_seconds``), and summarizes every metric across repeats with
+:func:`summarize`: the count, mean, median, sample standard deviation,
+minimum and maximum, which are every aggregate a gate reads.
 """
 
 from __future__ import annotations
@@ -16,21 +12,15 @@ import csv
 import json
 import os
 import platform
+import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from repro.bench.experiments import Experiment
-from repro.bench.measure import Probe, default_probes, run_probed
-from repro.bench.noise import NoiseModel
-from repro.bench.stats import MetricSummary, summarize
-from repro.perf.parallel import parallel_map, usable_cpus
-from repro.sim.streaming import derive_seed
-
-#: bootstrap-resample stream lane, disjoint from repeat lanes
-_BOOTSTRAP_LANE = 0x5EED
+from repro.perf.parallel import usable_cpus
 
 
 def environment() -> dict[str, Any]:
@@ -54,6 +44,46 @@ def environment() -> dict[str, Any]:
     }
 
 
+@dataclass(frozen=True)
+class MetricSummary:
+    """Distribution summary of one metric across repeats."""
+
+    n: int
+    mean: float
+    median: float
+    #: sample standard deviation (0 for one sample)
+    std: float
+    min: float
+    max: float
+
+    def value(self, aggregate: str) -> float:
+        """Resolve an aggregate name (``mean``/``median``/``min``/``max``)."""
+        if aggregate not in ("mean", "median", "min", "max"):
+            raise ValueError(
+                f"unknown aggregate {aggregate!r}; expected one of "
+                "mean, median, min, max"
+            )
+        return float(getattr(self, aggregate))
+
+    def as_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+
+def summarize(samples: Sequence[float]) -> MetricSummary:
+    """The count, mean, median, std, min and max of ``samples``."""
+    values = [float(value) for value in samples]
+    if not values:
+        raise ValueError("need at least one sample")
+    return MetricSummary(
+        n=len(values),
+        mean=statistics.mean(values),
+        median=statistics.median(values),
+        std=statistics.stdev(values) if len(values) > 1 else 0.0,
+        min=min(values),
+        max=max(values),
+    )
+
+
 @dataclass
 class BenchResult:
     """All repeats of one benched experiment, summarized per metric."""
@@ -61,9 +91,6 @@ class BenchResult:
     kind: str
     params: dict[str, Any]
     repeats: int
-    seed: int
-    noise: list[str]
-    confidence: float
     samples: list[dict[str, float]]
     summaries: dict[str, MetricSummary] = field(default_factory=dict)
 
@@ -76,15 +103,12 @@ class BenchResult:
             ) from None
 
     def entry(self) -> dict[str, Any]:
-        """The JSON trajectory entry for this result."""
+        """The JSON record of this result."""
         return {
             "timestamp": time.time(),
             "kind": self.kind,
             "params": self.params,
             "repeats": self.repeats,
-            "seed": self.seed,
-            "noise": self.noise,
-            "confidence": self.confidence,
             "environment": environment(),
             "metrics": {
                 name: summary.as_dict()
@@ -94,75 +118,45 @@ class BenchResult:
         }
 
 
-def run_bench(
-    experiment: Experiment,
-    repeats: int = 5,
-    seed: int = 0,
-    noise: list[NoiseModel] | None = None,
-    jobs: int = 1,
-    confidence: float = 0.95,
-    bootstrap_resamples: int = 1000,
-    probes: list[Probe] | None = None,
-    trace_rollup: bool = False,
-) -> BenchResult:
-    """Run ``repeats`` seeded repeats of ``experiment`` and summarize.
+def run_bench(experiment: Experiment, repeats: int = 5) -> BenchResult:
+    """Run ``repeats`` repeats of ``experiment`` serially and summarize.
 
-    ``jobs > 1`` runs repeats concurrently (threads); per-repeat seeds
-    are derived up front, so the sample stream is byte-identical to a
-    serial run.  Probes default to timer + stats
-    (:func:`repro.bench.measure.default_probes`); note that with
-    ``jobs > 1`` concurrent repeats share the process-global stats and
-    tracer, so the probe-attributed deltas are only exact at
-    ``jobs=1``.
+    Each sample is the experiment's metrics plus ``wall_seconds``, the
+    repeat's wall time.
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
-    repeat_seeds = [derive_seed(seed, repeat) for repeat in range(repeats)]
-
-    def one(repeat_seed: int) -> dict[str, float]:
-        stack = probes if probes is not None else default_probes(trace_rollup)
-        return run_probed(
-            lambda: experiment.run_repeat(repeat_seed, noise), stack
-        )
-
+    samples = []
     experiment.prepare()
     try:
-        samples = parallel_map(one, repeat_seeds, jobs=jobs)
+        for _ in range(repeats):
+            started = time.perf_counter()
+            metrics = experiment.run_repeat()
+            samples.append(
+                {"wall_seconds": time.perf_counter() - started, **metrics}
+            )
     finally:
         experiment.close()
 
     names = sorted({name for sample in samples for name in sample})
-    summaries = {}
-    for name in names:
-        values = [sample[name] for sample in samples if name in sample]
-        summaries[name] = summarize(
-            values,
-            confidence=confidence,
-            resamples=bootstrap_resamples,
-            seed=derive_seed(seed, _BOOTSTRAP_LANE),
-        )
     return BenchResult(
         kind=experiment.kind,
         params=experiment.params(),
         repeats=repeats,
-        seed=seed,
-        noise=[model.describe() for model in noise or ()],
-        confidence=confidence,
         samples=samples,
-        summaries=summaries,
+        summaries={
+            name: summarize([s[name] for s in samples if name in s])
+            for name in names
+        },
     )
 
 
-_CSV_COLUMNS = (
-    "metric", "n", "mean", "median", "std", "min", "max",
-    "ci_low", "ci_high", "boot_low", "boot_high", "confidence",
-)
+_CSV_COLUMNS = ("metric", "n", "mean", "median", "std", "min", "max")
 
 
 def write_csv(result: BenchResult, path: Path | str) -> None:
     """Per-metric summary rows (one line per metric)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_CSV_COLUMNS)
         for name in sorted(result.summaries):

@@ -1,8 +1,8 @@
 """Canonical benchmark scenarios of the ``versal-gemm bench`` harness.
 
-The serving smoke spec is compared against the committed
-``BENCH_serving.json`` baseline, so it and every other consumer of
-these constants must agree on them byte for byte.
+The serving scenario's 1M-request streaming percentiles are pinned
+exactly in tier-1 (``tests/conformance/test_golden_serve.py``), so
+changing a constant here changes that golden too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.workloads.gemm import GemmShape
 
-#: the BENCH_serving.json scenario: request mix, partition, and load
+#: the serving scenario: request mix, partition, load and trace seed
 SERVING_SHAPES = (
     GemmShape(1024, 1024, 1024),
     GemmShape(512, 512, 512),

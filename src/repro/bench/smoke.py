@@ -1,14 +1,8 @@
-"""The ``versal-gemm bench --smoke`` specs: CI's benchmark gate.
+"""The ``versal-gemm bench`` specs: CI's timing gate.
 
-Seeded repeated runs judged by declarative gates
+Repeated runs judged by declarative gates
 (:mod:`repro.bench.regression`):
 
-* the serving spec pins the committed ``BENCH_serving.json`` scenario
-  (its request mix, partition, offered load, and trace seed 7 on the
-  vectorized engine), so its simulated ``p50``/``p99`` are
-  machine-independent constants gated against that file — any drift
-  beyond the tolerance is a real behaviour change, and an injected
-  slowdown (``--noise``) trips the detector deterministically;
 * the eval spec measures DSE engine throughput (wall-clock), so its
   gates are per-leg evaluations/s floors (best-of-N against scheduler
   noise) plus the ranking identity of the two legs;
@@ -18,7 +12,8 @@ Seeded repeated runs judged by declarative gates
   leg's extra nanoseconds per request.
 
 Contract bits (byte-identical dispatch, fault accounting, trace
-validity) are tier-1 tests, not gates here: this module gates time.
+validity, the serving scenario's exact percentiles) are tier-1 tests,
+not gates here: this module gates time.
 """
 
 from __future__ import annotations
@@ -30,20 +25,8 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from repro.bench.experiments import (
-    EvalThroughputExperiment,
-    PairedExperiment,
-    ServingExperiment,
-)
-from repro.bench.noise import NoiseModel
-from repro.bench.regression import (
-    BaselineError,
-    Gate,
-    Verdict,
-    check_result,
-    exit_code,
-    load_baseline,
-)
+from repro.bench.experiments import EvalThroughputExperiment, PairedExperiment
+from repro.bench.regression import Gate, Verdict, check_result, exit_code
 from repro.bench.runner import run_bench, write_csv, write_json
 from repro.bench.scenarios import (
     MEAN_INTERARRIVAL,
@@ -59,8 +42,6 @@ from repro.sim.dispatch_batch import native_available
 from repro.sim.streaming import generate_trace_soa
 
 SMOKE_REPEATS = 5
-#: relative band around the deterministic simulated p50/p99 baselines
-SERVING_TOLERANCE = 0.05
 #: per-leg DSE throughput floor of the smoke eval spec (best-of-N),
 #: evaluations/s: every leg, serial included, must beat what the retired
 #: NumPy batch leg reached under the 16x16x16 tile planner (at most
@@ -98,42 +79,10 @@ MONITOR_NS_CEILING = 175.0
 NOOP_NS_CEILING = 2_000.0
 
 
-def serving_smoke_experiment(num_requests: int = 1_000_000) -> ServingExperiment:
-    """The committed BENCH_serving scenario, trace pinned to seed 7."""
-    return ServingExperiment(
-        num_requests=num_requests,
-        dispatch="auto",
-        streaming=True,
-        vary_trace=False,
-    )
-
-
-def serving_baseline_gates(tolerance: float = SERVING_TOLERANCE) -> list[Gate]:
-    """Gates comparing a serving result to a BENCH_serving.json entry."""
-    return [
-        Gate(
-            metric="p50", kind="baseline", direction="lower",
-            tolerance=tolerance, aggregate="median",
-            baseline_metric="modes.vectorized.p50", require_baseline=True,
-        ),
-        Gate(
-            metric="p99", kind="baseline", direction="lower",
-            tolerance=tolerance, aggregate="median",
-            baseline_metric="modes.vectorized.p99", require_baseline=True,
-        ),
-        Gate(metric="completed_fraction", kind="floor", value=1.0, aggregate="min"),
-    ]
-
-
-def eval_smoke_experiment() -> EvalThroughputExperiment:
-    return EvalThroughputExperiment(max_aies=48, inner_repeats=3)
-
-
 def eval_smoke_gates() -> list[Gate]:
     """Ranking identity + a throughput floor per engine leg."""
     return [
-        Gate(metric="rankings_identical", kind="flag",
-             label="serial and cached rankings differ"),
+        Gate(metric="rankings_identical", kind="flag"),
     ] + [
         Gate(metric=f"{leg}_evals_per_sec", kind="floor",
              value=EVAL_EVALS_PER_SEC_FLOOR, aggregate="max")
@@ -323,49 +272,13 @@ def _write(result, out_dir: Path, name: str) -> None:
     write_json(result, out_dir / f"bench_smoke_{name}.json")
 
 
-def run_smoke(
-    out_dir: Path | str = ".",
-    repeats: int = SMOKE_REPEATS,
-    seed: int = 7,
-    noise: list[NoiseModel] | None = None,
-    serving_baseline: Path | str = "BENCH_serving.json",
-    serving_requests: int = 1_000_000,
-) -> int:
-    """Run every smoke spec, write artifacts, return the exit code.
-
-    ``noise`` exists for slowdown-injection drills: with noise active
-    the simulated serving percentiles inflate and the baseline gates
-    must report a regression (that path is itself CI-tested).  The
-    eval spec and the pairs time the host, so noise does not apply.
-    """
+def run_smoke(out_dir: Path | str = ".", repeats: int = SMOKE_REPEATS) -> int:
+    """Run every spec, write artifacts, return the exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     verdicts: list[Verdict] = []
 
-    try:
-        serving_base = load_baseline(serving_baseline)
-    except BaselineError as error:
-        print(f"FAIL: {error}", file=sys.stderr)
-        return 1
-
-    serving = run_bench(
-        serving_smoke_experiment(serving_requests),
-        repeats=repeats, seed=seed, noise=noise,
-    )
-    _write(serving, out_dir, "serving")
-    p50, wall = serving.metric("p50"), serving.metric("wall_seconds")
-    print(
-        f"serving: {repeats} repeats  p50 {p50.median:.4f}s  "
-        f"wall {wall.mean:.3f}s [{wall.ci_low:.3f}, {wall.ci_high:.3f}] "
-        f"@ {serving.confidence:.0%}"
-    )
-    serving_verdicts = check_result(
-        serving, serving_baseline_gates(), serving_base
-    )
-    _print_verdicts("serving", serving_verdicts)
-    verdicts.extend(serving_verdicts)
-
-    evaluation = run_bench(eval_smoke_experiment(), repeats=repeats, seed=seed)
+    evaluation = run_bench(EvalThroughputExperiment(), repeats=repeats)
     _write(evaluation, out_dir, "eval")
     print(f"eval: {repeats} repeats  best evals/s " + "  ".join(
         f"{leg} {evaluation.metric(f'{leg}_evals_per_sec').max:.0f}"
@@ -376,7 +289,7 @@ def run_smoke(
     verdicts.extend(eval_verdicts)
 
     for pair in smoke_pairs():
-        result = run_bench(pair.experiment, repeats=repeats, seed=seed)
+        result = run_bench(pair.experiment, repeats=repeats)
         _write(result, out_dir, pair.name)
         print(
             f"{pair.name}: {repeats} repeats  median ratio "
@@ -389,6 +302,6 @@ def run_smoke(
             verdicts.extend(pair_verdicts)
 
     code = exit_code(verdicts)
-    print(f"bench --smoke: {'FAIL' if code else 'ok'} "
+    print(f"bench: {'FAIL' if code else 'ok'} "
           f"({sum(v.failed for v in verdicts)} failing gates)")
     return code

@@ -11,12 +11,11 @@ Usage::
     versal-gemm serve 1024x1024x1024 --trace-out trace.json \
         --metrics-out metrics.prom                 # observability out
     versal-gemm obs summary trace.json             # analyze a trace
-    versal-gemm bench serving -n 10 --noise dram:0.1,clock:0.05
-    versal-gemm bench --smoke --out-dir artifacts  # CI statistical gate
+    versal-gemm bench --out-dir artifacts          # CI timing gate
 
 Global flags (before the subcommand): ``--jobs/-j N`` runs
-``serve --sweep`` points and ``bench`` repeats on N worker threads and
-caps a ``--shards`` pool at N worker processes (0 = one per usable CPU,
+``serve --sweep`` points on N worker threads and caps a ``--shards``
+pool at N worker processes (0 = one per usable CPU,
 i.e. per CPU in the process's affinity mask); the analytical model
 always evaluates serially, since it holds the GIL.  ``--stats`` prints
 evaluation-engine statistics (evaluations, cache hits, wall time) to
@@ -279,7 +278,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _arrival_clock_error(
-    command: str, requests: int, args: argparse.Namespace, shortest_service: float
+    requests: int, args: argparse.Namespace, shortest_service: float
 ) -> str | None:
     """The one-line error when a flag's mean inter-arrival gap overflows
     the arrival clock of ``requests`` requests, or makes it too coarse
@@ -294,7 +293,7 @@ def _arrival_clock_error(
     ``shortest_service``; a coarser clock quantizes every latency.
     """
     gaps = []
-    if getattr(args, "rate", None) is not None:
+    if args.rate is not None:
         gaps.append((f"--rate {args.rate}", 1.0 / args.rate))
     if args.mean_interarrival is not None:
         gaps.append((f"--mean-interarrival {args.mean_interarrival}",
@@ -302,27 +301,15 @@ def _arrival_clock_error(
     gaps.extend((f"--loads {load}", 1.0 / load) for load in args.loads or ())
     for flag, gap in gaps:
         if not math.isfinite(23.0 * requests * gap):
-            return (f"{command}: {flag} overflows the arrival clock of "
+            return (f"serve: {flag} overflows the arrival clock of "
                     f"{requests} requests")
         spacing = math.ulp(requests * gap)
         if spacing > args.quantile_error * shortest_service:
-            return (f"{command}: {flag} spaces the arrival clock of {requests} "
+            return (f"serve: {flag} spaces the arrival clock of {requests} "
                     f"requests {spacing:.3g} s apart, coarser than "
                     f"{args.quantile_error:g} of the {shortest_service:.3g} s "
                     "shortest service time")
     return None
-
-
-def _shortest_service(shapes: list[GemmShape], configs: list[str]) -> float:
-    """The shortest service time of any shape on its fastest config
-    (inf when a shape fits none; the run itself reports that)."""
-    from repro.bench.scenarios import build_partition
-
-    partition = build_partition(configs)
-    try:
-        return min(partition.best_accelerator(shape)[1] for shape in shapes)
-    except ValueError:
-        return math.inf
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -370,7 +357,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"native       {_native_status(native)}", file=sys.stderr)
     simulator.prewarm(shapes)
     shortest = min(simulator._service_cache.values(), default=math.inf)
-    clock_error = _arrival_clock_error("serve", args.requests, args, shortest)
+    clock_error = _arrival_clock_error(args.requests, args, shortest)
     if clock_error:
         print(clock_error, file=sys.stderr)
         return 2
@@ -592,208 +579,11 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     return 0
 
 
-#: per-kind defaults the bench command applies when flags are absent
-_BENCH_REPEATS_DEFAULT = 5
-_BENCH_REQUESTS_DEFAULT = {"serving": 100_000, "sweep": 2000}
-
-
-def _bench_experiment(args: argparse.Namespace):
-    """Build the requested experiment kind from bench flags (or exit 2)."""
-    from repro.bench.experiments import (
-        EstimateExperiment,
-        EvalThroughputExperiment,
-        LoadSweepExperiment,
-        PipelineExperiment,
-        ServingExperiment,
-    )
-    from repro.bench.scenarios import SERVING_CONFIGS, SERVING_SHAPES
-
-    shapes = args.shapes or SERVING_SHAPES
-    configs = args.configs or SERVING_CONFIGS
-    requests = args.requests or _BENCH_REQUESTS_DEFAULT.get(args.kind, 0)
-    mean_interarrival = args.mean_interarrival or 0.5e-3
-
-    faults = None
-    fault_policy = None
-    if args.faults and args.kind in ("serving", "sweep"):
-        from repro.core.multi_acc import AcceleratorPartition
-        from repro.mapping.configs import config_by_name
-        from repro.sim.chaos import FaultError, FaultPolicy, parse_fault_spec
-
-        partition = AcceleratorPartition([config_by_name(name) for name in configs])
-        try:
-            faults = parse_fault_spec(
-                args.faults,
-                list(partition.designs),
-                device=partition.device,
-                seed=args.fault_seed,
-                horizon=requests * mean_interarrival,
-            )
-        except FaultError as error:
-            raise SystemExit(f"bench: {error}")
-        fault_policy = FaultPolicy(max_retries=args.max_retries)
-
-    if args.kind == "serving":
-        return ServingExperiment(
-            shapes,
-            configs,
-            num_requests=requests,
-            mean_interarrival=mean_interarrival,
-            dispatch=args.dispatch,
-            streaming=args.streaming,
-            quantile_error=args.quantile_error,
-            shards=args.shards,
-            start_method=args.start_method,
-            faults=faults,
-            fault_policy=fault_policy,
-            vary_trace=not args.fixed_trace,
-            trace_seed=args.trace_seed,
-        )
-    if args.kind == "sweep":
-        return LoadSweepExperiment(
-            shapes,
-            configs,
-            offered_loads=args.loads,
-            num_requests=requests,
-            jobs=args.jobs,
-            shards=args.shards,
-            start_method=args.start_method,
-            faults=faults,
-            fault_policy=fault_policy,
-            quantile_error=args.quantile_error,
-        )
-    if args.kind == "estimate":
-        return (
-            EstimateExperiment(config=args.config, workload=args.workload)
-            if args.workload
-            else EstimateExperiment(config=args.config)
-        )
-    if args.kind == "pipeline":
-        return PipelineExperiment(items=args.items)
-    return EvalThroughputExperiment(
-        max_aies=args.max_aies, inner_repeats=args.inner_repeats
-    )
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Repeated-run statistical bench harness (see docs/benchmarking.md)."""
-    from repro.bench.noise import parse_noise_spec
-    from repro.bench.regression import (
-        BaselineError,
-        check_result,
-        exit_code,
-        load_baseline,
-    )
-    from repro.bench.runner import run_bench, write_csv, write_json
+    """The timing gates (see docs/benchmarking.md)."""
+    from repro.bench.smoke import run_smoke
 
-    try:
-        noise = parse_noise_spec(args.noise)
-    except ValueError as error:
-        print(f"bench: {error}", file=sys.stderr)
-        return 2
-
-    if args.smoke:
-        from repro.bench.smoke import SMOKE_REPEATS, run_smoke
-
-        return run_smoke(
-            out_dir=args.out_dir,
-            repeats=args.repeats or SMOKE_REPEATS,
-            seed=7 if args.seed is None else args.seed,
-            noise=noise or None,
-            serving_baseline=args.serving_baseline,
-            serving_requests=args.requests or 1_000_000,
-        )
-    if args.kind is None:
-        print("bench: pass an experiment kind or --smoke", file=sys.stderr)
-        return 2
-    if args.kind in _BENCH_REQUESTS_DEFAULT:
-        from repro.bench.scenarios import SERVING_CONFIGS, SERVING_SHAPES
-
-        clock_error = _arrival_clock_error(
-            "bench",
-            args.requests or _BENCH_REQUESTS_DEFAULT[args.kind],
-            args,
-            _shortest_service(
-                args.shapes or SERVING_SHAPES, args.configs or SERVING_CONFIGS
-            ),
-        )
-        if clock_error:
-            print(clock_error, file=sys.stderr)
-            return 2
-
-    try:
-        experiment = _bench_experiment(args)
-    except SystemExit as error:
-        print(error, file=sys.stderr)
-        return 2
-    repeats = args.repeats or _BENCH_REPEATS_DEFAULT
-    seed = 0 if args.seed is None else args.seed
-    try:
-        result = run_bench(
-            experiment,
-            repeats=repeats,
-            seed=seed,
-            noise=noise or None,
-            jobs=args.jobs,
-            confidence=args.confidence,
-            bootstrap_resamples=args.resamples,
-            trace_rollup=args.trace_rollup,
-        )
-    except ValueError as error:
-        print(f"bench: {error}", file=sys.stderr)
-        return 2
-
-    noise_label = ",".join(result.noise) or "none"
-    print(f"bench {result.kind}: {repeats} repeats, seed {seed}, "
-          f"noise {noise_label}")
-    rows = [
-        {
-            "metric": name,
-            "mean": f"{summary.mean:.6g}",
-            "median": f"{summary.median:.6g}",
-            "std": f"{summary.std:.3g}",
-            f"ci{result.confidence:.0%}": (
-                f"[{summary.ci_low:.6g}, {summary.ci_high:.6g}]"
-            ),
-            "bootstrap": f"[{summary.boot_low:.6g}, {summary.boot_high:.6g}]",
-        }
-        for name, summary in sorted(result.summaries.items())
-    ]
-    print(render_table(rows))
-    for flag, path, write in (("--csv-out", args.csv_out, write_csv),
-                              ("--json-out", args.json_out, write_json)):
-        if path:
-            try:
-                write(result, path)
-            except OSError as error:
-                return _cannot_write(flag, path, error)
-            print(f"wrote {path}", file=sys.stderr)
-
-    if not args.baseline:
-        return 0
-    # regression gating: judge this run against a committed BENCH_*.json
-    if args.kind == "serving":
-        from repro.bench.smoke import serving_baseline_gates
-
-        gates = serving_baseline_gates(args.tolerance)
-    elif args.kind == "eval":
-        from repro.bench.smoke import eval_smoke_gates
-
-        gates = eval_smoke_gates()
-    else:
-        print(f"bench: no baseline gates defined for kind {args.kind!r} "
-              "(serving and eval compare against BENCH_*.json)", file=sys.stderr)
-        return 2
-    try:
-        baseline = load_baseline(args.baseline)
-    except BaselineError as error:
-        print(f"bench: [corrupt_baseline] {error}", file=sys.stderr)
-        return 1
-    verdicts = check_result(result, gates, baseline)
-    for verdict in verdicts:
-        print(f"gate {verdict.message}",
-              file=sys.stderr if verdict.failed else sys.stdout)
-    return exit_code(verdicts)
+    return run_smoke(out_dir=args.out_dir, repeats=args.repeats)
 
 
 def _cmd_obs_summary(args: argparse.Namespace) -> int:
@@ -951,7 +741,6 @@ def _float_in(low: float, high: float = math.inf, *, closed_low: bool = False):
 
 
 _positive_float = _float_in(0.0)
-_non_negative_float = _float_in(0.0, closed_low=True)
 _unit_fraction = _float_in(0.0, 1.0)
 
 
@@ -960,6 +749,20 @@ def _output_path(value: str) -> str:
     (an unwritable file still fails at write time, without a traceback)."""
     if not os.path.isdir(os.path.dirname(value) or "."):
         raise argparse.ArgumentTypeError(f"no such directory for {value!r}")
+    return value
+
+
+def _output_dir(value: str) -> str:
+    """A directory for output files: existing, or one that can be made
+    because its nearest existing ancestor is a directory (checked
+    before any work)."""
+    existing = os.path.abspath(value)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise argparse.ArgumentTypeError(
+            f"cannot make directory {value!r}: {existing!r} is not a directory"
+        )
     return value
 
 
@@ -1010,9 +813,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", "-j", type=_non_negative_int, default=1, metavar="N",
-        help="worker threads for serve --sweep points and bench repeats, "
-             "and the worker-process cap of a --shards pool (0 = one per "
-             "usable CPU); the analytical model always runs serially",
+        help="worker threads for serve --sweep points, and the "
+             "worker-process cap of a --shards pool (0 = one per usable "
+             "CPU); the analytical model always runs serially",
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -1146,90 +949,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="statistical repeated-run benchmarks with noise + CI gates",
+        help="timing gates: DSE evaluation throughput and five paired "
+             "serving timings (exit 1 on a regression)",
     )
-    bench.add_argument(
-        "kind", nargs="?",
-        choices=["serving", "sweep", "estimate", "pipeline", "eval"],
-        help="experiment kind to repeat (omit with --smoke)",
-    )
-    bench.add_argument("--smoke", action="store_true",
-                       help="run the CI smoke specs (serving + eval) against "
-                            "the committed BENCH_*.json baselines")
-    bench.add_argument("--repeats", "-n", type=_positive_int, default=None,
-                       metavar="N",
-                       help="seeded repeats (default 5)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="root seed; repeat r uses derive_seed(seed, r)")
-    bench.add_argument("--noise", default=None, metavar="SPEC",
-                       help="seeded noise models, e.g. dram:0.1,thermal:0.2,"
-                            "clock:0.05 ('none' disables)")
-    bench.add_argument("--confidence", type=float, default=0.95,
-                       help="confidence level for t/bootstrap intervals")
-    bench.add_argument("--resamples", type=int, default=1000,
-                       help="bootstrap resamples per metric")
-    bench.add_argument("--trace-rollup", action="store_true",
-                       help="add a tracer-span rollup probe per repeat")
-    bench.add_argument("--csv-out", type=_output_path, default=None,
-                       metavar="PATH",
-                       help="write per-metric summary rows as CSV")
-    bench.add_argument("--json-out", type=_output_path, default=None,
-                       metavar="PATH",
-                       help="write the full result entry as JSON")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="BENCH_*.json trajectory to gate against "
-                            "(serving/eval kinds; exit 1 on regression)")
-    bench.add_argument("--tolerance", type=_non_negative_float, default=0.05,
-                       help="relative tolerance band for baseline gates")
-    bench.add_argument("--out-dir", default=".", metavar="DIR",
-                       help="artifact directory for --smoke CSV/JSON outputs")
-    bench.add_argument("--serving-baseline", default="BENCH_serving.json",
-                       metavar="PATH", help="serving baseline for --smoke")
-    bench.add_argument("--shapes", type=_shape_list, default=None,
-                       help="comma-separated MxKxN mix (serving/sweep)")
-    bench.add_argument("--configs", type=_config_list, default=None,
-                       help="partition configs (serving/sweep; default C5,C3)")
-    bench.add_argument("--requests", type=_positive_int, default=None,
-                       help="requests per repeat (serving) or per sweep point")
-    bench.add_argument("--mean-interarrival", type=_positive_float, default=None,
-                       help="mean seconds between arrivals (default 0.5e-3)")
-    bench.add_argument("--dispatch", choices=["auto", "scan"],
-                       default="auto", help="serving dispatch path")
-    bench.add_argument("--streaming", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="streaming serving report (sketched percentiles)")
-    bench.add_argument("--quantile-error", type=_unit_fraction, default=0.01,
-                       help="relative error bound for streaming percentiles")
-    bench.add_argument("--shards", type=_positive_int, default=1, metavar="N",
-                       help="process-parallel shard replicas (serving/sweep)")
-    bench.add_argument("--start-method",
-                       choices=["fork", "spawn", "forkserver", "inline"],
-                       default=None, help="multiprocessing start method")
-    bench.add_argument("--faults", default=None, metavar="SPEC",
-                       help="compose a chaos fault schedule with the noise "
-                            "models (serving/sweep; see docs/robustness.md)")
-    bench.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for 'chaos' fault schedules")
-    bench.add_argument("--max-retries", type=_non_negative_int, default=3,
-                       help="kills a request survives before being shed")
-    bench.add_argument("--fixed-trace", action="store_true",
-                       help="pin every repeat to --trace-seed (simulated "
-                            "metrics become baseline-comparable constants)")
-    bench.add_argument("--trace-seed", type=int, default=7,
-                       help="trace seed used with --fixed-trace")
-    bench.add_argument("--loads", type=_load_list, default=None,
-                       help="comma-separated offered loads (rps) for sweep")
-    bench.add_argument("--config", type=_config_name, default="C5",
-                       help="Table II config for the estimate kind")
-    bench.add_argument("--workload", type=_shape, default=None,
-                       help="MxKxN workload for the estimate kind")
-    bench.add_argument("--items", type=_positive_int, default=4096,
-                       help="items replayed per repeat (pipeline kind)")
-    bench.add_argument("--max-aies", type=_positive_int, default=48,
-                       help="DSE candidate-space bound (eval kind)")
-    bench.add_argument("--inner-repeats", type=_positive_int, default=3,
-                       help="explorations timed per repeat (eval kind)")
-    _add_obs_flags(bench)
+    bench.add_argument("-n", "--repeats", type=_positive_int, default=5,
+                       metavar="N", help="repeats per spec (default 5)")
+    bench.add_argument("--out-dir", type=_output_dir, default=".",
+                       metavar="DIR",
+                       help="directory for each spec's CSV/JSON summary")
     bench.set_defaults(func=_cmd_bench)
 
     obs = sub.add_parser("obs", help="observability utilities")

@@ -13,8 +13,8 @@ serving latency distributions — and renders them two ways:
 Histograms reuse :class:`repro.sim.streaming.QuantileSketch`, so the
 registry inherits its documented relative-error bound and O(buckets)
 memory instead of keeping raw samples.  All instruments are
-thread-safe: concurrent ``--jobs N`` load-sweep points and bench
-repeats publish without lost updates.
+thread-safe: concurrent ``--jobs N`` load-sweep points publish
+without lost updates.
 
 Metric naming follows the Prometheus conventions the docs page
 describes: ``repro_<subsystem>_<quantity>[_total]``, lowercase, with

@@ -13,14 +13,14 @@ The contract that keeps this safe to leave in hot paths:
 * Tracing is **disabled by default**.  The module-level :func:`span`
   fast path does one attribute check and returns a shared no-op
   context manager — no allocation, no timestamp, no lock.  The bound
-  is gated by the ``tracer`` pair of ``versal-gemm bench --smoke``
+  is gated by the ``tracer`` pair of ``versal-gemm bench``
   (≤ 3% serving time over code with ``span`` patched out, on 100k
   requests, and ≤ 2 µs per disabled call).
 * Timestamps are monotonic (``time.perf_counter``) relative to the
   tracer's enable epoch, so exported timelines are nonnegative and
   ordered even across threads.
 * The span stack is thread-local: concurrent workers (``--jobs N``
-  load-sweep points and bench repeats) nest spans independently and
+  load-sweep points) nest spans independently and
   default their track to the worker thread's name, giving one Perfetto
   track per worker with no coordination.
 """

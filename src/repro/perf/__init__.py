@@ -3,8 +3,7 @@
 The batch drivers (DSE, sensitivity, serving prewarm, experiments)
 evaluate the model serially through one shared cache and report one
 stats format.  ``parallel_map`` fans out only serving work (load-sweep
-points, bench repeats), whose native kernel and NumPy passes release
-the GIL.
+points), whose native kernel and NumPy passes release the GIL.
 """
 
 from repro._lazy import lazy_exports

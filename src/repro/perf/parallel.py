@@ -2,9 +2,8 @@
 
 ``parallel_map`` runs ``fn`` over a list on a thread pool and returns
 the results in input order, so its output is bit-identical to the
-serial loop for any pure ``fn``.  Its callers are the load sweep's
-points (:func:`repro.sim.serving.load_sweep`) and the bench harness's
-repeats (:func:`repro.bench.runner.run_bench`): serving work whose
+serial loop for any pure ``fn``.  Its caller is the load sweep's
+points (:func:`repro.sim.serving.load_sweep`): serving work whose
 native dispatch kernel and NumPy passes release the GIL, so threads
 overlap them.  Model evaluation is pure Python under the GIL and stays
 serial.  Threads (not processes) because the simulators hold

@@ -33,7 +33,7 @@ result is always bit-identical to the scalar simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from repro.obs.spans import span
 
@@ -120,50 +120,6 @@ class PipelineSimulator:
         if not stages:
             raise ValueError("pipeline needs at least one stage")
         self.stages = list(stages)
-
-    def derated(self, factors: Mapping[str, float]) -> "PipelineSimulator":
-        """A new simulator with named stages' service times scaled.
-
-        ``factors`` maps stage names to multiplicative slowdowns (> 0);
-        unnamed stages keep their services.  Constant services stay
-        constants (so the derated pipeline remains eligible for the
-        vectorized solver); callable services are wrapped.  This is the
-        pipeline-level counterpart of the serving layer's degraded
-        windows: "what does this dataflow's fill/drain look like with
-        the store stage at half bandwidth?"
-        """
-        names = {stage.name for stage in self.stages}
-        unknown = set(factors) - names
-        if unknown:
-            raise ValueError(
-                f"unknown pipeline stages {sorted(unknown)}; have {sorted(names)}"
-            )
-        for name, factor in factors.items():
-            if not factor > 0:
-                raise ValueError(f"derate factor for {name!r} must be positive")
-        derated_stages = []
-        for stage in self.stages:
-            factor = factors.get(stage.name)
-            if factor is None:
-                derated_stages.append(stage)
-            elif callable(stage.service):
-                inner = stage.service
-                derated_stages.append(
-                    PipelineStage(
-                        name=stage.name,
-                        service=lambda item, _fn=inner, _f=factor: _fn(item) * _f,
-                        slots=stage.slots,
-                    )
-                )
-            else:
-                derated_stages.append(
-                    PipelineStage(
-                        name=stage.name,
-                        service=float(stage.service) * factor,
-                        slots=stage.slots,
-                    )
-                )
-        return PipelineSimulator(derated_stages)
 
     def run(self, num_items: int, vectorize: bool | None = None) -> PipelineResult:
         """Simulate ``num_items`` items through the pipeline.

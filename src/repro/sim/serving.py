@@ -689,38 +689,6 @@ class ServingSimulator:
         self._service_cache[key] = value
         return value
 
-    def perturbed(
-        self, factor: Callable[[str, GemmShape], float]
-    ) -> "ServingSimulator":
-        """A new simulator whose cached service times are scaled.
-
-        The noise hook for repeated-run benchmarking
-        (``repro.bench``): ``factor(accelerator, shape)`` returns a
-        finite positive multiplier per cached service time.  The
-        perturbed table is materialised up front from this simulator's
-        cache, so the copy serves noisy services through both
-        dispatch paths — and through ``ShardedServingCluster``, whose
-        worker payload ships the cache — byte-identically, with no
-        per-request draw.  Requires a resolved cache
-        (:meth:`prewarm` first); infeasible pairs stay infeasible.
-        """
-        if not self._service_cache:
-            raise ValueError(
-                "perturbed() requires resolved service times; call "
-                "prewarm(shapes) before perturbing"
-            )
-        clone = ServingSimulator(self.partition)
-        for (name, shape), service in self._service_cache.items():
-            scale = factor(name, shape)
-            if not math.isfinite(scale) or scale <= 0:
-                raise ValueError(
-                    f"service factor for ({name}, {shape}) must be a finite "
-                    f"positive number, got {scale}"
-                )
-            clone._service_cache[(name, shape)] = service * scale
-        clone._infeasible = set(self._infeasible)
-        return clone
-
     def prewarm(self, shapes: Sequence[GemmShape]) -> int:
         """Precompute service times for ``shapes`` on every accelerator.
 

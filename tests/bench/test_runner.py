@@ -1,111 +1,121 @@
-"""Unit tests: the repeated-run driver, probes, and result artifacts."""
+"""Unit tests: the repeated-run driver, paired timing, and artifacts."""
 
 import csv
 import json
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.experiments import (
-    EstimateExperiment,
-    LoadSweepExperiment,
-    PipelineExperiment,
-)
-from repro.bench.noise import DramJitterNoise, ThermalDeratingNoise
+from repro.bench import experiments
+from repro.bench.experiments import Experiment, PairedExperiment
 from repro.bench.runner import BenchResult, run_bench, write_csv, write_json
 
-#: metrics that are measurements of this process, not seeded draws —
-#: the only ones allowed to differ between serial and parallel runs
-_WALL_METRICS = ("wall_seconds", "wall_seconds_sweep", "wall_rps")
 
+class Counting(Experiment):
+    """Reports its repeat index and the square of it."""
 
-def _seeded_only(sample: dict) -> dict:
-    return {
-        name: value
-        for name, value in sample.items()
-        if name not in _WALL_METRICS and not name.startswith("stats_")
-        and not name.startswith("span_")
-    }
+    kind = "counting"
+
+    def __init__(self):
+        self.repeat = 0
+        self.closed = False
+
+    def params(self):
+        return {"start": 0}
+
+    def run_repeat(self):
+        self.repeat += 1
+        return {"repeat": float(self.repeat), "square": float(self.repeat ** 2)}
+
+    def close(self):
+        self.closed = True
 
 
 class TestRunBench:
     def test_basic_result_shape(self):
-        result = run_bench(EstimateExperiment(), repeats=3, seed=5)
+        experiment = Counting()
+        result = run_bench(experiment, repeats=3)
         assert isinstance(result, BenchResult)
-        assert result.kind == "estimate"
+        assert result.kind == "counting" and result.params == {"start": 0}
         assert result.repeats == 3 and len(result.samples) == 3
-        assert "total_seconds" in result.summaries
-        assert "wall_seconds" in result.summaries  # timer probe
-        assert "stats_evaluations" in result.summaries  # stats probe
-        assert result.metric("total_seconds").n == 3
+        assert [s["repeat"] for s in result.samples] == [1.0, 2.0, 3.0]
+        assert "wall_seconds" in result.summaries  # every repeat is timed
+        assert result.metric("square").n == 3
+        assert result.metric("square").median == 4.0
+        assert experiment.closed
 
     def test_unknown_metric_raises(self):
-        result = run_bench(EstimateExperiment(), repeats=2)
+        result = run_bench(Counting(), repeats=2)
         with pytest.raises(KeyError, match="no metric"):
             result.metric("nope")
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
-            run_bench(EstimateExperiment(), repeats=0)
+            run_bench(Counting(), repeats=0)
 
-    def test_jobs_parallelism_is_byte_identical(self):
-        noise = [DramJitterNoise(0.1), ThermalDeratingNoise(0.2)]
-        serial = run_bench(EstimateExperiment(), repeats=6, seed=9, noise=noise)
-        threaded = run_bench(
-            EstimateExperiment(), repeats=6, seed=9, noise=noise, jobs=3
-        )
-        assert [_seeded_only(s) for s in serial.samples] == [
-            _seeded_only(s) for s in threaded.samples
-        ]
 
-    def test_noise_described_in_result(self):
-        result = run_bench(
-            EstimateExperiment(), repeats=2, noise=[DramJitterNoise(0.25)]
-        )
-        assert result.noise == ["dram:0.25"]
-        assert run_bench(EstimateExperiment(), repeats=2).noise == []
+class _Clock:
+    """A fake ``time`` module whose clock only the legs advance."""
 
-    def test_thermal_noise_slows_pipeline(self):
-        clean = run_bench(PipelineExperiment(items=512), repeats=3, seed=2)
-        noisy = run_bench(
-            PipelineExperiment(items=512), repeats=3, seed=2,
-            noise=[ThermalDeratingNoise(0.2)],
-        )
-        assert (
-            noisy.metric("makespan_seconds").min
-            > clean.metric("makespan_seconds").max
-        )
+    def __init__(self):
+        self.now = 0.0
+        self.module = SimpleNamespace(perf_counter=lambda: self.now)
 
-    def test_sweep_experiment_metrics(self):
-        result = run_bench(
-            LoadSweepExperiment(offered_loads=[500.0, 1000.0],
-                                num_requests=200),
-            repeats=2, seed=3,
-        )
-        assert result.metric("points").mean == 2.0
-        assert "max_achieved_rps" in result.summaries
+
+@pytest.mark.parametrize("cold_leg", ["base", "change"])
+def test_paired_legs_are_warm_before_the_first_timed_round(cold_leg, monkeypatch):
+    """A leg that is slow only on its first call after the repeat's
+    garbage collection must not move the leg times the pair reports."""
+    clock = _Clock()
+    collected = {"fresh": False}
+
+    def collect():
+        collected["fresh"] = True
+
+    def leg(name, seconds):
+        def run():
+            clock.now += seconds
+            if name == cold_leg and collected["fresh"]:
+                clock.now += 5.0
+            if name == cold_leg:
+                collected["fresh"] = False
+        return run
+
+    @contextmanager
+    def setup():
+        yield leg("base", 1.0), leg("change", 1.5)
+
+    monkeypatch.setattr(experiments, "time", clock.module)
+    monkeypatch.setattr(experiments, "gc", SimpleNamespace(collect=collect))
+    pair = PairedExperiment("cold", setup, requests=1000, rounds=4)
+    result = run_bench(pair, repeats=2)
+    assert result.metric("base_seconds").max == 1.0
+    assert result.metric("change_seconds").max == 1.5
+    assert result.metric("ratio").max == 1.5
+    assert result.metric("extra_ns_per_request").max == pytest.approx(0.5e6)
 
 
 class TestArtifacts:
     def test_write_csv_round_trips(self, tmp_path):
-        result = run_bench(EstimateExperiment(), repeats=2, seed=1)
+        result = run_bench(Counting(), repeats=2)
         path = tmp_path / "out.csv"
         write_csv(result, path)
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
-        names = {row["metric"] for row in rows}
-        assert "total_seconds" in names
-        row = next(row for row in rows if row["metric"] == "total_seconds")
-        assert float(row["mean"]) == result.metric("total_seconds").mean
+        assert list(rows[0]) == ["metric", "n", "mean", "median", "std", "min", "max"]
+        row = next(row for row in rows if row["metric"] == "square")
+        assert float(row["mean"]) == result.metric("square").mean == 2.5
         assert int(row["n"]) == 2
 
     def test_write_json_round_trips(self, tmp_path):
-        result = run_bench(EstimateExperiment(), repeats=2, seed=1)
+        result = run_bench(Counting(), repeats=2)
         path = tmp_path / "out.json"
         write_json(result, path)
         entry = json.loads(path.read_text())
-        assert entry["kind"] == "estimate"
+        assert entry["kind"] == "counting"
         assert entry["repeats"] == 2
-        assert entry["metrics"]["total_seconds"]["n"] == 2
+        assert entry["metrics"]["square"]["n"] == 2
         assert len(entry["samples"]) == 2
         assert set(entry["environment"]) == {
             "python", "numpy", "machine", "usable_cpus", "native_kernel",
@@ -113,8 +123,5 @@ class TestArtifacts:
         }
 
     def test_entry_is_json_serializable(self):
-        result = run_bench(
-            EstimateExperiment(), repeats=2, noise=[DramJitterNoise()]
-        )
-        blob = json.dumps(result.entry())
-        assert "dram:0.1" in blob
+        blob = json.dumps(run_bench(Counting(), repeats=2).entry())
+        assert '"square"' in blob

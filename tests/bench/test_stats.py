@@ -1,71 +1,29 @@
-"""Unit tests: t-intervals, bootstrap intervals, metric summaries."""
+"""Unit tests: the per-metric summary every gate reads."""
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.bench.stats import (
-    MetricSummary,
-    bootstrap_interval,
-    summarize,
-    t_critical,
-)
-from repro.sim.streaming import splitmix_uniforms
-
-
-class TestTCritical:
-    def test_closed_form_values(self):
-        # standard Student-t table entries, two-sided
-        assert t_critical(4, 0.95) == pytest.approx(2.776, abs=1e-3)
-        assert t_critical(1, 0.95) == pytest.approx(12.706, abs=1e-3)
-        assert t_critical(10, 0.99) == pytest.approx(3.169, abs=1e-3)
-        assert t_critical(30, 0.90) == pytest.approx(1.697, abs=1e-3)
-
-    def test_limits_to_normal_quantile(self):
-        assert t_critical(10_000, 0.95) == pytest.approx(1.960, abs=1e-2)
-        assert t_critical(10_000, 0.99) == pytest.approx(2.576, abs=1e-2)
-
-    def test_monotone_in_df_and_confidence(self):
-        values = [t_critical(df, 0.95) for df in (1, 2, 5, 10, 30, 60, 200)]
-        assert values == sorted(values, reverse=True)
-        assert t_critical(7, 0.90) < t_critical(7, 0.95) < t_critical(7, 0.99)
-
-    def test_interpolated_df_between_table_rows(self):
-        # df=35 sits between the 30 and 40 rows
-        assert t_critical(40, 0.95) < t_critical(35, 0.95) < t_critical(30, 0.95)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            t_critical(0, 0.95)
-        with pytest.raises(ValueError):
-            t_critical(5, 0.80)
+from repro.bench.runner import MetricSummary, summarize
 
 
 class TestSummarize:
-    def test_t_interval_matches_closed_form(self):
-        samples = [1.0, 2.0, 3.0, 4.0, 5.0]
-        summary = summarize(samples, confidence=0.95)
-        mean = 3.0
-        std = np.std(samples, ddof=1)
-        half = t_critical(4, 0.95) * std / math.sqrt(5)
-        assert summary.mean == pytest.approx(mean)
-        assert summary.median == pytest.approx(3.0)
-        assert summary.std == pytest.approx(std)
-        assert summary.ci_low == pytest.approx(mean - half)
-        assert summary.ci_high == pytest.approx(mean + half)
+    def test_closed_form(self):
+        summary = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert summary.n == 5
+        assert summary.mean == 3.0
+        assert summary.median == 3.0
+        assert summary.std == pytest.approx(2.5 ** 0.5)
+        assert (summary.min, summary.max) == (1.0, 5.0)
 
     def test_single_sample_degenerates_to_point(self):
         summary = summarize([42.0])
         assert summary.n == 1
-        assert summary.ci_low == summary.ci_high == 42.0
-        assert summary.boot_low == summary.boot_high == 42.0
+        assert summary.std == 0.0
+        assert summary.mean == summary.median == summary.min == summary.max == 42.0
 
     def test_constant_samples_have_zero_width(self):
         summary = summarize([7.0] * 10)
         assert summary.std == 0.0
-        assert summary.ci_low == summary.ci_high == 7.0
-        assert summary.boot_low == summary.boot_high == 7.0
+        assert summary.min == summary.max == 7.0
 
     def test_aggregate_accessor(self):
         summary = summarize([1.0, 3.0])
@@ -74,59 +32,20 @@ class TestSummarize:
         assert summary.value("max") == 3.0
         with pytest.raises(ValueError):
             summary.value("mode")
+        with pytest.raises(ValueError):
+            summary.value("std")
 
     def test_as_dict_round_trips(self):
         summary = summarize([1.0, 2.0, 4.0])
         data = summary.as_dict()
-        assert data["n"] == 3
-        assert data["mean"] == summary.mean
-        assert set(data) >= {"ci_low", "ci_high", "boot_low", "boot_high"}
+        assert data == {
+            "n": 3, "mean": summary.mean, "median": 2.0, "std": summary.std,
+            "min": 1.0, "max": 4.0,
+        }
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             summarize([])
-
-
-class TestBootstrap:
-    def test_seeded_determinism(self):
-        samples = [1.0, 5.0, 2.0, 8.0, 3.0, 9.0]
-        a = bootstrap_interval(samples, 0.95, seed=3)
-        b = bootstrap_interval(samples, 0.95, seed=3)
-        assert a == b
-        c = bootstrap_interval(samples, 0.95, seed=4)
-        assert a != c
-
-    def test_interval_within_sample_range(self):
-        samples = [2.0, 4.0, 6.0, 10.0]
-        low, high = bootstrap_interval(samples, 0.95, seed=0)
-        assert min(samples) <= low <= high <= max(samples)
-
-    def test_tighter_at_lower_confidence(self):
-        samples = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        low95, high95 = bootstrap_interval(samples, 0.95, seed=1)
-        low90, high90 = bootstrap_interval(samples, 0.90, seed=1)
-        assert high90 - low90 <= high95 - low95
-
-    def test_coverage_on_uniform_means(self):
-        """~95% t-intervals over seeded uniform samples cover the true
-        mean (0.5) at roughly the nominal rate."""
-        n, trials, covered = 10, 200, 0
-        for trial in range(trials):
-            draws = splitmix_uniforms(trial, np.arange(n, dtype=np.int64))
-            summary = summarize(list(draws), confidence=0.95)
-            covered += summary.ci_low <= 0.5 <= summary.ci_high
-        assert 0.85 <= covered / trials <= 1.0
-
-    def test_bootstrap_coverage_on_uniform_means(self):
-        """Percentile-bootstrap intervals cover the true mean at a rate
-        in the right neighbourhood (bootstrap undercovers slightly at
-        n=10, so the floor is looser than the t-interval's)."""
-        n, trials, covered = 10, 200, 0
-        for trial in range(trials):
-            draws = splitmix_uniforms(trial, np.arange(n, dtype=np.int64))
-            low, high = bootstrap_interval(list(draws), 0.95, seed=trial)
-            covered += low <= 0.5 <= high
-        assert 0.80 <= covered / trials <= 1.0
 
 
 class TestMetricSummary:

@@ -11,6 +11,9 @@ file under ``tests/data/golden_serve/``:
 * ``<case>.sim.jsonl`` — the simulated-time events (``SIM_PID``) of
   ``--trace-out``, one JSON event per line in file order.
 
+A 1M-request streaming serve of the benchmark scenario is pinned
+in-process as well: its sketched p50/p99, float for float.
+
 The files only change when the CLI's output is meant to change;
 regenerate them from the current tree with::
 
@@ -159,3 +162,30 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: test_golden_serve.py --regenerate")
     _regenerate()
+
+
+def test_streaming_benchmark_scenario_percentiles():
+    """The benchmark scenario (``repro.bench.scenarios``: four-shape
+    mix on C5+C3, trace seed 7) served 1M requests deep through the
+    streaming ``auto`` path completes every request at these exact
+    sketched percentiles, with or without the native kernel."""
+    from repro.bench.scenarios import (
+        MEAN_INTERARRIVAL,
+        SERVING_SHAPES,
+        SERVING_TRACE_SEED,
+        build_partition,
+    )
+    from repro.sim.serving import ServingSimulator
+    from repro.sim.streaming import generate_trace_soa
+
+    requests = 1_000_000
+    trace = generate_trace_soa(
+        SERVING_SHAPES, requests, MEAN_INTERARRIVAL, seed=SERVING_TRACE_SEED
+    )
+    report = ServingSimulator(build_partition()).run(
+        trace, streaming=True, dispatch="auto", quantile_error=0.01
+    )
+    assert report.count == requests
+    assert report.latency_percentiles([50, 99]) == [
+        104.59596828844717, 206.46433277162393,
+    ]

@@ -1,7 +1,7 @@
 """The evaluation engine wired through DSE, sensitivity, serving.
 
 The contract under test: the model evaluates serially, and results
-from one cache shared by concurrent callers (bench repeats on
+from one cache shared by concurrent callers (``parallel_map``
 threads) are bit-identical to the uncached serial ones; skipped/
 infeasible candidates are reported instead of silently swallowed, and
 the cache counters reflect the work.

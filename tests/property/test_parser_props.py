@@ -1,7 +1,7 @@
 """Property-based tests: spec and shape parsers fail only with ValueError.
 
-Every user-facing text grammar (``--slo``, ``--faults``, ``--noise`` and
-the ``MxKxN`` shape notation) must either return a value or raise
+Every user-facing text grammar (``--slo``, ``--faults`` and the
+``MxKxN`` shape notation) must either return a value or raise
 ``ValueError`` (``FaultError`` is a subclass) for any input, so the CLI
 can turn a bad argument into a one-line error instead of a traceback.
 Inputs mix arbitrary text with grammar fragments, so the strategies
@@ -13,7 +13,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.noise import parse_noise_spec
 from repro.hw.specs import VCK5000
 from repro.obs.slo import parse_slo
 from repro.sim.chaos import parse_fault_spec
@@ -32,10 +31,6 @@ slo_texts = st.one_of(
     st.text(max_size=40),
     _joined(["p99", "p0", "p100", "p99.9", "<", "<=", ">", "avail", "shed",
              "ns", "us", "ms", "s", ",", " ", *NUMBERS], max_size=8),
-)
-noise_texts = st.one_of(
-    st.text(max_size=40),
-    _joined(["dram", "thermal", "clock", "none", ":", ",", *NUMBERS], max_size=8),
 )
 shape_texts = st.one_of(
     st.text(max_size=40),
@@ -77,11 +72,6 @@ def test_parse_fault_spec_raises_only_value_error(text):
     _value_or_value_error(
         lambda spec: parse_fault_spec(spec, ["C5", "C3"], device=VCK5000), text
     )
-
-
-@given(noise_texts)
-def test_parse_noise_spec_raises_only_value_error(text):
-    _value_or_value_error(parse_noise_spec, text)
 
 
 @given(shape_texts)

@@ -258,46 +258,3 @@ class TestResultQueries:
         result = pipe.run(5)
         for t in range(5):
             assert result.start_times[1][t] >= result.end_times[0][t]
-
-
-class TestDerated:
-    """Pipeline-level degradation: stage-wise service derating."""
-
-    def test_scales_single_stage_makespan(self):
-        pipe = PipelineSimulator([PipelineStage("s", 2.0)])
-        assert pipe.derated({"s": 2.0}).run(3).makespan == pytest.approx(12.0)
-
-    def test_unnamed_stages_keep_their_service(self):
-        pipe = PipelineSimulator([PipelineStage("a", 1.0), PipelineStage("b", 2.0)])
-        derated = pipe.derated({"b": 3.0})
-        assert derated.stages[0].constant_service == pytest.approx(1.0)
-        assert derated.stages[1].constant_service == pytest.approx(6.0)
-
-    def test_original_pipeline_unchanged(self):
-        pipe = PipelineSimulator([PipelineStage("s", 1.0)])
-        pipe.derated({"s": 5.0})
-        assert pipe.stages[0].constant_service == pytest.approx(1.0)
-
-    def test_constants_stay_vectorize_eligible(self):
-        pipe = PipelineSimulator([PipelineStage("s", 1.0)]).derated({"s": 2.0})
-        assert pipe.stages[0].constant_service is not None
-        scalar = pipe.run(64, vectorize=False).makespan
-        vectorized = pipe.run(64, vectorize=True).makespan
-        assert vectorized == pytest.approx(scalar)
-
-    def test_callable_services_are_wrapped(self):
-        pipe = PipelineSimulator([PipelineStage("s", lambda item: 1.0 + item)])
-        derated = pipe.derated({"s": 2.0})
-        assert derated.stages[0].constant_service is None
-        assert derated.stages[0].service_fn()(3) == pytest.approx(8.0)
-
-    def test_unknown_stage_rejected(self):
-        pipe = PipelineSimulator([PipelineStage("s", 1.0)])
-        with pytest.raises(ValueError, match="unknown pipeline stages"):
-            pipe.derated({"ghost": 2.0})
-
-    @pytest.mark.parametrize("factor", [0.0, -1.0])
-    def test_nonpositive_factor_rejected(self, factor):
-        pipe = PipelineSimulator([PipelineStage("s", 1.0)])
-        with pytest.raises(ValueError, match="positive"):
-            pipe.derated({"s": factor})

@@ -206,7 +206,6 @@ class TestServe:
 _SERVE = ["serve", "512x512x512", "--requests", "100"]
 _HUGE_GAP = ["--mean-interarrival", "1e308"]
 _TINY_SERVE = ["serve", "512x512x512", "--requests", "50"]
-_TINY_BENCH = ["bench", "serving", "--requests", "100", "-n", "1"]
 _COARSE_SERVE = ["serve", "1024x1024x1024,512x512x512", "--configs", "C5,C3",
                  "--requests", "1000"]
 
@@ -237,19 +236,19 @@ class TestBadInput:
             (_SERVE + ["--max-retries", "-1", "--faults", "chaos"], "-1"),
             (_SERVE + ["--quantile-error", "0"], "0"),
             (_SERVE + ["--quantile-error", "nan"], "nan"),
-            (["bench", "serving", "--shapes", "1x2"], "1x2"),
-            (["bench", "serving", "--configs", "C99"], "C99"),
-            (["bench", "serving", "--requests", "0"], "0"),
-            (["bench", "serving", "--mean-interarrival", "nan"], "nan"),
-            (["bench", "serving", "--quantile-error", "1"], "1"),
-            (["bench", "serving", "--max-retries", "-1"], "-1"),
-            (["bench", "estimate", "--workload", "0x1x1"], "0x1x1"),
-            (["bench", "estimate", "--repeats", "0"], "0"),
+            (["trace", "1x2"], "1x2"),
+            (["trace", "256x256x256", "--config", "C99"], "C99"),
+            (["dse", "512x512x512", "--top", "0"], "0"),
+            (_SERVE + ["--mean-interarrival", "nan"], "nan"),
+            (_SERVE + ["--quantile-error", "1"], "1"),
+            (["bench", "--repeats", "-1"], "-1"),
+            (["dse", "0x1x1"], "0x1x1"),
+            (["chart", "fig5", "--value", "efficiency", "--width", "0"], "0"),
             (_SERVE + ["--sweep", "--loads", "-5"], "-5"),
             (_SERVE + ["--sweep", "--loads", "abc"], "abc"),
             (_SERVE + ["--sweep", "--loads", "500,inf"], "inf"),
             (_SERVE + ["--sweep", "--loads", ","], ","),
-            (["bench", "sweep", "--loads", "0"], "0"),
+            (_SERVE + ["--sweep", "--loads", "0"], "0"),
             (["dse", "512x512x512", "--top", "-1"], "-1"),
             (["trace", "256x256x256", "--width", "0"], "0"),
             (["model", "BERT-large", "--tokens", "0"], "0"),
@@ -257,16 +256,7 @@ class TestBadInput:
             (["roofline", "--width", "0"], "0"),
             (["roofline", "--height", "0"], "0"),
             (["chart", "fig5", "--value", "efficiency", "--width", "-3"], "-3"),
-            (["bench", "eval", "--inner-repeats", "0"], "0"),
-            (["bench", "eval", "--max-aies", "0"], "0"),
-            (["bench", "pipeline", "--items", "0"], "0"),
-            (["bench", "serving", "--shards", "0"], "0"),
-            (["bench", "estimate", "--tolerance", "-1"], "-1"),
-            (["bench", "estimate", "--tolerance", "inf"], "inf"),
-            (_TINY_BENCH + ["--json-out", "/nonexistent/x.json"],
-             "/nonexistent/x.json"),
-            (_TINY_BENCH + ["--csv-out", "/nonexistent/x.csv"],
-             "/nonexistent/x.csv"),
+            (["bench", "-n", "0"], "0"),
         ],
     )
     def test_exits_2_naming_the_value(self, argv, token, capsys):
@@ -289,13 +279,8 @@ class TestBadInput:
              "serve: --mean-interarrival 1e+308"),
             (_TINY_SERVE + ["--sweep", "--loads", "500,1e-310"],
              "serve: --loads 1e-310"),
-            (["bench", "serving", "--requests", "50"] + _HUGE_GAP,
-             "bench: --mean-interarrival 1e+308"),
-            (["bench", "sweep", "--requests", "50", "--loads", "1e-310"],
-             "bench: --loads 1e-310"),
         ],
-        ids=["rate", "unsharded", "sharded", "chaos", "serve-sweep-loads",
-             "bench-serving", "bench-sweep-loads"],
+        ids=["rate", "unsharded", "sharded", "chaos", "serve-sweep-loads"],
     )
     def test_overflowing_arrival_clock_exits_2_before_running(
         self, argv, flag, capsys, recwarn
@@ -319,13 +304,8 @@ class TestBadInput:
              "serve: --mean-interarrival 10000000000.0"),
             (_COARSE_SERVE + ["--sweep", "--loads", "500,1e-10"],
              "serve: --loads 1e-10"),
-            (["bench", "serving", "--requests", "1000", "--mean-interarrival",
-              "1e10"], "bench: --mean-interarrival 10000000000.0"),
-            (["bench", "sweep", "--requests", "1000", "--loads", "1e-10"],
-             "bench: --loads 1e-10"),
         ],
-        ids=["rate", "streaming", "sharded", "serve-sweep-loads",
-             "bench-serving", "bench-sweep-loads"],
+        ids=["rate", "streaming", "sharded", "serve-sweep-loads"],
     )
     def test_too_coarse_arrival_clock_exits_2_naming_the_flag(
         self, argv, flag, capsys
@@ -387,11 +367,21 @@ class TestOutputPaths:
         assert last.startswith(f"versal-gemm {argv[0]}: error: argument {flag}: ")
         assert repr(path) in last
 
-    @pytest.mark.parametrize(
-        "argv, flag",
-        _OUTPUT_FLAGS + [(_TINY_BENCH, "--csv-out"), (_TINY_BENCH, "--json-out")],
-        ids=_OUTPUT_IDS + ["bench--csv-out", "bench--json-out"],
-    )
+    def test_out_dir_under_a_file_exits_2_before_running(self, capsys, tmp_path):
+        regular = tmp_path / "file"
+        regular.write_text("")
+        path = str(regular / "bench")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--out-dir", path])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1] == (
+            "versal-gemm bench: error: argument --out-dir: cannot make "
+            f"directory {path!r}: {str(regular)!r} is not a directory"
+        )
+
+    @pytest.mark.parametrize("argv, flag", _OUTPUT_FLAGS, ids=_OUTPUT_IDS)
     def test_unwritable_file_exits_1_with_one_line(
         self, argv, flag, capsys, tmp_path
     ):
@@ -727,15 +717,3 @@ class TestObsSlo:
         capsys.readouterr()
         assert main(["obs", "slo", str(path), "--slo", "frobnicate"]) == 2
         assert "obs slo:" in capsys.readouterr().err
-
-
-class TestBenchObsFlags:
-    def test_bench_metrics_out(self, capsys, tmp_path):
-        path = tmp_path / "metrics.prom"
-        argv = [
-            "bench", "estimate", "--repeats", "2",
-            "--metrics-out", str(path),
-        ]
-        assert main(argv) == 0
-        text = path.read_text()
-        assert "# TYPE repro_" in text
