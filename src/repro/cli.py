@@ -231,9 +231,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_model(args: argparse.Namespace) -> int:
     from repro.core.e2e import ModelEstimator
     from repro.kernels.precision import Precision
-    from repro.workloads.transformer import model_by_name
-
-    model = model_by_name(args.model)
+    model = args.model
     estimator = ModelEstimator(
         Precision.parse(args.precision),
         per_layer_selection=not args.fixed_config,
@@ -312,10 +310,38 @@ def _arrival_clock_error(
     return None
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _service_simulator(args: argparse.Namespace, shapes: list):
+    """``(simulator, path, cached)``: a simulator seeded from the stored
+    service table at ``path`` when there is one (``cached``), else one
+    on the built partition, which checks that the configs fit the
+    device.
+
+    The stored table is the prewarm's whole result, so a warm serve
+    never imports or runs the analytical model; it loads only for a
+    device-degraded fault window.  The lookup is a span on the model's
+    track, which it stands in for.
+    """
+    from repro.obs.spans import span
+    from repro.sim import service_table
+    from repro.sim.serving import ServingSimulator
+
+    with span("serve.service_table", track="model") as record:
+        path = service_table.table_path(args.configs, shapes)
+        table = service_table.load(path, args.configs, shapes)
+        record.set(cached=table is not None)
+    if table is not None:
+        from repro.hw.specs import VCK5000
+
+        return ServingSimulator.seeded(args.configs, VCK5000, *table), path, True
     from repro.core.multi_acc import AcceleratorPartition
     from repro.mapping.configs import config_by_name
-    from repro.sim.serving import ServingSimulator, load_sweep
+
+    partition = AcceleratorPartition([config_by_name(name) for name in args.configs])
+    return ServingSimulator(partition), path, False
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.sim.serving import load_sweep
     from repro.sim.streaming import generate_trace_soa
 
     shapes = list(args.shapes)
@@ -343,9 +369,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         mean_interarrival = args.mean_interarrival or 1e-3
     # the trace's expected span anchors chaos and monitor windows
     horizon = args.requests * mean_interarrival
-    configs = [config_by_name(name) for name in args.configs]
-    partition = AcceleratorPartition(configs)
-    simulator = ServingSimulator(partition)
+    try:
+        simulator, table_path, cached = _service_simulator(args, shapes)
+    except ValueError as error:
+        # a DesignError: the parser already rejected unknown and
+        # repeated names, so only configs that do not fit get here
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
+    partition = simulator.partition
     from repro.sim.dispatch_batch import native_available
 
     native = native_available()
@@ -355,7 +386,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ).set(1.0 if native else 0.0)
     if args.stats:
         print(f"native       {_native_status(native)}", file=sys.stderr)
+    # a no-op on a stored table: it reports 0 evaluations
     simulator.prewarm(shapes)
+    if cached:
+        services = f"cached at {table_path}"
+    else:
+        from repro.sim import service_table
+
+        saved = service_table.store(
+            table_path, simulator._service_cache, simulator._infeasible
+        )
+        services = (f"computed, saved to {table_path}" if saved
+                    else "computed, cache unwritable")
+    if args.stats:
+        print(f"services     {services}", file=sys.stderr)
     shortest = min(simulator._service_cache.values(), default=math.inf)
     clock_error = _arrival_clock_error(args.requests, args, shortest)
     if clock_error:
@@ -500,7 +544,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         mode = "streaming (sketched percentiles)"
     else:
         mode = "exact"
-    print(f"requests     {args.requests} over {len(configs)} accelerators ({mode})")
+    print(f"requests     {args.requests} over {len(args.configs)} accelerators ({mode})")
     print(f"makespan     {format_seconds(report.makespan)}")
     print(f"throughput   {report.throughput_rps:.1f} requests/s")
     print(f"latency      p50 {format_seconds(p50)}   p95 {format_seconds(p95)}   "
@@ -789,6 +833,15 @@ def _config_name(value: str) -> str:
     return value
 
 
+def _model(value: str):
+    from repro.workloads.transformer import model_by_name
+
+    try:
+        return model_by_name(value)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+
+
 def _comma_list(convert, what: str):
     def convert_all(value: str) -> tuple:
         items = tuple(convert(token) for token in value.split(",") if token)
@@ -802,7 +855,18 @@ def _comma_list(convert, what: str):
 
 
 _shape_list = _comma_list(_shape, "MxKxN shapes")
-_config_list = _comma_list(_config_name, "Table II config names")
+_config_names = _comma_list(_config_name, "Table II config names")
+
+
+def _config_list(value: str) -> tuple:
+    """Distinct config names: a partition holds each accelerator once."""
+    names = _config_names(value)
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise argparse.ArgumentTypeError(f"duplicate config {name!r}")
+    return names
+
+
 _load_list = _comma_list(_positive_float, "offered loads (rps)")
 
 
@@ -847,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.set_defaults(func=_cmd_dse)
 
     model = sub.add_parser("model", help="estimate a transformer forward pass")
-    model.add_argument("model", help="e.g. Llama2-13B, BERT-large")
+    model.add_argument("model", type=_model, help="e.g. Llama2-13B, BERT-large")
     model.add_argument("--tokens", type=_positive_int, default=2048)
     model.add_argument("--precision", default="fp32", choices=["fp32", "int8", "int16"])
     model.add_argument("--fixed-config", action="store_true",

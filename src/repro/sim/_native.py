@@ -54,6 +54,8 @@ import shutil
 
 import numpy as np
 
+from repro.sim._disk_cache import cache_dir, publish, read_sealed, trusted
+
 _LOG = logging.getLogger("repro.sim.native")
 
 _SOURCE = r"""
@@ -107,9 +109,6 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
 #: compilers tried in order, and the flags every build uses
 _COMPILERS = ("cc", "gcc", "clang")
 _FLAGS = ("-O2", "-fPIC", "-shared")
-#: length of the SHA-256 seal at the end of a cached library
-_SEAL_BYTES = hashlib.sha256().digest_size
-
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
@@ -225,15 +224,6 @@ def _bind(lib_path: str):
     return kwide if _check_dispatch(kwide) else None
 
 
-def _cache_dir() -> str:
-    """Directory of compiled kernels: ``$XDG_CACHE_HOME/repro``, by
-    default ``~/.cache/repro``."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "repro")
-
-
 def _cache_key(compiler: str) -> str:
     """Hash of everything the compiled bytes depend on."""
     digest = hashlib.sha256()
@@ -241,32 +231,6 @@ def _cache_key(compiler: str) -> str:
         digest.update(part.encode())
         digest.update(b"\0")
     return digest.hexdigest()[:16]
-
-
-def _trusted(directory: str) -> bool:
-    """Whether ``directory`` is ours alone: code loaded from it must not
-    be replaceable by another user."""
-    try:
-        info = os.stat(directory)
-    except OSError:
-        return False
-    return info.st_uid == os.getuid() and not info.st_mode & 0o022
-
-
-def _intact(path: str) -> bool:
-    """Whether a cache file ends with the SHA-256 of the bytes before it.
-
-    ``_publish`` appends that seal (the loader ignores trailing bytes).
-    Checking it first matters: loading a truncated library can kill the
-    process with SIGBUS before any self-check gets to run.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError:
-        return False
-    body, seal = data[:-_SEAL_BYTES], data[-_SEAL_BYTES:]
-    return bool(body) and hashlib.sha256(body).digest() == seal
 
 
 def _compile(compiler: str, directory: str) -> str | None:
@@ -288,33 +252,6 @@ def _compile(compiler: str, directory: str) -> str | None:
     return lib_path
 
 
-def _publish(lib_path: str, cached: str) -> bool:
-    """Copy a checked build, sealed with its SHA-256, to ``cached``
-    atomically (temp file in the cache directory, then ``os.replace``);
-    ``False`` if it cannot be written there."""
-    import tempfile
-
-    directory = os.path.dirname(cached)
-    try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
-        if not _trusted(directory):
-            return False
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(cached) + ".", dir=directory)
-    except OSError:
-        return False
-    try:
-        with open(lib_path, "rb") as built:
-            body = built.read()
-        with os.fdopen(fd, "wb") as out:
-            out.write(body + hashlib.sha256(body).digest())
-        os.replace(tmp, cached)
-        return True
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        return False
-
-
 def _build():
     """``(kwide, origin, cached_path)`` or ``None`` (fallback).
 
@@ -328,10 +265,12 @@ def _build():
     try:
         for compiler in filter(None, map(shutil.which, _COMPILERS)):
             cached = os.path.join(
-                _cache_dir(), f"libreprowalk-{_cache_key(compiler)}.so"
+                cache_dir(), f"libreprowalk-{_cache_key(compiler)}.so"
             )
-            if os.path.exists(cached) and _trusted(os.path.dirname(cached)):
-                kwide = _bind(cached) if _intact(cached) else None
+            if os.path.exists(cached) and trusted(os.path.dirname(cached)):
+                # a library loaded unsealed could die of SIGBUS in the
+                # loader before the self-check runs
+                kwide = _bind(cached) if read_sealed(cached) is not None else None
                 if kwide is not None:
                     return kwide, "cached", cached
                 # damaged, foreign or miscompiled: evict, rebuild once
@@ -349,7 +288,8 @@ def _build():
                 kwide = _bind(lib_path)
                 if kwide is None:
                     return None
-                saved = cached if _publish(lib_path, cached) else None
+                with open(lib_path, "rb") as built:
+                    saved = cached if publish(built.read(), cached) else None
                 return kwide, "compiled", saved
     except Exception:
         _LOG.warning("native dispatch kernel build failed", exc_info=True)

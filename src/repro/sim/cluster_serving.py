@@ -67,11 +67,9 @@ import io
 import multiprocessing
 import pickle
 import types
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from repro.perf.metrics import EvalStats, FaultStats, read_totals
@@ -86,7 +84,6 @@ from repro.sim.streaming import (
 from repro.workloads.gemm import GemmShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.multi_acc import AcceleratorPartition
     from repro.obs.windows import ServingMonitor
 
 __all__ = [
@@ -160,68 +157,22 @@ def _dumps(payload: Any) -> bytes:
 _WORKER_STATE: dict[str, Any] | None = None
 
 
-class _ShardDesigns(Mapping):
-    """Accelerator name -> design, the partition built on first lookup.
-
-    Iterating yields the names alone, which is all dispatch reads, so
-    the analytical model, the CHARM designs and their placement check
-    load only when something asks for a design.
-    """
-
-    def __init__(self, config_names: Sequence[str], device) -> None:
-        self._names = tuple(config_names)
-        self._device = device
-
-    @cached_property
-    def partition(self) -> AcceleratorPartition:
-        from repro.core.multi_acc import AcceleratorPartition
-        from repro.mapping.configs import config_by_name
-
-        return AcceleratorPartition(
-            [config_by_name(name) for name in self._names], device=self._device
-        )
-
-    def __getitem__(self, name: str):
-        return self.partition.designs[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
-class _ShardPartition:
-    """The duck-typed partition a shard worker serves on.
-
-    The parent's service table arrives seeded, so a worker resolves a
-    design only for a device-degraded fault window (which re-runs the
-    model on the derated device) or a service-table miss; until then it
-    imports only the dispatch layer.
-    """
-
-    def __init__(self, config_names: Sequence[str], device) -> None:
-        self.designs = _ShardDesigns(config_names, device)
-
-    def estimate_on(self, accelerator: str, shape: GemmShape) -> float:
-        return self.designs.partition.estimate_on(accelerator, shape)
-
-
 def _build_worker_simulator(payload: dict[str, Any]) -> ServingSimulator:
-    """A stock simulator over a lazily built partition, cache pre-seeded.
+    """A stock simulator seeded with the parent's service table.
 
-    The partition is reconstructed from config *names* (configs carry
-    no state beyond their registry entry) on the payload's device, on
-    first need only; the parent's service-time table and infeasibility
-    set are copied in, so the worker never pays a cold model evaluation
-    and dispatches exactly like the parent would.
+    Its :class:`~repro.sim.serving.LazyPartition` is reconstructed from
+    config *names* (configs carry no state beyond their registry entry)
+    on the payload's device, on first need only; the parent's
+    service-time table and infeasibility set are copied in, so the
+    worker never pays a cold model evaluation and dispatches exactly
+    like the parent would.
     """
-    simulator = ServingSimulator(
-        _ShardPartition(payload["config_names"], payload["device"])
+    return ServingSimulator.seeded(
+        payload["config_names"],
+        payload["device"],
+        payload["service_table"],
+        payload["infeasible"],
     )
-    simulator._service_cache.update(payload["service_table"])
-    simulator._infeasible.update(payload["infeasible"])
-    return simulator
 
 
 def _worker_init(payload_bytes: bytes) -> None:

@@ -70,9 +70,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,6 +100,7 @@ from repro.workloads.gemm import GemmShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.multi_acc import AcceleratorPartition
+    from repro.hw.specs import DeviceSpec
     from repro.obs.slo import SloSpec
     from repro.obs.windows import ServingMonitor
     from repro.sim.chaos import FaultPolicy, FaultSchedule
@@ -630,6 +632,55 @@ class _ScanFaultSelector:
         return best_order, best_start, best_finish
 
 
+class _LazyDesigns(Mapping):
+    """Accelerator name -> design, the partition built on first lookup.
+
+    Iterating yields the names alone, which is all dispatch reads, so
+    the analytical model, the CHARM designs and their placement check
+    load only when something asks for a design.
+    """
+
+    def __init__(self, config_names: Sequence[str], device: DeviceSpec) -> None:
+        self._names = tuple(config_names)
+        self._device = device
+
+    @cached_property
+    def partition(self) -> AcceleratorPartition:
+        from repro.core.multi_acc import AcceleratorPartition
+        from repro.mapping.configs import config_by_name
+
+        return AcceleratorPartition(
+            [config_by_name(name) for name in self._names], device=self._device
+        )
+
+    def __getitem__(self, name: str):
+        return self.partition.designs[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+class LazyPartition:
+    """A partition of Table II configs, named now and built on first need.
+
+    A simulator whose service table arrives seeded (a shard worker, or
+    a CLI serve from a stored table) resolves a design only for a
+    device-degraded fault window (which re-runs the model on the
+    derated device) or a service-table miss; until then it imports only
+    the dispatch layer.
+    """
+
+    def __init__(self, config_names: Sequence[str], device: DeviceSpec) -> None:
+        self.device = device
+        self.designs = _LazyDesigns(config_names, device)
+
+    def estimate_on(self, accelerator: str, shape: GemmShape) -> float:
+        return self.designs.partition.estimate_on(accelerator, shape)
+
+
 class ServingSimulator:
     """Earliest-finish dispatch of a request trace over a partition.
 
@@ -646,16 +697,32 @@ class ServingSimulator:
     accelerator names and calls ``estimate_on`` on a cache miss; only a
     device-degraded fault window reads a design (its ``.config``).  An
     :class:`~repro.core.multi_acc.AcceleratorPartition` qualifies, and
-    so does a shard worker's partition that builds one on first need.
+    so does a :class:`LazyPartition` that builds one on first need.
     """
 
-    def __init__(self, partition: AcceleratorPartition):
+    def __init__(self, partition: AcceleratorPartition | LazyPartition):
         self.partition = partition
         # per-shape service times are reused across requests
         self._service_cache: dict[tuple[str, GemmShape], float] = {}
         self._infeasible: set[tuple[str, GemmShape]] = set()
         self.stats = EvalStats()
         self.metrics: MetricsRegistry = GLOBAL_METRICS
+
+    @classmethod
+    def seeded(
+        cls,
+        config_names: Sequence[str],
+        device: DeviceSpec,
+        services: dict[tuple[str, GemmShape], float],
+        infeasible: set[tuple[str, GemmShape]],
+    ) -> ServingSimulator:
+        """A simulator over a :class:`LazyPartition` whose service table
+        is ``services`` and ``infeasible``: it dispatches exactly like
+        the simulator that computed them, without running the model."""
+        simulator = cls(LazyPartition(config_names, device))
+        simulator._service_cache.update(services)
+        simulator._infeasible.update(infeasible)
+        return simulator
 
     def _service(self, accelerator: str, shape: GemmShape) -> float:
         key = (accelerator, shape)
@@ -692,14 +759,16 @@ class ServingSimulator:
     def prewarm(self, shapes: Sequence[GemmShape]) -> int:
         """Precompute service times for ``shapes`` on every accelerator.
 
-        Infeasible pairs are skipped (dispatch skips them too).  Returns
-        the number of pairs resolved.
+        Infeasible pairs are skipped (dispatch skips them too), and
+        pairs already resolved either way are not evaluated again.
+        Returns the number of pairs resolved.
         """
         pairs = [
             (name, shape)
             for shape in dict.fromkeys(shapes)
             for name in self.partition.designs
             if (name, shape) not in self._service_cache
+            and (name, shape) not in self._infeasible
         ]
         warmed = 0
         with span("serve.prewarm", track="serving", pairs=len(pairs)), track(

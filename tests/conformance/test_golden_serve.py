@@ -82,10 +82,16 @@ def _sim_events(trace_text: str) -> str:
 
 
 def run_case(name: str) -> dict[str, str]:
-    """Run one case in a fresh interpreter; return its golden artifacts."""
+    """Run one case in a fresh interpreter; return its golden artifacts.
+
+    Each case gets an empty cache directory: the pinned eval counters
+    are a cold serve's, and a serve that finds the service table an
+    earlier case with the same configs and shapes stored evaluates
+    nothing."""
     args = CASES[name]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   XDG_CACHE_HOME=str(Path(tmp) / "cache"))
         out = Path(tmp) / "out"
         argv = [sys.executable, "-m", "repro.cli", "serve", SHAPES, *args, str(out)]
         result = subprocess.run(

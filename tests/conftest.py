@@ -17,6 +17,19 @@ _KERNEL_CACHE = tempfile.mkdtemp(prefix="repro-test-cache-")
 os.environ["XDG_CACHE_HOME"] = _KERNEL_CACHE
 atexit.register(shutil.rmtree, _KERNEL_CACHE, ignore_errors=True)
 
+
+@pytest.fixture(autouse=True)
+def _no_stored_service_tables():
+    """Every test starts from an empty service-table cache: a serve that
+    finds a table stored by an earlier test evaluates nothing, which
+    would make eval counters depend on test order.  The compiled kernel
+    in the same directory is kept."""
+    directory = os.path.join(_KERNEL_CACHE, "repro")
+    if os.path.isdir(directory):
+        for name in os.listdir(directory):
+            if name.startswith("services-"):
+                os.unlink(os.path.join(directory, name))
+
 # property tests explore deterministically so the suite gives the same
 # verdict on every run (counterexamples are hunted during development,
 # not at release-verification time)

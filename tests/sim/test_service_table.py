@@ -1,0 +1,220 @@
+"""The stored service table of ``serve`` and its failure modes.
+
+The table shares the native kernel cache's directory, trust, seal and
+atomic-publish rules (``repro.sim._disk_cache``), so these rows mirror
+``tests/sim/test_native_cache.py``.  ``main`` runs in-process with
+``XDG_CACHE_HOME`` pointed at a temp directory; its ``--stats`` row says
+which case ran.  One row checks the reuse across fresh interpreters.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.sim import service_table
+from repro.workloads.gemm import GemmShape
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+CONFIGS = ("C5", "C3")
+SHAPES = (GemmShape(1024, 1024, 1024), GemmShape(512, 512, 512))
+SERVE = ["--stats", "serve", ",".join(map(str, SHAPES)), "--configs",
+         ",".join(CONFIGS), "--requests", "300", "--rate", "1000", "--seed", "5"]
+
+
+@pytest.fixture
+def cache_home(tmp_path, monkeypatch) -> Path:
+    home = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
+def keyed_path() -> Path:
+    return Path(service_table.table_path(CONFIGS, SHAPES))
+
+
+def serve(capsys) -> tuple[str, str]:
+    """``(stdout, services row)`` of one in-process serve."""
+    assert main(SERVE) == 0
+    captured = capsys.readouterr()
+    (row,) = [line for line in captured.err.splitlines()
+              if line.startswith("services")]
+    return captured.out, row
+
+
+def table_files(home: Path) -> list[str]:
+    return sorted(path.name for path in home.glob("repro/services-*"))
+
+
+def seal(path: Path, body: bytes) -> None:
+    """Write ``body`` with the SHA-256 seal the cache appends."""
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def poisoned_table(path: Path) -> None:
+    """A well-formed, sealed table whose every service time is 1 s: a
+    serve that reads it prints a different report."""
+    services = {(name, shape): 1.0 for name in CONFIGS for shape in SHAPES}
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    assert service_table.store(str(path), services, set())
+
+
+def test_cold_serve_writes_one_keyed_file_then_reuses_it(cache_home, capsys):
+    cold, row = serve(capsys)
+    path = keyed_path()
+    assert row == f"services     computed, saved to {path}"
+    assert path.parent == cache_home / "repro"
+    (name,) = table_files(cache_home)
+    assert re.fullmatch(r"services-[0-9a-f]{16}\.json", name)
+    assert (cache_home / "repro").stat().st_mode & 0o777 == 0o700
+
+    warm, row = serve(capsys)
+    assert row == f"services     cached at {path}"
+    assert warm == cold
+    assert table_files(cache_home) == [name]
+
+
+def test_second_process_reuses_the_table(cache_home, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache_home))
+    runs = [
+        subprocess.run([sys.executable, "-m", "repro.cli", *SERVE],
+                       capture_output=True, text=True, env=env, cwd=tmp_path,
+                       timeout=300, check=True)
+        for _ in range(2)
+    ]
+    rows = [next(line for line in run.stderr.splitlines()
+                 if line.startswith("services")) for run in runs]
+    path = keyed_path()
+    assert rows == [f"services     computed, saved to {path}",
+                    f"services     cached at {path}"]
+    assert runs[0].stdout == runs[1].stdout
+    assert re.search(r"^eval stats +0 evaluations", runs[1].stderr, re.MULTILINE)
+
+
+def test_table_round_trips_exactly(cache_home):
+    awkward = (0.1 + 0.2, 5e-324, 1 / 3, 2.0**-30, 123456.789e-9)
+    names = ("C5", "C3", "C1")
+    services = {
+        (name, shape): value
+        for (name, shape), value in zip(
+            ((n, s) for n in names[:2] for s in SHAPES), awkward
+        )
+    }
+    infeasible = {("C1", shape) for shape in SHAPES}
+    path = str(keyed_path())
+    assert service_table.store(path, services, infeasible)
+    assert service_table.load(path, names, SHAPES) == (services, infeasible)
+
+
+def test_key_tracks_sources_config_order_and_shapes(tmp_path, monkeypatch):
+    package = tmp_path / "repro"
+    shutil.copytree(SRC / "repro", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(service_table, "_PACKAGE", str(package))
+    key = service_table.table_path(CONFIGS, SHAPES)
+    assert key == service_table.table_path(list(CONFIGS), SHAPES + SHAPES[:1])
+    assert key != service_table.table_path(CONFIGS[::-1], SHAPES)
+    assert key != service_table.table_path(CONFIGS, SHAPES[::-1])
+    assert key != service_table.table_path(CONFIGS, SHAPES[:1])
+
+    source = package / "core" / "analytical_model.py"
+    data = bytearray(source.read_bytes())
+    data[-1] ^= 1
+    source.write_bytes(bytes(data))
+    assert key != service_table.table_path(CONFIGS, SHAPES)
+
+
+@pytest.mark.parametrize(
+    "damage", ["garbage", "truncated", "wrong_seal", "sealed_garbage", "incomplete"]
+)
+def test_damaged_table_is_recomputed_and_replaced(cache_home, capsys, damage):
+    clean, _ = serve(capsys)
+    path = keyed_path()
+    if damage == "garbage":
+        path.write_bytes(b'{"services": [not json')
+    elif damage == "truncated":
+        os.truncate(path, path.stat().st_size // 2)
+    elif damage == "wrong_seal":
+        path.write_bytes(path.read_bytes()[:-1] + b"\0")
+    elif damage == "sealed_garbage":
+        # passes the seal check, so the JSON reader must reject it
+        seal(path, b'{"services": [["C5", [1, 2], "slow"]]}')
+    else:
+        # well-formed and sealed, but missing a pair
+        document = json.loads(path.read_bytes()[:-32])
+        document["services"].pop()
+        seal(path, json.dumps(document).encode())
+    damaged = path.read_bytes()
+
+    out, row = serve(capsys)
+    assert row == f"services     computed, saved to {path}"
+    assert out == clean
+    assert path.read_bytes() != damaged
+    assert service_table.load(str(path), CONFIGS, SHAPES) is not None
+    assert serve(capsys)[1] == f"services     cached at {path}"
+
+
+@pytest.mark.parametrize("owner", ["group_writable", "foreign_owned"])
+def test_untrusted_cache_dir_is_neither_read_nor_written(
+    cache_home, capsys, monkeypatch, owner
+):
+    clean, _ = serve(capsys)
+    path = keyed_path()
+    poisoned_table(path)
+    planted = path.read_bytes()
+    if owner == "group_writable":
+        path.parent.chmod(0o770)
+    else:
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+
+    out, row = serve(capsys)
+    assert row == "services     computed, cache unwritable"
+    assert out == clean
+    assert path.read_bytes() == planted
+
+
+@pytest.mark.parametrize("blocker", ["file_in_the_way", "read_only_fs"])
+def test_unwritable_cache_still_serves(cache_home, capsys, monkeypatch, blocker):
+    if blocker == "file_in_the_way":
+        cache_home.parent.mkdir(parents=True, exist_ok=True)
+        cache_home.write_text("not a directory")
+    else:
+        def read_only(*args, **kwargs):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(tempfile, "mkstemp", read_only)
+
+    out, row = serve(capsys)
+    assert row == "services     computed, cache unwritable"
+    assert out.startswith("requests     300 over 2 accelerators")
+    if blocker == "read_only_fs":
+        assert os.listdir(cache_home / "repro") == []
+
+
+def test_seeded_prewarm_builds_no_partition():
+    """A simulator seeded with a stored table resolves every pair,
+    infeasible ones included, without building its partition."""
+    from repro.hw.specs import VCK5000
+    from repro.sim.serving import ServingSimulator
+
+    services = {("C5", SHAPES[0]): 1e-3, ("C3", SHAPES[0]): 2e-3,
+                ("C5", SHAPES[1]): 3e-4}
+    infeasible = {("C3", SHAPES[1])}
+    simulator = ServingSimulator.seeded(CONFIGS, VCK5000, services, infeasible)
+    assert simulator.prewarm(SHAPES) == 0
+    assert simulator.stats.evaluations == 0
+    assert "partition" not in vars(simulator.partition.designs)
+    assert list(simulator.partition.designs) == list(CONFIGS)

@@ -257,6 +257,9 @@ class TestBadInput:
             (["roofline", "--height", "0"], "0"),
             (["chart", "fig5", "--value", "efficiency", "--width", "-3"], "-3"),
             (["bench", "-n", "0"], "0"),
+            (_SERVE + ["--configs", "C5,C5"], "C5"),
+            (_SERVE + ["--configs", "C5,C3,C5"], "C5"),
+            (["model", "nope"], "nope"),
         ],
     )
     def test_exits_2_naming_the_value(self, argv, token, capsys):
@@ -267,6 +270,43 @@ class TestBadInput:
         assert repr(token) in err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith("versal-gemm ")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (_SERVE + ["--configs", "C5,C5"],
+             "versal-gemm serve: error: argument --configs: "
+             "duplicate config 'C5'"),
+            (["model", "nope"],
+             "versal-gemm model: error: argument model: unknown model "
+             "'nope'; known: BERT-large, ViT-L, Llama2-7B, Llama2-13B, "
+             "Llama2-70B"),
+        ],
+        ids=["duplicate-config", "unknown-model"],
+    )
+    def test_parser_error_line(self, argv, line, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
+    @pytest.mark.parametrize(
+        "configs, line",
+        [
+            ("C1,C2,C3,C4,C5,C6,C7,C8,C9",
+             "serve: partition needs 992 AIEs; device has 400"),
+        ],
+        ids=["too-many-aies"],
+    )
+    def test_partition_that_does_not_fit_exits_2_storing_no_table(
+        self, configs, line, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert main(_SERVE + ["--configs", configs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+        assert list(tmp_path.glob("repro/services-*")) == []
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -151,6 +151,58 @@ def test_cached_kernel_serve_loads_no_compiler_modules(tmp_path):
     assert loaded == ["repro.sim._native"]
 
 
+def test_warm_serve_loads_no_model_and_no_pool_modules(tmp_path):
+    """A serve that finds its stored service table dispatches on it:
+    the model stack, the shard pool and the thread pool stay unloaded."""
+    serve = _cli("serve", "512x512x512,1024x1024x1024", "--requests", "200")
+    watched = WORKER_WATCHED + ("multiprocessing", "concurrent.futures")
+    # the first serve computes the table into the (empty) cache
+    assert "repro.core.analytical_model" in _loaded_after(serve, tmp_path, watched)
+    assert _loaded_after(serve, tmp_path, watched) == []
+
+
+_MIX = "1024x1024x1024,512x512x512,2048x1024x512,1024x2048x1024"
+_SLO = ("--slo", "p99<50ms,avail>0.999", "--windows", "20")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        _SLO,
+        ("--streaming",) + _SLO,
+        ("--faults", "chaos", "--fault-seed", "3") + _SLO,
+        ("--streaming", "--shards", "2", "--start-method", "spawn") + _SLO,
+    ],
+    ids=["exact", "streaming", "chaos", "spawn-shards"],
+)
+def test_warm_serve_writes_what_a_cold_serve_writes(tmp_path, flags):
+    """Serving from the stored table changes no output byte: stdout,
+    the monitor file and the simulated-time trace events are the cold
+    run's.  ``chaos`` derates the device in some windows, which loads
+    the model on first need."""
+    from tests.conformance.test_golden_serve import _sim_events
+
+    argv = [sys.executable, "-m", "repro.cli", "--stats", "serve", _MIX, "--configs",
+            "C5,C3", "--requests", "2000", "--rate", "1000", "--seed", "4",
+            *flags, "--trace-out", "trace.json", "--monitor-out", "monitor.json"]
+    written = []
+    for run, table in (("cold", "computed, saved to"), ("warm", "cached at")):
+        rundir = tmp_path / run
+        rundir.mkdir()
+        child = subprocess.run(
+            argv, capture_output=True, text=True, env=_child_env(tmp_path),
+            cwd=rundir, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert f"\nservices     {table} " in child.stderr
+        written.append((
+            child.stdout,
+            (rundir / "monitor.json").read_bytes(),
+            _sim_events((rundir / "trace.json").read_text()),
+        ))
+    assert written[0] == written[1]
+
+
 def test_faulted_serve_loads_the_fault_layer(tmp_path):
     loaded = _loaded_after(
         _cli("serve", "512x512x512", "--requests", "200", "--streaming",
@@ -232,7 +284,9 @@ def test_fresh_process_writes_what_an_in_process_run_writes(
 ):
     """Every output file is complete when ``main`` returns: none waits
     for an exit-time collection to flush or close it.  The trace and the
-    metrics are compared without the samples that time the host."""
+    metrics are compared without the samples that time the host.  Each
+    run starts from an empty service-table cache, so both evaluate the
+    model and count the same evaluations."""
     from repro.cli import main
     from repro.perf import clear_cache
     from tests.conformance.test_golden_serve import (
@@ -257,6 +311,7 @@ def test_fresh_process_writes_what_an_in_process_run_writes(
     )
     assert child.returncode == 0, child.stderr
     monkeypatch.chdir(in_process)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(in_process / "cache"))
     clear_cache()  # the cache counters land in the metrics file
     assert main(argv) == 0
     assert child.stdout == capsys.readouterr().out
