@@ -243,7 +243,8 @@ class ChromeTraceBuilder:
         #: exact reports' request columns
         self._sources: list[_EventList | _RequestEvents] = []
         self._tids: dict[tuple[int, str], int] = {}
-        self._next_tid = 1
+        #: the next free tid per pid
+        self._next_tid: dict[int, int] = {}
 
     def _add(self, event: dict[str, Any]) -> None:
         sources = self._sources
@@ -253,11 +254,13 @@ class ChromeTraceBuilder:
 
     # -- track bookkeeping ---------------------------------------------
     def tid(self, track: str, pid: int = WALL_PID) -> int:
+        """The track's tid, numbered from 1 per pid in first-use order,
+        so no process's tracks shift when another gains or loses one."""
         key = (pid, track)
         tid = self._tids.get(key)
         if tid is None:
-            tid = self._tids[key] = self._next_tid
-            self._next_tid += 1
+            tid = self._tids[key] = self._next_tid.get(pid, 1)
+            self._next_tid[pid] = tid + 1
         return tid
 
     def _metadata_events(self) -> list[dict[str, Any]]:
@@ -273,7 +276,9 @@ class ChromeTraceBuilder:
                     "args": {"name": _PROCESS_NAMES.get(pid, f"process {pid}")},
                 }
             )
-        for (pid, track), tid in sorted(self._tids.items(), key=lambda kv: kv[1]):
+        for (pid, track), tid in sorted(
+            self._tids.items(), key=lambda kv: (kv[0][0], kv[1])
+        ):
             events.append(
                 {
                     "name": "thread_name",

@@ -315,75 +315,80 @@ def _dispatch_burst(arrivals, class_ids, rows, free):
     return np.asarray(accs, dtype=np.int64), np.asarray(starts), np.asarray(fins)
 
 
-def dispatch_vectorized(arrivals, class_ids, services, free, flush, chunk_size):
+def dispatch_vectorized(blocks, services, free, flush, chunk_size):
     """Dispatch a fault-free trace: the fast path's entry point.
 
+    ``blocks`` yields the trace in order as ``(base, arrivals,
+    class_ids)`` blocks (:meth:`~repro.sim.streaming.SoATrace.blocks`);
     ``services`` is a ``(width, classes)`` float64 matrix with ``inf``
     marking infeasible pairs; ``free`` is the mutable per-accelerator
-    clock list.  With the native kernel every ``chunk_size`` chunk is
-    dispatched in one C pass; otherwise speculate-and-verify rounds run,
-    and the stretches speculation keeps mispredicting (regime
-    transitions, adversarial arrival patterns) go through an exact
-    scalar loop in escalating bursts.  ``flush(base, accs, starts,
-    fins)`` receives every dispatched stretch in trace order.
+    clock list, carried across blocks.  With the native kernel every
+    block is dispatched in one C pass; otherwise speculate-and-verify
+    rounds of at most ``chunk_size`` requests run, their state carried
+    across blocks, and the stretches speculation keeps mispredicting
+    (regime transitions, adversarial arrival patterns) go through an
+    exact scalar loop in escalating bursts.  ``flush(base, arrivals,
+    accs, starts, fins)`` receives every dispatched stretch in trace
+    order with its arrivals.
     """
-    n = int(arrivals.size)
     if _native_dispatch is not None:
         # exact native loop: no speculation to verify, no constraints to
-        # hit — every chunk is fully dispatched in one C pass
-        pos = 0
-        while pos < n:
-            hi = min(pos + chunk_size, n)
+        # hit — every block is fully dispatched in one C pass
+        for base, arrivals, class_ids in blocks:
             _, accs, starts, fins = _native_dispatch(
-                arrivals[pos:hi], class_ids[pos:hi], services, free, _INF
+                arrivals, class_ids, services, free, _INF
             )
-            flush(pos, accs, starts, fins)
-            pos = hi
+            flush(base, arrivals, accs, starts, fins)
         return
-    pos = 0
     max_window = max(chunk_size, MIN_WINDOW)
     window = MIN_WINDOW
-    busy = max(free) > float(arrivals[0]) if n else False
+    # None: decide the regime from the next request's arrival
+    busy = None
     stalls = 0
     burst = MIN_BURST
     rows = services.T.tolist()
-    while pos < n:
-        hi = min(pos + window, n)
-        span = hi - pos
-        q, accs, starts, fins, reason = _one_round(
-            arrivals[pos:hi], class_ids[pos:hi], services, free, busy
-        )
-        if q:
-            flush(pos, accs, starts, fins)
-            pos += q
-        if reason == "idle":
-            busy = False
-        elif reason == "busy":
-            busy = True
-        if q >= span:
-            window = min(window * 4, max_window)
-            stalls = 0
-            burst = MIN_BURST
-        elif q >= STALL_ACCEPT:
-            window = min(max(2 * q, MIN_WINDOW), max_window)
-            stalls = 0
-            burst = MIN_BURST
-        else:
-            window = MIN_WINDOW
-            stalls += 1
-            if stalls >= MAX_STALLS:
-                end = min(pos + burst, n)
-                flush(
-                    pos,
-                    *_dispatch_burst(
-                        arrivals[pos:end].tolist(),
-                        class_ids[pos:end].tolist(),
-                        rows,
-                        free,
-                    ),
-                )
-                pos = end
-                burst = min(burst * 2, max_window)
+    for base, arrivals, class_ids in blocks:
+        n = int(arrivals.size)
+        pos = 0
+        while pos < n:
+            if busy is None:
+                busy = max(free) > float(arrivals[pos])
+            hi = min(pos + window, n)
+            span = hi - pos
+            q, accs, starts, fins, reason = _one_round(
+                arrivals[pos:hi], class_ids[pos:hi], services, free, busy
+            )
+            if q:
+                flush(base + pos, arrivals[pos : pos + q], accs, starts, fins)
+                pos += q
+            if reason == "idle":
+                busy = False
+            elif reason == "busy":
+                busy = True
+            if q >= span:
+                window = min(window * 4, max_window)
                 stalls = 0
-                if pos < n:
-                    busy = max(free) > float(arrivals[pos])
+                burst = MIN_BURST
+            elif q >= STALL_ACCEPT:
+                window = min(max(2 * q, MIN_WINDOW), max_window)
+                stalls = 0
+                burst = MIN_BURST
+            else:
+                window = MIN_WINDOW
+                stalls += 1
+                if stalls >= MAX_STALLS:
+                    end = min(pos + burst, n)
+                    flush(
+                        base + pos,
+                        arrivals[pos:end],
+                        *_dispatch_burst(
+                            arrivals[pos:end].tolist(),
+                            class_ids[pos:end].tolist(),
+                            rows,
+                            free,
+                        ),
+                    )
+                    pos = end
+                    burst = min(burst * 2, max_window)
+                    stalls = 0
+                    busy = None

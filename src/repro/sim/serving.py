@@ -26,8 +26,12 @@ into the same ``chunk_size`` blocks and builds either report from them:
 the exact :class:`ServingReport` keeps the columns, while
 ``run(..., streaming=True)`` folds the blocks into a
 :class:`~repro.sim.streaming.StreamingServingReport` (sketched
-percentiles within the sketch's documented error bound, O(1) memory in
-the trace length on fault-free runs).  Either report is therefore
+percentiles within the sketch's documented error bound).  The fast
+path reads the trace through
+:meth:`~repro.sim.streaming.SoATrace.blocks`, so a fault-free
+streaming serve of a generated trace is O(1) in memory in the trace
+length, the trace included: each block is generated, dispatched and
+folded before the next exists.  Either report is therefore
 byte-identical across engines.  :func:`load_sweep` drives the
 offered-load -> tail-latency curve the paper's serving discussion is
 about, with saturation-knee detection and an early exit once throughput
@@ -90,6 +94,7 @@ from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.sim import dispatch_batch
 from repro.sim.dispatch_batch import dispatch_vectorized
 from repro.sim.streaming import (
+    TRACE_BLOCK,
     QuantileSketch,
     SoATrace,
     StreamingServingReport,
@@ -333,12 +338,13 @@ def _joined(pieces: Sequence[np.ndarray]) -> np.ndarray:
 class _ReportSink:
     """Turns any engine's arrival-ordered decisions into its report.
 
-    Every engine hands its decisions over as ``(base, accs, starts,
-    finishes)`` stretches of rows ``[base, base + len(accs))`` of
-    ``arrivals``: the fast path chunk by chunk, the scan oracle and the
-    fault loop as whole columns.  The streaming report's running float
-    sums and the monitor's window series depend on block boundaries,
-    so the stretches are re-cut into exact ``chunk_size`` blocks at rows
+    Every engine hands its decisions over as ``(base, arrivals, accs,
+    starts, finishes)`` stretches of rows ``[base, base + len(accs))``,
+    each with its rows' arrivals: the fast path block by block as it
+    reads the trace, the scan oracle and the fault loop as whole
+    columns.  The streaming report's running float sums and the
+    monitor's window series depend on block boundaries, so the
+    stretches are re-cut into exact ``chunk_size`` blocks at rows
     ``0, chunk_size, 2 * chunk_size, ...`` whatever engine produced
     them.  Per block, in order: a ``serve.dispatch_chunk`` span opens,
     the block's latencies and sketch bucket keys are computed once, the
@@ -347,13 +353,13 @@ class _ReportSink:
     never steers.  Equal decisions therefore give byte-equal reports
     and monitor series on every engine.  Exact mode keeps the stretches
     themselves as the report's columns, so a whole column is kept
-    without a copy.
+    without a copy; a streaming sink keeps nothing past the current
+    block, so neither does a fast-path serve of a generated trace.
     """
 
     def __init__(
         self,
         names: Sequence[str],
-        arrivals: np.ndarray,
         *,
         streaming: bool,
         quantile_error: float,
@@ -361,7 +367,6 @@ class _ReportSink:
         monitor: "ServingMonitor | None",
     ):
         self.names = names
-        self.arrivals = arrivals
         self.chunk_size = chunk_size
         self.monitor = monitor
         self.report = (
@@ -379,13 +384,19 @@ class _ReportSink:
         # exact mode: the report columns, as the engine handed them over
         self._stretches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # the stretches since the last full block, starting at row _base
-        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._pending: list[tuple[np.ndarray, ...]] = []
         self._base = self._count = 0
 
     def add(
-        self, base: int, accs: np.ndarray, starts: np.ndarray, finishes: np.ndarray
+        self,
+        base: int,
+        arrivals: np.ndarray,
+        accs: np.ndarray,
+        starts: np.ndarray,
+        finishes: np.ndarray,
     ) -> None:
-        """Take the decisions for rows ``[base, base + len(accs))``."""
+        """Take the decisions for rows ``[base, base + len(accs))``,
+        whose arrivals are ``arrivals``."""
         if self.report is None:
             self._stretches.append(
                 (accs.astype(_ACC_DTYPE, copy=False), starts, finishes)
@@ -393,7 +404,7 @@ class _ReportSink:
         pending = self._pending
         if not pending:
             self._base = base
-        pending.append((accs, starts, finishes))
+        pending.append((arrivals, accs, starts, finishes))
         self._count += len(accs)
         size = self.chunk_size
         if self._count < size:
@@ -410,12 +421,16 @@ class _ReportSink:
         self._count -= lo
 
     def _block(
-        self, base: int, accs: np.ndarray, starts: np.ndarray, finishes: np.ndarray
+        self,
+        base: int,
+        arrivals: np.ndarray,
+        accs: np.ndarray,
+        starts: np.ndarray,
+        finishes: np.ndarray,
     ) -> None:
         with span("serve.dispatch_chunk", track="serving", base=base, size=len(accs)):
             if self._keyer is None:
                 return
-            arrivals = self.arrivals[base : base + len(accs)]
             latencies = finishes - arrivals
             keys = self._keyer.prepare_keys(latencies)
             if self.report is not None:
@@ -429,8 +444,9 @@ class _ReportSink:
 
     def finish(
         self,
-        class_ids: np.ndarray,
         shapes: Sequence[GemmShape],
+        arrivals: np.ndarray | None = None,
+        class_ids: np.ndarray | None = None,
         *,
         request_ids: np.ndarray | None = None,
         retries: np.ndarray | None = None,
@@ -438,9 +454,10 @@ class _ReportSink:
     ) -> ServingReport | StreamingServingReport:
         """Fold the last partial block and build the report, once.
 
-        ``class_ids``, ``request_ids`` (``None``: the row positions)
-        and ``retries`` (``None``: all zero) are the exact report's
-        remaining columns.  ``faults`` holds a faulted run's
+        ``arrivals``, ``class_ids``, ``request_ids`` (``None``: the row
+        positions) and ``retries`` (``None``: all zero) are the exact
+        report's remaining columns; a streaming report needs none but
+        ``retries`` of a faulted run.  ``faults`` holds a faulted run's
         :class:`ServingReport` fault fields; a streaming report records
         their totals.
         """
@@ -461,7 +478,7 @@ class _ReportSink:
         accs, starts, finishes = (_joined(c) for c in zip(*self._stretches))
         count = int(finishes.size)
         return ServingReport(
-            arrivals=self.arrivals,
+            arrivals=arrivals,
             starts=starts,
             finishes=finishes,
             accelerator_ids=accs,
@@ -476,6 +493,18 @@ class _ReportSink:
             ),
             **faults,
         )
+
+
+def _used_classes(trace: SoATrace) -> list[bool]:
+    """Which of ``trace``'s shape classes some request uses, reading
+    blocks only until every class has turned up (one block, on any
+    sizeable trace over a small mix)."""
+    used = np.zeros(len(trace.shapes), dtype=bool)
+    for _, _, shape_ids in trace.blocks(TRACE_BLOCK):
+        used[shape_ids] = True
+        if used.all():
+            break
+    return used.tolist()
 
 
 class _FaultView:
@@ -822,11 +851,13 @@ class ServingSimulator:
 
         ``streaming=True`` returns a :class:`StreamingServingReport`
         with ``quantile_error``-bounded percentiles, folded chunk by
-        chunk: O(1) memory in the trace length on fault-free runs,
-        while a faulted run's fault loop holds its per-request outcome
-        columns until the loop ends.  The default exact mode keeps
-        every completed request as report columns (see
-        :class:`ServingReport`).
+        chunk: O(1) memory in the trace length on fault-free ``auto``
+        runs, a generated trace included (it is generated block by
+        block and never held whole), while the scan oracle and a
+        faulted run's fault loop read the whole trace and hold their
+        per-request outcome columns until the loop ends.  The default
+        exact mode keeps every completed request as report columns
+        (see :class:`ServingReport`).
 
         ``faults`` injects a time-varying fault schedule under
         ``fault_policy`` (default :data:`~repro.sim.chaos.DEFAULT_FAULT_POLICY`)
@@ -842,6 +873,8 @@ class ServingSimulator:
         """
         if dispatch not in _DISPATCH_MODES:
             raise ValueError(f"dispatch must be one of {_DISPATCH_MODES}")
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         if not isinstance(trace, SoATrace):
             raise TypeError(
                 f"run() serves an SoATrace, got {type(trace).__name__}; "
@@ -890,7 +923,7 @@ class ServingSimulator:
     def _run_faulted(
         self,
         trace: SoATrace,
-        make_sink: Callable[[np.ndarray], _ReportSink],
+        make_sink: Callable[[], _ReportSink],
         *,
         dispatch: str,
         faults: FaultSchedule,
@@ -924,18 +957,31 @@ class ServingSimulator:
                 f"{sorted(unknown)} (partition has {names})"
             )
         arrivals = trace.arrivals
-        class_ids = trace.shape_ids.tolist()
+        class_ids = trace.shape_ids
         classes = trace.shapes
         n = len(arrivals)
-        specs = self._class_specs(classes, trace.shape_ids)
+        specs = self._class_specs(classes, _used_classes(trace))
         self.stats.cache_hits += n
         view = _FaultView(self, faults, names, classes, specs)
         width = len(names)
         free = [0.0] * width
         select = _ScanFaultSelector(view, free, width).select
 
-        arrival_list = arrivals.tolist()
+        # fresh arrivals are read through lists of one block of the
+        # columns at a time (list-speed scalars without a list copy of
+        # the trace); ``upcoming`` is the arrival at the cursor, and the
+        # last block's arrivals end in inf, read once every arrival is in
+        block = TRACE_BLOCK
+
+        def window(lo: int) -> tuple[int, list[float], list[int]]:
+            times = arrivals[lo : lo + block].tolist()
+            if lo + block >= n:
+                times.append(math.inf)
+            return lo, times, class_ids[lo : lo + block].tolist()
+
         cursor = 0
+        window_lo, window_arrivals, window_ids = window(0)
+        upcoming = window_arrivals[0]
         retry_heap: list[tuple[float, int, int]] = []
         acc_col = np.zeros(n, dtype=_ACC_DTYPE)
         start_col = np.zeros(n)
@@ -964,7 +1010,6 @@ class ServingSimulator:
         use_batch = dispatch == "auto" and dispatch_batch.native_available()
         if use_batch:
             kernel = dispatch_batch._native_dispatch
-            cid_col = trace.shape_ids
             # active-window signature -> that segment's service matrix
             matrices: dict[tuple[int | None, ...], np.ndarray] = {}
         min_batch = 64
@@ -979,13 +1024,13 @@ class ServingSimulator:
                     and not batch_paused
                     and n - cursor + len(retry_heap) >= min_batch
                 ):
-                    t0 = arrival_list[cursor] if cursor < n else math.inf
+                    t0 = upcoming
                     if retry_heap and retry_heap[0][0] <= t0:
                         t0 = retry_heap[0][0]
                     if t0 >= no_batch_before:
                         nxt = view.next_transition_after(t0)
                         limit = math.inf if nxt is None else nxt
-                        hi = bisect.bisect_left(arrival_list, limit, cursor)
+                        hi = max(cursor, int(np.searchsorted(arrivals, limit)))
                         due: list[tuple[float, int, int]] = []
                         while retry_heap and retry_heap[0][0] < limit:
                             due.append(heapq.heappop(retry_heap))
@@ -1026,7 +1071,7 @@ class ServingSimulator:
                             )
                             accepted, accs, starts, fins = kernel(
                                 times,
-                                cid_col[positions],
+                                class_ids[positions],
                                 services,
                                 free,
                                 limit,
@@ -1048,6 +1093,9 @@ class ServingSimulator:
                             for item in due[accepted - fresh :]:
                                 heapq.heappush(retry_heap, item)
                             cursor += fresh
+                            if cursor - window_lo >= block:
+                                window_lo, window_arrivals, window_ids = window(cursor)
+                            upcoming = window_arrivals[cursor - window_lo]
                             if accepted == 0:
                                 # boundary-blocked segment: the scalar
                                 # loop finishes it without re-draining
@@ -1055,16 +1103,19 @@ class ServingSimulator:
                             elif accepted < len(times):
                                 batch_paused = True
                             continue
-                if retry_heap and (
-                    cursor == n or retry_heap[0][0] <= arrival_list[cursor]
-                ):
+                if retry_heap and retry_heap[0][0] <= upcoming:
                     t, pos, retries = heapq.heappop(retry_heap)
+                    cid = class_ids.item(pos)
                 else:
-                    t, pos, retries = arrival_list[cursor], cursor, 0
+                    t, pos, retries = upcoming, cursor, 0
+                    cid = window_ids[cursor - window_lo]
                     cursor += 1
+                    if cursor - window_lo == block:
+                        window_lo, window_arrivals, window_ids = window(cursor)
+                    upcoming = window_arrivals[cursor - window_lo]
                 scalar += 1
                 batch_paused = False
-                best = select(t, class_ids[pos])
+                best = select(t, cid)
                 if best is None:
                     nxt = view.next_transition_after(t)
                     if nxt is None:
@@ -1130,11 +1181,13 @@ class ServingSimulator:
             self.metrics,
         )
 
-        sink = make_sink(arrivals[keep])
-        sink.add(0, acc_col[keep], start_col[keep], finish_col)
+        kept_arrivals = arrivals[keep]
+        sink = make_sink()
+        sink.add(0, kept_arrivals, acc_col[keep], start_col[keep], finish_col)
         report = sink.finish(
-            trace.shape_ids[keep],
             classes,
+            kept_arrivals,
+            class_ids[keep],
             # request ids are arrival positions
             request_ids=np.flatnonzero(done),
             retries=retry_col,
@@ -1142,8 +1195,8 @@ class ServingSimulator:
                 ShedRequest(
                     request=Request(
                         request_id=pos,
-                        shape=classes[class_ids[pos]],
-                        arrival=arrival_list[pos],
+                        shape=classes[class_ids.item(pos)],
+                        arrival=arrivals.item(pos),
                     ),
                     retries=retries,
                     reason=reason,
@@ -1169,7 +1222,7 @@ class ServingSimulator:
         return report
 
     def _run_scan(
-        self, trace: SoATrace, make_sink: Callable[[np.ndarray], _ReportSink]
+        self, trace: SoATrace, make_sink: Callable[[], _ReportSink]
     ) -> ServingReport | StreamingServingReport:
         """The seed dispatch loop: linear scan over every accelerator."""
         classes = trace.shapes
@@ -1194,23 +1247,22 @@ class ServingSimulator:
             accs.append(order_of[best_name])
             starts.append(best_start)
             finishes.append(best_finish)
-        sink = make_sink(trace.arrivals)
+        sink = make_sink()
         sink.add(
             0,
+            trace.arrivals,
             np.asarray(accs, dtype=_ACC_DTYPE),
             np.asarray(starts, dtype=np.float64),
             np.asarray(finishes, dtype=np.float64),
         )
-        return sink.finish(trace.shape_ids, classes)
+        return sink.finish(classes, trace.arrivals, trace.shape_ids)
 
     def _class_specs(
-        self, classes: Sequence[GemmShape], class_ids: np.ndarray
+        self, classes: Sequence[GemmShape], used: Sequence[bool]
     ) -> list[tuple]:
         """Flat ``(acc, service, ...)`` dispatch spec per shape class
-        (empty for a class no request of ``class_ids`` uses)."""
+        (empty for a class no request uses, as ``used`` says)."""
         names = list(self.partition.designs)
-        # bincount instead of np.unique: no million-element sort
-        used = np.bincount(class_ids, minlength=len(classes)).tolist()
         specs: list[tuple] = []
         for class_id, shape in enumerate(classes):
             if not used[class_id]:
@@ -1258,21 +1310,27 @@ class ServingSimulator:
             )
 
     def _run_fast(
-        self, trace: SoATrace, make_sink: Callable[[np.ndarray], _ReportSink]
+        self, trace: SoATrace, make_sink: Callable[[], _ReportSink]
     ) -> ServingReport | StreamingServingReport:
         names = list(self.partition.designs)
-        arrivals = trace.arrivals
-        class_ids = trace.shape_ids
-        specs = self._class_specs(trace.shapes, class_ids)
+        sink = make_sink()
+        # the exact report keeps the whole trace as columns, so it reads
+        # it once; a streaming fold takes a generated trace block by
+        # block and never holds it
+        columns = (trace.arrivals, trace.shape_ids) if sink.report is None else ()
+        specs = self._class_specs(trace.shapes, _used_classes(trace))
         services = self._service_matrix(names, specs)
         self._require_finite_services(names, services, trace.shapes)
         # dispatched service lookups are cache hits by construction
-        self.stats.cache_hits += len(class_ids)
-        sink = make_sink(arrivals)
+        self.stats.cache_hits += len(trace)
         dispatch_vectorized(
-            arrivals, class_ids, services, [0.0] * len(names), sink.add, sink.chunk_size
+            trace.blocks(sink.chunk_size),
+            services,
+            [0.0] * len(names),
+            sink.add,
+            sink.chunk_size,
         )
-        return sink.finish(class_ids, trace.shapes)
+        return sink.finish(trace.shapes, *columns)
 
 
 @dataclass(frozen=True)

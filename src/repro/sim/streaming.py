@@ -12,7 +12,8 @@ dashboard.  This module provides the scalable counterparts:
 * :class:`SoATrace` / :func:`generate_trace_soa` — the request trace
   every serving path takes, as a structure of arrays: one float64
   arrival and one int shape id per request, 16 bytes instead of a
-  ~200-byte object graph.
+  ~200-byte object graph — and a generated trace streams through
+  :meth:`SoATrace.blocks` without holding even those.
 * :class:`QuantileSketch` — a DDSketch-style log-bucketed quantile
   sketch with a *guaranteed relative error bound*: every reported
   quantile is within ``relative_error`` (default 1%) of the exact
@@ -20,8 +21,9 @@ dashboard.  This module provides the scalable counterparts:
 * :class:`StreamingServingReport` — running aggregates, per-accelerator
   loads and one latency sketch, folded from the same dispatch chunks
   the exact ``ServingReport`` keeps; mirrors its read API with O(1)
-  memory in the trace length (a faulted run's fault loop still holds
-  its per-request outcome columns until the loop ends).
+  memory in the trace length, the generated trace included (a faulted
+  run's fault loop still holds the trace and its per-request outcome
+  columns until the loop ends).
 
 The error bound, precisely: a value ``v > min_value`` lands in bucket
 ``ceil(log_gamma(v))`` with ``gamma = (1 + e) / (1 - e)``; the bucket's
@@ -35,8 +37,7 @@ property tests assert this against the exact report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,7 +94,6 @@ def splitmix_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
 class SoATrace:
     """A structure-of-arrays request trace.
 
@@ -102,51 +102,135 @@ class SoATrace:
     ``shape_ids[j]`` indexes into it for request ``j``; ``arrivals`` is
     the nondecreasing, finite float64 arrival clock.  Request ids are
     implicit: request ``j`` has ``request_id == j``.
+
+    A trace built from arrays is validated here.  A trace from
+    :func:`generate_trace_soa` / :func:`generate_trace_shard` is valid
+    by construction and holds no arrays: :meth:`blocks` generates it
+    block by block, and the first read of ``arrivals`` or ``shape_ids``
+    materializes both once (bit-identical either way).
     """
 
-    shapes: tuple[GemmShape, ...]
-    shape_ids: np.ndarray
-    arrivals: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.shape_ids = np.asarray(self.shape_ids, dtype=np.int64)
-        self.arrivals = np.asarray(self.arrivals, dtype=np.float64)
-        if self.shape_ids.shape != self.arrivals.shape or self.arrivals.ndim != 1:
+    def __init__(
+        self,
+        shapes: Sequence[GemmShape],
+        shape_ids: np.ndarray | Sequence[int],
+        arrivals: np.ndarray | Sequence[float],
+    ) -> None:
+        self.shapes = shapes
+        self._shape_ids = np.asarray(shape_ids, dtype=np.int64)
+        self._arrivals = np.asarray(arrivals, dtype=np.float64)
+        #: ``(seed, mean_interarrival, lo, hi, carry)`` of a generated trace
+        self._walk: tuple[int, float, int, int, float] | None = None
+        if self._shape_ids.shape != self._arrivals.shape or self._arrivals.ndim != 1:
             raise ValueError("shape_ids and arrivals must be equal-length 1-D arrays")
+        self._size = int(self._arrivals.size)
         if not self.shapes:
             raise ValueError("need at least one shape")
-        if self.shape_ids.size:
-            if int(self.shape_ids.min()) < 0 or int(self.shape_ids.max()) >= len(
-                self.shapes
-            ):
-                raise ValueError("shape_ids index outside the shape mix")
-            # NaN propagates through min/max, and from a finite first
-            # arrival every arrival is finite when every step is: two
-            # reductions per block validate the clock without a per-request
-            # mask (blocks overlap by one element, so every step is seen)
-            lows, highs = [0.0], [0.0]
-            for lo in range(0, self.arrivals.size - 1, TRACE_BLOCK):
-                steps = np.diff(self.arrivals[lo : lo + TRACE_BLOCK + 1])
-                lows.append(steps.min())
-                highs.append(steps.max())
-            low, high = float(np.min(lows)), float(np.max(highs))
-            if not (
-                math.isfinite(self.arrivals[0])
-                and math.isfinite(low)
-                and math.isfinite(high)
-            ):
-                finite = np.isfinite(self.arrivals)
-                if not finite.all():
-                    position = int(np.argmin(finite))
-                    raise ValueError(
-                        f"arrivals must be finite: arrivals[{position}] is "
-                        f"{self.arrivals[position]}"
-                    )
-            if low < 0:
-                raise ValueError("arrivals must be nondecreasing")
+        if self._size:
+            self._validate()
+
+    @classmethod
+    def _generated(
+        cls, shapes: tuple[GemmShape, ...], walk: tuple[int, float, int, int, float]
+    ) -> SoATrace:
+        trace = cls.__new__(cls)
+        trace.shapes = shapes
+        trace._shape_ids = trace._arrivals = None
+        trace._walk = walk
+        trace._size = walk[3] - walk[2]
+        return trace
+
+    def _validate(self) -> None:
+        shape_ids, arrivals = self._shape_ids, self._arrivals
+        if int(shape_ids.min()) < 0 or int(shape_ids.max()) >= len(self.shapes):
+            raise ValueError("shape_ids index outside the shape mix")
+        # NaN propagates through min/max, and from a finite first
+        # arrival every arrival is finite when every step is: two
+        # reductions per block validate the clock without a per-request
+        # mask (blocks overlap by one element, so every step is seen)
+        lows, highs = [0.0], [0.0]
+        for lo in range(0, arrivals.size - 1, TRACE_BLOCK):
+            steps = np.diff(arrivals[lo : lo + TRACE_BLOCK + 1])
+            lows.append(steps.min())
+            highs.append(steps.max())
+        low, high = float(np.min(lows)), float(np.max(highs))
+        if not (
+            math.isfinite(arrivals[0]) and math.isfinite(low) and math.isfinite(high)
+        ):
+            finite = np.isfinite(arrivals)
+            if not finite.all():
+                position = int(np.argmin(finite))
+                raise ValueError(
+                    f"arrivals must be finite: arrivals[{position}] is "
+                    f"{arrivals[position]}"
+                )
+        if low < 0:
+            raise ValueError("arrivals must be nondecreasing")
+
+    def _generate(
+        self, start: int, stop: int, carry: float
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Requests ``[start, stop)`` of a generated trace from arrival
+        ``carry``: their arrivals, their shape ids and the last arrival."""
+        seed, mean_interarrival = self._walk[:2]
+        arrivals = np.empty(stop - start)
+        shape_ids = np.empty(stop - start, dtype=np.int64)
+        carry = _walk_trace(
+            seed,
+            mean_interarrival,
+            start,
+            stop,
+            carry,
+            arrivals,
+            shape_ids,
+            len(self.shapes),
+        )
+        return arrivals, shape_ids, carry
+
+    def _materialize(self) -> None:
+        _, _, lo, hi, carry = self._walk
+        self._arrivals, self._shape_ids, _ = self._generate(lo, hi, carry)
+
+    @property
+    def arrivals(self) -> np.ndarray:
+        if self._arrivals is None:
+            self._materialize()
+        return self._arrivals
+
+    @property
+    def shape_ids(self) -> np.ndarray:
+        if self._shape_ids is None:
+            self._materialize()
+        return self._shape_ids
+
+    def blocks(self, size: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The trace in order as ``(base, arrivals, shape_ids)`` blocks of
+        ``size`` requests (the last may be shorter), ``base`` being the
+        first row's position.
+
+        Views of the arrays when the trace holds them; otherwise each
+        block is generated on demand from the previous block's last
+        arrival, so only one block is ever held.
+        """
+        if size < 1:
+            raise ValueError("block size must be positive")
+        if self._arrivals is not None:
+            for base in range(0, self._size, size):
+                yield (
+                    base,
+                    self._arrivals[base : base + size],
+                    self._shape_ids[base : base + size],
+                )
+            return
+        _, _, lo, hi, carry = self._walk
+        for start in range(lo, hi, size):
+            arrivals, shape_ids, carry = self._generate(
+                start, min(start + size, hi), carry
+            )
+            yield start - lo, arrivals, shape_ids
 
     def __len__(self) -> int:
-        return int(self.arrivals.size)
+        return self._size
 
 
 def generate_trace_soa(
@@ -162,7 +246,9 @@ def generate_trace_soa(
     from the :func:`splitmix_uniforms` stream ``u`` of ``seed``; the
     arrival clock is their left-to-right ``np.cumsum``.  Bit-identical
     to the scalar per-request loop it replaced (``np.log`` per element,
-    ``clock +=`` per request), ~50x faster and 16 bytes per request.
+    ``clock +=`` per request), ~50x faster, and generated block by
+    block as a consumer reads it: 16 bytes per request only once
+    something reads ``arrivals`` or ``shape_ids`` whole.
     """
     return generate_trace_shard(
         shapes, num_requests, mean_interarrival, seed, lo=0, hi=num_requests
@@ -278,25 +364,30 @@ def generate_trace_shard(
 
     ``arrival_offset`` is the carry from :func:`shard_arrival_offsets`
     (the last arrival before ``lo``); with it the shard's arrival array
-    equals ``full.arrivals[lo:hi]`` bitwise.  Only O(hi - lo) work and
-    memory — the rest of the trace is never materialized.
+    equals ``full.arrivals[lo:hi]`` bitwise.  The trace is generated
+    lazily (see :class:`SoATrace`): O(hi - lo) work, and O(block) memory
+    until something reads the whole arrays.
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
     if mean_interarrival <= 0:
         raise ValueError("mean inter-arrival must be positive")
+    # no draw exceeds log(2**32 + 2) ~ 22.2 mean inter-arrivals, so a
+    # finite 23x span keeps every arrival finite
+    if not math.isfinite(23.0 * num_requests * mean_interarrival):
+        raise ValueError(
+            f"mean inter-arrival {mean_interarrival} overflows the arrival "
+            f"clock of {num_requests} requests"
+        )
     if not shapes:
         raise ValueError("need at least one shape")
     if not 0 <= lo < hi <= num_requests:
         raise ValueError(
             f"shard [{lo}, {hi}) must be a non-empty slice of [0, {num_requests})"
         )
-    arrivals = np.empty(hi - lo)
-    shape_ids = np.empty(hi - lo, dtype=np.int64)
-    _walk_trace(
-        seed, mean_interarrival, lo, hi, arrival_offset, arrivals, shape_ids, len(shapes)
+    return SoATrace._generated(
+        tuple(shapes), (seed, mean_interarrival, lo, hi, arrival_offset)
     )
-    return SoATrace(shapes=tuple(shapes), shape_ids=shape_ids, arrivals=arrivals)
 
 
 class QuantileSketch:

@@ -111,10 +111,12 @@ def test_kwide_rounds_match_scalar_reference(case):
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=segment_cases())
-def test_numpy_rounds_match_scalar_reference(case):
+@given(case=segment_cases(), block=st.integers(min_value=1, max_value=64))
+def test_numpy_rounds_match_scalar_reference(case, block):
     """The fault-free NumPy rounds against the same reference, with no
-    segment constraints: every row dispatches, bit for bit."""
+    segment constraints: every row dispatches, bit for bit, whatever
+    blocks the trace arrives in (the rounds carry their state across
+    them)."""
     services, times, class_ids, free, _, _ = case
     ref_state = list(free)
     expect = _reference_dispatch(
@@ -127,7 +129,8 @@ def test_numpy_rounds_match_scalar_reference(case):
     )
     rows = []
 
-    def flush(base, accs, starts, fins):
+    def flush(base, arrivals, accs, starts, fins):
+        assert arrivals.tolist() == times[base : base + len(accs)].tolist()
         rows.extend(
             (base + off, int(acc), repr(start), repr(fin))
             for off, (acc, start, fin) in enumerate(
@@ -140,7 +143,14 @@ def test_numpy_rounds_match_scalar_reference(case):
     free_py = list(free)
     try:
         dispatch_batch.dispatch_vectorized(
-            times, class_ids, services, free_py, flush, chunk_size=16
+            [
+                (lo, times[lo : lo + block], class_ids[lo : lo + block])
+                for lo in range(0, len(times), block)
+            ],
+            services,
+            free_py,
+            flush,
+            chunk_size=16,
         )
     finally:
         dispatch_batch._native_dispatch = saved

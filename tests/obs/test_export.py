@@ -8,6 +8,7 @@ import pytest
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.obs.export import (
+    SIM_PID,
     ChromeTraceBuilder,
     validate_chrome_trace,
     write_chrome_trace,
@@ -119,6 +120,37 @@ class TestServingExport:
         expected = report.kills + report.requeues + len(report.shed)
         assert len(instants) == expected
         assert len(report.fault_timeline) == report.kills + report.requeues
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "faulted"])
+    def test_wall_clock_tracks_leave_simulated_events_alone(self, faulted):
+        """Tids are numbered per pid: a serve that records one more
+        wall-clock span track exports the same simulated-time events."""
+        horizon = 200 * 0.5e-3
+        faults = (
+            FaultSchedule.down("C5", 0.1 * horizon, 0.6 * horizon)
+            if faulted
+            else None
+        )
+        report = serve(faults=faults)
+
+        def simulated_events(extra_span: bool) -> list[dict]:
+            tracer = Tracer()
+            tracer.enable()
+            if extra_span:
+                with tracer.span("serve.service_table", track="model"):
+                    pass
+            with tracer.span("serve.run", track="serving"):
+                pass
+            trace = (
+                ChromeTraceBuilder()
+                .add_spans(tracer.spans())
+                .add_serving_report(report)
+                .build()
+            )
+            validate_chrome_trace(trace)
+            return [e for e in trace["traceEvents"] if e["pid"] == SIM_PID]
+
+        assert simulated_events(True) == simulated_events(False)
 
     def test_streaming_report_degrades_to_utilization(self):
         report = serve(streaming=True)

@@ -47,7 +47,6 @@ def _blocks(width: int, underflow: bool, seed: int):
 def _sink_fold(names, arrivals, accs, starts, finishes, monitor, seed):
     sink = _ReportSink(
         names,
-        arrivals,
         streaming=True,
         quantile_error=REPORT_ERROR,
         chunk_size=CHUNK,
@@ -57,8 +56,8 @@ def _sink_fold(names, arrivals, accs, starts, finishes, monitor, seed):
     cuts = np.sort(np.random.default_rng(seed).choice(REQUESTS, 9, replace=False))
     for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), REQUESTS]):
         if hi > lo:
-            sink.add(lo, accs[lo:hi], starts[lo:hi], finishes[lo:hi])
-    return sink.finish(np.zeros(REQUESTS, dtype=np.int64), ())
+            sink.add(lo, arrivals[lo:hi], accs[lo:hi], starts[lo:hi], finishes[lo:hi])
+    return sink.finish(())
 
 
 def _naive_fold(names, arrivals, accs, starts, finishes, monitor):

@@ -208,6 +208,14 @@ class TestDispatchEngines:
             == simulator.run(trace, streaming=True).as_dict()
         )
 
+    @pytest.mark.parametrize("dispatch", ["auto", "scan"])
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_chunk_size_must_be_positive(self, simulator, dispatch, chunk_size):
+        # a block of no requests would never advance the report sink
+        trace = generate_trace_soa(SHAPES, 5, 1e-3, seed=0)
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            simulator.run(trace, dispatch=dispatch, chunk_size=chunk_size)
+
 
 class TestStreamingRun:
     def test_streaming_aggregates_match_exact(self, simulator):
