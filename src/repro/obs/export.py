@@ -540,7 +540,7 @@ class ChromeTraceBuilder:
             items = order[lo : lo + _BATCH]
             owners = np.searchsorted(bounds, items, side="right") - 1
             texts = np.empty(items.size, dtype=object)
-            for owner in np.unique(owners).tolist():
+            for owner in np.flatnonzero(np.bincount(owners)).tolist():
                 mine = np.flatnonzero(owners == owner)
                 picked = items[mine]
                 texts[mine] = sources[owner].texts(picked - bounds[owner], ts[picked])

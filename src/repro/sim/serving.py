@@ -27,12 +27,13 @@ the exact :class:`ServingReport` keeps the columns, while
 ``run(..., streaming=True)`` folds the blocks into a
 :class:`~repro.sim.streaming.StreamingServingReport` (sketched
 percentiles within the sketch's documented error bound).  The fast
-path reads the trace through
-:meth:`~repro.sim.streaming.SoATrace.blocks`, so a fault-free
-streaming serve of a generated trace is O(1) in memory in the trace
-length, the trace included: each block is generated, dispatched and
-folded before the next exists.  Either report is therefore
-byte-identical across engines.  :func:`load_sweep` drives the
+path and the fault loop read the trace through
+:meth:`~repro.sim.streaming.SoATrace.blocks`, so a streaming serve of a
+generated trace is O(1) in memory in the trace length, the trace
+included: the fast path generates, dispatches and folds each block
+before the next exists, and the fault loop hands each block to the
+sink once every row in it is completed or shed.  Either report is
+therefore byte-identical across engines.  :func:`load_sweep` drives the
 offered-load -> tail-latency curve the paper's serving discussion is
 about, with saturation-knee detection and an early exit once throughput
 plateaus.
@@ -159,6 +160,8 @@ class ShedRequest:
 _ACC_DTYPE = np.int16
 #: retry-count column dtype
 _RETRY_DTYPE = np.int32
+#: rows per Python float list when the exact report sums its latencies
+_SUM_CHUNK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -316,8 +319,13 @@ class ServingReport:
             raise ValueError("no completed requests")
         # the builtin sum over Python floats, not ndarray.sum's pairwise
         # reduction: the mean keeps the exact bits of summing the rows
-        # one by one
-        return sum(self.latencies.tolist()) / self.count
+        # one by one, carried from chunk to chunk so that no list of
+        # the whole column is built
+        latencies = self.latencies
+        total = 0
+        for lo in range(0, latencies.size, _SUM_CHUNK):
+            total = sum(latencies[lo : lo + _SUM_CHUNK].tolist(), total)
+        return total / self.count
 
     def accelerator_load(self) -> dict[str, int]:
         """Completions per accelerator, keyed in first-completion order."""
@@ -340,13 +348,13 @@ class _ReportSink:
 
     Every engine hands its decisions over as ``(base, arrivals, accs,
     starts, finishes)`` stretches of rows ``[base, base + len(accs))``,
-    each with its rows' arrivals: the fast path block by block as it
-    reads the trace, the scan oracle and the fault loop as whole
-    columns.  The streaming report's running float sums and the
-    monitor's window series depend on block boundaries, so the
-    stretches are re-cut into exact ``chunk_size`` blocks at rows
-    ``0, chunk_size, 2 * chunk_size, ...`` whatever engine produced
-    them.  Per block, in order: a ``serve.dispatch_chunk`` span opens,
+    each with its rows' arrivals: the fast path and the fault loop
+    block by block as they read the trace (the fault loop leaving out
+    shed rows), the scan oracle as whole columns.  The streaming
+    report's running float sums and the monitor's window series depend
+    on block boundaries, so the stretches are re-cut into exact
+    ``chunk_size`` blocks at rows ``0, chunk_size, 2 * chunk_size,
+    ...`` whatever engine produced them.  Per block, in order: a ``serve.dispatch_chunk`` span opens,
     the block's latencies and sketch bucket keys are computed once, the
     streaming report folds them and the monitor sees them — all after
     every decision in the block is final, so a monitor observes and
@@ -354,7 +362,7 @@ class _ReportSink:
     and monitor series on every engine.  Exact mode keeps the stretches
     themselves as the report's columns, so a whole column is kept
     without a copy; a streaming sink keeps nothing past the current
-    block, so neither does a fast-path serve of a generated trace.
+    block, so neither does a streaming serve of a generated trace.
     """
 
     def __init__(
@@ -365,6 +373,7 @@ class _ReportSink:
         quantile_error: float,
         chunk_size: int,
         monitor: "ServingMonitor | None",
+        rows: int | None = None,
     ):
         self.names = names
         self.chunk_size = chunk_size
@@ -383,9 +392,12 @@ class _ReportSink:
         )
         # exact mode: the report columns, as the engine handed them over
         self._stretches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # the stretches since the last full block, starting at row _base
-        self._pending: list[tuple[np.ndarray, ...]] = []
-        self._base = self._count = 0
+        # the block being gathered from stretches shorter than a block:
+        # its first row, its rows so far, and its four columns (sized by
+        # ``rows``, the rows the engine will hand over, when known)
+        self._base = self._filled = 0
+        self._capacity = chunk_size if rows is None else min(chunk_size, rows)
+        self._buffer: tuple[np.ndarray, ...] | None = None
 
     def add(
         self,
@@ -396,29 +408,42 @@ class _ReportSink:
         finishes: np.ndarray,
     ) -> None:
         """Take the decisions for rows ``[base, base + len(accs))``,
-        whose arrivals are ``arrivals``."""
+        whose arrivals are ``arrivals``.
+
+        A whole block is folded straight from the stretch; rows short of
+        one are copied into the block buffer, so the engine's arrays
+        are free to go once this returns."""
         if self.report is None:
             self._stretches.append(
                 (accs.astype(_ACC_DTYPE, copy=False), starts, finishes)
             )
-        pending = self._pending
-        if not pending:
-            self._base = base
-        pending.append((arrivals, accs, starts, finishes))
-        self._count += len(accs)
         size = self.chunk_size
-        if self._count < size:
-            return
-        columns = [_joined(column) for column in zip(*pending)]
-        pending.clear()
-        lo = 0
-        while self._count - lo >= size:
-            self._block(self._base + lo, *(c[lo : lo + size] for c in columns))
-            lo += size
-        if lo < self._count:
-            pending.append(tuple(c[lo:] for c in columns))
-        self._base += lo
-        self._count -= lo
+        stretch = (arrivals, accs, starts, finishes)
+        lo, count = 0, len(accs)
+        while lo < count:
+            filled = self._filled
+            if not filled and count - lo >= size:
+                hi = lo + size
+                self._block(base + lo, *(column[lo:hi] for column in stretch))
+            else:
+                if not filled:
+                    self._base = base + lo
+                if self._buffer is None:
+                    capacity = self._capacity
+                    self._buffer = (
+                        np.empty(capacity),
+                        np.empty(capacity, dtype=_ACC_DTYPE),
+                        np.empty(capacity),
+                        np.empty(capacity),
+                    )
+                hi = min(count, lo + size - filled)
+                self._filled = filled + hi - lo
+                for column, source in zip(self._buffer, stretch):
+                    column[filled : self._filled] = source[lo:hi]
+                if self._filled == size:
+                    self._block(self._base, *self._buffer)
+                    self._filled = 0
+            lo = hi
 
     def _block(
         self,
@@ -450,25 +475,28 @@ class _ReportSink:
         *,
         request_ids: np.ndarray | None = None,
         retries: np.ndarray | None = None,
+        total_retries: int = 0,
         **faults,
     ) -> ServingReport | StreamingServingReport:
         """Fold the last partial block and build the report, once.
 
         ``arrivals``, ``class_ids``, ``request_ids`` (``None``: the row
         positions) and ``retries`` (``None``: all zero) are the exact
-        report's remaining columns; a streaming report needs none but
-        ``retries`` of a faulted run.  ``faults`` holds a faulted run's
-        :class:`ServingReport` fault fields; a streaming report records
-        their totals.
+        report's remaining columns; a streaming report needs none of
+        them.  ``faults`` holds a faulted run's :class:`ServingReport`
+        fault fields; a streaming report records their totals, with
+        ``total_retries`` (the run's retries, sheds included).
         """
-        if self._count:
-            self._block(self._base, *(_joined(c) for c in zip(*self._pending)))
+        if self._filled:
+            self._block(
+                self._base, *(column[: self._filled] for column in self._buffer)
+            )
         if self.report is not None:
             if faults:
                 shed = faults["shed"]
                 self.report.record_fault_metadata(
                     shed_count=len(shed),
-                    total_retries=int(retries.sum()) + sum(s.retries for s in shed),
+                    total_retries=total_retries,
                     kills=faults["kills"],
                     requeues=faults["requeues"],
                     fault_events=faults["fault_events"],
@@ -505,6 +533,56 @@ def _used_classes(trace: SoATrace) -> list[bool]:
         if used.all():
             break
     return used.tolist()
+
+
+#: requests per block the fault loop reads from the trace: a quarter of
+#: TRACE_BLOCK, so the blocks it holds while the sink folds a
+#: ``chunk_size`` block stay small next to that block (a 100k C5+C3
+#: chaos serve peaks 1.2-1.7 MB lower than with whole TRACE_BLOCKs)
+_FAULT_BLOCK = TRACE_BLOCK // 4
+#: arrivals and class ids the fault loop reads as list scalars at a time
+_SCALAR_WINDOW = 1024
+
+
+class _FaultBlock:
+    """One trace block in the fault loop: its rows' arrivals and class
+    ids, and each completed row's outcome, until every row is completed
+    or shed (a shed row's outcome columns stay zero)."""
+
+    __slots__ = (
+        "base",
+        "size",
+        "arrivals",
+        "class_ids",
+        "accs",
+        "starts",
+        "finishes",
+        "retries",
+        "waiting",
+        "shed",
+    )
+
+    def __init__(self, base: int, arrivals: np.ndarray, class_ids: np.ndarray):
+        size = arrivals.size
+        self.base = base
+        self.size = size
+        self.arrivals = arrivals
+        self.class_ids = class_ids
+        self.accs = np.zeros(size, dtype=_ACC_DTYPE)
+        self.starts = np.zeros(size)
+        self.finishes = np.zeros(size)
+        self.retries = np.zeros(size, dtype=_RETRY_DTYPE)
+        #: rows waiting in the re-attempt heap
+        self.waiting = 0
+        #: block-local indices of the shed rows
+        self.shed: list[int] = []
+
+    def record(self, rows, accs, starts, finishes, retries) -> None:
+        """Complete ``rows`` (block-local indices, a slice or one index)."""
+        self.accs[rows] = accs
+        self.starts[rows] = starts
+        self.finishes[rows] = finishes
+        self.retries[rows] = retries
 
 
 class _FaultView:
@@ -852,12 +930,15 @@ class ServingSimulator:
         ``streaming=True`` returns a :class:`StreamingServingReport`
         with ``quantile_error``-bounded percentiles, folded chunk by
         chunk: O(1) memory in the trace length on fault-free ``auto``
-        runs, a generated trace included (it is generated block by
-        block and never held whole), while the scan oracle and a
-        faulted run's fault loop read the whole trace and hold their
-        per-request outcome columns until the loop ends.  The default
-        exact mode keeps every completed request as report columns
-        (see :class:`ServingReport`).
+        runs and on faulted runs of either path, a generated trace
+        included (it is generated block by block and never held
+        whole).  The fault loop holds its outcome columns only for the
+        blocks from the oldest unresolved request to the cursor, which
+        spans more than one block only while re-attempts are pending
+        from earlier blocks (see :meth:`_run_faulted`).  The fault-free
+        scan oracle reads the whole trace.  The default exact mode keeps
+        every completed request as report columns (see
+        :class:`ServingReport`).
 
         ``faults`` injects a time-varying fault schedule under
         ``fault_policy`` (default :data:`~repro.sim.chaos.DEFAULT_FAULT_POLICY`)
@@ -895,6 +976,7 @@ class ServingSimulator:
             quantile_error=quantile_error,
             chunk_size=chunk_size,
             monitor=monitor,
+            rows=len(trace),
         )
         before = self.stats.snapshot()
         try:
@@ -934,16 +1016,25 @@ class ServingSimulator:
         Attempts run in ``(time, arrival position, retries)`` order —
         time-ordered, position-tied — so re-attempts interleave with
         later arrivals deterministically.  Fresh arrivals are read
-        through a cursor over the sorted arrival column; only
-        re-attempts (kill backoffs, requeues) live in a heap, and one
-        wins a tie with the next arrival because its position is
-        smaller.  Every scalar attempt goes through one selector and
-        the loop (kills, backoff, requeues, shedding) is one code path;
-        ``auto`` only adds native-kernel segment batches the scalar
-        loop would have decided identically, which is what makes both
-        paths' fault semantics identical by construction.  Outcomes are
-        written into preallocated per-position columns plus a done mask,
-        which the report sink takes whole once the loop ends.
+        through a cursor over the trace's ``_FAULT_BLOCK`` blocks; only
+        re-attempts (kill backoffs, requeues) live in a heap, each
+        entry carrying its request's class id, and one wins a tie with
+        the next arrival because its position is smaller.
+        Every scalar attempt goes through one selector and the loop
+        (kills, backoff, requeues, shedding) is one code path; ``auto``
+        only adds native-kernel segment batches the scalar loop would
+        have decided identically, which is what makes both paths' fault
+        semantics identical by construction.
+
+        Outcomes are written into their trace block's buffers; once
+        every row of the oldest block is completed or shed, its
+        completed rows go to the report sink, in position order.  The
+        loop therefore holds the blocks from the oldest unresolved row
+        to the cursor: one block, unless a re-attempt is pending from
+        an earlier one.  That span grows with the trace only while
+        requests wait out a window in which no accelerator can serve
+        them (every arrival there is requeued to the window's end) or a
+        killed request's backoff lies far ahead of the arrivals.
         """
         # the fault layer loads only for a faulted run
         from repro.sim.chaos import DEFAULT_FAULT_POLICY, FaultError
@@ -956,10 +1047,8 @@ class ServingSimulator:
                 f"fault schedule names accelerators not in the partition: "
                 f"{sorted(unknown)} (partition has {names})"
             )
-        arrivals = trace.arrivals
-        class_ids = trace.shape_ids
         classes = trace.shapes
-        n = len(arrivals)
+        n = len(trace)
         specs = self._class_specs(classes, _used_classes(trace))
         self.stats.cache_hits += n
         view = _FaultView(self, faults, names, classes, specs)
@@ -967,29 +1056,80 @@ class ServingSimulator:
         free = [0.0] * width
         select = _ScanFaultSelector(view, free, width).select
 
-        # fresh arrivals are read through lists of one block of the
-        # columns at a time (list-speed scalars without a list copy of
-        # the trace); ``upcoming`` is the arrival at the cursor, and the
-        # last block's arrivals end in inf, read once every arrival is in
-        block = TRACE_BLOCK
+        sink = make_sink()
+        exact = sink.report is None
+        # exact mode: each settled block's arrivals, class ids, request
+        # ids and retries, the report's remaining columns
+        kept: list[tuple[np.ndarray, ...]] = []
+        settled = retry_total = 0
+        makespan = 0.0
+        block = _FAULT_BLOCK
+        source = trace.blocks(block)
+        # the blocks read so far and not yet handed over, by block index
+        live: dict[int, _FaultBlock] = {}
+        oldest = 0
 
-        def window(lo: int) -> tuple[int, list[float], list[int]]:
-            times = arrivals[lo : lo + block].tolist()
-            if lo + block >= n:
-                times.append(math.inf)
-            return lo, times, class_ids[lo : lo + block].tolist()
+        def drain(cursor: int) -> None:
+            """Hand the settled blocks at the front to the sink: those
+            the cursor has passed with no row waiting to be re-attempted."""
+            nonlocal oldest, settled, retry_total, makespan
+            while oldest in live:
+                rows = live[oldest]
+                if rows.waiting or rows.base + rows.size > cursor:
+                    return
+                del live[oldest]
+                oldest += 1
+                keep = slice(None)
+                if rows.shed:
+                    keep = np.ones(rows.size, dtype=bool)
+                    keep[rows.shed] = False
+                arrivals = rows.arrivals[keep]
+                finishes = rows.finishes[keep]
+                retries = rows.retries[keep]
+                sink.add(
+                    settled, arrivals, rows.accs[keep], rows.starts[keep], finishes
+                )
+                settled += finishes.size
+                if finishes.size:
+                    makespan = max(makespan, float(finishes.max()))
+                retry_total += int(retries.sum())
+                if exact:
+                    # request ids are arrival positions
+                    request_ids = np.arange(
+                        rows.base, rows.base + rows.size, dtype=np.int64
+                    )[keep]
+                    kept.append((arrivals, rows.class_ids[keep], request_ids, retries))
 
-        cursor = 0
-        window_lo, window_arrivals, window_ids = window(0)
-        upcoming = window_arrivals[0]
-        retry_heap: list[tuple[float, int, int]] = []
-        acc_col = np.zeros(n, dtype=_ACC_DTYPE)
-        start_col = np.zeros(n)
-        finish_col = np.zeros(n)
-        retry_col = np.zeros(n, dtype=_RETRY_DTYPE)
-        done = np.zeros(n, dtype=bool)
-        shed_records: list[tuple[int, int, str, float]] = []
-        # kill/requeue decision log, ``(time, kind, position, retries)``
+        def settle(positions, accs, starts, finishes, tries) -> None:
+            """Record completed rows at ``positions`` in their blocks."""
+            first = int(positions.min()) // block
+            final = int(positions.max()) // block
+            for index in range(first, final + 1):
+                rows = live[index]
+                if first == final:
+                    rows.record(positions - rows.base, accs, starts, finishes, tries)
+                    continue
+                picked = (positions >= rows.base) & (positions < rows.base + block)
+                rows.record(
+                    positions[picked] - rows.base,
+                    accs[picked],
+                    starts[picked],
+                    finishes[picked],
+                    tries[picked],
+                )
+
+        # the cursor's block, its outcome columns as locals, and lists
+        # of up to _SCALAR_WINDOW of its arrivals and class ids from the
+        # cursor on (list-speed scalars without a list copy of the
+        # block); ``upcoming`` is the arrival at the cursor, inf once
+        # every arrival is in
+        cursor = current_base = current_end = 0
+        window_lo = window_hi = 0
+        # ``(time, position, retries, class id)``
+        retry_heap: list[tuple[float, int, int, int]] = []
+        shed_records: list[tuple[int, int, str, float, int, float]] = []
+        # kill/requeue decision log, ``(time, kind, position, retries)``:
+        # the exact report keeps it, a streaming run only its kill times
         timeline: list[tuple[float, str, int, int]] = []
         kills = 0
         requeues = 0
@@ -1019,6 +1159,28 @@ class ServingSimulator:
         loop_span = span("serve.fault_loop", track="serving", requests=n)
         with loop_span:
             while cursor < n or retry_heap:
+                if cursor >= window_hi:
+                    if cursor == n:
+                        window_lo, window_hi, window_arrivals = n, n + 1, [math.inf]
+                    else:
+                        if cursor == current_end:
+                            # hand over what the cursor has settled
+                            # before the next block is read
+                            drain(cursor)
+                            base, arrivals, shape_ids = next(source)
+                            current = _FaultBlock(base, arrivals, shape_ids)
+                            live[base // block] = current
+                            current_base, current_end = base, base + current.size
+                            acc_col = current.accs
+                            start_col = current.starts
+                            finish_col = current.finishes
+                            retry_col = current.retries
+                        window_lo = cursor
+                        window_hi = min(cursor + _SCALAR_WINDOW, current_end)
+                        lo, hi = cursor - current_base, window_hi - current_base
+                        window_arrivals = current.arrivals[lo:hi].tolist()
+                        window_ids = current.class_ids[lo:hi].tolist()
+                upcoming = window_arrivals[cursor - window_lo]
                 if (
                     use_batch
                     and not batch_paused
@@ -1030,14 +1192,39 @@ class ServingSimulator:
                     if t0 >= no_batch_before:
                         nxt = view.next_transition_after(t0)
                         limit = math.inf if nxt is None else nxt
-                        hi = max(cursor, int(np.searchsorted(arrivals, limit)))
-                        due: list[tuple[float, int, int]] = []
-                        while retry_heap and retry_heap[0][0] < limit:
+                        # a batch takes at most the rest of the cursor's
+                        # block: the attempts before ``limit`` that also
+                        # come before the block's last row in (time,
+                        # position) order, a prefix of the scalar order
+                        offset = cursor - current_base
+                        rest = current.arrivals[offset:]
+                        fresh_rows = int(np.searchsorted(rest, limit))
+                        last = float(rest[-1]) if cursor < n else math.inf
+                        due: list[tuple[float, int, int, int]] = []
+                        while (
+                            retry_heap
+                            and retry_heap[0][0] < limit
+                            and retry_heap[0][0] <= last
+                        ):
+                            if len(due) == block:
+                                # at most a block of re-attempts too: the
+                                # batch ends before the next one
+                                fresh_rows = min(
+                                    fresh_rows,
+                                    int(np.searchsorted(rest, retry_heap[0][0])),
+                                )
+                                break
                             due.append(heapq.heappop(retry_heap))
-                        if hi - cursor + len(due) < min_batch:
+                        times = rest[:fresh_rows]
+                        cids = current.class_ids[offset : offset + fresh_rows]
+                        if fresh_rows + len(due) < min_batch:
+                            # the scalar loop takes the few attempts up
+                            # to the segment's or the block's end
                             for item in due:
                                 heapq.heappush(retry_heap, item)
-                            no_batch_before = limit
+                            no_batch_before = (
+                                limit if limit <= last else math.nextafter(last, limit)
+                            )
                         else:
                             signature = tuple(
                                 view.window_index_at(order, t0)
@@ -1048,19 +1235,25 @@ class ServingSimulator:
                                 services = matrices[signature] = (
                                     view.segment_services(signature, healthy)
                                 )
-                            times = arrivals[cursor:hi]
-                            positions = np.arange(cursor, hi)
-                            tries = np.zeros(hi - cursor, dtype=_RETRY_DTYPE)
                             if due:
                                 # re-attempts first, so the stable sort
                                 # breaks equal times toward their smaller
                                 # positions
-                                due_times, due_positions, due_tries = zip(*due)
+                                due_times, due_positions, due_tries, due_cids = zip(
+                                    *due
+                                )
                                 times = np.concatenate((due_times, times))
-                                positions = np.concatenate((due_positions, positions))
-                                tries = np.concatenate((due_tries, tries))
+                                cids = np.concatenate((due_cids, cids))
+                                fresh_positions = np.arange(cursor, cursor + fresh_rows)
+                                positions = np.concatenate(
+                                    (due_positions, fresh_positions)
+                                )
+                                tries = np.concatenate(
+                                    (due_tries, np.zeros_like(fresh_positions))
+                                )
                                 ordered = np.argsort(times, kind="stable")
                                 times = times[ordered]
+                                cids = cids[ordered]
                                 positions = positions[ordered]
                                 tries = tries[ordered]
                             next_downs = tuple(
@@ -1070,32 +1263,33 @@ class ServingSimulator:
                                 for order in range(width)
                             )
                             accepted, accs, starts, fins = kernel(
-                                times,
-                                class_ids[positions],
-                                services,
-                                free,
-                                limit,
-                                next_downs,
+                                times, cids, services, free, limit, next_downs
                             )
                             segments += 1
                             batched += accepted
-                            rows = positions[:accepted]
-                            acc_col[rows] = accs
-                            start_col[rows] = starts
-                            finish_col[rows] = fins
-                            retry_col[rows] = tries[:accepted]
-                            done[rows] = True
-                            # re-attempts sit below the cursor; what is
-                            # left of both sources goes back to them
-                            fresh = int(
-                                np.count_nonzero(positions[:accepted] >= cursor)
-                            )
+                            if not due:
+                                # fresh rows only: one stretch of the
+                                # cursor's block
+                                fresh = accepted
+                                current.record(
+                                    slice(offset, offset + accepted),
+                                    accs,
+                                    starts,
+                                    fins,
+                                    0,
+                                )
+                            else:
+                                # re-attempts sit below the cursor; what
+                                # is left of both sources goes back to them
+                                placed = positions[:accepted]
+                                fresh = int(np.count_nonzero(placed >= cursor))
+                                if accepted:
+                                    settle(placed, accs, starts, fins, tries[:accepted])
+                                for item in due[: accepted - fresh]:
+                                    live[item[1] // block].waiting -= 1
                             for item in due[accepted - fresh :]:
                                 heapq.heappush(retry_heap, item)
                             cursor += fresh
-                            if cursor - window_lo >= block:
-                                window_lo, window_arrivals, window_ids = window(cursor)
-                            upcoming = window_arrivals[cursor - window_lo]
                             if accepted == 0:
                                 # boundary-blocked segment: the scalar
                                 # loop finishes it without re-draining
@@ -1104,28 +1298,37 @@ class ServingSimulator:
                                 batch_paused = True
                             continue
                 if retry_heap and retry_heap[0][0] <= upcoming:
-                    t, pos, retries = heapq.heappop(retry_heap)
-                    cid = class_ids.item(pos)
+                    t, pos, retries, cid = heapq.heappop(retry_heap)
+                    live[pos // block].waiting -= 1
                 else:
-                    t, pos, retries = upcoming, cursor, 0
+                    t = upcoming
+                    pos, retries = cursor, 0
                     cid = window_ids[cursor - window_lo]
                     cursor += 1
-                    if cursor - window_lo == block:
-                        window_lo, window_arrivals, window_ids = window(cursor)
-                    upcoming = window_arrivals[cursor - window_lo]
                 scalar += 1
                 batch_paused = False
                 best = select(t, cid)
                 if best is None:
                     nxt = view.next_transition_after(t)
                     if nxt is None:
+                        rows = live[pos // block]
+                        rows.shed.append(pos - rows.base)
                         shed_records.append(
-                            (pos, retries, "no_feasible_accelerator", t)
+                            (
+                                pos,
+                                retries,
+                                "no_feasible_accelerator",
+                                t,
+                                cid,
+                                rows.arrivals.item(pos - rows.base),
+                            )
                         )
                         continue
                     requeues += 1
-                    timeline.append((nxt, "requeue", pos, retries))
-                    heapq.heappush(retry_heap, (nxt, pos, retries))
+                    if exact:
+                        timeline.append((nxt, "requeue", pos, retries))
+                    heapq.heappush(retry_heap, (nxt, pos, retries, cid))
+                    live[pos // block].waiting += 1
                     continue
                 order, start, finish = best
                 next_down = view.next_down_after(order, start)
@@ -1134,22 +1337,38 @@ class ServingSimulator:
                     kills += 1
                     timeline.append((next_down, "kill", pos, retries + 1))
                     free[order] = next_down
+                    rows = live[pos // block]
                     if retries + 1 > max_retries:
+                        rows.shed.append(pos - rows.base)
                         shed_records.append(
-                            (pos, retries + 1, "retry_budget_exhausted", next_down)
+                            (
+                                pos,
+                                retries + 1,
+                                "retry_budget_exhausted",
+                                next_down,
+                                cid,
+                                rows.arrivals.item(pos - rows.base),
+                            )
                         )
                         continue
                     heapq.heappush(
                         retry_heap,
-                        (next_down + backoff(retries + 1), pos, retries + 1),
+                        (next_down + backoff(retries + 1), pos, retries + 1, cid),
                     )
+                    rows.waiting += 1
                     continue
                 free[order] = finish
-                acc_col[pos] = order
-                start_col[pos] = start
-                finish_col[pos] = finish
-                retry_col[pos] = retries
-                done[pos] = True
+                if pos >= current_base:
+                    row = pos - current_base
+                    acc_col[row] = order
+                    start_col[row] = start
+                    finish_col[row] = finish
+                    if retries:
+                        retry_col[row] = retries
+                else:
+                    rows = live[pos // block]
+                    rows.record(pos - rows.base, order, start, finish, retries)
+            drain(n)
             loop_span.set(
                 kills=kills,
                 requeues=requeues,
@@ -1160,49 +1379,44 @@ class ServingSimulator:
             )
 
         shed_records.sort()
-        completed = int(np.count_nonzero(done))
-        # keep every column whole (a view, no copy) when nothing was shed
-        keep = slice(None) if completed == n else done
-        retry_col = retry_col[keep]
-        finish_col = finish_col[keep]
-        makespan = float(finish_col.max()) if completed else 0.0
+        total_retries = retry_total + sum(record[1] for record in shed_records)
         downtime = {name: 0.0 for name in names}
         downtime.update(faults.downtime(makespan))
         record_faults(
             FaultStats(
                 windows=len(faults),
                 kills=kills,
-                retries=int(retry_col.sum())
-                + sum(record[1] for record in shed_records),
+                retries=total_retries,
                 requeues=requeues,
                 shed=len(shed_records),
-                completed=completed,
+                completed=settled,
             ),
             self.metrics,
         )
-
-        kept_arrivals = arrivals[keep]
-        sink = make_sink()
-        sink.add(0, kept_arrivals, acc_col[keep], start_col[keep], finish_col)
+        columns = (
+            dict(
+                zip(
+                    ("arrivals", "class_ids", "request_ids", "retries"),
+                    (_joined(column) for column in zip(*kept)),
+                )
+            )
+            if exact
+            else {}
+        )
         report = sink.finish(
             classes,
-            kept_arrivals,
-            class_ids[keep],
-            # request ids are arrival positions
-            request_ids=np.flatnonzero(done),
-            retries=retry_col,
+            **columns,
+            total_retries=total_retries,
             shed=[
                 ShedRequest(
                     request=Request(
-                        request_id=pos,
-                        shape=classes[class_ids.item(pos)],
-                        arrival=arrivals.item(pos),
+                        request_id=pos, shape=classes[cid], arrival=arrival
                     ),
                     retries=retries,
                     reason=reason,
                     time=when,
                 )
-                for pos, retries, reason, when in shed_records
+                for pos, retries, reason, when, cid, arrival in shed_records
             ],
             fault_events=faults.events(),
             downtime=downtime,

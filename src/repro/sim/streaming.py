@@ -22,8 +22,9 @@ dashboard.  This module provides the scalable counterparts:
   loads and one latency sketch, folded from the same dispatch chunks
   the exact ``ServingReport`` keeps; mirrors its read API with O(1)
   memory in the trace length, the generated trace included (a faulted
-  run's fault loop still holds the trace and its per-request outcome
-  columns until the loop ends).
+  run's fault loop holds the outcome columns of the trace blocks from
+  its oldest unresolved request to its cursor, one block unless
+  re-attempts are pending from earlier ones).
 
 The error bound, precisely: a value ``v > min_value`` lands in bucket
 ``ceil(log_gamma(v))`` with ``gamma = (1 + e) / (1 - e)``; the bucket's

@@ -1,5 +1,7 @@
 """Serving-simulation tests: request streams, queueing, tail latency."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.obs.metrics import GLOBAL_METRICS
 from repro.perf.metrics import read_totals
 from repro.sim.chaos import FaultError, FaultPolicy, FaultSchedule
 from repro.sim.serving import (
+    _SUM_CHUNK,
     ServingReport,
     ServingSimulator,
     load_sweep,
@@ -295,6 +298,39 @@ class TestReportSatellites:
             report.latency_percentile(50)
         with pytest.raises(ValueError, match="no completed requests"):
             report.latency_percentiles([50, 99])
+
+    @pytest.mark.parametrize(
+        "rows", [_SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 7]
+    )
+    def test_mean_latency_sums_across_list_chunks(self, rows):
+        def report_of(arrivals, finishes):
+            ids = np.zeros(rows, dtype=np.int64)
+            return ServingReport(
+                arrivals=arrivals,
+                starts=arrivals,
+                finishes=finishes,
+                accelerator_ids=ids.astype(np.int16),
+                accelerator_names=("a",),
+                class_ids=ids,
+                shapes=(SHAPES[0],),
+                request_ids=ids,
+                retries=ids.astype(np.int32),
+            )
+
+        rng = np.random.default_rng(rows)
+        # dyadic latencies add exactly in any order: every row counts once
+        ticks = rng.integers(0, 1024, rows)
+        dyadic = report_of(np.zeros(rows), ticks / 1024)
+        assert dyadic.mean_latency() == int(ticks.sum()) / 1024 / rows
+        if sys.version_info < (3, 12):
+            # sum() adds floats one by one (3.12 compensates): the mean
+            # keeps the bits of the rows added in order
+            arrivals = np.sort(rng.uniform(0.0, 100.0, rows))
+            report = report_of(arrivals, arrivals + rng.exponential(0.01, rows))
+            total = 0.0
+            for latency in report.latencies.tolist():
+                total += latency
+            assert report.mean_latency() == total / rows
 
     def test_percentile_validation_in_batch(self, simulator):
         report = self._report(simulator)
