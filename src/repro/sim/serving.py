@@ -78,6 +78,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -318,14 +319,16 @@ class ServingReport:
         if not self.count:
             raise ValueError("no completed requests")
         # the builtin sum over Python floats, not ndarray.sum's pairwise
-        # reduction: the mean keeps the exact bits of summing the rows
-        # one by one, carried from chunk to chunk so that no list of
-        # the whole column is built
+        # reduction; one sum over the column's rows in order, fed a
+        # chunk's list at a time so that no list of the whole column is
+        # built, gives the bits of ``sum(latencies.tolist())`` on every
+        # Python (3.12's compensated sum included)
         latencies = self.latencies
-        total = 0
-        for lo in range(0, latencies.size, _SUM_CHUNK):
-            total = sum(latencies[lo : lo + _SUM_CHUNK].tolist(), total)
-        return total / self.count
+        chunks = (
+            latencies[lo : lo + _SUM_CHUNK].tolist()
+            for lo in range(0, latencies.size, _SUM_CHUNK)
+        )
+        return sum(chain.from_iterable(chunks)) / self.count
 
     def accelerator_load(self) -> dict[str, int]:
         """Completions per accelerator, keyed in first-completion order."""
@@ -373,7 +376,7 @@ class _ReportSink:
         quantile_error: float,
         chunk_size: int,
         monitor: "ServingMonitor | None",
-        rows: int | None = None,
+        rows: int,
     ):
         self.names = names
         self.chunk_size = chunk_size
@@ -393,10 +396,10 @@ class _ReportSink:
         # exact mode: the report columns, as the engine handed them over
         self._stretches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # the block being gathered from stretches shorter than a block:
-        # its first row, its rows so far, and its four columns (sized by
-        # ``rows``, the rows the engine will hand over, when known)
+        # its first row, its rows so far, and its four columns (no
+        # longer than ``rows``, the rows the engine will hand over)
         self._base = self._filled = 0
-        self._capacity = chunk_size if rows is None else min(chunk_size, rows)
+        self._capacity = min(chunk_size, rows)
         self._buffer: tuple[np.ndarray, ...] | None = None
 
     def add(
@@ -540,7 +543,10 @@ def _used_classes(trace: SoATrace) -> list[bool]:
 #: ``chunk_size`` block stay small next to that block (a 100k C5+C3
 #: chaos serve peaks 1.2-1.7 MB lower than with whole TRACE_BLOCKs)
 _FAULT_BLOCK = TRACE_BLOCK // 4
-#: arrivals and class ids the fault loop reads as list scalars at a time
+#: arrivals and class ids the fault loop reads as list scalars at a
+#: time: lists of a whole block leave their float objects' pools pinned
+#: by the loop's long-lived heap and timeline entries (a 1M C5+C3 chaos
+#: serve peaked at 130-138 MB with whole-block lists against 125 MB)
 _SCALAR_WINDOW = 1024
 
 
@@ -1118,10 +1124,9 @@ class ServingSimulator:
                     tries[picked],
                 )
 
-        # the cursor's block, its outcome columns as locals, and lists
-        # of up to _SCALAR_WINDOW of its arrivals and class ids from the
-        # cursor on (list-speed scalars without a list copy of the
-        # block); ``upcoming`` is the arrival at the cursor, inf once
+        # the cursor's block, and lists of up to _SCALAR_WINDOW of its
+        # arrivals and class ids from ``window_lo`` on (list-speed
+        # scalars); ``upcoming`` is the arrival at the cursor, inf once
         # every arrival is in
         cursor = current_base = current_end = 0
         window_lo = window_hi = 0
@@ -1171,10 +1176,6 @@ class ServingSimulator:
                             current = _FaultBlock(base, arrivals, shape_ids)
                             live[base // block] = current
                             current_base, current_end = base, base + current.size
-                            acc_col = current.accs
-                            start_col = current.starts
-                            finish_col = current.finishes
-                            retry_col = current.retries
                         window_lo = cursor
                         window_hi = min(cursor + _SCALAR_WINDOW, current_end)
                         lo, hi = cursor - current_base, window_hi - current_base
@@ -1358,16 +1359,14 @@ class ServingSimulator:
                     rows.waiting += 1
                     continue
                 free[order] = finish
-                if pos >= current_base:
-                    row = pos - current_base
-                    acc_col[row] = order
-                    start_col[row] = start
-                    finish_col[row] = finish
-                    if retries:
-                        retry_col[row] = retries
-                else:
-                    rows = live[pos // block]
-                    rows.record(pos - rows.base, order, start, finish, retries)
+                # _FaultBlock.record's writes, inline: the method call
+                # made 100k C5+C3 chaos serves ~9% slower
+                rows = live[pos // block]
+                row = pos - rows.base
+                rows.accs[row] = order
+                rows.starts[row] = start
+                rows.finishes[row] = finish
+                rows.retries[row] = retries
             drain(n)
             loop_span.set(
                 kills=kills,

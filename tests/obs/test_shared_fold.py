@@ -51,6 +51,7 @@ def _sink_fold(names, arrivals, accs, starts, finishes, monitor, seed):
         quantile_error=REPORT_ERROR,
         chunk_size=CHUNK,
         monitor=monitor,
+        rows=REQUESTS,
     )
     # hand the decisions over in uneven stretches, as the engines do
     cuts = np.sort(np.random.default_rng(seed).choice(REQUESTS, 9, replace=False))

@@ -1,7 +1,5 @@
 """Serving-simulation tests: request streams, queueing, tail latency."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -322,15 +320,10 @@ class TestReportSatellites:
         ticks = rng.integers(0, 1024, rows)
         dyadic = report_of(np.zeros(rows), ticks / 1024)
         assert dyadic.mean_latency() == int(ticks.sum()) / 1024 / rows
-        if sys.version_info < (3, 12):
-            # sum() adds floats one by one (3.12 compensates): the mean
-            # keeps the bits of the rows added in order
-            arrivals = np.sort(rng.uniform(0.0, 100.0, rows))
-            report = report_of(arrivals, arrivals + rng.exponential(0.01, rows))
-            total = 0.0
-            for latency in report.latencies.tolist():
-                total += latency
-            assert report.mean_latency() == total / rows
+        # inexact adds keep the bits of one sum over the whole column
+        arrivals = np.sort(rng.uniform(0.0, 100.0, rows))
+        report = report_of(arrivals, arrivals + rng.exponential(0.01, rows))
+        assert report.mean_latency() == sum(report.latencies.tolist()) / rows
 
     def test_percentile_validation_in_batch(self, simulator):
         report = self._report(simulator)
