@@ -316,10 +316,11 @@ def _service_simulator(args: argparse.Namespace, shapes: list):
     on the built partition, which checks that the configs fit the
     device.
 
-    The stored table is the prewarm's whole result, so a warm serve
-    never imports or runs the analytical model; it loads only for a
-    device-degraded fault window.  The lookup is a span on the model's
-    track, which it stands in for.
+    The stored table is the prewarm's whole result, with every degraded
+    service earlier faulted serves resolved, so a warm serve never
+    imports or runs the analytical model; it loads only for a
+    device-degraded fault window on a device variant the table lacks.
+    The lookup is a span on the model's track, which it stands in for.
     """
     from repro.obs.spans import span
     from repro.sim import service_table
@@ -330,14 +331,27 @@ def _service_simulator(args: argparse.Namespace, shapes: list):
         table = service_table.load(path, args.configs, shapes)
         record.set(cached=table is not None)
     if table is not None:
-        from repro.hw.specs import VCK5000
-
-        return ServingSimulator.seeded(args.configs, VCK5000, *table), path, True
+        return ServingSimulator.seeded(args.configs, None, *table), path, True
     from repro.core.multi_acc import AcceleratorPartition
     from repro.mapping.configs import config_by_name
 
     partition = AcceleratorPartition([config_by_name(name) for name in args.configs])
     return ServingSimulator(partition), path, False
+
+
+def _store_service_table(path: str, simulator) -> bool:
+    from repro.sim import service_table
+
+    return service_table.store(
+        path, simulator._service_cache, simulator._infeasible, simulator._degraded
+    )
+
+
+def _store_grown_table(path: str, simulator, known: int) -> None:
+    """Publish the service table again when the run resolved degraded
+    services past the ``known`` ones it started with."""
+    if len(simulator._degraded) > known:
+        _store_service_table(path, simulator)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -391,13 +405,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if cached:
         services = f"cached at {table_path}"
     else:
-        from repro.sim import service_table
-
-        saved = service_table.store(
-            table_path, simulator._service_cache, simulator._infeasible
-        )
+        saved = _store_service_table(table_path, simulator)
         services = (f"computed, saved to {table_path}" if saved
                     else "computed, cache unwritable")
+    # degraded services the serve resolves past these go into the table
+    # once it has run
+    degraded_known = len(simulator._degraded)
     if args.stats:
         print(f"services     {services}", file=sys.stderr)
     shortest = min(simulator._service_cache.values(), default=math.inf)
@@ -441,6 +454,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slo=slo_spec,
             slo_windows=args.windows,
         )
+        _store_grown_table(table_path, simulator, degraded_known)
         print(render_table(result.rows(), title="offered-load sweep"))
         if result.knee_rps is not None:
             print(f"saturation knee   ~{result.knee_rps:.0f} rps offered")
@@ -504,6 +518,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_policy=fault_policy,
             monitor=monitor,
         )
+    _store_grown_table(table_path, simulator, degraded_known)
     if args.trace_out:
         # streaming/fleet reports degrade to utilization + fault tracks
         # in the exporter; monitors add one counter track per metric
@@ -824,10 +839,10 @@ def _shape(value: str) -> GemmShape:
 
 
 def _config_name(value: str) -> str:
-    from repro.mapping.configs import config_by_name
+    from repro.mapping.config_names import check_config_name
 
     try:
-        config_by_name(value)
+        check_config_name(value)
     except KeyError as error:
         raise argparse.ArgumentTypeError(error.args[0]) from None
     return value

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.hw.dram import DramPorts, IMPROVED_PORTS
 from repro.kernels.precision import Precision
+from repro.mapping.config_names import check_config_name
 from repro.mapping.grouping import AieGrouping
 from repro.workloads.gemm import GemmShape
 
@@ -140,11 +141,7 @@ _BY_NAME = {c.name.lower(): c for c in ALL_CONFIGS + INT16_CONFIGS}
 
 
 def config_by_name(name: str) -> HardwareConfig:
-    try:
-        return _BY_NAME[name.lower()]
-    except KeyError:
-        known = ", ".join(c.name for c in ALL_CONFIGS)
-        raise KeyError(f"unknown config {name!r}; known: {known}") from None
+    return _BY_NAME[check_config_name(name).lower()]
 
 
 def configs_for(precision: Precision) -> tuple[HardwareConfig, ...]:

@@ -19,19 +19,22 @@ is not kept.
 ``dispatch_exact`` mirrors the scan loop bit for bit — same
 ``arrival if arrival > free else free`` start rule, same strict
 first-minimum winner over the ``(width, classes)`` service matrix —
-and stops a fault segment where the scalar fault loop must take over:
-before any start that reaches ``limit`` (the next fault transition)
-and before a winner whose finish crosses its accelerator's next down
-window.  It is the only engine that batches fault segments; without
-it, fault-free runs use the NumPy speculate-and-verify rounds and
-faulted runs the scalar fault loop.  One k-wide kernel serves every
-partition width, the paper's one- and two-wide C5+C3-style partitions
-included.  ``inf``
-service entries (infeasible pairs, down accelerators in a fault
-segment) are safe: an infinite candidate finish can never win a
-strict-less comparison, the next-down check only ever tests the
-winner, and a row whose every lane is ``inf`` stops the loop before it
-is committed (the fault loop requeues it).  Plain ``-O2`` keeps
+and stops a fault batch where the scalar fault loop must take over.
+Under a fault schedule each accelerator (lane) is a segment of its
+own, with its own service column and its own limit (its next window
+boundary): the kernel stops before a row whose start on some lane
+reaches that lane's limit, and before a winner whose finish crosses
+its accelerator's next down window (a kill).  It is the only engine
+that batches fault segments; without it, fault-free runs use the
+NumPy speculate-and-verify rounds and faulted runs the scalar fault
+loop.  One k-wide kernel serves every partition width, the paper's
+one- and two-wide C5+C3-style partitions included.  ``inf`` service
+entries (infeasible pairs, down accelerators in a fault segment) are
+safe: an infinite candidate finish can never win a strict-less
+comparison, the next-down check only ever tests the winner, and a row
+whose every lane is ``inf`` is decided as unservable (accelerator
+``-1``) without touching a clock, and the fault loop requeues or sheds
+it.  Plain ``-O2`` keeps
 IEEE semantics (no ``-ffast-math``, no FMA contraction opportunities in
 pure add/compare code), and a self-check against a Python reference
 guards the library before it is trusted.  Any failure (no ``cc``,
@@ -63,16 +66,28 @@ _SOURCE = r"""
 #include <stdint.h>
 
 /* The k-wide exact loop: svc is the row-major (k, classes) service
- * matrix, nd the per-accelerator next-down array.  Winner = first
- * strict minimum finish in lane order (np.argmin semantics); any lane
- * whose start reaches `limit` cuts the segment before a commit, and so
- * does a row no lane can serve (every service inf). */
+ * matrix, lim and nd the per-lane segment end and next down onset.
+ * Winner = first strict minimum finish in lane order (np.argmin
+ * semantics).  A row stops the loop before any commit when some lane's
+ * start reaches that lane's own lim, or when the winner's finish
+ * crosses its next down onset; a row no lane can serve (every finish
+ * inf) is marked acc = -1 with inf start and finish, and changes no
+ * clock. */
 int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
                          const double *svc, int64_t k, int64_t classes,
-                         int64_t n, double limit, const double *nd,
+                         int64_t n, const double *lim, const double *nd,
                          double *state, int64_t *acc,
                          double *start, double *fin)
 {
+    /* the smallest limit, held in a register: a lane's own limit is
+     * read only for a start that reaches it (never on fault-free runs,
+     * whose limits are all inf), and the hint keeps the common path
+     * straight-line (without it an 8-wide fault-free 1M-row call ran
+     * ~10% slower) */
+    double lo = INFINITY;
+    for (int64_t i = 0; i < k; ++i)
+        if (lim[i] < lo)
+            lo = lim[i];
     int64_t j = 0;
     for (; j < n; ++j) {
         double a = arrivals[j];
@@ -84,7 +99,7 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
         for (int64_t i = 0; i < k; ++i) {
             double f = state[i];
             double st = a > f ? a : f;
-            if (st >= limit) {
+            if (__builtin_expect(st >= lo, 0) && st >= lim[i]) {
                 cut = 1;
                 break;
             }
@@ -95,7 +110,15 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
                 best_e = e;
             }
         }
-        if (cut || isinf(best_e) || best_e > nd[best])
+        if (cut)
+            break;
+        if (isinf(best_e)) {
+            acc[j] = -1;
+            start[j] = INFINITY;
+            fin[j] = INFINITY;
+            continue;
+        }
+        if (best_e > nd[best])
             break;
         state[best] = best_e;
         acc[j] = best;
@@ -113,21 +136,34 @@ _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
 
-def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
+def _lane_limits(limits, width: int) -> list[float]:
+    """Per-lane segment ends: ``limits`` is one for every lane, or a
+    float shared by all of them."""
+    if isinstance(limits, (int, float)):
+        return [float(limits)] * width
+    return [float(limit) for limit in limits]
+
+
+def _reference_dispatch(arrivals, cids, rows, state, limits, nds):
     """Pure-Python mirror of the kernel: the scan loop plus its
-    fault-segment cut conditions (``limit``, next-down, no finite
-    service)."""
+    fault-segment cut conditions (a lane's own ``limits`` entry, the
+    winner's next down onset) and its unservable-row mark (``(-1, inf,
+    inf)`` for a row no lane can serve, which changes no clock)."""
+    lims = _lane_limits(limits, len(state))
     out = []
     for a, c in zip(arrivals, cids):
         starts = [a if a > f else f for f in state]
-        if any(st >= limit for st in starts):
+        if any(st >= lim for st, lim in zip(starts, lims)):
             break
         fins = [st + row[c] for st, row in zip(starts, rows)]
         best = 0
         for i in range(1, len(fins)):
             if fins[i] < fins[best]:
                 best = i
-        if math.isinf(fins[best]) or fins[best] > nds[best]:
+        if math.isinf(fins[best]):
+            out.append((-1, math.inf, math.inf))
+            continue
+        if fins[best] > nds[best]:
             break
         state[best] = fins[best]
         out.append((best, starts[best], fins[best]))
@@ -136,36 +172,43 @@ def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
 
 def _check_dispatch(kwide):
     inf = float("inf")
-    arrivals = [0.0, 0.1, 0.15, 0.2, 1.0, 1.05, 1.5, 2.0, 2.5]
-    cids = [0, 1, 0, 1, 0, 0, 1, 1, 2]
+    arrivals = [0.0, 0.1, 0.15, 0.2, 1.0, 1.02, 1.05, 1.5, 2.0, 2.5, 2.7]
+    cids = [0, 1, 0, 1, 0, 3, 0, 1, 1, 2, 0]
     # four lanes with inf (infeasible or down) entries: the kernel must
     # never let an infinite candidate win a strict-less comparison, and
-    # must stop before class 2's row on one lane, where no lane can serve
+    # must mark the rows no lane can serve (class 3's everywhere, class
+    # 2's on one lane) and go on past them
     rows = [
-        [0.3, 0.5, inf],
-        [0.4, 0.5, 0.6],
-        [0.35, inf, inf],
-        [0.25, 0.45, inf],
+        [0.3, 0.5, inf, inf],
+        [0.4, 0.5, 0.6, inf],
+        [0.35, inf, inf, inf],
+        [0.25, 0.45, inf, inf],
     ]
+    # (width, per-lane limits, next downs): a shared limit, per-lane
+    # limits cutting one lane's backlog before another's, and next-down
+    # cuts
     cases = [
-        (2, inf, (inf, inf)),
-        (2, 1.2, (inf, inf)),
-        (2, inf, (1.4, inf)),
-        (2, inf, (inf, 0.6)),
-        (1, inf, (inf,)),
-        (1, 0.9, (0.7,)),
-        (3, inf, (inf, inf, inf)),
-        (3, 1.3, (inf, inf, inf)),
-        (3, inf, (inf, 0.8, inf)),
-        (4, inf, (inf, inf, inf, inf)),
-        (4, 1.1, (inf, inf, inf, 0.9)),
-        (4, inf, (0.6, inf, inf, inf)),
+        (2, (inf, inf), (inf, inf)),
+        (2, (1.2, 1.2), (inf, inf)),
+        (2, (inf, 1.2), (inf, inf)),
+        (2, (inf, inf), (1.4, inf)),
+        (2, (inf, inf), (inf, 0.6)),
+        (1, (inf,), (inf,)),
+        (1, (0.9,), (0.7,)),
+        (3, (inf, inf, inf), (inf, inf, inf)),
+        (3, (1.3, 1.3, 1.3), (inf, inf, inf)),
+        (3, (inf, 0.4, 2.2), (inf, inf, inf)),
+        (3, (inf, inf, inf), (inf, 0.8, inf)),
+        (4, (inf, inf, inf, inf), (inf, inf, inf, inf)),
+        (4, (1.1, 1.1, 1.1, 1.1), (inf, inf, inf, 0.9)),
+        (4, (2.6, inf, 1.6, inf), (inf, inf, inf, inf)),
+        (4, (inf, inf, inf, inf), (0.6, inf, inf, inf)),
     ]
-    for width, limit, nds in cases:
+    for width, limits, nds in cases:
         state = [0.05, 0.0, 0.02, 0.01][:width]
         ref_state = list(state)
         expect = _reference_dispatch(
-            arrivals, cids, rows[:width], ref_state, limit, nds
+            arrivals, cids, rows[:width], ref_state, limits, nds
         )
         arr = np.asarray(arrivals)
         cid = np.asarray(cids, dtype=np.int64)
@@ -174,6 +217,7 @@ def _check_dispatch(kwide):
         starts = np.empty(arr.size)
         fins = np.empty(arr.size)
         matrix = np.ascontiguousarray(rows[:width], dtype=np.float64)
+        lim_arr = np.asarray(limits, dtype=np.float64)
         nd_arr = np.asarray(nds, dtype=np.float64)
         q = kwide(
             arr.ctypes.data_as(_DOUBLE_P),
@@ -182,7 +226,7 @@ def _check_dispatch(kwide):
             width,
             matrix.shape[1],
             arr.size,
-            limit,
+            lim_arr.ctypes.data_as(_DOUBLE_P),
             nd_arr.ctypes.data_as(_DOUBLE_P),
             st.ctypes.data_as(_DOUBLE_P),
             acc.ctypes.data_as(_INT64_P),
@@ -214,7 +258,7 @@ def _bind(lib_path: str):
         ctypes.c_int64,
         ctypes.c_int64,
         ctypes.c_int64,
-        ctypes.c_double,
+        _DOUBLE_P,
         _DOUBLE_P,
         _DOUBLE_P,
         _INT64_P,
@@ -323,16 +367,19 @@ else:
     )
 
 
-def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None):
+def _dispatch_exact_native(arrivals, class_ids, services, free, limits, nds=None):
     """Exact earliest-finish dispatch over one clean stretch.
 
     ``services`` is the engine's ``(width, classes)`` float64 matrix
     (any width; ``inf`` marks infeasible pairs); ``free`` is the
-    mutable per-accelerator clock list, updated in place; ``nds`` the
-    per-accelerator next-down array (``None`` = unconstrained).
-    Returns ``(accepted, accs, starts, fins)`` — the maximal prefix
-    satisfying the ``limit`` / next-down constraints, with per-request
-    results bit-identical to the scan loop.
+    mutable per-accelerator clock list, updated in place; ``limits``
+    the per-accelerator segment ends (one float for every lane) and
+    ``nds`` the per-accelerator next-down array (``None`` =
+    unconstrained).  Returns ``(decided, accs, starts, fins)`` — the
+    maximal prefix satisfying the limit / next-down constraints, with
+    per-request results bit-identical to the scan loop; a row no lane
+    can serve is decided as accelerator ``-1`` with inf start and
+    finish.
     """
     arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
     class_ids = np.ascontiguousarray(class_ids, dtype=np.int64)
@@ -345,6 +392,7 @@ def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None)
         nds = (math.inf,) * width
     acc = np.empty(n, dtype=np.int64)
     matrix = np.ascontiguousarray(services, dtype=np.float64)
+    lim_arr = np.asarray(_lane_limits(limits, width), dtype=np.float64)
     nd_arr = np.ascontiguousarray(nds, dtype=np.float64)
     q = _KWIDE(
         arrivals.ctypes.data_as(_DOUBLE_P),
@@ -353,7 +401,7 @@ def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None)
         width,
         matrix.shape[1],
         n,
-        limit,
+        lim_arr.ctypes.data_as(_DOUBLE_P),
         nd_arr.ctypes.data_as(_DOUBLE_P),
         state.ctypes.data_as(_DOUBLE_P),
         acc.ctypes.data_as(_INT64_P),

@@ -44,8 +44,8 @@ where usable CPUs follows the process's affinity mask
 single worker drains every shard task in order, instead of several
 interpreters taking turns on one core.  A worker imports only the
 dispatch layer: its partition builds the analytical model, the CHARM
-designs and their placement on first need (a device-degraded fault
-window), and :mod:`repro.obs.windows` loads only for a monitor.  Under
+designs and their placement on first need (a service-table miss),
+and :mod:`repro.obs.windows` loads only for a monitor.  Under
 ``spawn`` each worker is a fresh interpreter, so both rules are
 start-up time saved.
 
@@ -163,7 +163,8 @@ def _build_worker_simulator(payload: dict[str, Any]) -> ServingSimulator:
     Its :class:`~repro.sim.serving.LazyPartition` is reconstructed from
     config *names* (configs carry no state beyond their registry entry)
     on the payload's device, on first need only; the parent's
-    service-time table and infeasibility set are copied in, so the
+    service-time table, infeasibility set and degraded services (every
+    one the payload's fault schedule can ask for) are copied in, so the
     worker never pays a cold model evaluation and dispatches exactly
     like the parent would.
     """
@@ -172,6 +173,7 @@ def _build_worker_simulator(payload: dict[str, Any]) -> ServingSimulator:
         payload["device"],
         payload["service_table"],
         payload["infeasible"],
+        payload["degraded"],
     )
 
 
@@ -326,8 +328,11 @@ class ShardedServingCluster:
         self.max_workers = max_workers
         self._simulator = simulator
         # the table must be complete before it is frozen into the
-        # payload; prewarm is idempotent and skips cached pairs
+        # payload; prewarm is idempotent and skips cached pairs, and so
+        # is resolving the fault schedule's degraded services
         simulator.prewarm(shapes)
+        if faults is not None:
+            simulator.resolve_degraded(faults, shapes)
         self._payload: dict[str, Any] = {
             "config_names": list(simulator.partition.designs),
             "device": simulator.partition.device,
@@ -339,6 +344,7 @@ class ShardedServingCluster:
             "fault_policy": fault_policy,
             "service_table": dict(simulator._service_cache),
             "infeasible": set(simulator._infeasible),
+            "degraded": dict(simulator._degraded),
         }
         self._payload_bytes = _dumps(self._payload)
         self._pool: ProcessPoolExecutor | None = None

@@ -203,9 +203,9 @@ class ServingReport(FaultAccounting):
             return 0.0
         return self.count / self.makespan
 
-    @cached_property
+    @property
     def latencies(self) -> np.ndarray:
-        """Per-row ``finish - arrival``."""
+        """Per-row ``finish - arrival``, a fresh array on every read."""
         return self.finishes - self.arrivals
 
     @property
@@ -213,24 +213,21 @@ class ServingReport(FaultAccounting):
         """Per-row ``start - arrival``."""
         return self.starts - self.arrivals
 
-    @cached_property
-    def _sorted_latencies(self) -> np.ndarray:
-        # the columns are frozen after construction, so the sort is
-        # cached instead of being redone on every percentile
-        return np.sort(self.latencies)
-
     def latency_percentile(self, percentile: float) -> float:
         return self.latency_percentiles([percentile])[0]
 
     def latency_percentiles(self, percentiles: Sequence[float]) -> list[float]:
-        """Batch percentile accessor over the cached sorted latencies."""
+        """Batch percentile accessor: one fresh latency column, sorted in
+        place, is all it holds beyond the report's columns (ask for
+        every percentile in one call)."""
         for percentile in percentiles:
             if not 0 < percentile <= 100:
                 raise ValueError("percentile must be in (0, 100]")
         count = self.count
         if not count:
             raise ValueError("no completed requests")
-        latencies = self._sorted_latencies
+        latencies = self.latencies
+        latencies.sort()
         return [
             float(latencies[min(count - 1, math.ceil(percentile / 100 * count) - 1)])
             for percentile in percentiles
@@ -240,14 +237,15 @@ class ServingReport(FaultAccounting):
         if not self.count:
             raise ValueError("no completed requests")
         # the builtin sum over Python floats, not ndarray.sum's pairwise
-        # reduction; one sum over the column's rows in order, fed a
-        # chunk's list at a time so that no list of the whole column is
-        # built, gives the bits of ``sum(latencies.tolist())`` on every
-        # Python (3.12's compensated sum included)
-        latencies = self.latencies
+        # reduction; one sum over the rows in order, fed a chunk's list
+        # at a time so that neither a list nor a latency column of the
+        # whole report is built, gives the bits of
+        # ``sum(latencies.tolist())`` on every Python (3.12's
+        # compensated sum included)
+        finishes, arrivals = self.finishes, self.arrivals
         chunks = (
-            latencies[lo : lo + _SUM_CHUNK].tolist()
-            for lo in range(0, latencies.size, _SUM_CHUNK)
+            (finishes[lo : lo + _SUM_CHUNK] - arrivals[lo : lo + _SUM_CHUNK]).tolist()
+            for lo in range(0, self.count, _SUM_CHUNK)
         )
         return sum(chain.from_iterable(chunks)) / self.count
 
@@ -491,7 +489,7 @@ _SCALAR_WINDOW = 1024
 class _FaultBlock:
     """One trace block in the fault loop: its rows' arrivals and class
     ids, and each completed row's outcome, until every row is completed
-    or shed (a shed row's outcome columns stay zero)."""
+    or shed (a shed row's outcome columns are never read)."""
 
     __slots__ = (
         "base",
@@ -535,17 +533,20 @@ class _FaultView:
     Window lookups are bisections over per-accelerator sorted arrays;
     degraded service times are resolved once per ``(accelerator, window,
     shape class)`` and cached — ``DeviceSpec`` is unhashable, so the
-    cache keys on positions, not objects.  Accelerators whose *healthy*
-    device cannot serve a shape class stay infeasible for it in every
-    window (degraded hardware never unlocks new shapes), which keeps the
-    scalar selector's and the segment batches' candidate sets identical
-    by construction.
+    cache keys on positions, not objects.  A device-degraded window's
+    service comes from the simulator's degraded table
+    (:meth:`ServingSimulator.degraded_service`), which runs the model
+    only for a device variant it has not seen.  Accelerators whose
+    *healthy* device cannot serve a shape class stay infeasible for it
+    in every window (degraded hardware never unlocks new shapes), which
+    keeps the scalar selector's and the segment batches' candidate sets
+    identical by construction.
     """
 
     def __init__(self, simulator, schedule, names, classes, specs):
         self.names = names
         self.classes = classes
-        self.partition = simulator.partition
+        self.simulator = simulator
         width = len(names)
         # base (healthy) service per [order][class]; None = infeasible
         self.base: list[list[float | None]] = [
@@ -558,12 +559,16 @@ class _FaultView:
         self._window_starts = []
         self._window_ends = []
         self._down_starts = []
+        self._boundaries = []
         for name in names:
             windows = schedule.for_accelerator(name)
             self.windows.append(windows)
             self._window_starts.append([w.start for w in windows])
             self._window_ends.append([w.end for w in windows])
             self._down_starts.append([w.start for w in windows if w.kind == "down"])
+            self._boundaries.append(
+                sorted({w.start for w in windows} | {w.end for w in windows})
+            )
         self._transitions = schedule.transitions()
         self._degraded_cache: dict[tuple[int, int, int], float | None] = {}
 
@@ -578,6 +583,13 @@ class _FaultView:
         starts = self._down_starts[order]
         index = bisect.bisect_right(starts, time)
         return starts[index] if index < len(starts) else None
+
+    def next_boundary_after(self, order: int, time: float) -> float:
+        """Earliest change of this accelerator's own window state
+        strictly after ``time`` (inf when none remains)."""
+        boundaries = self._boundaries[order]
+        index = bisect.bisect_right(boundaries, time)
+        return boundaries[index] if index < len(boundaries) else math.inf
 
     def next_transition_after(self, time: float) -> float | None:
         transitions = self._transitions
@@ -608,27 +620,9 @@ class _FaultView:
         if window.factor is not None:
             value = base * window.factor
         else:
-            design = self.partition.designs[self.names[order]]
-            config = getattr(design, "config", None)
-            if config is None:
-                raise ValueError(
-                    "device-degraded fault windows need partition designs "
-                    "with a .config (stub partitions should use factor= "
-                    "windows instead)"
-                )
-            from repro.core.analytical_model import AnalyticalModel
-            from repro.mapping.charm import CharmDesign
-
-            candidate = CharmDesign(config, window.device)
-            if not candidate.is_valid():
-                value = None  # design does not survive: down for the window
-            else:
-                try:
-                    value = AnalyticalModel(candidate).estimate(
-                        self.classes[cid]
-                    ).total_seconds
-                except ValueError:
-                    value = None
+            value = self.simulator.degraded_service(
+                self.names[order], window.device, self.classes[cid]
+            )
         self._degraded_cache[key] = value
         return value
 
@@ -691,9 +685,9 @@ class _LazyDesigns(Mapping):
     load only when something asks for a design.
     """
 
-    def __init__(self, config_names: Sequence[str], device: DeviceSpec) -> None:
+    def __init__(self, config_names: Sequence[str], owner: LazyPartition) -> None:
         self._names = tuple(config_names)
-        self._device = device
+        self._owner = owner
 
     @cached_property
     def partition(self) -> AcceleratorPartition:
@@ -701,7 +695,7 @@ class _LazyDesigns(Mapping):
         from repro.mapping.configs import config_by_name
 
         return AcceleratorPartition(
-            [config_by_name(name) for name in self._names], device=self._device
+            [config_by_name(name) for name in self._names], device=self._owner.device
         )
 
     def __getitem__(self, name: str):
@@ -719,14 +713,25 @@ class LazyPartition:
 
     A simulator whose service table arrives seeded (a shard worker, or
     a CLI serve from a stored table) resolves a design only for a
-    device-degraded fault window (which re-runs the model on the
-    derated device) or a service-table miss; until then it imports only
-    the dispatch layer.
+    service-table miss, or for a device-degraded fault window the
+    degraded table lacks (which re-runs the model on the derated
+    device); until then it imports only the dispatch layer.  ``device``
+    ``None`` is the VCK5000, whose module loads on first read.
     """
 
-    def __init__(self, config_names: Sequence[str], device: DeviceSpec) -> None:
-        self.device = device
-        self.designs = _LazyDesigns(config_names, device)
+    def __init__(
+        self, config_names: Sequence[str], device: DeviceSpec | None = None
+    ) -> None:
+        self._device = device
+        self.designs = _LazyDesigns(config_names, self)
+
+    @property
+    def device(self) -> DeviceSpec:
+        if self._device is None:
+            from repro.hw.specs import VCK5000
+
+            self._device = VCK5000
+        return self._device
 
     def estimate_on(self, accelerator: str, shape: GemmShape) -> float:
         return self.designs.partition.estimate_on(accelerator, shape)
@@ -756,6 +761,9 @@ class ServingSimulator:
         # per-shape service times are reused across requests
         self._service_cache: dict[tuple[str, GemmShape], float] = {}
         self._infeasible: set[tuple[str, GemmShape]] = set()
+        # (accelerator, device fingerprint, shape) -> service on that
+        # degraded device, None where the design does not survive it
+        self._degraded: dict[tuple[str, str, GemmShape], float | None] = {}
         self.stats = EvalStats()
         self.metrics: MetricsRegistry = GLOBAL_METRICS
 
@@ -763,17 +771,66 @@ class ServingSimulator:
     def seeded(
         cls,
         config_names: Sequence[str],
-        device: DeviceSpec,
+        device: DeviceSpec | None,
         services: dict[tuple[str, GemmShape], float],
         infeasible: set[tuple[str, GemmShape]],
+        degraded: dict[tuple[str, str, GemmShape], float | None] | None = None,
     ) -> ServingSimulator:
         """A simulator over a :class:`LazyPartition` whose service table
-        is ``services`` and ``infeasible``: it dispatches exactly like
-        the simulator that computed them, without running the model."""
+        is ``services``, ``infeasible`` and ``degraded``: it dispatches
+        exactly like the simulator that computed them, without running
+        the model.  ``device`` ``None`` is the VCK5000, loaded when
+        something reads it."""
         simulator = cls(LazyPartition(config_names, device))
         simulator._service_cache.update(services)
         simulator._infeasible.update(infeasible)
+        simulator._degraded.update(degraded or {})
         return simulator
+
+    def degraded_service(
+        self, accelerator: str, device: DeviceSpec, shape: GemmShape
+    ) -> float | None:
+        """``accelerator``'s service for ``shape`` on the degraded
+        ``device``, or ``None`` when its design does not survive there;
+        the model runs once per ``(accelerator, device, shape)``, and
+        not at all for one the degraded table holds."""
+        from repro.sim.service_table import device_fingerprint
+
+        key = (accelerator, device_fingerprint(device), shape)
+        if key in self._degraded:
+            return self._degraded[key]
+        config = getattr(self.partition.designs[accelerator], "config", None)
+        if config is None:
+            raise ValueError(
+                "device-degraded fault windows need partition designs "
+                "with a .config (stub partitions should use factor= "
+                "windows instead)"
+            )
+        from repro.core.analytical_model import AnalyticalModel
+        from repro.mapping.charm import CharmDesign
+
+        candidate = CharmDesign(config, device)
+        value = None  # the design does not survive: down for the window
+        if candidate.is_valid():
+            try:
+                value = AnalyticalModel(candidate).estimate(shape).total_seconds
+            except ValueError:
+                pass
+        self._degraded[key] = value
+        return value
+
+    def resolve_degraded(
+        self, faults: FaultSchedule, shapes: Sequence[GemmShape]
+    ) -> None:
+        """Resolve every degraded service a run of ``shapes`` under
+        ``faults`` can ask for, so that a copy of the table (a shard
+        worker's) never runs the model."""
+        for window in faults.windows:
+            if window.device is None:
+                continue
+            for shape in dict.fromkeys(shapes):
+                if (window.accelerator, shape) in self._service_cache:
+                    self.degraded_service(window.accelerator, window.device, shape)
 
     def _service(self, accelerator: str, shape: GemmShape) -> float:
         key = (accelerator, shape)
@@ -860,10 +917,11 @@ class ServingSimulator:
         vectorized fast path at every partition width — the native
         k-wide exact loop when a C compiler is present, NumPy
         speculate-and-verify rounds otherwise — and, under a fault
-        schedule, batches every segment between two fault transitions
-        through the native loop, whatever windows are active there
-        (without a compiler, a faulted run takes every attempt through
-        the scan's scalar fault loop); ``scan`` runs
+        schedule, batches through the native loop too, each
+        accelerator a segment of its own between two of its window
+        boundaries, whatever windows are active there (without a
+        compiler, a faulted run takes every attempt through the scan's
+        scalar fault loop); ``scan`` runs
         the seed loop, the ground-truth oracle.  Both make
         byte-identical dispatch decisions and hand them to one report
         sink, so either report kind is byte-identical across paths too
@@ -966,9 +1024,16 @@ class ServingSimulator:
         the next arrival because its position is smaller.
         Every scalar attempt goes through one selector and the loop
         (kills, backoff, requeues, shedding) is one code path; ``auto``
-        only adds native-kernel segment batches the scalar loop would
-        have decided identically, which is what makes both paths' fault
-        semantics identical by construction.
+        only adds native-kernel batches the scalar loop would have
+        decided identically, which is what makes both paths' fault
+        semantics identical by construction.  A batch holds the
+        attempts before the next transition of any accelerator; each
+        accelerator in it is a segment of its own, read in the window
+        its first possible start falls in and cut at its own next
+        window boundary, so an accelerator's backlog may run past
+        another's transitions.  A batch decides the attempts no
+        accelerator can take too (the loop requeues or sheds them); a
+        kill ends it, and the scalar loop takes the killed attempt.
 
         Outcomes are written into their trace block's buffers; once
         every row of the oldest block is completed or shed, its
@@ -1076,26 +1141,56 @@ class ServingSimulator:
         requeues = 0
         backoff = policy.backoff
         max_retries = policy.max_retries
-        # with the native kernel, the fast path batches every segment
-        # [t0, next transition) — the set of active windows is constant
-        # there — on the service matrix of that window state (a down
-        # accelerator is an inf column); the scalar loop below keeps
-        # sole ownership of kills, requeues and shedding, so anything
-        # the kernel cannot prove safe (a start reaching the next
-        # transition, a finish crossing a down onset, a row no
-        # accelerator can serve) is simply handed back to it.  Without
-        # the kernel every attempt takes the scalar loop, as on scan
+
+        def unservable(t: float, pos: int, retries: int, cid: int, nxt) -> None:
+            """An attempt at ``t`` that no accelerator can take: requeued
+            to the next transition ``nxt``, or shed when none remains."""
+            nonlocal requeues
+            rows = live[pos // block]
+            if nxt is None:
+                rows.shed.append(pos - rows.base)
+                shed_records.append(
+                    ShedRequest(
+                        pos,
+                        retries,
+                        "no_feasible_accelerator",
+                        t,
+                        cid,
+                        rows.arrivals.item(pos - rows.base),
+                    )
+                )
+                return
+            requeues += 1
+            if exact:
+                timeline.append((nxt, "requeue", pos, retries))
+            heapq.heappush(retry_heap, (nxt, pos, retries, cid))
+            rows.waiting += 1
+
+        # with the native kernel, the fast path batches the attempts
+        # from the earliest one, t0, up to the next transition of any
+        # accelerator, G.  Each accelerator is a segment of its own:
+        # from its anchor max(t0, free) to its own next window boundary,
+        # on the service column of the window it is in at the anchor (a
+        # down accelerator is an inf column).  Every start the batch
+        # gives an accelerator lies at or past its anchor, so while it
+        # stays short of that boundary the scalar selector would read
+        # the same column; the kernel cuts the row where it does not.  A
+        # row no accelerator can serve is decided in the batch and
+        # requeued to G, as the scalar loop would (every row of the
+        # batch comes before G), or shed when no transition remains.
+        # The scalar loop below keeps sole ownership of kills: a winner
+        # whose finish crosses its next down onset ends the batch, and
+        # a batch whose first row is such a kill hands that attempt to
+        # the scalar loop.  Without the kernel every attempt takes the
+        # scalar loop, as on scan
         if dispatch == "auto":
             healthy = self._service_matrix(names, specs)
             self._require_finite_services(names, healthy, classes)
         use_batch = dispatch == "auto" and dispatch_batch.native_available()
         if use_batch:
             kernel = dispatch_batch._native_dispatch
-            # active-window signature -> that segment's service matrix
+            # per-accelerator window indices -> their service matrix
             matrices: dict[tuple[int | None, ...], np.ndarray] = {}
-        min_batch = 64
-        batch_paused = False
-        no_batch_before = -math.inf
         batched = scalar = segments = 0
         loop_span = span("serve.fault_loop", track="serving", requests=n)
         with loop_span:
@@ -1118,122 +1213,112 @@ class ServingSimulator:
                         window_arrivals = current.arrivals[lo:hi].tolist()
                         window_ids = current.class_ids[lo:hi].tolist()
                 upcoming = window_arrivals[cursor - window_lo]
-                if (
-                    use_batch
-                    and not batch_paused
-                    and n - cursor + len(retry_heap) >= min_batch
-                ):
+                if use_batch:
                     t0 = upcoming
                     if retry_heap and retry_heap[0][0] <= t0:
                         t0 = retry_heap[0][0]
-                    if t0 >= no_batch_before:
-                        nxt = view.next_transition_after(t0)
-                        limit = math.inf if nxt is None else nxt
-                        # a batch takes at most the rest of the cursor's
-                        # block: the attempts before ``limit`` that also
-                        # come before the block's last row in (time,
-                        # position) order, a prefix of the scalar order
-                        offset = cursor - current_base
-                        rest = current.arrivals[offset:]
-                        fresh_rows = int(np.searchsorted(rest, limit))
-                        last = float(rest[-1]) if cursor < n else math.inf
-                        due: list[tuple[float, int, int, int]] = []
-                        while (
-                            retry_heap
-                            and retry_heap[0][0] < limit
-                            and retry_heap[0][0] <= last
-                        ):
-                            if len(due) == block:
-                                # at most a block of re-attempts too: the
-                                # batch ends before the next one
-                                fresh_rows = min(
-                                    fresh_rows,
-                                    int(np.searchsorted(rest, retry_heap[0][0])),
-                                )
-                                break
-                            due.append(heapq.heappop(retry_heap))
-                        times = rest[:fresh_rows]
-                        cids = current.class_ids[offset : offset + fresh_rows]
-                        if fresh_rows + len(due) < min_batch:
-                            # the scalar loop takes the few attempts up
-                            # to the segment's or the block's end
-                            for item in due:
-                                heapq.heappush(retry_heap, item)
-                            no_batch_before = (
-                                limit if limit <= last else math.nextafter(last, limit)
+                    horizon = view.next_transition_after(t0)
+                    limit = math.inf if horizon is None else horizon
+                    # a batch takes at most the rest of the cursor's
+                    # block: the attempts before ``limit`` that also
+                    # come before the block's last row in (time,
+                    # position) order, a prefix of the scalar order
+                    offset = cursor - current_base
+                    rest = current.arrivals[offset:]
+                    fresh_rows = int(np.searchsorted(rest, limit))
+                    last = float(rest[-1]) if cursor < n else math.inf
+                    due: list[tuple[float, int, int, int]] = []
+                    while (
+                        retry_heap
+                        and retry_heap[0][0] < limit
+                        and retry_heap[0][0] <= last
+                    ):
+                        if len(due) == block:
+                            # at most a block of re-attempts too: the
+                            # batch ends before the next one
+                            fresh_rows = min(
+                                fresh_rows,
+                                int(np.searchsorted(rest, retry_heap[0][0])),
                             )
-                        else:
-                            signature = tuple(
-                                view.window_index_at(order, t0)
-                                for order in range(width)
+                            break
+                        due.append(heapq.heappop(retry_heap))
+                    times = rest[:fresh_rows]
+                    cids = current.class_ids[offset : offset + fresh_rows]
+                    if due:
+                        # re-attempts first, so the stable sort breaks
+                        # equal times toward their smaller positions
+                        due_times, due_positions, due_tries, due_cids = zip(*due)
+                        times = np.concatenate((due_times, times))
+                        cids = np.concatenate((due_cids, cids))
+                        fresh_positions = np.arange(cursor, cursor + fresh_rows)
+                        positions = np.concatenate((due_positions, fresh_positions))
+                        tries = np.concatenate(
+                            (due_tries, np.zeros_like(fresh_positions))
+                        )
+                        ordered = np.argsort(times, kind="stable")
+                        times = times[ordered]
+                        cids = cids[ordered]
+                        positions = positions[ordered]
+                        tries = tries[ordered]
+                    anchors = [f if f > t0 else t0 for f in free]
+                    signature = tuple(
+                        view.window_index_at(order, anchor)
+                        for order, anchor in enumerate(anchors)
+                    )
+                    services = matrices.get(signature)
+                    if services is None:
+                        services = matrices[signature] = view.segment_services(
+                            signature, healthy
+                        )
+                    lane_limits = [
+                        view.next_boundary_after(order, anchor)
+                        for order, anchor in enumerate(anchors)
+                    ]
+                    next_downs = [
+                        math.inf if nd is None else nd
+                        for nd in (
+                            view.next_down_after(order, anchor)
+                            for order, anchor in enumerate(anchors)
+                        )
+                    ]
+                    decided, accs, starts, fins = kernel(
+                        times, cids, services, free, lane_limits, next_downs
+                    )
+                    segments += 1
+                    if not due:
+                        # fresh rows only: one stretch of the cursor's block
+                        fresh = decided
+                        if decided:
+                            current.record(
+                                slice(offset, offset + decided), accs, starts, fins, 0
                             )
-                            services = matrices.get(signature)
-                            if services is None:
-                                services = matrices[signature] = (
-                                    view.segment_services(signature, healthy)
-                                )
-                            if due:
-                                # re-attempts first, so the stable sort
-                                # breaks equal times toward their smaller
-                                # positions
-                                due_times, due_positions, due_tries, due_cids = zip(
-                                    *due
-                                )
-                                times = np.concatenate((due_times, times))
-                                cids = np.concatenate((due_cids, cids))
-                                fresh_positions = np.arange(cursor, cursor + fresh_rows)
-                                positions = np.concatenate(
-                                    (due_positions, fresh_positions)
-                                )
-                                tries = np.concatenate(
-                                    (due_tries, np.zeros_like(fresh_positions))
-                                )
-                                ordered = np.argsort(times, kind="stable")
-                                times = times[ordered]
-                                cids = cids[ordered]
-                                positions = positions[ordered]
-                                tries = tries[ordered]
-                            next_downs = tuple(
-                                nd if (nd := view.next_down_after(order, t0))
-                                is not None
-                                else math.inf
-                                for order in range(width)
+                    else:
+                        # re-attempts sit below the cursor; what is left
+                        # of both sources goes back to them
+                        placed = positions[:decided]
+                        fresh = int(np.count_nonzero(placed >= cursor))
+                        if decided:
+                            settle(placed, accs, starts, fins, tries[:decided])
+                        for item in due[: decided - fresh]:
+                            live[item[1] // block].waiting -= 1
+                        for item in due[decided - fresh :]:
+                            heapq.heappush(retry_heap, item)
+                    if decided:
+                        batched += decided
+                        dead = np.flatnonzero(accs < 0)
+                        if dead.size:
+                            dead_tries = (
+                                tries[dead].tolist() if due else [0] * dead.size
                             )
-                            accepted, accs, starts, fins = kernel(
-                                times, cids, services, free, limit, next_downs
-                            )
-                            segments += 1
-                            batched += accepted
-                            if not due:
-                                # fresh rows only: one stretch of the
-                                # cursor's block
-                                fresh = accepted
-                                current.record(
-                                    slice(offset, offset + accepted),
-                                    accs,
-                                    starts,
-                                    fins,
-                                    0,
-                                )
-                            else:
-                                # re-attempts sit below the cursor; what
-                                # is left of both sources goes back to them
-                                placed = positions[:accepted]
-                                fresh = int(np.count_nonzero(placed >= cursor))
-                                if accepted:
-                                    settle(placed, accs, starts, fins, tries[:accepted])
-                                for item in due[: accepted - fresh]:
-                                    live[item[1] // block].waiting -= 1
-                            for item in due[accepted - fresh :]:
-                                heapq.heappush(retry_heap, item)
-                            cursor += fresh
-                            if accepted == 0:
-                                # boundary-blocked segment: the scalar
-                                # loop finishes it without re-draining
-                                no_batch_before = limit
-                            elif accepted < len(times):
-                                batch_paused = True
-                            continue
+                            for t, pos, retries, cid in zip(
+                                times[dead].tolist(),
+                                (positions[dead] if due else dead + cursor).tolist(),
+                                dead_tries,
+                                cids[dead].tolist(),
+                            ):
+                                unservable(t, pos, retries, cid, horizon)
+                        cursor += fresh
+                        continue
                 if retry_heap and retry_heap[0][0] <= upcoming:
                     t, pos, retries, cid = heapq.heappop(retry_heap)
                     live[pos // block].waiting -= 1
@@ -1243,29 +1328,9 @@ class ServingSimulator:
                     cid = window_ids[cursor - window_lo]
                     cursor += 1
                 scalar += 1
-                batch_paused = False
                 best = select(t, cid)
                 if best is None:
-                    nxt = view.next_transition_after(t)
-                    if nxt is None:
-                        rows = live[pos // block]
-                        rows.shed.append(pos - rows.base)
-                        shed_records.append(
-                            ShedRequest(
-                                pos,
-                                retries,
-                                "no_feasible_accelerator",
-                                t,
-                                cid,
-                                rows.arrivals.item(pos - rows.base),
-                            )
-                        )
-                        continue
-                    requeues += 1
-                    if exact:
-                        timeline.append((nxt, "requeue", pos, retries))
-                    heapq.heappush(retry_heap, (nxt, pos, retries, cid))
-                    live[pos // block].waiting += 1
+                    unservable(t, pos, retries, cid, view.next_transition_after(t))
                     continue
                 order, start, finish = best
                 next_down = view.next_down_after(order, start)

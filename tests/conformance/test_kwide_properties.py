@@ -1,12 +1,14 @@
 """Property-based conformance for the native k-wide kernel.
 
 Hypothesis drives random partition widths, service matrices (with
-infeasible ``inf`` entries), initial free clocks, and fault-segment
-``limit``/next-down constraints through the kernel that batches fault
+infeasible ``inf`` entries, and classes no lane can serve), initial
+free clocks, and fault-segment limits (one for every lane, or one per
+lane) and next-down constraints through the kernel that batches fault
 segments, and checks the result bit for bit against the pure-Python
 exact reference loop (:func:`repro.sim._native._reference_dispatch` —
-the same mirror the native build self-checks against): the accepted
-prefix, rows, and final free clocks must match exactly.  Without a C
+the same mirror the native build self-checks against): the decided
+prefix, rows (unservable ones included), and final free clocks must
+match exactly.  Without a C
 compiler there is no kernel to check, and the test skips.
 """
 
@@ -25,7 +27,7 @@ _FLOATS = st.floats(min_value=1e-4, max_value=2e-2, allow_nan=False)
 
 
 @st.composite
-def segment_cases(draw):
+def segment_cases(draw, dead_classes=False):
     width = draw(st.integers(min_value=1, max_value=8))
     classes = draw(st.integers(min_value=1, max_value=3))
     services = np.empty((width, classes), dtype=np.float64)
@@ -35,8 +37,12 @@ def segment_cases(draw):
                 services[order, cid] = math.inf
             else:
                 services[order, cid] = draw(_FLOATS)
+    # a class no lane can serve (every lane down in a fault segment)
+    # only where the caller asks for one
     for cid in range(classes):
-        if not np.isfinite(services[:, cid]).any():
+        if not np.isfinite(services[:, cid]).any() and not (
+            dead_classes and draw(st.booleans())
+        ):
             services[draw(st.integers(0, width - 1)), cid] = draw(_FLOATS)
     n = draw(st.integers(min_value=1, max_value=60))
     gaps = draw(
@@ -57,13 +63,18 @@ def segment_cases(draw):
     )
     free = [draw(st.floats(min_value=0.0, max_value=5e-2)) for _ in range(width)]
     horizon = float(times[-1])
-    # the fault loop only batches times strictly below ``limit``, so the
-    # generated limit always exceeds every arrival (busy starts may
-    # still reach it)
-    if draw(st.booleans()):
-        limit = math.inf
-    else:
-        limit = horizon + draw(st.floats(min_value=1e-6, max_value=0.1))
+    # the fault loop only batches times strictly below the next
+    # transition, and each lane's own limit lies at or past it, so the
+    # generated limits always exceed every arrival (busy starts may
+    # still reach them); one limit for every lane, or one per lane
+    def lane_limit():
+        if draw(st.booleans()):
+            return math.inf
+        return horizon + draw(st.floats(min_value=1e-6, max_value=0.1))
+
+    limit = lane_limit() if draw(st.booleans()) else tuple(
+        lane_limit() for _ in range(width)
+    )
     next_downs = tuple(
         math.inf
         if draw(st.booleans())
@@ -77,7 +88,7 @@ def segment_cases(draw):
     not dispatch_batch.native_available(), reason="no C compiler available"
 )
 @settings(max_examples=120, deadline=None)
-@given(case=segment_cases())
+@given(case=segment_cases(dead_classes=True))
 def test_kwide_rounds_match_scalar_reference(case):
     services, times, class_ids, free, limit, next_downs = case
     ref_state = list(free)

@@ -87,6 +87,20 @@ class TestLookups:
         with pytest.raises(KeyError):
             config_by_name("C99")
 
+    def test_name_tuples_list_the_registry(self):
+        """The parser checks ``--configs`` against these tuples instead
+        of building the registry, so they must name it exactly."""
+        from repro.mapping.config_names import INT16_NAMES, TABLE2_NAMES
+        from repro.mapping.configs import INT16_CONFIGS
+
+        assert TABLE2_NAMES == tuple(config.name for config in ALL_CONFIGS)
+        assert INT16_NAMES == tuple(config.name for config in INT16_CONFIGS)
+        with pytest.raises(KeyError) as error:
+            config_by_name("C99")
+        assert error.value.args[0] == (
+            "unknown config 'C99'; known: " + ", ".join(TABLE2_NAMES)
+        )
+
     def test_configs_for_precision(self):
         assert configs_for(Precision.FP32) == FP32_CONFIGS
         assert configs_for(Precision.INT8) == INT8_CONFIGS

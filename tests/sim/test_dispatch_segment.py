@@ -2,10 +2,12 @@
 
 Inside a fault segment a down accelerator is an ``inf`` column, so a
 shape class whose every feasible accelerator is down has no finite
-service at all.  Such a row belongs to the scalar fault loop (it
-requeues to the next transition); the kernel, the only engine that
-batches fault segments, must stop before it instead of committing
-lane 0 with an infinite finish.
+service at all.  The kernel, the only engine that batches fault
+segments, decides such a row as unservable (accelerator ``-1``) without
+touching a clock and goes on, so the fault loop can requeue it in bulk;
+it must never commit lane 0 with an infinite finish.  Each lane is cut
+at its own segment end: a row stops the batch only when its start on
+some lane reaches that lane's limit.
 """
 
 import math
@@ -44,38 +46,40 @@ ENGINES = [
 ]
 
 
-def _dispatch(times, classes, services, free):
-    """``(accepted, rows)``: the kernel's verified prefix as
+def _dispatch(times, classes, services, free, limits=INF):
+    """``(decided, rows)``: the kernel's decided prefix as
     ``(position, acc, start, finish)`` rows."""
-    accepted, accs, starts, fins = dispatch_batch._native_dispatch(
-        times, classes, services, free, INF, (INF,) * services.shape[0]
+    decided, accs, starts, fins = dispatch_batch._native_dispatch(
+        times, classes, services, free, limits, (INF,) * services.shape[0]
     )
-    rows = list(zip(range(accepted), accs.tolist(), starts.tolist(), fins.tolist()))
-    return accepted, rows
+    rows = list(zip(range(decided), accs.tolist(), starts.tolist(), fins.tolist()))
+    return decided, rows
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_stops_before_a_row_no_lane_can_serve(engine):
+def test_marks_a_row_no_lane_can_serve_and_goes_on(engine):
     free = [0.0, 0.0, 0.0]
-    accepted, rows = _dispatch(TIMES, CLASSES, SERVICES, free)
-    assert accepted == DEAD_ROW
-    assert [row[0] for row in rows] == list(range(DEAD_ROW))
-    assert all(math.isfinite(row[3]) for row in rows)
+    decided, rows = _dispatch(TIMES, CLASSES, SERVICES, free)
+    assert decided == len(TIMES)
+    dead = rows[DEAD_ROW]
+    assert dead == (DEAD_ROW, -1, INF, INF)
+    live = rows[:DEAD_ROW] + rows[DEAD_ROW + 1 :]
+    assert all(math.isfinite(row[3]) for row in live)
     # the down lane is never chosen, and the clocks reflect only the
-    # committed prefix
-    assert {row[1] for row in rows} <= {0, 2}
+    # committed rows
+    assert {row[1] for row in live} <= {0, 2}
     assert free[1] == 0.0
-    assert max(free) == max(row[3] for row in rows)
+    assert max(free) == max(row[3] for row in live)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_dead_first_row_commits_nothing(engine):
     free = [0.0, 0.0, 0.0]
-    accepted, rows = _dispatch(
-        TIMES[DEAD_ROW:], CLASSES[DEAD_ROW:], SERVICES, free
+    decided, rows = _dispatch(
+        TIMES[DEAD_ROW : DEAD_ROW + 1], CLASSES[DEAD_ROW : DEAD_ROW + 1], SERVICES, free
     )
-    assert accepted == 0
-    assert rows == []
+    assert decided == 1
+    assert rows == [(0, -1, INF, INF)]
     assert free == [0.0, 0.0, 0.0]
 
 
@@ -84,7 +88,27 @@ def test_down_column_alone_does_not_stop_the_batch(engine):
     """Rows with one finite lane left dispatch through the segment."""
     live = CLASSES != 2
     free = [0.0, 0.0, 0.0]
-    accepted, rows = _dispatch(TIMES[live], CLASSES[live], SERVICES, free)
-    assert accepted == int(live.sum())
+    decided, rows = _dispatch(TIMES[live], CLASSES[live], SERVICES, free)
+    assert decided == int(live.sum())
     assert {row[1] for row in rows} <= {0, 2}
 
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_each_lane_is_cut_at_its_own_limit(engine):
+    """A lane whose backlog starts past another lane's limit stays in
+    the batch; the batch stops only at a row whose start on some lane
+    reaches that lane's own limit."""
+    services = np.array([[0.003, 0.002], [0.004, 0.001]])
+    times = np.array([0.0, 0.0005, 0.001, 0.0015, 0.002])
+    classes = np.zeros(times.size, dtype=np.int64)
+    # lane 1 is busy until 0.05, far past lane 0's limit of 0.0025
+    limits = (0.0025, INF)
+    free = [0.0, 0.05]
+    decided, rows = _dispatch(times, classes, services, free, limits)
+    assert decided == 1  # the second row starts lane 0 at 0.003
+    assert rows == [(0, 0, 0.0, 0.003)]
+    # the same rows against one limit for both lanes stop at once:
+    # lane 1's start of 0.05 reaches it
+    free = [0.0, 0.05]
+    assert _dispatch(times, classes, services, free, 0.0025) == (0, [])
+    assert free == [0.0, 0.05]

@@ -113,9 +113,15 @@ def test_table_round_trips_exactly(cache_home):
         )
     }
     infeasible = {("C1", shape) for shape in SHAPES}
+    degraded = {
+        ("C5", "0123456789abcdef", SHAPES[0]): 0.1 + 0.7,
+        ("C3", "fedcba9876543210", SHAPES[1]): None,
+    }
     path = str(keyed_path())
-    assert service_table.store(path, services, infeasible)
-    assert service_table.load(path, names, SHAPES) == (services, infeasible)
+    assert service_table.store(path, services, infeasible, degraded)
+    assert service_table.load(path, names, SHAPES) == (
+        services, infeasible, degraded
+    )
 
 
 def test_key_tracks_sources_config_order_and_shapes(tmp_path, monkeypatch):
@@ -218,3 +224,97 @@ def test_seeded_prewarm_builds_no_partition():
     assert simulator.stats.evaluations == 0
     assert "partition" not in vars(simulator.partition.designs)
     assert list(simulator.partition.designs) == list(CONFIGS)
+
+
+CHAOS = SERVE + ["--faults", "chaos", "--fault-seed", "3"]
+
+
+def chaos_serve(capsys, *extra: str) -> str:
+    assert main(CHAOS + list(extra)) == 0
+    return capsys.readouterr().out
+
+
+def degraded_entries(path: Path) -> list:
+    return json.loads(path.read_bytes()[:-32])["degraded"]
+
+
+def test_device_fingerprint_keys_the_fields_not_the_label():
+    import dataclasses
+
+    from repro.hw.faults import derate_clock
+    from repro.hw.specs import VCK5000
+
+    derated = derate_clock(VCK5000, 0.8)
+    fingerprint = service_table.device_fingerprint(derated)
+    assert re.fullmatch(r"[0-9a-f]{16}", fingerprint)
+    assert service_table.device_fingerprint(derate_clock(VCK5000, 0.8)) == fingerprint
+    assert service_table.device_fingerprint(VCK5000) != fingerprint
+    assert service_table.device_fingerprint(derate_clock(VCK5000, 0.7)) != fingerprint
+    same_fields = dataclasses.replace(
+        derated, macs_per_cycle=dict(reversed(list(derated.macs_per_cycle.items())))
+    )
+    assert service_table.device_fingerprint(same_fields) == fingerprint
+
+
+def test_chaos_serve_stores_its_degraded_services(cache_home, capsys):
+    """A faulted serve publishes the degraded services it resolved; the
+    warm serve reads them back and prints the same report."""
+    cold = chaos_serve(capsys)
+    path = keyed_path()
+    stored = degraded_entries(path)
+    assert stored, "chaos seed 3 derates a device in some window"
+    for name, fingerprint, dims, seconds in stored:
+        assert name in CONFIGS and GemmShape(*dims) in SHAPES
+        assert re.fullmatch(r"[0-9a-f]{16}", fingerprint)
+        assert seconds is None or seconds > 0
+    before = path.read_bytes()
+    assert chaos_serve(capsys) == cold
+    # nothing new resolved: the warm serve leaves the file alone
+    assert path.read_bytes() == before
+
+
+def test_unseen_device_variant_extends_the_table(cache_home, capsys):
+    chaos_serve(capsys)
+    path = keyed_path()
+    first = degraded_entries(path)
+    # another fault seed draws other windows: their devices join the
+    # entries already stored
+    other = chaos_serve(capsys, "--fault-seed", "10")
+    grown = degraded_entries(path)
+    assert len(grown) > len(first)
+    assert [entry for entry in grown if entry in first] == first
+    assert service_table.load(str(path), CONFIGS, SHAPES) is not None
+    assert chaos_serve(capsys, "--fault-seed", "10") == other
+    assert degraded_entries(path) == grown
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["missing_section", "short_entry", "unknown_config", "unknown_shape", "bad_seconds"],
+)
+def test_damaged_degraded_section_reads_as_no_table(cache_home, capsys, damage):
+    """A degraded section that does not parse, or names a config or shape
+    outside the table, makes the file read as no table: the serve
+    recomputes the table, prints the same report and replaces the file."""
+    clean = chaos_serve(capsys)
+    path = keyed_path()
+    document = json.loads(path.read_bytes()[:-32])
+    entry = document["degraded"][0]
+    if damage == "missing_section":
+        del document["degraded"]
+    elif damage == "short_entry":
+        document["degraded"][0] = entry[:3]
+    elif damage == "unknown_config":
+        entry[0] = "C1"
+    elif damage == "unknown_shape":
+        entry[2] = [3, 5, 7]
+    else:
+        entry[3] = "slow"
+    seal(path, json.dumps(document).encode())
+    assert service_table.load(str(path), CONFIGS, SHAPES) is None
+
+    assert main(CHAOS) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    assert f"services     computed, saved to {path}" in captured.err
+    assert service_table.load(str(path), CONFIGS, SHAPES) is not None

@@ -1,5 +1,7 @@
 """Serving-simulation tests: request streams, queueing, tail latency."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -283,13 +285,6 @@ class TestReportSatellites:
             report.latency_percentile(p) for p in (50, 95, 99)
         ]
 
-    def test_sorted_latencies_cached(self, simulator):
-        report = self._report(simulator)
-        report.latency_percentile(50)
-        first = report._sorted_latencies
-        report.latency_percentile(99)
-        assert report._sorted_latencies is first  # one sort, ever
-
     def test_empty_report_mean_latency_raises_value_error(self):
         empty = np.empty(0)
         report = ServingReport(
@@ -396,6 +391,31 @@ class TestReportColumns:
         assert report.count == requests  # nothing shed
         assert report.kills == (1 if faulted else 0)
         assert peak / requests <= 60
+
+    def test_accessors_hold_one_latency_copy(self, simulator):
+        """Past the report's columns, the CLI's accessors hold one
+        latency column at a time: the percentiles sort a fresh one in
+        place and the mean sums one block at a time.  Caching the
+        latency column and a sorted copy of it kept ~16 B/request."""
+        import tracemalloc
+
+        report = simulator.run(self._trace(400_000))
+        latencies = report.finishes - report.arrivals
+        ranked = np.sort(latencies)
+        tracemalloc.start()
+        try:
+            p50, p95, p99 = report.latency_percentiles([50, 95, 99])
+            mean = report.mean_latency()
+            assert report.latency_percentile(99) == p99
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / report.count <= 8.5
+        count = report.count
+        assert [p50, p95, p99] == [
+            float(ranked[math.ceil(p / 100 * count) - 1]) for p in (50, 95, 99)
+        ]
+        assert mean == sum(latencies.tolist()) / count
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "faulted"])
     def test_fast_path_builds_no_request_objects(self, faulted):

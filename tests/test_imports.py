@@ -153,12 +153,39 @@ def test_cached_kernel_serve_loads_no_compiler_modules(tmp_path):
 
 def test_warm_serve_loads_no_model_and_no_pool_modules(tmp_path):
     """A serve that finds its stored service table dispatches on it:
-    the model stack, the shard pool and the thread pool stay unloaded."""
+    the model stack, the shard pool and the thread pool stay unloaded,
+    and so do the config registry (the parser checks ``--configs``
+    names without it) and the device specs (no fault window reads the
+    device)."""
     serve = _cli("serve", "512x512x512,1024x1024x1024", "--requests", "200")
-    watched = WORKER_WATCHED + ("multiprocessing", "concurrent.futures")
+    watched = WORKER_WATCHED + (
+        "multiprocessing",
+        "concurrent.futures",
+        "repro.mapping.configs",
+        "repro.hw.specs",
+    )
     # the first serve computes the table into the (empty) cache
     assert "repro.core.analytical_model" in _loaded_after(serve, tmp_path, watched)
     assert _loaded_after(serve, tmp_path, watched) == []
+
+
+def test_warm_chaos_serve_loads_no_model(tmp_path):
+    """A faulted serve stores the degraded services its device-derated
+    windows resolved, so the warm rerun builds no design on a derated
+    device: nothing of ``repro.core`` and no CHARM design loads."""
+    serve = _cli(
+        "serve", "512x512x512,1024x1024x1024", "--requests", "2000",
+        "--rate", "1000", "--faults", "chaos", "--fault-seed", "3",
+    )
+    probe = (
+        "import json, sys\n"
+        f"{serve}\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('repro.core')\n"
+        "                        or m == 'repro.mapping.charm')))\n"
+    )
+    assert "repro.mapping.charm" in json.loads(_last_line_of(probe, tmp_path))
+    assert json.loads(_last_line_of(probe, tmp_path)) == []
 
 
 _MIX = "1024x1024x1024,512x512x512,2048x1024x512,1024x2048x1024"
@@ -178,8 +205,9 @@ _SLO = ("--slo", "p99<50ms,avail>0.999", "--windows", "20")
 def test_warm_serve_writes_what_a_cold_serve_writes(tmp_path, flags):
     """Serving from the stored table changes no output byte: stdout,
     the monitor file and the simulated-time trace events are the cold
-    run's.  ``chaos`` derates the device in some windows, which loads
-    the model on first need."""
+    run's.  ``chaos`` derates the device in some windows: the cold run
+    prices them with the model and stores them, the warm run reads
+    them back."""
     from tests.conformance.test_golden_serve import _sim_events
 
     argv = [sys.executable, "-m", "repro.cli", "--stats", "serve", _MIX, "--configs",
@@ -226,9 +254,10 @@ def test_trace_export_loads_no_masked_arrays(tmp_path):
     assert loaded == []
 
 
-def _worker_handoff(tmp_path) -> str:
-    """Pickle a real pool payload and one shard task to a file; return
-    child code that initialises a worker from it and serves the shard."""
+def _worker_handoff(tmp_path, faults=None) -> str:
+    """Pickle a real pool payload (under ``faults``) and one shard task
+    to a file; return child code that initialises a worker from it and
+    serves the shard."""
     import pickle
 
     from repro.core.multi_acc import AcceleratorPartition
@@ -242,7 +271,7 @@ def _worker_handoff(tmp_path) -> str:
         AcceleratorPartition([config_by_name("C5"), config_by_name("C3")])
     )
     cluster = ShardedServingCluster(
-        simulator, shapes, shards=2, start_method="inline"
+        simulator, shapes, shards=2, start_method="inline", faults=faults
     )
     bounds, offsets = cluster.plan(2000, 1e-3, 3)
     (lo, hi), offset = bounds[1], offsets[1]
@@ -265,6 +294,19 @@ def test_shard_worker_imports_only_the_dispatch_layer(tmp_path):
     serves its shard without loading the model stack."""
     code = _worker_handoff(tmp_path)
     assert _loaded_after(code, tmp_path, WORKER_WATCHED) == []
+
+
+def test_chaos_shard_worker_reads_degraded_services_from_the_payload(tmp_path):
+    """The parent resolves every degraded service its fault schedule can
+    ask for into the payload, so a worker serving a shard through
+    device-derated windows loads the fault layer and no model."""
+    from repro.hw.specs import VCK5000
+    from repro.sim.chaos import chaos_schedule
+
+    faults = chaos_schedule(["C5", "C3"], 2.0, seed=3, device=VCK5000)
+    assert any(window.device is not None for window in faults.windows)
+    code = _worker_handoff(tmp_path, faults)
+    assert _loaded_after(code, tmp_path, WORKER_WATCHED) == ["repro.sim.chaos"]
 
 
 def _freeze_count_at_exit(code: str, tmp_path) -> int:
