@@ -842,10 +842,9 @@ def _config_name(value: str) -> str:
     from repro.mapping.config_names import check_config_name
 
     try:
-        check_config_name(value)
+        return check_config_name(value)
     except KeyError as error:
         raise argparse.ArgumentTypeError(error.args[0]) from None
-    return value
 
 
 def _model(value: str):

@@ -15,13 +15,15 @@ TABLE2_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C1
 #: the INT16 extension configurations
 INT16_NAMES = ("I1", "I2", "I3")
 
-_KNOWN = frozenset(name.lower() for name in TABLE2_NAMES + INT16_NAMES)
+_CANONICAL = {name.lower(): name for name in TABLE2_NAMES + INT16_NAMES}
 
 
 def check_config_name(name: str) -> str:
-    """``name`` when it names a configuration (in any letter case);
-    ``KeyError`` naming the Table II configurations otherwise."""
-    if name.lower() not in _KNOWN:
+    """The registry's spelling of the configuration ``name`` names (in
+    any letter case), so that ``c5`` and ``C5`` key the same stored
+    state; ``KeyError`` naming the Table II configurations otherwise."""
+    canonical = _CANONICAL.get(name.lower())
+    if canonical is None:
         known = ", ".join(TABLE2_NAMES)
         raise KeyError(f"unknown config {name!r}; known: {known}")
-    return name
+    return canonical

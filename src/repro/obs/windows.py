@@ -349,10 +349,9 @@ class WindowedHistogram(_WindowedSeries):
             sketch = self._sketch_for(index)
             row = scattered[offset]
             occupied = np.flatnonzero(row)
-            bucket = sketch._counts
-            for key, num in zip((occupied + kmin).tolist(), row[occupied].tolist()):
-                bucket[key] = bucket.get(key, 0) + num
-            lo_key, hi_key = kmin + int(occupied[0]), kmin + int(occupied[-1])
+            first, last = int(occupied[0]), int(occupied[-1])
+            sketch.add_bucket_counts(kmin + first, row[first : last + 1])
+            lo_key, hi_key = kmin + first, kmin + last
             sketch.count += int(counts[offset])
             sketch._sum += float(sums[offset])
             # bucket-representative extremes: deterministic under any

@@ -74,8 +74,9 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from repro.perf.metrics import EvalStats, FaultStats, read_totals
 from repro.perf.parallel import usable_cpus
-from repro.sim.serving import DISPATCH_CHUNK, ServingSimulator
+from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import (
+    BLOCK_ROWS,
     StreamingServingReport,
     generate_trace_shard,
     shard_arrival_offsets,
@@ -313,7 +314,7 @@ class ShardedServingCluster:
         shards: int,
         dispatch: str = "auto",
         quantile_error: float = 0.01,
-        chunk_size: int = DISPATCH_CHUNK,
+        chunk_size: int = BLOCK_ROWS,
         start_method: str | None = None,
         max_workers: int | None = None,
         faults=None,
@@ -514,7 +515,7 @@ def serve_sharded(
     seed: int = 0,
     dispatch: str = "auto",
     quantile_error: float = 0.01,
-    chunk_size: int = DISPATCH_CHUNK,
+    chunk_size: int = BLOCK_ROWS,
     start_method: str | None = None,
     max_workers: int | None = None,
     faults=None,

@@ -96,7 +96,7 @@ from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.sim import dispatch_batch
 from repro.sim.dispatch_batch import dispatch_vectorized
 from repro.sim.streaming import (
-    TRACE_BLOCK,
+    BLOCK_ROWS,
     FaultAccounting,
     QuantileSketch,
     SoATrace,
@@ -112,9 +112,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.slo import SloSpec
     from repro.obs.windows import ServingMonitor
     from repro.sim.chaos import FaultPolicy, FaultSchedule
-
-#: requests buffered between streaming-report flushes (bounds memory)
-DISPATCH_CHUNK = 65536
 
 _DISPATCH_MODES = ("auto", "scan")
 
@@ -137,8 +134,6 @@ class ShedRequest(NamedTuple):
 _ACC_DTYPE = np.int16
 #: retry-count column dtype
 _RETRY_DTYPE = np.int32
-#: rows per Python float list when the exact report sums its latencies
-_SUM_CHUNK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -237,15 +232,15 @@ class ServingReport(FaultAccounting):
         if not self.count:
             raise ValueError("no completed requests")
         # the builtin sum over Python floats, not ndarray.sum's pairwise
-        # reduction; one sum over the rows in order, fed a chunk's list
+        # reduction; one sum over the rows in order, fed a block's list
         # at a time so that neither a list nor a latency column of the
         # whole report is built, gives the bits of
         # ``sum(latencies.tolist())`` on every Python (3.12's
         # compensated sum included)
         finishes, arrivals = self.finishes, self.arrivals
         chunks = (
-            (finishes[lo : lo + _SUM_CHUNK] - arrivals[lo : lo + _SUM_CHUNK]).tolist()
-            for lo in range(0, self.count, _SUM_CHUNK)
+            (finishes[lo : lo + BLOCK_ROWS] - arrivals[lo : lo + BLOCK_ROWS]).tolist()
+            for lo in range(0, self.count, BLOCK_ROWS)
         )
         return sum(chain.from_iterable(chunks)) / self.count
 
@@ -268,10 +263,14 @@ class _ReportSink:
     each with its rows' arrivals: the fast path and the fault loop
     block by block as they read the trace (the fault loop leaving out
     shed rows, and adding their retries), the scan oracle as whole
-    columns.  The streaming report's running float sums and the
-    monitor's window series depend on block boundaries, so the
-    stretches are re-cut into exact ``chunk_size`` blocks at rows ``0,
-    chunk_size, 2 * chunk_size, ...`` whatever engine produced them.
+    columns.  The streaming report's running float sums, the monitor's
+    per-window latency sums and its ``chunks`` count depend on block
+    boundaries, so the stretches are re-cut into exact ``chunk_size``
+    blocks at rows ``0, chunk_size, 2 * chunk_size, ...`` whatever
+    engine produced them.  ``chunk_size`` defaults to
+    :data:`~repro.sim.streaming.BLOCK_ROWS`, the trace's own block, so a
+    fault-free fast-path block is folded straight from the engine's
+    arrays, and a block's columns and temporaries stay cache-sized.
     Per block, in order: a ``serve.dispatch_chunk`` span opens, the
     block's latencies and sketch bucket keys are computed once, the
     streaming report folds them and the monitor sees them — all after
@@ -467,18 +466,13 @@ def _used_classes(trace: SoATrace) -> list[bool]:
     blocks only until every class has turned up (one block, on any
     sizeable trace over a small mix)."""
     used = np.zeros(len(trace.shapes), dtype=bool)
-    for _, _, shape_ids in trace.blocks(TRACE_BLOCK):
+    for _, _, shape_ids in trace.blocks(BLOCK_ROWS):
         used[shape_ids] = True
         if used.all():
             break
     return used.tolist()
 
 
-#: requests per block the fault loop reads from the trace: a quarter of
-#: TRACE_BLOCK, so the blocks it holds while the sink folds a
-#: ``chunk_size`` block stay small next to that block (a 100k C5+C3
-#: chaos serve peaks 1.2-1.7 MB lower than with whole TRACE_BLOCKs)
-_FAULT_BLOCK = TRACE_BLOCK // 4
 #: arrivals and class ids the fault loop reads as list scalars at a
 #: time: lists of a whole block leave their float objects' pools pinned
 #: by the loop's long-lived heap and timeline entries (a 1M C5+C3 chaos
@@ -903,7 +897,7 @@ class ServingSimulator:
         streaming: bool = False,
         dispatch: str = "auto",
         quantile_error: float = 0.01,
-        chunk_size: int = DISPATCH_CHUNK,
+        chunk_size: int = BLOCK_ROWS,
         faults: FaultSchedule | None = None,
         fault_policy: FaultPolicy | None = None,
         monitor: "ServingMonitor | None" = None,
@@ -1018,7 +1012,7 @@ class ServingSimulator:
         Attempts run in ``(time, arrival position, retries)`` order —
         time-ordered, position-tied — so re-attempts interleave with
         later arrivals deterministically.  Fresh arrivals are read
-        through a cursor over the trace's ``_FAULT_BLOCK`` blocks; only
+        through a cursor over the trace's ``BLOCK_ROWS`` blocks; only
         re-attempts (kill backoffs, requeues) live in a heap, each
         entry carrying its request's class id, and one wins a tie with
         the next arrival because its position is smaller.
@@ -1072,7 +1066,7 @@ class ServingSimulator:
         columns = (trace.arrivals, trace.shape_ids) if exact else ()
         settled = retry_total = 0
         makespan = 0.0
-        block = _FAULT_BLOCK
+        block = BLOCK_ROWS
         source = trace.blocks(block)
         # the blocks read so far and not yet handed over, by block index
         live: dict[int, _FaultBlock] = {}

@@ -50,8 +50,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MUL_SEED = 0x9E3779B97F4A7C15
 _MUL_INDEX = 0xBF58476D1CE4E5B9
 _MUL_MIX = 0x94D049BB133111EB
-# requests per trace-generation / validation block: ~1 MB of scratch
-TRACE_BLOCK = 1 << 15
+#: rows per block at every stage of a serve: trace generation and
+#: validation, dispatch, the report sink's fold and block buffer, the
+#: fault loop's cursor and the exact report's mean.  A float64 column of
+#: a block is 64 KB, so a block's columns and the fold's temporaries
+#: stay cache-sized (docs/performance.md has the 4096/8192/16384 sweep)
+BLOCK_ROWS = 1 << 13
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -106,11 +110,14 @@ class SoATrace:
     the nondecreasing, finite float64 arrival clock.  Request ids are
     implicit: request ``j`` has ``request_id == j``.
 
-    A trace built from arrays is validated here.  A trace from
+    A trace built from arrays is validated here, in
+    :data:`BLOCK_ROWS`-request blocks.  A trace from
     :func:`generate_trace_soa` / :func:`generate_trace_shard` is valid
     by construction and holds no arrays: :meth:`blocks` generates it
-    block by block, and the first read of ``arrivals`` or ``shape_ids``
-    materializes both once (bit-identical either way).
+    block by block (every serving path reads ``BLOCK_ROWS`` blocks, so
+    a streaming serve holds one block of it), and the first read of
+    ``arrivals`` or ``shape_ids`` materializes both once (bit-identical
+    either way: the arrival clock's carry crosses block boundaries).
     """
 
     def __init__(
@@ -152,8 +159,8 @@ class SoATrace:
         # reductions per block validate the clock without a per-request
         # mask (blocks overlap by one element, so every step is seen)
         lows, highs = [0.0], [0.0]
-        for lo in range(0, arrivals.size - 1, TRACE_BLOCK):
-            steps = np.diff(arrivals[lo : lo + TRACE_BLOCK + 1])
+        for lo in range(0, arrivals.size - 1, BLOCK_ROWS):
+            steps = np.diff(arrivals[lo : lo + BLOCK_ROWS + 1])
             lows.append(steps.min())
             highs.append(steps.max())
         low, high = float(np.min(lows)), float(np.max(highs))
@@ -272,7 +279,7 @@ def generate_trace_soa(
 # trace's arrivals *bitwise* — IEEE-754 addition is commutative, so
 # ``inter[lo] + carry`` is the exact operation the full cumsum performs
 # at position ``lo``, and every later element folds identically.
-# The same carry cuts every trace into ``TRACE_BLOCK``-request blocks,
+# The same carry cuts every trace into ``BLOCK_ROWS``-request blocks,
 # so full traces, shards and shard carries share one O(block)-scratch
 # walker, :func:`_walk_trace`.
 
@@ -312,8 +319,8 @@ def _walk_trace(
     """Walk requests ``[lo, hi)`` block by block from arrival ``carry``,
     filling ``arrivals`` / ``shape_ids`` (indexed from ``lo``) when they
     are given; returns the last arrival, the carry into request ``hi``."""
-    for start in range(lo, hi, TRACE_BLOCK):
-        stop = min(start + TRACE_BLOCK, hi)
+    for start in range(lo, hi, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, hi)
         index = np.arange(2 * start, 2 * stop, 2, dtype=np.uint64)
         inter = splitmix_uniforms(seed, index)
         np.log(inter, out=inter)
@@ -417,12 +424,56 @@ class QuantileSketch:
         self.min_value = min_value
         self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
         self._log_gamma = math.log(self._gamma)
-        self._counts: dict[int, int] = {}
+        self._buckets: dict[int, int] = {}
+        #: counts added by :meth:`add_bucket_counts` since ``_counts``
+        #: was last read, over keys ``_dense_lo`` onwards
+        self._dense: np.ndarray | None = None
+        self._dense_lo = 0
         self._underflow = 0
         self.count = 0
         self._min = math.inf
         self._max = -math.inf
         self._sum = 0.0
+
+    @property
+    def _counts(self) -> dict[int, int]:
+        """Bucket key -> count, with the dense counts folded in."""
+        dense = self._dense
+        if dense is not None:
+            self._dense = None
+            occupied = np.flatnonzero(dense)
+            bucket = self._buckets
+            for key, num in zip(
+                (occupied + self._dense_lo).tolist(), dense[occupied].tolist()
+            ):
+                bucket[key] = bucket.get(key, 0) + num
+        return self._buckets
+
+    @_counts.setter
+    def _counts(self, buckets: dict[int, int]) -> None:
+        self._dense = None
+        self._buckets = buckets
+
+    def add_bucket_counts(self, kmin: int, counts: np.ndarray) -> None:
+        """Count ``counts[i]`` more values in bucket ``kmin + i``.
+
+        The counts add into one dense array, folded into the bucket
+        dict when something reads it: a serve adds a block's counts at
+        a time, and a per-bucket dict update per block cost more than
+        the block's arithmetic.  Adds only bucket counts; the caller
+        keeps ``count``, the sum and the extremes.
+        """
+        dense, lo = self._dense, self._dense_lo
+        hi = kmin + counts.size
+        if dense is None:
+            dense, lo = np.zeros(counts.size, dtype=np.int64), kmin
+        elif kmin < lo or hi > lo + dense.size:
+            grown_lo = min(lo, kmin)
+            grown = np.zeros(max(lo + dense.size, hi) - grown_lo, dtype=np.int64)
+            grown[lo - grown_lo : lo - grown_lo + dense.size] = dense
+            dense, lo = grown, grown_lo
+        dense[kmin - lo : hi - lo] += counts
+        self._dense, self._dense_lo = dense, lo
 
     def add(self, value: float) -> None:
         self.add_many(np.asarray([value], dtype=np.float64))
@@ -489,11 +540,7 @@ class QuantileSketch:
         self._min = min(self._min, float(values.min()))
         self._max = max(self._max, float(values.max()))
         kmin = int(keys.min())
-        counts = np.bincount(keys - kmin)
-        occupied = np.flatnonzero(counts)
-        bucket = self._counts
-        for key, num in zip((occupied + kmin).tolist(), counts[occupied].tolist()):
-            bucket[key] = bucket.get(key, 0) + num
+        self.add_bucket_counts(kmin, np.bincount(keys - kmin))
 
     @property
     def min(self) -> float:
@@ -587,8 +634,9 @@ class QuantileSketch:
         """Fold ``other`` into this sketch (same resolution required)."""
         if other._gamma != self._gamma or other.min_value != self.min_value:
             raise ValueError("can only merge sketches with identical resolution")
+        bucket = self._counts
         for key, num in other._counts.items():
-            self._counts[key] = self._counts.get(key, 0) + num
+            bucket[key] = bucket.get(key, 0) + num
         self._underflow += other._underflow
         self.count += other.count
         self._sum += other._sum

@@ -39,7 +39,7 @@ from repro.mapping.configs import config_by_name
 from repro.obs.windows import ServingMonitor
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
 from repro.sim.serving import ServingSimulator
-from repro.sim.streaming import generate_trace_soa
+from repro.sim.streaming import BLOCK_ROWS, generate_trace_soa
 from repro.workloads.gemm import GemmShape
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_serve" / "fault_stream.json"
@@ -54,8 +54,8 @@ FLEETS = {
     2: (("C5", "C3"), 1000),
     8: (("C1", "C2", "C3", "C4", "C7", "C8", "C9", "I1"), 3000),
 }
-#: three blocks of the fault loop (8192 requests) and a partial one
-REQUESTS = 3 * 8192 + 1234
+#: three blocks of the fault loop and a partial one
+REQUESTS = 3 * BLOCK_ROWS + 1234
 #: divides neither the trace nor a block
 CHUNK = 7919
 SCHEDULES = ("chaos", "all-down")
@@ -171,7 +171,7 @@ def test_fault_loop_outputs_match_golden(width, kind, streaming):
     if kind == "all-down":
         # the window's arrivals were requeued past a whole loop block,
         # and the kills at its onsets were shed
-        assert report.requeues > 8192
+        assert report.requeues > BLOCK_ROWS
         assert report.shed_count > 0
 
 

@@ -18,11 +18,12 @@ import pytest
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.obs.windows import ServingMonitor
-from repro.sim import cluster_serving
+from repro.sim import cluster_serving, dispatch_batch
+from repro.sim.chaos import chaos_schedule
 from repro.sim.cluster_serving import ShardedServingCluster
-from repro.sim.serving import DISPATCH_CHUNK, ServingSimulator
+from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import (
-    TRACE_BLOCK,
+    BLOCK_ROWS,
     SoATrace,
     generate_trace_shard,
     generate_trace_soa,
@@ -43,10 +44,21 @@ def _concatenated_blocks(trace: SoATrace, size: int) -> tuple[np.ndarray, np.nda
 
 @pytest.mark.parametrize(
     "size",
-    [1, 999, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, DISPATCH_CHUNK + 3],
+    [
+        1,
+        999,
+        BLOCK_ROWS - 1,
+        BLOCK_ROWS,
+        BLOCK_ROWS + 1,
+        # blocks spanning several generator blocks
+        4 * BLOCK_ROWS - 1,
+        4 * BLOCK_ROWS,
+        4 * BLOCK_ROWS + 1,
+        8 * BLOCK_ROWS + 3,
+    ],
 )
 def test_generated_blocks_are_the_materialized_arrays(size):
-    requests = 2 * DISPATCH_CHUNK + 17 if size > 1 else 3000
+    requests = 16 * BLOCK_ROWS + 17 if size > 1 else 3000
     lazy = generate_trace_soa(SHAPES, requests, 2e-4, seed=9)
     arrivals, shape_ids = _concatenated_blocks(lazy, size)
     whole = generate_trace_soa(SHAPES, requests, 2e-4, seed=9)
@@ -60,7 +72,7 @@ def test_generated_blocks_are_the_materialized_arrays(size):
 
 @pytest.mark.parametrize("shards", [2, 3, 5])
 def test_shard_blocks_carry_the_full_trace_clock(shards):
-    requests = TRACE_BLOCK + DISPATCH_CHUNK + 11
+    requests = 12 * BLOCK_ROWS + 11
     full = generate_trace_soa(SHAPES, requests, 3e-4, seed=4)
     bounds = shard_bounds(requests, shards)
     offsets = shard_arrival_offsets(requests, 3e-4, 4, bounds)
@@ -68,7 +80,7 @@ def test_shard_blocks_carry_the_full_trace_clock(shards):
         shard = generate_trace_shard(
             SHAPES, requests, 3e-4, 4, lo=lo, hi=hi, arrival_offset=offset
         )
-        arrivals, shape_ids = _concatenated_blocks(shard, TRACE_BLOCK - 5)
+        arrivals, shape_ids = _concatenated_blocks(shard, BLOCK_ROWS - 5)
         assert arrivals.tobytes() == full.arrivals[lo:hi].tobytes()
         assert shape_ids.tobytes() == full.shape_ids[lo:hi].tobytes()
 
@@ -95,12 +107,12 @@ def _serve(simulator, trace, chunk_size):
 
 @pytest.mark.parametrize("variant, context", fast_variants())
 @pytest.mark.parametrize("width", [1, 2, 8])
-@pytest.mark.parametrize("chunk_size", [DISPATCH_CHUNK, 1000])
+@pytest.mark.parametrize("chunk_size", [BLOCK_ROWS, 8 * BLOCK_ROWS, 1000])
 def test_streaming_serve_folds_the_same_report_either_way(
     variant, context, width, chunk_size
 ):
     # 1000 divides neither the trace length nor a trace block
-    requests = 2 * TRACE_BLOCK + 4321
+    requests = 8 * BLOCK_ROWS + 4321
     simulator = ServingSimulator(make_partition(width))
     with context():
         lazy = _serve(
@@ -126,7 +138,7 @@ def test_inline_shards_fold_the_same_report_either_way(monkeypatch):
             simulator, SHAPES, shards=2, start_method="inline", chunk_size=1000
         ) as cluster:
             served = cluster.serve(
-                2 * TRACE_BLOCK + 99, 4e-4, seed=6, monitor_window=0.05
+                8 * BLOCK_ROWS + 99, 4e-4, seed=6, monitor_window=0.05
             )
         return served.report.as_dict(), served.monitor.as_dict()
 
@@ -140,14 +152,21 @@ def test_inline_shards_fold_the_same_report_either_way(monkeypatch):
     assert fleet() == lazy
 
 
-def _traced_peak(simulator, requests: int) -> int:
+def _traced_peak(simulator, requests: int, faulted: bool = False) -> int:
     """Peak traced bytes of generating and serving ``requests``, as
-    ``serve --streaming --slo`` does."""
+    ``serve --streaming --slo`` does (with ``--faults chaos`` when
+    ``faulted``)."""
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
+    horizon = requests * 1e-3
     trace = generate_trace_soa(SHAPES, requests, 1e-3, seed=1)
-    monitor = ServingMonitor(requests * 1e-3 / 50)
-    simulator.run(trace, streaming=True, monitor=monitor)
+    faults = (
+        chaos_schedule(list(simulator.partition.designs), horizon, seed=7)
+        if faulted
+        else None
+    )
+    monitor = ServingMonitor(horizon / 50)
+    simulator.run(trace, streaming=True, faults=faults, monitor=monitor)
     return tracemalloc.get_traced_memory()[1] - base
 
 
@@ -163,3 +182,32 @@ def test_streaming_serve_memory_does_not_grow_with_the_trace():
         tracemalloc.stop()
     # the whole 2M trace alone would be 32 MB
     assert large - small < 2 * 2**20, (small, large)
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "chaos"])
+@pytest.mark.parametrize("variant, context", fast_variants())
+def test_streaming_working_set_is_a_few_blocks(variant, context, faulted):
+    """A monitored streaming serve holds a few ``BLOCK_ROWS`` blocks and
+    its fold's temporaries, on every path and at any trace length: a
+    C5+C3 serve peaks at 0.8-1.5 MB above its inputs with the kernel
+    and 0.8-1.3 MB without it.  With 65,536-row fold blocks the same
+    serves peaked at 4.9-10.5 MB."""
+    simulator = ServingSimulator(
+        AcceleratorPartition([config_by_name("C5"), config_by_name("C3")])
+    )
+    simulator.prewarm(SHAPES)
+    with context():
+        # without the kernel every attempt is a Python-level step, which
+        # tracemalloc slows ~10x (the scalar fault loop's ~50 us per
+        # request under it); shorter traces still outgrow a 64k block
+        native = dispatch_batch.native_available()
+        short, long = (300_000, 1_200_000) if native else (20_000, 80_000)
+        tracemalloc.start()
+        try:
+            _traced_peak(simulator, 2000, faulted)  # first-use allocations
+            small = _traced_peak(simulator, short, faulted)
+            large = _traced_peak(simulator, long, faulted)
+        finally:
+            tracemalloc.stop()
+    assert max(small, large) < 2 * 2**20, (small, large)
+    assert large - small < 2**19, (small, large)

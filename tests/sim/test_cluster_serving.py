@@ -34,7 +34,7 @@ from repro.sim.cluster_serving import (
 )
 from repro.sim.serving import ServingSimulator, load_sweep
 from repro.sim.streaming import (
-    TRACE_BLOCK,
+    BLOCK_ROWS,
     StreamingServingReport,
     generate_trace_shard,
     generate_trace_soa,
@@ -151,15 +151,15 @@ class TestTracePartitionDeterminism:
     @pytest.mark.parametrize(
         "cuts",
         [
-            (TRACE_BLOCK // 2,),
-            (TRACE_BLOCK - 1, TRACE_BLOCK + 1),
-            (TRACE_BLOCK + 5, 2 * TRACE_BLOCK + 3, 3 * TRACE_BLOCK - 1),
+            (BLOCK_ROWS // 2,),
+            (BLOCK_ROWS - 1, BLOCK_ROWS + 1),
+            (BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 3, 3 * BLOCK_ROWS - 1),
         ],
     )
     def test_shards_cut_mid_block_match_full_trace(self, cuts):
         """Shards that start and end inside a generation block walk the
         same blocks' values as the full trace, carries included."""
-        num_requests, seed = 3 * TRACE_BLOCK + 7, 6
+        num_requests, seed = 3 * BLOCK_ROWS + 7, 6
         full = generate_trace_soa(SHAPES, num_requests, MEAN_INTERARRIVAL, seed=seed)
         edges = [0, *cuts, num_requests]
         bounds = list(zip(edges[:-1], edges[1:]))

@@ -318,3 +318,24 @@ def test_damaged_degraded_section_reads_as_no_table(cache_home, capsys, damage):
     assert captured.out == clean
     assert f"services     computed, saved to {path}" in captured.err
     assert service_table.load(str(path), CONFIGS, SHAPES) is not None
+
+
+@pytest.mark.parametrize(
+    "first, second", [("c5,c3", "C5,C3"), ("C5,C3", "c5,c3")], ids=["lower-first", "upper-first"]
+)
+def test_config_names_in_any_case_share_one_table(cache_home, capsys, first, second):
+    """``--configs`` names are canonicalised before the table is keyed
+    and checked, so either spelling reads the file the other wrote."""
+
+    def stats_row(configs: str) -> str:
+        argv = list(SERVE)
+        argv[argv.index("--configs") + 1] = configs
+        assert main(argv) == 0
+        (row,) = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("services")]
+        return row
+
+    path = keyed_path()
+    assert stats_row(first) == f"services     computed, saved to {path}"
+    assert stats_row(second) == f"services     cached at {path}"
+    assert table_files(cache_home) == [path.name]

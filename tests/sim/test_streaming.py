@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.sim.streaming import (
-    TRACE_BLOCK,
+    BLOCK_ROWS,
     QuantileSketch,
     SoATrace,
     StreamingServingReport,
@@ -109,18 +109,21 @@ class TestGenerateTraceSoa:
     @pytest.mark.parametrize(
         "num_requests",
         [
-            65535,
-            65536,
-            65537,
-            TRACE_BLOCK - 1,
-            TRACE_BLOCK,
-            TRACE_BLOCK + 1,
-            3 * TRACE_BLOCK + 7,
+            BLOCK_ROWS - 1,
+            BLOCK_ROWS,
+            BLOCK_ROWS + 1,
+            4 * BLOCK_ROWS - 1,
+            4 * BLOCK_ROWS,
+            4 * BLOCK_ROWS + 1,
+            8 * BLOCK_ROWS - 1,
+            8 * BLOCK_ROWS,
+            8 * BLOCK_ROWS + 1,
+            12 * BLOCK_ROWS + 7,
         ],
     )
     def test_parity_at_chunk_boundaries(self, num_requests):
-        """Sizes straddling ``DISPATCH_CHUNK`` and the generator's
-        ``TRACE_BLOCK`` stay bit-identical."""
+        """Sizes straddling one and several of the generator's
+        ``BLOCK_ROWS`` blocks stay bit-identical."""
         scalar = generate_trace(SHAPES, num_requests, 0.5e-3, seed=7)
         soa = generate_trace_soa(SHAPES, num_requests, 0.5e-3, seed=7)
         assert soa.arrivals.tolist() == [arrival for arrival, _ in scalar]
@@ -177,12 +180,21 @@ class TestSoATrace:
             SoATrace(SHAPES, np.zeros(len(arrivals), dtype=np.int64), arrivals)
 
     @pytest.mark.parametrize(
-        "position", [TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK]
+        "position",
+        [
+            BLOCK_ROWS - 1,
+            BLOCK_ROWS,
+            BLOCK_ROWS + 1,
+            4 * BLOCK_ROWS - 1,
+            4 * BLOCK_ROWS,
+            4 * BLOCK_ROWS + 1,
+            8 * BLOCK_ROWS,
+        ],
     )
     def test_block_seams_checked(self, position):
         """Validation runs in one-element-overlapping blocks: a bad step
         or a NaN at a seam is still caught, a NaN still by position."""
-        size = 2 * TRACE_BLOCK + 1
+        size = 8 * BLOCK_ROWS + 1
         ids = np.zeros(size, dtype=np.int64)
         arrivals = np.arange(size, dtype=np.float64)
         arrivals[position:] -= 2.0  # the one step into ``position`` drops
