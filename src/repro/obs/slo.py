@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -300,13 +301,19 @@ class SloReport:
         merged.sort(key=lambda alert: (alert.time, alert.objective, alert.severity))
         return merged
 
+    @cached_property
+    def _breached(self) -> frozenset[int]:
+        """Window indices where some objective's verdict is out of budget."""
+        return frozenset(
+            verdict.index
+            for result in self.results
+            for verdict in result.windows
+            if not verdict.ok
+        )
+
     def window_ok(self, index: int) -> bool:
         """True when every objective's verdict at ``index`` is in budget."""
-        for result in self.results:
-            for verdict in result.windows:
-                if verdict.index == index and not verdict.ok:
-                    return False
-        return True
+        return index not in self._breached
 
     def as_dict(self) -> dict[str, Any]:
         return {

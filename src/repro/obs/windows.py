@@ -413,9 +413,13 @@ class WindowedHistogram(_WindowedSeries):
             sketch._min = float(state["min"])
             sketch._max = float(state["max"])
             sketch._underflow = int(state.get("underflow", 0))
-            sketch._counts = {
-                int(key): int(num) for key, num in state.get("buckets", {}).items()
-            }
+            buckets = state.get("buckets", {})
+            if buckets:
+                keys = np.array([int(key) for key in buckets], dtype=np.int64)
+                kmin = int(keys.min())
+                counts = np.zeros(int(keys.max()) - kmin + 1, dtype=np.int64)
+                counts[keys - kmin] = [int(num) for num in buckets.values()]
+                sketch.add_bucket_counts(kmin, counts)
             series._sketches[int(index)] = sketch
         if series._sketches:
             series._evict(series._sketches, max(series._sketches))

@@ -132,8 +132,9 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
 #: compilers tried in order, and the flags every build uses
 _COMPILERS = ("cc", "gcc", "clang")
 _FLAGS = ("-O2", "-fPIC", "-shared")
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_INT64_P = ctypes.POINTER(ctypes.c_int64)
+#: every array argument is passed as its address, ``ndarray.ctypes.data``:
+#: half the cost of ``ctypes.data_as``, and a kernel call takes nine
+_PTR = ctypes.c_void_p
 
 
 def _lane_limits(limits, width: int) -> list[float]:
@@ -220,18 +221,18 @@ def _check_dispatch(kwide):
         lim_arr = np.asarray(limits, dtype=np.float64)
         nd_arr = np.asarray(nds, dtype=np.float64)
         q = kwide(
-            arr.ctypes.data_as(_DOUBLE_P),
-            cid.ctypes.data_as(_INT64_P),
-            matrix.ctypes.data_as(_DOUBLE_P),
+            arr.ctypes.data,
+            cid.ctypes.data,
+            matrix.ctypes.data,
             width,
             matrix.shape[1],
             arr.size,
-            lim_arr.ctypes.data_as(_DOUBLE_P),
-            nd_arr.ctypes.data_as(_DOUBLE_P),
-            st.ctypes.data_as(_DOUBLE_P),
-            acc.ctypes.data_as(_INT64_P),
-            starts.ctypes.data_as(_DOUBLE_P),
-            fins.ctypes.data_as(_DOUBLE_P),
+            lim_arr.ctypes.data,
+            nd_arr.ctypes.data,
+            st.ctypes.data,
+            acc.ctypes.data,
+            starts.ctypes.data,
+            fins.ctypes.data,
         )
         got = list(zip(acc[:q].tolist(), starts[:q].tolist(), fins[:q].tolist()))
         if q != len(expect) or got != expect:
@@ -252,18 +253,18 @@ def _bind(lib_path: str):
         return None
     kwide.restype = ctypes.c_int64
     kwide.argtypes = [
-        _DOUBLE_P,
-        _INT64_P,
-        _DOUBLE_P,
+        _PTR,
+        _PTR,
+        _PTR,
         ctypes.c_int64,
         ctypes.c_int64,
         ctypes.c_int64,
-        _DOUBLE_P,
-        _DOUBLE_P,
-        _DOUBLE_P,
-        _INT64_P,
-        _DOUBLE_P,
-        _DOUBLE_P,
+        _PTR,
+        _PTR,
+        _PTR,
+        _PTR,
+        _PTR,
+        _PTR,
     ]
     return kwide if _check_dispatch(kwide) else None
 
@@ -395,18 +396,18 @@ def _dispatch_exact_native(arrivals, class_ids, services, free, limits, nds=None
     lim_arr = np.asarray(_lane_limits(limits, width), dtype=np.float64)
     nd_arr = np.ascontiguousarray(nds, dtype=np.float64)
     q = _KWIDE(
-        arrivals.ctypes.data_as(_DOUBLE_P),
-        class_ids.ctypes.data_as(_INT64_P),
-        matrix.ctypes.data_as(_DOUBLE_P),
+        arrivals.ctypes.data,
+        class_ids.ctypes.data,
+        matrix.ctypes.data,
         width,
         matrix.shape[1],
         n,
-        lim_arr.ctypes.data_as(_DOUBLE_P),
-        nd_arr.ctypes.data_as(_DOUBLE_P),
-        state.ctypes.data_as(_DOUBLE_P),
-        acc.ctypes.data_as(_INT64_P),
-        starts.ctypes.data_as(_DOUBLE_P),
-        fins.ctypes.data_as(_DOUBLE_P),
+        lim_arr.ctypes.data,
+        nd_arr.ctypes.data,
+        state.ctypes.data,
+        acc.ctypes.data,
+        starts.ctypes.data,
+        fins.ctypes.data,
     )
     for order in range(width):
         free[order] = float(state[order])

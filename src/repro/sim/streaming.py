@@ -40,6 +40,8 @@ property tests assert this against the exact report.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -407,8 +409,9 @@ class QuantileSketch:
     ``gamma = (1 + relative_error) / (1 - relative_error)``; a reported
     quantile is the exact-rank bucket's representative, which is within
     ``relative_error`` of the true ranked value (see the module
-    docstring for the bound).  Memory is O(buckets): ~2100 buckets span
-    1e-9 s .. 1e9 s at the default 1% error.
+    docstring for the bound).  Memory is one count per bucket between
+    the smallest and largest seen: ~2100 buckets span 1e-9 s .. 1e9 s at
+    the default 1% error.
 
     Values at or below ``min_value`` collapse into one underflow bucket
     reported as ``min_value`` — serving latencies are bounded below by
@@ -424,10 +427,10 @@ class QuantileSketch:
         self.min_value = min_value
         self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
         self._log_gamma = math.log(self._gamma)
-        self._buckets: dict[int, int] = {}
-        #: counts added by :meth:`add_bucket_counts` since ``_counts``
-        #: was last read, over keys ``_dense_lo`` onwards
-        self._dense: np.ndarray | None = None
+        #: bucket counts, one int64 per key from ``_dense_lo`` on (the
+        #: only store: a serve adds a block's counts at a time, and an
+        #: array add is cheaper than a per-bucket dict update)
+        self._dense = np.zeros(0, dtype=np.int64)
         self._dense_lo = 0
         self._underflow = 0
         self.count = 0
@@ -437,35 +440,23 @@ class QuantileSketch:
 
     @property
     def _counts(self) -> dict[int, int]:
-        """Bucket key -> count, with the dense counts folded in."""
+        """Bucket key -> count over the occupied buckets (a fresh dict
+        derived from the dense counts)."""
         dense = self._dense
-        if dense is not None:
-            self._dense = None
-            occupied = np.flatnonzero(dense)
-            bucket = self._buckets
-            for key, num in zip(
-                (occupied + self._dense_lo).tolist(), dense[occupied].tolist()
-            ):
-                bucket[key] = bucket.get(key, 0) + num
-        return self._buckets
-
-    @_counts.setter
-    def _counts(self, buckets: dict[int, int]) -> None:
-        self._dense = None
-        self._buckets = buckets
+        occupied = np.flatnonzero(dense)
+        return dict(
+            zip((occupied + self._dense_lo).tolist(), dense[occupied].tolist())
+        )
 
     def add_bucket_counts(self, kmin: int, counts: np.ndarray) -> None:
         """Count ``counts[i]`` more values in bucket ``kmin + i``.
 
-        The counts add into one dense array, folded into the bucket
-        dict when something reads it: a serve adds a block's counts at
-        a time, and a per-bucket dict update per block cost more than
-        the block's arithmetic.  Adds only bucket counts; the caller
-        keeps ``count``, the sum and the extremes.
+        Adds only bucket counts; the caller keeps ``count``, the sum and
+        the extremes.
         """
         dense, lo = self._dense, self._dense_lo
         hi = kmin + counts.size
-        if dense is None:
+        if not dense.size:
             dense, lo = np.zeros(counts.size, dtype=np.int64), kmin
         elif kmin < lo or hi > lo + dense.size:
             grown_lo = min(lo, kmin)
@@ -495,10 +486,8 @@ class QuantileSketch:
             arr = arr[~small]
         if arr.size:
             keys = np.ceil(np.log(arr) / self._log_gamma).astype(np.int64)
-            uniques, counts = np.unique(keys, return_counts=True)
-            bucket = self._counts
-            for key, num in zip(uniques.tolist(), counts.tolist()):
-                bucket[key] = bucket.get(key, 0) + num
+            kmin = int(keys.min())
+            self.add_bucket_counts(kmin, np.bincount(keys - kmin))
 
     def prepare_keys(self, values: np.ndarray) -> np.ndarray | None:
         """Bucket keys for :meth:`add_keyed`, validated once for a block.
@@ -529,8 +518,7 @@ class QuantileSketch:
         ``keys`` must come from a same-resolution sketch's
         :meth:`prepare_keys` over exactly these ``values`` — the bucket
         counts land precisely where :meth:`add_many` would put them, but
-        the expensive per-value log and the sort inside ``np.unique``
-        are replaced by one shared key array and an ``np.bincount``.
+        the expensive per-value log is replaced by one shared key array.
         """
         size = int(values.size)
         if not size:
@@ -577,24 +565,20 @@ class QuantileSketch:
             min(self.count, math.ceil(percentile / 100 * self.count))
             for percentile in percentiles
         ]
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)
-        results: list[float] = [0.0] * len(ranks)
-        cumulative = self._underflow
-        keys = sorted(self._counts)
-        key_pos = 0
+        # the first bucket whose running count reaches a rank (zero
+        # buckets never reach it first, so it is an occupied one)
+        cumulative = list(accumulate(self._dense.tolist(), initial=self._underflow))
         gamma = self._gamma
-        for rank_index in order:
-            rank = ranks[rank_index]
-            while cumulative < rank and key_pos < len(keys):
-                cumulative += self._counts[keys[key_pos]]
-                key_pos += 1
+        results: list[float] = []
+        for rank in ranks:
             if rank <= self._underflow:
                 value = self.min_value
             else:
-                value = 2.0 * gamma ** keys[key_pos - 1] / (gamma + 1.0)
+                key = self._dense_lo + bisect_left(cumulative, rank) - 1
+                value = 2.0 * gamma**key / (gamma + 1.0)
             # clamping to the observed extremes only moves the estimate
             # toward the true ranked value, so the bound is preserved
-            results[rank_index] = min(max(value, self._min), self._max)
+            results.append(min(max(value, self._min), self._max))
         return results
 
     def count_above(self, value: float) -> int:
@@ -609,9 +593,9 @@ class QuantileSketch:
         if value <= 0:
             raise ValueError("threshold must be positive")
         if value <= self.min_value:
-            return sum(self._counts.values())
+            return int(self._dense.sum())
         key = math.ceil(math.log(value) / self._log_gamma)
-        return sum(num for k, num in self._counts.items() if k > key)
+        return int(self._dense[max(0, key + 1 - self._dense_lo) :].sum())
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """Sorted ``(upper_edge, cumulative_count)`` over occupied buckets.
@@ -625,8 +609,8 @@ class QuantileSketch:
         cumulative = self._underflow
         if self._underflow:
             out.append((self.min_value, cumulative))
-        for key in sorted(self._counts):
-            cumulative += self._counts[key]
+        for key, num in self._counts.items():
+            cumulative += num
             out.append((self._gamma**key, cumulative))
         return out
 
@@ -634,9 +618,8 @@ class QuantileSketch:
         """Fold ``other`` into this sketch (same resolution required)."""
         if other._gamma != self._gamma or other.min_value != self.min_value:
             raise ValueError("can only merge sketches with identical resolution")
-        bucket = self._counts
-        for key, num in other._counts.items():
-            bucket[key] = bucket.get(key, 0) + num
+        if other._dense.size:
+            self.add_bucket_counts(other._dense_lo, other._dense)
         self._underflow += other._underflow
         self.count += other.count
         self._sum += other._sum
