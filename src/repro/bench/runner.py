@@ -33,7 +33,7 @@ def environment() -> dict[str, Any]:
     """
     import numpy
 
-    dispatch = sys.modules.get("repro.sim.dispatch_batch")
+    dispatch = sys.modules.get("repro.sim._native")
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -38,7 +38,6 @@ from repro.bench.scenarios import (
 )
 from repro.obs.spans import _NULL_SPAN, span
 from repro.perf.parallel import usable_cpus
-from repro.sim.dispatch_batch import native_available
 from repro.sim.streaming import generate_trace_soa
 
 SMOKE_REPEATS = 5
@@ -226,7 +225,6 @@ def smoke_pairs() -> list[PairSpec]:
     A speedup floor of ``S`` is a ratio ceiling of ``1/S``.
     """
     cpus = usable_cpus()
-    native = native_available()
     return [
         PairSpec(
             PairedExperiment("fastpath", partial(_engines, SERVING_CONFIGS)),
@@ -234,8 +232,7 @@ def smoke_pairs() -> list[PairSpec]:
         ),
         PairSpec(
             PairedExperiment("wide", partial(_engines, WIDE_CONFIGS)),
-            [_ceiling("ratio", 1 / 3)], native,
-            f"native kernel {'present' if native else 'absent'}",
+            [_ceiling("ratio", 1 / 3)], True, "always",
         ),
         PairSpec(
             PairedExperiment("sharded", _sharded),

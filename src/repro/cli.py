@@ -391,12 +391,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {error}", file=sys.stderr)
         return 2
     partition = simulator.partition
-    from repro.sim.dispatch_batch import native_available
+    from repro.sim._native import native_available
 
     native = native_available()
     GLOBAL_METRICS.gauge(
         "repro_native_available",
-        "Compiled k-wide dispatch kernel in use (1) or NumPy fallback (0)",
+        "Compiled k-wide dispatch kernel in use (1) or the Python fallback (0)",
     ).set(1.0 if native else 0.0)
     if args.stats:
         print(f"native       {_native_status(native)}", file=sys.stderr)
@@ -986,10 +986,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "scan"],
         default="auto",
         help="dispatch path (byte-identical, exact or streaming): auto "
-             "is the fast path — native k-wide C kernel when a compiler "
-             "is present; without one, NumPy speculate-and-verify on "
-             "fault-free serves and scan's scalar fault loop on faulted "
-             "ones; scan is the seed-loop oracle")
+             "is the fast path — the k-wide dispatch kernel, compiled C "
+             "when a compiler is present and its Python mirror "
+             "otherwise; scan is the seed-loop oracle")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the trace across N process-parallel "
                             "shard replicas and merge one fleet report")

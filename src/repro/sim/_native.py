@@ -1,4 +1,4 @@
-"""Optional C acceleration for the vectorized dispatch engine.
+"""The dispatch kernel: compiled C when it builds, Python otherwise.
 
 The exact earliest-finish recurrence is irreducibly sequential — each
 admission updates the free time the next admission reads, a decision
@@ -16,32 +16,32 @@ cached file that fails to load or fails the check is deleted and
 rebuilt once, and an unwritable cache directory only means the build
 is not kept.
 
-``dispatch_exact`` mirrors the scan loop bit for bit — same
-``arrival if arrival > free else free`` start rule, same strict
-first-minimum winner over the ``(width, classes)`` service matrix —
-and stops a fault batch where the scalar fault loop must take over.
-Under a fault schedule each accelerator (lane) is a segment of its
-own, with its own service column and its own limit (its next window
-boundary): the kernel stops before a row whose start on some lane
-reaches that lane's limit, and before a winner whose finish crosses
-its accelerator's next down window (a kill).  It is the only engine
-that batches fault segments; without it, fault-free runs use the
-NumPy speculate-and-verify rounds and faulted runs the scalar fault
-loop.  One k-wide kernel serves every partition width, the paper's
-one- and two-wide C5+C3-style partitions included.  ``inf`` service
-entries (infeasible pairs, down accelerators in a fault segment) are
-safe: an infinite candidate finish can never win a strict-less
-comparison, the next-down check only ever tests the winner, and a row
-whose every lane is ``inf`` is decided as unservable (accelerator
-``-1``) without touching a clock, and the fault loop requeues or sheds
-it.  Plain ``-O2`` keeps
-IEEE semantics (no ``-ffast-math``, no FMA contraction opportunities in
-pure add/compare code), and a self-check against a Python reference
-guards the library before it is trusted.  Any failure (no ``cc``,
-sandboxed filesystem, self-check mismatch) leaves the export ``None``
-and the pure-Python paths take over.  Set ``REPRO_NO_NATIVE=1`` to
-force that fallback explicitly (CI exercises it so the Python paths
-stay covered).
+The kernel mirrors the scan loop bit for bit — same ``arrival if
+arrival > free else free`` start rule, same strict first-minimum
+winner over the ``(width, classes)`` service matrix — and stops a
+fault batch where the scalar fault loop must take over.  Under a fault
+schedule each accelerator (lane) is a segment of its own, with its own
+service column and its own limit (its next window boundary): the
+kernel stops before a row whose start on some lane reaches that lane's
+limit, and before a winner whose finish crosses its accelerator's next
+down window (a kill).  One k-wide kernel serves every partition width,
+fault-free blocks and fault segments alike, the paper's one- and
+two-wide C5+C3-style partitions included.  ``inf`` service entries
+(infeasible pairs, down accelerators in a fault segment) are safe: an
+infinite candidate finish can never win a strict-less comparison, the
+next-down check only ever tests the winner, and a row whose every lane
+is ``inf`` is decided as unservable (accelerator ``-1``) without
+touching a clock, and the fault loop requeues or sheds it.  Plain
+``-O2`` keeps IEEE semantics (no ``-ffast-math``, no FMA contraction
+opportunities in pure add/compare code).
+
+:func:`_dispatch_python` is the same loop in Python, with the same
+signature: the self-check compares every build against it, and it *is*
+:data:`dispatch_exact` when no build passes (no ``cc``, sandboxed
+filesystem, self-check mismatch) — slower, same results.  Set
+``REPRO_NO_NATIVE=1`` to force it explicitly (CI exercises it so the
+Python kernel stays covered); :func:`native_available` says which one
+is in use.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import math
 import os
 import platform
 import shutil
+from array import array
 
 import numpy as np
 
@@ -145,30 +146,109 @@ def _lane_limits(limits, width: int) -> list[float]:
     return [float(limit) for limit in limits]
 
 
-def _reference_dispatch(arrivals, cids, rows, state, limits, nds):
-    """Pure-Python mirror of the kernel: the scan loop plus its
-    fault-segment cut conditions (a lane's own ``limits`` entry, the
-    winner's next down onset) and its unservable-row mark (``(-1, inf,
-    inf)`` for a row no lane can serve, which changes no clock)."""
-    lims = _lane_limits(limits, len(state))
-    out = []
-    for a, c in zip(arrivals, cids):
-        starts = [a if a > f else f for f in state]
-        if any(st >= lim for st, lim in zip(starts, lims)):
-            break
-        fins = [st + row[c] for st, row in zip(starts, rows)]
+def _dispatch_python(arrivals, class_ids, services, free, limits, nds=None):
+    """The kernel in Python: :data:`dispatch_exact`'s signature and
+    results, one row at a time (linear in rows x width).
+
+    The scan loop plus the kernel's fault-segment cut conditions (a
+    lane's own ``limits`` entry, the winner's next down onset) and its
+    unservable-row mark (``(-1, inf, inf)`` for a row no lane can serve,
+    which changes no clock).
+    """
+    width = len(free)
+    lims = _lane_limits(limits, width)
+    inf = math.inf
+    downs = [inf] * width if nds is None else [float(nd) for nd in nds]
+    # per class, its service on every lane
+    rows = np.asarray(services, dtype=np.float64).T.tolist()
+    state = [float(f) for f in free]
+    lanes = range(width)
+    # the smallest limit: a lane's own limit is read only for a start
+    # that reaches it, as in the C loop
+    lo = min(lims)
+    # typed buffers and memoryview reads: no Python float per row is
+    # kept, so a block's temporaries stay at 8 bytes per value
+    accs = array("q")
+    starts = array("d")
+    fins = array("d")
+    put_acc, put_start, put_fin = accs.append, starts.append, fins.append
+    for a, c in zip(
+        memoryview(np.ascontiguousarray(arrivals, dtype=np.float64)),
+        memoryview(np.ascontiguousarray(class_ids, dtype=np.int64)),
+    ):
+        row = rows[c]
         best = 0
-        for i in range(1, len(fins)):
-            if fins[i] < fins[best]:
+        best_st = best_e = inf
+        cut = False
+        for i in lanes:
+            f = state[i]
+            st = a if a > f else f
+            if st >= lo and st >= lims[i]:
+                cut = True
+                break
+            e = st + row[i]
+            if e < best_e:
                 best = i
-        if math.isinf(fins[best]):
-            out.append((-1, math.inf, math.inf))
-            continue
-        if fins[best] > nds[best]:
+                best_st = st
+                best_e = e
+        if cut:
             break
-        state[best] = fins[best]
-        out.append((best, starts[best], fins[best]))
-    return out
+        if best_e == inf:
+            put_acc(-1)
+            put_start(inf)
+            put_fin(inf)
+            continue
+        if best_e > downs[best]:
+            break
+        state[best] = best_e
+        put_acc(best)
+        put_start(best_st)
+        put_fin(best_e)
+    free[:] = state
+    return (
+        len(accs),
+        np.frombuffer(accs, dtype=np.int64),
+        np.frombuffer(starts, dtype=np.float64),
+        np.frombuffer(fins, dtype=np.float64),
+    )
+
+
+def _wrap(kwide):
+    """``kwide`` behind :data:`dispatch_exact`'s signature."""
+
+    def dispatch(arrivals, class_ids, services, free, limits, nds=None):
+        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+        class_ids = np.ascontiguousarray(class_ids, dtype=np.int64)
+        n = arrivals.size
+        width = services.shape[0]
+        starts = np.empty(n, dtype=np.float64)
+        fins = np.empty(n, dtype=np.float64)
+        state = np.asarray(free, dtype=np.float64)
+        if nds is None:
+            nds = (math.inf,) * width
+        acc = np.empty(n, dtype=np.int64)
+        matrix = np.ascontiguousarray(services, dtype=np.float64)
+        lim_arr = np.asarray(_lane_limits(limits, width), dtype=np.float64)
+        nd_arr = np.ascontiguousarray(nds, dtype=np.float64)
+        q = kwide(
+            arrivals.ctypes.data,
+            class_ids.ctypes.data,
+            matrix.ctypes.data,
+            width,
+            matrix.shape[1],
+            n,
+            lim_arr.ctypes.data,
+            nd_arr.ctypes.data,
+            state.ctypes.data,
+            acc.ctypes.data,
+            starts.ctypes.data,
+            fins.ctypes.data,
+        )
+        for order in range(width):
+            free[order] = float(state[order])
+        return q, acc[:q], starts[:q], fins[:q]
+
+    return dispatch
 
 
 def _check_dispatch(kwide):
@@ -205,41 +285,20 @@ def _check_dispatch(kwide):
         (4, (2.6, inf, 1.6, inf), (inf, inf, inf, inf)),
         (4, (inf, inf, inf, inf), (0.6, inf, inf, inf)),
     ]
+    dispatch = _wrap(kwide)
     for width, limits, nds in cases:
-        state = [0.05, 0.0, 0.02, 0.01][:width]
-        ref_state = list(state)
-        expect = _reference_dispatch(
-            arrivals, cids, rows[:width], ref_state, limits, nds
-        )
-        arr = np.asarray(arrivals)
-        cid = np.asarray(cids, dtype=np.int64)
-        st = np.asarray(state)
-        acc = np.empty(arr.size, dtype=np.int64)
-        starts = np.empty(arr.size)
-        fins = np.empty(arr.size)
-        matrix = np.ascontiguousarray(rows[:width], dtype=np.float64)
-        lim_arr = np.asarray(limits, dtype=np.float64)
-        nd_arr = np.asarray(nds, dtype=np.float64)
-        q = kwide(
-            arr.ctypes.data,
-            cid.ctypes.data,
-            matrix.ctypes.data,
-            width,
-            matrix.shape[1],
-            arr.size,
-            lim_arr.ctypes.data,
-            nd_arr.ctypes.data,
-            st.ctypes.data,
-            acc.ctypes.data,
-            starts.ctypes.data,
-            fins.ctypes.data,
-        )
-        got = list(zip(acc[:q].tolist(), starts[:q].tolist(), fins[:q].tolist()))
-        if q != len(expect) or got != expect:
+        matrix = np.asarray(rows[:width])
+        expect_state = [0.05, 0.0, 0.02, 0.01][:width]
+        got_state = list(expect_state)
+        expect = _dispatch_python(arrivals, cids, matrix, expect_state, limits, nds)
+        got = dispatch(arrivals, cids, matrix, got_state, limits, nds)
+        if got[0] != expect[0] or any(
+            g.tolist() != e.tolist() for g, e in zip(got[1:], expect[1:])
+        ):
             return False
         # the committed prefix must leave the same free clocks the
-        # reference loop left
-        if st.tolist() != ref_state:
+        # Python loop left
+        if got_state != expect_state:
             return False
     return True
 
@@ -346,7 +405,7 @@ _KWIDE, NATIVE_ORIGIN, NATIVE_PATH = (
     _BUILT if _BUILT is not None else (None, None, None)
 )
 
-#: whether the compiled kernel passed the self-check and are in use
+#: whether the compiled kernel passed the self-check and is in use
 NATIVE_AVAILABLE = _BUILT is not None
 
 if NATIVE_AVAILABLE:
@@ -357,63 +416,31 @@ if NATIVE_AVAILABLE:
     )
 elif os.environ.get("REPRO_NO_NATIVE"):
     _LOG.info(
-        "REPRO_NO_NATIVE set: fault-free dispatch uses the NumPy "
-        "speculate-and-verify fallback, faulted dispatch the scalar loop"
+        "REPRO_NO_NATIVE set: dispatch runs the Python kernel"
     )
 else:
     _LOG.warning(
-        "no working C compiler: fault-free dispatch falls back to the "
-        "NumPy speculate-and-verify engine, faulted dispatch to the "
-        "scalar loop (slower, same results)"
+        "no working C compiler: dispatch falls back to the Python "
+        "kernel (slower, same results)"
     )
 
 
-def _dispatch_exact_native(arrivals, class_ids, services, free, limits, nds=None):
-    """Exact earliest-finish dispatch over one clean stretch.
-
-    ``services`` is the engine's ``(width, classes)`` float64 matrix
-    (any width; ``inf`` marks infeasible pairs); ``free`` is the
-    mutable per-accelerator clock list, updated in place; ``limits``
-    the per-accelerator segment ends (one float for every lane) and
-    ``nds`` the per-accelerator next-down array (``None`` =
-    unconstrained).  Returns ``(decided, accs, starts, fins)`` — the
-    maximal prefix satisfying the limit / next-down constraints, with
-    per-request results bit-identical to the scan loop; a row no lane
-    can serve is decided as accelerator ``-1`` with inf start and
-    finish.
-    """
-    arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
-    class_ids = np.ascontiguousarray(class_ids, dtype=np.int64)
-    n = arrivals.size
-    width = services.shape[0]
-    starts = np.empty(n, dtype=np.float64)
-    fins = np.empty(n, dtype=np.float64)
-    state = np.asarray(free, dtype=np.float64)
-    if nds is None:
-        nds = (math.inf,) * width
-    acc = np.empty(n, dtype=np.int64)
-    matrix = np.ascontiguousarray(services, dtype=np.float64)
-    lim_arr = np.asarray(_lane_limits(limits, width), dtype=np.float64)
-    nd_arr = np.ascontiguousarray(nds, dtype=np.float64)
-    q = _KWIDE(
-        arrivals.ctypes.data,
-        class_ids.ctypes.data,
-        matrix.ctypes.data,
-        width,
-        matrix.shape[1],
-        n,
-        lim_arr.ctypes.data,
-        nd_arr.ctypes.data,
-        state.ctypes.data,
-        acc.ctypes.data,
-        starts.ctypes.data,
-        fins.ctypes.data,
-    )
-    for order in range(width):
-        free[order] = float(state[order])
-    return q, acc[:q], starts[:q], fins[:q]
+#: exact earliest-finish dispatch over one clean stretch, the compiled
+#: kernel or its Python mirror.  ``(arrivals, class_ids, services, free,
+#: limits, nds=None) -> (decided, accs, starts, fins)``: ``services`` is
+#: the engine's ``(width, classes)`` float64 matrix (any width; ``inf``
+#: marks infeasible pairs); ``free`` is the mutable per-accelerator clock
+#: list, updated in place; ``limits`` the per-accelerator segment ends
+#: (or one float for every lane) and ``nds`` the per-accelerator next
+#: down onsets (``None`` = unconstrained).  Returns the maximal prefix
+#: satisfying the limit / next-down constraints, with per-request
+#: results bit-identical to the scan loop; a row no lane can serve is
+#: decided as accelerator ``-1`` with inf start and finish.
+dispatch_exact = _wrap(_KWIDE) if _KWIDE is not None else _dispatch_python
 
 
-#: the accelerated kernel, or ``None`` when no compiler is available —
-#: callers must keep a pure-Python path behind this check
-dispatch_exact = _dispatch_exact_native if _KWIDE is not None else None
+def native_available() -> bool:
+    """Whether :data:`dispatch_exact` is the compiled kernel (read
+    dynamically, so a test that swaps in :func:`_dispatch_python` flips
+    this too)."""
+    return dispatch_exact is not _dispatch_python

@@ -14,11 +14,12 @@ Two dispatch paths produce **byte-identical** decisions:
 
 * the seed scan (``dispatch="scan"``) — the original O(requests x
   accelerators) loop, kept as the ground-truth oracle;
-* the fast path (``dispatch="auto"``, the default) — the vectorized
-  engine of :mod:`repro.sim.dispatch_batch` over the SoA trace, at every
-  partition width: the native k-wide exact loop when a C compiler is
-  present, NumPy speculate-and-verify rounds otherwise (a faulted run
-  without the compiler takes the scan's scalar fault loop instead).
+* the fast path (``dispatch="auto"``, the default) — the k-wide
+  dispatch kernel of :mod:`repro.sim._native` over the SoA trace, one
+  block per call, at every partition width: compiled C when a C
+  compiler is present, its Python mirror otherwise.  Under a fault
+  schedule the same kernel batches the attempts between fault window
+  boundaries.
 
 Every engine — the scan oracle, the fast path and the fault loop —
 hands its arrival-ordered decisions to one report sink, which cuts them
@@ -93,8 +94,7 @@ from repro.perf.metrics import (
     track,
 )
 from repro.perf.parallel import parallel_map, resolve_jobs
-from repro.sim import dispatch_batch
-from repro.sim.dispatch_batch import dispatch_vectorized
+from repro.sim import _native
 from repro.sim.streaming import (
     BLOCK_ROWS,
     FaultAccounting,
@@ -908,14 +908,11 @@ class ServingSimulator:
         :func:`~repro.sim.streaming.generate_trace_soa` builds it.
 
         ``dispatch`` selects the path: ``auto`` (the default) runs the
-        vectorized fast path at every partition width — the native
-        k-wide exact loop when a C compiler is present, NumPy
-        speculate-and-verify rounds otherwise — and, under a fault
-        schedule, batches through the native loop too, each
+        k-wide dispatch kernel at every partition width — compiled C
+        when a C compiler is present, its Python mirror otherwise — and,
+        under a fault schedule, batches through the same kernel, each
         accelerator a segment of its own between two of its window
-        boundaries, whatever windows are active there (without a
-        compiler, a faulted run takes every attempt through the scan's
-        scalar fault loop); ``scan`` runs
+        boundaries, whatever windows are active there; ``scan`` runs
         the seed loop, the ground-truth oracle.  Both make
         byte-identical dispatch decisions and hand them to one report
         sink, so either report kind is byte-identical across paths too
@@ -1018,8 +1015,9 @@ class ServingSimulator:
         the next arrival because its position is smaller.
         Every scalar attempt goes through one selector and the loop
         (kills, backoff, requeues, shedding) is one code path; ``auto``
-        only adds native-kernel batches the scalar loop would have
-        decided identically, which is what makes both paths' fault
+        only adds dispatch-kernel batches (compiled or Python, with or
+        without a C compiler) the scalar loop would have decided
+        identically, which is what makes both paths' fault
         semantics identical by construction.  A batch holds the
         attempts before the next transition of any accelerator; each
         accelerator in it is a segment of its own, read in the window
@@ -1160,12 +1158,12 @@ class ServingSimulator:
             heapq.heappush(retry_heap, (nxt, pos, retries, cid))
             rows.waiting += 1
 
-        # with the native kernel, the fast path batches the attempts
-        # from the earliest one, t0, up to the next transition of any
-        # accelerator, G.  Each accelerator is a segment of its own:
-        # from its anchor max(t0, free) to its own next window boundary,
-        # on the service column of the window it is in at the anchor (a
-        # down accelerator is an inf column).  Every start the batch
+        # the fast path batches the attempts through the dispatch kernel
+        # (compiled or Python) from the earliest one, t0, up to the next
+        # transition of any accelerator, G.  Each accelerator is a
+        # segment of its own: from its anchor max(t0, free) to its own
+        # next window boundary, on the service column of the window it
+        # is in at the anchor (a down accelerator is an inf column).  Every start the batch
         # gives an accelerator lies at or past its anchor, so while it
         # stays short of that boundary the scalar selector would read
         # the same column; the kernel cuts the row where it does not.  A
@@ -1175,14 +1173,12 @@ class ServingSimulator:
         # The scalar loop below keeps sole ownership of kills: a winner
         # whose finish crosses its next down onset ends the batch, and
         # a batch whose first row is such a kill hands that attempt to
-        # the scalar loop.  Without the kernel every attempt takes the
-        # scalar loop, as on scan
-        if dispatch == "auto":
+        # the scalar loop.  On scan every attempt takes the scalar loop
+        use_batch = dispatch == "auto"
+        if use_batch:
             healthy = self._service_matrix(names, specs)
             self._require_finite_services(names, healthy, classes)
-        use_batch = dispatch == "auto" and dispatch_batch.native_available()
-        if use_batch:
-            kernel = dispatch_batch._native_dispatch
+            kernel = _native.dispatch_exact
             # per-accelerator window indices -> their service matrix
             matrices: dict[tuple[int | None, ...], np.ndarray] = {}
         batched = scalar = segments = 0
@@ -1511,13 +1507,13 @@ class ServingSimulator:
         self._require_finite_services(names, services, trace.shapes)
         # dispatched service lookups are cache hits by construction
         self.stats.cache_hits += len(trace)
-        dispatch_vectorized(
-            trace.blocks(sink.chunk_size),
-            services,
-            [0.0] * len(names),
-            sink.add,
-            sink.chunk_size,
-        )
+        kernel = _native.dispatch_exact
+        free = [0.0] * len(names)
+        for base, arrivals, class_ids in trace.blocks(sink.chunk_size):
+            _, accs, starts, fins = kernel(
+                arrivals, class_ids, services, free, math.inf
+            )
+            sink.add(base, arrivals, accs, starts, fins)
         return sink.finish(trace.shapes, *columns)
 
 

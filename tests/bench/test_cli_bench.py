@@ -72,7 +72,6 @@ def _fixed_pairs(monkeypatch, slowed=None, run_legs=True):
         lambda: {"noop_span_ns": 1e4 if slowed == "noop" else 100.0},
     )
     monkeypatch.setattr(smoke, "usable_cpus", lambda: smoke.SHARDED_MIN_CPUS)
-    monkeypatch.setattr(smoke, "native_available", lambda: True)
 
 
 class TestBenchSmoke:

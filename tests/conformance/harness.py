@@ -1,10 +1,9 @@
 """Differential conformance harness for the serving dispatch paths.
 
 The serving engine's core claim is that the scan oracle and the fast
-path (``dispatch="auto"``: the native k-wide kernel, or without a
-compiler the NumPy speculate-and-verify rounds on fault-free runs and
-the scalar fault loop on faulted ones) — and the exact and
-streaming reports — are *the same scheduler*.  This module makes that
+path (``dispatch="auto"``: the k-wide dispatch kernel, compiled C or
+without a compiler its Python mirror) — and the exact and streaming
+reports — are *the same scheduler*.  This module makes that
 claim a first-class, reusable assertion instead of an ad-hoc benchmark
 check:
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 
-from repro.sim import dispatch_batch
+from repro.sim import _native
 from repro.sim.serving import ServingSimulator
 from repro.workloads.gemm import GemmShape
 
@@ -102,27 +101,27 @@ def shed_rows(report) -> list[tuple]:
 
 
 @contextlib.contextmanager
-def numpy_rounds():
-    """Run ``auto`` without the native kernel inside this block: the
-    NumPy rounds fault-free, the scalar fault loop under faults."""
-    saved = dispatch_batch._native_dispatch
-    dispatch_batch._native_dispatch = None
+def python_kernel():
+    """Run ``auto`` on the kernel's Python mirror inside this block, as
+    a host without a C compiler does."""
+    saved = _native.dispatch_exact
+    _native.dispatch_exact = _native._dispatch_python
     try:
         yield
     finally:
-        dispatch_batch._native_dispatch = saved
+        _native.dispatch_exact = saved
 
 
 def fast_variants() -> list:
     """``(label, context)`` per fast-path implementation this process has.
 
-    With the native kernel compiled, ``auto`` runs it and the no-kernel
-    path is forced as a second variant; under ``REPRO_NO_NATIVE=1``
-    ``auto`` already *is* the no-kernel path.
+    With the native kernel compiled, ``auto`` runs it and the Python
+    kernel is forced as a second variant; under ``REPRO_NO_NATIVE=1``
+    ``auto`` already *is* the Python kernel.
     """
     variants = [("auto", contextlib.nullcontext)]
-    if dispatch_batch.native_available():
-        variants.append(("auto-numpy", numpy_rounds))
+    if _native.native_available():
+        variants.append(("auto-python", python_kernel))
     return variants
 
 

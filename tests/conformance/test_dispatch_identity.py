@@ -2,10 +2,10 @@
 
 Parametrized over partition widths 1–16, with and without fault
 schedules, on stub and real partitions — every width runs the same
-k-wide fast path (native kernel or NumPy rounds), so no width may be
-left out.  The real-scale cases serve thousands of requests under
-device-degraded windows, so with the native kernel the fault loop
-batches segments while windows are active.
+k-wide fast path (the compiled kernel or its Python mirror), so no
+width may be left out.  The real-scale cases serve thousands of
+requests under device-degraded windows, so the fault loop batches
+segments while windows are active.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ from repro.core.multi_acc import AcceleratorPartition
 from repro.hw.faults import derate_clock, disable_aie_columns
 from repro.mapping.charm import CharmDesign
 from repro.mapping.configs import config_by_name
-from repro.sim import dispatch_batch
+from repro.sim import _native
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
 from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
@@ -28,7 +28,7 @@ from .harness import (
     assert_engines_identical,
     dispatch_rows,
     make_partition,
-    numpy_rounds,
+    python_kernel,
 )
 
 WIDTHS = list(range(1, 17))
@@ -175,15 +175,12 @@ def test_real_scale_device_degraded_engines_identical(
             batched_unusable.append(out[0])
         return out
 
-    kernel = dispatch_batch._native_dispatch
-    if kernel is not None:
-        monkeypatch.setattr(dispatch_batch, "_native_dispatch", recording)
+    kernel = _native.dispatch_exact
+    monkeypatch.setattr(_native, "dispatch_exact", recording)
     result = assert_engines_identical(trace, partition, faults=schedule)
     report = result["report"]
     assert report.count + len(report.shed) == requests
-    # only the kernel batches fault segments
-    if kernel is not None:
-        assert sum(batched_unusable) >= requests // 10, batched_unusable
+    assert sum(batched_unusable) >= requests // 10, batched_unusable
 
 
 def test_fault_runs_deterministic():
@@ -201,8 +198,8 @@ def test_fault_runs_deterministic():
     [
         pytest.param("scan", contextlib.nullcontext, id="scan"),
         pytest.param("auto", contextlib.nullcontext, id="auto"),
-        # the fast path forced onto the NumPy vectorized rounds
-        pytest.param("auto", numpy_rounds, id="vectorized"),
+        # the fast path forced onto the Python kernel
+        pytest.param("auto", python_kernel, id="vectorized"),
     ],
 )
 def test_empty_trace_rejected_uniformly(dispatch, context):

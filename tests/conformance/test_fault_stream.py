@@ -7,8 +7,9 @@ recorded when the loop still held the whole trace and its per-request
 outcome columns, over:
 
 * real C5+C3 and 8-wide fleets;
-* the native kernel, the fallback without it, and ``scan`` (all three
-  must give the one recorded digest);
+* the native kernel, the Python kernel a host without a compiler runs
+  (``no-kernel``), and ``scan`` (all three must give the one recorded
+  digest);
 * a ``chunk_size`` that divides neither the trace nor a loop block;
 * a seeded chaos schedule, and a schedule with a window in which every
   accelerator is down: the loop requeues every arrival there, so its
@@ -127,7 +128,7 @@ def _exact_digest(report) -> str:
 
 def serve(width: int, kind: str, engine: str, streaming: bool):
     """One faulted serve; returns ``(digest, report)``."""
-    from .harness import numpy_rounds
+    from .harness import python_kernel
 
     simulator = _simulator(width)
     _, rate = FLEETS[width]
@@ -135,7 +136,7 @@ def serve(width: int, kind: str, engine: str, streaming: bool):
     trace = generate_trace_soa(SHAPES, REQUESTS, 1.0 / rate, seed=9)
     faults, policy = _schedule(simulator, kind, horizon)
     monitor = ServingMonitor(horizon / 25)
-    context = numpy_rounds() if engine == "no-kernel" else contextlib.nullcontext()
+    context = python_kernel() if engine == "no-kernel" else contextlib.nullcontext()
     with context:
         report = simulator.run(
             trace,

@@ -1,15 +1,17 @@
-"""Property-based conformance for the native k-wide kernel.
+"""Property-based conformance for the k-wide dispatch kernel.
 
 Hypothesis drives random partition widths, service matrices (with
 infeasible ``inf`` entries, and classes no lane can serve), initial
 free clocks, and fault-segment limits (one for every lane, or one per
-lane) and next-down constraints through the kernel that batches fault
-segments, and checks the result bit for bit against the pure-Python
-exact reference loop (:func:`repro.sim._native._reference_dispatch` —
-the same mirror the native build self-checks against): the decided
+lane) and next-down constraints through the kernel that dispatches
+fault-free blocks and batches fault segments, and checks the compiled
+kernel bit for bit against its Python mirror
+(:func:`repro.sim._native._dispatch_python`, which the native build
+self-checks against and which runs without a compiler): the decided
 prefix, rows (unservable ones included), and final free clocks must
-match exactly.  Without a C
-compiler there is no kernel to check, and the test skips.
+match exactly.  Every decided row must also follow the scan's rule on
+its own, so the test checks the Python kernel on a host without a
+compiler too.
 """
 
 import math
@@ -20,8 +22,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.sim import dispatch_batch  # noqa: E402
-from repro.sim._native import _reference_dispatch  # noqa: E402
+from repro.sim import _native  # noqa: E402
 
 _FLOATS = st.floats(min_value=1e-4, max_value=2e-2, allow_nan=False)
 
@@ -84,92 +85,44 @@ def segment_cases(draw, dead_classes=False):
     return services, times, class_ids, free, limit, next_downs
 
 
-@pytest.mark.skipif(
-    not dispatch_batch.native_available(), reason="no C compiler available"
-)
 @settings(max_examples=120, deadline=None)
 @given(case=segment_cases(dead_classes=True))
 def test_kwide_rounds_match_scalar_reference(case):
     services, times, class_ids, free, limit, next_downs = case
-    ref_state = list(free)
-    expect = _reference_dispatch(
-        times.tolist(),
-        class_ids.tolist(),
-        services.tolist(),
-        ref_state,
-        limit,
-        next_downs,
+    expect_state = list(free)
+    expect = _native._dispatch_python(
+        times, class_ids, services, expect_state, limit, next_downs
     )
-    expect_rows = [
-        (pos, acc, repr(start), repr(fin))
-        for pos, (acc, start, fin) in enumerate(expect)
-    ]
-
-    free_native = list(free)
-    accepted, accs, starts, fins = dispatch_batch._native_dispatch(
-        times, class_ids, services, free_native, limit, next_downs
+    got_state = list(free)
+    got = _native.dispatch_exact(
+        times, class_ids, services, got_state, limit, next_downs
     )
-    assert accepted == len(expect)
+    assert got[0] == expect[0]
     assert [
-        (pos, int(acc), repr(start), repr(fin))
-        for pos, (acc, start, fin) in enumerate(
-            zip(accs.tolist(), starts.tolist(), fins.tolist())
-        )
-    ] == expect_rows
-    assert [repr(value) for value in free_native] == [
-        repr(value) for value in ref_state
+        [repr(value) for value in column.tolist()] for column in got[1:]
+    ] == [[repr(value) for value in column.tolist()] for column in expect[1:]]
+    assert [repr(value) for value in got_state] == [
+        repr(value) for value in expect_state
     ]
-
-
-@settings(max_examples=120, deadline=None)
-@given(case=segment_cases(), block=st.integers(min_value=1, max_value=64))
-def test_numpy_rounds_match_scalar_reference(case, block):
-    """The fault-free NumPy rounds against the same reference, with no
-    segment constraints: every row dispatches, bit for bit, whatever
-    blocks the trace arrives in (the rounds carry their state across
-    them)."""
-    services, times, class_ids, free, _, _ = case
-    ref_state = list(free)
-    expect = _reference_dispatch(
-        times.tolist(),
-        class_ids.tolist(),
-        services.tolist(),
-        ref_state,
-        math.inf,
-        (math.inf,) * len(free),
-    )
-    rows = []
-
-    def flush(base, arrivals, accs, starts, fins):
-        assert arrivals.tolist() == times[base : base + len(accs)].tolist()
-        rows.extend(
-            (base + off, int(acc), repr(start), repr(fin))
-            for off, (acc, start, fin) in enumerate(
-                zip(accs.tolist(), starts.tolist(), fins.tolist())
-            )
-        )
-
-    saved = dispatch_batch._native_dispatch
-    dispatch_batch._native_dispatch = None
-    free_py = list(free)
-    try:
-        dispatch_batch.dispatch_vectorized(
-            [
-                (lo, times[lo : lo + block], class_ids[lo : lo + block])
-                for lo in range(0, len(times), block)
-            ],
-            services,
-            free_py,
-            flush,
-            chunk_size=16,
-        )
-    finally:
-        dispatch_batch._native_dispatch = saved
-    assert len(expect) == len(times)
-    assert rows == [
-        (pos, acc, repr(start), repr(fin))
-        for pos, (acc, start, fin) in enumerate(expect)
-    ]
-    assert [repr(value) for value in free_py] == [
-        repr(value) for value in ref_state
-    ]
+    # the scan's rule, row by row: start at the later of the arrival and
+    # the winner's free clock, finish one service later, no lane
+    # finishing strictly earlier (ties to the first lane); a row no
+    # lane can serve changes no clock
+    clocks = list(free)
+    decided, accs, starts, fins = expect
+    for pos, (acc, start, fin) in enumerate(
+        zip(accs.tolist(), starts.tolist(), fins.tolist())
+    ):
+        a, cid = float(times[pos]), int(class_ids[pos])
+        finishes = [
+            max(a, clock) + services[lane, cid] for lane, clock in enumerate(clocks)
+        ]
+        if acc < 0:
+            assert (start, fin) == (math.inf, math.inf)
+            assert all(math.isinf(f) for f in finishes)
+            continue
+        assert acc == finishes.index(min(finishes))
+        assert (start, fin) == (max(a, clocks[acc]), finishes[acc])
+        clocks[acc] = fin
+    assert clocks == expect_state
+    assert decided <= len(times)

@@ -1,14 +1,14 @@
-"""Per-accelerator fault segments: the batches the native kernel takes
+"""Per-accelerator fault segments: the batches the dispatch kernel takes
 under a fault schedule must decide exactly what the scan oracle decides.
 
 A fault-loop batch runs from its earliest attempt ``t0`` up to the next
 transition of any accelerator; each accelerator is a segment of its own
 from ``max(t0, free)`` to its own next window boundary.  Each case below
 builds a schedule that exercises one part of that contract and checks
-the scan oracle, the native kernel and the no-kernel scalar loop byte
-for byte (:func:`assert_engines_identical`), then reads the
-``serve.fault_loop`` span to check that the kernel, when present, took
-the case through its batches rather than leaving it to the scalar loop.
+the scan oracle and the kernel, compiled and Python, byte for byte
+(:func:`assert_engines_identical`), then reads the ``serve.fault_loop``
+span to check that the kernel took the case through its batches rather
+than leaving it to the scalar loop.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import pytest
 
 from repro.obs.spans import GLOBAL_TRACER
-from repro.sim import dispatch_batch
 from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
@@ -68,11 +67,10 @@ def test_backlog_crosses_a_down_window_end():
     # comes back
     busy = report.starts[report.accelerator_ids == 1]
     assert (busy >= 1.2).any()
-    if dispatch_batch.native_available():
-        # kills aside (the outage's onset interrupts lane 0), every
-        # attempt is batched
-        assert counts["scalar"] == report.kills
-        assert counts["batched"] == len(trace)
+    # kills aside (the outage's onset interrupts lane 0), every attempt
+    # is batched
+    assert counts["scalar"] == report.kills
+    assert counts["batched"] == len(trace)
 
 
 def test_unservable_rows_are_requeued_inside_a_batch():
@@ -87,10 +85,9 @@ def test_unservable_rows_are_requeued_inside_a_batch():
     result, counts = _check(partition, trace, faults)
     report = result["report"]
     assert report.requeues > 100 and not report.shed
-    if dispatch_batch.native_available():
-        # kills aside, every attempt, requeued ones included, is batched
-        assert counts["scalar"] == report.kills
-        assert counts["batched"] == len(trace) + report.requeues
+    # kills aside, every attempt, requeued ones included, is batched
+    assert counts["scalar"] == report.kills
+    assert counts["batched"] == len(trace) + report.requeues
 
 
 @pytest.mark.parametrize("cause", ["down_forever", "no_service"])
@@ -117,7 +114,7 @@ def test_unservable_rows_are_shed_past_the_last_transition(cause):
     result, counts = _check(partition, trace, faults)
     shed = result["shed"]
     assert shed and {row[2] for row in shed} == {"no_feasible_accelerator"}
-    if cause == "no_service" and dispatch_batch.native_available():
+    if cause == "no_service":
         # a shed past the last transition is decided in a batch too
         assert counts["scalar"] == result["report"].kills
         assert max(float(row[3]) for row in shed) < math.inf
@@ -138,9 +135,8 @@ def test_kill_inside_a_per_lane_segment():
     result, counts = _check(partition, trace, faults, policy)
     report = result["report"]
     assert report.kills >= 1
-    if dispatch_batch.native_available():
-        assert counts["scalar"] == report.kills
-        assert counts["batched"] + counts["scalar"] == (
-            len(trace) + report.kills + report.requeues
-            - sum(s.reason == "retry_budget_exhausted" for s in report.shed)
-        )
+    assert counts["scalar"] == report.kills
+    assert counts["batched"] + counts["scalar"] == (
+        len(trace) + report.kills + report.requeues
+        - sum(s.reason == "retry_budget_exhausted" for s in report.shed)
+    )

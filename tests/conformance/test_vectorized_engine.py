@@ -1,12 +1,11 @@
-"""Conformance for the vectorized engine behind ``dispatch="auto"``.
+"""Conformance for the dispatch kernel behind ``dispatch="auto"``.
 
 The parametrized width tests in ``test_dispatch_identity`` already run
 the fast path through :func:`harness.assert_engines_identical`; this
-module covers the engine's own seams: chunk-boundary stress, the
-native-vs-NumPy split (the C exact loop and the speculate-and-verify
-fallback must be the *same scheduler*), the kernel's fault-segment cut
-conditions at ``limit`` / next-down boundaries against the pure-Python
-reference loop, and NaN rejection.
+module covers the kernel's own seams: chunk-boundary stress, the
+compiled-vs-Python split (the C loop and its Python mirror must be the
+*same scheduler*), the kernel's fault-segment cut conditions at
+``limit`` / next-down boundaries, and NaN rejection.
 """
 
 import math
@@ -17,8 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.sim import dispatch_batch
-from repro.sim._native import _reference_dispatch
+from repro.sim import _native
 from repro.sim.chaos import FaultPolicy, FaultSchedule
 from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
@@ -39,8 +37,8 @@ def _trace(num_requests=300, mean_interarrival=1e-3, seed=19):
 
 @pytest.fixture
 def no_native(monkeypatch):
-    """Force the pure-NumPy speculative paths inside this process."""
-    monkeypatch.setattr(dispatch_batch, "_native_dispatch", None)
+    """Force the Python kernel inside this process."""
+    monkeypatch.setattr(_native, "dispatch_exact", _native._dispatch_python)
 
 
 @pytest.mark.parametrize("width", [1, 2, 8])
@@ -69,7 +67,8 @@ def test_small_chunk_identity(width, chunk_size):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
 def test_numpy_fallback_identical(no_native, width):
-    """The speculative NumPy engine must match scan without the C loop."""
+    """The Python kernel must match scan without the C loop, fault-free
+    and batching through a fault window."""
     assert_engines_identical(_trace(), make_partition(width))
     assert_engines_identical(
         _trace(),
@@ -96,18 +95,16 @@ def _wide_services(width: int) -> np.ndarray:
 
 @pytest.mark.parametrize("width", [2, 3, 5, 8])
 def test_native_and_fallback_agree(width):
-    """C exact loop vs the pure-Python reference loop on one segment.
+    """C loop vs its Python mirror on one segment.
 
-    Runs the k-wide kernel against :func:`_reference_dispatch` (the
-    mirror the native build self-checks against, and what the scalar
-    fault loop decides without a compiler) at widths crossing the old
-    two-accelerator native cap, including service matrices with
-    infeasible (``inf``) entries and fault-segment ``limit`` /
-    next-down cuts: accepted counts, per-request rows, and the final
-    free clocks must all be bit-equal.
+    Runs the k-wide kernel against :func:`_native._dispatch_python` (the
+    mirror the native build self-checks against, and the kernel itself
+    without a compiler) at widths crossing the old two-accelerator
+    native cap, including service matrices with infeasible (``inf``)
+    entries and fault-segment ``limit`` / next-down cuts: accepted
+    counts, per-request rows, and the final free clocks must all be
+    bit-equal.
     """
-    if dispatch_batch._native_dispatch is None:
-        pytest.skip("no C compiler available")
     soa = generate_trace_soa(SHAPES, 4000, 4e-4, seed=5)
     services = _wide_services(width)
     for limit, next_downs in [
@@ -120,36 +117,31 @@ def test_native_and_fallback_agree(width):
         ),
     ]:
         free_native = [0.0] * width
-        accepted, accs, starts, fins = dispatch_batch._native_dispatch(
+        got = _native.dispatch_exact(
             soa.arrivals, soa.shape_ids, services, free_native, limit, next_downs
         )
         free_ref = [0.0] * width
-        expect = _reference_dispatch(
-            soa.arrivals.tolist(),
-            soa.shape_ids.tolist(),
-            services.tolist(),
-            free_ref,
-            limit,
-            next_downs,
+        expect = _native._dispatch_python(
+            soa.arrivals, soa.shape_ids, services, free_ref, limit, next_downs
         )
-        assert accepted == len(expect)
+        assert got[0] == expect[0]
         assert [
-            (int(acc), repr(start), repr(fin))
-            for acc, start, fin in zip(accs.tolist(), starts.tolist(), fins.tolist())
-        ] == [(acc, repr(start), repr(fin)) for acc, start, fin in expect]
+            [repr(value) for value in column.tolist()] for column in got[1:]
+        ] == [[repr(value) for value in column.tolist()] for column in expect[1:]]
         assert [repr(f) for f in free_native] == [repr(f) for f in free_ref]
 
 
 def test_repro_no_native_env_forces_fallback():
-    """``REPRO_NO_NATIVE=1`` must disable the C kernel at import."""
+    """``REPRO_NO_NATIVE=1`` must disable the C kernel at import and
+    leave the Python kernel in its place."""
     env = dict(os.environ, REPRO_NO_NATIVE="1")
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     code = (
         "from repro.sim._native import NATIVE_AVAILABLE, dispatch_exact\n"
-        "assert dispatch_exact is None\n"
+        "from repro.sim._native import _dispatch_python, native_available\n"
+        "assert dispatch_exact is _dispatch_python\n"
         "assert NATIVE_AVAILABLE is False\n"
-        "from repro.sim.dispatch_batch import native_available\n"
         "assert native_available() is False\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
@@ -158,7 +150,7 @@ def test_repro_no_native_env_forces_fallback():
 def test_native_available_tracks_monkeypatch(no_native):
     """``native_available()`` reads the module state dynamically, so the
     ``--stats`` native flag sees the same view the tests force."""
-    assert dispatch_batch.native_available() is False
+    assert _native.native_available() is False
 
 
 def test_nan_service_raises_for_explicit_vectorized():
@@ -192,8 +184,8 @@ def test_nan_service_raises_for_explicit_vectorized():
 
 @pytest.mark.parametrize("width", [3, 8])
 def test_explicit_vectorized_legal_at_any_width(no_native, width):
-    """Without a compiler ``auto`` still runs the vectorized engine on
-    wide fleets — the NumPy rounds at every width — and matches scan."""
+    """Without a compiler ``auto`` still runs the kernel on wide fleets
+    — the Python kernel at every width — and matches scan."""
     partition = make_partition(width)
     trace = _trace()
     base = ServingSimulator(partition).run(trace, dispatch="scan")

@@ -18,7 +18,7 @@ import pytest
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.obs.windows import ServingMonitor
-from repro.sim import cluster_serving, dispatch_batch
+from repro.sim import _native, cluster_serving
 from repro.sim.chaos import chaos_schedule
 from repro.sim.cluster_serving import ShardedServingCluster
 from repro.sim.serving import ServingSimulator
@@ -189,18 +189,18 @@ def test_streaming_serve_memory_does_not_grow_with_the_trace():
 def test_streaming_working_set_is_a_few_blocks(variant, context, faulted):
     """A monitored streaming serve holds a few ``BLOCK_ROWS`` blocks and
     its fold's temporaries, on every path and at any trace length: a
-    C5+C3 serve peaks at 0.8-1.5 MB above its inputs with the kernel
-    and 0.8-1.3 MB without it.  With 65,536-row fold blocks the same
+    C5+C3 serve peaks at 0.7-1.5 MB above its inputs with the compiled
+    kernel or the Python one.  With 65,536-row fold blocks the same
     serves peaked at 4.9-10.5 MB."""
     simulator = ServingSimulator(
         AcceleratorPartition([config_by_name("C5"), config_by_name("C3")])
     )
     simulator.prewarm(SHAPES)
     with context():
-        # without the kernel every attempt is a Python-level step, which
-        # tracemalloc slows ~10x (the scalar fault loop's ~50 us per
-        # request under it); shorter traces still outgrow a 64k block
-        native = dispatch_batch.native_available()
+        # without the compiled kernel every row is a Python-level step,
+        # which tracemalloc slows to ~5 us per request; shorter traces
+        # still outgrow a 64k block
+        native = _native.native_available()
         short, long = (300_000, 1_200_000) if native else (20_000, 80_000)
         tracemalloc.start()
         try:

@@ -10,7 +10,7 @@ from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.perf.metrics import read_totals
-from repro.sim import dispatch_batch
+from repro.sim import _native
 from repro.sim.chaos import FaultError, FaultPolicy, FaultSchedule, chaos_schedule
 from repro.sim.serving import (
     ServingReport,
@@ -20,7 +20,7 @@ from repro.sim.serving import (
 from repro.sim.streaming import BLOCK_ROWS, SoATrace, generate_trace_soa
 from repro.workloads.gemm import GemmShape
 
-from ..conformance.harness import fast_variants, numpy_rounds
+from ..conformance.harness import fast_variants, python_kernel
 
 SHAPES = [GemmShape(1024, 1024, 1024), GemmShape(512, 2048, 512)]
 
@@ -77,7 +77,7 @@ def _decisions(report):
 
 
 def _assert_fast_path_matches_scan(simulator, trace):
-    """``auto`` (native kernel and NumPy rounds alike) agrees with scan."""
+    """``auto`` (compiled and Python kernel alike) agrees with scan."""
     expected = _decisions(simulator.run(trace, dispatch="scan"))
     for label, context in fast_variants():
         with context():
@@ -374,28 +374,22 @@ class TestReportColumns:
         [
             (False, nullcontext),
             (True, nullcontext),
-            pytest.param(
-                False,
-                numpy_rounds,
-                marks=pytest.mark.skipif(
-                    not dispatch_batch.native_available(),
-                    reason="without the kernel [fault-free] runs the NumPy rounds",
-                ),
-            ),
+            (False, python_kernel),
+            (True, python_kernel),
         ],
-        ids=["fault-free", "chaos", "fault-free-no-kernel"],
+        ids=["fault-free", "chaos", "fault-free-python", "chaos-python"],
     )
     def test_exact_serve_peaks_at_most_52_bytes_per_request(
         self, simulator, faulted, context
     ):
         """The sink writes each column once, into place: a serve peaks at
         its 46 B/request of final columns plus the blocks in flight,
-        46.1-49.1 B/request here with the kernel or without it.  Joining
-        per-block pieces at the end peaked at 72.6 (fault-free) and
-        102.6 B/request (chaos); 65,536-row blocks peaked at 53.8 with
-        the kernel and 75.3 without it.  Without the kernel, [chaos]
-        runs the scalar fault loop: 46.5 B/request, in ~11 s under
-        tracemalloc against ~1 s with the kernel."""
+        46.4-48.8 B/request here with the compiled kernel or the Python
+        one.  Joining per-block pieces at the end peaked at 72.6
+        (fault-free) and 102.6 B/request (chaos); 65,536-row blocks
+        peaked at 53.8 with the kernel and 75.3 without it.  The Python
+        kernel's serves take ~1.3 s each under tracemalloc (the scalar
+        fault loop it replaced took ~11 s for [chaos])."""
         import tracemalloc
 
         requests = 200_000
@@ -771,7 +765,7 @@ class TestFaultInjection:
         from repro.obs.spans import GLOBAL_TRACER
 
         if not kernel:
-            monkeypatch.setattr(dispatch_batch, "_native_dispatch", None)
+            monkeypatch.setattr(_native, "dispatch_exact", _native._dispatch_python)
         partition = _wide_fake_partition(4)
         trace = generate_trace_soa(SHAPES, 3000, 4e-3, seed=4)
         faults = (
@@ -795,13 +789,11 @@ class TestFaultInjection:
         assert attrs["batched"] + attrs["scalar"] == (
             len(trace) + report.requeues + report.kills - budget_sheds
         )
-        if dispatch == "scan" or not dispatch_batch.native_available():
-            # only the native kernel batches fault segments: without it
-            # auto takes every attempt through scan's scalar loop
+        if dispatch == "scan":
             assert attrs["batched"] == attrs["segments"] == 0
         else:
             # windows are active for half the trace, and the fast path
-            # batches through them
+            # batches through them, with the compiled kernel or without
             assert attrs["segments"] >= 4
             assert attrs["batched"] >= 0.9 * len(trace)
         if not kernel:

@@ -182,7 +182,7 @@ class TestServe:
 
     def test_stats_reports_native_kernel_flag(self, capsys):
         from repro.obs.metrics import GLOBAL_METRICS
-        from repro.sim.dispatch_batch import native_available
+        from repro.sim._native import native_available
 
         argv = ["--stats", "serve", self.SHAPES, "--requests", "150"]
         assert main(argv) == 0
