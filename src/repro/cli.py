@@ -362,12 +362,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.rate is not None and args.mean_interarrival is not None:
         print("serve: pass --rate or --mean-interarrival, not both", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("serve: --shards must be at least 1", file=sys.stderr)
-        return 2
-    if args.windows < 1:
-        print("serve: --windows must be at least 1", file=sys.stderr)
-        return 2
     slo_spec = None
     if args.slo:
         from repro.obs.slo import SloSpec
@@ -989,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
              "is the fast path — the k-wide dispatch kernel, compiled C "
              "when a compiler is present and its Python mirror "
              "otherwise; scan is the seed-loop oracle")
-    serve.add_argument("--shards", type=int, default=1, metavar="N",
+    serve.add_argument("--shards", type=_positive_int, default=1, metavar="N",
                        help="partition the trace across N process-parallel "
                             "shard replicas and merge one fleet report")
     serve.add_argument("--start-method",
@@ -1014,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="windowed SLO spec, e.g. 'p99<50ms,avail>0.999,"
                             "shed<0.01': prints a per-window timeline with "
                             "burn-rate alerts (also annotates --sweep points)")
-    serve.add_argument("--windows", type=int, default=100, metavar="N",
+    serve.add_argument("--windows", type=_positive_int, default=100, metavar="N",
                        help="telemetry windows the run's horizon is cut into "
                             "for --slo / --monitor-out (default 100)")
     serve.add_argument("--monitor-out", type=_output_path, default=None,

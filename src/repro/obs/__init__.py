@@ -12,10 +12,10 @@ Three cooperating pieces:
   trace-event JSON out (loadable in Perfetto), and per-track
   utilization/overlap/bottleneck analysis back in;
 * :mod:`repro.obs.windows` / :mod:`repro.obs.slo` — time-windowed
-  telemetry (ring-buffer counter/gauge/histogram series fed by a
-  :class:`~repro.obs.windows.ServingMonitor` at dispatch-chunk
-  boundaries) and declarative SLOs with multi-window burn-rate
-  alerting over those series.
+  telemetry (a :class:`~repro.obs.windows.ServingMonitor` fed at
+  dispatch-chunk boundaries keeps a latency sketch and shed/kill counts
+  per window) and declarative SLOs with multi-window burn-rate alerting
+  over those windows.
 
 Every export loads on first use (see :mod:`repro._lazy`), so importing
 a module of this package pulls in only that module's own imports.
@@ -48,7 +48,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.obs.slo": (
         "AlertEvent",
-        "BurnRatePolicy",
         "SloObjective",
         "SloReport",
         "SloSpec",
@@ -64,15 +63,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.windows": (
         "ServingMonitor",
         "WindowStats",
-        "WindowedCounter",
-        "WindowedGauge",
-        "WindowedHistogram",
     ),
 })
 
 __all__ = [
     "AlertEvent",
-    "BurnRatePolicy",
     "ChromeTraceBuilder",
     "Counter",
     "Gauge",
@@ -89,9 +84,6 @@ __all__ = [
     "TrackStats",
     "Tracer",
     "WindowStats",
-    "WindowedCounter",
-    "WindowedGauge",
-    "WindowedHistogram",
     "evaluate_slo",
     "instant",
     "load_trace",

@@ -29,16 +29,22 @@ time of the window edge where the condition became true, so a fault
 window injected mid-run produces an alert timestamped *inside* that
 window — an end-to-end-tested contract.
 
+The three burn-rate knobs are module constants (``FAST_SPAN_FRACTION``,
+``FAST_BUDGET_FRACTION``, ``SLOW_BUDGET_FRACTION``).  Evaluation is
+linear in the number of windows: the fast span's bad events are one
+running sum.
+
 Like the rest of ``repro.obs``, this module imports nothing from
-``repro.sim`` at module level; it reads monitors through their public
-surface only.
+``repro.sim`` at module level; it reads monitors through their
+per-window accessors only (``completed``, ``shed``, ``sketch``,
+``bounds``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
@@ -47,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "AlertEvent",
-    "BurnRatePolicy",
     "ObjectiveResult",
     "SloObjective",
     "SloReport",
@@ -185,16 +190,18 @@ def _parse_clause(clause: str) -> SloObjective:
     )
 
 
-@dataclass(frozen=True)
-class BurnRatePolicy:
-    """Multi-window burn-rate alerting knobs (SRE-workbook defaults)."""
+#: multi-window burn-rate alerting (SRE-workbook defaults): the fast
+#: alert's trailing span as a share of the series, the share of the
+#: run's budget that span must burn to page, and the cumulative share
+#: that loses the SLO
+FAST_SPAN_FRACTION = 0.05
+FAST_BUDGET_FRACTION = 0.05
+SLOW_BUDGET_FRACTION = 1.0
 
-    fast_span_fraction: float = 0.05  # trailing span, as share of series
-    fast_budget_fraction: float = 0.05  # budget burned in span -> page
-    slow_budget_fraction: float = 1.0  # cumulative budget gone -> lost
 
-    def fast_span(self, num_windows: int) -> int:
-        return max(1, round(self.fast_span_fraction * num_windows))
+def fast_span(num_windows: int) -> int:
+    """Windows in the fast alert's trailing span (at least one)."""
+    return max(1, round(FAST_SPAN_FRACTION * num_windows))
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,6 @@ class SloReport:
 
     spec: SloSpec
     results: tuple[ObjectiveResult, ...]
-    policy: BurnRatePolicy = field(default_factory=BurnRatePolicy)
 
     @property
     def ok(self) -> bool:
@@ -328,15 +334,15 @@ def _window_events(
     monitor: "ServingMonitor", objective: SloObjective, index: int
 ) -> tuple[int, int]:
     """``(bad, total)`` for one objective in one window."""
-    completed = int(monitor.requests.value(index))
-    shed = int(monitor.sheds.value(index))
+    completed = monitor.completed(index)
     if objective.kind == "latency":
-        sketch = monitor.latency.sketch(index)
-        if sketch is None or not sketch.count:
+        sketch = monitor.sketch(index)
+        if sketch is None:
             return 0, completed
         return sketch.count_above(objective.threshold_seconds), completed
     # availability floor and shed-rate ceiling both count sheds as bad
     # out of all outcomes; only their budgets differ
+    shed = monitor.shed(index)
     return shed, completed + shed
 
 
@@ -344,7 +350,6 @@ def _evaluate_objective(
     monitor: "ServingMonitor",
     objective: SloObjective,
     indices: list[int],
-    policy: BurnRatePolicy,
 ) -> ObjectiveResult:
     per_window = [
         _window_events(monitor, objective, index) for index in indices
@@ -355,7 +360,7 @@ def _evaluate_objective(
 
     verdicts = []
     for index, (bad, total) in zip(indices, per_window):
-        start, end = monitor.requests.bounds(index)
+        start, end = monitor.bounds(index)
         if total == 0:
             rate = 0.0 if bad == 0 else float("inf")
         else:
@@ -367,18 +372,21 @@ def _evaluate_objective(
             )
         )
 
-    fast_span = policy.fast_span(len(indices))
-    fast_threshold = policy.fast_budget_fraction * budget_events
-    slow_threshold = policy.slow_budget_fraction * budget_events
+    span = fast_span(len(indices))
+    fast_threshold = FAST_BUDGET_FRACTION * budget_events
+    slow_threshold = SLOW_BUDGET_FRACTION * budget_events
     alerts: list[AlertEvent] = []
     fast_active = slow_active = False
-    cumulative = 0
+    cumulative = fast_bad = 0
     bads = [bad for bad, _ in per_window]
     for pos, verdict in enumerate(verdicts):
         cumulative += bads[pos]
         # trailing fast span measured over *window positions*, padding
-        # empty (unpopulated) windows implicitly with zero bad events
-        fast_bad = sum(bads[max(0, pos - fast_span + 1) : pos + 1])
+        # empty (unpopulated) windows implicitly with zero bad events;
+        # one running integer sum, so exact
+        fast_bad += bads[pos]
+        if pos >= span:
+            fast_bad -= bads[pos - span]
         fast_now = fast_bad > 0 and fast_bad >= fast_threshold
         slow_now = cumulative > 0 and cumulative >= slow_threshold
         if fast_now and not fast_active:
@@ -390,8 +398,8 @@ def _evaluate_objective(
                     burn_rate=verdict.burn_rate,
                     window_seconds=monitor.window_seconds,
                     detail=(
-                        f"{fast_bad} bad events in the last {fast_span} "
-                        f"window(s) burned >= {policy.fast_budget_fraction:.0%} "
+                        f"{fast_bad} bad events in the last {span} "
+                        f"window(s) burned >= {FAST_BUDGET_FRACTION:.0%} "
                         f"of the {budget_events:.1f}-event budget"
                     ),
                 )
@@ -406,7 +414,7 @@ def _evaluate_objective(
                     window_seconds=monitor.window_seconds,
                     detail=(
                         f"cumulative {cumulative} bad events exhausted "
-                        f"{policy.slow_budget_fraction:g}x the "
+                        f"{SLOW_BUDGET_FRACTION:g}x the "
                         f"{budget_events:.1f}-event budget"
                     ),
                 )
@@ -427,7 +435,6 @@ def _evaluate_objective(
 def evaluate_slo(
     monitor: "ServingMonitor",
     spec: SloSpec | str,
-    policy: BurnRatePolicy | None = None,
 ) -> SloReport:
     """Evaluate every objective of ``spec`` over ``monitor``'s timeline.
 
@@ -438,14 +445,13 @@ def evaluate_slo(
     """
     if isinstance(spec, str):
         spec = SloSpec.parse(spec)
-    policy = policy or BurnRatePolicy()
     populated = monitor.window_indices()
     if populated:
         indices = list(range(populated[0], populated[-1] + 1))
     else:
         indices = []
     results = tuple(
-        _evaluate_objective(monitor, objective, indices, policy)
+        _evaluate_objective(monitor, objective, indices)
         for objective in spec.objectives
     )
-    return SloReport(spec=spec, results=results, policy=policy)
+    return SloReport(spec=spec, results=results)

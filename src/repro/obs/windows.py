@@ -1,36 +1,27 @@
 """Time-windowed telemetry over simulated time.
 
 End-of-run reports say *what* a serve did; this module says *when*.
-Simulated time is cut into fixed-width windows and three ring-buffer
-series accumulate per-window state:
+Simulated time is cut into fixed-width windows, and
+:class:`ServingMonitor` keeps one store per kind of window data: a
+:class:`repro.sim.streaming.QuantileSketch` per window for the
+completions' latencies (its ``count`` is the window's completions, its
+``max`` the peak latency, and it answers p50/p99 queries under the
+sketch's documented relative-error bound), plus per-window shed and
+kill counts.  Every populated window is kept, so a timeline or an SLO
+verdict covers every event of the run; a window costs ~1-1.6 KB.
 
-* :class:`WindowedCounter` — per-window event counts (requests, sheds,
-  kills);
-* :class:`WindowedGauge` — per-window running maxima (peak latency);
-* :class:`WindowedHistogram` — one
-  :class:`repro.sim.streaming.QuantileSketch` per window, so every
-  window answers p50/p99 queries under the sketch's documented
-  relative-error bound.
-
-:class:`ServingMonitor` bundles the series behind the hook the serving
-engines call: ``observe_chunk(finishes, latencies, keys)`` with each
-block the streaming report folds (the engines' sink computes its
-latencies and sketch bucket keys once for both), plus
+The serving engines call ``observe_chunk(finishes, latencies, keys)``
+with each block the streaming report folds (the engines' sink computes
+its latencies and sketch bucket keys once for both), plus
 ``observe_sheds`` / ``observe_kills`` from the fault loop.  The monitor
 only *reads* the already-decided dispatch results, so attaching one
 cannot perturb dispatch decisions — byte-identity of monitored vs.
 unmonitored runs is a conformance-tested contract.
 
 Mergeability mirrors :meth:`repro.sim.streaming.StreamingServingReport.merge`:
-counters add, gauges keep the maximum, window sketches merge
-bucket-exactly, and shard workers ship their monitor home for the
-parent to fold **in shard order** — so a pooled fleet's merged series
-equals the inline reference bit for bit.
-
-Ring-buffer semantics: each series retains at most ``capacity`` windows
-ending at the newest window seen; producing past capacity evicts the
-oldest windows deterministically (merge re-evicts against the merged
-maximum, so equal producers merge to equal series).
+counts add and window sketches merge bucket-exactly, and shard workers
+ship their monitor home for the parent to fold **in shard order** — so
+a pooled fleet's merged windows equal the inline reference bit for bit.
 
 This module keeps the package's layering rule: no module-level imports
 from ``repro.sim`` — the sketch class is imported lazily, exactly like
@@ -39,28 +30,15 @@ from ``repro.sim`` — the sketch class is imported lazily, exactly like
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim -> obs)
     from repro.sim.streaming import QuantileSketch
 
-__all__ = [
-    "DEFAULT_WINDOW_CAPACITY",
-    "ServingMonitor",
-    "WindowStats",
-    "WindowedCounter",
-    "WindowedGauge",
-    "WindowedHistogram",
-]
-
-#: windows retained per series before the ring evicts the oldest; far
-#: above the CLI's default ``--windows 100`` so eviction only triggers
-#: on pathologically fine windows
-DEFAULT_WINDOW_CAPACITY = 4096
+__all__ = ["ServingMonitor", "WindowStats"]
 
 #: per-chunk dense scatter budget (windows x sketch-key range); chunks
 #: that would exceed it fall back to sorted grouping
@@ -73,367 +51,6 @@ def _make_sketch(quantile_error: float) -> "QuantileSketch":
     from repro.sim.streaming import QuantileSketch
 
     return QuantileSketch(quantile_error)
-
-
-class _WindowedSeries:
-    """Shared window-index math + ring eviction for the three series."""
-
-    def __init__(self, window_seconds: float, capacity: int):
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        if capacity < 1:
-            raise ValueError("capacity must be at least one window")
-        self.window_seconds = float(window_seconds)
-        self.capacity = int(capacity)
-        self._max_index = -1
-
-    def index_of(self, time: float) -> int:
-        """The window holding simulated ``time`` (clamped at window 0)."""
-        return max(int(math.floor(time / self.window_seconds)), 0)
-
-    def indices_of(self, times: np.ndarray) -> np.ndarray:
-        # astype truncation equals floor for nonnegative quotients, and
-        # the clamp makes the negative cases agree too — measurably
-        # cheaper than np.floor_divide on dispatch-sized chunks
-        idx = (
-            np.asarray(times, dtype=np.float64) / self.window_seconds
-        ).astype(np.int64)
-        return np.maximum(idx, 0, out=idx)
-
-    def bounds(self, index: int) -> tuple[float, float]:
-        return index * self.window_seconds, (index + 1) * self.window_seconds
-
-    def _check_mergeable(self, other: "_WindowedSeries") -> None:
-        if other.window_seconds != self.window_seconds:
-            raise ValueError(
-                "can only merge series with identical window widths "
-                f"({self.window_seconds} != {other.window_seconds})"
-            )
-
-    def _evict(self, store: dict[int, Any], newest: int) -> None:
-        if newest > self._max_index:
-            self._max_index = newest
-        floor = self._max_index - self.capacity + 1
-        if floor > 0:
-            for index in [key for key in store if key < floor]:
-                del store[index]
-
-
-class WindowedCounter(_WindowedSeries):
-    """Per-window event counts (exact; floats so weights are allowed)."""
-
-    def __init__(
-        self, window_seconds: float, capacity: int = DEFAULT_WINDOW_CAPACITY
-    ):
-        super().__init__(window_seconds, capacity)
-        self._values: dict[int, float] = {}
-
-    def add(self, time: float, amount: float = 1.0) -> None:
-        index = self.index_of(time)
-        self._values[index] = self._values.get(index, 0.0) + amount
-        self._evict(self._values, index)
-
-    def add_times(self, times: np.ndarray) -> None:
-        """Count one event per entry of ``times`` (vectorized)."""
-        times = np.asarray(times, dtype=np.float64)
-        if times.size == 0:
-            return
-        idx = self.indices_of(times)
-        base = int(idx.min())
-        self.add_counts(base, np.bincount(idx - base))
-
-    def add_counts(self, base: int, counts: np.ndarray) -> None:
-        """Count ``counts[i]`` events in window ``base + i``."""
-        store = self._values
-        for offset in np.flatnonzero(counts).tolist():
-            index = base + int(offset)
-            store[index] = store.get(index, 0.0) + float(counts[offset])
-        self._evict(store, base + len(counts) - 1)
-
-    def value(self, index: int) -> float:
-        return self._values.get(index, 0.0)
-
-    def total(self) -> float:
-        return sum(self._values.values())
-
-    def indices(self) -> list[int]:
-        return sorted(self._values)
-
-    def series(self) -> list[tuple[int, float]]:
-        return [(index, self._values[index]) for index in sorted(self._values)]
-
-    def merge(self, other: "WindowedCounter") -> "WindowedCounter":
-        self._check_mergeable(other)
-        for index, amount in other._values.items():
-            self._values[index] = self._values.get(index, 0.0) + amount
-        self._evict(self._values, other._max_index)
-        return self
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "window_seconds": self.window_seconds,
-            "capacity": self.capacity,
-            "values": {str(index): value for index, value in self.series()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WindowedCounter":
-        series = cls(data["window_seconds"], data.get("capacity", DEFAULT_WINDOW_CAPACITY))
-        for index, value in data.get("values", {}).items():
-            series._values[int(index)] = float(value)
-        if series._values:
-            series._evict(series._values, max(series._values))
-        return series
-
-
-class WindowedGauge(_WindowedSeries):
-    """Per-window running maximum (peak latency, peak depth, ...)."""
-
-    def __init__(
-        self, window_seconds: float, capacity: int = DEFAULT_WINDOW_CAPACITY
-    ):
-        super().__init__(window_seconds, capacity)
-        self._values: dict[int, float] = {}
-
-    def observe(self, time: float, value: float) -> None:
-        index = self.index_of(time)
-        current = self._values.get(index)
-        if current is None or value > current:
-            self._values[index] = float(value)
-        self._evict(self._values, index)
-
-    def observe_max(self, index: int, value: float) -> None:
-        """Fold a precomputed per-window maximum at ``index``."""
-        current = self._values.get(index)
-        if current is None or value > current:
-            self._values[index] = float(value)
-        self._evict(self._values, index)
-
-    def value(self, index: int) -> float | None:
-        return self._values.get(index)
-
-    def indices(self) -> list[int]:
-        return sorted(self._values)
-
-    def series(self) -> list[tuple[int, float]]:
-        return [(index, self._values[index]) for index in sorted(self._values)]
-
-    def merge(self, other: "WindowedGauge") -> "WindowedGauge":
-        self._check_mergeable(other)
-        for index, value in other._values.items():
-            current = self._values.get(index)
-            if current is None or value > current:
-                self._values[index] = value
-        self._evict(self._values, other._max_index)
-        return self
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "window_seconds": self.window_seconds,
-            "capacity": self.capacity,
-            "values": {str(index): value for index, value in self.series()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WindowedGauge":
-        series = cls(data["window_seconds"], data.get("capacity", DEFAULT_WINDOW_CAPACITY))
-        for index, value in data.get("values", {}).items():
-            series._values[int(index)] = float(value)
-        if series._values:
-            series._evict(series._values, max(series._values))
-        return series
-
-
-class WindowedHistogram(_WindowedSeries):
-    """One :class:`QuantileSketch` per window.
-
-    Counts and sums per window are exact; quantiles carry the sketch's
-    relative-error bound.  ``observe_values`` folds a whole chunk in
-    O(n) via a dense (window, bucket) scatter — no per-value Python —
-    and window min/max are tracked at bucket-representative resolution
-    so merged series are independent of fold order within a window.
-    """
-
-    def __init__(
-        self,
-        window_seconds: float,
-        capacity: int = DEFAULT_WINDOW_CAPACITY,
-        quantile_error: float = 0.01,
-    ):
-        super().__init__(window_seconds, capacity)
-        self.quantile_error = float(quantile_error)
-        self._sketches: dict[int, "QuantileSketch"] = {}
-
-    def _sketch_for(self, index: int) -> "QuantileSketch":
-        sketch = self._sketches.get(index)
-        if sketch is None:
-            sketch = self._sketches[index] = _make_sketch(self.quantile_error)
-        return sketch
-
-    def observe(self, time: float, value: float) -> None:
-        index = self.index_of(time)
-        self._sketch_for(index).add(value)
-        self._evict(self._sketches, index)
-
-    def observe_values(
-        self,
-        times: np.ndarray,
-        values: np.ndarray,
-        indices: np.ndarray | None = None,
-        keys: np.ndarray | None = None,
-        counter: WindowedCounter | None = None,
-    ) -> list[int]:
-        """Fold ``values[i]`` into the window holding ``times[i]``.
-
-        ``indices`` (``indices_of(times)``) and ``keys`` (the values'
-        bucket keys from a same-resolution ``prepare_keys``) are work
-        the caller shares with its other consumers; ``counter`` is
-        credited with each window's value count from the same pass.
-        Returns the sorted list of window indices the chunk touched.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if indices is None:
-            times = np.asarray(times, dtype=np.float64)
-            if times.size == 0:
-                return []
-            if times.shape != values.shape:
-                raise ValueError("times and values must align")
-            idx = self.indices_of(times)
-        else:
-            idx = indices
-            if idx.size == 0:
-                return []
-            if idx.shape != values.shape:
-                raise ValueError("indices and values must align")
-        base = int(idx.min())
-        span = int(idx.max()) - base + 1
-        probe = self._sketch_for(base)
-        if keys is None:
-            keys = probe.prepare_keys(values)
-        krange = _key_span(keys) if keys is not None else 0
-        if keys is None or span * krange > _DENSE_SCATTER_LIMIT:
-            # underflow values or a pathologically wide scatter: group
-            # by window through one stable sort and take the exact path
-            if counter is not None:
-                counter.add_counts(base, np.bincount(idx - base))
-            order = np.argsort(idx, kind="stable")
-            sorted_idx = idx[order]
-            sorted_values = values[order]
-            cuts = np.flatnonzero(np.diff(sorted_idx)) + 1
-            starts = np.concatenate(([0], cuts))
-            ends = np.concatenate((cuts, [sorted_idx.size]))
-            touched = []
-            for lo, hi in zip(starts.tolist(), ends.tolist()):
-                index = int(sorted_idx[lo])
-                self._sketch_for(index).add_many(sorted_values[lo:hi])
-                touched.append(index)
-            self._evict(self._sketches, base + span - 1)
-            return touched
-        kmin = int(keys.min())
-        offsets = idx - base
-        combo = offsets * krange
-        combo += keys
-        combo -= kmin
-        scattered = np.bincount(combo, minlength=span * krange).reshape(
-            span, krange
-        )
-        counts = scattered.sum(axis=1)
-        if counter is not None:
-            counter.add_counts(base, counts)
-        sums = np.bincount(offsets, weights=values, minlength=span)
-        gamma = probe._gamma
-        touched = []
-        for offset in np.flatnonzero(counts).tolist():
-            index = base + offset
-            touched.append(index)
-            sketch = self._sketch_for(index)
-            row = scattered[offset]
-            occupied = np.flatnonzero(row)
-            first, last = int(occupied[0]), int(occupied[-1])
-            sketch.add_bucket_counts(kmin + first, row[first : last + 1])
-            lo_key, hi_key = kmin + first, kmin + last
-            sketch.count += int(counts[offset])
-            sketch._sum += float(sums[offset])
-            # bucket-representative extremes: deterministic under any
-            # fold order / chunking of the same per-window value set
-            sketch._min = min(sketch._min, 2.0 * gamma**lo_key / (gamma + 1.0))
-            sketch._max = max(sketch._max, 2.0 * gamma**hi_key / (gamma + 1.0))
-        self._evict(self._sketches, base + span - 1)
-        return touched
-
-    def sketch(self, index: int) -> "QuantileSketch | None":
-        return self._sketches.get(index)
-
-    def indices(self) -> list[int]:
-        return sorted(self._sketches)
-
-    def merge(self, other: "WindowedHistogram") -> "WindowedHistogram":
-        self._check_mergeable(other)
-        if other.quantile_error != self.quantile_error:
-            raise ValueError("can only merge histograms with equal error bounds")
-        for index, sketch in other._sketches.items():
-            mine = self._sketches.get(index)
-            if mine is None:
-                self._sketches[index] = _copy_sketch(sketch)
-            else:
-                mine.merge(sketch)
-        self._evict(self._sketches, other._max_index)
-        return self
-
-    def as_dict(self) -> dict[str, Any]:
-        windows = {}
-        for index in sorted(self._sketches):
-            sketch = self._sketches[index]
-            windows[str(index)] = {
-                "count": sketch.count,
-                "sum": sketch.sum,
-                "min": sketch.min,
-                "max": sketch.max,
-                "underflow": sketch._underflow,
-                "buckets": {str(key): num for key, num in sorted(sketch._counts.items())},
-            }
-        return {
-            "window_seconds": self.window_seconds,
-            "capacity": self.capacity,
-            "quantile_error": self.quantile_error,
-            "windows": windows,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WindowedHistogram":
-        series = cls(
-            data["window_seconds"],
-            data.get("capacity", DEFAULT_WINDOW_CAPACITY),
-            data.get("quantile_error", 0.01),
-        )
-        for index, state in data.get("windows", {}).items():
-            sketch = _make_sketch(series.quantile_error)
-            sketch.count = int(state["count"])
-            sketch._sum = float(state["sum"])
-            sketch._min = float(state["min"])
-            sketch._max = float(state["max"])
-            sketch._underflow = int(state.get("underflow", 0))
-            buckets = state.get("buckets", {})
-            if buckets:
-                keys = np.array([int(key) for key in buckets], dtype=np.int64)
-                kmin = int(keys.min())
-                counts = np.zeros(int(keys.max()) - kmin + 1, dtype=np.int64)
-                counts[keys - kmin] = [int(num) for num in buckets.values()]
-                sketch.add_bucket_counts(kmin, counts)
-            series._sketches[int(index)] = sketch
-        if series._sketches:
-            series._evict(series._sketches, max(series._sketches))
-        return series
-
-
-def _key_span(keys: np.ndarray) -> int:
-    return int(keys.max()) - int(keys.min()) + 1
-
-
-def _copy_sketch(sketch: "QuantileSketch") -> "QuantileSketch":
-    clone = _make_sketch(sketch.relative_error)
-    clone.merge(sketch)
-    return clone
 
 
 @dataclass(frozen=True)
@@ -501,27 +118,41 @@ class ServingMonitor:
 
     Monitors merge like streaming reports: always in shard order, counts
     adding and sketches folding bucket-exactly, so a fleet's merged
-    timeline is a deterministic function of the shard series.
+    timeline is a deterministic function of the shard monitors.
     """
 
-    def __init__(
-        self,
-        window_seconds: float,
-        *,
-        quantile_error: float = 0.01,
-        capacity: int = DEFAULT_WINDOW_CAPACITY,
-    ):
+    def __init__(self, window_seconds: float, *, quantile_error: float = 0.01):
+        if window_seconds <= 0:
+            raise ValueError("window_seconds must be positive")
         self.window_seconds = float(window_seconds)
         self.quantile_error = float(quantile_error)
-        self.capacity = int(capacity)
-        self.requests = WindowedCounter(window_seconds, capacity)
-        self.sheds = WindowedCounter(window_seconds, capacity)
-        self.kills = WindowedCounter(window_seconds, capacity)
-        self.latency = WindowedHistogram(window_seconds, capacity, quantile_error)
-        self.peak_latency = WindowedGauge(window_seconds, capacity)
+        self._latency: dict[int, "QuantileSketch"] = {}
+        self._sheds: dict[int, int] = {}
+        self._kills: dict[int, int] = {}
         self.chunks = 0
 
+    # -- window math ---------------------------------------------------
+    def _indices_of(self, times: np.ndarray) -> np.ndarray:
+        """The windows holding simulated ``times``; pre-horizon times
+        (carry-over arrivals) clamp into window 0."""
+        # astype truncation equals floor for nonnegative quotients, and
+        # the clamp makes the negative cases agree too — measurably
+        # cheaper than np.floor_divide on dispatch-sized chunks
+        idx = (
+            np.asarray(times, dtype=np.float64) / self.window_seconds
+        ).astype(np.int64)
+        return np.maximum(idx, 0, out=idx)
+
+    def bounds(self, index: int) -> tuple[float, float]:
+        return index * self.window_seconds, (index + 1) * self.window_seconds
+
     # -- feed ----------------------------------------------------------
+    def _sketch_for(self, index: int) -> "QuantileSketch":
+        sketch = self._latency.get(index)
+        if sketch is None:
+            sketch = self._latency[index] = _make_sketch(self.quantile_error)
+        return sketch
+
     def observe_chunk(
         self,
         finishes: np.ndarray,
@@ -529,30 +160,79 @@ class ServingMonitor:
         keys: np.ndarray | None = None,
     ) -> None:
         """Fold one flushed dispatch chunk (arrays align by request);
-        the latencies' bucket ``keys`` are derived when absent."""
+        the latencies' bucket ``keys`` (from a same-resolution
+        ``prepare_keys``) are derived when absent.
+
+        The chunk lands in one dense (window x bucket) scatter, with no
+        per-value Python; window min/max are kept at bucket-representative
+        resolution, so the windows are independent of fold order and
+        chunking.  Underflow values or a scatter over
+        ``_DENSE_SCATTER_LIMIT`` cells group the chunk by window through
+        one stable sort instead and take the sketches' exact path.
+        """
         finishes = np.asarray(finishes, dtype=np.float64)
         if finishes.size == 0:
             return
         latencies = np.asarray(latencies, dtype=np.float64)
+        if latencies.shape != finishes.shape:
+            raise ValueError("finishes and latencies must align")
         self.chunks += 1
-        # one window-index pass shared by every series of the monitor,
-        # and one scatter counting the requests and folding the latencies
-        indices = self.requests.indices_of(finishes)
-        touched = self.latency.observe_values(
-            finishes, latencies, indices=indices, keys=keys, counter=self.requests
+        idx = self._indices_of(finishes)
+        base = int(idx.min())
+        span = int(idx.max()) - base + 1
+        probe = self._sketch_for(base)
+        if keys is None:
+            keys = probe.prepare_keys(latencies)
+        krange = _key_span(keys) if keys is not None else 0
+        if keys is None or span * krange > _DENSE_SCATTER_LIMIT:
+            order = np.argsort(idx, kind="stable")
+            sorted_idx = idx[order]
+            sorted_values = latencies[order]
+            cuts = np.flatnonzero(np.diff(sorted_idx)) + 1
+            starts = np.concatenate(([0], cuts))
+            ends = np.concatenate((cuts, [sorted_idx.size]))
+            for lo, hi in zip(starts.tolist(), ends.tolist()):
+                index = int(sorted_idx[lo])
+                self._sketch_for(index).add_many(sorted_values[lo:hi])
+            return
+        kmin = int(keys.min())
+        offsets = idx - base
+        combo = offsets * krange
+        combo += keys
+        combo -= kmin
+        scattered = np.bincount(combo, minlength=span * krange).reshape(
+            span, krange
         )
-        # peak per window from the freshly folded sketches keeps the
-        # gauge consistent with the histogram under any chunking
-        for index in touched:
-            sketch = self.latency.sketch(index)
-            if sketch is not None and sketch.count:
-                self.peak_latency.observe_max(index, sketch.max)
+        counts = scattered.sum(axis=1)
+        sums = np.bincount(offsets, weights=latencies, minlength=span)
+        gamma = probe._gamma
+        for offset in np.flatnonzero(counts).tolist():
+            sketch = self._sketch_for(base + offset)
+            row = scattered[offset]
+            occupied = np.flatnonzero(row)
+            first, last = int(occupied[0]), int(occupied[-1])
+            sketch.add_bucket_counts(kmin + first, row[first : last + 1])
+            lo_key, hi_key = kmin + first, kmin + last
+            sketch.count += int(counts[offset])
+            sketch._sum += float(sums[offset])
+            # bucket-representative extremes: deterministic under any
+            # fold order / chunking of the same per-window value set
+            sketch._min = min(sketch._min, 2.0 * gamma**lo_key / (gamma + 1.0))
+            sketch._max = max(sketch._max, 2.0 * gamma**hi_key / (gamma + 1.0))
+
+    def _count(self, store: dict[int, int], times: np.ndarray) -> None:
+        times = np.asarray(times, dtype=np.float64)
+        if times.size == 0:
+            return
+        windows, counts = np.unique(self._indices_of(times), return_counts=True)
+        for index, count in zip(windows.tolist(), counts.tolist()):
+            store[index] = store.get(index, 0) + count
 
     def observe_sheds(self, times: np.ndarray) -> None:
-        self.sheds.add_times(times)
+        self._count(self._sheds, times)
 
     def observe_kills(self, times: np.ndarray) -> None:
-        self.kills.add_times(times)
+        self._count(self._kills, times)
 
     # -- merge ---------------------------------------------------------
     def merge(self, other: "ServingMonitor") -> "ServingMonitor":
@@ -565,39 +245,53 @@ class ServingMonitor:
             raise ValueError(
                 "can only merge monitors with identical quantile errors"
             )
-        self.requests.merge(other.requests)
-        self.sheds.merge(other.sheds)
-        self.kills.merge(other.kills)
-        self.latency.merge(other.latency)
-        self.peak_latency.merge(other.peak_latency)
+        for index, sketch in other._latency.items():
+            self._sketch_for(index).merge(sketch)
+        for mine, theirs in ((self._sheds, other._sheds), (self._kills, other._kills)):
+            for index, count in theirs.items():
+                mine[index] = mine.get(index, 0) + count
         self.chunks += other.chunks
         return self
 
     # -- read ----------------------------------------------------------
+    def sketch(self, index: int) -> "QuantileSketch | None":
+        """Window ``index``'s latency sketch, or ``None`` when it saw no
+        completion."""
+        return self._latency.get(index)
+
+    def completed(self, index: int) -> int:
+        sketch = self._latency.get(index)
+        return sketch.count if sketch is not None else 0
+
+    def shed(self, index: int) -> int:
+        return self._sheds.get(index, 0)
+
+    def kills(self, index: int) -> int:
+        return self._kills.get(index, 0)
+
     def window_indices(self) -> list[int]:
-        indices = set(self.requests.indices())
-        indices.update(self.sheds.indices())
-        indices.update(self.kills.indices())
-        return sorted(indices)
+        """Every populated window, oldest first."""
+        return sorted(self._latency.keys() | self._sheds.keys() | self._kills.keys())
 
     def window_stats(self, index: int) -> WindowStats:
-        start, end = self.requests.bounds(index)
-        sketch = self.latency.sketch(index)
-        p50 = p99 = mean = None
+        start, end = self.bounds(index)
+        sketch = self.sketch(index)
+        p50 = p99 = mean = peak = None
         if sketch is not None and sketch.count:
             p50, p99 = sketch.quantiles([50, 99])
             mean = sketch.mean()
+            peak = sketch.max
         return WindowStats(
             index=index,
             start=start,
             end=end,
-            completed=int(self.requests.value(index)),
-            shed=int(self.sheds.value(index)),
-            kills=int(self.kills.value(index)),
+            completed=self.completed(index),
+            shed=self.shed(index),
+            kills=self.kills(index),
             p50=p50,
             p99=p99,
             mean_latency=mean,
-            peak_latency=self.peak_latency.value(index),
+            peak_latency=peak,
         )
 
     def timeline(self) -> list[WindowStats]:
@@ -607,50 +301,85 @@ class ServingMonitor:
     # -- (de)serialization ---------------------------------------------
     def as_dict(self) -> dict[str, Any]:
         """Full-fidelity JSON state (sketch buckets included), so an
-        exported monitor can be re-evaluated against any SLO spec."""
+        exported monitor can be re-evaluated against any SLO spec.
+
+        ``requests`` and ``peak_latency`` restate each window sketch's
+        ``count`` and ``max`` for readers of the file; :meth:`from_dict`
+        ignores them."""
+        width = self.window_seconds
+        sketches = sorted(self._latency.items())
+
+        def series(values: dict[int, float]) -> dict[str, Any]:
+            return {
+                "window_seconds": width,
+                "values": {str(index): float(value) for index, value in values.items()},
+            }
+
+        windows = {
+            str(index): {
+                "count": sketch.count,
+                "sum": sketch.sum,
+                "min": sketch.min,
+                "max": sketch.max,
+                "underflow": sketch._underflow,
+                "buckets": {str(key): num for key, num in sorted(sketch._counts.items())},
+            }
+            for index, sketch in sketches
+        }
         return {
-            "window_seconds": self.window_seconds,
+            "window_seconds": width,
             "quantile_error": self.quantile_error,
-            "capacity": self.capacity,
             "chunks": self.chunks,
-            "requests": self.requests.as_dict(),
-            "sheds": self.sheds.as_dict(),
-            "kills": self.kills.as_dict(),
-            "latency": self.latency.as_dict(),
-            "peak_latency": self.peak_latency.as_dict(),
+            "requests": series({index: s.count for index, s in sketches}),
+            "sheds": series(dict(sorted(self._sheds.items()))),
+            "kills": series(dict(sorted(self._kills.items()))),
+            "latency": {
+                "window_seconds": width,
+                "quantile_error": self.quantile_error,
+                "windows": windows,
+            },
+            "peak_latency": series({index: s.max for index, s in sketches}),
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServingMonitor":
+        """Rebuild from :meth:`as_dict` (older files' ``capacity`` keys
+        are ignored too)."""
         monitor = cls(
             data["window_seconds"],
             quantile_error=data.get("quantile_error", 0.01),
-            capacity=data.get("capacity", DEFAULT_WINDOW_CAPACITY),
         )
         monitor.chunks = int(data.get("chunks", 0))
-        monitor.requests = WindowedCounter.from_dict(data["requests"])
-        monitor.sheds = WindowedCounter.from_dict(data["sheds"])
-        monitor.kills = WindowedCounter.from_dict(data["kills"])
-        monitor.latency = WindowedHistogram.from_dict(data["latency"])
-        monitor.peak_latency = WindowedGauge.from_dict(data["peak_latency"])
+        for store, name in ((monitor._sheds, "sheds"), (monitor._kills, "kills")):
+            for index, value in data[name].get("values", {}).items():
+                store[int(index)] = int(value)
+        for index, state in data["latency"].get("windows", {}).items():
+            sketch = monitor._sketch_for(int(index))
+            sketch.count = int(state["count"])
+            sketch._sum = float(state["sum"])
+            sketch._min = float(state["min"])
+            sketch._max = float(state["max"])
+            sketch._underflow = int(state.get("underflow", 0))
+            buckets = state.get("buckets", {})
+            if buckets:
+                keys = np.array([int(key) for key in buckets], dtype=np.int64)
+                kmin = int(keys.min())
+                counts = np.zeros(int(keys.max()) - kmin + 1, dtype=np.int64)
+                counts[keys - kmin] = [int(num) for num in buckets.values()]
+                sketch.add_bucket_counts(kmin, counts)
         return monitor
 
     @classmethod
     def for_horizon(
-        cls,
-        horizon: float,
-        windows: int,
-        *,
-        quantile_error: float = 0.01,
-        capacity: int | None = None,
+        cls, horizon: float, windows: int, *, quantile_error: float = 0.01
     ) -> "ServingMonitor":
         """A monitor cutting ``horizon`` seconds into ``windows`` slices."""
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         if windows < 1:
             raise ValueError("need at least one window")
-        return cls(
-            horizon / windows,
-            quantile_error=quantile_error,
-            capacity=max(capacity or DEFAULT_WINDOW_CAPACITY, 2 * windows),
-        )
+        return cls(horizon / windows, quantile_error=quantile_error)
+
+
+def _key_span(keys: np.ndarray) -> int:
+    return int(keys.max()) - int(keys.min()) + 1

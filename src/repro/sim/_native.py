@@ -356,18 +356,26 @@ def _compile(compiler: str, directory: str) -> str | None:
     return lib_path
 
 
+#: what every failed build's warning ends with
+_FALLBACK = "dispatch falls back to the Python kernel (slower, same results)"
+
+
 def _build():
     """``(kwide, origin, cached_path)`` or ``None`` (fallback).
 
     ``origin`` is ``"cached"`` when a previous process's build was
     loaded from the cache and ``"compiled"`` otherwise; ``cached_path``
     is the cache file, or ``None`` when a fresh build could not be
-    saved there.  Either way the kernel passed the self-check.
+    saved there.  Either way the kernel passed the self-check.  A
+    ``None`` other than under ``REPRO_NO_NATIVE`` logs its cause: no
+    compiler on ``PATH``, every compile failing, or a fresh build
+    failing its self-check.
     """
     if os.environ.get("REPRO_NO_NATIVE"):
         return None
     try:
-        for compiler in filter(None, map(shutil.which, _COMPILERS)):
+        compilers = [path for path in map(shutil.which, _COMPILERS) if path]
+        for compiler in compilers:
             cached = os.path.join(
                 cache_dir(), f"libreprowalk-{_cache_key(compiler)}.so"
             )
@@ -391,12 +399,32 @@ def _build():
                     continue
                 kwide = _bind(lib_path)
                 if kwide is None:
+                    _LOG.warning(
+                        "the C kernel built with %s failed its self-check "
+                        "against the Python kernel: %s",
+                        compiler,
+                        _FALLBACK,
+                    )
                     return None
                 with open(lib_path, "rb") as built:
                     saved = cached if publish(built.read(), cached) else None
                 return kwide, "compiled", saved
+        if compilers:
+            _LOG.warning(
+                "the C kernel failed to compile with %s: %s",
+                ", ".join(compilers),
+                _FALLBACK,
+            )
+        else:
+            _LOG.warning(
+                "no C compiler on PATH (tried %s): %s",
+                ", ".join(_COMPILERS),
+                _FALLBACK,
+            )
     except Exception:
-        _LOG.warning("native dispatch kernel build failed", exc_info=True)
+        _LOG.warning(
+            "native dispatch kernel build failed: %s", _FALLBACK, exc_info=True
+        )
     return None
 
 
@@ -417,11 +445,6 @@ if NATIVE_AVAILABLE:
 elif os.environ.get("REPRO_NO_NATIVE"):
     _LOG.info(
         "REPRO_NO_NATIVE set: dispatch runs the Python kernel"
-    )
-else:
-    _LOG.warning(
-        "no working C compiler: dispatch falls back to the Python "
-        "kernel (slower, same results)"
     )
 
 

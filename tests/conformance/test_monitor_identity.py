@@ -96,7 +96,7 @@ class TestMonitorDispatchIdentity:
             f"{engine} dispatch changed when a monitor was attached"
         )
         # the monitor really watched the run, it just didn't steer it
-        assert monitor.requests.total() == baseline.count
+        assert sum(s.completed for s in monitor.timeline()) == baseline.count
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("width", WIDTHS)
@@ -116,8 +116,8 @@ class TestMonitorDispatchIdentity:
         assert dispatch_rows(monitored) == dispatch_rows(baseline)
         assert shed_rows(monitored) == shed_rows(baseline)
         assert monitored.fault_summary() == baseline.fault_summary()
-        assert monitor.requests.total() == baseline.count
-        assert monitor.sheds.total() == len(baseline.shed)
+        assert sum(s.completed for s in monitor.timeline()) == baseline.count
+        assert sum(s.shed for s in monitor.timeline()) == len(baseline.shed)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("width", WIDTHS)
@@ -225,8 +225,8 @@ class TestShardedMonitorMerge:
         inline = self._serve(simulator, 3, "inline", **kwargs)
         assert fork.monitor.as_dict() == inline.monitor.as_dict()
         # the merged series saw every outcome the fleet report counted
-        assert fork.monitor.requests.total() == fork.report.count
-        assert fork.monitor.sheds.total() == fork.report.shed_count
+        assert sum(s.completed for s in fork.monitor.timeline()) == fork.report.count
+        assert sum(s.shed for s in fork.monitor.timeline()) == fork.report.shed_count
 
     def test_single_shard_monitor_matches_unsharded_run(self, simulator):
         fleet = self._serve(simulator, 1, "inline")

@@ -105,4 +105,4 @@ def test_one_spawn_worker_matches_inline(simulator, case):
         assert spawn.monitor is None
     else:
         assert spawn.monitor.as_dict() == inline.monitor.as_dict()
-        assert spawn.monitor.requests.total() == spawn.report.count
+        assert sum(s.completed for s in spawn.monitor.timeline()) == spawn.report.count

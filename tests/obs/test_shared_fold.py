@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
-from repro.obs.windows import ServingMonitor, WindowedCounter
+from repro.obs.windows import ServingMonitor
 from repro.sim.serving import ServingSimulator, _ReportSink
 from repro.sim.streaming import (
     QuantileSketch,
@@ -107,10 +107,14 @@ def test_shared_fold_equals_per_consumer_feed(width, monitor_error, underflow):
     assert sum(report.accelerator_load().values()) == REQUESTS
 
     assert monitor.as_dict() == naive_monitor.as_dict()
-    # the counter's shared bincount agrees with counting every finish
-    requests = WindowedCounter(WINDOW)
-    requests.add_times(finishes)
-    assert monitor.requests.series() == requests.series()
+    # the shared scatter's per-window counts agree with counting every
+    # finish on its own
+    windows, counts = np.unique(
+        np.floor(finishes / WINDOW).astype(np.int64), return_counts=True
+    )
+    assert {s.index: s.completed for s in monitor.timeline()} == dict(
+        zip(windows.tolist(), counts.tolist())
+    )
 
 
 SHAPES = (GemmShape(1024, 1024, 1024), GemmShape(512, 512, 512))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.obs.slo import (
-    BurnRatePolicy,
     SloSpec,
     evaluate_slo,
+    fast_span,
     parse_slo,
 )
 from repro.obs.windows import ServingMonitor
@@ -90,7 +90,7 @@ def _monitor(window_seconds=0.1, quantile_error=0.01):
 
 def _complete(monitor, window, count, latency):
     """``count`` completions with ``latency`` inside window ``window``."""
-    start, end = monitor.requests.bounds(window)
+    start, end = monitor.bounds(window)
     finishes = np.linspace(start, end, count, endpoint=False)
     arrivals = finishes - latency
     monitor.observe_chunk(finishes, finishes - arrivals)
@@ -127,7 +127,7 @@ class TestEvaluate:
         for window in range(20):
             _complete(monitor, window, 100, latency=0.005)
         # a burst of sheds in window 12: far beyond the 0.1% avail budget
-        burst_start, burst_end = monitor.requests.bounds(12)
+        burst_start, burst_end = monitor.bounds(12)
         monitor.observe_sheds(np.linspace(burst_start, burst_end, 40, endpoint=False))
         report = evaluate_slo(monitor, "avail>0.999")
         assert not report.ok
@@ -155,7 +155,7 @@ class TestEvaluate:
         monitor = _monitor()
         for window in range(20):
             _complete(monitor, window, 100, latency=0.005)
-            start, end = monitor.requests.bounds(window)
+            start, end = monitor.bounds(window)
             if window >= 10:  # condition stays true from window 10 on
                 monitor.observe_sheds(
                     np.linspace(start, end, 30, endpoint=False)
@@ -169,7 +169,7 @@ class TestEvaluate:
         monitor = _monitor()
         for window in range(10):
             _complete(monitor, window, 100, latency=0.005)
-        start, end = monitor.requests.bounds(5)
+        start, end = monitor.bounds(5)
         monitor.observe_sheds(np.linspace(start, end, 50, endpoint=False))
         report = evaluate_slo(monitor, "avail>0.99")
         assert report.window_ok(4)
@@ -200,7 +200,7 @@ class TestEvaluate:
         monitor = _monitor()
         for window in range(20):
             _complete(monitor, window, 50, latency=0.005)
-        start, end = monitor.requests.bounds(3)
+        start, end = monitor.bounds(3)
         monitor.observe_sheds(np.linspace(start, end, 40, endpoint=False))
         _complete(monitor, 15, 50, latency=0.9)
         report = evaluate_slo(monitor, "p99<50ms,avail>0.999")
@@ -210,27 +210,35 @@ class TestEvaluate:
             "p99<0.05s", "avail>0.999",
         }
 
+    def test_fast_alerts_match_trailing_span_sums(self):
+        monitor = _monitor()
+        rng = np.random.default_rng(11)
+        for window in range(200):
+            _complete(monitor, window, 50, latency=0.005)
+            # sheds in window 0 too: a span that never lets it go, or
+            # drops it early, moves the alerts
+            sheds = 2 if window == 0 else int(rng.choice([0, 0, 1]))
+            if sheds:
+                start, end = monitor.bounds(window)
+                monitor.observe_sheds(np.linspace(start, end, sheds, endpoint=False))
+        (result,) = evaluate_slo(monitor, "avail>0.99").results
+        span = fast_span(len(result.windows))
+        bads = [verdict.bad for verdict in result.windows]
+        threshold = 0.05 * result.budget_events
+        expected, active = [], False
+        for pos, verdict in enumerate(result.windows):
+            trailing = sum(bads[max(0, pos - span + 1) : pos + 1])
+            now = trailing > 0 and trailing >= threshold
+            if now and not active:
+                expected.append((verdict.end, f"{trailing} bad events"))
+            active = now
+        fast = [a for a in result.alerts if a.severity == "fast"]
+        assert len(expected) > 1
+        assert [(a.time, a.detail.split(" in ")[0]) for a in fast] == expected
+
 
 class TestBurnRatePolicy:
     def test_fast_span_is_at_least_one_window(self):
-        policy = BurnRatePolicy()
-        assert policy.fast_span(1) == 1
-        assert policy.fast_span(10) == 1
-        assert policy.fast_span(100) == 5
-
-    def test_custom_policy_changes_alerting(self):
-        monitor = _monitor()
-        for window in range(10):
-            _complete(monitor, window, 100, latency=0.005)
-        start, end = monitor.requests.bounds(5)
-        monitor.observe_sheds(np.linspace(start, end, 5, endpoint=False))
-        strict = evaluate_slo(
-            monitor, "avail>0.99",
-            policy=BurnRatePolicy(fast_budget_fraction=0.01),
-        )
-        lax = evaluate_slo(
-            monitor, "avail>0.99",
-            policy=BurnRatePolicy(fast_budget_fraction=1.0),
-        )
-        assert any(a.severity == "fast" for a in strict.alerts)
-        assert not any(a.severity == "fast" for a in lax.alerts)
+        assert fast_span(1) == 1
+        assert fast_span(10) == 1
+        assert fast_span(100) == 5

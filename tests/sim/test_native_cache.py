@@ -10,6 +10,7 @@ for the life of a process, so checks that a rebuilt file now loads as
 from __future__ import annotations
 
 import hashlib
+import logging
 import multiprocessing
 import os
 import re
@@ -234,13 +235,44 @@ def test_no_native_env_builds_nothing_and_creates_no_cache_dir(
     assert not cache_home.exists()
 
 
-def test_no_compiler_gives_the_numpy_fallback(cache_home, compiles, monkeypatch):
+def test_no_compiler_gives_the_numpy_fallback(
+    cache_home, compiles, monkeypatch, caplog
+):
     _native._build()
     compiles.clear()
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     # a cached kernel is keyed by its compiler; with none, nothing loads
-    assert _native._build() is None
+    with caplog.at_level(logging.WARNING, logger=_native._LOG.name):
+        assert _native._build() is None
     assert compiles == []
+    assert "no C compiler on PATH (tried cc, gcc, clang)" in caplog.text
+
+
+def test_fresh_build_failing_self_check_names_the_self_check(
+    cache_home, compiles, monkeypatch, caplog
+):
+    monkeypatch.setattr(_native, "_bind", lambda lib_path: None)
+    with caplog.at_level(logging.WARNING, logger=_native._LOG.name):
+        assert _native._build() is None
+    assert len(compiles) == 1
+    assert (
+        f"the C kernel built with {COMPILERS[0]} failed its self-check "
+        "against the Python kernel" in caplog.text
+    )
+    assert "no C compiler" not in caplog.text
+
+
+def test_every_compile_failing_names_the_compilers(
+    cache_home, monkeypatch, caplog
+):
+    monkeypatch.setattr(_native, "_compile", lambda compiler, directory: None)
+    with caplog.at_level(logging.WARNING, logger=_native._LOG.name):
+        assert _native._build() is None
+    assert (
+        f"the C kernel failed to compile with {', '.join(COMPILERS)}"
+        in caplog.text
+    )
+    assert "no C compiler" not in caplog.text
 
 
 def test_serve_stats_reports_compiled_then_cached(cache_home, tmp_path):

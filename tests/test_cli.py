@@ -1,8 +1,12 @@
 """CLI tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestParser:
@@ -260,6 +264,8 @@ class TestBadInput:
             (_SERVE + ["--configs", "C5,C5"], "C5"),
             (_SERVE + ["--configs", "C5,C3,C5"], "C5"),
             (["model", "nope"], "nope"),
+            (_SERVE + ["--windows", "0"], "0"),
+            (_SERVE + ["--shards", "0"], "0"),
         ],
     )
     def test_exits_2_naming_the_value(self, argv, token, capsys):
@@ -683,8 +689,19 @@ class TestServeSlo:
         assert "SLO" in capsys.readouterr().err
 
     def test_windows_must_be_positive(self, capsys):
-        assert main(self.serve_argv("--slo", "p99<1s", "--windows", "0")) == 2
-        assert "windows" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.serve_argv("--slo", "p99<1s", "--windows", "0"))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+            "argument --windows: expected an integer >= 1, got '0'"
+        )
+
+    def test_fine_windows_verdict_counts_every_completion(self, capsys):
+        argv = ["serve", "512x512x512", "--requests", "10000",
+                "--slo", "p99<50ms", "--windows", "5000"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "slo          p99<0.05s: ok (0/10000 bad" in out
 
     def test_sharded_serve_merges_monitor(self, capsys):
         argv = self.serve_argv(
@@ -741,6 +758,13 @@ class TestObsSlo:
         captured = capsys.readouterr()
         assert "windowed telemetry" in captured.out
         assert "pass --slo" in captured.err
+
+    def test_file_with_capacity_keys_renders_as_before(self, capsys):
+        # written before the capacity keys were dropped: it also carries
+        # the requests and peak_latency sections, which are not read back
+        assert main(["obs", "slo", str(DATA / "monitor_capacity_keys.json")]) == 0
+        expected = (DATA / "monitor_capacity_keys.stdout").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["obs", "slo", str(tmp_path / "nope.json")]) == 2
